@@ -1,12 +1,12 @@
 //! Microbenchmarks for the substrate layers: replica logs, the term
 //! rewriter, and the lock manager.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use relax_atomic::{LockManager, LockMode, TxId};
 use relax_queues::QueueOp;
-use relax_quorum::{Entry, Log, Timestamp};
+use relax_quorum::{DiffScratch, Entry, Log, Timestamp};
 use relax_spec::{paper_theories, parse_term, Rewriter, Term};
 
 fn make_log(entries: usize, site: usize) -> Log<QueueOp> {
@@ -31,6 +31,68 @@ fn bench_log_merge(c: &mut Criterion) {
         });
     }
     group.finish();
+}
+
+/// The shard-round shapes of two interleaving writers (the even and the
+/// odd of 256 sites, one entry per site per round): a replica holding
+/// `history` entries, and the odd writer's next 128-entry batch, which
+/// sorts inside the replica's last 256. Both calls cost O(batch), so the
+/// three histories must read the same.
+fn bench_log_tail_paths(c: &mut Criterion) {
+    const SITES: usize = 256;
+    for history in [1usize << 10, 1 << 14, 1 << 16] {
+        let rounds = history / SITES + 1;
+        let mut replica: Log<QueueOp> = Log::new();
+        let mut batch: Log<QueueOp> = Log::new();
+        for round in 0..rounds {
+            for site in 0..SITES {
+                let entry = Entry::new(
+                    Timestamp::new(round as u64 + 1, site),
+                    QueueOp::Enq(site as i64),
+                );
+                if round + 1 == rounds && site % 2 == 1 {
+                    batch.insert(entry);
+                } else if round + 1 < rounds || site % 2 == 0 {
+                    replica.insert(entry);
+                }
+            }
+        }
+        // A clone's vectors are exactly full and the first merge into
+        // it would pay to regrow them; a resident log, grown by appends,
+        // has headroom. One appended entry buys the clone the same.
+        let headroom: Log<QueueOp> = [Entry::new(
+            Timestamp::new(rounds as u64 + 1, 0),
+            QueueOp::Enq(0),
+        )]
+        .into_iter()
+        .collect();
+        let mut group = c.benchmark_group("log_merge_splice_128");
+        group.bench_with_input(BenchmarkId::from_parameter(history), &(), |bencher, ()| {
+            bencher.iter_batched(
+                || replica.merged(&headroom),
+                |mut log| {
+                    log.merge(black_box(&batch));
+                    log
+                },
+                BatchSize::LargeInput,
+            );
+        });
+        group.finish();
+
+        // The even writer's view: one interleaved batch behind.
+        let behind = replica.frontier();
+        let ahead = replica.merged(&batch);
+        let mut scratch = DiffScratch::default();
+        let mut group = c.benchmark_group("log_delta_one_batch_behind");
+        group.bench_with_input(BenchmarkId::from_parameter(history), &(), |bencher, ()| {
+            bencher.iter(|| {
+                ahead
+                    .delta_above_with(black_box(&behind), &mut scratch)
+                    .len()
+            });
+        });
+        group.finish();
+    }
 }
 
 fn bench_rewrite(c: &mut Criterion) {
@@ -108,6 +170,7 @@ fn bench_locking(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_log_merge,
+    bench_log_tail_paths,
     bench_rewrite,
     bench_compaction,
     bench_locking

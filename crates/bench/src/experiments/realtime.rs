@@ -357,6 +357,21 @@ pub fn best(rows: &[RealtimeRow]) -> &RealtimeRow {
         .expect("at least one sweep point")
 }
 
+/// The shard axis: throughput of the first 2-shard account row over the
+/// first 1-shard one (in [`SWEEP`], the same batch and replica count).
+/// Zero when the rows hold no such pair.
+pub fn account_shard2_over_shard1(rows: &[RealtimeRow]) -> f64 {
+    let at = |shards: usize| {
+        rows.iter()
+            .find(|r| r.config.workload == Workload::Account && r.config.shards == shards)
+            .map(|r| r.ops_per_sec)
+    };
+    match (at(2), at(1)) {
+        (Some(two), Some(one)) if one > 0.0 => two / one,
+        _ => 0.0,
+    }
+}
+
 /// Renders the rows as the `BENCH_realtime_throughput.json` payload.
 pub fn to_json(rows: &[RealtimeRow]) -> String {
     let top = best(rows);
@@ -390,6 +405,7 @@ pub fn to_json(rows: &[RealtimeRow]) -> String {
          \"best_workload\":\"{}\",\"best_shards\":{},\"best_batch\":{},\
          \"best_replicas\":{},\"best_ops_per_sec\":{:.0},\
          \"best_p50_nanos\":{},\"best_p99_nanos\":{},\
+         \"account_shard2_over_shard1\":{:.3},\
          \"all_equivalent\":{all_equivalent},\
          \"target_ops_per_sec\":{TARGET_OPS_PER_SEC:.0},\
          \"within_target\":{}}}\n",
@@ -401,6 +417,7 @@ pub fn to_json(rows: &[RealtimeRow]) -> String {
         top.ops_per_sec,
         top.p50_nanos,
         top.p99_nanos,
+        account_shard2_over_shard1(rows),
         top.ops_per_sec >= TARGET_OPS_PER_SEC && all_equivalent
     )
 }
@@ -436,8 +453,16 @@ mod tests {
 
     #[test]
     fn json_payload_carries_the_gate() {
-        let rows = vec![measure(small(Workload::Account))];
+        let one_shard = Config {
+            shards: 1,
+            ..small(Workload::Account)
+        };
+        let rows = vec![measure(small(Workload::Account)), measure(one_shard)];
+        let ratio = account_shard2_over_shard1(&rows);
+        assert_eq!(ratio, rows[0].ops_per_sec / rows[1].ops_per_sec);
+        assert_eq!(account_shard2_over_shard1(&rows[..1]), 0.0);
         let json = to_json(&rows);
+        assert!(json.contains(&format!("\"account_shard2_over_shard1\":{ratio:.3}")));
         assert!(json.contains("\"bench\":\"realtime_throughput\""));
         assert!(json.contains("\"best_ops_per_sec\":"));
         assert!(json.contains("\"all_equivalent\":true"));

@@ -157,6 +157,15 @@ pub const CHECKS: &[Check] = &[
         metric: "best_ops_per_sec",
         band: Band::MinRatio(0.25),
     },
+    // The shard axis: two shards over one on the same account stream.
+    // Both sides are single unpinned runs, so the ratio swings twofold;
+    // a quarter of the baseline still sits well above the 0.02–0.09 an
+    // O(history) shard round reads.
+    Check {
+        file: "BENCH_realtime_throughput.json",
+        metric: "account_shard2_over_shard1",
+        band: Band::MinRatio(0.25),
+    },
     Check {
         file: "BENCH_realtime_throughput.json",
         metric: "all_equivalent",
@@ -429,9 +438,10 @@ mod tests {
             dir,
             "BENCH_realtime_throughput.json",
             &format!(
-                "{{\"best_ops_per_sec\":{},\"all_equivalent\":{ok},\
-                 \"within_target\":{ok}}}\n",
-                speedup * 1.0e6
+                "{{\"best_ops_per_sec\":{},\"account_shard2_over_shard1\":{},\
+                 \"all_equivalent\":{ok},\"within_target\":{ok}}}\n",
+                speedup * 1.0e6,
+                speedup / 10.0
             ),
         );
         write(
@@ -539,7 +549,7 @@ mod tests {
             .iter()
             .all(|c| c.file == "BENCH_merkle_antientropy.json"));
         let realtime = selected(Some("realtime"));
-        assert_eq!(realtime.len(), 3);
+        assert_eq!(realtime.len(), 4);
         assert!(realtime
             .iter()
             .all(|c| c.file == "BENCH_realtime_throughput.json"));

@@ -3,7 +3,7 @@
 //! The workspace's benches were written against the real criterion API;
 //! this crate reimplements exactly the subset they use — `Criterion`,
 //! `benchmark_group`/`bench_function`/`bench_with_input`, `BenchmarkId`,
-//! `Bencher::iter`, and the `criterion_group!`/`criterion_main!` macros —
+//! `Bencher::iter`/`iter_batched`, and the `criterion_group!`/`criterion_main!` macros —
 //! with a simple wall-clock measurement loop, so `cargo bench` needs no
 //! network access. Numbers are indicative (mean ns/iter over an adaptive
 //! batch), not statistically analysed.
@@ -35,6 +35,18 @@ impl BenchmarkId {
             label: parameter.to_string(),
         }
     }
+}
+
+/// How many inputs real criterion sets up per timed batch; accepted for
+/// API compatibility (the shim always sets up one per iteration).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BatchSize {
+    /// Inputs small enough to keep many in memory.
+    SmallInput,
+    /// Inputs large enough that few fit in memory.
+    LargeInput,
+    /// One input per iteration.
+    PerIteration,
 }
 
 /// Runs one benchmark's timing loop.
@@ -76,6 +88,34 @@ impl Bencher {
         let elapsed = start.elapsed();
         self.iters = total_iters;
         self.mean_ns = elapsed.as_nanos() as f64 / total_iters as f64;
+    }
+
+    /// Times `routine` on a fresh input from `setup` each iteration, for
+    /// routines that consume or mutate their input. Only the routine is
+    /// on the clock — not the set-up, nor dropping the routine's output.
+    /// Stops after ~60ms of timed work or ~1s of wall time in all.
+    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
+    where
+        S: FnMut() -> I,
+        R: FnMut(I) -> O,
+    {
+        for _ in 0..3 {
+            black_box(routine(setup()));
+        }
+        let (window, wall_cap) = (Duration::from_millis(60), Duration::from_secs(1));
+        let start = Instant::now();
+        let mut timed = Duration::ZERO;
+        let mut iters: u64 = 0;
+        while timed < window && start.elapsed() < wall_cap {
+            let input = setup();
+            let t = Instant::now();
+            let out = routine(input);
+            timed += t.elapsed();
+            black_box(out);
+            iters += 1;
+        }
+        self.iters = iters;
+        self.mean_ns = timed.as_nanos() as f64 / iters as f64;
     }
 }
 
@@ -196,6 +236,30 @@ mod tests {
 
     fn tiny_bench(c: &mut Criterion) {
         c.bench_function("sum_to_100", |b| b.iter(|| (0u64..100).sum::<u64>()));
+    }
+
+    #[test]
+    fn iter_batched_hands_every_iteration_a_fresh_input() {
+        let mut b = Bencher::new();
+        let mut set_ups = 0u64;
+        b.iter_batched(
+            || {
+                set_ups += 1;
+                vec![1u8; 4]
+            },
+            |mut v| {
+                assert_eq!(v.len(), 4, "input was reused");
+                v.push(0);
+                v
+            },
+            BatchSize::SmallInput,
+        );
+        assert_eq!(
+            set_ups,
+            b.iters + 3,
+            "one set-up per call, warm-up included"
+        );
+        assert!(b.mean_ns > 0.0);
     }
 
     criterion_group!(benches, tiny_bench);

@@ -18,6 +18,24 @@
 //!
 //! Both indices are deterministic functions of the entry set, so
 //! equality and hashing remain defined by the entries alone.
+//!
+//! # Cost of the shard-round operations
+//!
+//! A replica's log and a shard's view are long; what a round moves is a
+//! batch. Each operation tries its O(1) *fast paths* first and then a
+//! *tail path* costing O(|delta| + |tail| + sites), where the tail is
+//! the receiver's entries at or above the lowest timestamp touched — so
+//! a round's cost does not grow with the resident history:
+//!
+//! | operation | fast paths | tail path | O(history) only when |
+//! |---|---|---|---|
+//! | [`Log::merge`] | empty, disjoint suffix (append), exact prefix, subset | two-pointer union over `entries[p..]`, `p` = first slot at or above `other`'s first timestamp | `other` reaches back to our start |
+//! | [`Log::delta_above_with`] | empty, advertised set = our prefix (suffix) | settle sites from summaries, scan `entries` from the lowest trailing `max + 1` | a site is unadvertised, holed, or ahead of us (full scan) |
+//! | [`Log::diff_with`] | `other` = our prefix (suffix) | — | otherwise (client write path; one shard's wal is short) |
+//!
+//! One writer never leaves the fast paths; two writers whose clocks
+//! interleave never hit them after the first round, which is what the
+//! tail paths are for.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -52,7 +70,7 @@ impl<Op: fmt::Display> fmt::Display for Entry<Op> {
 
 /// A log: entries sorted by timestamp, duplicates (same timestamp)
 /// discarded.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Log<Op> {
     entries: Vec<Entry<Op>>,
     /// `prefix[i]` = XOR of [`mix_ts`] over `entries[..=i]`.
@@ -65,6 +83,20 @@ pub struct Log<Op> {
     /// anti-entropy (delta payloads, full-log mode), so those paths pay
     /// nothing for it.
     merkle: Option<Box<MerkleIndex>>,
+}
+
+/// A clone is a payload — entries, prefix hashes and site summaries.
+/// The Merkle index stays behind: whoever receives the copy builds and
+/// maintains its own, if it ever syncs by Merkle anti-entropy at all.
+impl<Op: Clone> Clone for Log<Op> {
+    fn clone(&self) -> Self {
+        Log {
+            entries: self.entries.clone(),
+            prefix: self.prefix.clone(),
+            sites: self.sites.clone(),
+            merkle: None,
+        }
+    }
 }
 
 // The indices are functions of the entry set: identity is the entries.
@@ -183,10 +215,16 @@ impl<Op: Clone> Log<Op> {
 
     /// Appends an entry known to sort strictly above everything present.
     fn push_back(&mut self, entry: Entry<Op>) {
-        debug_assert!(self.entries.last().is_none_or(|e| e.ts < entry.ts));
-        let acc = self.prefix.last().copied().unwrap_or(0) ^ mix_ts(entry.ts);
         Self::note_site(&mut self.sites, entry.ts);
         self.note_merkle(entry.ts);
+        self.push_known(entry);
+    }
+
+    /// [`Log::push_back`] for an entry the site summaries and the Merkle
+    /// index already count (our own tail, re-seated by a splice).
+    fn push_known(&mut self, entry: Entry<Op>) {
+        debug_assert!(self.entries.last().is_none_or(|e| e.ts < entry.ts));
+        let acc = self.prefix.last().copied().unwrap_or(0) ^ mix_ts(entry.ts);
         self.prefix.push(acc);
         self.entries.push(entry);
     }
@@ -214,21 +252,30 @@ impl<Op: Clone> Log<Op> {
     /// Merges another log into this one (sorted union, duplicates
     /// discarded) — the fundamental replica/view operation of §3.1.
     ///
-    /// One two-pointer pass over both logs in the general case, with
-    /// O(1)/O(m log n) fast paths for the common protocol shapes: a
+    /// O(1)/O(m log n) fast paths for the common protocol shapes — a
     /// disjoint suffix (appending fresh entries), an exact prefix (one
     /// prefix-hash compare, same ≈2⁻⁶⁴ trust model as [`Log::delta_above`]),
-    /// and a subset (anti-entropy at steady state, where nothing is new).
+    /// a subset (anti-entropy at steady state, where nothing is new) —
+    /// and otherwise a two-pointer union over our *tail* only: the
+    /// entries sorting at or above `other`'s first timestamp. Everything
+    /// below it, and its prefix hashes, stay where they are, so a splice
+    /// costs O(|other| + |tail|) whatever the resident history.
     pub fn merge(&mut self, other: &Log<Op>) {
-        if other.entries.is_empty() {
+        let Some(first) = other.entries.first() else {
             return;
-        }
+        };
         if self.entries.is_empty() {
-            *self = other.clone();
+            // Adopt the payload's vectors; the Merkle index stays ours.
+            self.entries.clone_from(&other.entries);
+            self.prefix.clone_from(&other.prefix);
+            self.sites.clone_from(&other.sites);
+            if let Some(m) = &mut self.merkle {
+                other.entries.iter().for_each(|e| m.note(e.ts));
+            }
             return;
         }
         // Disjoint-suffix fast path: everything in `other` sorts above us.
-        if other.entries[0].ts > self.entries[self.entries.len() - 1].ts {
+        if first.ts > self.entries[self.entries.len() - 1].ts {
             for e in &other.entries {
                 self.push_back(e.clone());
             }
@@ -245,46 +292,27 @@ impl<Op: Clone> Log<Op> {
         if self.contains_log(other) {
             return;
         }
-        // General case: one sorted-union pass, moving our own entries.
-        let old = std::mem::take(&mut self.entries);
-        let mut merged = Vec::with_capacity(old.len() + other.entries.len());
-        let mut ours = old.into_iter().peekable();
-        let mut j = 0;
+        // Splice: lift our tail out and union it back in with `other`.
+        let p = self.entries.partition_point(|e| e.ts < first.ts);
+        let tail = self.entries.split_off(p);
+        self.prefix.truncate(p);
+        self.entries.reserve(tail.len() + m);
+        self.prefix.reserve(tail.len() + m);
+        let mut ours = tail.into_iter().peekable();
+        let mut theirs = other.entries.iter().peekable();
         loop {
-            match (ours.peek(), other.entries.get(j)) {
+            match (ours.peek(), theirs.peek()) {
                 (None, None) => break,
-                (Some(_), None) => merged.push(ours.next().expect("peeked")),
-                (Some(a), Some(b)) => {
-                    if b.ts < a.ts {
-                        let e = b.clone();
-                        j += 1;
-                        Self::note_site(&mut self.sites, e.ts);
-                        self.note_merkle(e.ts);
-                        merged.push(e);
-                    } else {
-                        if a.ts == b.ts {
-                            j += 1; // duplicate: keep ours
-                        }
-                        merged.push(ours.next().expect("peeked"));
+                (Some(a), Some(b)) if a.ts <= b.ts => {
+                    if a.ts == b.ts {
+                        theirs.next(); // duplicate: keep ours
                     }
+                    self.push_known(ours.next().expect("peeked"));
                 }
-                (None, Some(b)) => {
-                    let e = b.clone();
-                    j += 1;
-                    Self::note_site(&mut self.sites, e.ts);
-                    self.note_merkle(e.ts);
-                    merged.push(e);
-                }
+                (Some(_), None) => self.push_known(ours.next().expect("peeked")),
+                (_, Some(_)) => self.push_back(theirs.next().expect("peeked").clone()),
             }
         }
-        self.prefix.clear();
-        self.prefix.reserve(merged.len());
-        let mut acc = 0u64;
-        for e in &merged {
-            acc ^= mix_ts(e.ts);
-            self.prefix.push(acc);
-        }
-        self.entries = merged;
     }
 
     /// A merged copy of two logs.
@@ -328,6 +356,10 @@ impl<Op: Clone> Log<Op> {
     /// per-site summary vectors are reused across calls, and the output
     /// log's vectors are reserved to exact size, so a warm call performs
     /// at most three allocations (zero for an empty delta).
+    ///
+    /// O(|delta| + |tail| + sites) whenever the peer merely trails us
+    /// (the tail path, `delta_tail`); the O(history) scan runs only for
+    /// peers with unadvertised sites, per-site holes, or entries we lack.
     #[must_use]
     pub fn delta_above_with(&self, f: &Frontier, scratch: &mut DiffScratch) -> Log<Op> {
         if f.is_empty() || self.is_empty() {
@@ -351,6 +383,67 @@ impl<Op: Clone> Log<Op> {
             }
             return out;
         }
+        match self.delta_tail(f, scratch) {
+            Some(out) => out,
+            None => self.delta_scan(f, scratch),
+        }
+    }
+
+    /// The tail path of [`Log::delta_above_with`]: the peer trails us on
+    /// some sites and matches us on the rest — two writers interleaving,
+    /// each behind on the other's entries. Settles every site from the
+    /// summaries alone (O(sites)), then reads only our entries at or
+    /// above the lowest counter a trailing site can be missing.
+    ///
+    /// A trailing site is confirmed by subtraction: our summary minus
+    /// the entries above the advertised max must leave the advertised
+    /// (count, hash) — the test [`Log::delta_scan`] makes by adding up
+    /// the entries below it, under the same ≈2⁻⁶⁴ trust in the XOR hash.
+    /// `None` sends the call to the scan: an unadvertised site, a site
+    /// whose advertised max is not below ours, or a failed confirmation.
+    fn delta_tail(&self, f: &Frontier, scratch: &mut DiffScratch) -> Option<Log<Op>> {
+        // Per own site, what must sit above the advertised max (`max`
+        // holds that threshold); the scan below counts it back down.
+        scratch.below.clear();
+        let (mut floor, mut n) = (u64::MAX, 0u64);
+        let mut adv = f.sites().iter().peekable();
+        for s in &self.sites {
+            while adv.next_if(|a| a.site < s.site).is_some() {}
+            let a = adv.next_if(|a| a.site == s.site)?;
+            if (a.max >= s.max && a != s) || a.count > s.count {
+                return None;
+            }
+            if a.max < s.max {
+                floor = floor.min(a.max + 1);
+            }
+            n += s.count - a.count;
+            scratch.below.push(SiteSummary {
+                site: s.site,
+                count: s.count - a.count,
+                max: a.max,
+                hash: s.hash ^ a.hash,
+            });
+        }
+        let tail = &self.entries[self.entries.partition_point(|e| e.ts.counter < floor)..];
+        let mut out = Log::with_capacity_for(n as usize, self.sites.len());
+        for e in tail {
+            let ix = self.sites.binary_search_by_key(&e.ts.site, |s| s.site);
+            let b = &mut scratch.below[ix.expect("every entry's site is summarized")];
+            if e.ts.counter > b.max {
+                b.count = b.count.wrapping_sub(1);
+                b.hash ^= mix_ts(e.ts);
+                out.push_back(e.clone());
+            }
+        }
+        let confirmed = scratch.below.iter().all(|b| b.count == 0 && b.hash == 0);
+        confirmed.then_some(out)
+    }
+
+    /// The full scan behind [`Log::delta_above_with`]: three passes over
+    /// the whole log. The fallback for what [`Log::delta_tail`] declines,
+    /// and the oracle its tests compare against.
+    fn delta_scan(&self, f: &Frontier, scratch: &mut DiffScratch) -> Log<Op> {
+        let fsites = f.sites();
         // Summarize, per advertised site, our entries at-or-below the
         // advertised maximum counter.
         scratch.below.clear();
@@ -511,6 +604,7 @@ impl<Op: fmt::Display> fmt::Display for Log<Op> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use relax_automata::SplitMix64;
 
     fn e(counter: u64, site: usize, op: &str) -> Entry<String> {
         Entry::new(Timestamp::new(counter, site), op.to_string())
@@ -560,6 +654,79 @@ mod tests {
         log.merge(&other); // general merge path with a duplicate
         check_indices(&log);
         assert_eq!(log.merkle_index().roots().len(), 3);
+    }
+
+    #[test]
+    fn payloads_carry_no_merkle_index_and_receivers_keep_their_own() {
+        let mut sender: Log<String> = [e(1, 0, "a"), e(2, 1, "b"), e(40, 0, "c")]
+            .into_iter()
+            .collect();
+        let _ = sender.merkle_index();
+        assert!(sender.clone().merkle.is_none(), "a clone is a payload");
+        assert!(sender.delta_above(&Frontier::empty()).merkle.is_none());
+
+        // Index built on the receiver only: merging into the empty log
+        // keeps it, and keeps it right.
+        let mut receiver: Log<String> = Log::new();
+        let _ = receiver.merkle_index();
+        receiver.merge(&sender.clone());
+        assert!(receiver.merkle.is_some(), "the receiver's index survives");
+        check_indices(&receiver);
+        assert_eq!(receiver, sender);
+
+        // Index built on the sender only: the receiver does not adopt it.
+        let mut receiver: Log<String> = Log::new();
+        receiver.merge(&sender);
+        assert!(receiver.merkle.is_none(), "nobody asked for an index here");
+        check_indices(&receiver);
+        receiver.insert(e(3, 1, "d"));
+        assert_eq!(receiver.merkle_index().roots().len(), 2);
+        check_indices(&receiver);
+    }
+
+    #[test]
+    fn tail_delta_serves_a_trailing_peer_and_declines_the_rest() {
+        // Two writers interleave: sites 0 and 1. The peer wrote site 0
+        // itself and trails on site 1.
+        let ours: Log<String> = (1..=40u64)
+            .flat_map(|c| [e(c, 0, "x"), e(c, 1, "y")])
+            .collect();
+        let peer_with = |site1_upto: u64| -> Log<String> {
+            ours.entries()
+                .iter()
+                .filter(|x| x.ts.site == 0 || x.ts.counter <= site1_upto)
+                .cloned()
+                .collect()
+        };
+        let mut scratch = DiffScratch::default();
+        let f = peer_with(30).frontier();
+        let got = ours.delta_tail(&f, &mut scratch).expect("peer only trails");
+        assert_eq!(got, ours.delta_scan(&f, &mut scratch));
+        assert_eq!(got.len(), 10);
+
+        // A hole below the advertised max, an unadvertised site, and a
+        // peer ahead of us each go to the scan.
+        let holed: Log<String> = peer_with(30)
+            .entries()
+            .iter()
+            .filter(|x| x.ts != Timestamp::new(7, 1))
+            .cloned()
+            .collect();
+        assert!(ours.delta_tail(&holed.frontier(), &mut scratch).is_none());
+        let one_site = peer_with(0);
+        assert!(ours
+            .delta_tail(&one_site.frontier(), &mut scratch)
+            .is_none());
+        let mut ahead = peer_with(30);
+        ahead.insert(e(99, 0, "z"));
+        assert!(ours.delta_tail(&ahead.frontier(), &mut scratch).is_none());
+        for peer in [holed, one_site, ahead] {
+            let f = peer.frontier();
+            assert_eq!(
+                ours.delta_above_with(&f, &mut scratch),
+                ours.delta_scan(&f, &mut DiffScratch::default())
+            );
+        }
     }
 
     #[test]
@@ -779,6 +946,101 @@ mod tests {
             let d2 = la.diff_with(&lb, &mut scratch);
             prop_assert_eq!(&d1, &la.diff(&lb));
             prop_assert_eq!(d1, d2);
+        }
+
+        /// The tail path of `delta_above_with` is the full scan: on two
+        /// writers interleaving over 8–12 sites, with the peer trailing,
+        /// holed, missing whole sites, or ahead of us, the same `Log`
+        /// comes out, warm scratch or cold. Four scenarios a case.
+        #[test]
+        fn delta_tail_matches_the_full_scan(seeds in proptest::collection::vec(0u64..u64::MAX, 4)) {
+            for seed in seeds {
+                let mut rng = SplitMix64::seed_from_u64(seed);
+                let n_sites = 8 + rng.index(5);
+                // Writer A owns the even sites, writer B the odd ones;
+                // each round one of them stamps a batch off a shared
+                // Lamport floor, so their counters interleave.
+                let mut ours: Log<String> = Log::new();
+                let mut floor = [1u64; 2];
+                for _ in 0..4 + rng.index(12) {
+                    let w = rng.index(2);
+                    for site in (w..n_sites).step_by(2) {
+                        ours.insert(e(floor[w] + rng.index(3) as u64, site, "op"));
+                    }
+                    floor[w] += 3;
+                    floor[1 - w] = floor[1 - w].max(floor[w].saturating_sub(6));
+                }
+                // The peer: per site a prefix of ours (at least one
+                // entry), then maybe one fault.
+                let fault = rng.index(6); // 0 hole, 1 unadvertised, 2 ahead, else clean
+                let victim = rng.index(n_sites);
+                let mut peer: Log<String> = Log::new();
+                for s in ours.site_summaries() {
+                    let own: Vec<&Entry<String>> =
+                        ours.entries().iter().filter(|x| x.ts.site == s.site).collect();
+                    let keep = 1 + rng.index(own.len());
+                    let hole = (fault == 0 && s.site == victim && keep >= 2)
+                        .then(|| rng.index(keep - 1));
+                    for (i, x) in own[..keep].iter().enumerate() {
+                        if Some(i) != hole && !(fault == 1 && s.site == victim) {
+                            peer.insert((*x).clone());
+                        }
+                    }
+                    if fault == 2 && s.site == victim {
+                        peer.insert(e(s.max + 1 + rng.index(4) as u64, s.site, "theirs"));
+                    }
+                }
+                let f = peer.frontier();
+                let oracle = ours.delta_scan(&f, &mut DiffScratch::default());
+                let mut scratch = DiffScratch::default();
+                let cold = ours.delta_above_with(&f, &mut scratch);
+                let warm = ours.delta_above_with(&f, &mut scratch);
+                prop_assert_eq!(&cold, &oracle);
+                prop_assert_eq!(&warm, &oracle);
+                let tail = ours.delta_tail(&f, &mut scratch);
+                if fault > 2 {
+                    prop_assert!(tail.is_some(), "a clean trailing peer takes the tail path");
+                }
+                if let Some(tail) = tail {
+                    prop_assert_eq!(&tail, &oracle);
+                }
+                prop_assert_eq!(&peer.merged(&oracle), &peer.merged(&ours));
+            }
+        }
+
+        /// The tail-bounded splice is the repeated-insert oracle, and
+        /// leaves every index (Merkle built) as a from-scratch rebuild
+        /// would: a resident prefix of ≥ 2,048 entries, `other` landing
+        /// inside the receiver's last 256. Four scenarios a case.
+        #[test]
+        fn splice_merge_matches_naive_under_a_long_prefix(
+            seeds in proptest::collection::vec(0u64..u64::MAX, 4),
+        ) {
+            for seed in seeds {
+                let mut rng = SplitMix64::seed_from_u64(seed);
+                // Entry i of the grid is (1 + i / 8, i % 8): unique, sorted.
+                let grid = |i: u64| e(1 + i / 8, (i % 8) as usize, "op");
+                let n = 2048 + 256 + rng.index(512) as u64;
+                let mut receiver: Log<String> = Log::new();
+                let mut other: Log<String> = Log::new();
+                for i in 0..n {
+                    let in_tail = i >= n - 256;
+                    if !in_tail || rng.index(3) > 0 {
+                        receiver.insert(grid(i));
+                    }
+                    if in_tail && rng.index(3) == 0 {
+                        other.insert(grid(i)); // some we hold, some we lack
+                    }
+                }
+                for i in n..n + rng.index(8) as u64 {
+                    other.insert(grid(i)); // and a few past our end
+                }
+                let expect = naive_merged(&receiver, &other);
+                let _ = receiver.merkle_index();
+                receiver.merge(&other);
+                prop_assert_eq!(&receiver, &expect);
+                check_indices(&receiver);
+            }
         }
     }
 }

@@ -35,6 +35,7 @@
 //! registry on a [`TimeBase::WallNanos`] histogram), not sim ticks.
 
 use std::collections::{BTreeSet, VecDeque};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -61,10 +62,11 @@ pub struct ThreadedConfig {
     /// Maximum operations per shard round — the group-commit batch
     /// ceiling.
     pub batch: usize,
-    /// Broker flush deadline in microseconds: with multiple shards in
-    /// flight, a broker lingers this long for more requests before
-    /// serving a short batch. Ignored (no linger) with one shard, where
-    /// waiting could only add latency.
+    /// Broker flush deadline in microseconds: the longest a broker holds
+    /// a short batch for the shards it has not heard from (they are
+    /// mid-execute, or busy with another broker). A batch holding one
+    /// request per running shard is full and never waits, so with one
+    /// shard there is no linger at all.
     pub flush_micros: u64,
 }
 
@@ -393,11 +395,10 @@ where
         let n = self.n_replicas;
         let reachable: Vec<usize> = (0..n).filter(|i| !self.down.contains(i)).collect();
         let batch_cap = self.config.batch;
-        // Brokers linger for cross-shard batches only when there is more
-        // than one shard to batch across.
-        let linger = (self.config.shards > 1 && self.config.flush_micros > 0)
-            .then(|| Duration::from_micros(self.config.flush_micros));
-        let broker_cap = (2 * self.config.shards).max(4);
+        let linger = Duration::from_micros(self.config.flush_micros);
+        // Shard threads still running: the brokers' exact batch bound.
+        // Relaxed: the count publishes no data, it only ends a wait early.
+        let live = &AtomicUsize::new(self.config.shards);
         let down = &self.down;
         let ttype = &self.ttype;
         let assignment = &self.assignment;
@@ -428,7 +429,7 @@ where
                     continue; // down: no broker, requests go nowhere
                 };
                 let shard_txs = shard_txs.clone();
-                sc.spawn(move || run_broker(rep, NodeId(i), rx, shard_txs, n, broker_cap, linger));
+                sc.spawn(move || run_broker(rep, NodeId(i), rx, shard_txs, n, live, linger));
             }
             drop(shard_txs);
             for (s, shard) in self.shards.iter_mut().enumerate() {
@@ -446,6 +447,7 @@ where
                         NodeId(n + s),
                         batch_cap,
                     );
+                    live.fetch_sub(1, Ordering::Relaxed);
                 });
             }
             drop(rep_txs);
@@ -498,42 +500,35 @@ where
 /// deadline), serve writes before reads, flush responses per batch. The
 /// replica's protocol behaviour is [`ReplicaState::on_message`] — the
 /// exact state machine the sim runs.
+///
+/// The size bound is exact: a shard sends a read, awaits every response,
+/// sends a write, awaits every ack, so it has at most one request in
+/// flight here and a batch can hold no more than one packet per shard in
+/// `live`. A shard that has drained its backlog is not waited for.
 fn run_broker<T: ReplicatedType>(
     rep: &mut ReplicaState<T>,
     me: NodeId,
     rx: mpsc::Receiver<Packet<T>>,
     shard_txs: Vec<mpsc::Sender<Packet<T>>>,
     n_replicas: usize,
-    cap: usize,
-    linger: Option<Duration>,
+    live: &AtomicUsize,
+    linger: Duration,
 ) {
-    let mut batch: Vec<Packet<T>> = Vec::with_capacity(cap);
+    let mut batch: Vec<Packet<T>> = Vec::with_capacity(shard_txs.len());
     let mut outbox: Vec<Packet<T>> = Vec::new();
     loop {
         let Ok(first) = rx.recv() else {
             return; // every shard finished and dropped its sender
         };
         batch.push(first);
-        while batch.len() < cap {
-            match rx.try_recv() {
+        let mut deadline = None; // read the clock only for a short batch
+        while batch.len() < live.load(Ordering::Relaxed) {
+            let now = Instant::now();
+            let left = deadline.get_or_insert(now + linger).duration_since(now);
+            // Takes what is queued even at the deadline, then times out.
+            match rx.recv_timeout(left) {
                 Ok(m) => batch.push(m),
                 Err(_) => break,
-            }
-        }
-        if let Some(linger) = linger {
-            let deadline = Instant::now() + linger;
-            while batch.len() < cap {
-                let now = Instant::now();
-                let Some(left) = deadline
-                    .checked_duration_since(now)
-                    .filter(|d| !d.is_zero())
-                else {
-                    break;
-                };
-                match rx.recv_timeout(left) {
-                    Ok(m) => batch.push(m),
-                    Err(_) => break,
-                }
             }
         }
         // Writes before reads (stable: per-shard order within each class
@@ -962,6 +957,52 @@ mod tests {
             }
         ));
         assert_eq!(sys.calm_op_counts(), (1, 2));
+    }
+
+    #[test]
+    fn brokers_do_not_wait_for_shards_that_have_finished() {
+        use crate::relation::AccountKind;
+        // A deadline long enough to count: shard 0 drains after 2 rounds,
+        // shard 1 runs 16. While both run, a batch of two is full and
+        // flushes at once; once shard 0 is gone, a batch of one is. Only
+        // a broker already waiting as shard 0 exits may sit out one
+        // deadline. A bound that is not exact waits out two per round.
+        let flush_micros = 200_000;
+        let assignment = VotingAssignment::new(3)
+            .with_initial(AccountKind::Credit, 1)
+            .with_final(AccountKind::Credit, 1);
+        let mut sys = ThreadedSystem::new(
+            BankAccountType,
+            3,
+            4,
+            assignment,
+            ThreadedConfig {
+                shards: 2,
+                batch: 2,
+                flush_micros,
+            },
+        );
+        let backlog = |c: usize| [2, 16][c % 2]; // client c lives on shard c % 2
+        for c in 0..4 {
+            for _ in 0..backlog(c) {
+                sys.submit_to(c, AccountInv::Credit(1));
+            }
+        }
+        let stats = sys.run_all();
+        assert_eq!(stats.ops, 36);
+        assert!(
+            stats.wall_nanos < 4 * flush_micros * 1_000,
+            "ran {} ms against a {} ms deadline",
+            stats.wall_nanos / 1_000_000,
+            flush_micros / 1_000
+        );
+        for c in 0..4 {
+            assert_eq!(sys.outcomes_of(c).len(), backlog(c));
+            assert!(sys.outcomes_of(c).iter().all(Outcome::is_completed));
+        }
+        for i in 0..3 {
+            assert_eq!(sys.replica_log(i).len(), 36, "replica {i}");
+        }
     }
 
     /// Multi-shard stress: well past the single-shard sweet spot, mixing

@@ -7,6 +7,10 @@
 //! result is empty. A regression here (per-call temporaries, growth
 //! reallocs) shows up as a hard test failure, not a slow benchmark.
 //!
+//! The same allocator counts bytes, which gates the complexity contract
+//! of the shard-round path: a splice merge and a delta for a peer one
+//! interleaved batch behind allocate O(tail), not O(history).
+//!
 //! Single `#[test]` on purpose: the counting allocator is process-global
 //! and concurrent tests would double-count.
 
@@ -18,10 +22,12 @@ use relax_quorum::{DiffScratch, Entry, Log, Timestamp};
 struct Counting;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
@@ -31,6 +37,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -42,6 +49,12 @@ fn allocs_during(f: impl FnOnce()) -> u64 {
     let before = ALLOCS.load(Ordering::Relaxed);
     f();
     ALLOCS.load(Ordering::Relaxed) - before
+}
+
+fn bytes_during(f: impl FnOnce()) -> u64 {
+    let before = BYTES.load(Ordering::Relaxed);
+    f();
+    BYTES.load(Ordering::Relaxed) - before
 }
 
 fn log_of(counters: impl IntoIterator<Item = u64>, site: usize) -> Log<i64> {
@@ -102,4 +115,49 @@ fn warm_scratch_diffs_allocate_only_the_result() {
     });
     assert!(out.is_empty());
     assert_eq!(n, 0, "empty delta must be allocation-free, got {n}");
+
+    tail_paths_allocate_the_tail_not_the_history(&mut scratch);
+}
+
+/// Two writers (sites 0 and 1) with a 65,536-entry history at a
+/// replica; writer 0's view trails by writer 1's latest 128-entry batch,
+/// which sorts inside the replica's last 256 entries.
+fn tail_paths_allocate_the_tail_not_the_history(scratch: &mut DiffScratch) {
+    const HISTORY: u64 = 65_536;
+    const KIB_64: u64 = 64 * 1024;
+    let stamp = |i: u64| Entry::new(Timestamp::new(1 + i / 2, (i % 2) as usize), i as i64);
+    // Writer 1's batch: its entries among the last 256 of the grid.
+    let in_batch = |i: u64| i >= HISTORY - 256 && i % 2 == 1;
+    let mut view: Log<i64> = Log::new();
+    let mut batch: Log<i64> = Log::new();
+    for i in 0..HISTORY {
+        if in_batch(i) {
+            batch.insert(stamp(i));
+        } else {
+            view.insert(stamp(i));
+        }
+    }
+    assert_eq!(batch.len(), 128);
+    let mut replica = view.clone();
+    // Growth is amortized: a first splice pays for the vectors' headroom.
+    replica.merge(&log_of([HISTORY], 1));
+    let behind = view.frontier();
+
+    let splice = bytes_during(|| replica.merge(&batch));
+    assert_eq!(replica.len() as u64, HISTORY + 1);
+    assert!(
+        splice < KIB_64,
+        "a 128-entry splice into the last 256 of {HISTORY} allocated {splice} bytes"
+    );
+
+    let _ = replica.delta_above_with(&behind, scratch); // warm
+    let mut delta = Log::new();
+    let bytes = bytes_during(|| delta = replica.delta_above_with(&behind, scratch));
+    assert_eq!(delta.len(), 129, "the batch and the headroom entry");
+    assert!(
+        bytes < KIB_64,
+        "a delta one interleaved batch behind {HISTORY} allocated {bytes} bytes"
+    );
+    let n = allocs_during(|| delta = replica.delta_above_with(&behind, scratch));
+    assert!(n <= 3, "the tail path allocates only the result, got {n}");
 }
