@@ -1,12 +1,13 @@
-//! Microbenchmarks for the substrate layers: replica logs, the term
-//! rewriter, and the lock manager.
+//! Microbenchmarks for the substrate layers: replica logs, the view
+//! cache, the term rewriter, and the lock manager.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use relax_atomic::{LockManager, LockMode, TxId};
 use relax_queues::QueueOp;
-use relax_quorum::{DiffScratch, Entry, Log, Timestamp};
+use relax_quorum::runtime::{ReplicatedType, TaxiQueueType};
+use relax_quorum::{DiffScratch, Entry, Log, Timestamp, ViewCache};
 use relax_spec::{paper_theories, parse_term, Rewriter, Term};
 
 fn make_log(entries: usize, site: usize) -> Log<QueueOp> {
@@ -95,6 +96,65 @@ fn bench_log_tail_paths(c: &mut Criterion) {
     }
 }
 
+/// The two `ViewCache` paths over a taxi view of `size` pending
+/// requests. `viewcache_eval_append_1`: append one entry to the view and
+/// evaluate — a hit, which folds that entry into the cached bag in
+/// place, so the three sizes must read the same. (The entry re-enqueues
+/// a pending item, so the bag keeps its `size` keys however long the
+/// loop runs; the chain is off there because a hit never reads it, and
+/// with it on the growing log would add a copy per boundary crossed.)
+/// `viewcache_splice_resume`: an entry landed 32 below the top of a
+/// view of `size + 64` — a miss that resumes from the checkpoint at
+/// `size` (a boundary at all three sizes) and pays one copy of that
+/// bag, so this one is linear in `size`. It alternates two such views,
+/// each a splice to the cache the other left behind.
+fn bench_viewcache(c: &mut Criterion) {
+    let ttype = TaxiQueueType;
+    let eval = |cache: &mut ViewCache<_>, log: &Log<QueueOp>| {
+        cache
+            .eval_ref(log, ttype.initial_value(), |v, op| ttype.apply_mut(v, op))
+            .is_empty()
+    };
+    for size in [1usize << 10, 1 << 14, 1 << 16] {
+        let mut log = make_log(size, 0);
+        let mut cache = ViewCache::new();
+        cache.set_checkpoints(false);
+        eval(&mut cache, &log);
+        let mut counter = 2 * size as u64;
+        let mut group = c.benchmark_group("viewcache_eval_append_1");
+        group.bench_with_input(BenchmarkId::from_parameter(size), &(), |bencher, ()| {
+            bencher.iter(|| {
+                counter += 1;
+                log.insert(Entry::new(Timestamp::new(counter, 0), QueueOp::Enq(0)));
+                eval(&mut cache, black_box(&log))
+            });
+        });
+        group.finish();
+        assert_eq!(cache.misses(), 0);
+
+        let base = make_log(size + 64, 0);
+        // make_log(_, 0) stamps even counters: an odd one sorts between.
+        let spliced = [1, 2].map(|site| {
+            let at = Timestamp::new((size as u64 + 32) * 2 - 1, site);
+            let mut log = base.clone();
+            log.insert(Entry::new(at, QueueOp::Enq(-1)));
+            log
+        });
+        let mut cache = ViewCache::new();
+        eval(&mut cache, &base);
+        let mut turn = 0;
+        let mut group = c.benchmark_group("viewcache_splice_resume");
+        group.bench_with_input(BenchmarkId::from_parameter(size), &(), |bencher, ()| {
+            bencher.iter(|| {
+                turn ^= 1;
+                eval(&mut cache, black_box(&spliced[turn]))
+            });
+        });
+        group.finish();
+        assert_eq!(cache.checkpoint_hits(), cache.misses());
+    }
+}
+
 fn bench_rewrite(c: &mut Criterion) {
     let set = paper_theories().expect("shipped theories parse");
     let bag = set.theory("Bag").expect("Bag present").clone();
@@ -171,6 +231,7 @@ criterion_group!(
     benches,
     bench_log_merge,
     bench_log_tail_paths,
+    bench_viewcache,
     bench_rewrite,
     bench_compaction,
     bench_locking

@@ -74,9 +74,14 @@ pub struct Config {
 /// The sweep the `exp_realtime_throughput` binary runs. Account rows
 /// carry the deep batches (the commutative fast path the batching
 /// layers exist for: views maintained incrementally, O(1) per op). Taxi
-/// rows stay small — every taxi `apply` rebuilds a bag of pending
-/// requests, so its per-op cost grows with the live history and the row
-/// would measure bag cloning, not the execution backend.
+/// rows evaluate the view through `ViewCache` on every non-free op. On
+/// one shard the view only ever grows by appends, so each evaluation
+/// folds the new entries into the cached bag in place and the row
+/// measures the backend; it is gated as `taxi_shard1_ops_per_sec`. On
+/// four shards other shards' entries splice in below the cached point,
+/// and a splice still copies one checkpointed bag per round — that row
+/// is reported as measured and not gated. Both keep the size their
+/// baseline was recorded at.
 pub const SWEEP: &[Config] = &[
     Config {
         workload: Workload::Taxi,
@@ -357,19 +362,29 @@ pub fn best(rows: &[RealtimeRow]) -> &RealtimeRow {
         .expect("at least one sweep point")
 }
 
+/// Throughput of the first row of `workload` at `shards` shards.
+fn ops_per_sec_at(rows: &[RealtimeRow], workload: Workload, shards: usize) -> Option<f64> {
+    rows.iter()
+        .find(|r| r.config.workload == workload && r.config.shards == shards)
+        .map(|r| r.ops_per_sec)
+}
+
 /// The shard axis: throughput of the first 2-shard account row over the
 /// first 1-shard one (in [`SWEEP`], the same batch and replica count).
 /// Zero when the rows hold no such pair.
 pub fn account_shard2_over_shard1(rows: &[RealtimeRow]) -> f64 {
-    let at = |shards: usize| {
-        rows.iter()
-            .find(|r| r.config.workload == Workload::Account && r.config.shards == shards)
-            .map(|r| r.ops_per_sec)
-    };
+    let at = |shards| ops_per_sec_at(rows, Workload::Account, shards);
     match (at(2), at(1)) {
         (Some(two), Some(one)) if one > 0.0 => two / one,
         _ => 0.0,
     }
+}
+
+/// Throughput of the one-shard taxi row — the one row whose every
+/// dequeue runs `ViewCache` + `Bag` on the append-only (hit) path. Zero
+/// when the rows hold none.
+pub fn taxi_shard1_ops_per_sec(rows: &[RealtimeRow]) -> f64 {
+    ops_per_sec_at(rows, Workload::Taxi, 1).unwrap_or(0.0)
 }
 
 /// Renders the rows as the `BENCH_realtime_throughput.json` payload.
@@ -406,6 +421,7 @@ pub fn to_json(rows: &[RealtimeRow]) -> String {
          \"best_replicas\":{},\"best_ops_per_sec\":{:.0},\
          \"best_p50_nanos\":{},\"best_p99_nanos\":{},\
          \"account_shard2_over_shard1\":{:.3},\
+         \"taxi_shard1_ops_per_sec\":{:.0},\
          \"all_equivalent\":{all_equivalent},\
          \"target_ops_per_sec\":{TARGET_OPS_PER_SEC:.0},\
          \"within_target\":{}}}\n",
@@ -418,6 +434,7 @@ pub fn to_json(rows: &[RealtimeRow]) -> String {
         top.p50_nanos,
         top.p99_nanos,
         account_shard2_over_shard1(rows),
+        taxi_shard1_ops_per_sec(rows),
         top.ops_per_sec >= TARGET_OPS_PER_SEC && all_equivalent
     )
 }
@@ -457,12 +474,26 @@ mod tests {
             shards: 1,
             ..small(Workload::Account)
         };
-        let rows = vec![measure(small(Workload::Account)), measure(one_shard)];
+        let one_shard_taxi = Config {
+            shards: 1,
+            ..small(Workload::Taxi)
+        };
+        let rows = vec![
+            measure(small(Workload::Account)),
+            measure(one_shard),
+            measure(one_shard_taxi),
+        ];
         let ratio = account_shard2_over_shard1(&rows);
         assert_eq!(ratio, rows[0].ops_per_sec / rows[1].ops_per_sec);
         assert_eq!(account_shard2_over_shard1(&rows[..1]), 0.0);
         let json = to_json(&rows);
         assert!(json.contains(&format!("\"account_shard2_over_shard1\":{ratio:.3}")));
+        assert_eq!(taxi_shard1_ops_per_sec(&rows), rows[2].ops_per_sec);
+        assert_eq!(taxi_shard1_ops_per_sec(&rows[..2]), 0.0);
+        assert!(json.contains(&format!(
+            "\"taxi_shard1_ops_per_sec\":{:.0},",
+            rows[2].ops_per_sec
+        )));
         assert!(json.contains("\"bench\":\"realtime_throughput\""));
         assert!(json.contains("\"best_ops_per_sec\":"));
         assert!(json.contains("\"all_equivalent\":true"));

@@ -166,6 +166,15 @@ pub const CHECKS: &[Check] = &[
         metric: "account_shard2_over_shard1",
         band: Band::MinRatio(0.25),
     },
+    // The one-shard taxi row: every dequeue evaluates the view, so this
+    // is the row that falls tenfold or more if `ViewCache` goes back to
+    // copying the bag per evaluation. The four-shard taxi row (a splice
+    // per round, one copy each) is reported, not gated.
+    Check {
+        file: "BENCH_realtime_throughput.json",
+        metric: "taxi_shard1_ops_per_sec",
+        band: Band::MinRatio(0.25),
+    },
     Check {
         file: "BENCH_realtime_throughput.json",
         metric: "all_equivalent",
@@ -439,9 +448,11 @@ mod tests {
             "BENCH_realtime_throughput.json",
             &format!(
                 "{{\"best_ops_per_sec\":{},\"account_shard2_over_shard1\":{},\
+                 \"taxi_shard1_ops_per_sec\":{},\
                  \"all_equivalent\":{ok},\"within_target\":{ok}}}\n",
                 speedup * 1.0e6,
-                speedup / 10.0
+                speedup / 10.0,
+                speedup * 1.0e5
             ),
         );
         write(
@@ -549,7 +560,7 @@ mod tests {
             .iter()
             .all(|c| c.file == "BENCH_merkle_antientropy.json"));
         let realtime = selected(Some("realtime"));
-        assert_eq!(realtime.len(), 4);
+        assert_eq!(realtime.len(), 5);
         assert!(realtime
             .iter()
             .all(|c| c.file == "BENCH_realtime_throughput.json"));

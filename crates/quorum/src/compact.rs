@@ -99,7 +99,7 @@ impl<Op: Clone, V: Clone> CompactLog<Op, V> {
     {
         let mut v = self.base.clone();
         for e in self.suffix.entries() {
-            v = eval.apply(&v, &e.op);
+            eval.apply_mut(&mut v, &e.op);
         }
         v
     }
@@ -121,7 +121,7 @@ impl<Op: Clone, V: Clone> CompactLog<Op, V> {
         let mut rest = Log::new();
         for e in self.suffix.entries() {
             if e.ts <= frontier {
-                self.base = eval.apply(&self.base, &e.op);
+                eval.apply_mut(&mut self.base, &e.op);
             } else {
                 rest.insert(e.clone());
             }

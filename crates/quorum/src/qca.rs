@@ -190,7 +190,7 @@ where
                     let mut rest = mask;
                     while rest != 0 {
                         let i = rest.trailing_zeros() as usize;
-                        v = self.eta.apply(&v, &ops[i]);
+                        self.eta.apply_mut(&mut v, &ops[i]);
                         rest &= rest - 1;
                     }
                     pending.retain(|&ai| {

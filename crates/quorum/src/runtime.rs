@@ -648,14 +648,16 @@ impl<T: ReplicatedType> ClientState<T> {
                 merged_len,
             });
         }
+        let fresh;
         let value = if self.memoize {
             let ttype = &self.ttype;
             self.cache
-                .eval(view, ttype.initial_value(), |v, op| ttype.apply_mut(v, op))
+                .eval_ref(view, ttype.initial_value(), |v, op| ttype.apply_mut(v, op))
         } else {
-            self.ttype.eval_view(view)
+            fresh = self.ttype.eval_view(view);
+            &fresh
         };
-        match self.ttype.execute(&value, &pending.inv) {
+        match self.ttype.execute(value, &pending.inv) {
             None => {
                 let latency = ctx.now_ticks() - pending.started_at;
                 self.finish(ctx, Outcome::Refused { latency });

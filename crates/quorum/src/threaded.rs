@@ -568,6 +568,7 @@ fn run_shard<T: ReplicatedType>(
     batch_cap: usize,
 ) {
     let commutes = ttype.apply_commutes();
+    let initial = ttype.initial_value();
     loop {
         // Assemble the round: pending clients from the cursor, wrapping,
         // up to the batch ceiling.
@@ -671,7 +672,7 @@ fn run_shard<T: ReplicatedType>(
                 // replica, and the op completes regardless of how many
                 // that is.
                 *calm_fast += 1;
-                match ttype.execute(&ttype.initial_value(), &inv) {
+                match ttype.execute(&initial, &inv) {
                     None => slot.outcomes.push(Outcome::Refused { latency: 0 }),
                     Some(op) => {
                         let ts = slot.clock.tick();
@@ -695,21 +696,22 @@ fn run_shard<T: ReplicatedType>(
                 slot.outcomes.push(Outcome::TimedOut);
                 continue;
             }
-            let exec_value: T::Value = if init == 0 {
+            // `execute` only reads the value, so every arm lends it out.
+            let exec_value: &T::Value = if init == 0 {
                 // Zero initial quorum: respond against the empty view
                 // without observing (the sim's fresh-view path).
-                ttype.initial_value()
+                &initial
             } else {
                 if let Some(ts) = view.max_timestamp() {
                     slot.clock.observe(ts);
                 }
                 if commutes {
-                    value.clone()
+                    value
                 } else {
-                    cache.eval(view, ttype.initial_value(), |v, op| ttype.apply_mut(v, op))
+                    cache.eval_ref(view, ttype.initial_value(), |v, op| ttype.apply_mut(v, op))
                 }
             };
-            match ttype.execute(&exec_value, &inv) {
+            match ttype.execute(exec_value, &inv) {
                 None => slot.outcomes.push(Outcome::Refused { latency: 0 }),
                 Some(op) => {
                     let ts = slot.clock.tick();

@@ -18,13 +18,31 @@
 //!
 //! A miss need not replay from zero, though: the cache also keeps a
 //! *checkpoint chain* — snapshots of the folded value at geometric
-//! prefix lengths (four per octave; see [`checkpoint_slot`]), stored as
+//! prefix lengths (eight per octave; see [`checkpoint_slot`]), stored as
 //! replays cross those boundaries. A checkpoint at length `L` survives
 //! a splice at position `p` iff `p >= L` (checked by the same
 //! prefix-hash validity test), so a splice replays from the deepest
 //! surviving checkpoint below the splice point instead of from zero.
 //! The chain costs O(log n) stored values and never changes results —
 //! only replay depth.
+//!
+//! # Cost contract
+//!
+//! The cache *owns* the folded value and extends it in place;
+//! [`ViewCache::eval_ref`] hands out a borrow of it. Counting copies of
+//! the value (`V::clone`, the expensive thing for a collection-valued
+//! `V`):
+//!
+//! - **hit** (the log grew by a suffix): O(suffix) applies, no copy;
+//! - **splice** (entries landed below the cached point): one copy — of
+//!   the surviving checkpoint, none when the replay restarts from
+//!   `initial` — plus the replay from there;
+//! - **boundary crossing**: one copy, into the chain, per checkpoint
+//!   boundary the replay crosses (an append-only run crosses eight per
+//!   doubling of the log).
+//!
+//! [`ViewCache::eval`] is the owned form: the same call plus one copy of
+//! the result.
 
 use crate::log::Log;
 use crate::timestamp::Timestamp;
@@ -73,6 +91,9 @@ fn is_valid<V, Op: Clone>(c: &Cached<V>, log: &Log<Op>) -> bool {
 #[derive(Clone)]
 pub struct ViewCache<V> {
     cached: Option<Cached<V>>,
+    /// The value lent out for an empty log, which has no last timestamp
+    /// to cache it under.
+    empty: Option<V>,
     /// Checkpoint chain: slot `k` snapshots the fold at the `k`-th
     /// geometric boundary (see [`checkpoint_slot`]), refreshed whenever
     /// a replay crosses that length.
@@ -101,6 +122,7 @@ impl<V> Default for ViewCache<V> {
     fn default() -> Self {
         ViewCache {
             cached: None,
+            empty: None,
             checkpoints: Vec::new(),
             use_checkpoints: true,
             hits: 0,
@@ -120,21 +142,23 @@ impl<V: Clone> ViewCache<V> {
 
     /// Folds `apply` over `log`'s operations in timestamp order starting
     /// from `initial`, replaying only the suffix beyond the cached
-    /// prefix when the cache is valid for `log`. The fold mutates the
-    /// accumulator in place so replays never pay a rebuild per entry.
-    pub fn eval<Op: Clone>(
+    /// prefix when the cache is valid for `log`, and lends out the
+    /// result. The cached value itself is the accumulator — taken out,
+    /// extended in place, put back — so a hit copies nothing (see the
+    /// module's cost contract).
+    pub fn eval_ref<Op: Clone>(
         &mut self,
         log: &Log<Op>,
         initial: V,
         mut apply: impl FnMut(&mut V, &Op),
-    ) -> V {
+    ) -> &V {
         let entries = log.entries();
-        let (start, mut value) = match &self.cached {
-            Some(c) if is_valid(c, log) => {
+        let (start, mut value) = match self.cached.take_if(|c| is_valid(c, log)) {
+            Some(c) => {
                 self.hits += 1;
-                (c.len, c.value.clone())
+                (c.len, c.value)
             }
-            Some(_) => {
+            None if self.cached.is_some() => {
                 self.misses += 1;
                 // Splice below the cached point: resume from the
                 // deepest checkpoint whose prefix survived the splice.
@@ -172,15 +196,30 @@ impl<V: Clone> ViewCache<V> {
                 }
             }
         }
-        if let Some(last) = entries.last() {
-            self.cached = Some(Cached {
-                len: entries.len(),
-                last_ts: last.ts,
-                hash: log.prefix_hash(entries.len()),
-                value: value.clone(),
-            });
+        match entries.last() {
+            Some(last) => {
+                let cached = self.cached.insert(Cached {
+                    len: entries.len(),
+                    last_ts: last.ts,
+                    hash: log.prefix_hash(entries.len()),
+                    value,
+                });
+                &cached.value
+            }
+            // Nothing to key a cache entry on: park `initial` and leave
+            // whatever was cached alone.
+            None => self.empty.insert(value),
         }
-        value
+    }
+
+    /// [`ViewCache::eval_ref`] returning an owned copy of the result.
+    pub fn eval<Op: Clone>(
+        &mut self,
+        log: &Log<Op>,
+        initial: V,
+        apply: impl FnMut(&mut V, &Op),
+    ) -> V {
+        self.eval_ref(log, initial, apply).clone()
     }
 
     /// How many evaluations reused a cached prefix.
@@ -189,8 +228,8 @@ impl<V: Clone> ViewCache<V> {
         self.hits
     }
 
-    /// How many evaluations found a stale cache and replayed fully.
-    /// First-ever evaluations count as neither.
+    /// How many evaluations found a stale cache and replayed from a
+    /// checkpoint or from zero. First-ever evaluations count as neither.
     #[must_use]
     pub fn misses(&self) -> u64 {
         self.misses

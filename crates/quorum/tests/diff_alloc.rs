@@ -11,13 +11,19 @@
 //! of the shard-round path: a splice merge and a delta for a peer one
 //! interleaved batch behind allocate O(tail), not O(history).
 //!
+//! It also gates the view cache's cost contract: a warm hit extends the
+//! cached bag in place (no copy of it), and a splice pays for at most
+//! one copy — the checkpoint it resumes from.
+//!
 //! Single `#[test]` on purpose: the counting allocator is process-global
 //! and concurrent tests would double-count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use relax_quorum::{DiffScratch, Entry, Log, Timestamp};
+use relax_queues::QueueOp;
+use relax_quorum::runtime::{ReplicatedType, TaxiQueueType};
+use relax_quorum::{DiffScratch, Entry, Log, Timestamp, ViewCache};
 
 struct Counting;
 
@@ -117,6 +123,7 @@ fn warm_scratch_diffs_allocate_only_the_result() {
     assert_eq!(n, 0, "empty delta must be allocation-free, got {n}");
 
     tail_paths_allocate_the_tail_not_the_history(&mut scratch);
+    view_cache_hits_copy_nothing_and_splices_copy_once();
 }
 
 /// Two writers (sites 0 and 1) with a 65,536-entry history at a
@@ -160,4 +167,45 @@ fn tail_paths_allocate_the_tail_not_the_history(scratch: &mut DiffScratch) {
     );
     let n = allocs_during(|| delta = replica.delta_above_with(&behind, scratch));
     assert!(n <= 3, "the tail path allocates only the result, got {n}");
+}
+
+/// A taxi view of 4,096 pending requests evaluated through a warm
+/// [`ViewCache`]: one more `Enq` is a hit, a splice above the
+/// length-4,096 checkpoint is a resume from it.
+fn view_cache_hits_copy_nothing_and_splices_copy_once() {
+    const ITEMS: u64 = 4_096;
+    const KIB: u64 = 1024;
+    let ttype = TaxiQueueType;
+    let enq = |counter: u64, site: usize| {
+        Entry::new(Timestamp::new(counter, site), QueueOp::Enq(counter as i64))
+    };
+    let mut cache = ViewCache::new();
+    let mut eval = |log: &Log<QueueOp>| {
+        cache
+            .eval_ref(log, ttype.initial_value(), |v, op| ttype.apply_mut(v, op))
+            .len()
+    };
+    // Even counters, so a later odd one splices between two of them.
+    let mut log = Log::new();
+    for i in 1..=ITEMS {
+        log.insert(enq(2 * i, 0));
+    }
+    assert_eq!(eval(&log) as u64, ITEMS);
+    let bag = ttype.eval_view(&log);
+    let copy = bytes_during(|| drop(bag.clone()));
+    assert!(copy > 100 * KIB, "a {ITEMS}-item bag is only {copy} bytes");
+
+    // Warm hit: fold one `Enq` into the cached bag where it lies.
+    log.insert(enq(2 * ITEMS + 2, 0));
+    let hit = bytes_during(|| assert_eq!(eval(&log) as u64, ITEMS + 1));
+    assert!(hit < KIB, "a one-entry hit allocated {hit} bytes");
+
+    // Splice at position 4,096: the checkpoint at that length survives
+    // and the two-entry replay crosses no other boundary.
+    log.insert(enq(2 * ITEMS + 1, 1));
+    let splice = bytes_during(|| assert_eq!(eval(&log) as u64, ITEMS + 2));
+    assert!(
+        splice > copy / 2 && splice < copy + 4 * KIB,
+        "a splice resumed from a checkpoint allocated {splice} bytes; a copy is {copy}"
+    );
 }

@@ -4,8 +4,10 @@
 //!
 //! The cache keys on `(length, last timestamp, prefix hash)`; a merge
 //! that splices entries below the cached point changes the prefix hash
-//! and must force a full replay, while append-only growth replays only
-//! the suffix. Both paths must produce the value `η` would.
+//! and must force a replay (from the deepest surviving checkpoint, or
+//! from zero), while append-only growth extends the cached value in
+//! place by the suffix. Every path — borrowed or owned, with or without
+//! the checkpoint chain — must produce the value `η` would.
 
 use proptest::prelude::*;
 
@@ -28,70 +30,78 @@ fn entry(counter: u64, site: usize) -> Entry<QueueOp> {
     Entry::new(ts, op_for(ts))
 }
 
+type TaxiCache = ViewCache<<TaxiQueueType as ReplicatedType>::Value>;
+
+fn counters(c: &TaxiCache) -> (u64, u64, u64, u64) {
+    (
+        c.hits(),
+        c.misses(),
+        c.checkpoint_hits(),
+        c.entries_replayed(),
+    )
+}
+
+/// Runs an insert/merge script — inserts into a main log and a scratch
+/// log, merges of scratch into main (the splices) — and after every
+/// step, starting with the empty log, demands four-way agreement:
+/// borrowed `eval_ref` == owned `eval` == checkpoint-free == fresh
+/// fold. The borrowed and owned caches must also count alike: the owned
+/// form is the borrowed one plus a copy, nothing else.
+fn check_script(script: Vec<(u8, u64, usize)>) -> Result<(), TestCaseError> {
+    let ttype = TaxiQueueType;
+    let mut main = Log::new();
+    let mut scratch = Log::new();
+    let mut borrowed = TaxiCache::default();
+    let mut owned = TaxiCache::default();
+    let mut plain = TaxiCache::default();
+    plain.set_checkpoints(false);
+    // A leading merge of the still-empty scratch log is a no-op, so the
+    // first evaluation sees the empty log.
+    for (kind, counter, site) in std::iter::once((3, 0, 0)).chain(script) {
+        match kind {
+            0 | 1 => main.insert(entry(counter, site)),
+            2 => scratch.insert(entry(counter, site)),
+            _ => main.merge(&scratch),
+        }
+        let fresh = ttype.eval_view(&main);
+        let b = borrowed.eval_ref(&main, ttype.initial_value(), |v, op| ttype.apply_mut(v, op));
+        prop_assert_eq!(b, &fresh, "borrowed diverged after {} entries", main.len());
+        let o = owned.eval(&main, ttype.initial_value(), |v, op| ttype.apply_mut(v, op));
+        prop_assert_eq!(&o, &fresh, "owned diverged after {} entries", main.len());
+        let p = plain.eval_ref(&main, ttype.initial_value(), |v, op| ttype.apply_mut(v, op));
+        prop_assert_eq!(
+            p,
+            &fresh,
+            "checkpoint-free diverged after {} entries",
+            main.len()
+        );
+        prop_assert_eq!(counters(&borrowed), counters(&owned));
+    }
+    // The chain never changes what hits or misses, and resuming from a
+    // checkpoint can only shorten replays.
+    prop_assert_eq!(borrowed.hits(), plain.hits());
+    prop_assert_eq!(borrowed.misses(), plain.misses());
+    prop_assert!(borrowed.entries_replayed() <= plain.entries_replayed());
+    Ok(())
+}
+
 proptest! {
-    /// Interleaves inserts into a main log and a scratch log with
-    /// merges of scratch into main, querying through the cache after
-    /// every step and checking against an uncached replay.
+    /// Short scripts over few counters: duplicate timestamps, merges
+    /// that add nothing, splices near the front.
     #[test]
     fn memoized_eval_matches_fresh_replay_at_every_step(
-        script in proptest::collection::vec((0u8..4, 1u64..40, 0usize..4), 1..40),
+        script in proptest::collection::vec((0u8..4, 1u64..40, 0usize..4), 0..40),
     ) {
-        let ttype = TaxiQueueType;
-        let mut main = Log::new();
-        let mut scratch = Log::new();
-        let mut cache: ViewCache<<TaxiQueueType as ReplicatedType>::Value> =
-            ViewCache::default();
-        for (kind, counter, site) in script {
-            match kind {
-                0 | 1 => main.insert(entry(counter, site)),
-                2 => scratch.insert(entry(counter, site)),
-                _ => main.merge(&scratch),
-            }
-            let memoized = cache.eval(&main, ttype.initial_value(), |v, op| ttype.apply_mut(v, op));
-            let fresh = ttype.eval_view(&main);
-            prop_assert_eq!(
-                &memoized,
-                &fresh,
-                "cache diverged after {} entries ({} hits / {} misses)",
-                main.len(),
-                cache.hits(),
-                cache.misses()
-            );
-        }
+        check_script(script)?;
     }
 
-    /// The checkpoint chain must never change results — only replay
-    /// depth. Runs the same random insert/merge/splice script through a
-    /// checkpointed cache, a checkpoint-free cache, and a fresh replay,
-    /// requiring three-way agreement at every step; long scripts with
-    /// big counters make power-of-two checkpoint boundaries and deep
-    /// splices actually occur.
+    /// Long scripts with big counters, so checkpoint boundaries and
+    /// deep splices (resumes from the chain) actually occur.
     #[test]
     fn checkpointed_eval_matches_plain_and_fresh_at_every_step(
         script in proptest::collection::vec((0u8..4, 1u64..200, 0usize..3), 1..80),
     ) {
-        let ttype = TaxiQueueType;
-        let mut main = Log::new();
-        let mut scratch = Log::new();
-        let mut with_cp: ViewCache<<TaxiQueueType as ReplicatedType>::Value> =
-            ViewCache::default();
-        let mut without_cp: ViewCache<<TaxiQueueType as ReplicatedType>::Value> =
-            ViewCache::default();
-        without_cp.set_checkpoints(false);
-        for (kind, counter, site) in script {
-            match kind {
-                0 | 1 => main.insert(entry(counter, site)),
-                2 => scratch.insert(entry(counter, site)),
-                _ => main.merge(&scratch),
-            }
-            let a = with_cp.eval(&main, ttype.initial_value(), |v, op| ttype.apply_mut(v, op));
-            let b = without_cp.eval(&main, ttype.initial_value(), |v, op| ttype.apply_mut(v, op));
-            let fresh = ttype.eval_view(&main);
-            prop_assert_eq!(&a, &fresh, "checkpointed cache diverged");
-            prop_assert_eq!(&b, &fresh, "plain cache diverged");
-        }
-        // Resuming from a checkpoint can only shorten replays.
-        prop_assert!(with_cp.entries_replayed() <= without_cp.entries_replayed());
+        check_script(script)?;
     }
 }
 
