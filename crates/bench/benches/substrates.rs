@@ -96,6 +96,104 @@ fn bench_log_tail_paths(c: &mut Criterion) {
     }
 }
 
+/// One writer's shapes: a shard of 256 clients (one site each, one entry
+/// per site per round) and a replica holding `resident` of its entries.
+/// `log_insert_above_tail` is what the shard does to its own view and
+/// round payload — the next round's 256 mints inserted one by one, each
+/// above the tail; `log_merge_append_256` is what the replica does with
+/// that round's group commit. Neither looks below the tail, so the three
+/// sizes must read the same.
+///
+/// `shard_round_free_after_debit` merges sixteen rounds into the 16k
+/// replica in the two shapes a CALM shard can mint them. `observed`:
+/// every client's clock observes the shard view before it ticks, free
+/// round or not, so round `j` sits wholly above round `j - 1` and every
+/// commit appends. `unobserved`: only the first round observes; after
+/// it client `c` mints `M + c + 1 + j`, which lands among everything
+/// minted since — every later commit is a splice over a growing tail.
+fn bench_log_one_writer(c: &mut Criterion) {
+    const SITES: u64 = 256;
+    let stamp = |counter: u64, site: u64| {
+        Entry::new(
+            Timestamp::new(counter, site as usize),
+            QueueOp::Enq(site as i64),
+        )
+    };
+    let round_from = |base: u64| -> Log<QueueOp> {
+        (0..SITES)
+            .map(|site| stamp(base + site + 1, site))
+            .collect()
+    };
+    // A replica holding the shard's first `resident / 256` rounds, and the
+    // one entry that sorts just above them. A power-of-two log is exactly
+    // full, and so is any clone; merging that entry in buys each fresh
+    // copy the headroom a log grown by appends normally has (as in
+    // `bench_log_tail_paths`).
+    let resident_log = |resident: u64| -> (Log<QueueOp>, Log<QueueOp>) {
+        let mut replica: Log<QueueOp> = Log::new();
+        for r in 0..resident / SITES {
+            replica.merge(&round_from(r * SITES));
+        }
+        (replica, [stamp(resident + 1, 0)].into_iter().collect())
+    };
+    for resident in [1u64 << 10, 1 << 14, 1 << 16] {
+        let (replica, headroom) = resident_log(resident);
+        let next = round_from(resident + 1);
+
+        let mut group = c.benchmark_group("log_insert_above_tail");
+        group.bench_with_input(BenchmarkId::from_parameter(resident), &(), |bencher, ()| {
+            bencher.iter_batched(
+                || replica.merged(&headroom),
+                |mut log| {
+                    for entry in black_box(&next).entries() {
+                        log.insert(entry.clone());
+                    }
+                    log
+                },
+                BatchSize::LargeInput,
+            );
+        });
+        group.finish();
+
+        let mut group = c.benchmark_group("log_merge_append_256");
+        group.bench_with_input(BenchmarkId::from_parameter(resident), &(), |bencher, ()| {
+            bencher.iter_batched(
+                || replica.merged(&headroom),
+                |mut log| {
+                    log.merge(black_box(&next));
+                    log
+                },
+                BatchSize::LargeInput,
+            );
+        });
+        group.finish();
+    }
+
+    let resident = 1u64 << 14;
+    let (replica, headroom) = resident_log(resident);
+    let sixteen = |stride: u64| -> Vec<Log<QueueOp>> {
+        (0..16)
+            .map(|j| round_from(resident + 1 + stride * j))
+            .collect()
+    };
+    let mut group = c.benchmark_group("shard_round_free_after_debit");
+    for (shape, rounds) in [("observed", sixteen(SITES)), ("unobserved", sixteen(1))] {
+        group.bench_with_input(BenchmarkId::from_parameter(shape), &(), |bencher, ()| {
+            bencher.iter_batched(
+                || replica.merged(&headroom),
+                |mut log| {
+                    for round in black_box(&rounds) {
+                        log.merge(round);
+                    }
+                    log
+                },
+                BatchSize::LargeInput,
+            );
+        });
+    }
+    group.finish();
+}
+
 /// The two `ViewCache` paths over a taxi view of `size` pending
 /// requests. `viewcache_eval_append_1`: append one entry to the view and
 /// evaluate — a hit, which folds that entry into the cached bag in
@@ -231,6 +329,7 @@ criterion_group!(
     benches,
     bench_log_merge,
     bench_log_tail_paths,
+    bench_log_one_writer,
     bench_viewcache,
     bench_rewrite,
     bench_compaction,

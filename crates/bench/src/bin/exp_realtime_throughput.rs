@@ -3,10 +3,14 @@
 //! sim-vs-threaded equivalence probe on every row.
 //!
 //! Results go to `BENCH_realtime_throughput.json`; CI requires
-//! `within_target: true` (best sweep point ≥ 1M ops/sec aggregate with
-//! every row observably equivalent to the simulator).
+//! `within_target: true` (best sweep point ≥ 1M ops/sec aggregate, the
+//! coordination-free account rows faster than the same stream under
+//! all-quorum scheduling, every row observably equivalent to the
+//! simulator).
 
-use relax_bench::experiments::realtime::{best, run, to_json, SWEEP, TARGET_OPS_PER_SEC};
+use relax_bench::experiments::realtime::{
+    account_calm_over_quorum, best, run, to_json, SWEEP, TARGET_OPS_PER_SEC,
+};
 
 fn main() {
     println!("== Sharded wall-clock backend: batched brokers, group commit ==\n");
@@ -17,7 +21,8 @@ fn main() {
     let all_equivalent = rows.iter().all(|r| r.equivalent);
     println!(
         "gate: {} ({} shards × batch {} × {} replicas) → {:.0} ops/sec \
-         (target ≥ {TARGET_OPS_PER_SEC:.0}), p50 {:.1}µs, p99 {:.1}µs, all_equivalent={}",
+         (target ≥ {TARGET_OPS_PER_SEC:.0}), p50 {:.1}µs, p99 {:.1}µs, \
+         coordination-free over quorum {:.2}x (target > 1), all_equivalent={}",
         top.config.workload.name(),
         top.config.shards,
         top.config.batch,
@@ -25,6 +30,7 @@ fn main() {
         top.ops_per_sec,
         top.p50_nanos as f64 / 1e3,
         top.p99_nanos as f64 / 1e3,
+        account_calm_over_quorum(&rows),
         all_equivalent
     );
 

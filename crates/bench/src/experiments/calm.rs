@@ -5,22 +5,24 @@
 //! lattice level, so a [`SchedulingPolicy`] may execute it
 //! coordination-free: respond against the initial value, append to a
 //! client WAL, ship to every replica without waiting — no read phase, no
-//! quorum, no timer. This experiment measures what that buys on the
-//! discrete-event simulator:
+//! quorum, no timer. This experiment shows what the discrete-event
+//! simulator can show of that — equivalence and availability. What it
+//! buys in time is a wall-clock question (a free operation takes zero
+//! sim ticks, so any tick ratio is a floor artefact): that number is
+//! `account_calm_over_quorum` in `exp_realtime_throughput`.
 //!
-//! * **Latency rows** run the same workload under the all-quorum
+//! * **Healthy rows** run the same workload under the all-quorum
 //!   baseline and under the analyzer-derived policy with identical
-//!   seeds, comparing the monotone ops' p50/p99 latency in sim ticks.
-//!   Every row also demands the two runs be *observably equivalent*
-//!   (same outcome shapes, merged history, and replica logs).
+//!   seeds and demand the two runs be *observably equivalent* (same
+//!   outcome shapes, merged history, and replica logs). The monotone
+//!   ops' p50/p99 latency in sim ticks is reported, not gated.
 //! * **Availability rows** partition the client from every replica
 //!   before the workload starts and heal afterwards: baseline credits
 //!   time out; fast-path credits must stay 100% available and still
 //!   converge to every replica once the partition heals and WALs flush.
 //!
-//! The gate: monotone-op p50 at least [`TARGET_LATENCY_RATIO`]× better
-//! than the quorum path, fast-path availability 1.0 under the
-//! quorum-blocking partition, and every row equivalent.
+//! The gate: fast-path availability 1.0 under the quorum-blocking
+//! partition, and every row equivalent.
 
 use relax_quorum::calm::{analyze_account, SchedulingPolicy};
 use relax_quorum::relation::{account_relation, AccountKind};
@@ -29,9 +31,6 @@ use relax_quorum::{outcome_shapes, ClientConfig, QuorumSystem, VotingAssignment}
 use relax_sim::{Fault, FaultSchedule, NetworkConfig, NodeId, Partition, SimTime};
 
 use crate::table::Table;
-
-/// The gate: quorum-path p50 over fast-path p50 for monotone ops.
-pub const TARGET_LATENCY_RATIO: f64 = 5.0;
 
 /// One sweep point.
 #[derive(Debug, Clone, Copy)]
@@ -265,20 +264,6 @@ pub fn measure(config: Config) -> CalmRow {
     }
 }
 
-/// Quorum-over-fast p50 ratio for one healthy row (fast p50 of zero
-/// ticks counts as one, keeping the ratio finite and conservative).
-pub fn latency_ratio(row: &CalmRow) -> f64 {
-    row.base_p50 as f64 / (row.fast_p50.max(1)) as f64
-}
-
-/// The worst (smallest) healthy-row latency ratio — the gated number.
-pub fn gate_latency_ratio(rows: &[CalmRow]) -> f64 {
-    rows.iter()
-        .filter(|r| !r.config.partitioned)
-        .map(latency_ratio)
-        .fold(f64::INFINITY, f64::min)
-}
-
 /// The worst fast-path availability across the partitioned rows.
 pub fn gate_availability(rows: &[CalmRow]) -> f64 {
     rows.iter()
@@ -299,7 +284,6 @@ pub fn run(sweep: &[Config]) -> (Table, Vec<CalmRow>) {
         "quorum",
         "base p50",
         "fast p50",
-        "ratio",
         "avail base",
         "avail fast",
         "verdict",
@@ -318,7 +302,6 @@ pub fn run(sweep: &[Config]) -> (Table, Vec<CalmRow>) {
             r.quorum_ops.to_string(),
             r.base_p50.to_string(),
             r.fast_p50.to_string(),
-            format!("{:.1}", latency_ratio(r)),
             format!("{:.2}", r.availability_base),
             format!("{:.2}", r.availability_fast),
             if r.equivalent {
@@ -333,7 +316,6 @@ pub fn run(sweep: &[Config]) -> (Table, Vec<CalmRow>) {
 
 /// Renders the rows as the `BENCH_calm_fastpath.json` payload.
 pub fn to_json(rows: &[CalmRow]) -> String {
-    let ratio = gate_latency_ratio(rows);
     let availability = gate_availability(rows);
     let all_equivalent = rows.iter().all(|r| r.equivalent);
     let calm_fast_ops: u64 = rows.iter().map(|r| r.free_ops).sum();
@@ -368,13 +350,11 @@ pub fn to_json(rows: &[CalmRow]) -> String {
          \"workload\":\"bank_account\",\"relation\":\"A2\",\
          \"calm_fast_ops\":{calm_fast_ops},\"calm_quorum_ops\":{calm_quorum_ops},\
          \"rows\":[{}],\
-         \"gate_latency_ratio\":{ratio:.2},\
          \"availability_fast\":{availability:.4},\
          \"all_equivalent\":{all_equivalent},\
-         \"target_latency_ratio\":{TARGET_LATENCY_RATIO:.1},\
          \"within_target\":{}}}\n",
         row_json.join(","),
-        ratio >= TARGET_LATENCY_RATIO && availability == 1.0 && all_equivalent
+        availability == 1.0 && all_equivalent
     )
 }
 
@@ -392,17 +372,12 @@ mod tests {
     }
 
     #[test]
-    fn healthy_row_is_equivalent_with_a_wide_latency_gap() {
+    fn healthy_row_is_equivalent_and_the_fast_path_waits_on_nothing() {
         let row = measure(small(false));
         assert!(row.equivalent, "healthy fast path diverged");
         assert_eq!(row.free_ops + row.quorum_ops, 24);
         assert_eq!(row.fast_p50, 0, "fast path waits on nothing");
-        assert!(
-            latency_ratio(&row) >= TARGET_LATENCY_RATIO,
-            "ratio {:.1} below target (base p50 {})",
-            latency_ratio(&row),
-            row.base_p50
-        );
+        assert!(row.base_p50 > 0, "the quorum path pays round trips");
     }
 
     #[test]
@@ -418,10 +393,9 @@ mod tests {
         let rows = vec![measure(small(false)), measure(small(true))];
         let json = to_json(&rows);
         assert!(json.contains("\"bench\":\"calm_fastpath\""));
-        assert!(json.contains("\"gate_latency_ratio\":"));
+        assert!(!json.contains("latency_ratio"));
         assert!(json.contains("\"availability_fast\":1.0000"));
         assert!(json.contains("\"all_equivalent\":true"));
-        assert!(json.contains("\"target_latency_ratio\":5.0"));
         assert!(json.contains("\"within_target\":true"));
     }
 }

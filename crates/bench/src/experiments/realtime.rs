@@ -14,10 +14,19 @@
 //! wrong backend cannot pass the gate. (The full randomized oracle
 //! lives in `relax-quorum/tests/backend_oracle.rs`.)
 //!
+//! The last sweep point is a pair: the account stream on one shard with
+//! credits scheduled coordination-free (the CALM analyzer's verdict at
+//! `{A2}`) against the same stream under all-quorum scheduling, the two
+//! alternated. Their throughput ratio, `account_calm_over_quorum`, is the
+//! wall-clock reading of what the freed path buys — the number the sim
+//! cannot give, because a free operation there takes zero ticks.
+//!
 //! The gate: the best sweep point must clear
-//! [`TARGET_OPS_PER_SEC`] with every row equivalent.
+//! [`TARGET_OPS_PER_SEC`], the coordination-free side of the pair must
+//! outrun the quorum side, and every row must be equivalent.
 
-use relax_quorum::relation::{AccountKind, QueueKind};
+use relax_quorum::calm::{analyze_account, SchedulingPolicy};
+use relax_quorum::relation::{account_relation, AccountKind, QueueKind};
 use relax_quorum::runtime::{AccountInv, BankAccountType, QueueInv, TaxiQueueType};
 use relax_quorum::{
     outcome_shapes, ClientConfig, ClientTable, Executor, OutcomeShape, QuorumSystem,
@@ -35,6 +44,9 @@ pub const TARGET_OPS_PER_SEC: f64 = 1_000_000.0;
 /// Broker flush deadline used by every row (microseconds).
 pub const FLUSH_MICROS: u64 = 20;
 
+/// Alternations of the CALM pair; each side reports its median run.
+pub const PAIR_RUNS: usize = 5;
+
 /// Which replicated type a row drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Workload {
@@ -44,6 +56,10 @@ pub enum Workload {
     /// Bank account: commutative integer views maintained incrementally,
     /// single-site credit quorums.
     Account,
+    /// The account stream with `Credit` coordination-free, as
+    /// `analyze_account` frees it at `{A2}`. A sweep point of this
+    /// workload is measured as a pair — see [`measure_calm_pair`].
+    AccountCalm,
 }
 
 impl Workload {
@@ -52,12 +68,13 @@ impl Workload {
         match self {
             Workload::Taxi => "taxi",
             Workload::Account => "account",
+            Workload::AccountCalm => "account_calm",
         }
     }
 }
 
 /// One sweep point.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Config {
     /// Which workload.
     pub workload: Workload,
@@ -81,7 +98,8 @@ pub struct Config {
 /// four shards other shards' entries splice in below the cached point,
 /// and a splice still copies one checkpointed bag per round — that row
 /// is reported as measured and not gated. Both keep the size their
-/// baseline was recorded at.
+/// baseline was recorded at. The CALM pair closes the sweep, at the
+/// benchmark's `account_calm` size.
 pub const SWEEP: &[Config] = &[
     Config {
         workload: Workload::Taxi,
@@ -131,6 +149,13 @@ pub const SWEEP: &[Config] = &[
         batch: 256,
         replicas: 5,
         ops_per_client: 256,
+    },
+    Config {
+        workload: Workload::AccountCalm,
+        shards: 1,
+        batch: 256,
+        replicas: 3,
+        ops_per_client: 128,
     },
 ];
 
@@ -194,13 +219,25 @@ fn account_inv(_client: usize, i: usize) -> AccountInv {
     }
 }
 
+/// The scheduling policy of a row: the analyzer's verdict at `{A2}` for
+/// [`Workload::AccountCalm`], all-quorum for everything else.
+fn account_policy(workload: Workload) -> SchedulingPolicy<AccountKind> {
+    match workload {
+        Workload::AccountCalm => {
+            SchedulingPolicy::from_report(&analyze_account(&account_relation(false, true)))
+        }
+        _ => SchedulingPolicy::all_quorum(),
+    }
+}
+
 /// Runs a small single-client prefix of the row's workload through both
-/// backends and compares outcome shapes, per-replica logs, and the
-/// merged history exactly.
+/// backends under the row's scheduling policy and compares outcome
+/// shapes, per-replica logs, and the merged history exactly.
 fn probe_equivalence<T>(
     ttype: T,
     replicas: usize,
     assignment: VotingAssignment<<T::Op as relax_quorum::HasKind>::Kind>,
+    policy: SchedulingPolicy<<T::Op as relax_quorum::HasKind>::Kind>,
     invs: &[T::Inv],
 ) -> bool
 where
@@ -219,8 +256,10 @@ where
         // the threaded backend must reproduce it exactly.
         NetworkConfig::new(2, 2, 0.0),
         0xB0A7,
-    );
-    let mut thr = ThreadedSystem::new(ttype, replicas, 1, assignment, ThreadedConfig::default());
+    )
+    .with_scheduling(policy.clone());
+    let mut thr = ThreadedSystem::new(ttype, replicas, 1, assignment, ThreadedConfig::default())
+        .with_scheduling(policy);
     for inv in invs {
         sim.submit_to(0, inv.clone());
         thr.submit_to(0, inv.clone());
@@ -263,18 +302,21 @@ pub fn measure(config: Config) -> RealtimeRow {
                 TaxiQueueType,
                 config.replicas,
                 taxi_assignment(config.replicas),
+                SchedulingPolicy::all_quorum(),
                 &probe,
             );
             (stats, p50, p99, eq)
         }
-        Workload::Account => {
+        Workload::Account | Workload::AccountCalm => {
+            let policy = account_policy(config.workload);
             let mut sys = ThreadedSystem::new(
                 BankAccountType,
                 config.replicas,
                 clients,
                 account_assignment(config.replicas),
                 tc,
-            );
+            )
+            .with_scheduling(policy.clone());
             for c in 0..clients {
                 for i in 0..config.ops_per_client {
                     sys.submit_to(c, account_inv(c, i));
@@ -287,6 +329,7 @@ pub fn measure(config: Config) -> RealtimeRow {
                 BankAccountType,
                 config.replicas,
                 account_assignment(config.replicas),
+                policy,
                 &probe,
             );
             (stats, p50, p99, eq)
@@ -317,9 +360,36 @@ fn latency_quantiles(registry: &relax_trace::Registry) -> (u64, u64) {
     )
 }
 
+/// Measures a [`Workload::AccountCalm`] point and the same point under
+/// all-quorum scheduling, alternating the two [`PAIR_RUNS`] times so
+/// that drift on the machine lands on both sides; each side reports the
+/// run with its median throughput, coordination-free side first.
+pub fn measure_calm_pair(calm: Config) -> [RealtimeRow; 2] {
+    let quorum = Config {
+        workload: Workload::Account,
+        ..calm
+    };
+    let (mut fast, mut slow) = (Vec::new(), Vec::new());
+    for _ in 0..PAIR_RUNS {
+        fast.push(measure(calm));
+        slow.push(measure(quorum));
+    }
+    let median = |mut runs: Vec<RealtimeRow>| {
+        runs.sort_by(|a, b| a.ops_per_sec.total_cmp(&b.ops_per_sec));
+        runs.swap_remove(runs.len() / 2)
+    };
+    [median(fast), median(slow)]
+}
+
 /// Measures every sweep point and renders the table.
 pub fn run(sweep: &[Config]) -> (Table, Vec<RealtimeRow>) {
-    let rows: Vec<RealtimeRow> = sweep.iter().map(|&c| measure(c)).collect();
+    let mut rows: Vec<RealtimeRow> = Vec::new();
+    for &c in sweep {
+        match c.workload {
+            Workload::AccountCalm => rows.extend(measure_calm_pair(c)),
+            _ => rows.push(measure(c)),
+        }
+    }
     let mut t = Table::new([
         "workload",
         "shards",
@@ -387,6 +457,35 @@ pub fn taxi_shard1_ops_per_sec(rows: &[RealtimeRow]) -> f64 {
     ops_per_sec_at(rows, Workload::Taxi, 1).unwrap_or(0.0)
 }
 
+/// What the coordination-free path buys on the wall clock: throughput
+/// of the first [`Workload::AccountCalm`] row over the row that ran the
+/// same point under all-quorum scheduling (the last such row: the pair's
+/// own, measured beside it). Zero when the rows hold no such pair.
+pub fn account_calm_over_quorum(rows: &[RealtimeRow]) -> f64 {
+    let calm = rows
+        .iter()
+        .find(|r| r.config.workload == Workload::AccountCalm);
+    let quorum = calm.and_then(|c| {
+        let same_point = Config {
+            workload: Workload::Account,
+            ..c.config
+        };
+        rows.iter().rfind(|r| r.config == same_point)
+    });
+    match (calm, quorum) {
+        (Some(c), Some(q)) if q.ops_per_sec > 0.0 => c.ops_per_sec / q.ops_per_sec,
+        _ => 0.0,
+    }
+}
+
+/// The gate: best row at the target, the coordination-free path faster
+/// than the quorum path it skips, every row equivalent to the sim.
+pub fn within_target(rows: &[RealtimeRow]) -> bool {
+    best(rows).ops_per_sec >= TARGET_OPS_PER_SEC
+        && account_calm_over_quorum(rows) > 1.0
+        && rows.iter().all(|r| r.equivalent)
+}
+
 /// Renders the rows as the `BENCH_realtime_throughput.json` payload.
 pub fn to_json(rows: &[RealtimeRow]) -> String {
     let top = best(rows);
@@ -422,6 +521,7 @@ pub fn to_json(rows: &[RealtimeRow]) -> String {
          \"best_p50_nanos\":{},\"best_p99_nanos\":{},\
          \"account_shard2_over_shard1\":{:.3},\
          \"taxi_shard1_ops_per_sec\":{:.0},\
+         \"account_calm_over_quorum\":{:.3},\
          \"all_equivalent\":{all_equivalent},\
          \"target_ops_per_sec\":{TARGET_OPS_PER_SEC:.0},\
          \"within_target\":{}}}\n",
@@ -435,7 +535,8 @@ pub fn to_json(rows: &[RealtimeRow]) -> String {
         top.p99_nanos,
         account_shard2_over_shard1(rows),
         taxi_shard1_ops_per_sec(rows),
-        top.ops_per_sec >= TARGET_OPS_PER_SEC && all_equivalent
+        account_calm_over_quorum(rows),
+        within_target(rows)
     )
 }
 
@@ -458,7 +559,7 @@ mod tests {
 
     #[test]
     fn rows_complete_all_ops_and_probe_equivalence() {
-        for workload in [Workload::Taxi, Workload::Account] {
+        for workload in [Workload::Taxi, Workload::Account, Workload::AccountCalm] {
             let row = measure(small(workload));
             assert_eq!(row.clients, 8);
             assert_eq!(row.ops, 8 * 6, "{workload:?}");
@@ -494,10 +595,35 @@ mod tests {
             "\"taxi_shard1_ops_per_sec\":{:.0},",
             rows[2].ops_per_sec
         )));
+        // No CALM pair among them: no ratio, and so no passing gate.
+        assert!(json.contains("\"account_calm_over_quorum\":0.000"));
+        assert!(!within_target(&rows));
         assert!(json.contains("\"bench\":\"realtime_throughput\""));
         assert!(json.contains("\"best_ops_per_sec\":"));
         assert!(json.contains("\"all_equivalent\":true"));
         assert!(json.contains("\"within_target\":"));
         assert!(json.contains("\"target_ops_per_sec\":1000000"));
+    }
+
+    #[test]
+    fn the_calm_pair_is_two_rows_and_the_ratio_reads_them() {
+        let calm = Config {
+            shards: 1,
+            ..small(Workload::AccountCalm)
+        };
+        // An earlier all-quorum row at the same point: the ratio must
+        // read the pair's own quorum row, not this one.
+        let mut rows = vec![measure(Config {
+            workload: Workload::Account,
+            ..calm
+        })];
+        rows.extend(measure_calm_pair(calm));
+        assert_eq!(rows[1].config, calm);
+        assert_eq!(rows[2].config, rows[0].config);
+        assert!(rows.iter().all(|r| r.equivalent && r.ops == 4 * 6));
+        let ratio = account_calm_over_quorum(&rows);
+        assert_eq!(ratio, rows[1].ops_per_sec / rows[2].ops_per_sec);
+        assert_eq!(account_calm_over_quorum(&rows[1..2]), 0.0);
+        assert!(to_json(&rows).contains(&format!("\"account_calm_over_quorum\":{ratio:.3}")));
     }
 }

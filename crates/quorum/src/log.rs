@@ -29,13 +29,17 @@
 //!
 //! | operation | fast paths | tail path | O(history) only when |
 //! |---|---|---|---|
-//! | [`Log::merge`] | empty, disjoint suffix (append), exact prefix, subset | two-pointer union over `entries[p..]`, `p` = first slot at or above `other`'s first timestamp | `other` reaches back to our start |
+//! | [`Log::insert`] | above the tail: O(1), no search | binary search, then shift `entries[p..]` and re-hash `prefix[p..]` | the entry sorts at our start |
+//! | [`Log::merge`] | disjoint suffix, the empty receiver included (one bulk append, O(\|other\| + sites(other))), exact prefix, subset | two-pointer union over `entries[p..]`, `p` = first slot at or above `other`'s first timestamp | `other` reaches back to our start |
 //! | [`Log::delta_above_with`] | empty, advertised set = our prefix (suffix) | settle sites from summaries, scan `entries` from the lowest trailing `max + 1` | a site is unadvertised, holed, or ahead of us (full scan) |
 //! | [`Log::diff_with`] | `other` = our prefix (suffix) | — | otherwise (client write path; one shard's wal is short) |
 //!
-//! One writer never leaves the fast paths; two writers whose clocks
-//! interleave never hit them after the first round, which is what the
-//! tail paths are for.
+//! One writer never leaves the fast paths — and a shard is one writer,
+//! whatever its scheduling policy: every entry it mints carries a
+//! timestamp above its own view, so its inserts, its round payloads and
+//! its commits at the replicas are all appends. Two writers whose clocks
+//! interleave never hit the fast paths after the first round, which is
+//! what the tail paths are for.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -230,11 +234,15 @@ impl<Op: Clone> Log<Op> {
     }
 
     /// Inserts an entry, keeping timestamp order; an entry with an
-    /// already-present timestamp is discarded as a duplicate.
+    /// already-present timestamp is discarded as a duplicate. O(1) above
+    /// the tail — the only place a shard's own mints ever land — and a
+    /// binary search plus an O(tail) shift below it.
     pub fn insert(&mut self, entry: Entry<Op>) {
+        if self.entries.last().is_none_or(|e| e.ts < entry.ts) {
+            return self.push_back(entry);
+        }
         match self.entries.binary_search_by_key(&entry.ts, |e| e.ts) {
             Ok(_) => {} // duplicate timestamp: already recorded
-            Err(pos) if pos == self.entries.len() => self.push_back(entry),
             Err(pos) => {
                 let h = mix_ts(entry.ts);
                 let base = if pos == 0 { 0 } else { self.prefix[pos - 1] };
@@ -249,36 +257,72 @@ impl<Op: Clone> Log<Op> {
         }
     }
 
+    /// Appends all of `other`, known to sort strictly above everything
+    /// present, in bulk: its entries and prefix hashes are copied (the
+    /// hashes re-based on our last one), its site table is folded into
+    /// ours in one sorted pass — O(|other| + sites(other)), no search
+    /// per entry. The Merkle index, when built, still takes each
+    /// timestamp.
+    fn append(&mut self, other: &Log<Op>) {
+        debug_assert!(self.max_timestamp() < other.entries.first().map(|e| e.ts));
+        let base = self.prefix.last().copied().unwrap_or(0);
+        self.entries.extend_from_slice(&other.entries);
+        self.prefix.extend(other.prefix.iter().map(|p| p ^ base));
+        if self.sites.is_empty() {
+            // Empty receiver: adopt the table at its exact size.
+            self.sites.clone_from(&other.sites);
+        } else {
+            let mut i = 0;
+            for t in &other.sites {
+                // Equal site sets (a shard's rounds) never search.
+                if self.sites.get(i).is_none_or(|s| s.site != t.site) {
+                    i += self.sites[i..].partition_point(|s| s.site < t.site);
+                }
+                match self.sites.get_mut(i) {
+                    Some(s) if s.site == t.site => {
+                        s.count += t.count;
+                        s.max = s.max.max(t.max);
+                        s.hash ^= t.hash;
+                    }
+                    _ => self.sites.insert(i, *t),
+                }
+                i += 1;
+            }
+        }
+        if let Some(m) = &mut self.merkle {
+            other.entries.iter().for_each(|e| m.note(e.ts));
+        }
+    }
+
     /// Merges another log into this one (sorted union, duplicates
     /// discarded) — the fundamental replica/view operation of §3.1.
+    /// [`Log::merge_with`] with nothing to tell.
+    pub fn merge(&mut self, other: &Log<Op>) {
+        self.merge_with(other, |_| {});
+    }
+
+    /// [`Log::merge`], calling `added` once for each entry of `other`
+    /// that was not already present, in timestamp order — what a caller
+    /// folding the merged view incrementally needs, without a second
+    /// search of its own.
     ///
     /// O(1)/O(m log n) fast paths for the common protocol shapes — a
-    /// disjoint suffix (appending fresh entries), an exact prefix (one
-    /// prefix-hash compare, same ≈2⁻⁶⁴ trust model as [`Log::delta_above`]),
-    /// a subset (anti-entropy at steady state, where nothing is new) —
-    /// and otherwise a two-pointer union over our *tail* only: the
-    /// entries sorting at or above `other`'s first timestamp. Everything
-    /// below it, and its prefix hashes, stay where they are, so a splice
-    /// costs O(|other| + |tail|) whatever the resident history.
-    pub fn merge(&mut self, other: &Log<Op>) {
+    /// disjoint suffix (appending fresh entries, the empty receiver
+    /// included: one bulk copy), an exact prefix (one prefix-hash compare,
+    /// same ≈2⁻⁶⁴ trust model as [`Log::delta_above`]), a subset
+    /// (anti-entropy at steady state, where nothing is new) — and
+    /// otherwise a two-pointer union over our *tail* only: the entries
+    /// sorting at or above `other`'s first timestamp. Everything below
+    /// it, and its prefix hashes, stay where they are, so a splice costs
+    /// O(|other| + |tail|) whatever the resident history.
+    pub fn merge_with(&mut self, other: &Log<Op>, mut added: impl FnMut(&Entry<Op>)) {
         let Some(first) = other.entries.first() else {
             return;
         };
-        if self.entries.is_empty() {
-            // Adopt the payload's vectors; the Merkle index stays ours.
-            self.entries.clone_from(&other.entries);
-            self.prefix.clone_from(&other.prefix);
-            self.sites.clone_from(&other.sites);
-            if let Some(m) = &mut self.merkle {
-                other.entries.iter().for_each(|e| m.note(e.ts));
-            }
-            return;
-        }
         // Disjoint-suffix fast path: everything in `other` sorts above us.
-        if first.ts > self.entries[self.entries.len() - 1].ts {
-            for e in &other.entries {
-                self.push_back(e.clone());
-            }
+        if self.entries.last().is_none_or(|e| e.ts < first.ts) {
+            other.entries.iter().for_each(added);
+            self.append(other);
             return;
         }
         // Prefix fast path: `other` is exactly our first `m` entries
@@ -310,7 +354,11 @@ impl<Op: Clone> Log<Op> {
                     self.push_known(ours.next().expect("peeked"));
                 }
                 (Some(_), None) => self.push_known(ours.next().expect("peeked")),
-                (_, Some(_)) => self.push_back(theirs.next().expect("peeked").clone()),
+                (_, Some(_)) => {
+                    let new = theirs.next().expect("peeked");
+                    added(new);
+                    self.push_back(new.clone());
+                }
             }
         }
     }
@@ -769,6 +817,40 @@ mod tests {
     }
 
     #[test]
+    fn insert_above_the_tail_skips_the_search_and_nothing_else_changes() {
+        // The insert before the tail check: always a binary search.
+        fn insert_by_search(entries: &mut Vec<Entry<String>>, entry: Entry<String>) {
+            if let Err(pos) = entries.binary_search_by_key(&entry.ts, |x| x.ts) {
+                entries.insert(pos, entry);
+            }
+        }
+        let script = [
+            e(5, 1, "first"),
+            e(5, 2, "above the tail, same counter"),
+            e(9, 0, "above the tail"),
+            e(7, 3, "in the middle"),
+            e(1, 0, "at the start"),
+            e(9, 0, "DUPLICATE of the tail"),
+            e(7, 3, "DUPLICATE in the middle"),
+            e(9, 1, "above the tail again"),
+        ];
+        for merkle in [false, true] {
+            let mut log: Log<String> = Log::new();
+            let mut oracle = Vec::new();
+            if merkle {
+                let _ = log.merkle_index();
+            }
+            for entry in &script {
+                log.insert(entry.clone());
+                insert_by_search(&mut oracle, entry.clone());
+                assert_eq!(log.entries(), &oracle[..]);
+                check_indices(&log);
+            }
+            assert_eq!(log.len(), 6);
+        }
+    }
+
+    #[test]
     fn contains_log_relation() {
         let small: Log<String> = [e(1, 1, "a")].into_iter().collect();
         let big: Log<String> = [e(1, 1, "a"), e(2, 1, "b")].into_iter().collect();
@@ -893,6 +975,50 @@ mod tests {
             prop_assert_eq!(&m, &naive_merged(&la, &lb));
             check_indices(&m);
             check_indices(&la);
+            // `merge_with` is the same merge, and reports exactly the
+            // entries it added, each once, in timestamp order.
+            let mut with = la.clone();
+            let mut added: Vec<Entry<String>> = Vec::new();
+            with.merge_with(&lb, |x| added.push(x.clone()));
+            prop_assert_eq!(&with, &m);
+            let new = lb.diff(&la);
+            prop_assert_eq!(&added[..], new.entries());
+        }
+
+        /// The bulk append is the repeated-insert oracle and leaves every
+        /// index (entries, `prefix`, `sites`, Merkle) as a from-scratch
+        /// rebuild would — for a payload on sites the receiver has never
+        /// seen, on sites it has, and on both; into an empty receiver
+        /// and a resident one; Merkle index built and not.
+        #[test]
+        fn bulk_append_matches_naive_over_seen_and_unseen_sites(
+            resident in proptest::collection::vec((1u64..10, 0usize..4), 0..16),
+            payload in proptest::collection::vec((10u64..20, 0usize..4), 1..16),
+            site_map in 0usize..3,
+            merkle in any::<bool>(),
+        ) {
+            // The receiver writes sites {1, 3, 5, 7}; the payload's site
+            // `s` lands on an unseen even site, the seen odd one, or
+            // alternates between the two.
+            let payload_site = |s: usize| match site_map {
+                0 => 2 * s,
+                1 => 2 * s + 1,
+                _ => 2 * s + s % 2,
+            };
+            let mut receiver: Log<String> =
+                resident.iter().map(|&(ct, s)| e(ct, 2 * s + 1, "ours")).collect();
+            let other: Log<String> =
+                payload.iter().map(|&(ct, s)| e(ct, payload_site(s), "theirs")).collect();
+            let expect = naive_merged(&receiver, &other);
+            if merkle {
+                let _ = receiver.merkle_index();
+            }
+            let mut added = 0;
+            receiver.merge_with(&other, |_| added += 1);
+            prop_assert_eq!(added, other.len(), "an append adds every entry");
+            prop_assert_eq!(&receiver, &expect);
+            prop_assert_eq!(receiver.merkle.is_some(), merkle);
+            check_indices(&receiver);
         }
 
         /// Exactness of delta shipping: for any replica log and any

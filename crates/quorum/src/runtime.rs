@@ -545,6 +545,13 @@ impl<T: ReplicatedType> ClientState<T> {
     /// entry to every replica without waiting for acks. No read phase,
     /// no quorum, no timer: the operation completes in zero ticks and is
     /// available under any partition.
+    ///
+    /// The tick needs no `observe` first, unlike the threaded shard's
+    /// fast path: a shard's view holds entries its *other* clients
+    /// minted, which this client's clock may never have seen, whereas
+    /// everything a sim client holds locally (its WAL, every view it
+    /// read) went through its one clock — minted by it, or observed in
+    /// `respond_with_view` — so the clock already dominates it all.
     fn run_coordination_free(&mut self, ctx: &mut impl Transport<T>, inv_id: u64, inv: &T::Inv) {
         self.calm_fast += 1;
         let outcome = match self.ttype.execute(&self.ttype.initial_value(), inv) {

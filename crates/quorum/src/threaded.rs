@@ -267,9 +267,10 @@ impl<T: ReplicatedType> ThreadedSystem<T> {
     /// Installs a CALM scheduling policy (builder-style; the default
     /// frees nothing). Kinds the policy marks free bypass the read phase
     /// of a shard round entirely: they execute against the initial value,
-    /// mint a timestamp, and ride the round's group commit without
-    /// waiting on any quorum — a round of only free invocations performs
-    /// no read round-trip at all.
+    /// mint a timestamp above everything the shard's own view already
+    /// holds (Lamport's rule applied locally — no message, no wait), and
+    /// ride the round's group commit without waiting on any quorum — a
+    /// round of only free invocations performs no read round-trip at all.
     #[must_use]
     pub fn with_scheduling(mut self, policy: SchedulingPolicy<<T::Op as HasKind>::Kind>) -> Self {
         self.policy = policy;
@@ -633,20 +634,13 @@ fn run_shard<T: ReplicatedType>(
                 match from_replicas.recv() {
                     Ok((_, Msg::ReadResp { inv_id, log })) if inv_id == round_id => {
                         // Deltas from different replicas overlap (each is
-                        // relative to the same shard frontier): fold each
-                        // genuinely new entry exactly once.
-                        if commutes {
-                            for e in log.entries() {
-                                let fresh = view
-                                    .entries()
-                                    .binary_search_by_key(&e.ts, |x| x.ts)
-                                    .is_err();
-                                if fresh {
-                                    ttype.apply_mut(value, &e.op);
-                                }
+                        // relative to the same shard frontier): the merge
+                        // reports each genuinely new entry exactly once.
+                        view.merge_with(&log, |e| {
+                            if commutes {
+                                ttype.apply_mut(value, &e.op);
                             }
-                        }
-                        view.merge(&log);
+                        });
                         got += 1;
                     }
                     Ok(_) => {}
@@ -666,15 +660,20 @@ fn run_shard<T: ReplicatedType>(
             let kind = ttype.invocation_kind(&inv);
             if policy.is_free(kind) {
                 // CALM fast path: monotone kinds execute against the
-                // initial value (their response never reads the view),
-                // never observe, never wait on any quorum — the entry
-                // rides the round's group commit to every reachable
-                // replica, and the op completes regardless of how many
-                // that is.
+                // initial value (their response never reads the view) and
+                // never wait on any quorum — the entry rides the round's
+                // group commit to every reachable replica, and the op
+                // completes regardless of how many that is. The clock
+                // still observes what the shard already holds (no
+                // message, no wait), so a shard mints in strictly
+                // increasing order and its entries only ever append.
                 *calm_fast += 1;
                 match ttype.execute(&initial, &inv) {
                     None => slot.outcomes.push(Outcome::Refused { latency: 0 }),
                     Some(op) => {
+                        if let Some(ts) = view.max_timestamp() {
+                            slot.clock.observe(ts);
+                        }
                         let ts = slot.clock.tick();
                         if !reachable.is_empty() {
                             round_delta.insert(Entry::new(ts, op.clone()));
@@ -959,6 +958,67 @@ mod tests {
             }
         ));
         assert_eq!(sys.calm_op_counts(), (1, 2));
+    }
+
+    #[test]
+    fn a_shard_mints_in_strictly_increasing_order_whatever_the_policy() {
+        use crate::calm::SchedulingPolicy;
+        use crate::relation::AccountKind;
+        let assignment = VotingAssignment::new(3)
+            .with_initial(AccountKind::Credit, 1)
+            .with_final(AccountKind::Credit, 1)
+            .with_initial(AccountKind::Debit, 2)
+            .with_final(AccountKind::Debit, 2);
+        let (clients, rounds) = (8, 12);
+        let mut sys = ThreadedSystem::new(
+            BankAccountType,
+            3,
+            clients,
+            assignment,
+            ThreadedConfig {
+                shards: 1,
+                batch: clients,
+                flush_micros: 20,
+            },
+        )
+        .with_scheduling(SchedulingPolicy::coordination_free([AccountKind::Credit]));
+        // Every client's op j is the same kind, so rounds alternate: one
+        // debit round (read phase, every clock observes the view), then
+        // three free rounds that read nothing.
+        for c in 0..clients {
+            for j in 0..rounds {
+                sys.submit_to(
+                    c,
+                    if j % 4 == 3 {
+                        AccountInv::Debit(1)
+                    } else {
+                        AccountInv::Credit(2)
+                    },
+                );
+            }
+        }
+        sys.run_all();
+        assert_eq!(sys.calm_op_counts(), (72, 24));
+        // One op per client per round: client c's j-th entry is round j.
+        let log = sys.replica_log(0);
+        assert_eq!(log.len(), clients * rounds);
+        let mut by_round = vec![Vec::new(); rounds];
+        let mut seen = vec![0; clients];
+        for e in log.entries() {
+            let c = e.ts.site - 3;
+            by_round[seen[c]].push(e.ts);
+            seen[c] += 1;
+        }
+        for (j, pair) in by_round.windows(2).enumerate() {
+            assert_eq!(pair[0].len(), clients);
+            assert!(
+                pair[0].iter().max() < pair[1].iter().min(),
+                "round {} mints below round {j}'s {:?}: {:?}",
+                j + 1,
+                pair[0].iter().max(),
+                pair[1].iter().min()
+            );
+        }
     }
 
     #[test]

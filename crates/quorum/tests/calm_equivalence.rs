@@ -22,6 +22,10 @@
 //!    analyzer classifies monotone, replayed coordination-free against
 //!    30 random histories per lattice level, never changes observable
 //!    outcomes vs. the quorum path.
+//! 4. **A threaded shard of several clients**: free credits mint above
+//!    the shard's view like everything else it executes, so the merged
+//!    history holds the same operations as the all-quorum run's and
+//!    stays inside the `{A2}` spec.
 
 use proptest::prelude::*;
 
@@ -31,7 +35,8 @@ use relax_quorum::calm::{analyze_account, SchedulingPolicy};
 use relax_quorum::relation::{account_relation, AccountKind, IntersectionRelation};
 use relax_quorum::runtime::{AccountInv, BankAccountType, ReplicatedType};
 use relax_quorum::{
-    outcome_shapes, ClientConfig, Log, OutcomeShape, QcaAutomaton, QuorumSystem, VotingAssignment,
+    outcome_shapes, ClientConfig, ClientTable, Executor, Log, OutcomeShape, QcaAutomaton,
+    QuorumSystem, ThreadedConfig, ThreadedSystem, VotingAssignment,
 };
 use relax_sim::{Fault, FaultSchedule, NetworkConfig, NodeId, Partition, SimTime};
 
@@ -218,6 +223,63 @@ proptest! {
                 .collect(),
         };
         check_faulted(&s)?;
+    }
+}
+
+/// One threaded shard serving every client, op `i` of the stream going
+/// to client `i % clients`: per-client outcome shapes and the merged
+/// history. Credits read one site here, so the all-quorum run observes
+/// its view before every mint.
+fn run_one_shard(
+    policy: SchedulingPolicy<AccountKind>,
+    clients: usize,
+    invs: &[AccountInv],
+) -> (Vec<Vec<OutcomeShape<AccountOp>>>, Vec<AccountOp>) {
+    let assignment = a2_assignment().with_initial(AccountKind::Credit, 1);
+    let config = ThreadedConfig {
+        shards: 1,
+        batch: clients,
+        ..ThreadedConfig::default()
+    };
+    let mut sys = ThreadedSystem::new(BankAccountType, N, clients, assignment, config)
+        .with_scheduling(policy);
+    for (i, inv) in invs.iter().enumerate() {
+        sys.submit_to(i % clients, *inv);
+    }
+    sys.run_all();
+    let shapes = (0..clients)
+        .map(|c| outcome_shapes(sys.outcomes_of(c)))
+        .collect();
+    (shapes, sys.merged_history().into_ops())
+}
+
+proptest! {
+    /// Several clients on one threaded shard: the CALM run answers every
+    /// client as the all-quorum run does, its merged history holds the
+    /// same operations, and the `{A2}` QCA accepts it.
+    #[test]
+    fn threaded_shard_keeps_the_all_quorum_operations_and_stays_in_spec(
+        clients in 2usize..5,
+        invs_raw in proptest::collection::vec((0u32..3, 1u32..4), 2..13),
+    ) {
+        let invs: Vec<AccountInv> = invs_raw
+            .into_iter()
+            .map(|(k, n)| if k == 0 { AccountInv::Debit(n) } else { AccountInv::Credit(n) })
+            .collect();
+        let (base_shapes, mut base) = run_one_shard(SchedulingPolicy::all_quorum(), clients, &invs);
+        let (fast_shapes, fast) = run_one_shard(credit_only_policy(), clients, &invs);
+        prop_assert_eq!(&base_shapes, &fast_shapes);
+        prop_assert_eq!(fast.len(), invs.len(), "every op completes and lands once");
+        let qca = QcaAutomaton::new(AccountValueSpec, AccountEval, account_relation(false, true));
+        prop_assert!(
+            qca.accepts(&History::from(fast.clone())),
+            "fast history rejected by the {{A2}} QCA: {:?}",
+            fast
+        );
+        let mut fast = fast;
+        base.sort_unstable();
+        fast.sort_unstable();
+        prop_assert_eq!(base, fast);
     }
 }
 

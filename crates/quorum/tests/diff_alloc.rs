@@ -11,6 +11,10 @@
 //! of the shard-round path: a splice merge and a delta for a peer one
 //! interleaved batch behind allocate O(tail), not O(history).
 //!
+//! And the one-writer contract: a round's payload appended to a long
+//! log copies into the vectors' spare capacity and allocates nothing;
+//! without spare capacity it pays for the vectors' own growth only.
+//!
 //! It also gates the view cache's cost contract: a warm hit extends the
 //! cached bag in place (no copy of it), and a splice pays for at most
 //! one copy — the checkpoint it resumes from.
@@ -123,6 +127,7 @@ fn warm_scratch_diffs_allocate_only_the_result() {
     assert_eq!(n, 0, "empty delta must be allocation-free, got {n}");
 
     tail_paths_allocate_the_tail_not_the_history(&mut scratch);
+    appending_a_round_allocates_nothing_but_growth();
     view_cache_hits_copy_nothing_and_splices_copy_once();
 }
 
@@ -167,6 +172,32 @@ fn tail_paths_allocate_the_tail_not_the_history(scratch: &mut DiffScratch) {
     );
     let n = allocs_during(|| delta = replica.delta_above_with(&behind, scratch));
     assert!(n <= 3, "the tail path allocates only the result, got {n}");
+}
+
+/// One shard of 256 clients (sites 0..256) with a 65,536-entry history
+/// at a replica, and the shard's next two 256-entry rounds as payloads.
+fn appending_a_round_allocates_nothing_but_growth() {
+    const HISTORY: u64 = 65_536;
+    let stamp = |i: u64| Entry::new(Timestamp::new(1 + i, (i % 256) as usize), i as i64);
+    let mut replica: Log<i64> = (0..HISTORY).map(stamp).collect();
+    let round = |r: u64| -> Log<i64> {
+        (HISTORY + 256 * r..HISTORY + 256 * (r + 1))
+            .map(stamp)
+            .collect()
+    };
+    let (first, second) = (round(0), round(1));
+
+    // 65,536 is a power of two: doubling growth left the vectors full,
+    // so this append grows `entries` and `prefix` — once each, nothing
+    // else (every site is already summarized).
+    let n = allocs_during(|| replica.merge(&first));
+    assert_eq!(n, 2, "a full log grows its two long vectors, got {n}");
+
+    // Now there is room: the next round copies into it.
+    let n = allocs_during(|| replica.merge(&second));
+    assert_eq!(n, 0, "an append into spare capacity allocated {n} times");
+    assert_eq!(replica.len() as u64, HISTORY + 512);
+    assert_eq!(replica.site_summaries().len(), 256);
 }
 
 /// A taxi view of 4,096 pending requests evaluated through a warm
