@@ -1,13 +1,20 @@
 //! Microbenchmarks for the substrate layers: replica logs, the view
-//! cache, the term rewriter, and the lock manager.
+//! cache, the sim client's write bookkeeping, the term rewriter, and the
+//! lock manager.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 use relax_atomic::{LockManager, LockMode, TxId};
 use relax_queues::QueueOp;
-use relax_quorum::runtime::{ReplicatedType, TaxiQueueType};
-use relax_quorum::{DiffScratch, Entry, Log, Timestamp, ViewCache};
+use relax_quorum::calm::SchedulingPolicy;
+use relax_quorum::relation::AccountKind;
+use relax_quorum::runtime::{AccountInv, BankAccountType, ReplicatedType, TaxiQueueType};
+use relax_quorum::{
+    ClientConfig, DiffScratch, Entry, Log, QuorumSystem, Timestamp, ViewCache, VotingAssignment,
+};
+use relax_sim::{NetworkConfig, NodeId, Partition};
 use relax_spec::{paper_theories, parse_term, Rewriter, Term};
 
 fn make_log(entries: usize, site: usize) -> Log<QueueOp> {
@@ -253,6 +260,87 @@ fn bench_viewcache(c: &mut Criterion) {
     }
 }
 
+/// One client of the protocol core with `resident` completed credits
+/// behind it, two live replicas and replica 2 cut off from the start, so
+/// what it is owed is everything, every time. `free` runs the credits
+/// coordination-free (no read phase, the WAL is what ships); otherwise
+/// each reads one replica and records at one.
+fn sim_client(resident: usize, free: bool) -> QuorumSystem<BankAccountType> {
+    let assignment = VotingAssignment::new(3)
+        .with_initial(AccountKind::Credit, usize::from(!free))
+        .with_final(AccountKind::Credit, 1);
+    let mut sys = QuorumSystem::new(
+        BankAccountType,
+        3,
+        assignment,
+        ClientConfig::default(),
+        NetworkConfig::new(1, 5, 0.0),
+        42,
+    );
+    if free {
+        sys = sys.with_scheduling(SchedulingPolicy::coordination_free([AccountKind::Credit]));
+    }
+    sys.world_mut()
+        .network_mut()
+        .set_partition(Partition::groups(vec![
+            vec![NodeId(3), NodeId(0), NodeId(1)],
+            vec![NodeId(2)],
+        ]));
+    // One at a time: a burst of free credits would each ship all the
+    // unacked ones before it.
+    for _ in 0..resident {
+        sys.submit(AccountInv::Credit(1));
+        assert!(sys.run_to_quiescence(u64::MAX));
+    }
+    sys
+}
+
+/// Runs one more credit to its outcome and returns the time of the
+/// client step that records it: the completing ack on the quorum path;
+/// on the free path the invocation's only step, which ships the WAL.
+fn one_write(sys: &mut QuorumSystem<BankAccountType>) -> Duration {
+    let done = sys.outcomes().len();
+    sys.submit(AccountInv::Credit(1));
+    let mut step = Duration::ZERO;
+    while sys.outcomes().len() == done {
+        let t = Instant::now();
+        assert!(sys.world_mut().step());
+        step = t.elapsed();
+    }
+    assert!(sys.run_to_quiescence(u64::MAX)); // the late response and acks
+    step
+}
+
+/// The client's write bookkeeping, one step at a time. Folding an ack
+/// and shipping the WAL past a silent replica cost what is shipped, so
+/// their three resident sizes must read the same (cache misses aside).
+/// A system is rebuilt once its history has drifted an eighth past
+/// `resident`.
+fn bench_sim_client_write(c: &mut Criterion) {
+    for resident in [1usize << 10, 1 << 14, 1 << 16] {
+        for (free, name) in [
+            (false, "sim_client_write_ack"),
+            (true, "sim_client_write_payloads"),
+        ] {
+            let mut sys = sim_client(resident, free);
+            let mut group = c.benchmark_group(name);
+            group.bench_function(BenchmarkId::from_parameter(resident), |bencher| {
+                bencher.iter_custom(|iters| {
+                    let mut timed = Duration::ZERO;
+                    for _ in 0..iters {
+                        if sys.outcomes().len() > resident + resident / 8 {
+                            sys = sim_client(resident, free);
+                        }
+                        timed += one_write(&mut sys);
+                    }
+                    timed
+                });
+            });
+            group.finish();
+        }
+    }
+}
+
 fn bench_rewrite(c: &mut Criterion) {
     let set = paper_theories().expect("shipped theories parse");
     let bag = set.theory("Bag").expect("Bag present").clone();
@@ -331,6 +419,7 @@ criterion_group!(
     bench_log_tail_paths,
     bench_log_one_writer,
     bench_viewcache,
+    bench_sim_client_write,
     bench_rewrite,
     bench_compaction,
     bench_locking

@@ -10,8 +10,15 @@
 //! * results are written to `BENCH_trace_overhead.json` so successive
 //!   PRs can track the overhead trajectory.
 //!
-//! Targets: enabled ≤ 10% slowdown over baseline; the disabled path is
-//! the baseline by construction (~0% — it *is* the default).
+//! Targets: enabled ≤ [`TARGET_PCT`]% slowdown over baseline; the
+//! disabled path is the baseline by construction (~0% — it *is* the
+//! default).
+//!
+//! The gate is a ratio, so it moves when the *base* moves: a change that
+//! makes the untraced sweep faster raises the percentage at the same
+//! absolute tracing cost (`enabled_ns − baseline_ns`, both printed).
+//! The quartiles of the per-block ratios are printed and recorded
+//! with the median so a reading near the gate shows as one.
 
 use std::time::Instant;
 
@@ -21,7 +28,10 @@ const N: usize = 5;
 const P_UP: f64 = 0.85;
 const TRIALS: u32 = 120;
 const SEED: u64 = 0x5EED;
-const REPS: usize = 51;
+const REPS: usize = 52;
+
+/// The budget, in percent of the untraced sweep.
+const TARGET_PCT: f64 = 10.0;
 
 /// Times one full sweep over the trade-off family, returning wall-clock
 /// nanoseconds.
@@ -61,42 +71,55 @@ fn main() {
         4096,
     ));
 
-    // Interleave baseline and enabled reps so machine-wide noise (other
-    // tenants, frequency scaling) hits both configurations equally, then
-    // take the median per-rep ratio.
+    // Interleave baseline and enabled sweeps so machine-wide noise
+    // (other tenants, frequency scaling) hits both configurations
+    // equally, in ABBA blocks of two reps: a sweep that repeats the
+    // seed of the one before it runs warm and one that opens a new seed
+    // runs cold, so each side gets one of each per block — with the
+    // baseline always first, the enabled sweep was always the warm one
+    // and the overhead read low. The gate is the median per-block ratio.
     let mut baselines = Vec::with_capacity(REPS);
     let mut enabled = Vec::with_capacity(REPS);
-    let mut ratios: Vec<f64> = (0..REPS)
-        .map(|rep| {
-            let b = one_sweep(0, rep);
-            let e = one_sweep(4096, rep);
-            baselines.push(b);
-            enabled.push(e);
-            e as f64 / b as f64
+    let mut ratios: Vec<f64> = (0..REPS / 2)
+        .map(|block| {
+            let (first, second) = (2 * block, 2 * block + 1);
+            let b1 = one_sweep(0, first);
+            let e1 = one_sweep(4096, first);
+            let e2 = one_sweep(4096, second);
+            let b2 = one_sweep(0, second);
+            baselines.extend([b1, b2]);
+            enabled.extend([e1, e2]);
+            (e1 + e2) as f64 / (b1 + b2) as f64
         })
         .collect();
     ratios.sort_by(f64::total_cmp);
     let ratio = ratios[ratios.len() / 2];
+    let quartile_pct = |q: usize| 100.0 * (ratios[ratios.len() * q / 4] - 1.0);
+    let (q1_pct, q3_pct) = (quartile_pct(1), quartile_pct(3));
     let baseline_ns = *baselines.iter().min().expect("reps > 0");
     let enabled_ns = *enabled.iter().min().expect("reps > 0");
     let overhead_pct = 100.0 * (ratio - 1.0);
 
     println!("== Tracing overhead on the availability sweep ==\n");
     println!(
-        "workload: n={N} sites, p_up={P_UP}, {TRIALS} trials x {} assignments, median ratio of {REPS} interleaved reps",
-        tradeoff_family(N).len()
+        "workload: n={N} sites, p_up={P_UP}, {TRIALS} trials x {} assignments, median ratio of {} ABBA blocks of two reps",
+        tradeoff_family(N).len(),
+        REPS / 2
     );
     println!("tracing disabled (baseline): {baseline_ns:>12} ns (min rep)");
     println!("tracing enabled  (cap 4096): {enabled_ns:>12} ns (min rep)");
-    println!("overhead: {overhead_pct:+.2}%  (target: <= 10%)");
+    println!(
+        "overhead: {overhead_pct:+.2}%  [quartiles {q1_pct:+.2}% .. {q3_pct:+.2}%]  (target: <= {TARGET_PCT}%)"
+    );
 
     let json = format!(
         "{{\"bench\":\"trace_overhead\",\"workload\":\"availability_sweep\",\
          \"n\":{N},\"p_up\":{P_UP},\"trials\":{TRIALS},\"reps\":{REPS},\
          \"baseline_ns\":{baseline_ns},\"enabled_ns\":{enabled_ns},\
-         \"overhead_pct\":{overhead_pct:.3},\"target_pct\":10.0,\
+         \"overhead_pct\":{overhead_pct:.3},\"overhead_q1_pct\":{q1_pct:.3},\
+         \"overhead_q3_pct\":{q3_pct:.3},\"target_pct\":{TARGET_PCT:.1},\
          \"within_target\":{}}}\n",
-        overhead_pct <= 10.0
+        overhead_pct <= TARGET_PCT
     );
     std::fs::write("BENCH_trace_overhead.json", &json).expect("write BENCH_trace_overhead.json");
     println!("\nwrote BENCH_trace_overhead.json");

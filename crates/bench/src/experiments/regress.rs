@@ -10,6 +10,10 @@
 //! * [`Band::MaxAbsDelta`] guards overhead-percent metrics: the fresh
 //!   value may exceed the baseline by at most `delta` points. Getting
 //!   cheaper never fails.
+//! * [`Band::MaxRatio`] guards cost-style metrics (a micro-benchmark's
+//!   ns per iteration): the fresh value may be at most `baseline ×
+//!   ratio`. The ratio is set between what another machine adds and what
+//!   the layer losing its complexity bound adds.
 //! * [`Band::MustBeTrue`] pins boolean gate verdicts regardless of the
 //!   baseline.
 //!
@@ -31,6 +35,8 @@ pub enum Band {
     MinRatio(f64),
     /// Fresh numeric value must be ≤ `baseline + delta`.
     MaxAbsDelta(f64),
+    /// Fresh numeric value must be ≤ `baseline × ratio`.
+    MaxRatio(f64),
     /// Fresh boolean value must be `true` (baseline must agree).
     MustBeTrue,
 }
@@ -40,6 +46,7 @@ impl Band {
         match self {
             Band::MinRatio(r) => format!("≥ {r:.2}× base"),
             Band::MaxAbsDelta(d) => format!("≤ base {d:+.1}"),
+            Band::MaxRatio(r) => format!("≤ {r:.2}× base"),
             Band::MustBeTrue => "must be true".to_string(),
         }
     }
@@ -210,6 +217,22 @@ pub const CHECKS: &[Check] = &[
         metric: "within_target",
         band: Band::MustBeTrue,
     },
+    // The sim client's write bookkeeping at a 65,536-entry history
+    // (`benches/substrates.rs`, written by `cargo bench --bench
+    // substrates -- --json`): both steps cost what they ship, a few
+    // hundred ns whatever the history. A client that folds the view into
+    // `known[r]` again, or re-diffs the WAL for a silent replica, reads
+    // hundreds of times the baseline here; another machine, two or three.
+    Check {
+        file: "BENCH_micro_substrates.json",
+        metric: "sim_client_write_ack/65536",
+        band: Band::MaxRatio(4.0),
+    },
+    Check {
+        file: "BENCH_micro_substrates.json",
+        metric: "sim_client_write_payloads/65536",
+        band: Band::MaxRatio(4.0),
+    },
 ];
 
 /// Returns the checks whose payload file or metric name contains
@@ -297,6 +320,17 @@ fn judge(check: &Check, base: &ReportValue, fresh: &ReportValue) -> Result<Check
                 format!("{f:.2}"),
                 f <= ceil,
                 format!("{f:.2} > ceiling {ceil:.2} (baseline {b:.2} {delta:+.1})"),
+            )
+        }
+        Band::MaxRatio(ratio) => {
+            let b = as_number(base, &what)?;
+            let f = as_number(fresh, &what)?;
+            let ceil = b * ratio;
+            (
+                format!("{b:.1}"),
+                format!("{f:.1}"),
+                f <= ceil,
+                format!("{f:.1} > ceiling {ceil:.1} ({ratio:.2}× baseline {b:.1})"),
             )
         }
         Band::MustBeTrue => {
@@ -468,6 +502,15 @@ mod tests {
             "BENCH_calm_fastpath.json",
             &format!("{{\"all_equivalent\":{ok},\"within_target\":{ok}}}\n"),
         );
+        // Costs follow the overhead knob: 100 ns per point.
+        write(
+            dir,
+            "BENCH_micro_substrates.json",
+            &format!(
+                "{{\"sim_client_write_ack/65536\":{0},\"sim_client_write_payloads/65536\":{0}}}\n",
+                overhead * 100.0
+            ),
+        );
     }
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -507,6 +550,8 @@ mod tests {
             .collect();
         assert!(failed.contains(&"gate_speedup"));
         assert!(failed.contains(&"overhead_pct"));
+        // Nine times the baseline's ns per iteration against a 4× band.
+        assert!(failed.contains(&"sim_client_write_ack/65536"));
         assert!(report(&outcomes).to_string().contains("REGRESSED"));
     }
 
@@ -550,7 +595,7 @@ mod tests {
         let fresh = tmp("fresh_bless");
         scaffold(&fresh, 7.0, 2.0, true);
         let files = bless(&fresh, &base).unwrap();
-        assert_eq!(files.len(), 9);
+        assert_eq!(files.len(), 10);
         let outcomes = compare(&fresh, &base).unwrap();
         assert!(outcomes.iter().all(|o| o.pass));
     }

@@ -3,10 +3,16 @@
 //! The workspace's benches were written against the real criterion API;
 //! this crate reimplements exactly the subset they use — `Criterion`,
 //! `benchmark_group`/`bench_function`/`bench_with_input`, `BenchmarkId`,
-//! `Bencher::iter`/`iter_batched`, and the `criterion_group!`/`criterion_main!` macros —
-//! with a simple wall-clock measurement loop, so `cargo bench` needs no
-//! network access. Numbers are indicative (mean ns/iter over an adaptive
-//! batch), not statistically analysed.
+//! `Bencher::iter`/`iter_batched`/`iter_custom`, and the
+//! `criterion_group!`/`criterion_main!` macros — with a simple wall-clock
+//! measurement loop, so `cargo bench` needs no network access. Numbers
+//! are indicative (mean ns/iter over an adaptive batch), not
+//! statistically analysed.
+//!
+//! One thing the real crate does differently: `cargo bench --bench NAME
+//! -- --json PATH` writes every result of the run to `PATH` as one flat
+//! JSON object, `{"<group>/<id>": <mean ns/iter>, …}` — the shape
+//! `bench_regress` reads, so a micro-benchmark can carry a band.
 
 #![forbid(unsafe_code)]
 
@@ -117,6 +123,24 @@ impl Bencher {
         self.iters = iters;
         self.mean_ns = timed.as_nanos() as f64 / iters as f64;
     }
+
+    /// Hands the clock to the routine: it is called with an iteration
+    /// count, runs that many, and returns the time it wants counted — so
+    /// it can time one step out of each iteration's many. Batches double
+    /// until ~60ms have been counted or ~300ms of wall time have passed.
+    pub fn iter_custom<R: FnMut(u64) -> Duration>(&mut self, mut routine: R) {
+        black_box(routine(3));
+        let (window, wall_cap) = (Duration::from_millis(60), Duration::from_millis(300));
+        let start = Instant::now();
+        let (mut timed, mut iters, mut batch) = (Duration::ZERO, 0u64, 1u64);
+        while timed < window && start.elapsed() < wall_cap {
+            timed += routine(batch);
+            iters += batch;
+            batch *= 2;
+        }
+        self.iters = iters;
+        self.mean_ns = timed.as_nanos() as f64 / iters as f64;
+    }
 }
 
 /// A named collection of related benchmarks.
@@ -207,15 +231,36 @@ impl Criterion {
     pub fn results(&self) -> &[(String, f64)] {
         &self.results
     }
+
+    /// The results as one flat JSON object, `{"<name>": <mean ns>, …}`.
+    pub fn to_json(&self) -> String {
+        let fields: Vec<String> = (self.results.iter())
+            .map(|(name, ns)| format!("{name:?}:{ns:.1}"))
+            .collect();
+        format!("{{{}}}\n", fields.join(","))
+    }
+
+    /// Writes [`Criterion::to_json`] to the path following a `--json`
+    /// argument, if the process was given one (`criterion_main!` calls
+    /// this after the last group).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the path cannot be written.
+    pub fn write_json_if_asked(&self) {
+        let mut args = std::env::args().skip_while(|a| a != "--json").skip(1);
+        if let Some(path) = args.next() {
+            std::fs::write(&path, self.to_json()).expect("the --json path is writable");
+        }
+    }
 }
 
 /// Declares a group-runner function from benchmark functions.
 #[macro_export]
 macro_rules! criterion_group {
     ($name:ident, $($target:path),+ $(,)?) => {
-        pub fn $name() {
-            let mut criterion = $crate::Criterion::default();
-            $($target(&mut criterion);)+
+        pub fn $name(criterion: &mut $crate::Criterion) {
+            $($target(criterion);)+
         }
     };
 }
@@ -225,7 +270,9 @@ macro_rules! criterion_group {
 macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
         fn main() {
-            $($group();)+
+            let mut criterion = $crate::Criterion::default();
+            $($group(&mut criterion);)+
+            criterion.write_json_if_asked();
         }
     };
 }
@@ -266,14 +313,31 @@ mod tests {
 
     #[test]
     fn group_runner_runs_and_records() {
-        // The macro-generated runner builds its own Criterion internally;
-        // run the target directly to inspect results.
         let mut c = Criterion::default();
-        tiny_bench(&mut c);
+        benches(&mut c);
         assert_eq!(c.results().len(), 1);
         assert!(c.results()[0].1 > 0.0, "measured a positive mean");
-        // And the macro-generated entry point is callable.
-        benches();
+        // One flat object, names quoted, means as plain numbers.
+        let json = c.to_json();
+        assert!(json.starts_with("{\"sum_to_100\":") && json.ends_with("}\n"));
+        assert!(json[14..json.len() - 2].parse::<f64>().unwrap() > 0.0);
+    }
+
+    #[test]
+    fn iter_custom_counts_only_what_the_routine_reports() {
+        let mut b = Bencher::new();
+        let mut ran = 0u64;
+        b.iter_custom(|iters| {
+            ran += iters;
+            std::thread::sleep(Duration::from_millis(1));
+            Duration::from_nanos(500 * iters)
+        });
+        assert_eq!(
+            ran,
+            b.iters + 3,
+            "every requested iteration ran, warm-up included"
+        );
+        assert!((b.mean_ns - 500.0).abs() < 1e-6, "mean {} ns", b.mean_ns);
     }
 
     #[test]

@@ -32,7 +32,8 @@
 //! | [`Log::insert`] | above the tail: O(1), no search | binary search, then shift `entries[p..]` and re-hash `prefix[p..]` | the entry sorts at our start |
 //! | [`Log::merge`] | disjoint suffix, the empty receiver included (one bulk append, O(\|other\| + sites(other))), exact prefix, subset | two-pointer union over `entries[p..]`, `p` = first slot at or above `other`'s first timestamp | `other` reaches back to our start |
 //! | [`Log::delta_above_with`] | empty, advertised set = our prefix (suffix) | settle sites from summaries, scan `entries` from the lowest trailing `max + 1` | a site is unadvertised, holed, or ahead of us (full scan) |
-//! | [`Log::diff_with`] | `other` = our prefix (suffix) | — | otherwise (client write path; one shard's wal is short) |
+//! | [`Log::diff_with`] | `other` = our prefix (suffix) | — | otherwise: a whole-view scan, which the sim client's write path pays per replica whose record is not a prefix of the view (one cut off, or trailing under interleaved writers) — unless the payload extends, below |
+//! | [`Log::merge_range`] | the range sorts above our tail (appends in place: a payload extended by its view's new suffix, an ack folding the WAL's next stretch) | one [`Log::range`] copy, then [`Log::merge`]'s | never |
 //!
 //! One writer never leaves the fast paths — and a shard is one writer,
 //! whatever its scheduling policy: every entry it mints carries a
@@ -257,18 +258,22 @@ impl<Op: Clone> Log<Op> {
         }
     }
 
-    /// Appends all of `other`, known to sort strictly above everything
-    /// present, in bulk: its entries and prefix hashes are copied (the
-    /// hashes re-based on our last one), its site table is folded into
-    /// ours in one sorted pass — O(|other| + sites(other)), no search
-    /// per entry. The Merkle index, when built, still takes each
-    /// timestamp.
-    fn append(&mut self, other: &Log<Op>) {
-        debug_assert!(self.max_timestamp() < other.entries.first().map(|e| e.ts));
-        let base = self.prefix.last().copied().unwrap_or(0);
-        self.entries.extend_from_slice(&other.entries);
-        self.prefix.extend(other.prefix.iter().map(|p| p ^ base));
-        if self.sites.is_empty() {
+    /// Appends `other.entries()[lo..hi]`, known to sort strictly above
+    /// everything present, in bulk: entries and prefix hashes are copied
+    /// (the hashes re-based from `other`'s `lo` onto our last one). All of
+    /// `other` folds its site table into ours in one sorted pass, no search
+    /// per entry — O(|other| + sites(other)); a part of it has no table and
+    /// notes each entry's site. A built Merkle index takes each timestamp.
+    fn append(&mut self, other: &Log<Op>, lo: usize, hi: usize) {
+        let slice = &other.entries[lo..hi];
+        debug_assert!(slice.is_empty() || self.max_timestamp() < Some(slice[0].ts));
+        let rebase = self.prefix.last().copied().unwrap_or(0) ^ other.prefix_hash(lo);
+        self.entries.extend_from_slice(slice);
+        self.prefix
+            .extend(other.prefix[lo..hi].iter().map(|p| p ^ rebase));
+        if slice.len() < other.entries.len() {
+            (slice.iter()).for_each(|e| Self::note_site(&mut self.sites, e.ts));
+        } else if self.sites.is_empty() {
             // Empty receiver: adopt the table at its exact size.
             self.sites.clone_from(&other.sites);
         } else {
@@ -290,7 +295,7 @@ impl<Op: Clone> Log<Op> {
             }
         }
         if let Some(m) = &mut self.merkle {
-            other.entries.iter().for_each(|e| m.note(e.ts));
+            slice.iter().for_each(|e| m.note(e.ts));
         }
     }
 
@@ -322,7 +327,7 @@ impl<Op: Clone> Log<Op> {
         // Disjoint-suffix fast path: everything in `other` sorts above us.
         if self.entries.last().is_none_or(|e| e.ts < first.ts) {
             other.entries.iter().for_each(added);
-            self.append(other);
+            self.append(other, 0, other.entries.len());
             return;
         }
         // Prefix fast path: `other` is exactly our first `m` entries
@@ -360,6 +365,32 @@ impl<Op: Clone> Log<Op> {
                     self.push_back(new.clone());
                 }
             }
+        }
+    }
+
+    /// `entries()[lo..hi]` as a log of its own, at exact capacity: at
+    /// most three allocations, none for an empty range.
+    #[must_use]
+    pub fn range(&self, lo: usize, hi: usize) -> Log<Op> {
+        let slice = &self.entries[lo..hi];
+        let mut out = Log::with_capacity_for(slice.len(), self.sites.len());
+        for e in slice {
+            out.push_back(e.clone());
+        }
+        out
+    }
+
+    /// Merges `other.entries()[lo..hi]`. A range sorting above our tail
+    /// — a payload taking its view's new suffix, an ack folding the
+    /// WAL's next stretch — is [`Log::merge`]'s bulk append and
+    /// allocates nothing but our own growth; any other is one splice of
+    /// [`Log::range`].
+    pub fn merge_range(&mut self, other: &Log<Op>, lo: usize, hi: usize) {
+        let first = other.entries[lo..hi].first();
+        if first.is_none_or(|f| self.max_timestamp() < Some(f.ts)) {
+            self.append(other, lo, hi);
+        } else {
+            self.merge(&other.range(lo, hi));
         }
     }
 
@@ -424,12 +455,7 @@ impl<Op: Clone> Log<Op> {
         let claimed: usize = fsites.iter().map(|s| s.count as usize).sum();
         let claimed_hash = fsites.iter().fold(0u64, |h, s| h ^ s.hash);
         if claimed <= self.entries.len() && self.prefix_hash(claimed) == claimed_hash {
-            let suffix = &self.entries[claimed..];
-            let mut out = Log::with_capacity_for(suffix.len(), self.sites.len());
-            for e in suffix {
-                out.push_back(e.clone());
-            }
-            return out;
+            return self.range(claimed, self.entries.len());
         }
         match self.delta_tail(f, scratch) {
             Some(out) => out,
@@ -549,12 +575,7 @@ impl<Op: Clone> Log<Op> {
         // everything but the entry being recorded.
         let m = other.entries.len();
         if m <= self.entries.len() && self.prefix_hash(m) == other.prefix_hash(m) {
-            let suffix = &self.entries[m..];
-            let mut out = Log::with_capacity_for(suffix.len(), self.sites.len());
-            for e in suffix {
-                out.push_back(e.clone());
-            }
-            return out;
+            return self.range(m, self.entries.len());
         }
         scratch.missing.clear();
         let mut n = 0usize;
@@ -1018,6 +1039,37 @@ mod tests {
             prop_assert_eq!(added, other.len(), "an append adds every entry");
             prop_assert_eq!(&receiver, &expect);
             prop_assert_eq!(receiver.merkle.is_some(), merkle);
+            check_indices(&receiver);
+        }
+
+        /// `range` is the slice as a log with rebuilt indices, and
+        /// `merge_range` is the merge of it — a range above the
+        /// receiver's tail (appended in place) and one that interleaves
+        /// (spliced) alike, Merkle index built and not.
+        #[test]
+        fn merge_range_is_the_merge_of_the_range(
+            resident in proptest::collection::vec((1u64..14, 0usize..3), 0..16),
+            source in proptest::collection::vec((1u64..20, 0usize..3), 1..16),
+            cut in (0usize..16, 0usize..16),
+            above in any::<bool>(),
+            merkle in any::<bool>(),
+        ) {
+            // `above` lifts the source past every resident counter.
+            let lift = if above { 14 } else { 0 };
+            let mut receiver: Log<String> =
+                resident.iter().map(|&(ct, s)| e(ct, s, "ours")).collect();
+            let other: Log<String> =
+                source.iter().map(|&(ct, s)| e(ct + lift, s, "theirs")).collect();
+            let (lo, hi) = (cut.0.min(cut.1).min(other.len()), cut.0.max(cut.1).min(other.len()));
+            let range = other.range(lo, hi);
+            prop_assert_eq!(range.entries(), &other.entries()[lo..hi]);
+            check_indices(&range);
+            let expect = naive_merged(&receiver, &range);
+            if merkle {
+                let _ = receiver.merkle_index();
+            }
+            receiver.merge_range(&other, lo, hi);
+            prop_assert_eq!(&receiver, &expect);
             check_indices(&receiver);
         }
 

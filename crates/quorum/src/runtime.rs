@@ -331,9 +331,6 @@ enum Phase<T: ReplicatedType> {
     Write {
         acked: BTreeSet<NodeId>,
         op: T::Op,
-        /// The full updated view being recorded; acks fold it into the
-        /// client's per-replica `known` record in delta mode.
-        updated: Arc<Log<T::Op>>,
     },
 }
 
@@ -347,15 +344,15 @@ struct Pending<T: ReplicatedType> {
 }
 
 /// A fire-and-forget write from the coordination-free fast path: the
-/// client completed the operation without waiting, but still tracks acks
-/// so `known` stays accurate (delta payloads shrink) and fully-acked
-/// entries can be garbage-collected.
-#[derive(Debug, Clone)]
-struct FastWrite<T: ReplicatedType> {
+/// client completed the operation without waiting, but still takes the
+/// acks so `known` stays accurate (delta payloads shrink). The WAL is
+/// append-only under the client's one clock, so an ack for a shipment
+/// says "this replica holds `wal[..wal_len]`"; a record retires once
+/// every replica acked that much (16 bytes each while one is cut off).
+#[derive(Debug, Clone, Copy)]
+struct FastWrite {
     inv_id: u64,
-    /// Snapshot of the WAL at ship time; acks fold it into `known`.
-    updated: Arc<Log<T::Op>>,
-    acked: BTreeSet<NodeId>,
+    wal_len: usize,
 }
 
 /// A node in the replicated system: either a replica or the client.
@@ -447,6 +444,14 @@ pub struct ClientState<T: ReplicatedType> {
     cache: ViewCache<T::Value>,
     /// Reusable buffers for write-phase `diff_with` calls.
     scratch: DiffScratch,
+    /// In delta mode, per replica: the last write payload shipped to it
+    /// (the shipped log minus `known[r]`) and `known[r]`'s length when it
+    /// was built — `known[r]` only grows, so same length, same set. An
+    /// ack folds the payload, not the view; the next shipment extends it.
+    sent: Vec<(Arc<Log<T::Op>>, usize)>,
+    /// The log last shipped — an updated view or the WAL — as the
+    /// invocation it went under, its length and its `prefix_hash`.
+    shipped: (u64, usize, u64),
     /// Which invocation kinds skip the quorum protocol (CALM-monotone
     /// kinds; empty by default, so scheduling is pure quorum).
     policy: SchedulingPolicy<<T::Op as HasKind>::Kind>,
@@ -454,8 +459,11 @@ pub struct ClientState<T: ReplicatedType> {
     /// fast path, merged into every read view (read-your-writes) and
     /// shipped to replicas fire-and-forget.
     wal: Log<T::Op>,
-    /// In-flight fast-path writes awaiting (but not blocking on) acks.
-    fast_writes: Vec<FastWrite<T>>,
+    /// In-flight fast-path writes awaiting (but not blocking on) acks,
+    /// oldest first (`inv_id` and `wal_len` both non-decreasing).
+    fast_writes: VecDeque<FastWrite>,
+    /// Per replica, how much of the WAL it has acked (`wal[..mark]`).
+    wal_acked: Vec<usize>,
     /// Invocations that took the coordination-free fast path.
     calm_fast: u64,
     /// Invocations that ran the quorum protocol.
@@ -580,32 +588,49 @@ impl<T: ReplicatedType> ClientState<T> {
         self.outcomes.push(outcome);
     }
 
-    /// Ships the WAL (per-replica deltas in delta/Merkle mode) to every
-    /// replica under `inv_id`, recording a fire-and-forget entry so late
-    /// acks still fold into `known`.
+    /// Ships the WAL to every replica under `inv_id` — to each, the
+    /// entries it hasn't acked or shown through the quorum path — and
+    /// records the shipment so its acks still fold into `known`.
     fn ship_wal(&mut self, ctx: &mut impl Transport<T>, inv_id: u64) {
-        let updated = Arc::new(self.wal.clone());
+        let wal = std::mem::take(&mut self.wal);
+        self.ship(ctx, inv_id, &wal);
+        let wal_len = wal.len();
+        self.fast_writes.push_back(FastWrite { inv_id, wal_len });
+        self.wal = wal;
+    }
+
+    /// Ships `full` — an updated view, or the WAL — to every replica
+    /// under `inv_id`: whole in full-log mode (one shared copy), else the
+    /// part of it `known[r]` lacks (`known[r] ⊆ log_r`, so the replica's
+    /// merge result is unchanged). That part is the last payload plus
+    /// `full`'s new suffix when `known[r]` is as long as it was, the log
+    /// shipped last is a prefix of `full` (one prefix hash, the ≈2⁻⁶⁴
+    /// trust of [`ViewCache`]) and `known[r]` sorts below the suffix: a
+    /// replica that said nothing since — cut off, or acking late — costs
+    /// O(suffix), in place once the transport let go of the last message.
+    /// An ack, a read response or a spliced view means [`Log::diff_with`].
+    fn ship(&mut self, ctx: &mut impl Transport<T>, inv_id: u64, full: &Log<T::Op>) {
+        let whole = (self.mode == ReplicationMode::FullLog).then(|| Arc::new(full.clone()));
+        let (_, was, hash) = self.shipped;
+        let grew = was <= full.len() && full.prefix_hash(was) == hash;
         let replicas = Arc::clone(&self.replicas);
         for &r in replicas.iter() {
-            let payload = match self.mode {
-                ReplicationMode::FullLog => Arc::clone(&updated),
-                // Only the WAL entries this replica hasn't acked (or
-                // learned through the quorum path).
-                _ => Arc::new(updated.diff_with(&self.known[r.0], &mut self.scratch)),
+            let known = &self.known[r.0];
+            let (payload, at) = &mut self.sent[r.0];
+            let above = |e: &Entry<T::Op>| known.max_timestamp() < Some(e.ts);
+            let log = if let Some(whole) = &whole {
+                Arc::clone(whole)
+            } else if grew && *at == known.len() && full.entries().get(was).is_none_or(above) {
+                Arc::make_mut(payload).merge_range(full, was, full.len());
+                Arc::clone(payload)
+            } else {
+                *payload = Arc::new(full.diff_with(known, &mut self.scratch));
+                *at = known.len();
+                Arc::clone(payload)
             };
-            ctx.send(
-                r,
-                Msg::WriteReq {
-                    inv_id,
-                    log: payload,
-                },
-            );
+            ctx.send(r, Msg::WriteReq { inv_id, log });
         }
-        self.fast_writes.push(FastWrite {
-            inv_id,
-            updated,
-            acked: BTreeSet::new(),
-        });
+        self.shipped = (inv_id, full.len(), full.prefix_hash(full.len()));
     }
 
     /// Re-ships the coordination-free WAL to every replica (no-op when
@@ -641,7 +666,6 @@ impl<T: ReplicatedType> ClientState<T> {
         if reads && !self.wal.is_empty() {
             view.merge(&self.wal);
         }
-        let view = &*view;
         if let Some(ts) = view.max_timestamp() {
             self.clock.observe(ts);
         }
@@ -671,32 +695,14 @@ impl<T: ReplicatedType> ClientState<T> {
             }
             Some(op) => {
                 let ts = self.clock.tick();
-                let mut updated = view.clone();
+                // The read phase is over: hand its view over, don't copy.
+                let mut updated = std::mem::take(view);
                 updated.insert(Entry::new(ts, op.clone()));
-                let updated = Arc::new(updated);
                 pending.phase = Phase::Write {
                     acked: BTreeSet::new(),
                     op,
-                    updated: Arc::clone(&updated),
                 };
-                let replicas = Arc::clone(&self.replicas);
-                for &r in replicas.iter() {
-                    let payload = match self.mode {
-                        // One shared view, n pointer clones.
-                        ReplicationMode::FullLog => Arc::clone(&updated),
-                        // Only what we believe the replica is missing;
-                        // `known[r] ⊆ log_r`, so its merge result is
-                        // unchanged.
-                        _ => Arc::new(updated.diff_with(&self.known[r.0], &mut self.scratch)),
-                    };
-                    ctx.send(
-                        r,
-                        Msg::WriteReq {
-                            inv_id,
-                            log: payload,
-                        },
-                    );
-                }
+                self.ship(ctx, inv_id, &updated);
             }
         }
     }
@@ -784,17 +790,20 @@ impl<T: ReplicatedType> ClientState<T> {
     /// A replica acknowledged the write phase.
     pub(crate) fn on_write_ack(&mut self, ctx: &mut impl Transport<T>, from: NodeId, inv_id: u64) {
         // Fast-path acks: nothing is waiting on them, but they keep
-        // `known` accurate (shrinking future delta payloads) and retire
-        // fully-acknowledged entries.
-        if let Some(ix) = self.fast_writes.iter().position(|w| w.inv_id == inv_id) {
-            let w = &mut self.fast_writes[ix];
-            if w.acked.insert(from) {
+        // `known` accurate (shrinking future delta payloads): fold the
+        // stretch of the WAL this replica had not acked yet, then retire
+        // the records every replica has passed.
+        if let Ok(ix) = self.fast_writes.binary_search_by_key(&inv_id, |w| w.inv_id) {
+            let (mark, upto) = (self.wal_acked[from.0], self.fast_writes[ix].wal_len);
+            if mark < upto {
                 if self.mode != ReplicationMode::FullLog {
-                    self.known[from.0].merge(&w.updated);
+                    self.known[from.0].merge_range(&self.wal, mark, upto);
                 }
-                if w.acked.len() == self.replicas.len() {
-                    self.fast_writes.swap_remove(ix);
-                }
+                self.wal_acked[from.0] = upto;
+            }
+            let all = *self.wal_acked.iter().min().expect("replicas exist");
+            while self.fast_writes.front().is_some_and(|w| w.wal_len <= all) {
+                self.fast_writes.pop_front();
             }
             return;
         }
@@ -804,16 +813,18 @@ impl<T: ReplicatedType> ClientState<T> {
         if pending.inv_id != inv_id {
             return;
         }
-        let Phase::Write { acked, op, updated } = &mut pending.phase else {
+        let Phase::Write { acked, op } = &mut pending.phase else {
             return;
         };
         if !acked.insert(from) {
             return;
         }
-        if self.mode != ReplicationMode::FullLog {
-            // The replica merged our delta, so its log now contains the
-            // whole updated view.
-            self.known[from.0].merge(updated);
+        if self.mode != ReplicationMode::FullLog && self.shipped.0 == inv_id {
+            // The replica merged the payload we sent it, and `known[r]`
+            // plus that payload *is* the updated view: fold what was sent,
+            // an append or a short tail splice. (A WAL flush landing
+            // mid-write re-labels `sent`; the acks then fold nothing.)
+            self.known[from.0].merge(&self.sent[from.0].0);
         }
         let kind = op.kind();
         if acked.len() >= self.assignment.final_size(kind) {
@@ -853,7 +864,7 @@ impl<T: ReplicatedType> ClientState<T> {
                         self.assignment.initial_size(kind),
                     )
                 }
-                Phase::Write { acked, op, .. } => (
+                Phase::Write { acked, op } => (
                     QuorumPhase::Write,
                     acked.len(),
                     self.assignment.final_size(op.kind()),
@@ -1129,6 +1140,17 @@ impl<T: ReplicatedType> Node<Msg<T>> for RoleNode<T> {
     }
 }
 
+/// A client's write bookkeeping, lent read-only to the invariant tests:
+/// [`ClientState`]'s own fields, `fast_writes` by its length.
+#[doc(hidden)]
+#[derive(Debug)]
+pub struct ClientBookkeeping<'a, Op> {
+    pub known: &'a [Log<Op>],
+    pub sent: &'a [(Arc<Log<Op>>, usize)],
+    pub shipped: (u64, usize, u64),
+    pub fast_writes: usize,
+}
+
 /// A complete replicated system: `n` replicas plus one or more clients,
 /// over the discrete-event simulator.
 ///
@@ -1238,9 +1260,12 @@ impl<T: ReplicatedType> QuorumSystem<T> {
                 memoize: true,
                 cache: ViewCache::new(),
                 scratch: DiffScratch::default(),
+                sent: vec![Default::default(); n_replicas],
+                shipped: (0, 0, 0),
                 policy: SchedulingPolicy::all_quorum(),
                 wal: Log::new(),
-                fast_writes: Vec::new(),
+                fast_writes: VecDeque::new(),
+                wal_acked: vec![0; n_replicas],
                 calm_fast: 0,
                 calm_quorum: 0,
             })));
@@ -1817,6 +1842,20 @@ impl<T: ReplicatedType> QuorumSystem<T> {
     pub fn outcomes_of(&self, ix: usize) -> &[Outcome<T::Op>] {
         match self.world.node(self.clients[ix]) {
             RoleNode::Client(c) => c.outcomes(),
+            RoleNode::Replica(_) => unreachable!("client ids are fixed"),
+        }
+    }
+
+    /// Client `ix`'s write bookkeeping, for the invariant tests.
+    #[doc(hidden)]
+    pub fn client_bookkeeping(&self, ix: usize) -> ClientBookkeeping<'_, T::Op> {
+        match self.world.node(self.clients[ix]) {
+            RoleNode::Client(c) => ClientBookkeeping {
+                known: &c.known,
+                sent: &c.sent,
+                shipped: c.shipped,
+                fast_writes: c.fast_writes.len(),
+            },
             RoleNode::Replica(_) => unreachable!("client ids are fixed"),
         }
     }
@@ -2666,6 +2705,93 @@ mod tests {
             merkle.3,
             full.3
         );
+    }
+
+    /// The benchmark's `sim_partition_heal` phase 1 in small: two
+    /// clients, gossip off, a partition rotating through six windows —
+    /// client a keeps a majority and mixes dequeues in, client b sits
+    /// with one lone replica and enqueues. Returns both clients'
+    /// outcomes, the merged history, messages sent and bytes sent.
+    #[allow(clippy::type_complexity)]
+    fn rotation_run(
+        mode: ReplicationMode,
+    ) -> (
+        Vec<Outcome<QueueOp>>,
+        Vec<Outcome<QueueOp>>,
+        Vec<QueueOp>,
+        u64,
+        u64,
+    ) {
+        use relax_sim::Partition;
+        let assignment = VotingAssignment::new(3)
+            .with_initial(QueueKind::Deq, 2)
+            .with_final(QueueKind::Deq, 2)
+            .with_initial(QueueKind::Enq, 1)
+            .with_final(QueueKind::Enq, 1);
+        let mut sys = QuorumSystem::with_clients(
+            TaxiQueueType,
+            3,
+            2,
+            assignment,
+            ClientConfig::default(),
+            NetworkConfig::new(1, 5, 0.0),
+            7,
+        )
+        .with_replication(mode)
+        .with_wire_accounting();
+        for w in 0..6 {
+            let lone = NodeId(w % 3);
+            let mut with_a: Vec<NodeId> = (0..3).map(NodeId).filter(|&r| r != lone).collect();
+            with_a.push(NodeId(3));
+            let now = sys.world().now().0;
+            sys.world_mut().set_schedule(FaultSchedule::new().at(
+                SimTime(now + 1),
+                Fault::Partition(Partition::groups(vec![with_a, vec![NodeId(4), lone]])),
+            ));
+            sys.run_until(SimTime(now + 1));
+            for i in 0..6 {
+                let id = (w * 6 + i) as i64;
+                sys.submit_to(
+                    0,
+                    if i % 4 == 3 {
+                        QueueInv::Deq
+                    } else {
+                        QueueInv::Enq(id)
+                    },
+                );
+                sys.submit_to(1, QueueInv::Enq(100 + id));
+            }
+            let done = 6 * (w + 1);
+            while sys.outcomes_of(0).len() < done || sys.outcomes_of(1).len() < done {
+                assert!(sys.step_once(), "window {w} stalled ({mode:?})");
+            }
+        }
+        (
+            sys.outcomes_of(0).to_vec(),
+            sys.outcomes_of(1).to_vec(),
+            sys.merged_history().into_ops(),
+            sys.world().messages_sent(),
+            sys.world().bytes_sent(),
+        )
+    }
+
+    #[test]
+    fn rotating_partition_run_is_mode_independent_and_its_wire_is_pinned() {
+        let full = rotation_run(ReplicationMode::FullLog);
+        let delta = rotation_run(ReplicationMode::Delta);
+        let merkle = rotation_run(ReplicationMode::Merkle);
+        assert!(full.0.iter().chain(&full.1).all(Outcome::is_completed));
+        for other in [&delta, &merkle] {
+            assert_eq!(full.0, other.0, "client a's outcomes");
+            assert_eq!(full.1, other.1, "client b's outcomes");
+            assert_eq!(full.2, other.2, "merged history");
+            assert_eq!(full.3, other.3, "messages sent");
+        }
+        // The client paths of Delta and Merkle are one path.
+        assert_eq!(delta.4, merkle.4);
+        // Counted at the commit before acks folded what was sent and
+        // payloads extended: that change may move no message and no byte.
+        assert_eq!((full.3, full.4, delta.4), (648, 238_608, 62_760));
     }
 
     #[test]

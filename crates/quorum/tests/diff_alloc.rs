@@ -19,6 +19,13 @@
 //! cached bag in place (no copy of it), and a splice pays for at most
 //! one copy — the checkpoint it resumes from.
 //!
+//! And the client's write bookkeeping: an ack folds the payload that
+//! was sent, so an acked write against a 16,384-entry view allocates
+//! next to nothing; a coordination-free write with one replica cut off
+//! keeps a 16-byte record and extends the silent replica's payload in
+//! place, so the client's live bytes grow linearly with the operations
+//! and every record retires after heal and a WAL flush.
+//!
 //! Single `#[test]` on purpose: the counting allocator is process-global
 //! and concurrent tests would double-count.
 
@@ -26,28 +33,39 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use relax_queues::QueueOp;
-use relax_quorum::runtime::{ReplicatedType, TaxiQueueType};
-use relax_quorum::{DiffScratch, Entry, Log, Timestamp, ViewCache};
+use relax_quorum::calm::SchedulingPolicy;
+use relax_quorum::relation::AccountKind;
+use relax_quorum::runtime::{AccountInv, BankAccountType, ReplicatedType, TaxiQueueType};
+use relax_quorum::{
+    ClientConfig, DiffScratch, Entry, Log, QuorumSystem, Timestamp, ViewCache, VotingAssignment,
+};
+use relax_sim::{Fault, FaultSchedule, NetworkConfig, NodeId, Partition, SimTime};
 
 struct Counting;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
+/// Bytes allocated and not yet freed (wrapping: only differences count).
+static LIVE: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        LIVE.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        LIVE.fetch_add(new_size as u64, Ordering::Relaxed);
+        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -65,6 +83,10 @@ fn bytes_during(f: impl FnOnce()) -> u64 {
     let before = BYTES.load(Ordering::Relaxed);
     f();
     BYTES.load(Ordering::Relaxed) - before
+}
+
+fn live_bytes() -> u64 {
+    LIVE.load(Ordering::Relaxed)
 }
 
 fn log_of(counters: impl IntoIterator<Item = u64>, site: usize) -> Log<i64> {
@@ -129,6 +151,9 @@ fn warm_scratch_diffs_allocate_only_the_result() {
     tail_paths_allocate_the_tail_not_the_history(&mut scratch);
     appending_a_round_allocates_nothing_but_growth();
     view_cache_hits_copy_nothing_and_splices_copy_once();
+    extending_a_payload_allocates_nothing_but_growth();
+    an_acked_write_folds_the_payload_not_the_view();
+    fast_writes_under_a_partition_stay_linear_and_retire();
 }
 
 /// Two writers (sites 0 and 1) with a 65,536-entry history at a
@@ -239,4 +264,135 @@ fn view_cache_hits_copy_nothing_and_splices_copy_once() {
         splice > copy / 2 && splice < copy + 4 * KIB,
         "a splice resumed from a checkpoint allocated {splice} bytes; a copy is {copy}"
     );
+}
+
+/// A silent replica's payload — a whole 16,384-entry view — taking the
+/// next view's 16-entry suffix: into spare capacity, nothing; without
+/// it, the two long vectors' own growth.
+fn extending_a_payload_allocates_nothing_but_growth() {
+    const VIEW: u64 = 16_384;
+    let view = log_of(1..=VIEW + 32, 0);
+    let (view_len, was) = (view.len(), VIEW as usize);
+    // A clone is exactly full (16,384 is what doubling leaves, too).
+    let mut payload = view.range(0, was);
+    let n = allocs_during(|| payload.merge_range(&view, was, was + 16));
+    assert_eq!(n, 2, "a full payload grows its two long vectors, got {n}");
+    let n = allocs_during(|| payload.merge_range(&view, was + 16, view_len));
+    assert_eq!(n, 0, "an extension into spare capacity allocated {n} times");
+    assert_eq!(payload, view);
+}
+
+/// One client, three healthy replicas, a 16,400-entry history: the step
+/// that delivers the completing write ack folds one entry into
+/// `known[r]`. (Folding the updated view, as the client once did,
+/// re-buffers all of `known[r]`: some 650 KiB here.)
+fn an_acked_write_folds_the_payload_not_the_view() {
+    const HISTORY: usize = 16_400;
+    let assignment = VotingAssignment::new(3)
+        .with_initial(AccountKind::Credit, 1)
+        .with_final(AccountKind::Credit, 1);
+    let mut sys = QuorumSystem::new(
+        BankAccountType,
+        3,
+        assignment,
+        ClientConfig::default(),
+        NetworkConfig::new(1, 5, 0.0),
+        11,
+    );
+    for _ in 0..HISTORY {
+        sys.submit(AccountInv::Credit(1));
+    }
+    assert!(sys.run_to_quiescence(u64::MAX));
+    assert_eq!(sys.replica_log(0).len(), HISTORY);
+    for _ in 0..8 {
+        let done = sys.outcomes().len();
+        sys.submit(AccountInv::Credit(1));
+        let mut ack_step = 0;
+        while sys.outcomes().len() == done {
+            ack_step = bytes_during(|| assert!(sys.world_mut().step()));
+        }
+        assert!(
+            ack_step < 4 * 1024,
+            "the acked write allocated {ack_step} bytes against a {HISTORY}-entry view"
+        );
+        assert!(sys.run_to_quiescence(u64::MAX));
+    }
+}
+
+/// Coordination-free credits with replica 2 cut off, one at a time (each
+/// is acked by the two live replicas before the next): the WAL, the
+/// silent replica's payload and a 16-byte record per credit are what
+/// grows. (With a WAL snapshot per unacked credit, 8,000 of them held
+/// 981 MiB.)
+fn fast_writes_under_a_partition_stay_linear_and_retire() {
+    const MIB: u64 = 1024 * 1024;
+    let assignment = VotingAssignment::new(3)
+        .with_initial(AccountKind::Credit, 0)
+        .with_final(AccountKind::Credit, 1)
+        .with_initial(AccountKind::Debit, 2)
+        .with_final(AccountKind::Debit, 2);
+    let before = live_bytes();
+    let mut sys = QuorumSystem::new(
+        BankAccountType,
+        3,
+        assignment,
+        ClientConfig::default(),
+        NetworkConfig::new(1, 5, 0.0),
+        7,
+    )
+    .with_scheduling(SchedulingPolicy::coordination_free([AccountKind::Credit]));
+    sys.world_mut().set_schedule(FaultSchedule::new().at(
+        SimTime(0),
+        Fault::Partition(Partition::groups(vec![
+            vec![NodeId(3), NodeId(0), NodeId(1)],
+            vec![NodeId(2)],
+        ])),
+    ));
+    let credits = |sys: &mut QuorumSystem<BankAccountType>, n: usize| {
+        for _ in 0..n {
+            sys.submit(AccountInv::Credit(1));
+            let now = sys.world().now().0;
+            sys.run_until(SimTime(now + 12));
+        }
+    };
+    credits(&mut sys, 2_000);
+    let at_2k = live_bytes().wrapping_sub(before);
+    credits(&mut sys, 6_000);
+    let at_8k = live_bytes().wrapping_sub(before);
+    assert!(at_8k < 8 * MIB, "8,000 credits hold {at_8k} live bytes");
+    assert!(
+        at_8k < 5 * at_2k,
+        "live bytes are not linear in the credits: {at_2k} at 2,000, {at_8k} at 8,000"
+    );
+
+    // 8,200 to 8,456 entries: no vector doubles in this window, so what
+    // a credit allocates is what its messages carry — the silent
+    // replica's payload is the last one, extended where it lies.
+    credits(&mut sys, 200);
+    let window = bytes_during(|| credits(&mut sys, 256));
+    assert_eq!(
+        sys.client_bookkeeping(0).fast_writes,
+        8_456,
+        "one record per credit while replica 2 is silent"
+    );
+    // (A payload re-diffed against the 8,200-entry WAL is some 200 KiB
+    // each time.)
+    assert!(
+        window < 256 * 1024,
+        "256 credits against an 8,200-entry WAL allocated {window} bytes"
+    );
+
+    let now = sys.world().now().0;
+    sys.world_mut()
+        .set_schedule(FaultSchedule::new().at(SimTime(now), Fault::Heal));
+    sys.run_until(SimTime(now + 1));
+    sys.flush_wals();
+    assert!(sys.run_to_quiescence(u64::MAX));
+    assert_eq!(
+        sys.replica_log(2).len(),
+        8_456,
+        "the flush repairs replica 2"
+    );
+    let records = sys.client_bookkeeping(0).fast_writes;
+    assert_eq!(records, 0, "every record retires after heal + flush");
 }

@@ -99,6 +99,9 @@ pub struct World<P, N> {
     payload_bytes: Option<fn(&P) -> u64>,
     bytes_sent: u64,
     bytes_delivered: u64,
+    /// The action buffer lent to each handler's [`Ctx`] and drained after
+    /// it returns: one allocation per world, not one per event.
+    actions: Vec<Action<P>>,
 }
 
 impl<P: Clone, N: Node<P>> World<P, N> {
@@ -124,6 +127,7 @@ impl<P: Clone, N: Node<P>> World<P, N> {
             payload_bytes: None,
             bytes_sent: 0,
             bytes_delivered: 0,
+            actions: Vec::new(),
         }
     }
 
@@ -440,12 +444,11 @@ impl<P: Clone, N: Node<P>> World<P, N> {
 
     fn dispatch(&mut self, ev: QueuedEvent<P>) {
         self.events_processed += 1;
-        #[allow(clippy::type_complexity)]
-        let (target, invoke): (NodeId, Box<dyn FnOnce(&mut N, &mut Ctx<'_, P>)>) = match ev.kind {
+        let target = match ev.kind {
             EventKind::Deliver {
                 src,
                 dst,
-                payload,
+                ref payload,
                 msg_id,
             } => {
                 // Re-check liveness at delivery time: a node that crashed
@@ -465,7 +468,7 @@ impl<P: Clone, N: Node<P>> World<P, N> {
                 }
                 self.messages_delivered += 1;
                 if let Some(sizer) = self.payload_bytes {
-                    self.bytes_delivered += sizer(&payload);
+                    self.bytes_delivered += sizer(payload);
                 }
                 self.tracer.record(
                     self.now.0,
@@ -474,10 +477,7 @@ impl<P: Clone, N: Node<P>> World<P, N> {
                         msg_id,
                     },
                 );
-                (
-                    dst,
-                    Box::new(move |node, ctx| node.on_message(ctx, src, payload)),
-                )
+                dst
             }
             EventKind::Timer { node, token } => {
                 if !self.network.is_up(node) {
@@ -490,7 +490,7 @@ impl<P: Clone, N: Node<P>> World<P, N> {
                         token,
                     },
                 );
-                (node, Box::new(move |n, ctx| n.on_timer(ctx, token)))
+                node
             }
         };
 
@@ -499,12 +499,16 @@ impl<P: Clone, N: Node<P>> World<P, N> {
             now: self.now,
             rng: &mut self.rng,
             tracer: &mut self.tracer,
-            actions: Vec::new(),
+            actions: std::mem::take(&mut self.actions),
         };
-        invoke(&mut self.nodes[target.0], &mut ctx);
-        let actions = ctx.actions;
+        let node = &mut self.nodes[target.0];
+        match ev.kind {
+            EventKind::Deliver { src, payload, .. } => node.on_message(&mut ctx, src, payload),
+            EventKind::Timer { token, .. } => node.on_timer(&mut ctx, token),
+        }
+        let mut actions = ctx.actions;
 
-        for action in actions {
+        for action in actions.drain(..) {
             match action {
                 Action::Send { dst, payload } => {
                     self.messages_sent += 1;
@@ -604,6 +608,7 @@ impl<P: Clone, N: Node<P>> World<P, N> {
                 }
             }
         }
+        self.actions = actions;
     }
 
     /// Runs until virtual time `t` (inclusive of events at `t`); the clock
