@@ -364,41 +364,6 @@ fn bench_rewrite(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_compaction(c: &mut Criterion) {
-    use relax_queues::{Bag, Eta, Item};
-    use relax_quorum::compact::CompactLog;
-    use relax_quorum::Timestamp;
-
-    let mut group = c.benchmark_group("view_evaluation");
-    group.sample_size(20);
-    for size in [1_000usize, 10_000] {
-        // A raw log of `size` entries vs the same log compacted down to a
-        // 10-entry suffix: the ablation for why production replicas
-        // compact.
-        let mut raw: CompactLog<QueueOp, Bag<Item>> = CompactLog::new(Bag::new());
-        for i in 0..size {
-            raw.insert(Entry::new(
-                Timestamp::new(i as u64 + 1, 0),
-                QueueOp::Enq((i % 50) as i64),
-            ));
-        }
-        let mut compacted = raw.clone();
-        compacted.compact_to(&Eta, Timestamp::new(size as u64 - 10, 0));
-
-        group.bench_with_input(BenchmarkId::new("raw", size), &raw, |bencher, log| {
-            bencher.iter(|| black_box(log.value(&Eta)).len());
-        });
-        group.bench_with_input(
-            BenchmarkId::new("compacted", size),
-            &compacted,
-            |bencher, log| {
-                bencher.iter(|| black_box(log.value(&Eta)).len());
-            },
-        );
-    }
-    group.finish();
-}
-
 fn bench_locking(c: &mut Criterion) {
     c.bench_function("lock_manager_churn_100tx", |bencher| {
         bencher.iter(|| {
@@ -421,7 +386,6 @@ criterion_group!(
     bench_viewcache,
     bench_sim_client_write,
     bench_rewrite,
-    bench_compaction,
     bench_locking
 );
 criterion_main!(benches);

@@ -11,8 +11,8 @@
 //! * `--baselines DIR` — directory holding the committed baselines
 //!   (default `baselines`).
 //! * `--only SUBSTR` — run only the checks whose payload file or
-//!   metric name contains `SUBSTR` (e.g. `--only merkle` after
-//!   rerunning just `exp_merkle_antientropy`). A filter that matches
+//!   metric name contains `SUBSTR` (e.g. `--only calm_fastpath` after
+//!   rerunning just `exp_calm_fastpath`). A filter that matches
 //!   nothing is an error, not a vacuous pass.
 //! * `--bless` — copy the fresh payloads over the baselines instead of
 //!   checking (after an intentional perf change; commit the result).

@@ -1,7 +1,6 @@
 //! Experiment implementations, one module per paper artifact.
 
 pub mod account;
-pub mod antientropy;
 pub mod availability;
 pub mod calm;
 pub mod campaign;
@@ -22,5 +21,4 @@ pub mod scaling;
 pub mod serialdep;
 pub mod symmetry;
 pub mod theorem4;
-pub mod throughput;
 pub mod voting;

@@ -86,21 +86,6 @@ pub const CHECKS: &[Check] = &[
         band: Band::MustBeTrue,
     },
     Check {
-        file: "BENCH_runtime_throughput.json",
-        metric: "gate_speedup",
-        band: Band::MinRatio(0.4),
-    },
-    Check {
-        file: "BENCH_runtime_throughput.json",
-        metric: "gate_bytes_ratio",
-        band: Band::MinRatio(0.5),
-    },
-    Check {
-        file: "BENCH_runtime_throughput.json",
-        metric: "within_target",
-        band: Band::MustBeTrue,
-    },
-    Check {
         file: "BENCH_trace_overhead.json",
         metric: "overhead_pct",
         band: Band::MaxAbsDelta(3.0),
@@ -137,21 +122,6 @@ pub const CHECKS: &[Check] = &[
     },
     Check {
         file: "BENCH_profile_overhead.json",
-        metric: "within_target",
-        band: Band::MustBeTrue,
-    },
-    Check {
-        file: "BENCH_merkle_antientropy.json",
-        metric: "gate_bytes_ratio",
-        band: Band::MinRatio(0.5),
-    },
-    Check {
-        file: "BENCH_merkle_antientropy.json",
-        metric: "gate_replay_ratio",
-        band: Band::MinRatio(0.5),
-    },
-    Check {
-        file: "BENCH_merkle_antientropy.json",
         metric: "within_target",
         band: Band::MustBeTrue,
     },
@@ -451,13 +421,6 @@ mod tests {
         );
         write(
             dir,
-            "BENCH_runtime_throughput.json",
-            &format!(
-                "{{\"gate_speedup\":{speedup},\"gate_bytes_ratio\":2.0,\"within_target\":{ok}}}\n"
-            ),
-        );
-        write(
-            dir,
             "BENCH_trace_overhead.json",
             &format!("{{\"overhead_pct\":{overhead},\"within_target\":{ok}}}\n"),
         );
@@ -473,14 +436,6 @@ mod tests {
             "BENCH_profile_overhead.json",
             &format!(
                 "{{\"overhead_pct\":{overhead},\"exact_attribution\":{ok},\
-                 \"within_target\":{ok}}}\n"
-            ),
-        );
-        write(
-            dir,
-            "BENCH_merkle_antientropy.json",
-            &format!(
-                "{{\"gate_bytes_ratio\":{speedup},\"gate_replay_ratio\":{speedup},\
                  \"within_target\":{ok}}}\n"
             ),
         );
@@ -595,7 +550,7 @@ mod tests {
         let fresh = tmp("fresh_bless");
         scaffold(&fresh, 7.0, 2.0, true);
         let files = bless(&fresh, &base).unwrap();
-        assert_eq!(files.len(), 10);
+        assert_eq!(files.len(), 8);
         let outcomes = compare(&fresh, &base).unwrap();
         assert!(outcomes.iter().all(|o| o.pass));
     }
@@ -604,11 +559,11 @@ mod tests {
     fn selection_filters_by_payload_or_metric_substring() {
         let all = selected(None);
         assert_eq!(all.len(), CHECKS.len());
-        let merkle = selected(Some("merkle"));
-        assert_eq!(merkle.len(), 3);
-        assert!(merkle
+        let campaign = selected(Some("fault_campaign"));
+        assert_eq!(campaign.len(), 3);
+        assert!(campaign
             .iter()
-            .all(|c| c.file == "BENCH_merkle_antientropy.json"));
+            .all(|c| c.file == "BENCH_fault_campaign.json"));
         let realtime = selected(Some("realtime"));
         assert_eq!(realtime.len(), 6);
         assert!(realtime
@@ -618,9 +573,9 @@ mod tests {
         // Two on the sim payload, one wall-clock metric by name.
         assert_eq!(calm.len(), 3);
         assert_eq!(selected(Some("calm_fastpath")).len(), 2);
-        let by_metric = selected(Some("gate_bytes_ratio"));
+        let by_metric = selected(Some("gate_speedup"));
         assert!(!by_metric.is_empty());
-        assert!(by_metric.iter().all(|c| c.metric == "gate_bytes_ratio"));
+        assert!(by_metric.iter().all(|c| c.metric == "gate_speedup"));
         assert!(selected(Some("no_such_check")).is_empty());
     }
 
@@ -630,10 +585,10 @@ mod tests {
         let fresh = tmp("fresh_only");
         scaffold(&base, 10.0, 1.0, true);
         scaffold(&fresh, 10.0, 1.0, true);
-        // Remove an unrelated payload: a merkle-only run must not
+        // Remove an unrelated payload: a campaign-only run must not
         // touch it, and an unfiltered run must still fail on it.
         std::fs::remove_file(fresh.join("BENCH_trace_overhead.json")).unwrap();
-        let outcomes = compare_checks(&selected(Some("merkle")), &fresh, &base).unwrap();
+        let outcomes = compare_checks(&selected(Some("fault_campaign")), &fresh, &base).unwrap();
         assert_eq!(outcomes.len(), 3);
         assert!(outcomes.iter().all(|o| o.pass));
         assert!(compare(&fresh, &base).is_err());

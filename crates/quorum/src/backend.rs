@@ -18,17 +18,19 @@
 //!   completion, and expose the replica logs and merged history that
 //!   the differential oracle compares across backends.
 //!
-//! [`crate::runtime::ClientState`] and [`crate::runtime::ReplicaState`]
-//! handlers are generic over `Transport`, so the sim path monomorphizes
-//! to exactly the pre-split code (pinned by the existing delta/Merkle
-//! equivalence suites), while the threaded backend's replica brokers
-//! reuse the *same* replica state machine over channels.
+//! [`crate::protocol::client::ClientState`] and
+//! [`crate::protocol::replica::ReplicaState`] handlers are generic over
+//! `Transport`, so the sim path monomorphizes to exactly the pre-split
+//! code (pinned by the existing equivalence suites), while the threaded
+//! backend's replica brokers reuse the *same* replica state machine over
+//! channels.
 
 use relax_sim::{Ctx, NodeId};
 use relax_trace::EventKind as TraceEvent;
 
 use crate::log::Log;
-use crate::runtime::{Msg, Outcome, ReplicatedType};
+use crate::protocol::wire::{Msg, Outcome};
+use crate::types::ReplicatedType;
 use relax_automata::History;
 
 /// The effect interface of a protocol handler: everything a client or
@@ -54,8 +56,9 @@ pub trait Transport<T: ReplicatedType> {
     /// without gossip) may ignore this.
     fn set_timer(&mut self, delay: u64, token: u64);
 
-    /// Draws a uniformly random peer for gossip push. Backends without
-    /// randomized gossip return `None`.
+    /// Draws a uniformly random peer. No handler calls this since
+    /// anti-entropy became a broadcast; backends without a seeded rng
+    /// return `None`.
     fn choose_peer(&mut self, peers: &[NodeId]) -> Option<NodeId>;
 
     /// Whether structured tracing is collecting (lets handlers skip

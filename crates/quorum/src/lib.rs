@@ -9,7 +9,7 @@
 //!   timestamp order with duplicates discarded;
 //! * [`merkle`] — per-site Merkle trees over the timestamp space, the
 //!   O(log n) divergence-localizing refinement of [`frontier`] behind
-//!   `ReplicationMode::Merkle` anti-entropy;
+//!   replica-to-replica anti-entropy;
 //! * [`relation`] — quorum intersection relations `Q` between invocations
 //!   and operations (`inv(p) Q q` ⇔ every initial quorum for `p`
 //!   intersects every final quorum for `q`);
@@ -22,14 +22,19 @@
 //!   evaluated through `η` against the type's pre/postconditions;
 //! * [`serialdep`] — bounded checking of *serial dependency relations*
 //!   (Definition 3) and minimality;
-//! * [`runtime`] — an operational replicated object over `relax-sim`:
+//! * [`protocol`] — the sans-IO protocol core, one file per role:
 //!   replicas hold logs, clients run the three-step quorum protocol
 //!   (merge an initial quorum's logs into a view; choose a response;
-//!   record at a final quorum), used by the availability and latency
-//!   experiments;
+//!   record at a final quorum), `wire` is what travels between them;
+//! * [`types`] — the `ReplicatedType` a runtime replicates, with the
+//!   taxi-queue and bank-account presets;
 //! * [`backend`] — the `Executor` / `Transport` / `ClientTable` trait
 //!   split separating the protocol state machines from their execution
 //!   substrate;
+//! * [`sim_exec`] — the simulator executor: `QuorumSystem` over
+//!   `relax-sim`, used by the availability and latency experiments;
+//! * [`runtime`] — re-exports of the four above under the paths they
+//!   had as one module;
 //! * [`threaded`] — the sharded wall-clock backend: batching
 //!   per-replica brokers, group-committed log appends, one OS thread
 //!   per replica and per shard, differentially tested against the sim;
@@ -44,17 +49,19 @@
 pub mod assignment;
 pub mod backend;
 pub mod calm;
-pub mod compact;
 pub mod frontier;
 pub mod log;
 pub mod merkle;
+pub mod protocol;
 pub mod qca;
 pub mod relation;
 pub mod repview;
 pub mod runtime;
 pub mod serialdep;
+pub mod sim_exec;
 pub mod threaded;
 pub mod timestamp;
+pub mod types;
 pub mod view;
 pub mod viewcache;
 pub mod voting;
@@ -66,7 +73,6 @@ pub mod prelude {
     pub use crate::calm::{
         analyze, analyze_account, analyze_taxi, CalmReport, SchedulingPolicy, Verdict,
     };
-    pub use crate::compact::{stable_frontier, CompactLog};
     pub use crate::frontier::{Frontier, SiteSummary};
     pub use crate::log::{DiffScratch, Entry, Log};
     pub use crate::merkle::{MerkleIndex, MerkleNode, NodeRange};
@@ -87,7 +93,6 @@ pub mod prelude {
 pub use assignment::VotingAssignment;
 pub use backend::{outcome_shapes, ClientTable, Executor, OutcomeShape, RunStats, Transport};
 pub use calm::{analyze, analyze_account, analyze_taxi, CalmReport, SchedulingPolicy, Verdict};
-pub use compact::{stable_frontier, CompactLog};
 pub use frontier::{Frontier, SiteSummary};
 pub use log::{DiffScratch, Entry, Log};
 pub use merkle::{MerkleIndex, MerkleNode, NodeRange};

@@ -85,8 +85,8 @@ pub struct Log<Op> {
     /// Per-site Merkle tree over the timestamp set, built lazily on the
     /// first [`Log::merkle_index`] call and maintained incrementally
     /// from then on. `None` for logs that never sync via Merkle
-    /// anti-entropy (delta payloads, full-log mode), so those paths pay
-    /// nothing for it.
+    /// anti-entropy (payloads, client views, a replica that never
+    /// gossips), so those paths pay nothing for it.
     merkle: Option<Box<MerkleIndex>>,
 }
 
@@ -129,7 +129,7 @@ impl<Op> Default for Log<Op> {
 }
 
 /// Reusable buffers for [`Log::diff_with`] / [`Log::delta_above_with`],
-/// so the gossip and client write hot loops do not allocate fresh
+/// so the read-response and client write hot loops do not allocate fresh
 /// per-site vectors on every call. All buffers are cleared, never
 /// shrunk: at steady state a scratch owned by a client or replica stops
 /// allocating entirely (pinned by `tests/diff_alloc.rs`).

@@ -209,7 +209,7 @@ impl MerkleIndex {
 
     /// The (count, hash) aggregate of node `(site, level, index)`;
     /// `(0, 0)` for ranges holding no entries. Handles levels above this
-    /// tree's height (see [`SiteTree::node`]), so a shorter tree answers
+    /// tree's height (see `SiteTree::node`), so a shorter tree answers
     /// a taller peer's probes correctly.
     #[must_use]
     pub fn node(&self, site: usize, level: u8, index: u64) -> (u64, u64) {

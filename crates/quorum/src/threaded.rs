@@ -22,7 +22,7 @@
 //!   refresh — per batch instead of per operation.
 //!
 //! The protocol state machines are the *same code* as the sim backend:
-//! replicas run [`ReplicaState::on_message`] over a channel-backed
+//! replicas run `ReplicaState::on_message` over a channel-backed
 //! [`Transport`], and the shard front-end issues the same
 //! `ReadReq`/`ReadResp`/`WriteReq`/`WriteAck` conversation the sim
 //! client does. The sim stays the differential oracle: identical op
@@ -48,9 +48,11 @@ use crate::assignment::VotingAssignment;
 use crate::backend::{ClientTable, Executor, RunStats, Transport};
 use crate::calm::SchedulingPolicy;
 use crate::log::{Entry, Log};
+use crate::protocol::replica::ReplicaState;
+use crate::protocol::wire::{Msg, Outcome};
 use crate::relation::HasKind;
-use crate::runtime::{Msg, Outcome, ReplicaState, ReplicatedType, ReplicationMode};
 use crate::timestamp::LogicalClock;
+use crate::types::ReplicatedType;
 use crate::viewcache::ViewCache;
 
 /// Knobs of the threaded backend.
@@ -219,7 +221,7 @@ impl<T: ReplicatedType> ThreadedSystem<T> {
         );
         let replica_ids: Arc<[NodeId]> = (0..n_replicas).map(NodeId).collect();
         let replicas = (0..n_replicas)
-            .map(|_| ReplicaState::new(Arc::clone(&replica_ids), ReplicationMode::default()))
+            .map(|_| ReplicaState::new(Arc::clone(&replica_ids)))
             .collect();
         let n_shards = config.shards.min(n_clients);
         let mut shards: Vec<ShardState<T>> = (0..n_shards)
@@ -315,6 +317,7 @@ impl<T: ReplicatedType> ThreadedSystem<T> {
     /// from before the crash (stable storage), but nothing written while
     /// it was down.
     pub fn recover(&mut self, i: usize) {
+        assert!(i < self.n_replicas, "replica index out of range");
         self.down.remove(&i);
     }
 
@@ -872,6 +875,19 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    #[should_panic(expected = "replica index out of range")]
+    fn recovering_a_replica_that_does_not_exist_panics() {
+        let mut sys = ThreadedSystem::new(
+            TaxiQueueType,
+            3,
+            1,
+            taxi_assignment(3),
+            ThreadedConfig::default(),
+        );
+        sys.recover(99);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!
 //! A miss need not replay from zero, though: the cache also keeps a
 //! *checkpoint chain* — snapshots of the folded value at geometric
-//! prefix lengths (eight per octave; see [`checkpoint_slot`]), stored as
+//! prefix lengths (eight per octave; see `checkpoint_slot`), stored as
 //! replays cross those boundaries. A checkpoint at length `L` survives
 //! a splice at position `p` iff `p >= L` (checked by the same
 //! prefix-hash validity test), so a splice replays from the deepest
@@ -95,7 +95,7 @@ pub struct ViewCache<V> {
     /// to cache it under.
     empty: Option<V>,
     /// Checkpoint chain: slot `k` snapshots the fold at the `k`-th
-    /// geometric boundary (see [`checkpoint_slot`]), refreshed whenever
+    /// geometric boundary (see `checkpoint_slot`), refreshed whenever
     /// a replay crosses that length.
     checkpoints: Vec<Option<Cached<V>>>,
     use_checkpoints: bool,

@@ -1,4 +1,4 @@
-//! The invariant delta mode's soundness rests on, checked after every
+//! The invariant delta payloads' soundness rests on, checked after every
 //! simulator event instead of argued in comments: each client's record
 //! of a replica is a lower bound on that replica's log,
 //!
@@ -32,7 +32,7 @@ use proptest::prelude::*;
 use relax_quorum::calm::SchedulingPolicy;
 use relax_quorum::relation::{AccountKind, QueueKind};
 use relax_quorum::runtime::{AccountInv, BankAccountType, QueueInv, ReplicatedType, TaxiQueueType};
-use relax_quorum::{ClientConfig, QuorumSystem, ReplicationMode, VotingAssignment};
+use relax_quorum::{ClientConfig, QuorumSystem, VotingAssignment};
 use relax_sim::{Fault, FaultSchedule, NetworkConfig, NodeId, Partition, SimTime};
 
 /// Live replicas are nodes `0..N`, the witness is node `N`, the two
@@ -159,7 +159,7 @@ fn rotate<T: ReplicatedType>(sys: &mut QuorumSystem<T>, lone: usize) {
 
 /// The taxi queue under the quorums the paper's example degrades to:
 /// enqueues record at one site, so the cut-off client stays available.
-fn taxi_system(seed: u64, max_delay: u64, merkle: bool) -> QuorumSystem<TaxiQueueType> {
+fn taxi_system(seed: u64, max_delay: u64) -> QuorumSystem<TaxiQueueType> {
     let assignment = VotingAssignment::new(N + 1)
         .with_initial(QueueKind::Deq, N / 2 + 1)
         .with_final(QueueKind::Deq, N / 2 + 1)
@@ -174,11 +174,6 @@ fn taxi_system(seed: u64, max_delay: u64, merkle: bool) -> QuorumSystem<TaxiQueu
         NetworkConfig::new(1, max_delay, 0.0),
         seed,
     )
-    .with_replication(if merkle {
-        ReplicationMode::Merkle
-    } else {
-        ReplicationMode::Delta
-    })
 }
 
 fn taxi_inv(kind: u8, item: i64) -> QueueInv {
@@ -197,14 +192,13 @@ proptest! {
         seed in 0u64..1_000_000,
         max_delay in 1u64..12,
         duplication in 0.0f64..0.4,
-        merkle in any::<bool>(),
         gossip in (any::<bool>(), 10u64..60),
         windows in proptest::collection::vec(
             (0usize..N + 1, proptest::collection::vec((0u8..4, 0u8..4), 1..8)),
             1..6,
         ),
     ) {
-        let mut sys = taxi_system(seed, max_delay, merkle);
+        let mut sys = taxi_system(seed, max_delay);
         if gossip.0 {
             sys = sys.with_gossip(gossip.1);
         }
@@ -309,7 +303,7 @@ proptest! {
 /// ack or a read response in between).
 #[test]
 fn a_rotating_partition_takes_both_the_extension_and_the_rediff() {
-    let mut sys = taxi_system(29, 5, true);
+    let mut sys = taxi_system(29, 5);
     let (mut item, mut paths) = (0, Paths::default());
     for w in 0..9 {
         rotate(&mut sys, w % N);

@@ -1,17 +1,20 @@
 //! Differential verification of delta replication: under random fault
 //! schedules, gossip intervals, message loss, and workloads, a
-//! [`ReplicationMode::Delta`] run (with memoized view evaluation) is
-//! observably identical to a [`ReplicationMode::FullLog`] run (with
-//! fresh evaluation) — same outcomes, same merged history, same final
-//! replica logs, same degradation-monitor transitions, same message
-//! count — while never shipping more bytes.
+//! production run ([`ReplicationMode::Merkle`]: delta payloads, memoized
+//! view evaluation) is observably identical to a
+//! [`ReplicationMode::FullLog`] run (whole logs, fresh evaluation) —
+//! same outcomes, same merged history, same final replica logs, same
+//! degradation-monitor transitions, same message count — while never
+//! shipping more bytes.
 //!
 //! The argument the tests check operationally: delta payloads change
 //! only message *contents*, never which messages are sent or when, so
 //! the simulator draws the same delays and losses in the same order;
-//! and every omitted entry is one the receiver provably already holds
+//! every omitted entry is one the receiver provably already holds
 //! (logs only grow, and a frontier confirms a site's prefix by count,
-//! max, and hash), so every merge lands in the same state.
+//! max, and hash), so every merge lands in the same state; and
+//! anti-entropy reads nothing but the replica logs, so the replicas
+//! gossip the same tree nodes at the same ticks under either client.
 
 use proptest::prelude::*;
 
@@ -63,7 +66,8 @@ struct Scenario {
     invs: Vec<QueueInv>,
 }
 
-fn run_one(mode: ReplicationMode, memoize: bool, s: &Scenario) -> (Observed, u64) {
+/// One run's observables, bytes sent, and view-cache `(hits, misses)`.
+fn run_one(mode: ReplicationMode, s: &Scenario) -> (Observed, u64, (u64, u64)) {
     let mut sys = QuorumSystem::new(
         TaxiQueueType,
         N,
@@ -73,7 +77,6 @@ fn run_one(mode: ReplicationMode, memoize: bool, s: &Scenario) -> (Observed, u64
         s.seed,
     )
     .with_replication(mode)
-    .with_memoized_views(memoize)
     .with_wire_accounting();
     if s.monitor {
         sys = sys.with_monitor(queue_lattice_monitor());
@@ -125,12 +128,12 @@ fn run_one(mode: ReplicationMode, memoize: bool, s: &Scenario) -> (Observed, u64
         messages: sys.world().messages_sent(),
     };
     let bytes = sys.world().bytes_sent();
-    (observed, bytes)
+    (observed, bytes, sys.viewcache_counts())
 }
 
 fn check_equivalence(s: &Scenario) -> Result<(), proptest::TestCaseError> {
-    let (full, full_bytes) = run_one(ReplicationMode::FullLog, false, s);
-    let (delta, delta_bytes) = run_one(ReplicationMode::Delta, true, s);
+    let (full, full_bytes, _) = run_one(ReplicationMode::FullLog, s);
+    let (delta, delta_bytes, _) = run_one(ReplicationMode::Merkle, s);
     prop_assert_eq!(
         &full,
         &delta,
@@ -153,7 +156,7 @@ fn check_equivalence(s: &Scenario) -> Result<(), proptest::TestCaseError> {
 }
 
 proptest! {
-    /// The differential property: delta ≡ full-log, observably, under
+    /// The differential property: production ≡ full-log, observably, under
     /// random partitions, crashes, gossip intervals, loss rates, and
     /// workloads.
     #[test]
@@ -187,9 +190,8 @@ proptest! {
 
 /// A deterministic long-history stress: partition + replica crash +
 /// anti-entropy, ending with the byte-reduction the delta path exists
-/// for. (The precise ≥10× gate at history ≥ 1000 lives in the
-/// `exp_runtime_throughput` bench; this pins a conservative floor in
-/// the test suite.)
+/// for. (A conservative floor; the benchmark's `sim_partition_heal`
+/// reports the absolute `wire_bytes_per_op`.)
 #[test]
 fn long_history_delta_bytes_shrink_under_faults() {
     let s = Scenario {
@@ -211,8 +213,8 @@ fn long_history_delta_bytes_shrink_under_faults() {
             })
             .collect(),
     };
-    let (full, full_bytes) = run_one(ReplicationMode::FullLog, false, &s);
-    let (delta, delta_bytes) = run_one(ReplicationMode::Delta, true, &s);
+    let (full, full_bytes, _) = run_one(ReplicationMode::FullLog, &s);
+    let (delta, delta_bytes, _) = run_one(ReplicationMode::Merkle, &s);
     assert_eq!(full, delta, "observable divergence on the long history");
     assert!(
         delta_bytes * 4 < full_bytes,
@@ -220,10 +222,11 @@ fn long_history_delta_bytes_shrink_under_faults() {
     );
 }
 
-/// Memoization alone (full-log mode) must also be invisible: it changes
-/// evaluation effort, never evaluation results.
+/// The reference shares no cache with what it checks: a full-log run
+/// evaluates every view from scratch and never consults the view cache,
+/// a production run does.
 #[test]
-fn memoization_is_invisible_in_full_log_mode() {
+fn the_full_log_reference_never_touches_the_view_cache() {
     let s = Scenario {
         seed: 0xABCD,
         loss: 0.1,
@@ -243,7 +246,11 @@ fn memoization_is_invisible_in_full_log_mode() {
             })
             .collect(),
     };
-    let (plain, _) = run_one(ReplicationMode::FullLog, false, &s);
-    let (memo, _) = run_one(ReplicationMode::FullLog, true, &s);
-    assert_eq!(plain, memo);
+    let (_, _, reference) = run_one(ReplicationMode::FullLog, &s);
+    let (_, _, production) = run_one(ReplicationMode::Merkle, &s);
+    assert_eq!(reference, (0, 0));
+    assert!(
+        production.0 + production.1 > 0,
+        "production consults the cache"
+    );
 }

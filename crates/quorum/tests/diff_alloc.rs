@@ -1,6 +1,6 @@
 //! Pins the allocation discipline of the scratch-buffered diff paths.
 //!
-//! `Log::diff_with` / `Log::delta_above_with` are the gossip and write
+//! `Log::diff_with` / `Log::delta_above_with` are the write and read
 //! hot loops: with a warm [`DiffScratch`] they must allocate only the
 //! exactly-sized vectors of the *returned* log (entries, prefix hashes,
 //! site summaries — ≤ 3 allocations), and nothing at all when the

@@ -4,12 +4,11 @@
 use proptest::prelude::*;
 
 use relax_automata::{History, ObjectAutomaton};
-use relax_queues::{Bag, Eta, Eval, Item, PqValueSpec, QueueOp};
-use relax_quorum::compact::{stable_frontier, CompactLog};
+use relax_queues::{Eta, PqValueSpec, QueueOp};
 use relax_quorum::relation::{queue_relation, HasKind};
 use relax_quorum::view::{is_q_closed_mask, q_views};
 use relax_quorum::voting::WeightedVoting;
-use relax_quorum::{Entry, Log, QcaAutomaton, Timestamp};
+use relax_quorum::QcaAutomaton;
 
 /// Random queue histories over a small item domain (not necessarily
 /// legal for any particular queue type — views are defined for all).
@@ -126,66 +125,5 @@ proptest! {
         prop_assert!((w.availability(0, &probs) - 1.0).abs() < 1e-12);
         let all_down = (1.0 - p).powi(votes.len() as i32);
         prop_assert!((w.availability(1, &probs) - (1.0 - all_down)).abs() < 1e-9);
-    }
-
-    /// Compacting at any prefix timestamp preserves the evaluated value.
-    #[test]
-    fn compaction_preserves_value_at_any_frontier(
-        raw in proptest::collection::vec((1u64..12, 0usize..3, 0u8..2, 0i64..4), 0..12),
-        cut in 0usize..12,
-    ) {
-        let mut log: Log<QueueOp> = Log::new();
-        for (c, s, k, i) in &raw {
-            let op = if *k == 0 { QueueOp::Enq(*i) } else { QueueOp::Deq(*i) };
-            log.insert(Entry::new(Timestamp::new(*c, *s), op));
-        }
-        let reference: Bag<Item> = Eta.eval(&log.to_history().into_ops());
-
-        let mut cl = CompactLog::from_log(Bag::new(), log.clone());
-        if let Some(entry) = log.entries().get(cut.min(log.len().saturating_sub(1))) {
-            if !log.is_empty() {
-                cl.compact_to(&Eta, entry.ts);
-            }
-        }
-        prop_assert_eq!(cl.value(&Eta), reference);
-    }
-
-    /// Merging compacted replicas at a common stable frontier equals
-    /// merging the raw logs.
-    #[test]
-    fn compact_merge_equals_raw_merge(
-        a in proptest::collection::vec((1u64..8, 0usize..2, 0i64..4), 0..8),
-        b in proptest::collection::vec((1u64..8, 0usize..2, 0i64..4), 0..8),
-        shared in proptest::collection::vec((1u64..8, 0usize..2, 0i64..4), 0..8),
-    ) {
-        let mk = |v: &Vec<(u64, usize, i64)>| -> Vec<Entry<QueueOp>> {
-            v.iter()
-                .map(|(c, s, i)| Entry::new(Timestamp::new(*c, *s), QueueOp::Enq(*i)))
-                .collect()
-        };
-        let mut la: Log<QueueOp> = Log::new();
-        let mut lb: Log<QueueOp> = Log::new();
-        for e in mk(&shared) {
-            la.insert(e.clone());
-            lb.insert(e);
-        }
-        for e in mk(&a) {
-            la.insert(e);
-        }
-        for e in mk(&b) {
-            lb.insert(e);
-        }
-
-        let raw = la.merged(&lb);
-        let raw_value: Bag<Item> = Eta.eval(&raw.to_history().into_ops());
-
-        let mut ca = CompactLog::from_log(Bag::new(), la.clone());
-        let mut cb = CompactLog::from_log(Bag::new(), lb.clone());
-        if let Some(f) = stable_frontier(&[&la, &lb]) {
-            ca.compact_to(&Eta, f);
-            cb.compact_to(&Eta, f);
-        }
-        ca.merge(&cb);
-        prop_assert_eq!(ca.value(&Eta), raw_value);
     }
 }

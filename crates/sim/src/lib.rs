@@ -13,8 +13,6 @@
 //!   setting timers through a context ([`node::Ctx`]);
 //! * timed fault schedules ([`schedule::FaultSchedule`]) injecting
 //!   crashes, recoveries, partitions and loss-rate changes;
-//! * metrics ([`metrics::Counter`], [`metrics::Histogram`], re-exported
-//!   from `relax-trace`) for availability and latency measurements;
 //! * optional structured tracing ([`world::World::with_trace`]): sends,
 //!   deliveries, drops (with cause), timers, and injected faults become
 //!   sim-time-stamped events in a bounded ring buffer, exportable as
@@ -49,7 +47,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod metrics;
 pub mod network;
 pub mod node;
 pub mod schedule;
@@ -58,7 +55,6 @@ pub mod world;
 
 /// Convenient re-exports of the crate's main types.
 pub mod prelude {
-    pub use crate::metrics::{Counter, Gauge, Histogram, Registry};
     pub use crate::network::{NetworkConfig, Partition};
     pub use crate::node::{Ctx, Node, NodeId};
     pub use crate::schedule::{Fault, FaultSchedule};
@@ -66,7 +62,6 @@ pub mod prelude {
     pub use crate::world::World;
 }
 
-pub use metrics::{Counter, Gauge, Histogram, Registry};
 pub use network::{Network, NetworkConfig, Partition};
 pub use node::{Ctx, Node, NodeId};
 pub use schedule::{Fault, FaultSchedule};

@@ -3,9 +3,8 @@
 
 use proptest::prelude::*;
 
-use relax_sim::{
-    Counter, Ctx, Fault, FaultSchedule, Histogram, NetworkConfig, Node, NodeId, SimTime, World,
-};
+use relax_sim::{Ctx, Fault, FaultSchedule, NetworkConfig, Node, NodeId, SimTime, World};
+use relax_trace::{Counter, Histogram};
 
 /// A node that relays each message `hops` more times around a ring.
 struct Ring {
