@@ -1,6 +1,6 @@
 //! Microbenchmarks for the substrate layers: replica logs, the view
-//! cache, the sim client's write bookkeeping, the term rewriter, and the
-//! lock manager.
+//! cache, the sim client's write bookkeeping, the threaded backend's
+//! shard–broker round trip, the term rewriter, and the lock manager.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -12,7 +12,8 @@ use relax_quorum::calm::SchedulingPolicy;
 use relax_quorum::relation::AccountKind;
 use relax_quorum::runtime::{AccountInv, BankAccountType, ReplicatedType, TaxiQueueType};
 use relax_quorum::{
-    ClientConfig, DiffScratch, Entry, Log, QuorumSystem, Timestamp, ViewCache, VotingAssignment,
+    ClientConfig, DiffScratch, Entry, Executor, Log, QuorumSystem, ThreadedConfig, ThreadedSystem,
+    Timestamp, ViewCache, VotingAssignment,
 };
 use relax_sim::{NetworkConfig, NodeId, Partition};
 use relax_spec::{paper_theories, parse_term, Rewriter, Term};
@@ -341,6 +342,51 @@ fn bench_sim_client_write(c: &mut Criterion) {
     }
 }
 
+/// The hand-off layer of the threaded backend alone: one client, 256
+/// credits, each a round of its own over three replicas, so a run is
+/// nothing but shard–broker visits around O(1) layer work. Reads µs per
+/// round (a run's wall time over its rounds; the spawn and join of its
+/// four threads is in there, about half a microsecond a round). `reads`
+/// schedules every credit through its quorums — a read and a commit per
+/// round, which share one visit; `free` frees them — a commit per round,
+/// one visit. Thread wake-ups on a shared box: reported, not gated.
+fn bench_threaded_round_trip(c: &mut Criterion) {
+    const ROUNDS: u32 = 256;
+    let assignment = VotingAssignment::new(3)
+        .with_initial(AccountKind::Credit, 1)
+        .with_final(AccountKind::Credit, 1);
+    let mut group = c.benchmark_group("threaded_round_trip");
+    for (name, policy) in [
+        ("reads", SchedulingPolicy::all_quorum()),
+        (
+            "free",
+            SchedulingPolicy::coordination_free([AccountKind::Credit]),
+        ),
+    ] {
+        group.bench_function(BenchmarkId::from_parameter(name), |bencher| {
+            bencher.iter_custom(|runs| {
+                let mut per_round = Duration::ZERO;
+                for _ in 0..runs {
+                    let mut sys = ThreadedSystem::new(
+                        BankAccountType,
+                        3,
+                        1,
+                        assignment.clone(),
+                        ThreadedConfig::default(),
+                    )
+                    .with_scheduling(policy.clone());
+                    for _ in 0..ROUNDS {
+                        sys.submit_to(0, AccountInv::Credit(1));
+                    }
+                    per_round += Duration::from_nanos(sys.run_all().wall_nanos) / ROUNDS;
+                }
+                per_round
+            });
+        });
+    }
+    group.finish();
+}
+
 fn bench_rewrite(c: &mut Criterion) {
     let set = paper_theories().expect("shipped theories parse");
     let bag = set.theory("Bag").expect("Bag present").clone();
@@ -385,6 +431,7 @@ criterion_group!(
     bench_log_one_writer,
     bench_viewcache,
     bench_sim_client_write,
+    bench_threaded_round_trip,
     bench_rewrite,
     bench_locking
 );

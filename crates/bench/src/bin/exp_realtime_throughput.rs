@@ -9,7 +9,7 @@
 //! simulator).
 
 use relax_bench::experiments::realtime::{
-    account_calm_over_quorum, best, run, to_json, SWEEP, TARGET_OPS_PER_SEC,
+    account_calm_over_quorum, best, run, to_json, CALM_OVER_QUORUM_FLOOR, SWEEP, TARGET_OPS_PER_SEC,
 };
 
 fn main() {
@@ -22,7 +22,7 @@ fn main() {
     println!(
         "gate: {} ({} shards × batch {} × {} replicas) → {:.0} ops/sec \
          (target ≥ {TARGET_OPS_PER_SEC:.0}), p50 {:.1}µs, p99 {:.1}µs, \
-         coordination-free over quorum {:.2}x (target > 1), all_equivalent={}",
+         coordination-free over quorum {:.2}x (target ≥ {CALM_OVER_QUORUM_FLOOR}), all_equivalent={}",
         top.config.workload.name(),
         top.config.shards,
         top.config.batch,

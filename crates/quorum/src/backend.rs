@@ -56,11 +56,6 @@ pub trait Transport<T: ReplicatedType> {
     /// without gossip) may ignore this.
     fn set_timer(&mut self, delay: u64, token: u64);
 
-    /// Draws a uniformly random peer. No handler calls this since
-    /// anti-entropy became a broadcast; backends without a seeded rng
-    /// return `None`.
-    fn choose_peer(&mut self, peers: &[NodeId]) -> Option<NodeId>;
-
     /// Whether structured tracing is collecting (lets handlers skip
     /// building event payloads).
     fn trace_enabled(&self) -> bool;
@@ -84,10 +79,6 @@ impl<T: ReplicatedType> Transport<T> for Ctx<'_, Msg<T>> {
 
     fn set_timer(&mut self, delay: u64, token: u64) {
         Ctx::set_timer(self, delay, token);
-    }
-
-    fn choose_peer(&mut self, peers: &[NodeId]) -> Option<NodeId> {
-        self.rng().choose(peers).copied()
     }
 
     fn trace_enabled(&self) -> bool {

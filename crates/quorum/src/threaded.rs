@@ -21,6 +21,15 @@
 //!   batch log: the replica pays one merge — one frontier/Merkle
 //!   refresh — per batch instead of per operation.
 //!
+//! A round visits each broker once, not twice: round *k*'s `WriteReq` and
+//! round *k+1*'s `ReadReq` travel in one packet and their replies come
+//! back in one — the replica that has just merged a commit answers the
+//! next read from the same log state. Only a run's first read and last
+//! write travel alone. With several shards a read is therefore as of its
+//! own previous commit's arrival at each broker, not as of the acks'
+//! return: still above every write of the same batch, up to one hand-off
+//! staler towards other shards' commits.
+//!
 //! The protocol state machines are the *same code* as the sim backend:
 //! replicas run `ReplicaState::on_message` over a channel-backed
 //! [`Transport`], and the shard front-end issues the same
@@ -67,7 +76,7 @@ pub struct ThreadedConfig {
     /// Broker flush deadline in microseconds: the longest a broker holds
     /// a short batch for the shards it has not heard from (they are
     /// mid-execute, or busy with another broker). A batch holding one
-    /// request per running shard is full and never waits, so with one
+    /// packet per running shard is full and never waits, so with one
     /// shard there is no linger at all.
     pub flush_micros: u64,
 }
@@ -95,10 +104,11 @@ struct ClientSlot<T: ReplicatedType> {
 /// deltas above the view's frontier.
 struct ShardState<T: ReplicatedType> {
     clients: Vec<ClientSlot<T>>,
-    /// Merged view of everything this shard has read or written. Always
-    /// a lower bound on every reachable replica's log (reads merge the
-    /// replicas' deltas in; writes land at every reachable replica), so
-    /// evaluating it reproduces the sim client's per-op view.
+    /// Merged view of everything this shard has read or written. A lower
+    /// bound on every reachable replica's log whenever a round executes
+    /// (reads merge the replicas' deltas in; a round's writes land at
+    /// every reachable replica before the next round's read is served),
+    /// so evaluating it reproduces the sim client's per-op view.
     view: Log<T::Op>,
     /// The view's value, maintained incrementally when
     /// [`ReplicatedType::apply_commutes`] — each arriving entry is
@@ -121,21 +131,24 @@ struct ShardState<T: ReplicatedType> {
     calm_quorum: u64,
 }
 
-/// A message in flight between a shard and a broker.
-type Packet<T> = (NodeId, Msg<T>);
+/// One visit's traffic between a shard and a broker, either way: the
+/// sender, the write half (a `WriteReq` out, its `WriteAck` back) and the
+/// read half (the next round's `ReadReq` out, its `ReadResp` back). A
+/// shard has at most one packet in flight per broker.
+type Packet<T> = (NodeId, Option<Msg<T>>, Option<Msg<T>>);
 
 /// An inbox slot: present for live workers, `None` for down replicas.
 type Inbox<T> = Option<(mpsc::Sender<Packet<T>>, mpsc::Receiver<Packet<T>>)>;
 
-/// The broker side's [`Transport`]: buffers sends so one batch flushes
-/// together; no timers, randomness, or tracing (the threaded backend
-/// runs replicas without gossip).
-struct BrokerTransport<'a, T: ReplicatedType> {
+/// The broker side's [`Transport`]: holds the one reply a replica sends
+/// the requester of a read or a write until the broker packs it; no
+/// timers or tracing (the threaded backend runs replicas without gossip).
+struct BrokerTransport<T: ReplicatedType> {
     me: NodeId,
-    outbox: &'a mut Vec<Packet<T>>,
+    reply: Option<Msg<T>>,
 }
 
-impl<T: ReplicatedType> Transport<T> for BrokerTransport<'_, T> {
+impl<T: ReplicatedType> Transport<T> for BrokerTransport<T> {
     fn me(&self) -> NodeId {
         self.me
     }
@@ -144,15 +157,11 @@ impl<T: ReplicatedType> Transport<T> for BrokerTransport<'_, T> {
         0
     }
 
-    fn send(&mut self, dst: NodeId, msg: Msg<T>) {
-        self.outbox.push((dst, msg));
+    fn send(&mut self, _requester: NodeId, msg: Msg<T>) {
+        self.reply = Some(msg);
     }
 
     fn set_timer(&mut self, _delay: u64, _token: u64) {}
-
-    fn choose_peer(&mut self, _peers: &[NodeId]) -> Option<NodeId> {
-        None
-    }
 
     fn trace_enabled(&self) -> bool {
         false
@@ -322,7 +331,9 @@ impl<T: ReplicatedType> ThreadedSystem<T> {
     }
 
     /// The wall-clock metrics: `realtime_op_latency_nanos` (p50/p99 come
-    /// from here), `realtime_commit_batch_ops`, `realtime_shard_rounds`.
+    /// from here), `realtime_commit_batch_ops`, `realtime_shard_rounds`
+    /// and `realtime_broker_visits` (batches the brokers have flushed: per
+    /// replica, one a round and one more a run when a single shard reads).
     pub fn registry(&self) -> &Registry {
         &self.registry
     }
@@ -427,13 +438,16 @@ where
             .map(|o| o.as_ref().map(|(tx, _)| tx.clone()).expect("just built"))
             .collect();
 
-        std::thread::scope(|sc| {
+        let visits: u64 = std::thread::scope(|sc| {
+            let mut brokers = Vec::with_capacity(reachable.len());
             for (i, rep) in self.replicas.iter_mut().enumerate() {
                 let Some((_, rx)) = rep_inboxes[i].take() else {
                     continue; // down: no broker, requests go nowhere
                 };
                 let shard_txs = shard_txs.clone();
-                sc.spawn(move || run_broker(rep, NodeId(i), rx, shard_txs, n, live, linger));
+                brokers.push(
+                    sc.spawn(move || run_broker(rep, NodeId(i), rx, shard_txs, n, live, linger)),
+                );
             }
             drop(shard_txs);
             for (s, shard) in self.shards.iter_mut().enumerate() {
@@ -455,6 +469,10 @@ where
                 });
             }
             drop(rep_txs);
+            let flushed = brokers
+                .into_iter()
+                .map(|b| b.join().expect("broker panicked"));
+            flushed.sum()
         });
 
         let ops = (outcome_total(self) - before) as u64;
@@ -477,6 +495,9 @@ where
         self.registry
             .gauge("realtime_shard_rounds")
             .set(rounds as i64);
+        self.registry
+            .gauge("realtime_broker_visits")
+            .add(visits as i64);
         let (calm_fast, calm_quorum) = self.calm_op_counts();
         self.registry.gauge("calm_fast_ops").set(calm_fast as i64);
         self.registry
@@ -501,14 +522,15 @@ where
 }
 
 /// The broker loop: drain the inbox in batches (flush on size or
-/// deadline), serve writes before reads, flush responses per batch. The
-/// replica's protocol behaviour is [`ReplicaState::on_message`] — the
-/// exact state machine the sim runs.
+/// deadline), serve the batch's writes, then its reads, and answer each
+/// shard with one packet. The replica's protocol behaviour is
+/// [`ReplicaState::on_message`] — the exact state machine the sim runs.
+/// Returns the number of batches flushed.
 ///
-/// The size bound is exact: a shard sends a read, awaits every response,
-/// sends a write, awaits every ack, so it has at most one request in
-/// flight here and a batch can hold no more than one packet per shard in
-/// `live`. A shard that has drained its backlog is not waited for.
+/// The size bound is exact: a shard sends a packet to every broker and
+/// awaits every reply before it sends the next, so it has at most one
+/// packet in flight here and a batch can hold no more than one per shard
+/// in `live`. A shard that has drained its backlog is not waited for.
 fn run_broker<T: ReplicatedType>(
     rep: &mut ReplicaState<T>,
     me: NodeId,
@@ -517,12 +539,17 @@ fn run_broker<T: ReplicatedType>(
     n_replicas: usize,
     live: &AtomicUsize,
     linger: Duration,
-) {
+) -> u64 {
     let mut batch: Vec<Packet<T>> = Vec::with_capacity(shard_txs.len());
-    let mut outbox: Vec<Packet<T>> = Vec::new();
+    let mut ctx = BrokerTransport { me, reply: None };
+    let mut serve = |from: NodeId, msg: Option<Msg<T>>| -> Option<Msg<T>> {
+        rep.on_message(&mut ctx, from, msg?);
+        ctx.reply.take()
+    };
+    let mut flushed = 0;
     loop {
         let Ok(first) = rx.recv() else {
-            return; // every shard finished and dropped its sender
+            return flushed; // every shard finished and dropped its sender
         };
         batch.push(first);
         let mut deadline = None; // read the clock only for a short batch
@@ -535,30 +562,29 @@ fn run_broker<T: ReplicatedType>(
                 Err(_) => break,
             }
         }
-        // Writes before reads (stable: per-shard order within each class
-        // is preserved, and a shard never has a read and a write in
-        // flight at once): the batch's reads see every write of the
-        // batch, and the replica pays one merged-state refresh for the
-        // whole group.
-        batch.sort_by_key(|(_, m)| matches!(m, Msg::ReadReq { .. }));
-        let mut ctx = BrokerTransport {
-            me,
-            outbox: &mut outbox,
-        };
-        for (from, msg) in batch.drain(..) {
-            rep.on_message(&mut ctx, from, msg);
+        // Every write of the batch before any read of it (each ack takes
+        // its request's place in the packet): the batch's reads see every
+        // write of the batch — a packet's own among them, which is what
+        // lets the next round's read ride this round's commit — and the
+        // replica pays one merged-state refresh for the whole group.
+        for (from, write, _) in &mut batch {
+            *write = serve(*from, write.take());
         }
-        for (dst, msg) in outbox.drain(..) {
+        for (from, ack, read) in batch.drain(..) {
             // Shard `s` is node `n + s`. A send can only fail if the
             // shard exited, which it cannot do while awaiting us.
-            let _ = shard_txs[dst.0 - n_replicas].send((me, msg));
+            let _ = shard_txs[from.0 - n_replicas].send((me, ack, serve(from, read)));
         }
+        flushed += 1;
     }
 }
 
 /// The shard front-end loop: rounds of up to `batch_cap` clients, one
-/// invocation each — one batched read phase, client-order execution
-/// against the shard view, one group-committed write phase.
+/// invocation each — client-order execution against the shard view
+/// between two visits to the brokers. Each loop turn assembles a round,
+/// pays the one visit that carries the previous round's group commit and
+/// this round's read (either may be absent), closes the previous round's
+/// clock, and executes. Nothing is in flight when it returns.
 #[allow(clippy::too_many_arguments)]
 fn run_shard<T: ReplicatedType>(
     shard: &mut ShardState<T>,
@@ -573,9 +599,18 @@ fn run_shard<T: ReplicatedType>(
 ) {
     let commutes = ttype.apply_commutes();
     let initial = ttype.initial_value();
+    // The round executed last turn: its clients, whose latency is still
+    // open, and its group commit, which the next visit carries.
+    let mut executed: Vec<usize> = Vec::new();
+    let mut commit: Option<Msg<T>> = None;
+    // A round's clock runs from the instant the previous round's last
+    // reply was taken (the loop's start for the first) to the instant its
+    // own last ack is: the rounds' latencies tile the run, never overlap.
+    let mut t0 = Instant::now();
     loop {
         // Assemble the round: pending clients from the cursor, wrapping,
-        // up to the batch ceiling.
+        // up to the batch ceiling. Empty once all backlogs are drained:
+        // that turn only lands the last commit.
         let n_clients = shard.clients.len();
         let mut round: Vec<usize> = Vec::with_capacity(batch_cap.min(n_clients));
         for off in 0..n_clients {
@@ -587,30 +622,29 @@ fn run_shard<T: ReplicatedType>(
                 }
             }
         }
-        let Some(&last) = round.last() else {
-            return; // all backlogs drained
-        };
-        shard.cursor = (last + 1) % n_clients;
-        shard.rounds += 1;
+        if let Some(&last) = round.last() {
+            shard.cursor = (last + 1) % n_clients;
+            shard.rounds += 1;
+        }
         let round_id = shard.rounds;
-        let t0 = Instant::now();
 
         let ShardState {
             clients,
             view,
             value,
             cache,
+            latencies,
+            batch_sizes,
             calm_fast,
             calm_quorum,
             ..
         } = shard;
 
-        // Read phase, once for the whole round — skipped when no
-        // operation of the round actually assembles an initial quorum
-        // (zero-size quorums respond against the empty view, oversize
-        // ones time out; neither reads). CALM-free invocations never
-        // contribute: a round of only monotone operations bypasses the
-        // read phase entirely.
+        // The round reads, once for all its operations, unless none of
+        // them actually assembles an initial quorum (zero-size quorums
+        // respond against the empty view, oversize ones time out; neither
+        // reads). CALM-free invocations never contribute: a round of only
+        // monotone operations asks the brokers nothing.
         let needs_read = round.iter().any(|&ci| {
             let inv = clients[ci].backlog.front().expect("selected non-empty");
             let kind = ttype.invocation_kind(inv);
@@ -620,36 +654,57 @@ fn run_shard<T: ReplicatedType>(
             let init = assignment.initial_size(kind);
             init > 0 && init <= reachable.len()
         });
-        if needs_read {
-            let known = view.frontier();
+        // The frontier is taken after the previous round's inserts, so a
+        // replica that has merged the commit beside it ships none of it
+        // back.
+        let read = needs_read.then(|| Msg::ReadReq {
+            inv_id: round_id,
+            known: Some(view.frontier()),
+        });
+        // The visit: one packet to every reachable broker, one back from
+        // each. A round that neither follows a commit nor reads pays none.
+        let write = commit.take();
+        if write.is_some() || read.is_some() {
             for &r in reachable {
-                let req = Msg::ReadReq {
-                    inv_id: round_id,
-                    known: Some(known.clone()),
-                };
-                let _ = to_replicas[r]
-                    .as_ref()
-                    .expect("reachable ⇒ broker")
-                    .send((me, req));
+                let _ = to_replicas[r].as_ref().expect("reachable ⇒ broker").send((
+                    me,
+                    write.clone(),
+                    read.clone(),
+                ));
             }
-            let mut got = 0;
-            while got < reachable.len() {
+            for _ in reachable {
                 match from_replicas.recv() {
-                    Ok((_, Msg::ReadResp { inv_id, log })) if inv_id == round_id => {
-                        // Deltas from different replicas overlap (each is
-                        // relative to the same shard frontier): the merge
-                        // reports each genuinely new entry exactly once.
-                        view.merge_with(&log, |e| {
-                            if commutes {
-                                ttype.apply_mut(value, &e.op);
-                            }
-                        });
-                        got += 1;
-                    }
+                    // Deltas from different replicas overlap (each is
+                    // relative to the same shard frontier): the merge
+                    // reports each genuinely new entry exactly once.
+                    Ok((_, _, Some(Msg::ReadResp { log, .. }))) => view.merge_with(&log, |e| {
+                        if commutes {
+                            ttype.apply_mut(value, &e.op);
+                        }
+                    }),
                     Ok(_) => {}
                     Err(_) => return, // brokers gone: nothing left to await
                 }
             }
+        }
+
+        // The executed round shares one wall-clock latency reading; patch
+        // it into the outcomes it pushed (timeouts carry none).
+        if !executed.is_empty() {
+            let now = Instant::now();
+            let nanos = (now.duration_since(t0).as_nanos() as u64).max(1);
+            t0 = now;
+            for &ci in &executed {
+                if let Some(Outcome::Completed { latency, .. } | Outcome::Refused { latency }) =
+                    clients[ci].outcomes.last_mut()
+                {
+                    *latency = nanos;
+                    latencies.push(nanos);
+                }
+            }
+        }
+        if round.is_empty() {
+            return;
         }
 
         // Execute the round's invocations in client order against the
@@ -739,41 +794,15 @@ fn run_shard<T: ReplicatedType>(
         }
 
         // Group commit: the whole round's appends travel as one
-        // WriteReq per replica and merge in one batch.
+        // WriteReq per replica, on the next visit, and merge in one batch.
         if !round_delta.is_empty() {
-            shard.batch_sizes.push(round_delta.len() as u64);
-            let payload = Arc::new(round_delta);
-            for &r in reachable {
-                let req = Msg::WriteReq {
-                    inv_id: round_id,
-                    log: Arc::clone(&payload),
-                };
-                let _ = to_replicas[r]
-                    .as_ref()
-                    .expect("reachable ⇒ broker")
-                    .send((me, req));
-            }
-            let mut acks = 0;
-            while acks < reachable.len() {
-                match from_replicas.recv() {
-                    Ok((_, Msg::WriteAck { inv_id })) if inv_id == round_id => acks += 1,
-                    Ok(_) => {}
-                    Err(_) => return,
-                }
-            }
+            batch_sizes.push(round_delta.len() as u64);
+            commit = Some(Msg::WriteReq {
+                inv_id: round_id,
+                log: Arc::new(round_delta),
+            });
         }
-
-        // The whole round shares one wall-clock latency reading; patch
-        // it into the outcomes just pushed (timeouts carry none).
-        let nanos = (t0.elapsed().as_nanos() as u64).max(1);
-        for &ci in &round {
-            if let Some(Outcome::Completed { latency, .. } | Outcome::Refused { latency }) =
-                shard.clients[ci].outcomes.last_mut()
-            {
-                *latency = nanos;
-                shard.latencies.push(nanos);
-            }
-        }
+        executed = round;
     }
 }
 
@@ -1080,6 +1109,196 @@ mod tests {
         }
         for i in 0..3 {
             assert_eq!(sys.replica_log(i).len(), 36, "replica {i}");
+        }
+    }
+
+    fn broker_visits<T: ReplicatedType>(sys: &ThreadedSystem<T>) -> i64 {
+        let gauge = sys.registry().get_gauge("realtime_broker_visits");
+        gauge.expect("set by run_all").value()
+    }
+
+    /// One shard, one client, three replicas: every invocation is a round
+    /// of its own, and the run's broker visits can be counted exactly.
+    fn visits_of<T>(
+        ttype: T,
+        assignment: VotingAssignment<<T::Op as HasKind>::Kind>,
+        policy: SchedulingPolicy<<T::Op as HasKind>::Kind>,
+        crashed: &[usize],
+        stream: &[T::Inv],
+    ) -> i64
+    where
+        T: ReplicatedType + Sync,
+        T::Op: Send + Sync,
+        T::Inv: Send,
+        T::Value: Send,
+        <T::Op as HasKind>::Kind: Sync,
+    {
+        let mut sys = ThreadedSystem::new(ttype, 3, 1, assignment, ThreadedConfig::default())
+            .with_scheduling(policy);
+        for &i in crashed {
+            sys.crash(i);
+        }
+        for inv in stream {
+            sys.submit_to(0, inv.clone());
+        }
+        assert_eq!(sys.run_all().ops, stream.len() as u64);
+        let rounds = sys.registry().get_gauge("realtime_shard_rounds");
+        assert_eq!(rounds.expect("set").value(), stream.len() as i64);
+        broker_visits(&sys)
+    }
+
+    #[test]
+    fn a_reading_round_costs_one_broker_visit() {
+        use crate::relation::AccountKind;
+        let account = || {
+            VotingAssignment::new(3)
+                .with_initial(AccountKind::Credit, 1)
+                .with_final(AccountKind::Credit, 1)
+                .with_initial(AccountKind::Debit, 2)
+                .with_final(AccountKind::Debit, 2)
+        };
+        let r = 9;
+        let stream: Vec<AccountInv> = (0..r)
+            .map(|j| [AccountInv::Credit(2), AccountInv::Debit(1)][j % 2])
+            .collect();
+        // R reading rounds: the first read and the last commit travel
+        // alone, every commit between them carries the next read.
+        let visits = visits_of(
+            BankAccountType,
+            account(),
+            SchedulingPolicy::all_quorum(),
+            &[],
+            &stream,
+        );
+        assert_eq!(visits, 3 * (r as i64 + 1));
+        // A crashed replica has no broker to visit.
+        let visits = visits_of(
+            BankAccountType,
+            account(),
+            SchedulingPolicy::all_quorum(),
+            &[1],
+            &stream,
+        );
+        assert_eq!(visits, 2 * (r as i64 + 1));
+        // Nothing reads: one visit per commit, as ever.
+        let free = SchedulingPolicy::coordination_free([AccountKind::Credit, AccountKind::Debit]);
+        let visits = visits_of(BankAccountType, account(), free, &[], &stream);
+        assert_eq!(visits, 3 * r as i64);
+        // The middle Deq finds the queue empty and commits nothing: the
+        // read after it has no commit to ride and travels alone.
+        let taxi = [
+            QueueInv::Enq(4),
+            QueueInv::Deq,
+            QueueInv::Deq,
+            QueueInv::Enq(6),
+            QueueInv::Deq,
+        ];
+        let visits = visits_of(
+            TaxiQueueType,
+            taxi_assignment(3),
+            SchedulingPolicy::all_quorum(),
+            &[],
+            &taxi,
+        );
+        assert_eq!(visits, 3 * (taxi.len() as i64 + 1));
+    }
+
+    #[test]
+    fn round_latencies_are_positive_and_tile_the_run() {
+        // Four clients on one shard, batch 2: eight rounds, refusals among
+        // them (the trailing dequeues find the queue empty). A round's
+        // clock stops where the next one's starts, so what one client
+        // waited in total fits inside the run.
+        let mut sys = ThreadedSystem::new(
+            TaxiQueueType,
+            3,
+            4,
+            taxi_assignment(3),
+            ThreadedConfig {
+                shards: 1,
+                batch: 2,
+                flush_micros: 20,
+            },
+        );
+        for c in 0..4 {
+            sys.submit_to(c, QueueInv::Enq(c as i64));
+            for _ in 0..3 {
+                sys.submit_to(c, QueueInv::Deq);
+            }
+        }
+        let stats = sys.run_all();
+        assert_eq!(stats.ops, 16);
+        let mut refused = 0;
+        for c in 0..4 {
+            let mut waited = 0;
+            for o in sys.outcomes_of(c) {
+                let (Outcome::Completed { latency, .. } | Outcome::Refused { latency }) = o else {
+                    panic!("healthy run timed out: {o:?}");
+                };
+                assert!(*latency > 0, "client {c}: {o:?}");
+                waited += latency;
+                refused += usize::from(matches!(o, Outcome::Refused { .. }));
+            }
+            assert!(
+                waited <= stats.wall_nanos,
+                "client {c} waited {waited} ns in a run of {} ns",
+                stats.wall_nanos
+            );
+        }
+        assert_eq!(refused, 8);
+    }
+
+    #[test]
+    fn nothing_is_in_flight_across_run_all() {
+        // Refusals, commits and reads on both sides of the cut.
+        let stream = [
+            QueueInv::Deq,
+            QueueInv::Enq(3),
+            QueueInv::Enq(8),
+            QueueInv::Deq,
+            QueueInv::Deq,
+            QueueInv::Deq,
+            QueueInv::Enq(5),
+        ];
+        let system = || {
+            ThreadedSystem::new(
+                TaxiQueueType,
+                3,
+                1,
+                taxi_assignment(3),
+                ThreadedConfig::default(),
+            )
+        };
+        let mut whole = system();
+        for inv in stream {
+            whole.submit_to(0, inv);
+        }
+        whole.run_all();
+        for cut in 1..stream.len() {
+            let mut split = system();
+            for inv in &stream[..cut] {
+                split.submit_to(0, *inv);
+            }
+            split.run_all();
+            // The first call left every commit at every replica.
+            let landed = split.outcomes_of(0).iter().filter(|o| o.is_completed());
+            assert_eq!(split.replica_log(0).len(), landed.count(), "cut {cut}");
+            for inv in &stream[cut..] {
+                split.submit_to(0, *inv);
+            }
+            split.run_all();
+            assert_eq!(
+                crate::outcome_shapes(split.outcomes_of(0)),
+                crate::outcome_shapes(whole.outcomes_of(0)),
+                "cut {cut}"
+            );
+            for i in 0..3 {
+                assert_eq!(split.replica_log(i), whole.replica_log(i), "cut {cut}");
+            }
+            // Drained backlogs: no round, and no broker is visited.
+            let before = broker_visits(&split);
+            assert_eq!(split.run_all().ops, 0);
+            assert_eq!(broker_visits(&split), before, "cut {cut}");
         }
     }
 

@@ -20,7 +20,8 @@
 
 use proptest::prelude::*;
 
-use relax_queues::QueueOp;
+use relax_queues::{AccountOp, QueueOp};
+use relax_quorum::calm::SchedulingPolicy;
 use relax_quorum::relation::{AccountKind, QueueKind};
 use relax_quorum::runtime::{
     queue_lattice_monitor, AccountInv, BankAccountType, QueueInv, TaxiQueueType,
@@ -221,6 +222,29 @@ proptest! {
     }
 }
 
+/// Runs one single-client account stream through both backends (three
+/// replicas, all reachable) under `policy` and returns what each saw,
+/// sim first.
+fn account_on_both(
+    assignment: VotingAssignment<AccountKind>,
+    policy: SchedulingPolicy<AccountKind>,
+    invs: &[AccountInv],
+) -> (Observed<AccountOp>, Observed<AccountOp>) {
+    let stream: Vec<(usize, AccountInv)> = invs.iter().map(|&inv| (0, inv)).collect();
+    let mut sim = QuorumSystem::new(
+        BankAccountType,
+        3,
+        assignment.clone(),
+        ClientConfig::default(),
+        fifo_network(),
+        7,
+    )
+    .with_scheduling(policy.clone());
+    let mut thr = ThreadedSystem::new(BankAccountType, 3, 1, assignment, ThreadedConfig::default())
+        .with_scheduling(policy);
+    (drive(&mut sim, &stream), drive(&mut thr, &stream))
+}
+
 /// Zero-size initial quorums take the blind-write path (respond against
 /// the fresh empty view, no observation); both backends must agree on
 /// it exactly.
@@ -231,30 +255,68 @@ fn zero_initial_quorum_blind_writes_agree() {
         .with_final(AccountKind::Credit, 1)
         .with_initial(AccountKind::Debit, 1)
         .with_final(AccountKind::Debit, 3);
-    let stream: Vec<(usize, AccountInv)> = vec![
-        (0, AccountInv::Credit(2)),
-        (0, AccountInv::Credit(3)),
-        (0, AccountInv::Debit(4)),
-        (0, AccountInv::Credit(1)),
-        (0, AccountInv::Debit(9)),
+    let invs = [
+        AccountInv::Credit(2),
+        AccountInv::Credit(3),
+        AccountInv::Debit(4),
+        AccountInv::Credit(1),
+        AccountInv::Debit(9),
     ];
-    let mut sim = QuorumSystem::new(
-        BankAccountType,
-        3,
-        assignment.clone(),
-        ClientConfig::default(),
-        fifo_network(),
-        7,
-    );
-    let mut thr = ThreadedSystem::new(BankAccountType, 3, 1, assignment, ThreadedConfig::default());
-    let sim_seen = drive(&mut sim, &stream);
-    let thr_seen = drive(&mut thr, &stream);
+    let (sim_seen, thr_seen) = account_on_both(assignment, SchedulingPolicy::all_quorum(), &invs);
     assert_eq!(sim_seen, thr_seen);
     // The debit at index 2 saw both blind credits.
     assert_eq!(
         sim_seen.shapes[0][2],
-        OutcomeShape::Completed(relax_queues::AccountOp::DebitOk(4))
+        OutcomeShape::Completed(AccountOp::DebitOk(4))
     );
+}
+
+/// A free round hands the next, reading round a commit to ride: the
+/// debits must find every free credit at the replica that merged it in
+/// the same visit, and mint the timestamps the sim client mints.
+#[test]
+fn a_read_riding_a_free_rounds_commit_agrees() {
+    let policy = SchedulingPolicy::coordination_free([AccountKind::Credit]);
+    let (c, d) = (AccountInv::Credit(3), AccountInv::Debit(2));
+    let (sim_seen, thr_seen) = account_on_both(account_assignment(3), policy, &[c, c, d, c, d, d]);
+    assert_eq!(sim_seen, thr_seen);
+    // 9 credited, 6 debited: the last debit saw all of it.
+    assert_eq!(
+        sim_seen.shapes[0][5],
+        OutcomeShape::Completed(AccountOp::DebitOk(2))
+    );
+    assert_eq!(thr_seen.replica_logs[0].len(), 6);
+}
+
+/// Rounds that commit nothing leave the next read nothing to ride: it
+/// travels alone, and still sees what the sim client sees.
+#[test]
+fn a_read_after_refused_only_rounds_agrees() {
+    let invs = [
+        QueueInv::Deq,
+        QueueInv::Deq,
+        QueueInv::Enq(5),
+        QueueInv::Deq,
+    ];
+    check_taxi_exact(3, &[], &invs, 3).expect("exact");
+}
+
+/// One replica of three reachable: a dequeue's majority can never
+/// assemble, so its read is never sent and the enqueue's commit before it
+/// travels alone; every operation times out on both backends, and only
+/// the enqueues' entries persist.
+#[test]
+fn an_initial_quorum_beyond_the_reachable_set_agrees() {
+    let invs = [
+        QueueInv::Deq,
+        QueueInv::Enq(1),
+        QueueInv::Deq,
+        QueueInv::Deq,
+        QueueInv::Enq(2),
+        QueueInv::Enq(3),
+        QueueInv::Deq,
+    ];
+    check_taxi_exact(3, &[0, 1], &invs, 5).expect("exact");
 }
 
 /// Racing clients: interleaving is backend-specific, so compare

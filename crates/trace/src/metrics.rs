@@ -1007,6 +1007,7 @@ lat_quantile{quantile=\"0.99\"} 500
             "realtime_op_latency_nanos",
             "realtime_commit_batch_ops",
             "realtime_shard_rounds",
+            "realtime_broker_visits",
             // CALM scheduling (both quorum backends)
             "calm_fast_ops",
             "calm_quorum_ops",
