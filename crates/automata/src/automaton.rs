@@ -16,9 +16,9 @@ use crate::history::History;
 /// Implementors supply the initial state and single-step transition
 /// function; `δ*`, acceptance, and related operations are provided.
 pub trait ObjectAutomaton {
-    /// The automaton's state set `STATE`. `Ord` lets the subset-graph
-    /// engine canonicalize reachable state sets as sorted slices (see
-    /// [`crate::subset`]).
+    /// The automaton's state set `STATE`. `Ord` lets the language walk
+    /// canonicalize reachable state sets as sorted slices (see
+    /// [`crate::multiwalk`]).
     type State: Clone + Eq + Ord + Hash + std::fmt::Debug;
     /// The automaton's operation alphabet `OP` (operation executions,
     /// i.e. invocation plus response).
@@ -151,6 +151,53 @@ impl<A: ObjectAutomaton> Deterministic<A> {
             }
         }
         Some(state)
+    }
+}
+
+/// An automaton accepting exactly `L(A) ∩ L(B)`: the synchronized
+/// product. `δ*((a0,b0), H) = δ*_A(H) × δ*_B(H)`, so `H` is accepted iff
+/// both components accept it — which is what lets the lattice checks test
+/// join preservation (`L(φ(c ∨ d)) = L(φ(c)) ∩ L(φ(d))`) without
+/// materializing either language.
+#[derive(Debug, Clone)]
+pub struct IntersectionAutomaton<A, B> {
+    left: A,
+    right: B,
+}
+
+impl<A, B> IntersectionAutomaton<A, B> {
+    /// Builds the synchronized product of two automata over a shared
+    /// alphabet.
+    pub fn new(left: A, right: B) -> Self {
+        IntersectionAutomaton { left, right }
+    }
+}
+
+impl<A, B> ObjectAutomaton for IntersectionAutomaton<A, B>
+where
+    A: ObjectAutomaton,
+    B: ObjectAutomaton<Op = A::Op>,
+{
+    type State = (A::State, B::State);
+    type Op = A::Op;
+
+    fn initial_state(&self) -> Self::State {
+        (self.left.initial_state(), self.right.initial_state())
+    }
+
+    fn step(&self, state: &Self::State, op: &Self::Op) -> Vec<Self::State> {
+        let lefts = self.left.step(&state.0, op);
+        if lefts.is_empty() {
+            return Vec::new();
+        }
+        let rights = self.right.step(&state.1, op);
+        let mut out = Vec::with_capacity(lefts.len() * rights.len());
+        for l in &lefts {
+            for r in &rights {
+                out.push((l.clone(), r.clone()));
+            }
+        }
+        out
     }
 }
 

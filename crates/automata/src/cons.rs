@@ -99,23 +99,6 @@ impl ConsTable {
         self.slots.capacity() * std::mem::size_of::<Slot>()
     }
 
-    /// Single-probe lookup: the id of a present key with this hash for
-    /// which `is_match` returns true.
-    pub fn get(&self, hash: u64, mut is_match: impl FnMut(u32) -> bool) -> Option<u32> {
-        let mask = self.slots.len() - 1;
-        let mut i = hash as usize & mask;
-        loop {
-            let slot = self.slots[i];
-            if slot.id == VACANT {
-                return None;
-            }
-            if slot.hash == hash && is_match(slot.id) {
-                return Some(slot.id);
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
     /// Single-probe intern: finds the id of a present matching key, or
     /// hands back the vacant slot to fill — the hash is computed by the
     /// caller exactly once per candidate, and the probe sequence is
@@ -204,26 +187,30 @@ mod tests {
             .map(|i| intern(&mut table, &mut keys, &format!("key-{i}")).0)
             .collect();
         assert_eq!(table.len(), 1000);
-        // Every id is dense and stable: re-interning and direct lookup
-        // both return the original id after all the growth.
+        // Every id is dense and stable: re-interning returns the
+        // original id after all the growth.
         for (i, &id) in ids.iter().enumerate() {
             assert_eq!(id as usize, i);
             let key = format!("key-{i}");
             let (again, new) = intern(&mut table, &mut keys, &key);
             assert_eq!(again, id);
             assert!(!new);
-            let hash = hash_of(&key.as_str());
-            assert_eq!(table.get(hash, |id| keys[id as usize] == key), Some(id));
         }
         assert_eq!(table.len(), 1000);
     }
 
     #[test]
-    fn get_distinguishes_colliding_hashes() {
+    fn entry_distinguishes_colliding_hashes() {
         // Force two different keys through the same hash by lying about
         // the hash: the is_match callback must disambiguate.
         let mut table = ConsTable::new();
         let keys = ["a", "b"];
+        let probe = |table: &mut ConsTable, hash: u64, key: &str| match table
+            .entry(hash, |id| keys[id as usize] == key)
+        {
+            Entry::Occupied(id) => Some(id),
+            Entry::Vacant(_) => None,
+        };
         match table.entry(42, |_| false) {
             Entry::Vacant(v) => v.insert(0),
             Entry::Occupied(_) => unreachable!(),
@@ -232,9 +219,10 @@ mod tests {
             Entry::Vacant(v) => v.insert(1),
             Entry::Occupied(_) => panic!("should not match"),
         }
-        assert_eq!(table.get(42, |id| keys[id as usize] == "a"), Some(0));
-        assert_eq!(table.get(42, |id| keys[id as usize] == "b"), Some(1));
-        assert_eq!(table.get(42, |id| keys[id as usize] == "c"), None);
-        assert_eq!(table.get(7, |_| true), None);
+        assert_eq!(probe(&mut table, 42, "a"), Some(0));
+        assert_eq!(probe(&mut table, 42, "b"), Some(1));
+        assert_eq!(probe(&mut table, 42, "c"), None);
+        assert_eq!(probe(&mut table, 7, "a"), None);
+        assert_eq!(table.len(), 2);
     }
 }

@@ -12,18 +12,20 @@
 //! `δ*(H) ≠ ∅`), which the enumerators exploit: unaccepted branches are
 //! pruned immediately.
 //!
-//! Counting and comparison run on the determinized subset graph of
-//! [`crate::subset`] — histories reaching the same reachable state set
-//! collapse into one node, inclusion/equality walk the *product* subset
-//! graph, and counterexamples are reconstructed from parent pointers. The
-//! pre-subset-graph enumerators survive verbatim in [`naive`] as the
-//! reference implementation for differential tests; [`language_upto`]
-//! still materializes the history set (callers iterate it), everything
-//! else is engine-backed.
+//! Counting and comparison run on the one bounded walk of
+//! [`crate::multiwalk`] at `N = 1`: histories reaching the same pair of
+//! state sets collapse into one node, and counterexamples are rebuilt
+//! from parent pointers. The materializing enumerators survive in
+//! [`naive`] as the reference implementation the differential tests
+//! compare against; [`language_upto`] is the one of them callers use
+//! directly (they iterate the histories), everything else is
+//! walk-backed.
+
+use std::marker::PhantomData;
 
 use crate::automaton::ObjectAutomaton;
 use crate::history::History;
-use crate::subset::{compare_upto, CompareOptions, SubsetGraph};
+use crate::multiwalk::{compare_upto, CompareOptions, StopWhen};
 
 pub use naive::language_upto;
 
@@ -35,26 +37,46 @@ pub struct Counterexample<Op> {
     pub history: History<Op>,
 }
 
-/// Counts *distinct* accepted histories per length on the subset graph:
-/// `result[n]` is the number of accepted histories of length exactly `n`,
-/// for `n = 0..=max_len`. Useful for "behavior complexity" growth curves:
+/// Accepts `Λ` and nothing else: the right side that turns the product
+/// walk into a count of the left language alone.
+struct OnlyLambda<Op>(PhantomData<Op>);
+
+impl<Op: Clone + Eq + std::hash::Hash + std::fmt::Debug> ObjectAutomaton for OnlyLambda<Op> {
+    type State = ();
+    type Op = Op;
+    fn initial_state(&self) {}
+    fn step(&self, _state: &(), _op: &Op) -> Vec<()> {
+        Vec::new()
+    }
+}
+
+/// Counts *distinct* accepted histories per length: `result[n]` is the
+/// number of accepted histories of length exactly `n`, for
+/// `n = 0..=max_len`. Useful for "behavior complexity" growth curves:
 /// relaxing constraints grows every entry.
 pub fn language_sizes<A>(automaton: &A, alphabet: &[A::Op], max_len: usize) -> Vec<usize>
 where
-    A: ObjectAutomaton + Sync,
-    A::State: Send + Sync,
-    A::Op: Sync,
+    A: ObjectAutomaton,
 {
-    SubsetGraph::explore(automaton, alphabet, max_len)
-        .sizes()
-        .into_iter()
-        .map(|n| usize::try_from(n).expect("count exceeds usize"))
-        .collect()
+    let left_only = CompareOptions {
+        walk_right_only: false,
+        stop: StopWhen::Never,
+    };
+    compare_upto(
+        automaton,
+        &OnlyLambda(PhantomData),
+        alphabet,
+        max_len,
+        left_only,
+    )
+    .left_sizes
+    .into_iter()
+    .map(|n| usize::try_from(n).expect("count exceeds usize"))
+    .collect()
 }
 
 /// Checks `L(left) ⊆ L(right)` for all histories of length ≤ `max_len`
-/// over `alphabet` by walking the product subset graph. Returns a
-/// shallowest counterexample, if any.
+/// over `alphabet`. Returns a shallowest counterexample, if any.
 ///
 /// `left` and `right` may have different state types; only the operation
 /// alphabet must coincide.
@@ -65,11 +87,8 @@ pub fn included_upto<L, R>(
     max_len: usize,
 ) -> Result<(), Counterexample<L::Op>>
 where
-    L: ObjectAutomaton + Sync,
-    R: ObjectAutomaton<Op = L::Op> + Sync,
-    L::State: Send + Sync,
-    R::State: Send + Sync,
-    L::Op: Sync,
+    L: ObjectAutomaton,
+    R: ObjectAutomaton<Op = L::Op>,
 {
     match compare_upto(left, right, alphabet, max_len, CompareOptions::inclusion())
         .left_not_in_right
@@ -80,7 +99,7 @@ where
 }
 
 /// Checks `L(left) = L(right)` up to `max_len` over `alphabet` in a
-/// single product walk. On failure reports a shallowest difference
+/// single walk. On failure reports a shallowest difference
 /// (preferring the left-to-right direction on ties).
 pub fn equal_upto<L, R>(
     left: &L,
@@ -89,11 +108,8 @@ pub fn equal_upto<L, R>(
     max_len: usize,
 ) -> Result<(), LanguageDifference<L::Op>>
 where
-    L: ObjectAutomaton + Sync,
-    R: ObjectAutomaton<Op = L::Op> + Sync,
-    L::State: Send + Sync,
-    R::State: Send + Sync,
-    L::Op: Sync,
+    L: ObjectAutomaton,
+    R: ObjectAutomaton<Op = L::Op>,
 {
     let cmp = compare_upto(left, right, alphabet, max_len, CompareOptions::equality());
     match (cmp.left_not_in_right, cmp.right_not_in_left) {
@@ -128,11 +144,8 @@ pub fn strictly_included_upto<L, R>(
     max_len: usize,
 ) -> Result<History<L::Op>, StrictInclusionFailure<L::Op>>
 where
-    L: ObjectAutomaton + Sync,
-    R: ObjectAutomaton<Op = L::Op> + Sync,
-    L::State: Send + Sync,
-    R::State: Send + Sync,
-    L::Op: Sync,
+    L: ObjectAutomaton,
+    R: ObjectAutomaton<Op = L::Op>,
 {
     let cmp = compare_upto(left, right, alphabet, max_len, CompareOptions::strictness());
     if let Some(history) = cmp.left_not_in_right {
@@ -154,13 +167,12 @@ pub enum StrictInclusionFailure<Op> {
 }
 
 pub mod naive {
-    //! The pre-subset-graph enumerators, kept verbatim as the reference
+    //! The materializing enumerators, kept as the reference
     //! implementation: a BFS whose frontier holds one cloned `History`
     //! plus a cloned `HashSet<State>` per accepted history. Exponentially
-    //! wasteful next to [`crate::subset`], but independently simple —
-    //! the differential tests in `tests/language_engine.rs` hold the
-    //! engine to this module's answers, and `exp_language_scaling`
-    //! measures the gap.
+    //! wasteful next to [`crate::multiwalk`], but independently simple —
+    //! the differential tests in `tests/language_engine.rs` hold the walk
+    //! to this module's answers.
 
     use std::collections::HashSet;
 
@@ -173,21 +185,23 @@ pub mod naive {
     type Frontier<Op, S> = Vec<(History<Op>, HashSet<S>)>;
 
     /// Enumerates `L(A)` restricted to histories of length at most
-    /// `max_len` over the finite `alphabet`. The empty history is always
-    /// included (every object automaton accepts `Λ`).
+    /// `max_len` over the finite `alphabet`, each history once, shortest
+    /// first and in `alphabet` order within a length — so a caller that
+    /// reports the first history with some property reports a shallowest
+    /// one, the same on every run. The empty history always comes first
+    /// (every object automaton accepts `Λ`).
     pub fn language_upto<A>(
         automaton: &A,
         alphabet: &[A::Op],
         max_len: usize,
-    ) -> HashSet<History<A::Op>>
+    ) -> Vec<History<A::Op>>
     where
         A: ObjectAutomaton,
     {
-        let mut accepted: HashSet<History<A::Op>> = HashSet::new();
+        let mut accepted = vec![History::empty()];
         // Frontier of (history, reachable-state-set) pairs.
         let mut frontier: Frontier<A::Op, A::State> =
             vec![(History::empty(), HashSet::from([automaton.initial_state()]))];
-        accepted.insert(History::empty());
 
         for _ in 0..max_len {
             let mut next_frontier = Vec::new();
@@ -201,7 +215,7 @@ pub mod naive {
                     }
                     if !next_states.is_empty() {
                         let h2 = h.appended(op.clone());
-                        accepted.insert(h2.clone());
+                        accepted.push(h2.clone());
                         next_frontier.push((h2, next_states));
                     }
                 }
@@ -451,6 +465,24 @@ mod tests {
     }
 
     #[test]
+    fn language_upto_is_distinct_and_in_length_then_alphabet_order() {
+        let alphabet = alphabet();
+        let lang = language_upto(&Bag, &alphabet, 4);
+        let rank = |op: &Op| alphabet.iter().position(|a| a == op).expect("in alphabet");
+        let key = |h: &History<Op>| (h.len(), h.iter().map(rank).collect::<Vec<_>>());
+        // Strictly increasing keys: sorted, and no history twice.
+        for pair in lang.windows(2) {
+            assert!(
+                key(&pair[0]) < key(&pair[1]),
+                "{:?} before {:?}",
+                pair[0],
+                pair[1]
+            );
+        }
+        assert_eq!(lang, language_upto(&Bag, &alphabet, 4));
+    }
+
+    #[test]
     fn language_is_prefix_closed() {
         let lang = language_upto(&Bag, &alphabet(), 4);
         for h in &lang {
@@ -464,6 +496,53 @@ mod tests {
     fn strictness_without_witness_reports_no_witness() {
         let err = strictly_included_upto(&Fifo, &Fifo, &alphabet(), 3).unwrap_err();
         assert_eq!(err, StrictInclusionFailure::NoWitness);
+    }
+
+    #[test]
+    fn walk_finds_shallowest_violation() {
+        let cmp = compare_upto(&Bag, &Fifo, &alphabet(), 5, CompareOptions::inclusion());
+        let witness = cmp.left_not_in_right.expect("bag not included in fifo");
+        // Shallowest possible out-of-FIFO-order history has length 3.
+        assert_eq!(witness.len(), 3);
+        assert!(Bag.accepts(&witness));
+        assert!(!Fifo.accepts(&witness));
+        assert!(cmp.right_not_in_left.is_none());
+    }
+
+    #[test]
+    fn counting_walk_counts_both_sides() {
+        let cmp = compare_upto(&Fifo, &Bag, &alphabet(), 4, CompareOptions::counting());
+        assert_eq!(
+            cmp.left_total() as usize,
+            language_upto(&Fifo, &alphabet(), 4).len()
+        );
+        assert_eq!(
+            cmp.right_total() as usize,
+            language_upto(&Bag, &alphabet(), 4).len()
+        );
+        assert!(cmp.left_not_in_right.is_none());
+        assert!(cmp.right_not_in_left.is_some());
+    }
+
+    #[test]
+    fn walk_collapses_merged_state_sets() {
+        // In the bag, Enq(1)·Enq(2) and Enq(2)·Enq(1) reach the same
+        // multiset: level 2 holds fewer nodes than histories. The naive
+        // frontier holds one entry per history instead.
+        let cmp = compare_upto(&Bag, &Bag, &alphabet(), 2, CompareOptions::counting());
+        assert!((cmp.peak_level_width as u64) < cmp.left_sizes[2]);
+    }
+
+    #[test]
+    fn intersection_automaton_accepts_common_language() {
+        use crate::automaton::IntersectionAutomaton;
+        let inter = IntersectionAutomaton::new(Fifo, Bag);
+        let bag_lang = language_upto(&Bag, &alphabet(), 4);
+        let expected: Vec<_> = language_upto(&Fifo, &alphabet(), 4)
+            .into_iter()
+            .filter(|h| bag_lang.contains(h))
+            .collect();
+        assert_eq!(language_upto(&inter, &alphabet(), 4), expected);
     }
 
     #[test]

@@ -22,11 +22,10 @@
 //! quantify over [`RelaxationMap::domain`] and skip pairs whose meet/join
 //! falls outside it.
 
-use crate::automaton::ObjectAutomaton;
+use crate::automaton::{IntersectionAutomaton, ObjectAutomaton};
 use crate::constraint::{ConstraintSet, ConstraintUniverse};
 use crate::history::History;
 use crate::language::{equal_upto, included_upto, LanguageDifference};
-use crate::subset::IntersectionAutomaton;
 
 /// A lattice homomorphism `φ` from constraint sets to automata.
 pub trait RelaxationMap {
@@ -118,7 +117,7 @@ impl<Op> LatticeCheck<Op> {
 /// `max_len` over `alphabet`: monotone, join-preserving, and
 /// meet-covering on its domain (see module docs).
 ///
-/// Every law is checked on product subset graphs (see [`crate::subset`])
+/// Every law is checked by the bounded walk (see [`crate::multiwalk`])
 /// without materializing any language: monotonicity and meet coverage are
 /// inclusion walks, and join preservation compares `φ(c ∨ d)` against the
 /// synchronized [`IntersectionAutomaton`] of `φ(c)` and `φ(d)`, whose
@@ -130,9 +129,6 @@ pub fn check_reverse_inclusion_lattice<M>(
 ) -> LatticeCheck<<M::A as ObjectAutomaton>::Op>
 where
     M: RelaxationMap,
-    M::A: Sync,
-    <M::A as ObjectAutomaton>::State: Send + Sync,
-    <M::A as ObjectAutomaton>::Op: Sync,
 {
     let mut violations = Vec::new();
     let domain = map.domain();

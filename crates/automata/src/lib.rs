@@ -12,13 +12,13 @@
 //!   finite operation alphabet, with inclusion/equality checks up to a
 //!   length bound. Languages of object automata are prefix-closed, which
 //!   the enumerator exploits.
-//! * [`subset`] — the determinized subset-graph engine behind the
-//!   language layer: reachable state-sets are canonicalized and
-//!   hash-consed into an arena, histories leading to the same state-set
-//!   collapse into one node carrying a multiplicity, and
-//!   inclusion/equality run on a *product* subset graph with
-//!   counterexamples rebuilt from parent pointers. Frontier expansion
-//!   parallelizes across scoped threads for wide levels.
+//! * [`multiwalk`] — the one bounded walk behind the language layer:
+//!   reachable state sets are interned to dense ids, histories leading
+//!   to the same tuple of (left set, right set) pairs collapse into one
+//!   node carrying a multiplicity, successor rows are memoized per set,
+//!   and counterexamples are rebuilt from parent pointers. `N` pairs of
+//!   automata ride one walk; every check in [`language`] and [`lattice`]
+//!   is the walk at `N = 1`.
 //! * [`calm`] — bounded response-stability checking, the automata-level
 //!   half of the CALM monotonicity analyzer (the quorum layer pairs it
 //!   with language equality on quorum consensus automata to decide which
@@ -80,13 +80,10 @@ pub mod multiwalk;
 pub mod probe;
 pub mod random;
 pub mod rng;
-pub mod small;
-pub mod subset;
-pub mod symmetry;
 
 /// Convenient re-exports of the crate's main types.
 pub mod prelude {
-    pub use crate::automaton::ObjectAutomaton;
+    pub use crate::automaton::{IntersectionAutomaton, ObjectAutomaton};
     pub use crate::calm::{response_stable, ResponseInstability};
     pub use crate::constraint::{ConstraintId, ConstraintSet, ConstraintUniverse};
     pub use crate::environment::{CombinedAutomaton, Environment, Input};
@@ -97,22 +94,15 @@ pub mod prelude {
     };
     pub use crate::lattice::{check_reverse_inclusion_lattice, LatticeCheck, RelaxationMap};
     pub use crate::multiwalk::{
-        multi_compare_upto, multi_compare_upto_probed, DenseArena, MultiComparison,
+        compare_upto, compare_upto_probed, multi_compare_upto, multi_compare_upto_probed,
+        CompareOptions, DenseArena, LanguageComparison, MultiComparison, StopWhen,
     };
     pub use crate::probe::{EngineProbe, NoopProbe};
     pub use crate::random::{random_history, RandomWalk};
     pub use crate::rng::SplitMix64;
-    pub use crate::subset::{
-        compare_upto, compare_upto_probed, CompareOptions, IntersectionAutomaton,
-        LanguageComparison, StopWhen, SubsetArena, SubsetGraph, SubsetId, SubsetNode,
-    };
-    pub use crate::symmetry::{
-        check_equivariance, compare_upto_reduced, compare_upto_reduced_probed, ReducedSubsetGraph,
-        SymmetryPolicy, TrivialSymmetry,
-    };
 }
 
-pub use automaton::ObjectAutomaton;
+pub use automaton::{IntersectionAutomaton, ObjectAutomaton};
 pub use calm::{response_stable, ResponseInstability};
 pub use constraint::{ConstraintId, ConstraintSet, ConstraintUniverse};
 pub use environment::{CombinedAutomaton, Environment, Input};
@@ -122,15 +112,10 @@ pub use language::{
     Counterexample, LanguageDifference, StrictInclusionFailure,
 };
 pub use lattice::{check_reverse_inclusion_lattice, LatticeCheck, RelaxationMap};
-pub use multiwalk::{multi_compare_upto, multi_compare_upto_probed, DenseArena, MultiComparison};
+pub use multiwalk::{
+    compare_upto, compare_upto_probed, multi_compare_upto, multi_compare_upto_probed,
+    CompareOptions, DenseArena, LanguageComparison, MultiComparison, StopWhen,
+};
 pub use probe::{EngineProbe, NoopProbe};
 pub use random::{random_history, RandomWalk};
 pub use rng::SplitMix64;
-pub use subset::{
-    compare_upto, compare_upto_probed, CompareOptions, IntersectionAutomaton, LanguageComparison,
-    StopWhen, SubsetArena, SubsetGraph, SubsetId, SubsetNode,
-};
-pub use symmetry::{
-    check_equivariance, compare_upto_reduced, compare_upto_reduced_probed, ReducedSubsetGraph,
-    SymmetryPolicy, TrivialSymmetry,
-};

@@ -1,28 +1,44 @@
-//! One shared subset walk for a whole family of comparisons.
+//! The bounded language walk — the one layered walk in the workspace.
 //!
-//! The Theorem-4 taxi verification runs **four** product walks — one per
-//! lattice point — over the *same* alphabet and the same length bound.
-//! Those walks re-explore enormously overlapping history sets and
-//! re-intern near-identical state sets four times. This module walks the
-//! bounded history space **once**: a node is the tuple of all `N`
-//! points' (left set, right set) pairs, histories collapsing whenever
-//! the whole tuple matches. Per-point per-length counts, verdicts, and
-//! shallowest witnesses come out identical to `N` separate
-//! [`crate::subset::compare_upto`] calls with
-//! [`CompareOptions::counting`](crate::subset::CompareOptions::counting).
+//! Every bounded language question (per-length counts, inclusion,
+//! equality, strict inclusion, the lattice laws, the CALM analyzer's
+//! quorum-insensitivity check, Theorem 4's four lattice points) is an
+//! instance of [`multi_compare_upto`]: `N` pairs of automata over one
+//! alphabet, walked together to a length bound. [`compare_upto`] is the
+//! walk at `N = 1`.
 //!
-//! Two sharing layers make the tuple walk cheap:
+//! The walk determinizes on the fly. A node of level `d` is the tuple of
+//! all `N` points' (left state set, right state set) pairs reached by
+//! some class of histories of length `d`; histories collapse whenever
+//! the whole tuple matches. Each node carries
+//!
+//! * a **multiplicity** — how many distinct histories reach it.
+//!   Languages of object automata are prefix-closed, so accepted
+//!   histories correspond bijectively to root paths and per-level
+//!   multiplicity sums are *exact* per-length language sizes;
+//! * a **parent pointer** `(node index in the previous level, alphabet
+//!   index)` — a point whose left set is nonempty and right set empty
+//!   (or the reverse) is a violation, and its shallowest witness is
+//!   rebuilt from parent pointers only then. No history is stored during
+//!   the walk.
+//!
+//! Two sharing layers make it cheap:
 //!
 //! * [`DenseArena`] — states and state *sets* are interned to dense
 //!   `u32` ids in flat storage shared by all points on a side, with
 //!   single-probe [`ConsTable`] probing and set payloads packed
-//!   end-to-end in one `Vec<u32>` (cache-friendly, one allocation
-//!   amortized over every set).
+//!   end-to-end in one `Vec<u32>`.
 //! * **Successor-row memoization** — for each point, the successor
 //!   set-ids of each set-id under every alphabet symbol are computed
-//!   once and reused by every tuple node containing that set. Points
-//!   whose component automata coincide on a history prefix hit the same
-//!   rows.
+//!   once ([`ObjectAutomaton::step_all`] per member state) and reused by
+//!   every node containing that set.
+//!
+//! [`CompareOptions`] says which histories a point walks and when it may
+//! stop. Each point stops on its own condition and the walk ends when
+//! every point has stopped or died out, so a point's result is what its
+//! own `N = 1` walk returns (except `peak_level_width`, which reports
+//! the one shared walk). `tests/language_engine.rs` holds all of this to
+//! [`crate::language::naive`] on seeded random automata.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -30,15 +46,16 @@ use std::hash::{Hash, Hasher};
 
 use crate::automaton::ObjectAutomaton;
 use crate::cons::{ConsTable, Entry};
+use crate::history::History;
 use crate::probe::{EngineProbe, NoopProbe};
-use crate::subset::{reconstruct_path, LanguageComparison};
 
 /// Dense interner for states and sorted state-id sets.
 ///
 /// States get dense `u32` ids in insertion order; canonical sets of
 /// state ids are packed end-to-end in one flat `u32` buffer and
 /// identified by dense set ids. **Set id 0 is always the empty set.**
-/// Both layers use single-probe [`ConsTable`] interning.
+/// Both layers use single-probe [`ConsTable`] interning; ids are
+/// positions in the dense stores, so table growth never moves one.
 #[derive(Debug, Clone)]
 pub struct DenseArena<S> {
     states: Vec<S>,
@@ -174,10 +191,7 @@ fn compute_row<A: ObjectAutomaton>(
     alphabet: &[A::Op],
     arena: &mut DenseArena<A::State>,
     set_id: u32,
-) -> Box<[u32]>
-where
-    A::State: Clone + Eq + Ord + Hash,
-{
+) -> Box<[u32]> {
     let members: Vec<u32> = arena.set(set_id).to_vec();
     let mut per_op: Vec<Vec<u32>> = vec![Vec::new(); alphabet.len()];
     for sid in members {
@@ -203,10 +217,7 @@ fn ensure_row<A: ObjectAutomaton>(
     arena: &mut DenseArena<A::State>,
     rows: &mut Vec<Option<Box<[u32]>>>,
     set_id: u32,
-) -> bool
-where
-    A::State: Clone + Eq + Ord + Hash,
-{
+) -> bool {
     let idx = set_id as usize;
     if rows.len() <= idx {
         rows.resize_with(idx + 1, || None);
@@ -220,10 +231,109 @@ where
     }
 }
 
+/// When a point of the walk may stop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StopWhen {
+    /// As soon as either direction has a violation (inclusion/equality
+    /// checks that only need one counterexample).
+    AnyViolation,
+    /// Once both directions have violations, or the frontier dies out
+    /// (strict-inclusion checks need a verdict for each direction).
+    BothViolations,
+    /// Never — walk the whole bounded product (exact per-length counts).
+    Never,
+}
+
+/// Options for the walk, applied to every point.
+#[derive(Debug, Clone, Copy)]
+pub struct CompareOptions {
+    /// Also explore histories accepted only by the right automaton.
+    /// Required to detect `L(right) ⊄ L(left)`; plain one-direction
+    /// inclusion checks leave it off and prune right-only nodes.
+    pub walk_right_only: bool,
+    /// When a point may stop.
+    pub stop: StopWhen,
+}
+
+impl CompareOptions {
+    /// Options for a one-direction `L(left) ⊆ L(right)` check.
+    pub fn inclusion() -> Self {
+        CompareOptions {
+            walk_right_only: false,
+            stop: StopWhen::AnyViolation,
+        }
+    }
+
+    /// Options for an equality check (stop at the first difference).
+    pub fn equality() -> Self {
+        CompareOptions {
+            walk_right_only: true,
+            stop: StopWhen::AnyViolation,
+        }
+    }
+
+    /// Options for a strict-inclusion check (needs both verdicts).
+    pub fn strictness() -> Self {
+        CompareOptions {
+            walk_right_only: true,
+            stop: StopWhen::BothViolations,
+        }
+    }
+
+    /// Options for an exhaustive walk with exact per-length counts.
+    pub fn counting() -> Self {
+        CompareOptions {
+            walk_right_only: true,
+            stop: StopWhen::Never,
+        }
+    }
+}
+
+/// The outcome of the walk for one (left, right) point.
+#[derive(Debug, Clone)]
+pub struct LanguageComparison<Op> {
+    /// A shallowest history in `L(left) ∖ L(right)` within the bound, if
+    /// any was found before the point stopped.
+    pub left_not_in_right: Option<History<Op>>,
+    /// A shallowest history in `L(right) ∖ L(left)` within the bound, if
+    /// any was found before the point stopped (always `None` when
+    /// [`CompareOptions::walk_right_only`] is off).
+    pub right_not_in_left: Option<History<Op>>,
+    /// Distinct histories of `L(left)` per length. Exact for points that
+    /// ran to the bound ([`StopWhen::Never`]); early stops leave the
+    /// tail zero.
+    pub left_sizes: Vec<u64>,
+    /// Distinct histories of `L(right)` per length: all of them with
+    /// `walk_right_only` on, those also in `L(left)` with it off (same
+    /// caveat on early stops).
+    pub right_sizes: Vec<u64>,
+    /// Widest level of the walk this point rode, in nodes.
+    pub peak_level_width: usize,
+    /// The history-length bound walked.
+    pub max_len: usize,
+}
+
+impl<Op> LanguageComparison<Op> {
+    /// Did the two languages agree on everything the walk saw?
+    pub fn agree(&self) -> bool {
+        self.left_not_in_right.is_none() && self.right_not_in_left.is_none()
+    }
+
+    /// Total distinct histories of `L(left)` within the bound.
+    pub fn left_total(&self) -> u64 {
+        self.left_sizes.iter().sum()
+    }
+
+    /// Total distinct histories of `L(right)` within the bound.
+    pub fn right_total(&self) -> u64 {
+        self.right_sizes.iter().sum()
+    }
+}
+
 const NO_PARENT: u32 = u32::MAX;
 
-/// One node of the shared walk: the `N` points' (left, right) set ids
-/// for one class of histories, plus the class's exact history count.
+/// One node of the walk: the `N` points' (left, right) set ids for one
+/// class of histories, plus the class's exact history count.
 #[derive(Debug, Clone, Copy)]
 struct MultiNode<const N: usize> {
     l: [u32; N],
@@ -233,13 +343,31 @@ struct MultiNode<const N: usize> {
     op: u16,
 }
 
-/// The outcome of a shared multi-point walk.
+/// O(depth) witness reconstruction: walks `(parent, alphabet index)`
+/// edges from node `index` of level `depth` to the root.
+fn reconstruct_path<Op: Clone, const N: usize>(
+    levels: &[Vec<MultiNode<N>>],
+    alphabet: &[Op],
+    depth: usize,
+    index: usize,
+) -> History<Op> {
+    let mut ops = Vec::with_capacity(depth);
+    let mut i = index;
+    for d in (1..=depth).rev() {
+        let node = &levels[d][i];
+        ops.push(alphabet[node.op as usize].clone());
+        i = node.parent as usize;
+    }
+    ops.reverse();
+    History::from(ops)
+}
+
+/// The outcome of a walk over `N` points.
 #[derive(Debug, Clone)]
 pub struct MultiComparison<Op> {
-    /// Per-point results, in input order — each equivalent to a separate
-    /// [`crate::subset::compare_upto`] with counting options (the
-    /// `peak_level_width` field reports the *shared* walk's peak for
-    /// every point, since there is only one walk).
+    /// Per-point results, in input order (`peak_level_width` reports the
+    /// *shared* walk's peak for every point, since there is only one
+    /// walk).
     pub points: Vec<LanguageComparison<Op>>,
     /// Widest shared level, in tuple nodes.
     pub peak_level_width: usize,
@@ -250,10 +378,9 @@ pub struct MultiComparison<Op> {
 }
 
 /// Walks the `N` product languages `L(lefts[p])` vs `L(rights[p])` in
-/// **one** shared bounded walk (exhaustive to `max_len`, both sides —
-/// the equivalent of per-point
-/// [`CompareOptions::counting`](crate::subset::CompareOptions::counting)).
-/// Per-length counts are exact, verdict witnesses are shallowest.
+/// **one** shared bounded walk over `alphabet` up to `max_len`, per
+/// `options` (see the [`CompareOptions`] constructors). Per-length counts
+/// are exact for points that run to the bound, witnesses are shallowest.
 ///
 /// All left automata must share a state type, as must all right
 /// automata; the points themselves may differ arbitrarily (the taxi
@@ -263,14 +390,13 @@ pub fn multi_compare_upto<L, R, const N: usize>(
     rights: &[R; N],
     alphabet: &[L::Op],
     max_len: usize,
+    options: CompareOptions,
 ) -> MultiComparison<L::Op>
 where
     L: ObjectAutomaton,
     R: ObjectAutomaton<Op = L::Op>,
-    L::State: Clone + Eq + Ord + Hash,
-    R::State: Clone + Eq + Ord + Hash,
 {
-    multi_compare_upto_probed(lefts, rights, alphabet, max_len, &mut NoopProbe)
+    multi_compare_upto_probed(lefts, rights, alphabet, max_len, options, &mut NoopProbe)
 }
 
 /// [`multi_compare_upto`] with an [`EngineProbe`] watching the walk.
@@ -288,13 +414,12 @@ pub fn multi_compare_upto_probed<L, R, P, const N: usize>(
     rights: &[R; N],
     alphabet: &[L::Op],
     max_len: usize,
+    options: CompareOptions,
     probe: &mut P,
 ) -> MultiComparison<L::Op>
 where
     L: ObjectAutomaton,
     R: ObjectAutomaton<Op = L::Op>,
-    L::State: Clone + Eq + Ord + Hash,
-    R::State: Clone + Eq + Ord + Hash,
     P: EngineProbe,
 {
     assert!(N > 0, "multi_compare_upto needs at least one point");
@@ -322,8 +447,12 @@ where
     }]];
     let mut left_sizes = vec![vec![1u64]; N];
     let mut right_sizes = vec![vec![1u64]; N];
+    // (depth, node index) of the shallowest violation per direction.
     let mut l_violation: Vec<Option<(usize, usize)>> = vec![None; N];
     let mut r_violation: Vec<Option<(usize, usize)>> = vec![None; N];
+    // A point that stops has its sets emptied in the level it stopped
+    // at, so from there on the walk sees it as died out.
+    let mut stopped = [false; N];
     let mut peak = 1usize;
 
     for depth in 0..max_len {
@@ -375,7 +504,7 @@ where
                             .as_ref()
                             .expect("row ensured above")[i];
                     }
-                    if node.r[p] != EMPTY_SET {
+                    if node.r[p] != EMPTY_SET && (options.walk_right_only || l[p] != EMPTY_SET) {
                         r[p] = right_rows[p][node.r[p] as usize]
                             .as_ref()
                             .expect("row ensured above")[i];
@@ -443,23 +572,32 @@ where
             probe.gauge("cons_load_pct", (100 * (lu + ru) / (ls + rs)) as i64);
         }
         probe.exit("multi_depth");
+        for p in 0..N {
+            let stop = match options.stop {
+                StopWhen::AnyViolation => l_violation[p].is_some() || r_violation[p].is_some(),
+                StopWhen::BothViolations => {
+                    l_violation[p].is_some()
+                        && (r_violation[p].is_some() || !options.walk_right_only)
+                }
+                StopWhen::Never => false,
+            };
+            if stop && !stopped[p] {
+                stopped[p] = true;
+                for node in &mut next {
+                    node.l[p] = EMPTY_SET;
+                    node.r[p] = EMPTY_SET;
+                }
+            }
+        }
         let dead = next.is_empty();
         levels.push(next);
-        if dead {
+        if dead || stopped.iter().all(|&s| s) {
             break;
         }
     }
 
     let reconstruct = |violation: Option<(usize, usize)>| {
-        violation.map(|(depth, index)| {
-            reconstruct_path(
-                &levels,
-                |n: &MultiNode<N>| (n.parent, n.op),
-                alphabet,
-                depth,
-                index,
-            )
-        })
+        violation.map(|(depth, index)| reconstruct_path(&levels, alphabet, depth, index))
     };
 
     let points = (0..N)
@@ -488,10 +626,46 @@ where
     }
 }
 
+/// The walk at `N = 1`: `L(left)` against `L(right)` up to `max_len`
+/// over `alphabet`, per `options`.
+pub fn compare_upto<L, R>(
+    left: &L,
+    right: &R,
+    alphabet: &[L::Op],
+    max_len: usize,
+    options: CompareOptions,
+) -> LanguageComparison<L::Op>
+where
+    L: ObjectAutomaton,
+    R: ObjectAutomaton<Op = L::Op>,
+{
+    compare_upto_probed(left, right, alphabet, max_len, options, &mut NoopProbe)
+}
+
+/// [`compare_upto`] with an [`EngineProbe`] watching the walk (the spans
+/// and gauges of [`multi_compare_upto_probed`]).
+pub fn compare_upto_probed<L, R, P>(
+    left: &L,
+    right: &R,
+    alphabet: &[L::Op],
+    max_len: usize,
+    options: CompareOptions,
+    probe: &mut P,
+) -> LanguageComparison<L::Op>
+where
+    L: ObjectAutomaton,
+    R: ObjectAutomaton<Op = L::Op>,
+    P: EngineProbe,
+{
+    multi_compare_upto_probed(&[left], &[right], alphabet, max_len, options, probe)
+        .points
+        .pop()
+        .expect("one point in, one point out")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::subset::{compare_upto, CompareOptions};
 
     #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
     enum Op {
@@ -553,10 +727,40 @@ mod tests {
     }
 
     #[test]
+    fn dense_arena_ids_stay_stable_across_growth() {
+        // Interning enough states and sets to force several growths of
+        // both cons tables must not move any id: ids are positions in the
+        // dense stores, and growth rehashes the index only.
+        let mut arena: DenseArena<u32> = DenseArena::new();
+        let states: Vec<u32> = (0..501u32).map(|i| arena.intern_state(&(i * 7))).collect();
+        let sets: Vec<u32> = (0..500usize)
+            .map(|i| arena.intern_set(vec![states[i + 1], states[i]]))
+            .collect();
+        assert_eq!(arena.state_count(), 501);
+        assert_eq!(arena.set_count(), 501); // empty set + 500
+        for i in 0..500usize {
+            assert_eq!(
+                arena.intern_state(&(i as u32 * 7)),
+                states[i],
+                "state id moved"
+            );
+            assert_eq!(*arena.state(states[i]), i as u32 * 7);
+            assert_eq!(
+                arena.intern_set(vec![states[i], states[i + 1]]),
+                sets[i],
+                "set id moved"
+            );
+            assert_eq!(arena.set(sets[i]), &[states[i], states[i + 1]]);
+        }
+        assert_eq!(arena.state_count(), 501);
+        assert_eq!(arena.set_count(), 501);
+    }
+
+    #[test]
     fn shared_walk_matches_separate_counting_walks() {
         let lefts = [CappedBag { cap: 2 }, CappedBag { cap: 3 }];
         let rights = [CappedBag { cap: 1 }, CappedBag { cap: 3 }];
-        let multi = multi_compare_upto(&lefts, &rights, &alphabet(), 6);
+        let multi = multi_compare_upto(&lefts, &rights, &alphabet(), 6, CompareOptions::counting());
         for p in 0..2 {
             let single = compare_upto(
                 &lefts[p],
@@ -572,19 +776,14 @@ mod tests {
                 "point {p} right sizes"
             );
             assert_eq!(
-                single.left_not_in_right.is_some(),
-                shared.left_not_in_right.is_some(),
-                "point {p} left verdict"
+                single.left_not_in_right.as_ref().map(History::len),
+                shared.left_not_in_right.as_ref().map(History::len),
+                "point {p} left witness depth"
             );
             assert_eq!(
-                single.right_not_in_left.is_some(),
-                shared.right_not_in_left.is_some(),
-                "point {p} right verdict"
-            );
-            assert_eq!(
-                single.left_not_in_right.as_ref().map(|h| h.len()),
-                shared.left_not_in_right.as_ref().map(|h| h.len()),
-                "point {p} witness depth"
+                single.right_not_in_left.as_ref().map(History::len),
+                shared.right_not_in_left.as_ref().map(History::len),
+                "point {p} right witness depth"
             );
         }
         // Point 0: cap-2 accepts Put·Put, cap-1 does not.
@@ -602,7 +801,7 @@ mod tests {
     fn shared_walk_witnesses_are_shallowest() {
         let lefts = [CappedBag { cap: 3 }];
         let rights = [CappedBag { cap: 1 }];
-        let multi = multi_compare_upto(&lefts, &rights, &alphabet(), 5);
+        let multi = multi_compare_upto(&lefts, &rights, &alphabet(), 5, CompareOptions::counting());
         // The shallowest separating history is Put·Put (length 2).
         let w = multi.points[0]
             .left_not_in_right

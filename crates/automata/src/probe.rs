@@ -1,13 +1,12 @@
 //! The engine-side profiling hook: a zero-cost-when-disabled sink for
 //! hierarchical spans, counters, and gauges.
 //!
-//! The subset-graph walks ([`crate::subset`], [`crate::multiwalk`],
-//! [`crate::symmetry`]) accept any [`EngineProbe`] and report per-depth
-//! frontier sizes, cons-table load, arena bytes, and fold/memo hit
-//! rates through it. The trait lives *here*, below every other crate in
-//! the workspace, so the recording implementation (`relax-trace`'s
-//! `profile::Probe`) can depend on the engine rather than the other way
-//! around.
+//! The language walk ([`crate::multiwalk`]) accepts any [`EngineProbe`]
+//! and reports per-depth frontier sizes, cons-table load, arena bytes,
+//! and row-memo hit rates through it. The trait lives *here*, below
+//! every other crate in the workspace, so the recording implementation
+//! (`relax-trace`'s `profile::Probe`) can depend on the engine rather
+//! than the other way around.
 //!
 //! Every method has an empty default body and the instrumented walks
 //! are generic over the probe type, so the un-probed entry points

@@ -1,13 +1,19 @@
 //! Microbenchmarks for the substrate layers: replica logs, the view
 //! cache, the sim client's write bookkeeping, the threaded backend's
-//! shard–broker round trip, the term rewriter, and the lock manager.
+//! shard–broker round trip, the bounded language walk, the term
+//! rewriter, and the lock manager.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use relax_atomic::{LockManager, LockMode, TxId};
-use relax_queues::QueueOp;
+use relax_automata::{compare_upto, CompareOptions, IntersectionAutomaton};
+use relax_core::lattices::taxi::{TaxiLattice, TaxiPoint};
+use relax_core::theorem4::verify_taxi_lattice;
+use relax_queues::{
+    queue_alphabet, QueueOp, SemiqueueAutomaton, SsQueueAutomaton, StutteringAutomaton,
+};
 use relax_quorum::calm::SchedulingPolicy;
 use relax_quorum::relation::AccountKind;
 use relax_quorum::runtime::{AccountInv, BankAccountType, ReplicatedType, TaxiQueueType};
@@ -387,6 +393,45 @@ fn bench_threaded_round_trip(c: &mut Criterion) {
     group.finish();
 }
 
+/// The one language walk, ns per walk, in the three shapes its callers
+/// give it: `N = 1` over the raw QCA (whose history states never merge),
+/// `N = 1` over a lattice join check (an intersection against its claimed
+/// join), and Theorem 4's `N = 4` walk over the Rep-view quotients.
+fn bench_product_walk(c: &mut Criterion) {
+    let alphabet = queue_alphabet(&[1, 2, 3]);
+    let mut group = c.benchmark_group("product_walk");
+    group.sample_size(10);
+
+    let lattice = TaxiLattice::new();
+    let theorem_4 = TaxiPoint {
+        q1: true,
+        q2: false,
+    };
+    let (qca, mpq) = (lattice.qca(theorem_4), lattice.reference(theorem_4));
+    group.bench_function(BenchmarkId::from_parameter("n1_rawqca_3x6"), |bencher| {
+        bencher.iter(|| compare_upto(&qca, &mpq, &alphabet, 6, CompareOptions::counting()));
+    });
+
+    let join = IntersectionAutomaton::new(StutteringAutomaton::new(2), SemiqueueAutomaton::new(2));
+    let phi_of_join = SsQueueAutomaton::new(1, 1);
+    group.bench_function(BenchmarkId::from_parameter("n1_join_ssq_3x7"), |bencher| {
+        bencher.iter(|| {
+            compare_upto(
+                &join,
+                &phi_of_join,
+                &alphabet,
+                7,
+                CompareOptions::counting(),
+            )
+        });
+    });
+
+    group.bench_function(BenchmarkId::from_parameter("n4_taxi_3x8"), |bencher| {
+        bencher.iter(|| verify_taxi_lattice(black_box(&[1, 2, 3]), 8));
+    });
+    group.finish();
+}
+
 fn bench_rewrite(c: &mut Criterion) {
     let set = paper_theories().expect("shipped theories parse");
     let bag = set.theory("Bag").expect("Bag present").clone();
@@ -432,6 +477,7 @@ criterion_group!(
     bench_viewcache,
     bench_sim_client_write,
     bench_threaded_round_trip,
+    bench_product_walk,
     bench_rewrite,
     bench_locking
 );

@@ -17,8 +17,6 @@ pub mod prob;
 pub mod profile;
 pub mod realtime;
 pub mod regress;
-pub mod scaling;
 pub mod serialdep;
-pub mod symmetry;
 pub mod theorem4;
 pub mod voting;

@@ -5,8 +5,6 @@
 //! contiguous chunks and stitches the results back **in trial order**, so
 //! the output `Vec` — and anything folded from it in order, including
 //! `Registry` histogram sample order — is identical to a sequential run.
-//! (The same chunked-scope idiom as `relax-automata`'s parallel subset
-//! expansion.)
 
 use std::thread;
 

@@ -1,6 +1,6 @@
-//! The flight-recorder experiment layer: shared probed-run helpers the
-//! scaling/symmetry/theorem4 experiments time their engine paths with,
-//! and the probe-overhead gate (`BENCH_profile_overhead.json`).
+//! The flight-recorder experiment layer: the probed run the theorem4
+//! experiment times its walk with, and the probe-overhead gate
+//! (`BENCH_profile_overhead.json`).
 //!
 //! The overhead experiment answers the question the zero-cost claim
 //! begs: what does an *enabled* probe cost? It interleaves baseline
@@ -14,10 +14,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use relax_core::theorem4::{
-    verify_taxi_lattice, verify_taxi_lattice_perpoint_probed, verify_taxi_lattice_probed,
-    TaxiVerification,
-};
+use relax_core::theorem4::{verify_taxi_lattice, verify_taxi_lattice_probed, TaxiVerification};
 use relax_trace::{Probe, ProfileReport};
 
 use crate::table::Table;
@@ -25,46 +22,18 @@ use crate::table::Table;
 /// The gate: enabled-probe overhead allowed on the (3, 8) shared walk.
 pub const TARGET_OVERHEAD_PCT: f64 = 5.0;
 
-/// A computation's result together with the profile recorded while it
-/// ran. The wall time every experiment reports is the **root span
-/// total** — one clock, the probe's, instead of a second hand-rolled
-/// `Instant` around the call.
-#[derive(Debug, Clone)]
-pub struct ProbedRun<T> {
-    /// What the computation returned.
-    pub result: T,
-    /// The reconstructed profile.
-    pub report: ProfileReport,
-}
-
-impl<T> ProbedRun<T> {
-    /// Wall nanoseconds of the run's top-level spans.
-    pub fn wall_ns(&self) -> u128 {
-        u128::from(self.report.total_ns())
-    }
-}
-
-/// Runs `f` under a fresh recording probe and reconstructs its report.
+/// The shared-walk taxi verification under a fresh recording probe,
+/// with the profile reconstructed from it.
 ///
 /// # Panics
 ///
-/// Panics if `f` leaves spans unbalanced (a bug in the instrumented
-/// code, not in the caller).
-pub fn probed<T>(f: impl FnOnce(&mut Probe) -> T) -> ProbedRun<T> {
+/// Panics if the verification leaves spans unbalanced (a bug in the
+/// instrumented code, not in the caller).
+pub fn profiled_shared(items: &[i64], max_len: usize) -> (TaxiVerification, ProfileReport) {
     let mut probe = Probe::enabled();
-    let result = f(&mut probe);
+    let result = verify_taxi_lattice_probed(items, max_len, &mut probe);
     let report = probe.report().expect("profiled run left spans balanced");
-    ProbedRun { result, report }
-}
-
-/// The shared-walk taxi verification under the flight recorder.
-pub fn profiled_shared(items: &[i64], max_len: usize) -> ProbedRun<TaxiVerification> {
-    probed(|p| verify_taxi_lattice_probed(items, max_len, p))
-}
-
-/// The per-point taxi verification under the flight recorder.
-pub fn profiled_perpoint(items: &[i64], max_len: usize) -> ProbedRun<TaxiVerification> {
-    probed(|p| verify_taxi_lattice_perpoint_probed(items, max_len, p))
+    (result, report)
 }
 
 /// One probe-overhead measurement.
@@ -227,26 +196,13 @@ mod tests {
 
     #[test]
     fn probed_runs_agree_with_unprofiled_results() {
-        let shared = profiled_shared(&[1, 2], 5);
-        assert!(shared.result.holds());
-        let sizes: Vec<usize> = shared
-            .result
-            .points
-            .iter()
-            .map(|p| p.language_size)
-            .collect();
+        let (result, report) = profiled_shared(&[1, 2], 5);
+        assert!(result.holds());
+        let sizes: Vec<usize> = result.points.iter().map(|p| p.language_size).collect();
         assert_eq!(sizes, vec![209, 269, 287, 373]);
         // The probe's wall clock covers the whole verification.
-        assert!(shared.wall_ns() > 0);
-        assert_eq!(shared.report.roots[0].name, "theorem4");
-
-        let perpoint = profiled_perpoint(&[1, 2], 4);
-        assert!(perpoint.result.holds());
-        assert!(perpoint
-            .report
-            .aggregated_paths()
-            .iter()
-            .any(|h| h.path == "theorem4;point_11;product_walk"));
+        assert!(report.total_ns() > 0);
+        assert_eq!(report.roots[0].name, "theorem4");
     }
 
     #[test]

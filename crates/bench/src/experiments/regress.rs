@@ -66,26 +66,6 @@ pub struct Check {
 /// Every gated metric across the workspace's benchmark payloads.
 pub const CHECKS: &[Check] = &[
     Check {
-        file: "BENCH_language_scaling.json",
-        metric: "gate_speedup",
-        band: Band::MinRatio(0.4),
-    },
-    Check {
-        file: "BENCH_language_scaling.json",
-        metric: "within_target",
-        band: Band::MustBeTrue,
-    },
-    Check {
-        file: "BENCH_symmetry_scaling.json",
-        metric: "gate_speedup",
-        band: Band::MinRatio(0.4),
-    },
-    Check {
-        file: "BENCH_symmetry_scaling.json",
-        metric: "within_target",
-        band: Band::MustBeTrue,
-    },
-    Check {
         file: "BENCH_trace_overhead.json",
         metric: "overhead_pct",
         band: Band::MaxAbsDelta(3.0),
@@ -402,16 +382,6 @@ mod tests {
     fn scaffold(dir: &Path, speedup: f64, overhead: f64, ok: bool) {
         write(
             dir,
-            "BENCH_language_scaling.json",
-            &format!("{{\"gate_speedup\":{speedup},\"within_target\":{ok}}}\n"),
-        );
-        write(
-            dir,
-            "BENCH_symmetry_scaling.json",
-            &format!("{{\"gate_speedup\":{speedup},\"within_target\":{ok}}}\n"),
-        );
-        write(
-            dir,
             "BENCH_trace_overhead.json",
             &format!("{{\"overhead_pct\":{overhead},\"within_target\":{ok}}}\n"),
         );
@@ -484,8 +454,8 @@ mod tests {
         let base = tmp("base_reg");
         let fresh = tmp("fresh_reg");
         scaffold(&base, 10.0, 1.0, true);
-        // Speedup collapsed below 0.4× of baseline; overhead grew by
-        // more than any delta band.
+        // Throughput collapsed below 0.25× of baseline; overhead grew
+        // by more than any delta band.
         scaffold(&fresh, 2.0, 9.0, true);
         let outcomes = compare(&fresh, &base).unwrap();
         let failed: Vec<&str> = outcomes
@@ -493,7 +463,7 @@ mod tests {
             .filter(|o| !o.pass)
             .map(|o| o.check.metric)
             .collect();
-        assert!(failed.contains(&"gate_speedup"));
+        assert!(failed.contains(&"best_ops_per_sec"));
         assert!(failed.contains(&"overhead_pct"));
         // Nine times the baseline's ns per iteration against a 4× band.
         assert!(failed.contains(&"sim_client_write_ack/65536"));
@@ -540,7 +510,7 @@ mod tests {
         let fresh = tmp("fresh_bless");
         scaffold(&fresh, 7.0, 2.0, true);
         let files = bless(&fresh, &base).unwrap();
-        assert_eq!(files.len(), 8);
+        assert_eq!(files.len(), 6);
         let outcomes = compare(&fresh, &base).unwrap();
         assert!(outcomes.iter().all(|o| o.pass));
     }
@@ -561,9 +531,9 @@ mod tests {
             .all(|c| c.file == "BENCH_realtime_throughput.json"));
         // The sim payload's two; the wall-clock ratio carries no band.
         assert_eq!(selected(Some("calm")).len(), 2);
-        let by_metric = selected(Some("gate_speedup"));
-        assert!(!by_metric.is_empty());
-        assert!(by_metric.iter().all(|c| c.metric == "gate_speedup"));
+        let by_metric = selected(Some("overhead_pct"));
+        assert_eq!(by_metric.len(), 3);
+        assert!(by_metric.iter().all(|c| c.metric == "overhead_pct"));
         assert!(selected(Some("no_such_check")).is_empty());
     }
 

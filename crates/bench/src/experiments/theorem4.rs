@@ -17,8 +17,8 @@ pub fn run(items: &[i64], max_len: usize) -> (Table, TaxiVerification) {
 /// sizes and peak frontiers in the table come from the verification,
 /// their timing breakdown from the profile, one source each.
 pub fn run_profiled(items: &[i64], max_len: usize) -> (Table, TaxiVerification, ProfileReport) {
-    let probed = profiled_shared(items, max_len);
-    (point_table(&probed.result), probed.result, probed.report)
+    let (v, report) = profiled_shared(items, max_len);
+    (point_table(&v), v, report)
 }
 
 fn point_table(v: &TaxiVerification) -> Table {

@@ -47,10 +47,7 @@ pub mod prelude {
         top_n_miss_analytic, top_n_miss_monte_carlo, ConstraintModel, MarkovChain,
     };
     pub use crate::summary::{summary_chart, SummaryRow};
-    pub use crate::theorem4::{
-        verify_taxi_lattice, verify_taxi_lattice_perpoint, verify_taxi_lattice_perpoint_probed,
-        verify_taxi_lattice_probed, TaxiVerification,
-    };
+    pub use crate::theorem4::{verify_taxi_lattice, verify_taxi_lattice_probed, TaxiVerification};
 }
 
 pub use cost::{operation_availability, quorum_availability, CostDimension};
@@ -60,7 +57,4 @@ pub use lattices::semiqueue::{SemiqueueLattice, SsQueueLattice, StutteringLattic
 pub use lattices::taxi::{TaxiLattice, TaxiPoint};
 pub use prob::{top_n_miss_analytic, top_n_miss_monte_carlo, ConstraintModel, MarkovChain};
 pub use summary::{summary_chart, SummaryRow};
-pub use theorem4::{
-    verify_taxi_lattice, verify_taxi_lattice_perpoint, verify_taxi_lattice_perpoint_probed,
-    verify_taxi_lattice_probed, TaxiVerification,
-};
+pub use theorem4::{verify_taxi_lattice, verify_taxi_lattice_probed, TaxiVerification};

@@ -10,9 +10,7 @@
 
 use relax_automata::language::naive;
 use relax_automata::multiwalk::multi_compare_upto_probed;
-use relax_automata::{
-    compare_upto_probed, CompareOptions, EngineProbe, History, LanguageDifference, NoopProbe,
-};
+use relax_automata::{CompareOptions, EngineProbe, History, LanguageDifference, NoopProbe};
 use relax_queues::{queue_alphabet, Item, QueueOp};
 use relax_quorum::repview::RepViewAutomaton;
 
@@ -27,9 +25,9 @@ pub struct PointVerification {
     pub behavior: &'static str,
     /// Number of histories in the (common) language up to the bound.
     pub language_size: usize,
-    /// Peak working-set width of the check: for the subset-graph engine
-    /// the widest product level in *nodes*; for the naive enumerator the
-    /// widest per-length frontier in *histories*.
+    /// Peak working-set width of the check: for the shared walk the
+    /// widest level in *nodes*; for the naive enumerator the widest
+    /// per-length frontier in *histories*.
     pub peak_frontier: usize,
     /// `None` if the languages agree up to the bound; otherwise the
     /// difference.
@@ -84,21 +82,19 @@ impl TaxiVerification {
 /// ≤ `max_len` over `items` — in **one shared walk** for all four
 /// points.
 ///
-/// Two layers replace the four independent product walks of
-/// [`verify_taxi_lattice_perpoint`]:
+/// Two layers keep it small:
 ///
 /// 1. The QCA side of each point is its [`RepViewAutomaton`] quotient —
 ///    an exact bisimulation (`L(RepView) = L(QCA)`, verified
 ///    differentially in `relax-quorum`), collapsing the QCA's
 ///    never-merging history states into achievable-view-bag sets.
 /// 2. All four `(quotient, reference)` pairs ride one
-///    [`multi_compare_upto`] tuple walk with a shared dense
+///    [`multi_compare_upto_probed`] tuple walk with a shared dense
 ///    state/set interner and memoized successor rows, so common history
 ///    structure is explored once instead of four times.
 ///
-/// Verdicts, per-point language sizes, and counterexamples are identical
-/// to the per-point path (tests pin both against each other and against
-/// the naive enumerator).
+/// Verdicts and per-point language sizes are pinned against
+/// [`verify_taxi_lattice_naive`] in tests.
 pub fn verify_taxi_lattice(items: &[Item], max_len: usize) -> TaxiVerification {
     verify_taxi_lattice_probed(items, max_len, &mut NoopProbe)
 }
@@ -133,7 +129,14 @@ pub fn verify_taxi_lattice_probed<P: EngineProbe>(
         point_list.map(|p| RepViewAutomaton::new(p.q1, p.q2, items));
     let references: [TaxiReference; 4] = point_list.map(|p| lattice.reference(p));
     probe.enter("shared_walk");
-    let multi = multi_compare_upto_probed(&quotients, &references, &alphabet, max_len, &mut *probe);
+    let multi = multi_compare_upto_probed(
+        &quotients,
+        &references,
+        &alphabet,
+        max_len,
+        CompareOptions::counting(),
+        &mut *probe,
+    );
     probe.exit("shared_walk");
 
     let points = point_list
@@ -174,76 +177,10 @@ pub fn verify_taxi_lattice_probed<P: EngineProbe>(
     out
 }
 
-/// The PR-3 engine path: one product-subset-graph walk **per lattice
-/// point**, each over the raw QCA (whose state is the full history).
-/// Kept as the baseline the `exp_symmetry_scaling` benchmark measures
-/// the shared-walk [`verify_taxi_lattice`] against, and as a
-/// differential oracle in tests.
-pub fn verify_taxi_lattice_perpoint(items: &[Item], max_len: usize) -> TaxiVerification {
-    verify_taxi_lattice_perpoint_probed(items, max_len, &mut NoopProbe)
-}
-
-/// [`verify_taxi_lattice_perpoint`] with a profiling probe: one
-/// `theorem4` span over the run, one `point_q1q2` span per lattice
-/// point wrapping that point's full product walk (whose `product_walk`
-/// / `depth` spans nest inside it).
-pub fn verify_taxi_lattice_perpoint_probed<P: EngineProbe>(
-    items: &[Item],
-    max_len: usize,
-    probe: &mut P,
-) -> TaxiVerification {
-    probe.enter("theorem4");
-    let lattice = TaxiLattice::new();
-    let alphabet = queue_alphabet(items);
-    let mut points = Vec::new();
-    for point in TaxiPoint::all() {
-        probe.enter(point_span(point));
-        let qca = lattice.qca(point);
-        let reference = lattice.reference(point);
-        let cmp = compare_upto_probed(
-            &qca,
-            &reference,
-            &alphabet,
-            max_len,
-            CompareOptions::counting(),
-            &mut *probe,
-        );
-        let difference = cmp
-            .left_not_in_right
-            .clone()
-            .map(LanguageDifference::LeftNotInRight)
-            .or_else(|| {
-                cmp.right_not_in_left
-                    .clone()
-                    .map(LanguageDifference::RightNotInLeft)
-            });
-        let verification = PointVerification {
-            point,
-            behavior: point.behavior_name(),
-            language_size: cmp.left_total() as usize,
-            peak_frontier: cmp.peak_level_width,
-            difference,
-        };
-        if probe.is_enabled() {
-            probe.gauge("lang_size", verification.language_size as i64);
-            probe.gauge("peak_frontier", verification.peak_frontier as i64);
-        }
-        points.push(verification);
-        probe.exit(point_span(point));
-    }
-    let out = TaxiVerification {
-        points,
-        items: items.to_vec(),
-        max_len,
-    };
-    probe.exit("theorem4");
-    out
-}
-
 /// The pre-engine implementation of [`verify_taxi_lattice`]: a two-pass
 /// naive `equal_upto` followed by a full naive language enumeration per
-/// point. Kept as the reference for differential tests and as the
-/// baseline the `exp_language_scaling` benchmark measures against.
+/// point, over the raw QCA. Kept as the reference for differential
+/// tests.
 pub fn verify_taxi_lattice_naive(items: &[Item], max_len: usize) -> TaxiVerification {
     let lattice = TaxiLattice::new();
     let alphabet = queue_alphabet(items);
@@ -347,25 +284,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_walk_matches_perpoint_engine() {
-        let shared = verify_taxi_lattice(&[1, 2], 5);
-        let perpoint = verify_taxi_lattice_perpoint(&[1, 2], 5);
-        for (s, p) in shared.points.iter().zip(&perpoint.points) {
-            assert_eq!(s.point, p.point);
-            assert_eq!(s.language_size, p.language_size, "{:?}", s.point);
-            assert_eq!(s.holds(), p.holds(), "{:?}", s.point);
-        }
-        // The quotient plus tuple sharing must actually shrink the
-        // working set relative to four raw-QCA walks.
-        assert!(
-            shared.peak_frontier() < perpoint.peak_frontier(),
-            "shared {} vs perpoint {}",
-            shared.peak_frontier(),
-            perpoint.peak_frontier()
-        );
-    }
-
-    #[test]
     fn language_sizes_grow_down_the_lattice() {
         let v = verify_taxi_lattice(&[1, 2], 4);
         let preferred = v.points[0].language_size;
@@ -432,21 +350,6 @@ mod tests {
         assert_eq!(report.self_sum_ns(), report.total_ns());
         // The per-depth frontier timeline came through the walk.
         assert!(!report.gauge("frontier_nodes").unwrap_or(&[]).is_empty());
-    }
-
-    #[test]
-    fn probed_perpoint_walk_nests_product_walks_under_points() {
-        let mut probe = relax_trace::Probe::enabled();
-        let v = verify_taxi_lattice_perpoint_probed(&[1, 2], 4, &mut probe);
-        assert!(v.holds());
-        let report = probe.report().expect("balanced spans");
-        let paths: Vec<String> = report
-            .aggregated_paths()
-            .into_iter()
-            .map(|h| h.path)
-            .collect();
-        assert!(paths.contains(&"theorem4;point_10;product_walk".to_string()));
-        assert_eq!(report.self_sum_ns(), report.total_ns());
     }
 
     #[test]

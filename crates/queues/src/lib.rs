@@ -41,7 +41,6 @@ pub mod mpq;
 pub mod opq;
 pub mod ops;
 pub mod pqueue;
-pub mod relabel;
 pub mod semiqueue;
 pub mod spec;
 pub mod ssqueue;
@@ -60,7 +59,6 @@ pub mod prelude {
     pub use crate::opq::OpqAutomaton;
     pub use crate::ops::{account_alphabet, queue_alphabet, AccountOp, Item, QueueOp};
     pub use crate::pqueue::PQueueAutomaton;
-    pub use crate::relabel::QueueItemSymmetry;
     pub use crate::semiqueue::SemiqueueAutomaton;
     pub use crate::spec::{AccountValueSpec, PqValueSpec, ValueSpec};
     pub use crate::ssqueue::{SsQueueAutomaton, SsState};
@@ -78,7 +76,6 @@ pub use mpq::{Mpq, MpqAutomaton};
 pub use opq::OpqAutomaton;
 pub use ops::{account_alphabet, queue_alphabet, AccountOp, Item, QueueOp};
 pub use pqueue::PQueueAutomaton;
-pub use relabel::QueueItemSymmetry;
 pub use semiqueue::SemiqueueAutomaton;
 pub use spec::{AccountValueSpec, PqValueSpec, ValueSpec};
 pub use ssqueue::{SsQueueAutomaton, SsState};

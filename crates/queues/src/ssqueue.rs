@@ -41,15 +41,6 @@ impl SsState {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// The state with every queued item replaced by `f(item)`, positions
-    /// and per-position return counts untouched (used by item-relabeling
-    /// symmetry policies).
-    pub fn map_items(&self, mut f: impl FnMut(Item) -> Item) -> SsState {
-        SsState {
-            entries: self.entries.iter().map(|&(e, c)| (f(e), c)).collect(),
-        }
-    }
 }
 
 impl fmt::Display for SsState {

@@ -9,7 +9,7 @@
 //! 1. **Quorum-insensitivity**: removing every `Q`-pair that mentions the
 //!    kind (as invoker or target) leaves the QCA's language unchanged —
 //!    `L(QCA(A, Q, η)) = L(QCA(A, Q∖k, η))` up to a depth bound, decided
-//!    by the subset-graph language engine. The kind's legal histories do
+//!    by the bounded language walk. The kind's legal histories do
 //!    not depend on its quorum constraints, so dropping the read phase
 //!    admits no new behaviors.
 //! 2. **Response stability**: the kind's invocations respond against the
@@ -110,10 +110,9 @@ pub fn analyze<S, E>(
     stability_depth: usize,
 ) -> CalmReport<<S::Op as HasKind>::Kind, S::Op>
 where
-    S: ValueSpec + Clone + Sync,
-    E: Eval<Value = S::Value, Op = S::Op> + Clone + Sync,
-    S::Op: HasKind + Clone + Eq + Ord + Hash + std::fmt::Debug + Send + Sync,
-    <S::Op as HasKind>::Kind: Sync,
+    S: ValueSpec + Clone,
+    E: Eval<Value = S::Value, Op = S::Op> + Clone,
+    S::Op: HasKind + Clone + Eq + Ord + Hash + std::fmt::Debug,
 {
     let kinds: BTreeSet<<S::Op as HasKind>::Kind> =
         alphabet.iter().map(HasKind::invocation_kind).collect();
@@ -148,10 +147,9 @@ fn classify<S, E>(
     kind: <S::Op as HasKind>::Kind,
 ) -> Verdict<S::Op>
 where
-    S: ValueSpec + Clone + Sync,
-    E: Eval<Value = S::Value, Op = S::Op> + Clone + Sync,
-    S::Op: HasKind + Clone + Eq + Ord + Hash + std::fmt::Debug + Send + Sync,
-    <S::Op as HasKind>::Kind: Sync,
+    S: ValueSpec + Clone,
+    E: Eval<Value = S::Value, Op = S::Op> + Clone,
+    S::Op: HasKind + Clone + Eq + Ord + Hash + std::fmt::Debug,
 {
     // Check 1: quorum-insensitivity. Strip every pair mentioning the kind;
     // if nothing mentions it the check is trivially satisfied, otherwise

@@ -113,7 +113,7 @@ where
 
     /// Batched transition: checks every alphabet operation against the
     /// views of `h` in one pass instead of re-enumerating views per
-    /// operation (this is the hot path of the subset-graph engine).
+    /// operation (this is the hot path of the language walk).
     ///
     /// Operations sharing an invocation kind have identical required
     /// masks, so views are enumerated once per kind group; Q-closure is
@@ -132,11 +132,10 @@ where
 
         // The closure and required masks must commute with item
         // relabeling: they may consult operation *kinds* only (this is
-        // what lets the Rep-view quotient and symmetry relabelings
-        // preserve views). Debug builds verify by substituting every op
-        // with the earliest same-kind op — the universal kind-preserving
-        // relabeling — and asserting the masks cannot tell the
-        // difference.
+        // what lets the Rep-view quotient preserve views). Debug builds
+        // verify by substituting every op with the earliest same-kind op
+        // — the universal kind-preserving relabeling — and asserting the
+        // masks cannot tell the difference.
         #[cfg(debug_assertions)]
         {
             let substituted: Vec<S::Op> = ops

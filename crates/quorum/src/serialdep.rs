@@ -29,7 +29,9 @@ pub struct SerialDependencyViolation<Op> {
 
 /// Checks whether `relation` is a serial dependency relation for
 /// `automaton`, over all `H ∈ L(A)` with `|H| ≤ max_len` and all `p` in
-/// `alphabet`. Returns the first violation found.
+/// `alphabet`. Histories are tried shortest first and in `alphabet` order
+/// within a length ([`language_upto`]'s order), so the violation returned
+/// has a shallowest `H` and is the same on every run.
 ///
 /// # Errors
 ///
@@ -161,6 +163,28 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(v.op, QueueOp::Deq(_)));
+    }
+
+    #[test]
+    fn reported_violation_is_shallowest_and_repeats() {
+        let alphabet = queue_alphabet(&[1, 2]);
+        let pq = PQueueAutomaton::new();
+        for (q1, q2) in [(true, false), (false, true), (false, false)] {
+            let relation = queue_relation(q1, q2);
+            let v = check_serial_dependency(&pq, &relation, &alphabet, 4).unwrap_err();
+            assert_eq!(
+                check_serial_dependency(&pq, &relation, &alphabet, 4),
+                Err(v.clone()),
+                "same violation on every call"
+            );
+            // No violating history is shorter than the reported one.
+            let shorter = v.history.len().checked_sub(1).expect("Λ violates nothing");
+            assert!(
+                check_serial_dependency(&pq, &relation, &alphabet, shorter).is_ok(),
+                "({q1},{q2}): a violation below length {} exists",
+                v.history.len()
+            );
+        }
     }
 
     #[test]

@@ -4,12 +4,11 @@
 
 use std::sync::Arc;
 
-use relax_automata::probe::EngineProbe;
 use relax_automata::History;
 use relax_sim::{Ctx, NetworkConfig, Node, NodeId, SimTime, World};
 use relax_trace::{
-    DegradationMonitor, EventKind as TraceEvent, FrontierView, Probe, ProfileReport, Registry,
-    SiteCount, SloMonitor, StalenessTracker,
+    DegradationMonitor, EventKind as TraceEvent, FrontierView, Registry, SiteCount, SloMonitor,
+    StalenessTracker,
 };
 
 use crate::assignment::VotingAssignment;
@@ -72,11 +71,6 @@ pub struct QuorumSystem<T: ReplicatedType> {
     staleness_scratch: Vec<TraceEvent>,
     slo: Option<SloMonitor>,
     registry: Registry,
-    /// The flight-recorder probe (disabled unless
-    /// [`QuorumSystem::with_profile`] was called): per-event `step` /
-    /// `monitor` spans, `staleness` sampling spans, and the runtime's
-    /// cache/gossip tallies as gauges on [`QuorumSystem::flush_profile`].
-    probe: Probe,
 }
 
 impl<T: ReplicatedType> QuorumSystem<T> {
@@ -155,7 +149,6 @@ impl<T: ReplicatedType> QuorumSystem<T> {
             staleness_scratch: Vec::new(),
             slo: None,
             registry: Registry::new(),
-            probe: Probe::disabled(),
         }
     }
 
@@ -290,53 +283,6 @@ impl<T: ReplicatedType> QuorumSystem<T> {
         self
     }
 
-    /// Enables the profiling flight recorder (builder-style): the run
-    /// loops then wrap every simulator event in a `step` span and every
-    /// monitor poll in a `monitor` span, [`QuorumSystem::sample_staleness`]
-    /// records a `staleness` span per sample, and
-    /// [`QuorumSystem::flush_profile`] snapshots the cache/gossip
-    /// tallies as gauges. Costs one branch per step when not called.
-    #[must_use]
-    pub fn with_profile(mut self) -> Self {
-        self.probe = Probe::enabled();
-        self
-    }
-
-    /// The profiling probe (disabled unless
-    /// [`QuorumSystem::with_profile`] was called).
-    pub fn probe(&self) -> &Probe {
-        &self.probe
-    }
-
-    /// Writes the runtime's view-cache and gossip tallies into the
-    /// profiling probe as gauges, stamped at current sim time. The short
-    /// names (`vc_hits`, `merkle_rounds`, …) fit the trace's inline
-    /// labels; the canonical Prometheus-style names stay in
-    /// [`QuorumSystem::registry`]. No-op when profiling is off.
-    pub fn flush_profile(&mut self) {
-        if !self.probe.is_enabled() {
-            return;
-        }
-        let (hits, misses) = self.viewcache_counts();
-        let replayed = self.viewcache_replayed_entries();
-        self.probe.set_sim_time(self.world.now().0);
-        self.probe.gauge("vc_hits", hits as i64);
-        self.probe.gauge("vc_misses", misses as i64);
-        self.probe.gauge("vc_replay", replayed as i64);
-        let (rounds, nodes, _) = self.merkle_sync_counts();
-        self.probe.gauge("merkle_rounds", rounds as i64);
-        self.probe.gauge("merkle_nodes", nodes as i64);
-        self.probe
-            .gauge("vc_cp_hits", self.viewcache_checkpoint_hits() as i64);
-    }
-
-    /// Flushes the runtime tallies ([`QuorumSystem::flush_profile`]) and
-    /// builds the profile report over everything recorded so far.
-    pub fn profile_report(&mut self) -> Result<ProfileReport, String> {
-        self.flush_profile();
-        self.probe.report()
-    }
-
     /// The attached staleness tracker, if any.
     pub fn staleness(&self) -> Option<&StalenessTracker> {
         self.staleness.as_ref()
@@ -365,17 +311,6 @@ impl<T: ReplicatedType> QuorumSystem<T> {
     /// [`QuorumSystem::export_metrics`] writes the latest readings into
     /// the registry when a scrape actually wants them.
     pub fn sample_staleness(&mut self) {
-        if self.probe.is_enabled() {
-            self.probe.set_sim_time(self.world.now().0);
-            self.probe.enter("staleness");
-            self.sample_staleness_inner();
-            self.probe.exit("staleness");
-        } else {
-            self.sample_staleness_inner();
-        }
-    }
-
-    fn sample_staleness_inner(&mut self) {
         let Some(tracker) = self.staleness.as_mut() else {
             return;
         };
@@ -577,34 +512,19 @@ impl<T: ReplicatedType> QuorumSystem<T> {
         self.world.send_external(client, Msg::Start(inv));
     }
 
-    /// One simulator event plus a monitor poll, wrapped in `step` /
-    /// `monitor` profiling spans when the probe is on. Returns whether
-    /// the world made progress.
+    /// One simulator event plus a monitor poll. Returns whether the
+    /// world made progress.
     fn step_once(&mut self) -> bool {
-        if self.probe.is_enabled() {
-            self.probe.set_sim_time(self.world.now().0);
-            self.probe.enter("step");
-            let progressed = self.world.step();
-            self.probe.set_sim_time(self.world.now().0);
-            self.probe.exit("step");
-            if progressed {
-                self.probe.enter("monitor");
-                self.poll_monitor();
-                self.probe.exit("monitor");
-            }
-            progressed
-        } else {
-            let progressed = self.world.step();
-            if progressed {
-                self.poll_monitor();
-            }
-            progressed
+        let progressed = self.world.step();
+        if progressed {
+            self.poll_monitor();
         }
+        progressed
     }
 
     /// Runs the simulation until `t`.
     pub fn run_until(&mut self, t: SimTime) {
-        if self.monitor.is_none() && !self.probe.is_enabled() {
+        if self.monitor.is_none() {
             self.world.run_until(t);
             return;
         }
@@ -616,7 +536,7 @@ impl<T: ReplicatedType> QuorumSystem<T> {
 
     /// Runs to quiescence (bounded by `max_events`).
     pub fn run_to_quiescence(&mut self, max_events: u64) -> bool {
-        if self.monitor.is_none() && !self.probe.is_enabled() {
+        if self.monitor.is_none() {
             return self.world.run_to_quiescence(max_events);
         }
         let mut budget = max_events;
@@ -1606,50 +1526,6 @@ mod tests {
         assert_eq!(
             g("viewcache_checkpoint_hits"),
             sys.viewcache_checkpoint_hits() as i64
-        );
-    }
-
-    #[test]
-    fn profiled_run_records_step_spans_and_runtime_gauges() {
-        let mut sys = healthy_system(11).with_gossip(30).with_profile();
-        for i in 0..6 {
-            sys.submit(QueueInv::Enq(i));
-        }
-        assert!(sys.run_until_outcomes(6, 1_000_000));
-        let report = sys.profile_report().expect("balanced spans");
-        // Every simulator event ran inside a `step` span.
-        let steps = report
-            .aggregated_paths()
-            .into_iter()
-            .find(|h| h.path == "step")
-            .expect("step spans recorded");
-        assert!(steps.count > 6, "one span per simulator event");
-        // The runtime tallies surfaced as probe gauges match the
-        // canonical accessors.
-        let (hits, _) = sys.viewcache_counts();
-        let (rounds, _, _) = sys.merkle_sync_counts();
-        assert_eq!(report.gauge("vc_hits"), Some(&[hits as i64][..]));
-        assert_eq!(report.gauge("merkle_rounds"), Some(&[rounds as i64][..]));
-        assert_eq!(
-            report.gauge("vc_replay"),
-            Some(&[sys.viewcache_replayed_entries() as i64][..])
-        );
-        // Exact-sum attribution holds on a live run.
-        assert_eq!(report.self_sum_ns(), report.total_ns());
-    }
-
-    #[test]
-    fn unprofiled_run_records_no_probe_state() {
-        let mut sys = healthy_system(11);
-        sys.submit(QueueInv::Enq(1));
-        assert!(sys.run_to_quiescence(100_000));
-        assert!(!sys.probe().is_enabled());
-        assert!(sys.probe().events().is_empty());
-        assert!(sys.probe().counter_totals().is_empty());
-        sys.flush_profile();
-        assert!(
-            sys.probe().events().is_empty(),
-            "flush on disabled is a no-op"
         );
     }
 }

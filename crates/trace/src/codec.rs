@@ -917,7 +917,7 @@ mod tests {
                     wall_ns: b,
                 },
                 11 => EventKind::ProfileCounter {
-                    name: parse_label("orbit_folds"),
+                    name: parse_label("row_hits"),
                     total: b,
                 },
                 12 => EventKind::ProfileGauge {

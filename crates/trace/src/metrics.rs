@@ -990,18 +990,8 @@ lat_quantile{quantile=\"0.99\"} 500
             "cons_load_pct",
             "row_fills",
             "row_hits",
-            "orbit_folds",
-            "orbit_nodes",
             "lang_size",
             "peak_frontier",
-            "vc_hits",
-            "vc_misses",
-            "vc_replay",
-            "vc_cp_hits",
-            "gossip_delta",
-            "gossip_full",
-            "merkle_rounds",
-            "merkle_nodes",
             // threaded wall-clock backend (relax-quorum threaded.rs;
             // nanosecond time base)
             "realtime_op_latency_nanos",

@@ -681,7 +681,7 @@ mod tests {
         p.set_sim_time(7);
         p.enter("walk");
         p.gauge("arena_bytes", 1024);
-        p.add("orbit_folds", 9);
+        p.add("row_hits", 9);
         p.exit("walk");
         let jsonl = p.export_jsonl();
         let parsed = crate::codec::read_trace(&jsonl).unwrap();
@@ -692,7 +692,7 @@ mod tests {
         assert_eq!(parsed.events.len(), 4);
         assert!(parsed.events.iter().all(|e| e.time == 7));
         let r = ProfileReport::from_events(&parsed.events).unwrap();
-        assert_eq!(r.counter("orbit_folds"), Some(9));
+        assert_eq!(r.counter("row_hits"), Some(9));
         assert_eq!(r.gauge("arena_bytes"), Some(&[1024][..]));
         assert_eq!(r.roots[0].begin_sim, 7);
     }

@@ -1,18 +1,21 @@
-//! Differential tests: the subset-graph language engine vs the retained
-//! naive enumerators, on seeded random automata.
+//! Differential tests: the bounded language walk vs the retained naive
+//! enumerators, on seeded random automata.
 //!
 //! The naive module is the executable specification: it materializes
-//! every accepted history, so disagreement at any bound is an engine
-//! bug. Random automata cover shapes the hand-written queue examples
-//! never reach — unreachable operations, dead-end states, heavy
+//! every accepted history, so disagreement at any bound is a walk bug.
+//! Random automata cover shapes the hand-written queue examples never
+//! reach — unreachable operations, dead-end states, heavy
 //! nondeterministic fan-out.
 
 use std::collections::HashSet;
 
 use relaxation_lattice::automata::language::naive;
-use relaxation_lattice::automata::subset::{compare_upto, CompareOptions, SubsetGraph};
+use relaxation_lattice::automata::multiwalk::{
+    compare_upto, multi_compare_upto, CompareOptions, LanguageComparison, StopWhen,
+};
 use relaxation_lattice::automata::{
-    equal_upto, included_upto, language_sizes, LanguageDifference, ObjectAutomaton, SplitMix64,
+    equal_upto, included_upto, language_sizes, History, LanguageDifference, ObjectAutomaton,
+    SplitMix64,
 };
 
 /// A random nondeterministic automaton over states `0..states` and
@@ -63,11 +66,13 @@ impl ObjectAutomaton for RandomAutomaton {
     }
 }
 
-/// A seeded pair of random automata over a shared alphabet.
-fn random_pair(seed: u64) -> (RandomAutomaton, RandomAutomaton, Vec<u8>) {
+/// A seeded pair of random automata over a shared alphabet of `ops`
+/// operations (drawn from the seed when `None`).
+fn random_pair_over(seed: u64, ops: Option<u8>) -> (RandomAutomaton, RandomAutomaton, Vec<u8>) {
     let mut rng = SplitMix64::seed_from_u64(seed);
     let states = 2 + (rng.next_u64() % 4) as u8; // 2..=5
-    let ops = 2 + (rng.next_u64() % 2) as u8; // 2..=3
+    let drawn_ops = 2 + (rng.next_u64() % 2) as u8; // 2..=3
+    let ops = ops.unwrap_or(drawn_ops);
     let density = 0.15 + rng.next_f64() * 0.35;
     let a = RandomAutomaton::generate(rng.next_u64(), states, ops, density);
     let b = RandomAutomaton::generate(rng.next_u64(), states, ops, density);
@@ -75,21 +80,30 @@ fn random_pair(seed: u64) -> (RandomAutomaton, RandomAutomaton, Vec<u8>) {
     (a, b, alphabet)
 }
 
+fn random_pair(seed: u64) -> (RandomAutomaton, RandomAutomaton, Vec<u8>) {
+    random_pair_over(seed, None)
+}
+
 const SEEDS: u64 = 60;
 const MAX_LEN: usize = 5;
+
+fn by_len<'a>(histories: impl IntoIterator<Item = &'a History<u8>>) -> Vec<u64> {
+    let mut counts = vec![0u64; MAX_LEN + 1];
+    for h in histories {
+        counts[h.len()] += 1;
+    }
+    counts
+}
 
 #[test]
 fn engine_sizes_match_naive_enumeration() {
     for seed in 0..SEEDS {
         let (a, _, alphabet) = random_pair(seed);
         let lang = naive::language_upto(&a, &alphabet, MAX_LEN);
-        let mut by_len = vec![0usize; MAX_LEN + 1];
-        for h in &lang {
-            by_len[h.len()] += 1;
-        }
+        let expected: Vec<usize> = by_len(&lang).into_iter().map(|n| n as usize).collect();
         assert_eq!(
             language_sizes(&a, &alphabet, MAX_LEN),
-            by_len,
+            expected,
             "seed {seed}"
         );
     }
@@ -154,246 +168,235 @@ fn counting_walk_counts_match_naive_on_both_sides() {
     }
 }
 
+/// `inner` cut off after `cap` operations: accepts exactly the histories
+/// of `L(inner)` no longer than `cap`.
+struct UpTo<'a> {
+    inner: &'a RandomAutomaton,
+    cap: usize,
+}
+
+impl ObjectAutomaton for UpTo<'_> {
+    type State = (u8, usize);
+    type Op = u8;
+
+    fn initial_state(&self) -> (u8, usize) {
+        (self.inner.initial_state(), 0)
+    }
+
+    fn step(&self, &(s, depth): &(u8, usize), op: &u8) -> Vec<(u8, usize)> {
+        if depth == self.cap {
+            return Vec::new();
+        }
+        let next = self.inner.step(&s, op);
+        next.into_iter().map(|t| (t, depth + 1)).collect()
+    }
+}
+
 #[test]
 fn subset_graph_is_prefix_closed_and_reaches_what_it_claims() {
+    // Cutting the right side off at every depth in turn makes the walk
+    // rebuild one history per level from its parent pointers.
     for seed in 0..SEEDS / 3 {
         let (a, _, alphabet) = random_pair(seed);
-        let graph = SubsetGraph::explore(&a, &alphabet, MAX_LEN);
         let lang = naive::language_upto(&a, &alphabet, MAX_LEN);
-        for (depth, level) in graph.levels().iter().enumerate() {
-            for (i, node) in level.iter().enumerate() {
-                let h = graph.history_of(depth, i);
-                assert_eq!(h.len(), depth, "seed {seed}");
-                // Prefix closure: the reconstructed history and all its
-                // prefixes are accepted.
-                for n in 0..=depth {
-                    let prefix: Vec<u8> = h.ops()[..n].to_vec();
-                    assert!(
-                        lang.contains(&prefix.into()),
-                        "seed {seed}: prefix of length {n} missing"
-                    );
-                }
-                // The node's set is exactly δ*(H), and it is never empty.
-                let reached: HashSet<u8> = a.delta_star(&h);
-                assert!(!reached.is_empty(), "seed {seed}: empty set interned");
-                let mut reached: Vec<u8> = reached.into_iter().collect();
-                reached.sort_unstable();
-                assert_eq!(reached.as_slice(), graph.set(node.set), "seed {seed}");
+        let sizes = by_len(&lang);
+        for cap in 0..MAX_LEN {
+            let cut = UpTo { inner: &a, cap };
+            let cmp = compare_upto(&a, &cut, &alphabet, MAX_LEN, CompareOptions::counting());
+            assert_eq!(cmp.left_sizes, sizes, "seed {seed} cap {cap}");
+            assert_eq!(
+                cmp.right_sizes[..=cap],
+                sizes[..=cap],
+                "seed {seed} cap {cap}"
+            );
+            assert!(cmp.right_sizes[cap + 1..].iter().all(|&n| n == 0));
+            assert_eq!(cmp.right_not_in_left, None, "seed {seed} cap {cap}");
+            let Some(h) = cmp.left_not_in_right else {
+                assert_eq!(sizes[cap + 1], 0, "seed {seed} cap {cap}: witness missed");
+                continue;
+            };
+            assert_eq!(h.len(), cap + 1, "seed {seed} cap {cap}");
+            // Prefix closure: the rebuilt history and all its prefixes
+            // are accepted, and it reaches a nonempty state set.
+            for n in 0..=h.len() {
+                assert!(
+                    lang.contains(&h.prefix(n)),
+                    "seed {seed} cap {cap}: prefix of length {n} missing"
+                );
+            }
+            assert!(!a.delta_star(&h).is_empty(), "seed {seed} cap {cap}");
+        }
+    }
+}
+
+const PRESETS: [fn() -> CompareOptions; 4] = [
+    CompareOptions::inclusion,
+    CompareOptions::equality,
+    CompareOptions::strictness,
+    CompareOptions::counting,
+];
+
+/// What the naive enumerators say about one (left, right) pair.
+struct Reference {
+    left_sizes: Vec<u64>,
+    right_sizes: Vec<u64>,
+    /// Per-length sizes of `L(left) ∩ L(right)`.
+    common_sizes: Vec<u64>,
+    /// Length of the shortest history in `L(left) ∖ L(right)`.
+    left_only: Option<usize>,
+    /// Length of the shortest history in `L(right) ∖ L(left)`.
+    right_only: Option<usize>,
+}
+
+impl Reference {
+    fn of(a: &RandomAutomaton, b: &RandomAutomaton, alphabet: &[u8]) -> Self {
+        // Shortest first, so `find` yields a shallowest difference.
+        let left = naive::language_upto(a, alphabet, MAX_LEN);
+        let right = naive::language_upto(b, alphabet, MAX_LEN);
+        let in_left: HashSet<&History<u8>> = left.iter().collect();
+        let in_right: HashSet<&History<u8>> = right.iter().collect();
+        Reference {
+            left_sizes: by_len(&left),
+            right_sizes: by_len(&right),
+            common_sizes: by_len(left.iter().filter(|h| in_right.contains(h))),
+            left_only: left
+                .iter()
+                .find(|h| !in_right.contains(h))
+                .map(History::len),
+            right_only: right
+                .iter()
+                .find(|h| !in_left.contains(h))
+                .map(History::len),
+        }
+    }
+
+    /// The last level a point walks under `options`: where its stop
+    /// condition first holds, or the bound.
+    fn stop_level(&self, options: CompareOptions) -> usize {
+        let right_only = self.right_only.filter(|_| options.walk_right_only);
+        let stop = match options.stop {
+            StopWhen::AnyViolation => self.left_only.into_iter().chain(right_only).min(),
+            StopWhen::BothViolations if options.walk_right_only => {
+                self.left_only.zip(right_only).map(|(l, r)| l.max(r))
+            }
+            StopWhen::BothViolations => self.left_only,
+            StopWhen::Never => None,
+        };
+        stop.unwrap_or(MAX_LEN)
+    }
+
+    /// Holds `cmp` — one point of a walk under `options` — to the naive
+    /// answers: which witnesses exist, that each is real and shallowest,
+    /// and the per-length counts of every level the point walked.
+    fn check(
+        &self,
+        cmp: &LanguageComparison<u8>,
+        a: &RandomAutomaton,
+        b: &RandomAutomaton,
+        options: CompareOptions,
+        what: &str,
+    ) {
+        let stop = self.stop_level(options);
+        let upto_stop = |sizes: &[u64]| -> Vec<u64> {
+            let mut seen = sizes.to_vec();
+            seen[stop + 1..].fill(0);
+            seen
+        };
+        assert_eq!(
+            cmp.left_sizes,
+            upto_stop(&self.left_sizes),
+            "{what}: left sizes"
+        );
+        let right = if options.walk_right_only {
+            &self.right_sizes
+        } else {
+            &self.common_sizes
+        };
+        assert_eq!(cmp.right_sizes, upto_stop(right), "{what}: right sizes");
+
+        let within = |len: Option<usize>| len.filter(|&l| l <= stop);
+        assert_eq!(
+            cmp.left_not_in_right.as_ref().map(History::len),
+            within(self.left_only),
+            "{what}: left witness depth"
+        );
+        assert_eq!(
+            cmp.right_not_in_left.as_ref().map(History::len),
+            within(self.right_only.filter(|_| options.walk_right_only)),
+            "{what}: right witness depth"
+        );
+        if let Some(h) = &cmp.left_not_in_right {
+            assert!(a.accepts(h) && !b.accepts(h), "{what}: left witness {h:?}");
+        }
+        if let Some(h) = &cmp.right_not_in_left {
+            assert!(b.accepts(h) && !a.accepts(h), "{what}: right witness {h:?}");
+        }
+    }
+}
+
+#[test]
+fn every_preset_matches_naive_at_one_point() {
+    for seed in 0..SEEDS {
+        let (a, b, alphabet) = random_pair(seed);
+        let reference = Reference::of(&a, &b, &alphabet);
+        for preset in PRESETS {
+            let options = preset();
+            let cmp = compare_upto(&a, &b, &alphabet, MAX_LEN, options);
+            reference.check(&cmp, &a, &b, options, &format!("seed {seed} {options:?}"));
+        }
+    }
+}
+
+#[test]
+fn two_points_sharing_a_walk_each_match_their_own_walk_and_naive() {
+    // How often the two points stop at different levels: the case where
+    // stopping the walk with its first finished point would show.
+    let mut staggered_stops = 0;
+    for seed in 0..SEEDS {
+        let (a, b, alphabet) = random_pair(seed);
+        let (c, d, _) = random_pair_over(seed + SEEDS, Some(alphabet.len() as u8));
+        let references = [
+            Reference::of(&a, &b, &alphabet),
+            Reference::of(&c, &d, &alphabet),
+        ];
+        let pairs = [(&a, &b), (&c, &d)];
+        for preset in PRESETS {
+            let options = preset();
+            let shared = multi_compare_upto(&[&a, &c], &[&b, &d], &alphabet, MAX_LEN, options);
+            for (p, (&(l, r), reference)) in pairs.iter().zip(&references).enumerate() {
+                let what = format!("seed {seed} {options:?} point {p}");
+                let point = &shared.points[p];
+                reference.check(point, l, r, options, &what);
+                let own = compare_upto(l, r, &alphabet, MAX_LEN, options);
+                assert_eq!(point.left_sizes, own.left_sizes, "{what}");
+                assert_eq!(point.right_sizes, own.right_sizes, "{what}");
+                assert_eq!(
+                    point.left_not_in_right.as_ref().map(History::len),
+                    own.left_not_in_right.as_ref().map(History::len),
+                    "{what}"
+                );
+                assert_eq!(
+                    point.right_not_in_left.as_ref().map(History::len),
+                    own.right_not_in_left.as_ref().map(History::len),
+                    "{what}"
+                );
+            }
+            if references[0].stop_level(options) != references[1].stop_level(options) {
+                staggered_stops += 1;
             }
         }
     }
-}
-
-#[test]
-fn parallel_walks_match_sequential_on_random_automata() {
-    for seed in 0..SEEDS / 3 {
-        let (a, b, alphabet) = random_pair(seed);
-        let seq = compare_upto(
-            &a,
-            &b,
-            &alphabet,
-            MAX_LEN,
-            CompareOptions {
-                threads: Some(1),
-                ..CompareOptions::counting()
-            },
-        );
-        for threads in [2, 5] {
-            let par = compare_upto(
-                &a,
-                &b,
-                &alphabet,
-                MAX_LEN,
-                CompareOptions {
-                    threads: Some(threads),
-                    ..CompareOptions::counting()
-                },
-            );
-            assert_eq!(seq.left_sizes, par.left_sizes, "seed {seed} t{threads}");
-            assert_eq!(seq.right_sizes, par.right_sizes, "seed {seed} t{threads}");
-            assert_eq!(
-                seq.left_not_in_right.is_some(),
-                par.left_not_in_right.is_some(),
-                "seed {seed} t{threads}"
-            );
-            assert_eq!(
-                seq.peak_level_width, par.peak_level_width,
-                "seed {seed} t{threads}"
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Symmetry-reduced engine: the orbit-canonicalized walks must be
-// observationally identical to the unreduced engine (and hence to the
-// naive enumerators) wherever the policy is equivariant.
-// ---------------------------------------------------------------------------
-
-use relaxation_lattice::automata::subset::IntersectionAutomaton;
-use relaxation_lattice::automata::symmetry::{
-    compare_upto_reduced, ReducedSubsetGraph, TrivialSymmetry,
-};
-use relaxation_lattice::automata::History;
-use relaxation_lattice::queues::{
-    queue_alphabet, QueueItemSymmetry, QueueOp, SemiqueueAutomaton, SsQueueAutomaton,
-    StutteringAutomaton,
-};
-
-#[test]
-fn reduced_engine_with_trivial_policy_matches_unreduced_on_random_automata() {
-    // The one-element group makes every automaton equivariant, so the
-    // reduced code path must reproduce the unreduced engine exactly —
-    // counts, verdicts, witness depths, and node counts.
-    for seed in 0..SEEDS / 2 {
-        let (a, b, alphabet) = random_pair(seed);
-        let graph = SubsetGraph::explore(&a, &alphabet, MAX_LEN);
-        let reduced = ReducedSubsetGraph::explore(&a, &alphabet, MAX_LEN, &TrivialSymmetry);
-        assert_eq!(graph.sizes(), reduced.sizes(), "seed {seed}");
-        assert_eq!(
-            graph.peak_level_width(),
-            reduced.peak_level_width(),
-            "seed {seed}"
-        );
-
-        let full = compare_upto(&a, &b, &alphabet, MAX_LEN, CompareOptions::counting());
-        let red = compare_upto_reduced(
-            &a,
-            &b,
-            &alphabet,
-            MAX_LEN,
-            CompareOptions::counting(),
-            &TrivialSymmetry,
-        );
-        assert_eq!(full.left_sizes, red.left_sizes, "seed {seed}");
-        assert_eq!(full.right_sizes, red.right_sizes, "seed {seed}");
-        assert_eq!(
-            full.left_not_in_right.as_ref().map(|h| h.len()),
-            red.left_not_in_right.as_ref().map(|h| h.len()),
-            "seed {seed}"
-        );
-        assert_eq!(
-            full.right_not_in_left.as_ref().map(|h| h.len()),
-            red.right_not_in_left.as_ref().map(|h| h.len()),
-            "seed {seed}"
-        );
-    }
-}
-
-#[test]
-fn orbit_reduced_queue_graphs_match_naive_counts() {
-    // Item permutation is equivariant for the equality-based queue
-    // types; orbit-reduced per-length counts must equal the naive
-    // enumeration's exactly while the frontier shrinks.
-    let items = vec![1, 2, 3];
-    let alphabet = queue_alphabet(&items);
-    let sym = QueueItemSymmetry::new(&items);
-    let max_len = 4;
-
-    let stut = StutteringAutomaton::new(2);
-    let reduced = ReducedSubsetGraph::explore(&stut, &alphabet, max_len, &sym);
-    let lang = naive::language_upto(&stut, &alphabet, max_len);
-    let mut by_len = vec![0u64; max_len + 1];
-    for h in &lang {
-        by_len[h.len()] += 1;
-    }
-    assert_eq!(reduced.sizes(), by_len);
-    let full = SubsetGraph::explore(&stut, &alphabet, max_len);
-    assert!(reduced.peak_level_width() < full.peak_level_width());
-
-    // Reconstructed orbit histories are genuine histories of the
-    // ORIGINAL automaton (relabelings composed away).
-    for (depth, level) in reduced.levels().iter().enumerate() {
-        for i in 0..level.len() {
-            let h = reduced.history_of(&sym, depth, i);
-            assert!(stut.accepts(&h), "reconstructed {h:?} rejected");
-        }
-    }
-}
-
-#[test]
-fn ssqueue_join_check_survives_orbit_reduction() {
-    // The PR-3 lattice finding in the SSqueue_{2,2} lattice: the join of
-    // the Stuttering_2 and Semiqueue_2 constraint points is the full
-    // constraint set, which φ maps to SSqueue_{1,1} = FIFO, yet
-    // L(Stuttering_2) ∩ L(Semiqueue_2) strictly exceeds L(FIFO) from
-    // length 5 — so the two-chain map stops preserving joins there. The
-    // reduced product walk must reproduce the verdict, the exact counts,
-    // and a genuine witness.
-    let items = vec![1, 2];
-    let alphabet = queue_alphabet(&items);
-    let sym = QueueItemSymmetry::new(&items);
-    let join = IntersectionAutomaton::new(StutteringAutomaton::new(2), SemiqueueAutomaton::new(2));
-    let phi_of_join = SsQueueAutomaton::new(1, 1);
-
-    let known = History::from(vec![
-        QueueOp::Enq(1),
-        QueueOp::Enq(2),
-        QueueOp::Enq(1),
-        QueueOp::Deq(1),
-        QueueOp::Deq(1),
-    ]);
-    assert!(join.accepts(&known), "join must accept the PR-3 witness");
-    assert!(
-        !phi_of_join.accepts(&known),
-        "φ(c ∨ d) = SSqueue_{{1,1}} must reject the PR-3 witness"
-    );
-
-    let full = compare_upto(
-        &join,
-        &phi_of_join,
-        &alphabet,
-        5,
-        CompareOptions::counting(),
-    );
-    let reduced = compare_upto_reduced(
-        &join,
-        &phi_of_join,
-        &alphabet,
-        5,
-        CompareOptions::counting(),
-        &sym,
-    );
-    assert_eq!(full.left_sizes, reduced.left_sizes);
-    assert_eq!(full.right_sizes, reduced.right_sizes);
-    assert!(reduced.peak_level_width < full.peak_level_width);
-
-    let witness = reduced
-        .left_not_in_right
-        .as_ref()
-        .expect("join exceeds φ(c ∨ d) within length 5");
-    assert_eq!(
-        witness.len(),
-        full.left_not_in_right
-            .as_ref()
-            .expect("unreduced finds it")
-            .len(),
-        "reduced witness must be as shallow as the unreduced one"
-    );
-    assert!(join.accepts(witness), "reduced witness rejected by join");
-    assert!(
-        !phi_of_join.accepts(witness),
-        "reduced witness accepted by φ(c ∨ d)"
-    );
+    assert!(staggered_stops > 0, "no pair of points stopped apart");
 }
 
 #[test]
 fn shared_taxi_walk_matches_naive_at_small_bounds() {
-    use relaxation_lattice::core::theorem4::{
-        verify_taxi_lattice, verify_taxi_lattice_naive, verify_taxi_lattice_perpoint,
-    };
+    use relaxation_lattice::core::theorem4::{verify_taxi_lattice, verify_taxi_lattice_naive};
     let shared = verify_taxi_lattice(&[1, 2], 4);
-    let perpoint = verify_taxi_lattice_perpoint(&[1, 2], 4);
     let naive_v = verify_taxi_lattice_naive(&[1, 2], 4);
-    for ((s, p), n) in shared
-        .points
-        .iter()
-        .zip(&perpoint.points)
-        .zip(&naive_v.points)
-    {
-        assert_eq!(s.point, p.point);
-        assert_eq!(s.language_size, p.language_size, "{:?}", s.point);
+    for (s, n) in shared.points.iter().zip(&naive_v.points) {
+        assert_eq!(s.point, n.point);
         assert_eq!(s.language_size, n.language_size, "{:?}", s.point);
-        assert!(s.holds() && p.holds() && n.holds(), "{:?}", s.point);
+        assert!(s.holds() && n.holds(), "{:?}", s.point);
     }
 }
