@@ -12,8 +12,9 @@
 //! are generic over the probe type, so the un-probed entry points
 //! (which pass [`NoopProbe`]) monomorphize to exactly the code they
 //! compiled to before instrumentation existed: no branch, no call, no
-//! clock read. The `exp_profile_overhead` bench gates the *enabled*
-//! path against this compiled-out baseline.
+//! clock read. The repo's benchmark reports the *enabled* path against
+//! this compiled-out baseline (`lattice_verify`,
+//! `bench.trace_overhead_pct`).
 //!
 //! Conventions the recording side relies on:
 //!

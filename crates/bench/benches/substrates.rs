@@ -1,22 +1,30 @@
-//! Microbenchmarks for the substrate layers: replica logs, the view
+//! Microbenchmarks, the one criterion target: replica logs, the view
 //! cache, the sim client's write bookkeeping, the threaded backend's
-//! shard–broker round trip, the bounded language walk, the term
-//! rewriter, and the lock manager.
+//! shard–broker round trip, the bounded language walk and the naive
+//! enumerator, QCA view search, the term rewriter, the lock manager,
+//! the atomicity checker, and the two operational executors (print
+//! spooler, replicated taxi queue on the simulator) end to end.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use relax_atomic::{LockManager, LockMode, TxId};
-use relax_automata::{compare_upto, CompareOptions, IntersectionAutomaton};
+use relax_atomic::{
+    serializable_in_commit_order, DequeueStrategy, LockManager, LockMode, Spooler, SpoolerConfig,
+    TxId,
+};
+use relax_automata::{
+    compare_upto, language_upto, CompareOptions, History, IntersectionAutomaton, ObjectAutomaton,
+};
 use relax_core::lattices::taxi::{TaxiLattice, TaxiPoint};
 use relax_core::theorem4::verify_taxi_lattice;
 use relax_queues::{
-    queue_alphabet, QueueOp, SemiqueueAutomaton, SsQueueAutomaton, StutteringAutomaton,
+    queue_alphabet, PQueueAutomaton, QueueOp, SemiqueueAutomaton, SsQueueAutomaton,
+    StutteringAutomaton,
 };
 use relax_quorum::calm::SchedulingPolicy;
-use relax_quorum::relation::AccountKind;
-use relax_quorum::runtime::{AccountInv, BankAccountType, ReplicatedType, TaxiQueueType};
+use relax_quorum::relation::{AccountKind, QueueKind};
+use relax_quorum::runtime::{AccountInv, BankAccountType, QueueInv, ReplicatedType, TaxiQueueType};
 use relax_quorum::{
     ClientConfig, DiffScratch, Entry, Executor, Log, QuorumSystem, ThreadedConfig, ThreadedSystem,
     Timestamp, ViewCache, VotingAssignment,
@@ -432,6 +440,122 @@ fn bench_product_walk(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_language_enumeration(c: &mut Criterion) {
+    let alphabet = queue_alphabet(&[1, 2]);
+    let mut group = c.benchmark_group("language_upto_pqueue");
+    group.sample_size(10);
+    for len in [4usize, 6] {
+        group.bench_with_input(BenchmarkId::from_parameter(len), &len, |bencher, &len| {
+            bencher.iter(|| language_upto(&PQueueAutomaton::new(), &alphabet, len).len());
+        });
+    }
+    group.finish();
+}
+
+fn bench_qca_accept(c: &mut Criterion) {
+    let lattice = TaxiLattice::new();
+    let mut group = c.benchmark_group("qca_accepts");
+    group.sample_size(10);
+    for len in [8usize, 12] {
+        // A duplicate-heavy history accepted by the Q1 point: Enq then
+        // repeated Deqs of the same item.
+        let mut ops = vec![QueueOp::Enq(1)];
+        for _ in 1..len {
+            ops.push(QueueOp::Deq(1));
+        }
+        let h = History::from(ops);
+        let qca = lattice.qca(TaxiPoint {
+            q1: true,
+            q2: false,
+        });
+        group.bench_with_input(BenchmarkId::from_parameter(len), &h, |bencher, h| {
+            bencher.iter(|| black_box(qca.accepts(h)));
+        });
+    }
+    group.finish();
+}
+
+fn bench_commit_order_check(c: &mut Criterion) {
+    let report = Spooler::new(SpoolerConfig {
+        strategy: DequeueStrategy::Optimistic,
+        printers: 4,
+        jobs: 30,
+        print_time: 3,
+        abort_probability: 0.1,
+        seed: 11,
+    })
+    .run();
+    c.bench_function("commit_order_serializability_30jobs", |bencher| {
+        bencher.iter(|| {
+            black_box(serializable_in_commit_order(
+                &SemiqueueAutomaton::new(4),
+                &report.schedule,
+            ))
+        });
+    });
+}
+
+fn bench_spooler(c: &mut Criterion) {
+    let mut group = c.benchmark_group("spooler_40jobs_4printers");
+    group.sample_size(20);
+    for strategy in [
+        DequeueStrategy::BlockingFifo,
+        DequeueStrategy::Optimistic,
+        DequeueStrategy::Pessimistic,
+    ] {
+        group.bench_with_input(
+            BenchmarkId::from_parameter(format!("{strategy:?}")),
+            &strategy,
+            |bencher, &strategy| {
+                bencher.iter(|| {
+                    black_box(
+                        Spooler::new(SpoolerConfig {
+                            strategy,
+                            printers: 4,
+                            jobs: 40,
+                            print_time: 3,
+                            abort_probability: 0.1,
+                            seed: 3,
+                        })
+                        .run(),
+                    )
+                    .printed
+                    .len()
+                });
+            },
+        );
+    }
+    group.finish();
+}
+
+fn bench_quorum_system(c: &mut Criterion) {
+    let assignment = VotingAssignment::new(5)
+        .with_initial(QueueKind::Enq, 1)
+        .with_final(QueueKind::Enq, 3)
+        .with_initial(QueueKind::Deq, 3)
+        .with_final(QueueKind::Deq, 3);
+    c.bench_function("quorum_taxi_50ops_5replicas", |bencher| {
+        bencher.iter(|| {
+            let mut sys = QuorumSystem::new(
+                TaxiQueueType,
+                5,
+                assignment.clone(),
+                ClientConfig::default(),
+                NetworkConfig::default(),
+                17,
+            );
+            for i in 0..25 {
+                sys.submit(QueueInv::Enq(i));
+            }
+            for _ in 0..25 {
+                sys.submit(QueueInv::Deq);
+            }
+            sys.run_to_quiescence(1_000_000);
+            black_box(sys.outcomes().len())
+        });
+    });
+}
+
 fn bench_rewrite(c: &mut Criterion) {
     let set = paper_theories().expect("shipped theories parse");
     let bag = set.theory("Bag").expect("Bag present").clone();
@@ -478,7 +602,12 @@ criterion_group!(
     bench_sim_client_write,
     bench_threaded_round_trip,
     bench_product_walk,
+    bench_language_enumeration,
+    bench_qca_accept,
     bench_rewrite,
-    bench_locking
+    bench_locking,
+    bench_commit_order_check,
+    bench_spooler,
+    bench_quorum_system
 );
 criterion_main!(benches);

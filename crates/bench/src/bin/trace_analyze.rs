@@ -1,7 +1,7 @@
 //! Offline causal analysis of an exported JSONL trace.
 //!
 //! Ingests a trace written by `Tracer::write_jsonl` /
-//! `exp_availability --trace`, rebuilds the happens-before DAG, derives
+//! `relax-bench availability --trace`, rebuilds the happens-before DAG, derives
 //! per-operation spans with critical-path latency attribution, and — for
 //! every witnessed level transition — walks the DAG backwards to the
 //! minimal cut of fault events that caused the degradation.
@@ -18,17 +18,34 @@
 //! hierarchical span tree (hot spans with exact self/child attribution,
 //! counters, gauge timelines) from any profile events in the trace.
 
+use relax_bench::args::{usage, Args};
 use relax_trace::{read_trace, staleness_report, OpOutcome, ProfileReport, TraceAnalysis};
 use std::io::Read as _;
 use std::process::ExitCode;
 
+const FLAGS: &[&str] = &["--spans", "--staleness", "--prometheus", "--profile"];
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let show_spans = args.iter().any(|a| a == "--spans");
-    let show_staleness = args.iter().any(|a| a == "--staleness");
-    let show_prometheus = args.iter().any(|a| a == "--prometheus");
-    let show_profile = args.iter().any(|a| a == "--profile");
-    let path = args.iter().find(|a| !a.starts_with("--"));
+    // The one positional is the trace; everything else is a flag.
+    let (flags, paths): (Vec<String>, Vec<String>) =
+        std::env::args().skip(1).partition(|a| a.starts_with("--"));
+    let parsed = Args::parse(FLAGS, flags).and_then(|args| match paths.len() {
+        0 | 1 => Ok(args),
+        _ => Err("more than one trace path".to_string()),
+    });
+    let args = match parsed {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("trace_analyze: {e}");
+            eprintln!("usage: {}", usage("trace_analyze [TRACE.jsonl]", FLAGS));
+            return ExitCode::from(2);
+        }
+    };
+    let show_spans = args.has("--spans");
+    let show_staleness = args.has("--staleness");
+    let show_prometheus = args.has("--prometheus");
+    let show_profile = args.has("--profile");
+    let path = paths.first();
 
     let input = match path {
         Some(p) => match std::fs::read_to_string(p) {

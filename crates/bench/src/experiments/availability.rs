@@ -18,9 +18,12 @@ use relax_quorum::runtime::{QueueInv, TaxiQueueType};
 use relax_quorum::{queue_relation, ClientConfig, QuorumSystem, VotingAssignment};
 use relax_sim::{NetworkConfig, NodeId};
 use relax_trace::metrics::wire;
-use relax_trace::Registry;
+use relax_trace::{read_trace, Registry, TraceAnalysis};
 
+use crate::args::Args;
+use crate::experiments::degradation::run_partition_scenario;
 use crate::experiments::par::fan_trials;
+use crate::experiments::write_file;
 use crate::table::Table;
 
 /// A named quorum assignment for the sweep.
@@ -153,8 +156,9 @@ pub fn measure_registry_sequential(
 }
 
 /// Like [`measure_registry`], with structured tracing enabled on every
-/// trial's world when `trace_capacity > 0` (used by the
-/// `exp_trace_overhead` bench to price the instrumentation).
+/// trial's world when `trace_capacity > 0` (used by
+/// [`trace_overhead`](super::trace_overhead) to price the
+/// instrumentation).
 /// Deliberately sequential: the overhead bench compares per-trial wall
 /// clock, which thread scheduling would distort.
 pub fn measure_registry_traced(
@@ -250,6 +254,59 @@ pub fn render(rows: &[AvailabilityRow]) -> Table {
         ]);
     }
     t
+}
+
+/// `relax-bench availability [--trace [PATH]]`: the sweep at three
+/// site-up probabilities. With `--trace` it also runs the §3.3
+/// degradation scenario (partitions force the taxi queue from `PQ` down
+/// to `MPQ`), writes the structured sim-time trace as JSONL to `PATH`
+/// (default `availability_trace.jsonl`), prints the metrics registry and
+/// the monitor's verdict, and re-ingests the file for the causal
+/// analysis `trace_analyze` would print.
+pub fn main(args: &Args) -> Result<(), String> {
+    println!("== Availability vs quorum assignment (taxi queue, n = 5 sites) ==\n");
+    for p_up in [0.95, 0.85, 0.70] {
+        println!("site-up probability p = {p_up}: (200 trials each)");
+        let rows = sweep(5, p_up, 200, 0x5EED);
+        println!("{}", render(&rows));
+    }
+    println!("shape: shrinking Enq final quorums buys Enq availability at the");
+    println!("price of Deq availability (Q1), and Deq quorums stay majorities (Q2).");
+
+    if !args.has("--trace") {
+        println!("\n(pass --trace [PATH] to run the degradation scenario and dump a JSONL trace)");
+        return Ok(());
+    }
+    let path = args.value("--trace").unwrap_or("availability_trace.jsonl");
+    let mut report = run_partition_scenario(0x5EED);
+    write_file(path, &report.trace_jsonl)?;
+    println!("\n== Degradation scenario (Q1 held, Q2 dropped) ==\n");
+    println!(
+        "trace: {} events -> {path} (crashes, partitions, quorum \
+         assembly/failure, level transitions)",
+        report.events.len()
+    );
+    println!("\nmetrics registry:\n{}", report.registry.summary());
+    for t in &report.transitions {
+        println!(
+            "level transition at op #{}: left {:?}, now {:?}, witness {}",
+            t.op_index, t.left, t.now, t.witness
+        );
+    }
+    println!(
+        "history of {} completed ops classifies as: {}",
+        report.observed_ops.len(),
+        report.current_level.as_deref().unwrap_or("(none)")
+    );
+
+    // Close the loop: re-ingest the file we just wrote and run the
+    // causal analysis over it, exactly as `trace_analyze` would.
+    let written = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    let parsed = read_trace(&written).map_err(|e| format!("{path}: {e}"))?;
+    let analysis = TraceAnalysis::from_trace(parsed);
+    println!("\n== Causal analysis (re-ingested from {path}) ==\n");
+    print!("{}", analysis.report());
+    Ok(())
 }
 
 #[cfg(test)]

@@ -8,8 +8,9 @@
 //! quorum, no timer. This experiment shows what the discrete-event
 //! simulator can show of that — equivalence and availability. What it
 //! buys in time is a wall-clock question (a free operation takes zero
-//! sim ticks, so any tick ratio is a floor artefact): that number is
-//! `account_calm_over_quorum` in `exp_realtime_throughput`.
+//! sim ticks, so any tick ratio is a floor artefact), which the repo's
+//! benchmark answers: workload `account_calm`, `ops_per_s` and
+//! `quorum.calm.fast_vs_quorum_ratio`.
 //!
 //! * **Healthy rows** run the same workload under the all-quorum
 //!   baseline and under the analyzer-derived policy with identical
@@ -30,6 +31,8 @@ use relax_quorum::runtime::{AccountInv, BankAccountType, Outcome};
 use relax_quorum::{outcome_shapes, ClientConfig, QuorumSystem, VotingAssignment};
 use relax_sim::{Fault, FaultSchedule, NetworkConfig, NodeId, Partition, SimTime};
 
+use crate::args::Args;
+use crate::experiments::write_file;
 use crate::table::Table;
 
 /// One sweep point.
@@ -47,7 +50,7 @@ pub struct Config {
     pub partitioned: bool,
 }
 
-/// The sweep the `exp_calm_fastpath` binary runs: healthy latency rows
+/// The sweep `relax-bench calm_fastpath` runs: healthy latency rows
 /// across replica counts and workload mixes, plus one availability row
 /// per replica count.
 pub const SWEEP: &[Config] = &[
@@ -356,6 +359,26 @@ pub fn to_json(rows: &[CalmRow]) -> String {
         row_json.join(","),
         availability == 1.0 && all_equivalent
     )
+}
+
+/// `relax-bench calm_fastpath`: runs [`SWEEP`], prints the table and the
+/// gate line, and writes `BENCH_calm_fastpath.json` (`regress` requires
+/// its `within_target`).
+pub fn main(_: &Args) -> Result<(), String> {
+    println!("== CALM fast path: coordination-free monotone operations ==\n");
+    let (table, rows) = run(SWEEP);
+    println!("{table}");
+
+    let availability = gate_availability(&rows);
+    let all_equivalent = rows.iter().all(|r| r.equivalent);
+    println!(
+        "gate: fast availability under partition {availability:.2}, \
+         all_equivalent={all_equivalent}"
+    );
+
+    write_file("BENCH_calm_fastpath.json", &to_json(&rows))?;
+    println!("wrote BENCH_calm_fastpath.json");
+    Ok(())
 }
 
 #[cfg(test)]

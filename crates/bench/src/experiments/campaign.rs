@@ -29,12 +29,16 @@
 //! twice the submission grid); per-campaign lag quantiles come from the
 //! recorded `replica_lag_sampled` events.
 
+use std::time::Instant;
+
 use relax_quorum::relation::QueueKind;
 use relax_quorum::runtime::{QueueInv, TaxiQueueType};
 use relax_quorum::{queue_lattice_monitor, ClientConfig, QuorumSystem, VotingAssignment};
 use relax_sim::{Fault, FaultSchedule, NetworkConfig, NodeId, Partition, SimTime};
 use relax_trace::{EventKind, Histogram, SloMonitor, TraceAnalysis};
 
+use crate::args::Args;
+use crate::experiments::write_file;
 use crate::table::Table;
 
 /// The class of an injected fault, as attributed by the root-cause
@@ -540,6 +544,129 @@ pub fn render(outcomes: &[CampaignOutcome]) -> Table {
         ]);
     }
     t
+}
+
+const SEED: u64 = 0xCA11;
+const REPS: usize = 101;
+
+/// `relax-bench fault_campaign [--trace NAME PATH]`, in two halves:
+///
+/// * **verdicts** — every named campaign runs fully instrumented; the
+///   trace is replayed through the happens-before analysis and each
+///   witnessed transition's minimal fault cut is checked against the
+///   injected fault pattern.
+/// * **overhead** — the same deterministic workloads run with the
+///   verification engine alone ([`run_monitored`]) and with the *online*
+///   telemetry layered on top ([`run_instrumented`]), reps in ABBA
+///   order, and the median per-rep ratio prices the telemetry. The
+///   offline happens-before replay behind the verdicts is a post-mortem
+///   tool and is excluded from the gate. Target: ≤ 10% slowdown.
+///
+/// Results land in `BENCH_fault_campaign.json`; `regress` gates on its
+/// `within_target` (overhead in budget *and* every verdict ok).
+/// `--trace NAME PATH` first exports the named campaign's full JSONL
+/// trace, ready for `trace_analyze PATH --staleness`.
+pub fn main(args: &Args) -> Result<(), String> {
+    if let Some([name, path]) = args.values("--trace") {
+        if !CAMPAIGNS.contains(&name.as_str()) {
+            return Err(format!("unknown campaign {name}; one of {CAMPAIGNS:?}"));
+        }
+        export_campaign_trace(name, SEED, path).map_err(|e| format!("{path}: {e}"))?;
+        println!("wrote {name} trace to {path}");
+    }
+
+    let outcomes = run_all(SEED);
+    println!("== Adversarial fault campaigns ==\n");
+    print!("{}", render(&outcomes));
+    let all_ok = outcomes.iter().all(|o| o.verdict_ok());
+    println!(
+        "\nverdicts: {}/{} campaigns attributed correctly",
+        outcomes.iter().filter(|o| o.verdict_ok()).count(),
+        outcomes.len()
+    );
+
+    // Warm-up both paths, then interleave baseline and instrumented
+    // reps so machine-wide noise hits both equally; gate on the median
+    // ratio.
+    for c in CAMPAIGNS {
+        run_monitored(c, SEED);
+        run_instrumented(c, SEED);
+    }
+    let mut baselines = Vec::with_capacity(REPS);
+    let mut enabled = Vec::with_capacity(REPS);
+    let time_suite = |f: &dyn Fn(&str, u64), seed: u64| {
+        let start = Instant::now();
+        for c in CAMPAIGNS {
+            f(c, seed);
+        }
+        start.elapsed().as_nanos()
+    };
+    let mut ratios: Vec<f64> = (0..REPS)
+        .map(|rep| {
+            let seed = SEED ^ rep as u64;
+            // ABBA order inside each rep so monotone machine drift
+            // (thermal, scheduler) cancels instead of biasing one side.
+            let b1 = time_suite(&run_monitored, seed);
+            let e1 = time_suite(&run_instrumented, seed);
+            let e2 = time_suite(&run_instrumented, seed);
+            let b2 = time_suite(&run_monitored, seed);
+            baselines.push(b1 + b2);
+            enabled.push(e1 + e2);
+            (e1 + e2) as f64 / (b1 + b2) as f64
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    let ratio = ratios[ratios.len() / 2];
+    let baseline_ns = *baselines.iter().min().expect("reps > 0");
+    let enabled_ns = *enabled.iter().min().expect("reps > 0");
+    let overhead_pct = 100.0 * (ratio - 1.0);
+    let within_target = overhead_pct <= 10.0 && all_ok;
+
+    println!("\n== Observability overhead on the campaign suite ==\n");
+    println!(
+        "workload: {} campaigns x {REPS} interleaved reps, median per-rep ratio",
+        CAMPAIGNS.len()
+    );
+    println!("baseline     (monitor + slo)   : {baseline_ns:>12} ns (min rep, 2 suites)");
+    println!("instrumented (+trace +stale)   : {enabled_ns:>12} ns (min rep, 2 suites)");
+    println!("overhead: {overhead_pct:+.2}%  (target: <= 10%)");
+
+    let campaigns_json: Vec<String> = outcomes
+        .iter()
+        .map(|o| {
+            let classes: Vec<String> = o
+                .observed
+                .iter()
+                .map(|c| format!("\"{}\"", c.as_str()))
+                .collect();
+            format!(
+                "{{\"name\":\"{}\",\"transitions\":{},\"classes\":[{}],\
+                 \"duplicated\":{},\"slo_exhausted\":{},\"samples\":{},\
+                 \"lag_p50\":{},\"lag_p95\":{},\"lag_max\":{},\"verdict\":{}}}",
+                o.name,
+                o.transitions,
+                classes.join(","),
+                o.messages_duplicated,
+                o.slo_exhausted,
+                o.samples,
+                o.lag_p50,
+                o.lag_p95,
+                o.lag_max,
+                o.verdict_ok()
+            )
+        })
+        .collect();
+    let json = format!(
+        "{{\"bench\":\"fault_campaign\",\"seed\":{SEED},\"reps\":{REPS},\
+         \"campaigns\":[{}],\"all_verdicts_ok\":{all_ok},\
+         \"baseline_ns\":{baseline_ns},\"enabled_ns\":{enabled_ns},\
+         \"overhead_pct\":{overhead_pct:.3},\"target_pct\":10.0,\
+         \"within_target\":{within_target}}}\n",
+        campaigns_json.join(",")
+    );
+    write_file("BENCH_fault_campaign.json", &json)?;
+    println!("\nwrote BENCH_fault_campaign.json");
+    Ok(())
 }
 
 #[cfg(test)]

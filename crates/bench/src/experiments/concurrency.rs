@@ -11,6 +11,7 @@
 
 use relax_atomic::{DequeueStrategy, Spooler, SpoolerConfig};
 
+use crate::args::Args;
 use crate::table::Table;
 
 /// One sweep row: a strategy at a concurrency level, averaged over
@@ -99,6 +100,24 @@ pub fn render(rows: &[ConcurrencyRow]) -> Table {
         ]);
     }
     t
+}
+
+/// `relax-bench concurrency`: the three strategies at 1–8 printers,
+/// without and with aborts.
+pub fn main(_: &Args) -> Result<(), String> {
+    println!("== Print spooler: throughput & degradation vs concurrency ==\n");
+    println!("24 jobs, print time ≤ 4 rounds, no aborts, 8 seeds:");
+    let rows = sweep(&[1, 2, 4, 8], 24, 0.0, 8);
+    println!("{}", render(&rows));
+
+    println!("with 20% aborts:");
+    let rows = sweep(&[4], 24, 0.2, 8);
+    println!("{}", render(&rows));
+
+    println!("shape: BlockingFifo is flat; Optimistic scales with d at bounded");
+    println!("displacement (< d, Semiqueue_d); Pessimistic keeps FIFO order but");
+    println!("pays in duplicate prints (Stuttering_d).");
+    Ok(())
 }
 
 #[cfg(test)]

@@ -14,6 +14,7 @@ use relax_core::lattices::eta_prime::TaxiLatticeEtaPrime;
 use relax_core::lattices::taxi::{TaxiLattice, TaxiPoint};
 use relax_queues::{queue_alphabet, Item, SemiqueueAutomaton};
 
+use crate::args::Args;
 use crate::table::Table;
 
 /// Growth table for the taxi lattice (η and η′ side by side).
@@ -60,6 +61,18 @@ pub fn semiqueue_growth(items: &[Item], max_len: usize, max_k: usize) -> Table {
         t.row(row);
     }
     t
+}
+
+/// `relax-bench growth`: both growth tables over items {1,2}, ≤ 8 ops.
+pub fn main(_: &Args) -> Result<(), String> {
+    println!("== Behavior complexity: |L_n| per lattice point ==\n");
+    println!("taxi lattice over items {{1,2}} (η vs η′):");
+    println!("{}", taxi_growth(&[1, 2], 8));
+    println!("semiqueue chain over items {{1,2}}:");
+    println!("{}", semiqueue_growth(&[1, 2], 8, 4));
+    println!("the gap between rows is the anomaly space each constraint rules out —");
+    println!("the complexity the designer weighs against the constraint's cost (§5).");
+    Ok(())
 }
 
 #[cfg(test)]

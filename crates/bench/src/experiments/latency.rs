@@ -14,6 +14,7 @@ use relax_quorum::runtime::{AccountInv, BankAccountType, Outcome};
 use relax_quorum::{ClientConfig, QuorumSystem, VotingAssignment};
 use relax_sim::NetworkConfig;
 
+use crate::args::Args;
 use crate::table::Table;
 
 /// One latency row.
@@ -91,6 +92,16 @@ pub fn render(rows: &[LatencyRow]) -> Table {
         ]);
     }
     t
+}
+
+/// `relax-bench latency`: the sweep at n = 5 replicas, 200 trials.
+pub fn main(_: &Args) -> Result<(), String> {
+    println!("== Latency vs Credit final quorum size (account, n = 5 replicas) ==\n");
+    let rows = sweep(5, 200, 0x1A7E);
+    println!("{}", render(&rows));
+    println!("final quorum 1 = announce after first ack (background propagation,");
+    println!("A1 relaxed); final quorum n = fully synchronous (A1 held).");
+    Ok(())
 }
 
 #[cfg(test)]

@@ -5,6 +5,7 @@ use relax_core::lattices::semiqueue::{SemiqueueLattice, SsQueueLattice};
 use relax_core::lattices::taxi::{TaxiLattice, TaxiPoint};
 use relax_queues::queue_alphabet;
 
+use crate::args::Args;
 use crate::table::Table;
 
 /// The §3.3 taxi lattice as a table: constraint set → behavior →
@@ -54,6 +55,52 @@ pub fn ssqueue_lattice_table(m: usize, n: usize, max_len: usize) -> (Table, bool
     }
     let check = check_reverse_inclusion_lattice(&lattice, &queue_alphabet(&[1, 2]), max_len);
     (t, check.is_ok())
+}
+
+/// `relax-bench lattices`: the three lattice tables with their bounded
+/// homomorphism verdicts.
+pub fn main(_: &Args) -> Result<(), String> {
+    let verdict = |ok: bool| if ok { "PASS" } else { "FAIL" };
+    println!("== §3.3 constraint lattice: replicated taxi priority queue ==\n");
+    let (taxi, taxi_ok) = taxi_lattice_table(6);
+    println!("{taxi}");
+    println!(
+        "relaxation-lattice check (monotone + join/meet, histories ≤ 6): {}\n",
+        verdict(taxi_ok)
+    );
+
+    println!("== Figure 4-2: relaxation lattice for a three-item semiqueue ==\n");
+    let (fig, fig_ok) = figure_4_2(3, 6);
+    println!("{fig}");
+    println!(
+        "relaxation-lattice check (φ = min-index homomorphism): {}\n",
+        verdict(fig_ok)
+    );
+
+    println!("== §4.2.2: the combined SSqueue lattice ==\n");
+    // The combined map only preserves joins up to length 4: from length 5
+    // on, L(Stuttering_2) ∩ L(Semiqueue_2) strictly contains L(SSqueue_{2,2})
+    // (witness below), so the check is recorded at its verified bound and
+    // the deeper finding is reported explicitly.
+    let (ss, ss_ok) = ssqueue_lattice_table(2, 2, 4);
+    println!("{ss}");
+    println!(
+        "relaxation-lattice check (two-chain homomorphism, histories ≤ 4): {}",
+        verdict(ss_ok)
+    );
+    let (_, ss_deep_ok) = ssqueue_lattice_table(2, 2, 5);
+    println!(
+        "deeper check (histories ≤ 5): {} — join preservation genuinely fails; \
+         e.g. Enq(1)·Enq(2)·Enq(1)·Deq(1)·Deq(1) is accepted by Stuttering_2 \
+         and Semiqueue_2, but φ maps their join (the full constraint set) to \
+         SSqueue_{{1,1}} = FIFO, which rejects it",
+        if ss_deep_ok {
+            "PASS"
+        } else {
+            "FAIL (expected)"
+        }
+    );
+    Ok(())
 }
 
 #[cfg(test)]

@@ -1,4 +1,7 @@
-//! Experiment implementations, one module per paper artifact.
+//! Experiment implementations, one module per paper artifact, and the
+//! table `relax-bench <name>` dispatches through.
+
+use crate::args::{usage, Args};
 
 pub mod account;
 pub mod availability;
@@ -14,9 +17,228 @@ pub mod lattices;
 pub mod markov;
 pub mod par;
 pub mod prob;
-pub mod profile;
-pub mod realtime;
 pub mod regress;
 pub mod serialdep;
+pub mod summary;
 pub mod theorem4;
+pub mod trace_overhead;
 pub mod voting;
+
+/// One row of [`EXPERIMENTS`]: name, one-line summary, accepted flags
+/// (as [`Args::parse`] reads them), and the body.
+pub type Experiment = (
+    &'static str,
+    &'static str,
+    &'static [&'static str],
+    fn(&Args) -> Result<(), String>,
+);
+
+/// Everything `relax-bench` runs. All but `trace_overhead` and
+/// `fault_campaign` (which time themselves) and `regress` (which reads
+/// files) print the same bytes on every run.
+pub const EXPERIMENTS: &[Experiment] = &[
+    (
+        "figures",
+        "the specification figures, 2-1 … 4-3",
+        &[],
+        figures::main,
+    ),
+    (
+        "lattices",
+        "§3.3 constraint lattice, Figure 4-2, SSqueue lattice",
+        &[],
+        lattices::main,
+    ),
+    (
+        "theorem4",
+        "Theorem 4 and the other three lattice points",
+        &["--profile", "--trace PATH"],
+        theorem4::main,
+    ),
+    (
+        "serialdep",
+        "Definition 3: {Q1,Q2} and {A1,A2} necessary & sufficient",
+        &[],
+        serialdep::main,
+    ),
+    (
+        "prob_topn",
+        "§3.3's (0.1)^n claim, analytic vs Monte Carlo",
+        &[],
+        prob::main,
+    ),
+    (
+        "account",
+        "§3.4: no-overdraft invariant, premature-debit decay",
+        &[],
+        account::main,
+    ),
+    (
+        "availability",
+        "Figure 5-1 availability: quorum assignments under failures",
+        &["--trace [PATH]"],
+        availability::main,
+    ),
+    (
+        "latency",
+        "Figure 5-1 latency: quorum size vs ATM latency",
+        &[],
+        latency::main,
+    ),
+    (
+        "concurrency",
+        "Figure 5-1 concurrency: spooler strategies",
+        &[],
+        concurrency::main,
+    ),
+    (
+        "summary",
+        "Figure 5-1, the chart itself",
+        &[],
+        summary::main,
+    ),
+    (
+        "eta_ablation",
+        "evaluation function η vs η′",
+        &[],
+        eta_ablation::main,
+    ),
+    (
+        "voting",
+        "Gifford weighted voting vs uniform voting",
+        &[],
+        voting::main,
+    ),
+    (
+        "growth",
+        "accepted histories per length, per lattice point",
+        &[],
+        growth::main,
+    ),
+    (
+        "markov",
+        "§2.3: a Markov environment over the taxi lattice",
+        &[],
+        markov::main,
+    ),
+    (
+        "calm_fastpath",
+        "coordination-free credits on the sim: equivalence, availability",
+        &[],
+        calm::main,
+    ),
+    (
+        "trace_overhead",
+        "what sim tracing costs on the availability sweep",
+        &[],
+        trace_overhead::main,
+    ),
+    (
+        "fault_campaign",
+        "five fault campaigns: root-cause verdicts, telemetry overhead",
+        &["--trace NAME PATH"],
+        campaign::main,
+    ),
+    (
+        "regress",
+        "fresh BENCH_*.json payloads against the committed baselines",
+        &[
+            "--fresh DIR",
+            "--baselines DIR",
+            "--only SUBSTR",
+            "--bless",
+            "--list",
+        ],
+        regress::main,
+    ),
+];
+
+/// The row named `name`.
+pub fn find(name: &str) -> Option<&'static Experiment> {
+    EXPERIMENTS.iter().find(|e| e.0 == name)
+}
+
+/// What `relax-bench list` prints: each experiment's usage line, then
+/// its summary.
+pub fn list() -> String {
+    let mut out = String::from("usage: relax-bench <name> [flags]\n\n");
+    for (name, summary, flags, _) in EXPERIMENTS {
+        out += &format!("  {}\n      {summary}\n", usage(name, flags));
+    }
+    out
+}
+
+/// Writes `contents` to `path`; the error names the path.
+pub(crate) fn write_file(path: &str, contents: &str) -> Result<(), String> {
+    std::fs::write(path, contents).map_err(|e| format!("{path}: {e}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn names() -> Vec<&'static str> {
+        EXPERIMENTS.iter().map(|e| e.0).collect()
+    }
+
+    /// The backticked `relax-bench <name>` mentions in the lines of
+    /// `text` that start with `prefix`, in order, repeats dropped.
+    fn documented(text: &str, prefix: &str) -> Vec<String> {
+        let mut found: Vec<String> = Vec::new();
+        for line in text.lines().filter(|l| l.starts_with(prefix)) {
+            for mention in line.split("`relax-bench ").skip(1) {
+                let name = mention.split(['`', ' ']).next().expect("split yields");
+                if !found.iter().any(|f| f == name) {
+                    found.push(name.to_string());
+                }
+            }
+        }
+        found
+    }
+
+    #[test]
+    fn names_are_unique_and_the_docs_list_exactly_them() {
+        let mut sorted = names();
+        sorted.sort_unstable();
+        sorted.dedup();
+        assert_eq!(sorted.len(), EXPERIMENTS.len(), "duplicate name");
+        assert_eq!(sorted.len(), 18);
+
+        // The crate's doc table lists them in table order.
+        let lib_rows = documented(include_str!("../lib.rs"), "//! | `relax-bench ");
+        assert_eq!(lib_rows, names());
+
+        // EXPERIMENTS.md has a section heading for each, and for nothing
+        // that is not an experiment.
+        let mut headings = documented(include_str!("../../../../EXPERIMENTS.md"), "## ");
+        headings.sort_unstable();
+        assert_eq!(headings, sorted);
+    }
+
+    #[test]
+    fn every_experiment_rejects_a_bogus_flag_and_list_shows_the_real_ones() {
+        let listing = list();
+        for (name, _, flags, _) in EXPERIMENTS {
+            let err = Args::parse(flags, ["--no-such-flag".to_string()]).unwrap_err();
+            assert!(err.contains("--no-such-flag"), "{name}: {err}");
+            let line = listing
+                .lines()
+                .find(|l| l.strip_prefix("  ").and_then(|l| l.split(' ').next()) == Some(name))
+                .unwrap_or_else(|| panic!("{name} missing from list"));
+            for flag in *flags {
+                assert!(line.contains(flag), "{name}: {flag} not in {line:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn unwritable_trace_path_is_an_error_naming_the_path() {
+        let dir = std::env::temp_dir().join(format!("relax_no_such_dir_{}", std::process::id()));
+        let path = dir.join("t.jsonl").display().to_string();
+        let (_, _, flags, run) = find("availability").unwrap();
+        let args = Args::parse(flags, ["--trace".to_string(), path.clone()]).unwrap();
+        let err = run(&args).unwrap_err();
+        assert!(err.starts_with(&path), "{err}");
+        assert!(!dir.exists());
+    }
+}

@@ -9,19 +9,8 @@
 use std::thread;
 
 /// Worker count: available parallelism, capped (the trials are short;
-/// more threads than ~8 just adds scheduling noise), floored at 1. The
-/// `RELAX_BENCH_THREADS` environment variable overrides the probe —
-/// `RELAX_BENCH_THREADS=1` forces sequential runs (CI determinism
-/// checks), larger values pin a fixed width for comparable timings
-/// across machines. Unparsable or zero values fall back to the probe.
+/// more threads than ~8 just adds scheduling noise), floored at 1.
 pub fn auto_threads() -> usize {
-    if let Some(n) = std::env::var("RELAX_BENCH_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-    {
-        return n;
-    }
     thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)

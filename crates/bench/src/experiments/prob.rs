@@ -2,6 +2,7 @@
 
 use relax_core::prob::{top_n_miss_analytic, top_n_miss_monte_carlo};
 
+use crate::args::Args;
 use crate::table::Table;
 
 /// One row of the comparison.
@@ -43,6 +44,16 @@ pub fn render(rows: &[TopNRow]) -> Table {
         ]);
     }
     t
+}
+
+/// `relax-bench prob_topn`: analytic vs Monte Carlo for n ≤ 4.
+pub fn main(_: &Args) -> Result<(), String> {
+    println!("== §3.3: P(Deq fails to return an item within the top n) ==");
+    println!("model: each pending request visible with independent p = 0.9;");
+    println!("Deq returns the best visible request.\n");
+    let rows = run(4, 400_000, 2026);
+    println!("{}", render(&rows));
+    Ok(())
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //! * results are written to `BENCH_trace_overhead.json` so successive
 //!   PRs can track the overhead trajectory.
 //!
-//! Targets: enabled ≤ [`TARGET_PCT`]% slowdown over baseline; the
+//! Targets: enabled ≤ `TARGET_PCT`% slowdown over baseline; the
 //! disabled path is the baseline by construction (~0% — it *is* the
 //! default).
 //!
@@ -22,7 +22,9 @@
 
 use std::time::Instant;
 
-use relax_bench::experiments::availability::{measure_registry_traced, tradeoff_family};
+use crate::args::Args;
+use crate::experiments::availability::{measure_registry_traced, tradeoff_family};
+use crate::experiments::write_file;
 
 const N: usize = 5;
 const P_UP: f64 = 0.85;
@@ -52,7 +54,10 @@ fn one_sweep(trace_capacity: usize, rep: usize) -> u128 {
     start.elapsed().as_nanos()
 }
 
-fn main() {
+/// `relax-bench trace_overhead`: times the sweep untraced and traced,
+/// prints the median overhead with its quartiles, and writes
+/// `BENCH_trace_overhead.json`.
+pub fn main(_: &Args) -> Result<(), String> {
     // Warm-up: touch both code paths once.
     std::hint::black_box(measure_registry_traced(
         N,
@@ -121,6 +126,7 @@ fn main() {
          \"within_target\":{}}}\n",
         overhead_pct <= TARGET_PCT
     );
-    std::fs::write("BENCH_trace_overhead.json", &json).expect("write BENCH_trace_overhead.json");
+    write_file("BENCH_trace_overhead.json", &json)?;
     println!("\nwrote BENCH_trace_overhead.json");
+    Ok(())
 }

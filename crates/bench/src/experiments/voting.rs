@@ -10,6 +10,7 @@
 use relax_quorum::relation::QueueKind;
 use relax_quorum::voting::WeightedVoting;
 
+use crate::args::Args;
 use crate::table::Table;
 
 /// One row: a vote vector with its Deq-majority availability.
@@ -60,6 +61,28 @@ pub fn render(p_up: &[f64], rows: &[VotingRow]) -> Table {
         ]);
     }
     t
+}
+
+/// `relax-bench voting`: five vote layouts over one reliable and four
+/// flaky sites.
+pub fn main(_: &Args) -> Result<(), String> {
+    println!("== Weighted voting ablation (Deq majority quorums, Q2) ==\n");
+    let p = [0.99, 0.7, 0.7, 0.7, 0.7];
+    println!("per-site up-probabilities: {p:?}");
+    let rows = sweep(
+        &p,
+        &[
+            vec![1, 1, 1, 1, 1],
+            vec![2, 1, 1, 1, 1],
+            vec![3, 1, 1, 1, 1],
+            vec![5, 1, 1, 1, 1],
+            vec![7, 1, 1, 1, 1],
+        ],
+    );
+    println!("{}", render(&p, &rows));
+    println!("the intersection constraint only fixes *vote* majorities; shifting");
+    println!("votes toward the reliable site buys availability and shrinks quorums.");
+    Ok(())
 }
 
 #[cfg(test)]

@@ -72,8 +72,8 @@ pub fn summary_chart() -> Vec<SummaryRow> {
     ]
 }
 
-/// Renders the chart as an aligned text table (the form printed by the
-/// `exp_summary` experiment binary).
+/// Renders the chart as an aligned text table (the form printed by
+/// `relax-bench summary`).
 pub fn render_chart(rows: &[SummaryRow]) -> String {
     let mut out = String::new();
     out.push_str(&format!(

@@ -12,7 +12,7 @@
 //! One thing the real crate does differently: `cargo bench --bench NAME
 //! -- --json PATH` writes every result of the run to `PATH` as one flat
 //! JSON object, `{"<group>/<id>": <mean ns/iter>, …}` — the shape
-//! `bench_regress` reads, so a micro-benchmark can carry a band.
+//! `relax-bench regress` reads, so a micro-benchmark can carry a band.
 
 #![forbid(unsafe_code)]
 

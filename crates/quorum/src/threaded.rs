@@ -1305,7 +1305,7 @@ mod tests {
     /// Multi-shard stress: well past the single-shard sweet spot, mixing
     /// CALM-free credits with quorum debits across 8 shards × 64 clients.
     /// Ignored by default (spins 11 OS threads and ~1.5k ops); CI runs it
-    /// explicitly with `RELAX_BENCH_THREADS` set — see `ci.yml`.
+    /// explicitly — see `ci.yml`.
     #[test]
     #[ignore = "multi-shard stress; CI runs it explicitly via --ignored"]
     fn multi_shard_stress_converges_with_mixed_scheduling() {

@@ -639,9 +639,9 @@ pub enum ReportValue {
 
 /// Parses one flat JSON document — the shape every `BENCH_*.json` gate
 /// file uses — into its top-level fields, in document order. The
-/// regression checker (`bench_regress`) diffs these against committed
-/// baselines; reusing the trace codec's reader keeps the workspace
-/// dependency-free.
+/// regression checker (`relax-bench regress`) diffs these against
+/// committed baselines; reusing the trace codec's reader keeps the
+/// workspace dependency-free.
 pub fn report_fields(input: &str) -> Result<Vec<(String, ReportValue)>, String> {
     let fields = Reader::new(input.trim()).object()?;
     Ok(fields

@@ -21,9 +21,9 @@
 //! `is_enabled() == false`; the engine's hot loops batch counter
 //! increments locally and call [`EngineProbe::add`] once per depth, so
 //! an *enabled* probe costs a few events per level. The compiled-out
-//! baseline is [`relax_automata::probe::NoopProbe`]; the
-//! `exp_profile_overhead` bench gates enabled-vs-compiled-out at ≤ 5%
-//! on the (3,8) shared walk.
+//! baseline is [`relax_automata::probe::NoopProbe`]; the repo's
+//! benchmark reports enabled-vs-compiled-out on the (3,8) shared walk
+//! (`lattice_verify`, `bench.trace_overhead_pct`).
 
 use std::time::Instant;
 
