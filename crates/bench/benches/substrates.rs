@@ -1,9 +1,9 @@
 //! Microbenchmarks, the one criterion target: replica logs, the view
-//! cache, the sim client's write bookkeeping, the threaded backend's
-//! shard–broker round trip, the bounded language walk and the naive
-//! enumerator, QCA view search, the term rewriter, the lock manager,
-//! the atomicity checker, and the two operational executors (print
-//! spooler, replicated taxi queue on the simulator) end to end.
+//! cache, the sim client's view and write bookkeeping, the threaded
+//! backend's shard–broker round trip, the bounded language walk and the
+//! naive enumerator, QCA view search, the term rewriter, the lock
+//! manager, the atomicity checker, and the two operational executors
+//! (print spooler, replicated taxi queue on the simulator) end to end.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -221,13 +221,15 @@ fn bench_log_one_writer(c: &mut Criterion) {
 /// evaluate — a hit, which folds that entry into the cached bag in
 /// place, so the three sizes must read the same. (The entry re-enqueues
 /// a pending item, so the bag keeps its `size` keys however long the
-/// loop runs; the chain is off there because a hit never reads it, and
-/// with it on the growing log would add a copy per boundary crossed.)
+/// loop runs; the cache never misses, so the growing log crosses its
+/// checkpoint boundaries without storing one.)
 /// `viewcache_splice_resume`: an entry landed 32 below the top of a
 /// view of `size + 64` — a miss that resumes from the checkpoint at
 /// `size` (a boundary at all three sizes) and pays one copy of that
 /// bag, so this one is linear in `size`. It alternates two such views,
-/// each a splice to the cache the other left behind.
+/// each a splice to the cache the other left behind; the chain stores
+/// nothing before the cache has seen a miss, so one early splice — the
+/// view's first two entries arriving in reverse — arms it.
 fn bench_viewcache(c: &mut Criterion) {
     let ttype = TaxiQueueType;
     let eval = |cache: &mut ViewCache<_>, log: &Log<QueueOp>| {
@@ -238,7 +240,6 @@ fn bench_viewcache(c: &mut Criterion) {
     for size in [1usize << 10, 1 << 14, 1 << 16] {
         let mut log = make_log(size, 0);
         let mut cache = ViewCache::new();
-        cache.set_checkpoints(false);
         eval(&mut cache, &log);
         let mut counter = 2 * size as u64;
         let mut group = c.benchmark_group("viewcache_eval_append_1");
@@ -261,7 +262,10 @@ fn bench_viewcache(c: &mut Criterion) {
             log
         });
         let mut cache = ViewCache::new();
+        eval(&mut cache, &base.range(1, 2));
+        eval(&mut cache, &base.range(0, 2));
         eval(&mut cache, &base);
+        assert_eq!((cache.misses(), cache.checkpoint_hits()), (1, 0));
         let mut turn = 0;
         let mut group = c.benchmark_group("viewcache_splice_resume");
         group.bench_with_input(BenchmarkId::from_parameter(size), &(), |bencher, ()| {
@@ -271,7 +275,7 @@ fn bench_viewcache(c: &mut Criterion) {
             });
         });
         group.finish();
-        assert_eq!(cache.checkpoint_hits(), cache.misses());
+        assert_eq!(cache.checkpoint_hits(), cache.misses() - 1);
     }
 }
 
@@ -310,32 +314,42 @@ fn sim_client(resident: usize, free: bool) -> QuorumSystem<BankAccountType> {
     sys
 }
 
-/// Runs one more credit to its outcome and returns the time of the
-/// client step that records it: the completing ack on the quorum path;
-/// on the free path the invocation's only step, which ships the WAL.
-fn one_write(sys: &mut QuorumSystem<BankAccountType>) -> Duration {
+/// Runs one more credit to its outcome and returns the times of two
+/// client steps. `[0]`, the one that ships: on the quorum path it takes
+/// the quorum-completing read response, builds the view, responds and
+/// ships the write. `[1]`, the one that records the outcome: the
+/// completing ack on the quorum path. On the free path the invocation's
+/// only step, which ships the WAL, is both.
+fn one_write(sys: &mut QuorumSystem<BankAccountType>) -> [Duration; 2] {
     let done = sys.outcomes().len();
+    let shipped = sys.client_bookkeeping(0).shipped.0;
     sys.submit(AccountInv::Credit(1));
-    let mut step = Duration::ZERO;
+    let mut steps = [Duration::ZERO; 2];
     while sys.outcomes().len() == done {
+        let ships = sys.client_bookkeeping(0).shipped.0 == shipped;
         let t = Instant::now();
         assert!(sys.world_mut().step());
-        step = t.elapsed();
+        steps[1] = t.elapsed();
+        if ships {
+            steps[0] = steps[1];
+        }
     }
     assert!(sys.run_to_quiescence(u64::MAX)); // the late response and acks
-    step
+    steps
 }
 
-/// The client's write bookkeeping, one step at a time. Folding an ack
-/// and shipping the WAL past a silent replica cost what is shipped, so
-/// their three resident sizes must read the same (cache misses aside).
-/// A system is rebuilt once its history has drifted an eighth past
-/// `resident`.
+/// The client's bookkeeping, one step at a time. Rebuilding the view
+/// from the prefix it shares with the responder's log, folding an ack
+/// and shipping the WAL past a silent replica cost what changed and what
+/// is shipped, so their three resident sizes must read the same (cache
+/// misses aside). A system is rebuilt once its history has drifted an
+/// eighth past `resident`.
 fn bench_sim_client_write(c: &mut Criterion) {
     for resident in [1usize << 10, 1 << 14, 1 << 16] {
-        for (free, name) in [
-            (false, "sim_client_write_ack"),
-            (true, "sim_client_write_payloads"),
+        for (free, name, step) in [
+            (false, "sim_client_read_view", 0),
+            (false, "sim_client_write_ack", 1),
+            (true, "sim_client_write_payloads", 1),
         ] {
             let mut sys = sim_client(resident, free);
             let mut group = c.benchmark_group(name);
@@ -346,7 +360,7 @@ fn bench_sim_client_write(c: &mut Criterion) {
                         if sys.outcomes().len() > resident + resident / 8 {
                             sys = sim_client(resident, free);
                         }
-                        timed += one_write(&mut sys);
+                        timed += one_write(&mut sys)[step];
                     }
                     timed
                 });

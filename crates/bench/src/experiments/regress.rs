@@ -118,12 +118,18 @@ pub const CHECKS: &[Check] = &[
         metric: "within_target",
         band: Band::MustBeTrue,
     },
-    // The sim client's write bookkeeping at a 65,536-entry history
+    // The sim client's bookkeeping at a 65,536-entry history
     // (`benches/substrates.rs`, written by `cargo bench --bench
-    // substrates -- --json`): both steps cost what they ship, a few
-    // hundred ns whatever the history. A client that folds the view into
-    // `known[r]` again, or re-diffs the WAL for a silent replica, reads
+    // substrates -- --json`): each step costs what changed and what it
+    // ships, a few hundred ns whatever the history. A client that copies
+    // the first responder's log into its view again, folds the view into
+    // `known[r]`, or re-diffs the WAL for a silent replica, reads
     // hundreds of times the baseline here; another machine, two or three.
+    Check {
+        file: "BENCH_micro_substrates.json",
+        metric: "sim_client_read_view/65536",
+        band: Band::MaxRatio(4.0),
+    },
     Check {
         file: "BENCH_micro_substrates.json",
         metric: "sim_client_write_ack/65536",
@@ -407,7 +413,8 @@ mod tests {
             dir,
             "BENCH_micro_substrates.json",
             &format!(
-                "{{\"sim_client_write_ack/65536\":{0},\"sim_client_write_payloads/65536\":{0}}}\n",
+                "{{\"sim_client_read_view/65536\":{0},\"sim_client_write_ack/65536\":{0},\
+                 \"sim_client_write_payloads/65536\":{0}}}\n",
                 overhead * 100.0
             ),
         );
@@ -449,6 +456,7 @@ mod tests {
             .collect();
         assert!(failed.contains(&"overhead_pct"));
         // Nine times the baseline's ns per iteration against a 4× band.
+        assert!(failed.contains(&"sim_client_read_view/65536"));
         assert!(failed.contains(&"sim_client_write_ack/65536"));
         assert!(report(&outcomes).to_string().contains("REGRESSED"));
     }
@@ -501,13 +509,14 @@ mod tests {
     #[test]
     fn selection_filters_by_payload_or_metric_substring() {
         let all = selected(None);
-        assert_eq!(all.len(), 9);
+        assert_eq!(all.len(), 10);
         let campaign = selected(Some("fault_campaign"));
         assert_eq!(campaign.len(), 3);
         assert!(campaign
             .iter()
             .all(|c| c.file == "BENCH_fault_campaign.json"));
         assert_eq!(selected(Some("calm")).len(), 2);
+        assert_eq!(selected(Some("sim_client")).len(), 3);
         let by_metric = selected(Some("overhead_pct"));
         assert_eq!(by_metric.len(), 2);
         assert!(by_metric.iter().all(|c| c.metric == "overhead_pct"));

@@ -33,6 +33,7 @@
 //! | [`Log::merge`] | disjoint suffix, the empty receiver included (one bulk append, O(\|other\| + sites(other))), exact prefix, subset | two-pointer union over `entries[p..]`, `p` = first slot at or above `other`'s first timestamp | `other` reaches back to our start |
 //! | [`Log::delta_above_with`] | empty, advertised set = our prefix (suffix) | settle sites from summaries, scan `entries` from the lowest trailing `max + 1` | a site is unadvertised, holed, or ahead of us (full scan) |
 //! | [`Log::diff_with`] | `other` = our prefix (suffix) | — | otherwise: a whole-view scan, which the sim client's write path pays per replica whose record is not a prefix of the view (one cut off, or trailing under interleaved writers) — unless the payload extends, below |
+//! | [`Clone::clone_from`] | the longest common prefix stays (binary search over the two prefix-hash arrays), the source's entries above it are copied into spare capacity: O(log n + what differs) — a client's next view over its last | — | the two logs differ at their start |
 //! | [`Log::merge_range`] | the range sorts above our tail (appends in place: a payload extended by its view's new suffix, an ack folding the WAL's next stretch) | one [`Log::range`] copy, then [`Log::merge`]'s | never |
 //!
 //! One writer never leaves the fast paths — and a shard is one writer,
@@ -101,6 +102,36 @@ impl<Op: Clone> Clone for Log<Op> {
             sites: self.sites.clone(),
             merkle: None,
         }
+    }
+
+    /// `*self = source.clone()`, keeping what the two already share: the
+    /// longest common prefix stays where it lies and only `source`'s
+    /// entries above it are copied, into our spare capacity. Prefixes of
+    /// sorted logs agree as sets iff as sequences, so agreement is
+    /// monotone in the length and a binary search over the two
+    /// prefix-hash arrays finds it (hash and boundary timestamp: the
+    /// [`crate::ViewCache`] validity test, its ≈2⁻⁶⁴ trust). Equal prefixes
+    /// have equal hashes, so nothing is re-based.
+    fn clone_from(&mut self, source: &Self) {
+        let agree = |n: usize| {
+            self.prefix[n - 1] == source.prefix[n - 1]
+                && self.entries[n - 1].ts == source.entries[n - 1].ts
+        };
+        let (mut keep, mut differ) = (0, self.len().min(source.len()) + 1);
+        while differ - keep > 1 {
+            let mid = keep + (differ - keep) / 2;
+            if agree(mid) {
+                keep = mid;
+            } else {
+                differ = mid;
+            }
+        }
+        self.entries.truncate(keep);
+        self.prefix.truncate(keep);
+        self.entries.extend_from_slice(&source.entries[keep..]);
+        self.prefix.extend_from_slice(&source.prefix[keep..]);
+        self.sites.clone_from(&source.sites);
+        self.merkle = None;
     }
 }
 

@@ -1,5 +1,11 @@
 //! The client role: the three-step protocol of §3.1 as a state machine
 //! over [`Transport`], plus the coordination-free fast path beside it.
+//!
+//! The view ("merges the logs from an initial quorum") is built in one
+//! buffer the production path keeps across invocations, so it costs
+//! O(what changed since the last one), not O(view). The `FullLog`
+//! reference builds every view from nothing, by merges alone: it checks
+//! the kept buffer with code that shares none of it.
 
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
@@ -19,14 +25,8 @@ use crate::viewcache::ViewCache;
 
 #[derive(Debug, Clone)]
 enum Phase<T: ReplicatedType> {
-    Read {
-        responded: BTreeSet<NodeId>,
-        view: Log<T::Op>,
-    },
-    Write {
-        acked: BTreeSet<NodeId>,
-        op: T::Op,
-    },
+    Read { responded: BTreeSet<NodeId> },
+    Write { acked: BTreeSet<NodeId>, op: T::Op },
 }
 
 #[derive(Debug, Clone)]
@@ -62,12 +62,20 @@ pub struct ClientState<T: ReplicatedType> {
     backlog: VecDeque<T::Inv>,
     outcomes: Vec<Outcome<T::Op>>,
     /// The production path, or the paper-literal reference: whole logs
-    /// both ways, `known` left empty, views evaluated afresh.
+    /// both ways, `known` left empty, views built and evaluated afresh.
     mode: ReplicationMode,
     /// A per-replica lower bound on that replica's log (`known[r] ⊆
     /// log_r` always): grown from read-response deltas (after which it
     /// equals `log_r` exactly) and accepted write acks.
     known: Vec<Log<T::Op>>,
+    /// The pending invocation's view. The production path keeps this one
+    /// buffer across invocations: successive views extend one another
+    /// between faults, so the first read response rebuilds it from the
+    /// prefix it shares with `known[from]` ([`Clone::clone_from`]) and the
+    /// write phase inserts into its spare capacity. Whatever an invocation
+    /// leaves behind — timed out, refused, superseded — is overwritten.
+    /// The reference starts each from `Log::new()` and only ever merges.
+    view: Log<T::Op>,
     /// Memoized view evaluation across invocations (suffix-only replay).
     cache: ViewCache<T::Value>,
     /// Reusable buffers for write-phase `diff_with` calls.
@@ -146,6 +154,7 @@ impl<T: ReplicatedType> ClientState<T> {
             outcomes: Vec::new(),
             mode: ReplicationMode::default(),
             known: vec![Log::new(); n],
+            view: Log::new(),
             cache: ViewCache::new(),
             scratch: DiffScratch::default(),
             sent: vec![Default::default(); n],
@@ -233,13 +242,19 @@ impl<T: ReplicatedType> ClientState<T> {
             }
             self.calm_quorum += 1;
             let needs_read = self.assignment.initial_size(kind) > 0;
+            // The reference builds every view from nothing; a zero initial
+            // quorum reads nothing, so it empties the buffer it keeps.
+            if self.mode == ReplicationMode::FullLog {
+                self.view = Log::new();
+            } else if !needs_read {
+                self.view.clone_from(&Log::new());
+            }
             self.pending = Some(Pending {
                 inv_id,
                 inv,
                 started_at: ctx.now_ticks(),
                 phase: Phase::Read {
                     responded: BTreeSet::new(),
-                    view: Log::new(),
                 },
             });
             ctx.set_timer(self.config.timeout, inv_id);
@@ -370,9 +385,7 @@ impl<T: ReplicatedType> ClientState<T> {
             .assignment
             .initial_size(self.ttype.invocation_kind(&pending.inv))
             > 0;
-        let Phase::Read { view, .. } = &mut pending.phase else {
-            return;
-        };
+        let view = &mut self.view;
         // Read-your-writes: fast-path entries not yet recorded at the
         // replicas must still be visible to this client's quorum reads.
         // Zero-initial-quorum invocations don't read — their response
@@ -410,14 +423,15 @@ impl<T: ReplicatedType> ClientState<T> {
             }
             Some(op) => {
                 let ts = self.clock.tick();
-                // The read phase is over: hand its view over, don't copy.
-                let mut updated = std::mem::take(view);
-                updated.insert(Entry::new(ts, op.clone()));
+                view.insert(Entry::new(ts, op.clone()));
                 pending.phase = Phase::Write {
                     acked: BTreeSet::new(),
                     op,
                 };
+                // The updated view ships from the buffer it was built in.
+                let updated = std::mem::take(&mut self.view);
                 self.ship(ctx, inv_id, &updated);
+                self.view = updated;
             }
         }
     }
@@ -465,21 +479,27 @@ impl<T: ReplicatedType> ClientState<T> {
         if pending.inv_id != inv_id {
             return;
         }
-        let Phase::Read { responded, view } = &mut pending.phase else {
+        let Phase::Read { responded } = &mut pending.phase else {
             return;
         };
         if !responded.insert(from) {
             return;
         }
         if self.mode == ReplicationMode::FullLog {
-            view.merge(log);
+            self.view.merge(log);
         } else {
             // The delta answered exactly our advertised frontier, so
             // merging it into `known[from]` reconstructs the replica's
             // log at response time (see `Log::delta_above`).
             let known = &mut self.known[from.0];
             known.merge(log);
-            view.merge(known);
+            if responded.len() == 1 {
+                // The first responder's log *is* the view so far, whatever
+                // the last invocation left in the buffer.
+                self.view.clone_from(known);
+            } else {
+                self.view.merge(known);
+            }
         }
         let kind = self.ttype.invocation_kind(&pending.inv);
         if responded.len() < self.assignment.initial_size(kind) {

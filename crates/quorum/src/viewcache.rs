@@ -26,6 +26,13 @@
 //! The chain costs O(log n) stored values and never changes results —
 //! only replay depth.
 //!
+//! The chain is insurance against a splice, and the cache starts paying
+//! for it when it has seen one: nothing is stored before the first miss.
+//! A view that only ever grows by appends (one writer, see
+//! [`crate::log`]) never reads a checkpoint and so never copies its value
+//! into one; the first miss replays from `initial`, as a chain-less
+//! cache would, and stores checkpoints as it goes and from then on.
+//!
 //! # Cost contract
 //!
 //! The cache *owns* the folded value and extends it in place;
@@ -38,8 +45,8 @@
 //!   the surviving checkpoint, none when the replay restarts from
 //!   `initial` — plus the replay from there;
 //! - **boundary crossing**: one copy, into the chain, per checkpoint
-//!   boundary the replay crosses (an append-only run crosses eight per
-//!   doubling of the log).
+//!   boundary the replay crosses (eight per doubling of the log) — none
+//!   before the first miss.
 //!
 //! [`ViewCache::eval`] is the owned form: the same call plus one copy of
 //! the result.
@@ -96,7 +103,7 @@ pub struct ViewCache<V> {
     empty: Option<V>,
     /// Checkpoint chain: slot `k` snapshots the fold at the `k`-th
     /// geometric boundary (see `checkpoint_slot`), refreshed whenever
-    /// a replay crosses that length.
+    /// a replay crosses that length once `misses > 0`.
     checkpoints: Vec<Option<Cached<V>>>,
     use_checkpoints: bool,
     hits: u64,
@@ -179,10 +186,12 @@ impl<V: Clone> ViewCache<V> {
             None => (0, initial),
         };
         self.entries_replayed += (entries.len() - start) as u64;
+        // Splice insurance is paid for once a splice has been seen.
+        let armed = self.use_checkpoints && self.misses > 0;
         for (i, e) in entries.iter().enumerate().skip(start) {
             apply(&mut value, &e.op);
             let len = i + 1;
-            if self.use_checkpoints {
+            if armed {
                 if let Some(k) = checkpoint_slot(len) {
                     if self.checkpoints.len() <= k {
                         self.checkpoints.resize_with(k + 1, || None);
@@ -329,26 +338,33 @@ mod tests {
         plain.set_checkpoints(false);
         let mut cp = ViewCache::new();
         let mut log = Log::new();
-        // 100 appends at even counters, evaluated at every step.
-        for i in 1..=100u64 {
+        // 100 entries at even counters, evaluated at every step. The
+        // first two arrive in reverse: one early splice, which arms the
+        // chain (nothing is stored before it) and folds one entry twice.
+        for i in [2, 1].into_iter().chain(3..=100u64) {
             log.insert(e(2 * i, 0, i as i64));
             let a = plain.eval(&log, 0i64, |acc, op| *acc += op);
             let b = cp.eval(&log, 0i64, |acc, op| *acc += op);
             assert_eq!(a, b);
         }
-        assert_eq!(plain.entries_replayed(), 100);
-        assert_eq!(cp.entries_replayed(), 100);
+        assert_eq!(plain.entries_replayed(), 100 + 1);
+        assert_eq!(cp.entries_replayed(), 100 + 1);
+        assert_eq!((cp.misses(), cp.checkpoint_hits()), (1, 0));
         // Splice at position 64 (counter 129 lands between 128 and 130):
         // the length-64 prefix survives, longer checkpoints do not.
         log.insert(e(129, 1, 1000));
         let a = plain.eval(&log, 0i64, |acc, op| *acc += op);
         let b = cp.eval(&log, 0i64, |acc, op| *acc += op);
         assert_eq!(a, b);
-        assert_eq!(plain.misses(), 1);
-        assert_eq!(cp.misses(), 1, "a checkpoint resume still counts as a miss");
+        assert_eq!(plain.misses(), 2);
+        assert_eq!(cp.misses(), 2, "a checkpoint resume still counts as a miss");
         assert_eq!(cp.checkpoint_hits(), 1);
-        assert_eq!(plain.entries_replayed(), 201, "full replay from zero");
-        assert_eq!(cp.entries_replayed(), 137, "replay resumes at length 64");
+        assert_eq!(plain.entries_replayed(), 201 + 1, "full replay from zero");
+        assert_eq!(
+            cp.entries_replayed(),
+            137 + 1,
+            "replay resumes at length 64"
+        );
     }
 
     #[test]
@@ -357,7 +373,8 @@ mod tests {
         // for commutative sums.
         let mut cp = ViewCache::new();
         let mut log = Log::new();
-        for i in 1..=40u64 {
+        // The first two in reverse: the early splice that arms the chain.
+        for i in [2, 1].into_iter().chain(3..=40u64) {
             log.insert(e(2 * i, 0, i as i64));
             let _ = cp.eval(&log, 1_000_000i64, |acc, op| {
                 *acc = *acc * 31 % 999_983 - op
@@ -372,7 +389,7 @@ mod tests {
             .iter()
             .fold(1_000_000i64, |acc, x| acc * 31 % 999_983 - x.op);
         assert_eq!(got, fresh);
-        assert!(cp.checkpoint_hits() >= 1);
+        assert_eq!((cp.misses(), cp.checkpoint_hits()), (2, 1));
     }
 
     #[test]

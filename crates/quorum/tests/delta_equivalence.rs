@@ -15,13 +15,23 @@
 //! max, and hash), so every merge lands in the same state; and
 //! anti-entropy reads nothing but the replica logs, so the replicas
 //! gossip the same tree nodes at the same ticks under either client.
+//!
+//! The production client also builds every view in one buffer it keeps
+//! across invocations, where the reference starts each from a fresh
+//! log. Four scripted runs at the end put something in that buffer the
+//! next invocation's replicas do not hold, and require that none of it
+//! shows: each fails if the first read response merges into the buffer
+//! instead of replacing it.
 
 use proptest::prelude::*;
 
 use relax_queues::QueueOp;
 use relax_quorum::relation::QueueKind;
 use relax_quorum::runtime::{queue_lattice_monitor, Outcome, QueueInv, TaxiQueueType};
-use relax_quorum::{ClientConfig, Log, QuorumSystem, ReplicationMode, VotingAssignment};
+use relax_quorum::{
+    outcome_shapes, ClientConfig, Log, OutcomeShape, QuorumSystem, ReplicationMode,
+    VotingAssignment,
+};
 use relax_sim::{Fault, FaultSchedule, NetworkConfig, NodeId, Partition, SimTime};
 
 /// Replicas; the single client is `NodeId(N)`.
@@ -112,7 +122,12 @@ fn run_one(mode: ReplicationMode, s: &Scenario) -> (Observed, u64, (u64, u64)) {
     }
     sys.run_until(SimTime(3_000));
 
-    let observed = Observed {
+    let bytes = sys.world().bytes_sent();
+    (observed(&sys), bytes, sys.viewcache_counts())
+}
+
+fn observed(sys: &QuorumSystem<TaxiQueueType>) -> Observed {
+    Observed {
         outcomes: sys.outcomes().to_vec(),
         history: sys.merged_history().into_ops(),
         replica_logs: (0..N).map(|i| sys.replica_log(i).clone()).collect(),
@@ -126,9 +141,7 @@ fn run_one(mode: ReplicationMode, s: &Scenario) -> (Observed, u64, (u64, u64)) {
             })
             .unwrap_or_default(),
         messages: sys.world().messages_sent(),
-    };
-    let bytes = sys.world().bytes_sent();
-    (observed, bytes, sys.viewcache_counts())
+    }
 }
 
 fn check_equivalence(s: &Scenario) -> Result<(), proptest::TestCaseError> {
@@ -253,4 +266,143 @@ fn the_full_log_reference_never_touches_the_view_cache() {
         production.0 + production.1 > 0,
         "production consults the cache"
     );
+}
+
+/// The client's directed link to replica `r`, blocked or restored: a
+/// blocked replica hears nothing from the client and so says nothing.
+fn cut(r: usize) -> Fault {
+    Fault::BlockLink(NodeId(N), NodeId(r))
+}
+fn join(r: usize) -> Fault {
+    Fault::UnblockLink(NodeId(N), NodeId(r))
+}
+
+/// `(initial, final)` quorum sizes for `Enq` and for `Deq`.
+fn quorums(enq: (usize, usize), deq: (usize, usize)) -> VotingAssignment<QueueKind> {
+    VotingAssignment::new(N)
+        .with_initial(QueueKind::Enq, enq.0)
+        .with_final(QueueKind::Enq, enq.1)
+        .with_initial(QueueKind::Deq, deq.0)
+        .with_final(QueueKind::Deq, deq.1)
+}
+
+/// One client, gossip off, a script of `(tick, faults, invocations)`:
+/// at each tick the faults land, then the invocations are submitted.
+/// Runs the script on the production path and on the reference, requires
+/// the two to be observably identical, and returns the outcome shapes
+/// and the final replica logs.
+fn scripted(
+    assignment: &VotingAssignment<QueueKind>,
+    script: &[(u64, &[Fault], &[QueueInv])],
+) -> (Vec<OutcomeShape<QueueOp>>, Vec<Log<QueueOp>>) {
+    let run = |mode: ReplicationMode| {
+        let mut sys = QuorumSystem::new(
+            TaxiQueueType,
+            N,
+            assignment.clone(),
+            ClientConfig::default(),
+            NetworkConfig::new(1, 10, 0.0),
+            0x5EED,
+        )
+        .with_replication(mode);
+        let mut sched = FaultSchedule::new();
+        for &(at, faults, _) in script {
+            for fault in faults {
+                sched = sched.at(SimTime(at), fault.clone());
+            }
+        }
+        sys.world_mut().set_schedule(sched);
+        for &(at, _, invs) in script {
+            sys.run_until(SimTime(at));
+            invs.iter().for_each(|inv| sys.submit(*inv));
+        }
+        sys.run_until(SimTime(3_000));
+        observed(&sys)
+    };
+    let (full, production) = (run(ReplicationMode::FullLog), run(ReplicationMode::Merkle));
+    assert_eq!(full, production, "the kept view buffer shows");
+    (
+        outcome_shapes(&production.outcomes),
+        production.replica_logs,
+    )
+}
+
+use OutcomeShape::{Completed, Refused, TimedOut};
+use QueueOp::{Deq, Enq};
+
+/// Single-site quorums: `Enq(9)` lands at replicas 0 and 1 and never at
+/// 2, and the `Deq` after it can reach only replica 2. Its view is that
+/// replica's log — empty — not the longer view the buffer still holds.
+#[test]
+fn a_staler_first_responder_shrinks_the_view() {
+    let (outcomes, _) = scripted(
+        &quorums((1, 1), (1, 1)),
+        &[
+            (0, &[cut(2)], &[QueueInv::Enq(9)]),
+            (500, &[join(2), cut(0), cut(1)], &[QueueInv::Deq]),
+        ],
+    );
+    assert_eq!(outcomes, [Completed(Enq(9)), Refused]);
+}
+
+/// A `Deq` needing two responses gets one — replica 0's, which holds
+/// `Enq(5)` — and times out with that view in the buffer. The next `Deq`
+/// is served by replicas 1 and 2, which hold nothing.
+#[test]
+fn a_read_phase_timeout_leaves_nothing_for_the_next_invocation() {
+    let (outcomes, _) = scripted(
+        &quorums((1, 1), (2, 1)),
+        &[
+            (0, &[cut(1), cut(2)], &[QueueInv::Enq(5), QueueInv::Deq]),
+            (500, &[join(1), join(2), cut(0)], &[QueueInv::Deq]),
+        ],
+    );
+    assert_eq!(outcomes, [Completed(Enq(5)), TimedOut, Refused]);
+}
+
+/// Enqueues that read nothing (initial quorum zero). `Enq(3)` follows a
+/// `Deq` that read replica 0 and must ship itself alone to replicas 1
+/// and 2; the `Deq` after it reads replica 0 again, which never saw
+/// `Enq(3)`, and must not find it in the buffer either.
+#[test]
+fn a_non_reading_invocation_responds_against_the_empty_view() {
+    let (outcomes, logs) = scripted(
+        &quorums((0, 1), (1, 1)),
+        &[
+            (
+                0,
+                &[cut(1), cut(2)],
+                &[QueueInv::Enq(1), QueueInv::Enq(2), QueueInv::Deq],
+            ),
+            (500, &[join(1), join(2), cut(0)], &[QueueInv::Enq(3)]),
+            (1_000, &[join(0), cut(1), cut(2)], &[QueueInv::Deq]),
+        ],
+    );
+    let done = [Enq(1), Enq(2), Deq(2), Enq(3), Deq(1)].map(Completed);
+    assert_eq!(outcomes, done);
+    assert_eq!([logs[0].len(), logs[1].len(), logs[2].len()], [4, 1, 1]);
+}
+
+/// A refused `Deq` inserts nothing and leaves its view — `Enq(1)` and
+/// its `Deq` — in the buffer. The `Enq` and `Deq` after it are served by
+/// replica 2, which must end holding those two entries and no others.
+#[test]
+fn a_refused_invocation_leaves_nothing_for_the_next_one() {
+    let (outcomes, logs) = scripted(
+        &quorums((1, 1), (1, 1)),
+        &[
+            (
+                0,
+                &[cut(1), cut(2)],
+                &[QueueInv::Enq(1), QueueInv::Deq, QueueInv::Deq],
+            ),
+            (500, &[join(2), cut(0)], &[QueueInv::Enq(2), QueueInv::Deq]),
+        ],
+    );
+    let served = [Enq(1), Deq(1)].map(Completed);
+    let after = [Enq(2), Deq(2)].map(Completed);
+    assert_eq!(outcomes[..2], served);
+    assert_eq!(outcomes[2], Refused);
+    assert_eq!(outcomes[3..], after);
+    assert_eq!([logs[0].len(), logs[1].len(), logs[2].len()], [2, 0, 2]);
 }

@@ -16,12 +16,16 @@
 //! without spare capacity it pays for the vectors' own growth only.
 //!
 //! It also gates the view cache's cost contract: a warm hit extends the
-//! cached bag in place (no copy of it), and a splice pays for at most
-//! one copy — the checkpoint it resumes from.
+//! cached bag in place (no copy of it), a splice pays for at most one
+//! copy — the checkpoint it resumes from — and a view that has never
+//! been spliced stores no checkpoint at all.
 //!
-//! And the client's write bookkeeping: an ack folds the payload that
-//! was sent, so an acked write against a 16,384-entry view allocates
-//! next to nothing; a coordination-free write with one replica cut off
+//! And the client's bookkeeping: `Log::clone_from` rebuilds a view from
+//! the prefix it shares with its source, into spare capacity, so the
+//! step that takes the quorum-completing read response against a
+//! 16,400-entry history allocates next to nothing; an ack folds the
+//! payload that was sent, so the step that takes the completing ack does
+//! not either; a coordination-free write with one replica cut off
 //! keeps a 16-byte record and extends the silent replica's payload in
 //! place, so the client's live bytes grow linearly with the operations
 //! and every record retires after heal and a WAL flush.
@@ -32,7 +36,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use relax_queues::QueueOp;
+use relax_queues::{Bag, Item, QueueOp};
 use relax_quorum::calm::SchedulingPolicy;
 use relax_quorum::relation::AccountKind;
 use relax_quorum::runtime::{AccountInv, BankAccountType, ReplicatedType, TaxiQueueType};
@@ -87,6 +91,18 @@ fn bytes_during(f: impl FnOnce()) -> u64 {
 
 fn live_bytes() -> u64 {
     LIVE.load(Ordering::Relaxed)
+}
+
+/// `Enq(counter)` stamped `(counter, site)`, and the size of the taxi
+/// bag `log` evaluates to through `cache`.
+fn enq(counter: u64, site: usize) -> Entry<QueueOp> {
+    Entry::new(Timestamp::new(counter, site), QueueOp::Enq(counter as i64))
+}
+fn pending(cache: &mut ViewCache<Bag<Item>>, log: &Log<QueueOp>) -> usize {
+    let ttype = TaxiQueueType;
+    cache
+        .eval_ref(log, ttype.initial_value(), |v, op| ttype.apply_mut(v, op))
+        .len()
 }
 
 fn log_of(counters: impl IntoIterator<Item = u64>, site: usize) -> Log<i64> {
@@ -151,8 +167,10 @@ fn warm_scratch_diffs_allocate_only_the_result() {
     tail_paths_allocate_the_tail_not_the_history(&mut scratch);
     appending_a_round_allocates_nothing_but_growth();
     view_cache_hits_copy_nothing_and_splices_copy_once();
+    no_snapshot_before_the_first_miss();
     extending_a_payload_allocates_nothing_but_growth();
-    an_acked_write_folds_the_payload_not_the_view();
+    rebuilding_a_view_copies_what_differs_into_spare_capacity();
+    a_client_step_allocates_nothing_that_grows_with_the_history();
     fast_writes_under_a_partition_stay_linear_and_retire();
 }
 
@@ -232,18 +250,17 @@ fn view_cache_hits_copy_nothing_and_splices_copy_once() {
     const ITEMS: u64 = 4_096;
     const KIB: u64 = 1024;
     let ttype = TaxiQueueType;
-    let enq = |counter: u64, site: usize| {
-        Entry::new(Timestamp::new(counter, site), QueueOp::Enq(counter as i64))
-    };
     let mut cache = ViewCache::new();
-    let mut eval = |log: &Log<QueueOp>| {
-        cache
-            .eval_ref(log, ttype.initial_value(), |v, op| ttype.apply_mut(v, op))
-            .len()
-    };
-    // Even counters, so a later odd one splices between two of them.
+    let mut eval = |log: &Log<QueueOp>| pending(&mut cache, log);
+    // Even counters, so a later odd one splices between two of them. The
+    // first two arrive in reverse: the chain stores nothing until the
+    // cache has seen a miss, and that early splice is one.
     let mut log = Log::new();
-    for i in 1..=ITEMS {
+    for i in [2, 1] {
+        log.insert(enq(2 * i, 0));
+        eval(&log);
+    }
+    for i in 3..=ITEMS {
         log.insert(enq(2 * i, 0));
     }
     assert_eq!(eval(&log) as u64, ITEMS);
@@ -266,6 +283,47 @@ fn view_cache_hits_copy_nothing_and_splices_copy_once() {
     );
 }
 
+/// A taxi view that only ever grows by appends — one writer, a shard's
+/// own — is evaluated request by request up to 4,095 entries, crossing
+/// the 64 checkpoint boundaries from 16 to 3,840, and stores nothing:
+/// the cache allocates what folding the bag does. (A copy per boundary
+/// is 1.6 MiB on top of the bag's 137 KiB.) The first miss then replays
+/// from zero and leaves a chain the second one resumes from.
+fn no_snapshot_before_the_first_miss() {
+    const ITEMS: u64 = 4_096;
+    const KIB: u64 = 1024;
+    let ttype = TaxiQueueType;
+    let mut cache = ViewCache::new();
+    let mut eval = |log: &Log<QueueOp>| pending(&mut cache, log);
+    let mut log = Log::new();
+    let mut cached = 0;
+    for i in 1..ITEMS {
+        log.insert(enq(2 * i, 0));
+        cached += bytes_during(|| assert_eq!(eval(&log) as u64, i));
+    }
+    let fold = bytes_during(|| drop(ttype.eval_view(&log)));
+    assert!(fold > 100 * KIB, "a {ITEMS}-item bag is only {fold} bytes");
+    assert!(
+        cached < fold + KIB,
+        "an append-only view allocated {cached} bytes; folding its bag is {fold}"
+    );
+
+    // Two splices above the boundary at 3,840 (entry 3,840 carries
+    // counter 7,680): the first finds no chain and arms one on its way
+    // up from zero, the second resumes from that boundary.
+    log.insert(enq(7_901, 1));
+    assert_eq!(eval(&log) as u64, ITEMS);
+    log.insert(enq(7_801, 1));
+    assert_eq!(eval(&log) as u64, ITEMS + 1);
+    assert_eq!(
+        (cache.misses(), cache.checkpoint_hits()),
+        (2, 1),
+        "the first miss arms the chain, the second resumes from it"
+    );
+    let replayed = cache.entries_replayed();
+    assert_eq!(replayed, (ITEMS - 1) + ITEMS + (ITEMS + 1 - 3_840));
+}
+
 /// A silent replica's payload — a whole 16,384-entry view — taking the
 /// next view's 16-entry suffix: into spare capacity, nothing; without
 /// it, the two long vectors' own growth.
@@ -282,11 +340,34 @@ fn extending_a_payload_allocates_nothing_but_growth() {
     assert_eq!(payload, view);
 }
 
-/// One client, three healthy replicas, a 16,400-entry history: the step
-/// that delivers the completing write ack folds one entry into
-/// `known[r]`. (Folding the updated view, as the client once did,
+/// A kept 16,384-entry view buffer taking a source 16 entries longer, and
+/// then one whose last 16 differ: `Log::clone_from` keeps the common
+/// prefix where it lies and copies the rest into spare capacity. Only
+/// the first rebuild, of an exactly full buffer, grows the long vectors.
+fn rebuilding_a_view_copies_what_differs_into_spare_capacity() {
+    const VIEW: u64 = 16_384;
+    let source = log_of(1..=VIEW + 16, 0);
+    let spliced = log_of((1..=VIEW).chain(VIEW + 17..=VIEW + 32), 0);
+    let mut view = source.range(0, VIEW as usize);
+    let n = allocs_during(|| view.clone_from(&source));
+    assert_eq!(n, 2, "a full buffer grows its two long vectors, got {n}");
+    for next in [&spliced, &source, &source.range(0, VIEW as usize), &source] {
+        let n = allocs_during(|| view.clone_from(next));
+        assert_eq!(n, 0, "a rebuild into spare capacity allocated {n} times");
+        assert_eq!(&view, next);
+    }
+}
+
+/// One client, three healthy replicas, a 16,400-entry history. The step
+/// that takes the quorum-completing read response rebuilds the kept view
+/// from the prefix it shares with `known[from]`, inserts the new entry
+/// into spare capacity and ships three one-entry payloads. (Copying the
+/// first responder's log into a fresh view and regrowing it for the
+/// insert, as the client once did, is the view twice over: 1.5 MiB
+/// here.) The step that takes the completing write ack folds one entry
+/// into `known[r]`. (Folding the updated view, as the client once did,
 /// re-buffers all of `known[r]`: some 650 KiB here.)
-fn an_acked_write_folds_the_payload_not_the_view() {
+fn a_client_step_allocates_nothing_that_grows_with_the_history() {
     const HISTORY: usize = 16_400;
     let assignment = VotingAssignment::new(3)
         .with_initial(AccountKind::Credit, 1)
@@ -306,11 +387,21 @@ fn an_acked_write_folds_the_payload_not_the_view() {
     assert_eq!(sys.replica_log(0).len(), HISTORY);
     for _ in 0..8 {
         let done = sys.outcomes().len();
+        let shipped = sys.client_bookkeeping(0).shipped.0;
         sys.submit(AccountInv::Credit(1));
-        let mut ack_step = 0;
+        let (mut read_step, mut ack_step) = (0, 0);
         while sys.outcomes().len() == done {
-            ack_step = bytes_during(|| assert!(sys.world_mut().step()));
+            let reading = sys.client_bookkeeping(0).shipped.0 == shipped;
+            let step = bytes_during(|| assert!(sys.world_mut().step()));
+            if reading {
+                read_step = step; // the last of these ships the write
+            }
+            ack_step = step;
         }
+        assert!(
+            read_step < 4 * 1024,
+            "the read view allocated {read_step} bytes against a {HISTORY}-entry history"
+        );
         assert!(
             ack_step < 4 * 1024,
             "the acked write allocated {ack_step} bytes against a {HISTORY}-entry view"

@@ -1,5 +1,5 @@
 //! Property tests for the quorum substrate: Q-views, QCA monotonicity,
-//! and the voting mathematics.
+//! the voting mathematics, and `Log::clone_from` against `clone`.
 
 use proptest::prelude::*;
 
@@ -8,7 +8,7 @@ use relax_queues::{Eta, PqValueSpec, QueueOp};
 use relax_quorum::relation::{queue_relation, HasKind};
 use relax_quorum::view::{is_q_closed_mask, q_views};
 use relax_quorum::voting::WeightedVoting;
-use relax_quorum::QcaAutomaton;
+use relax_quorum::{Entry, Log, QcaAutomaton, Timestamp};
 
 /// Random queue histories over a small item domain (not necessarily
 /// legal for any particular queue type — views are defined for all).
@@ -85,6 +85,53 @@ proptest! {
             for (q1, q2) in [(true, false), (false, true), (false, false)] {
                 let relaxed = QcaAutomaton::new(PqValueSpec, Eta, queue_relation(q1, q2));
                 prop_assert!(relaxed.accepts(&h), "rejected under ({q1},{q2})");
+            }
+        }
+    }
+
+    /// `clone_from` is `clone`, whatever the receiver held: pairs of logs
+    /// cut from one pool of entries in the shapes a kept view buffer
+    /// meets its next source in. Entries, every prefix hash and the site
+    /// summaries come out as the source's, and a Merkle index the
+    /// receiver had built is dropped, not kept stale.
+    #[test]
+    fn clone_from_is_clone(
+        raw in proptest::collection::vec((1u64..40, 0usize..4), 0..48),
+        cut in 0usize..48,
+    ) {
+        let pool: Log<QueueOp> = raw
+            .iter()
+            .map(|&(c, s)| Entry::new(Timestamp::new(c, s), QueueOp::Enq(c as i64)))
+            .collect();
+        let (n, cut) = (pool.len(), cut.min(pool.len()));
+        let pick = |keep: &dyn Fn(usize) -> bool| -> Log<QueueOp> {
+            let kept = pool.entries().iter().enumerate().filter(|(i, _)| keep(*i));
+            kept.map(|(_, e)| e.clone()).collect()
+        };
+        let pairs = [
+            (pick(&|i| i < cut), pool.clone()), // receiver a prefix of the source
+            (pool.clone(), pick(&|i| i < cut)), // an extension of it
+            (pool.clone(), pool.clone()),
+            (pick(&|i| i + 2 != n), pick(&|i| i + 3 != n)), // spliced near the tail
+            (pick(&|i| i != 0), pick(&|i| i != 1)), // spliced at the front
+            (pick(&|i| i % 2 == 0), pick(&|i| i % 2 == 1)), // disjoint
+            (Log::new(), pick(&|i| i >= cut)),
+            (pick(&|i| i >= cut), Log::new()),
+        ];
+        for (shape, (receiver, b)) in pairs.iter().enumerate() {
+            for merkle in [false, true] {
+                let mut a = receiver.clone();
+                if merkle {
+                    let _ = a.merkle_index();
+                }
+                a.clone_from(b);
+                prop_assert_eq!(&a, b, "shape {}", shape);
+                for i in 0..=b.len() {
+                    prop_assert_eq!(a.prefix_hash(i), b.prefix_hash(i), "shape {}", shape);
+                }
+                prop_assert_eq!(a.site_summaries(), b.site_summaries(), "shape {}", shape);
+                let roots = b.clone().merkle_index().roots();
+                prop_assert_eq!(a.merkle_index().roots(), roots, "shape {}", shape);
             }
         }
     }
