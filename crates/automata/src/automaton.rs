@@ -39,8 +39,10 @@ pub trait ObjectAutomaton {
     /// The default just loops over [`ObjectAutomaton::step`]. Automata
     /// whose transitions share expensive per-state work across operations
     /// (the quorum consensus automaton's Q-view enumeration, for example)
-    /// should override this: the bounded-language enumerators call it once
-    /// per explored state, making it the hot path of every verification.
+    /// should override this: the language walk ([`crate::multiwalk`])
+    /// calls it exactly once per state it reaches, however many state
+    /// sets the state is a member of, and nothing else steps the
+    /// automaton during a verification.
     fn step_all(&self, state: &Self::State, alphabet: &[Self::Op]) -> Vec<Vec<Self::State>> {
         alphabet.iter().map(|op| self.step(state, op)).collect()
     }

@@ -12,6 +12,91 @@
 //! Growth rehashes from the stored hashes alone, so no key access (and
 //! no re-hashing of keys) is ever needed after insertion.
 
+use std::hash::Hasher;
+
+/// The hasher every key of a [`ConsTable`] in this crate goes through:
+/// one rotate, xor and multiply per 64-bit word.
+///
+/// A multiply only carries differences upward, and [`ConsTable`] picks a
+/// slot from the *low* bits, so [`Hasher::finish`] folds the high half
+/// down, multiplies once more and folds again: keys that differ only in
+/// the top byte of their last word (packed bags do) still spread over
+/// the low bits. Keys come from the program's own automata, never from
+/// outside input, so no collision resistance is needed.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct WordHasher(u64);
+
+impl WordHasher {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+
+    /// Mixes one 64-bit word in.
+    #[inline]
+    pub(crate) fn word(&mut self, w: u64) {
+        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(Self::K);
+    }
+
+    /// The hash of a slice of dense ids (length first, then one word
+    /// per id).
+    #[inline]
+    pub(crate) fn hash_ids(ids: &[u32]) -> u64 {
+        let mut h = WordHasher::default();
+        h.word(ids.len() as u64);
+        for &id in ids {
+            h.word(u64::from(id));
+        }
+        h.finish()
+    }
+}
+
+impl Hasher for WordHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        let h = (self.0 ^ (self.0 >> 32)).wrapping_mul(Self::K);
+        h ^ (h >> 32)
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            self.word(u64::from_le_bytes(
+                chunk.try_into().expect("chunks_exact(8) yields 8 bytes"),
+            ));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut last = [0u8; 8];
+            last[..rest.len()].copy_from_slice(rest);
+            self.word(u64::from_le_bytes(last));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.word(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u16(&mut self, i: u16) {
+        self.word(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.word(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.word(i);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.word(i as u64);
+    }
+}
+
 /// The sentinel id marking a vacant slot. Ids must stay below this.
 const VACANT: u32 = u32::MAX;
 
@@ -99,6 +184,13 @@ impl ConsTable {
         self.slots.capacity() * std::mem::size_of::<Slot>()
     }
 
+    /// Forgets every key and keeps the slot array, so a table refilled
+    /// to a similar size (the walk's per-level index) never regrows.
+    pub fn clear(&mut self) {
+        self.slots.fill(EMPTY_SLOT);
+        self.len = 0;
+    }
+
     /// Single-probe intern: finds the id of a present matching key, or
     /// hands back the vacant slot to fill — the hash is computed by the
     /// caller exactly once per candidate, and the probe sequence is
@@ -155,11 +247,10 @@ impl Default for ConsTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::hash_map::DefaultHasher;
-    use std::hash::{Hash, Hasher};
+    use std::hash::Hash;
 
     fn hash_of<T: Hash>(value: &T) -> u64 {
-        let mut h = DefaultHasher::new();
+        let mut h = WordHasher::default();
         value.hash(&mut h);
         h.finish()
     }
@@ -176,6 +267,36 @@ mod tests {
                 (id, true)
             }
         }
+    }
+
+    #[test]
+    fn word_hasher_spreads_high_bit_differences_over_the_low_bits() {
+        // Keys differing only above bit 48 (packed bags differ in their
+        // top bytes): a bare multiply would leave the low ten bits of
+        // every hash equal and pile all of them on one slot.
+        let low_bits: std::collections::BTreeSet<u64> = (0..1024u64)
+            .map(|i| {
+                let mut h = WordHasher::default();
+                h.write_u64(i << 48);
+                h.finish() & 1023
+            })
+            .collect();
+        assert!(low_bits.len() > 512, "{} of 1024 slots", low_bits.len());
+    }
+
+    #[test]
+    fn cleared_table_forgets_keys_and_keeps_its_slots() {
+        let mut table = ConsTable::new();
+        let mut keys = Vec::new();
+        for i in 0..100 {
+            intern(&mut table, &mut keys, &format!("key-{i}"));
+        }
+        let slots = table.capacity();
+        table.clear();
+        assert!(table.is_empty());
+        assert_eq!(table.capacity(), slots);
+        keys.clear();
+        assert_eq!(intern(&mut table, &mut keys, "key-7"), (0, true));
     }
 
     #[test]

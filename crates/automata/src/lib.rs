@@ -15,8 +15,9 @@
 //! * [`multiwalk`] — the one bounded walk behind the language layer:
 //!   reachable state sets are interned to dense ids, histories leading
 //!   to the same tuple of (left set, right set) pairs collapse into one
-//!   node carrying a multiplicity, successor rows are memoized per set,
-//!   and counterexamples are rebuilt from parent pointers. `N` pairs of
+//!   node carrying a multiplicity, each automaton steps each state it
+//!   reaches once, successor rows are memoized per set, and
+//!   counterexamples are rebuilt from parent pointers. `N` pairs of
 //!   automata ride one walk; every check in [`language`] and [`lattice`]
 //!   is the walk at `N = 1`.
 //! * [`calm`] — bounded response-stability checking, the automata-level

@@ -22,16 +22,26 @@
 //!   rebuilt from parent pointers only then. No history is stored during
 //!   the walk.
 //!
-//! Two sharing layers make it cheap:
+//! Three sharing layers make it cheap, each feeding the next in dense
+//! `u32` ids:
 //!
-//! * [`DenseArena`] — states and state *sets* are interned to dense
-//!   `u32` ids in flat storage shared by all points on a side, with
-//!   single-probe [`ConsTable`] probing and set payloads packed
-//!   end-to-end in one `Vec<u32>`.
-//! * **Successor-row memoization** — for each point, the successor
-//!   set-ids of each set-id under every alphabet symbol are computed
-//!   once ([`ObjectAutomaton::step_all`] per member state) and reused by
-//!   every node containing that set.
+//! * [`DenseArena`] — states and state *sets* are interned to dense ids
+//!   in flat storage shared by all points on a side, with single-probe
+//!   [`ConsTable`] probing, set payloads packed end-to-end in one
+//!   `Vec<u32>`, and singleton sets (all a deterministic automaton ever
+//!   reaches) found by a direct `state id → set id` index.
+//! * **The state table** — per point and side, the successor state ids
+//!   of each state id under every alphabet symbol, filled by **one**
+//!   [`ObjectAutomaton::step_all`] per (point, state) however many sets
+//!   the state is a member of. It is the automaton's transition relation
+//!   over the states the walk reached, in integers.
+//! * **Set rows** — per point and side, the successor set id of each set
+//!   id under every symbol: per symbol, the members' state-table entries
+//!   gathered into one buffer and interned. Pure integer work, done once
+//!   per (point, set) and reused by every node containing that set.
+//!
+//! Both tables are a `start` offset per id into one flat pool, so a
+//! point's rows cost no allocation each.
 //!
 //! [`CompareOptions`] says which histories a point walks and when it may
 //! stop. Each point stops on its own condition and the walk ends when
@@ -40,29 +50,37 @@
 //! the one shared walk). `tests/language_engine.rs` holds all of this to
 //! [`crate::language::naive`] on seeded random automata.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 use crate::automaton::ObjectAutomaton;
-use crate::cons::{ConsTable, Entry};
+use crate::cons::{ConsTable, Entry, WordHasher};
 use crate::history::History;
 use crate::probe::{EngineProbe, NoopProbe};
+
+/// "Nothing here yet" in every `u32`-indexed table of this module. Ids
+/// and offsets must stay below it.
+const NONE: u32 = u32::MAX;
 
 /// Dense interner for states and sorted state-id sets.
 ///
 /// States get dense `u32` ids in insertion order; canonical sets of
 /// state ids are packed end-to-end in one flat `u32` buffer and
 /// identified by dense set ids. **Set id 0 is always the empty set.**
-/// Both layers use single-probe [`ConsTable`] interning; ids are
-/// positions in the dense stores, so table growth never moves one.
+/// States and sets of two or more members use single-probe
+/// [`ConsTable`] interning; a singleton set is found through its one
+/// member's id. Ids are positions in the dense stores, so table growth
+/// never moves one.
 #[derive(Debug, Clone)]
 pub struct DenseArena<S> {
     states: Vec<S>,
     state_table: ConsTable,
     data: Vec<u32>,
     spans: Vec<(u32, u32)>,
+    /// Sets of two or more members.
     set_table: ConsTable,
+    /// `state id → id of the set holding just that state` ([`NONE`]
+    /// until first asked for).
+    singleton: Vec<u32>,
 }
 
 /// The set id of the empty set in every [`DenseArena`].
@@ -71,68 +89,71 @@ pub const EMPTY_SET: u32 = 0;
 impl<S: Clone + Eq + Ord + Hash> DenseArena<S> {
     /// An arena holding only the empty set (id [`EMPTY_SET`]).
     pub fn new() -> Self {
-        let mut arena = DenseArena {
+        DenseArena {
             states: Vec::new(),
             state_table: ConsTable::new(),
             data: Vec::new(),
-            spans: Vec::new(),
+            spans: vec![(0, 0)],
             set_table: ConsTable::new(),
-        };
-        let empty = arena.intern_set(Vec::new());
-        debug_assert_eq!(empty, EMPTY_SET);
-        arena
-    }
-
-    fn hash_state(s: &S) -> u64 {
-        let mut h = DefaultHasher::new();
-        s.hash(&mut h);
-        h.finish()
-    }
-
-    fn hash_ids(ids: &[u32]) -> u64 {
-        let mut h = DefaultHasher::new();
-        ids.hash(&mut h);
-        h.finish()
+            singleton: Vec::new(),
+        }
     }
 
     /// Interns a state, returning its dense id (stable thereafter).
     pub fn intern_state(&mut self, s: &S) -> u32 {
-        let hash = Self::hash_state(s);
+        let mut hasher = WordHasher::default();
+        s.hash(&mut hasher);
         let states = &self.states;
-        match self.state_table.entry(hash, |id| &states[id as usize] == s) {
+        match self
+            .state_table
+            .entry(hasher.finish(), |id| &states[id as usize] == s)
+        {
             Entry::Occupied(id) => id,
             Entry::Vacant(slot) => {
                 let id = u32::try_from(self.states.len()).expect("arena exceeds u32 state ids");
                 slot.insert(id);
                 self.states.push(s.clone());
+                self.singleton.push(NONE);
                 id
             }
         }
     }
 
-    /// Interns a set of state ids (canonicalized in place: sorted,
-    /// deduplicated), returning its dense set id.
-    pub fn intern_set(&mut self, mut ids: Vec<u32>) -> u32 {
-        ids.sort_unstable();
-        ids.dedup();
-        let hash = Self::hash_ids(&ids);
-        let data = &self.data;
-        let spans = &self.spans;
-        match self.set_table.entry(hash, |id| {
-            let (start, len) = spans[id as usize];
-            data[start as usize..(start + len) as usize] == *ids
-        }) {
-            Entry::Occupied(id) => id,
-            Entry::Vacant(slot) => {
-                let id = u32::try_from(self.spans.len()).expect("arena exceeds u32 set ids");
-                slot.insert(id);
-                let start = u32::try_from(self.data.len()).expect("arena data exceeds u32 span");
-                let len = u32::try_from(ids.len()).expect("set exceeds u32 members");
-                self.data.extend_from_slice(&ids);
-                self.spans.push((start, len));
-                id
+    /// Interns a set of state ids, returning its dense set id. `ids` is
+    /// canonicalized in place (sorted, deduplicated) and left that way
+    /// for the caller to reuse as a buffer.
+    pub fn intern_set(&mut self, ids: &mut Vec<u32>) -> u32 {
+        if ids.len() > 1 {
+            ids.sort_unstable();
+            ids.dedup();
+        }
+        // What a set not seen before is called: its position in `spans`.
+        let fresh = u32::try_from(self.spans.len()).expect("arena exceeds u32 set ids");
+        match ids[..] {
+            [] => return EMPTY_SET,
+            [only] => {
+                let known = &mut self.singleton[only as usize];
+                if *known != NONE {
+                    return *known;
+                }
+                *known = fresh;
+            }
+            _ => {
+                let (data, spans) = (&self.data, &self.spans);
+                match self.set_table.entry(WordHasher::hash_ids(ids), |id| {
+                    let (start, len) = spans[id as usize];
+                    data[start as usize..(start + len) as usize] == ids[..]
+                }) {
+                    Entry::Occupied(id) => return id,
+                    Entry::Vacant(slot) => slot.insert(fresh),
+                }
             }
         }
+        let start = u32::try_from(self.data.len()).expect("arena data exceeds u32 span");
+        let len = u32::try_from(ids.len()).expect("set exceeds u32 members");
+        self.data.extend_from_slice(ids);
+        self.spans.push((start, len));
+        fresh
     }
 
     /// The member state ids of an interned set.
@@ -157,12 +178,12 @@ impl<S: Clone + Eq + Ord + Hash> DenseArena<S> {
     }
 
     /// Approximate heap bytes held by the arena: dense state storage,
-    /// packed set payloads, spans, and both cons tables. An estimate —
-    /// states owning further heap memory (e.g. `Vec` states) count only
-    /// their inline size.
+    /// packed set payloads, spans, the singleton index and both cons
+    /// tables. An estimate — states owning further heap memory (e.g.
+    /// `Vec` states) count only their inline size.
     pub fn approx_bytes(&self) -> usize {
         self.states.capacity() * std::mem::size_of::<S>()
-            + self.data.capacity() * std::mem::size_of::<u32>()
+            + (self.data.capacity() + self.singleton.capacity()) * std::mem::size_of::<u32>()
             + self.spans.capacity() * std::mem::size_of::<(u32, u32)>()
             + self.state_table.approx_bytes()
             + self.set_table.approx_bytes()
@@ -184,50 +205,162 @@ impl<S: Clone + Eq + Ord + Hash> Default for DenseArena<S> {
     }
 }
 
-/// The per-point successor set-ids of `set_id` under every alphabet
-/// symbol ([`EMPTY_SET`] where `δ` is undefined).
-fn compute_row<A: ObjectAutomaton>(
-    automaton: &A,
-    alphabet: &[A::Op],
-    arena: &mut DenseArena<A::State>,
-    set_id: u32,
-) -> Box<[u32]> {
-    let members: Vec<u32> = arena.set(set_id).to_vec();
-    let mut per_op: Vec<Vec<u32>> = vec![Vec::new(); alphabet.len()];
-    for sid in members {
-        // Clone out: interning successors may reallocate the state store.
-        let state = arena.state(sid).clone();
-        for (i, succs) in automaton.step_all(&state, alphabet).into_iter().enumerate() {
-            for t in &succs {
-                per_op[i].push(arena.intern_state(t));
-            }
-        }
-    }
-    per_op
-        .into_iter()
-        .map(|ids| arena.intern_set(ids))
-        .collect()
+/// Variable-length `u32` rows keyed by dense id: `start[id]` is the
+/// row's offset into one flat pool ([`NONE`] until the row is written).
+/// Rows are append-only and self-describing, so a row costs no
+/// allocation of its own.
+#[derive(Debug, Clone, Default)]
+struct RowTable {
+    start: Vec<u32>,
+    pool: Vec<u32>,
 }
 
-/// Memoized [`compute_row`]: fills `rows[set_id]` on first demand.
-/// Returns true when the row was computed fresh (a memo miss).
-fn ensure_row<A: ObjectAutomaton>(
-    automaton: &A,
-    alphabet: &[A::Op],
-    arena: &mut DenseArena<A::State>,
-    rows: &mut Vec<Option<Box<[u32]>>>,
-    set_id: u32,
-) -> bool {
-    let idx = set_id as usize;
-    if rows.len() <= idx {
-        rows.resize_with(idx + 1, || None);
+impl RowTable {
+    /// The pool offset of `id`'s row, if it has been written.
+    #[inline]
+    fn offset(&self, id: u32) -> Option<usize> {
+        match self.start.get(id as usize) {
+            Some(&start) if start != NONE => Some(start as usize),
+            _ => None,
+        }
     }
-    if rows[idx].is_none() {
-        let row = compute_row(automaton, alphabet, arena, set_id);
-        rows[idx] = Some(row);
-        true
-    } else {
-        false
+
+    /// Starts `id`'s row at the end of the pool and returns its offset;
+    /// the caller pushes the row's words.
+    fn open(&mut self, id: u32) -> usize {
+        let index = id as usize;
+        if self.start.len() <= index {
+            self.start.resize(index + 1, NONE);
+        }
+        let offset = self.pool.len();
+        self.start[index] = u32::try_from(offset)
+            .ok()
+            .filter(|&o| o != NONE)
+            .expect("row pool exceeds u32 offsets");
+        offset
+    }
+
+    fn approx_bytes(&self) -> usize {
+        (self.start.capacity() + self.pool.capacity()) * std::mem::size_of::<u32>()
+    }
+}
+
+/// Memo traffic of one side since it was last taken, reported to the
+/// probe once per depth.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
+    row_fills: u64,
+    row_hits: u64,
+    state_steps: u64,
+    state_hits: u64,
+}
+
+/// One side (left or right) of all `N` points: the automata, the arena
+/// they share, and each point's state table and set rows.
+struct Side<'a, A: ObjectAutomaton, const N: usize> {
+    automata: &'a [A; N],
+    arena: DenseArena<A::State>,
+    /// Per point, `state id →` row of `k` running end counts (one per
+    /// alphabet symbol) followed by the successor state ids they
+    /// delimit, symbol by symbol. Points never share a row: the same
+    /// state steps differently under different automata.
+    state_rows: [RowTable; N],
+    /// Per point, `set id →` row of `k` successor set ids
+    /// ([`EMPTY_SET`] where `δ` is undefined on every member).
+    set_rows: [RowTable; N],
+    /// Scratch: the state-row offsets of the set being filled.
+    members: Vec<usize>,
+    /// Scratch: one symbol's gathered successor state ids.
+    gathered: Vec<u32>,
+    tally: Tally,
+}
+
+impl<'a, A: ObjectAutomaton, const N: usize> Side<'a, A, N> {
+    /// The side and its `N` initial singleton sets.
+    fn new(automata: &'a [A; N]) -> (Self, [u32; N]) {
+        let mut arena = DenseArena::new();
+        let initial = std::array::from_fn(|p| {
+            let state = arena.intern_state(&automata[p].initial_state());
+            arena.intern_set(&mut vec![state])
+        });
+        let side = Side {
+            automata,
+            arena,
+            state_rows: std::array::from_fn(|_| RowTable::default()),
+            set_rows: std::array::from_fn(|_| RowTable::default()),
+            members: Vec::new(),
+            gathered: Vec::new(),
+            tally: Tally::default(),
+        };
+        (side, initial)
+    }
+
+    /// The offset in `state_rows[p].pool` of `state_id`'s row, written
+    /// on first demand by the one `step_all` this (point, state) gets.
+    fn state_row(&mut self, p: usize, state_id: u32, alphabet: &[A::Op]) -> usize {
+        if let Some(offset) = self.state_rows[p].offset(state_id) {
+            self.tally.state_hits += 1;
+            return offset;
+        }
+        self.tally.state_steps += 1;
+        // Successors are interned after the call returns, so it can
+        // borrow the arena's own copy of the state.
+        let successors = self.automata[p].step_all(self.arena.state(state_id), alphabet);
+        let k = alphabet.len();
+        assert_eq!(successors.len(), k, "step_all: one entry per symbol");
+        let states = &mut self.state_rows[p];
+        let offset = states.open(state_id);
+        states.pool.resize(offset + k, 0);
+        for (i, targets) in successors.iter().enumerate() {
+            for target in targets {
+                states.pool.push(self.arena.intern_state(target));
+            }
+            states.pool[offset + i] = u32::try_from(states.pool.len() - offset - k)
+                .expect("state row exceeds u32 successors");
+        }
+        offset
+    }
+
+    /// The offset in `set_rows[p].pool` of `set_id`'s successor row,
+    /// written on first demand: per symbol, the members' successors
+    /// gathered from the state table and interned as one set.
+    fn row(&mut self, p: usize, set_id: u32, alphabet: &[A::Op]) -> usize {
+        if let Some(offset) = self.set_rows[p].offset(set_id) {
+            self.tally.row_hits += 1;
+            return offset;
+        }
+        self.tally.row_fills += 1;
+        self.members.clear();
+        // By index: stepping a member interns states into the arena.
+        for m in 0..self.arena.set(set_id).len() {
+            let state_id = self.arena.set(set_id)[m];
+            let state_row = self.state_row(p, state_id, alphabet);
+            self.members.push(state_row);
+        }
+        let k = alphabet.len();
+        let offset = self.set_rows[p].open(set_id);
+        for i in 0..k {
+            self.gathered.clear();
+            for &member in &self.members {
+                let row = &self.state_rows[p].pool[member..];
+                let from = if i == 0 { 0 } else { row[i - 1] as usize };
+                self.gathered
+                    .extend_from_slice(&row[k + from..k + row[i] as usize]);
+            }
+            let successor = self.arena.intern_set(&mut self.gathered);
+            self.set_rows[p].pool.push(successor);
+        }
+        offset
+    }
+
+    fn approx_bytes(&self) -> usize {
+        self.arena.approx_bytes()
+            + self
+                .state_rows
+                .iter()
+                .chain(&self.set_rows)
+                .map(RowTable::approx_bytes)
+                .sum::<usize>()
     }
 }
 
@@ -405,10 +538,13 @@ where
 /// frontier width (`frontier_nodes`), distinct interned sets per side
 /// (`left_sets`/`right_sets`), arena memory (`arena_bytes`), cons-table
 /// occupancy (`cons_used` of `cons_slots`, `cons_load_pct`), and
-/// counters for successor-row memoization (`row_fills`/`row_hits`,
-/// batched per depth — never incremented per node). The whole walk sits
-/// inside a `multiwalk` span. With [`NoopProbe`] this monomorphizes to
-/// the plain walk.
+/// counters for the two memo layers, batched per depth — never
+/// incremented per node: set rows written and reused
+/// (`row_fills`/`row_hits`), and, while writing them, member states
+/// stepped and found already stepped (`state_steps`/`state_hits`).
+/// `arena_bytes` counts the arenas and both layers' pools. The whole walk
+/// sits inside a `multiwalk` span. With [`NoopProbe`] this monomorphizes
+/// to the plain walk.
 pub fn multi_compare_upto_probed<L, R, P, const N: usize>(
     lefts: &[L; N],
     rights: &[R; N],
@@ -424,19 +560,9 @@ where
 {
     assert!(N > 0, "multi_compare_upto needs at least one point");
     probe.enter("multiwalk");
-    let mut left_arena: DenseArena<L::State> = DenseArena::new();
-    let mut right_arena: DenseArena<R::State> = DenseArena::new();
-    let mut left_rows: Vec<Vec<Option<Box<[u32]>>>> = vec![Vec::new(); N];
-    let mut right_rows: Vec<Vec<Option<Box<[u32]>>>> = vec![Vec::new(); N];
-
-    let mut l0 = [EMPTY_SET; N];
-    let mut r0 = [EMPTY_SET; N];
-    for p in 0..N {
-        let ls = left_arena.intern_state(&lefts[p].initial_state());
-        l0[p] = left_arena.intern_set(vec![ls]);
-        let rs = right_arena.intern_state(&rights[p].initial_state());
-        r0[p] = right_arena.intern_set(vec![rs]);
-    }
+    let k = alphabet.len();
+    let (mut left, l0) = Side::new(lefts);
+    let (mut right, r0) = Side::new(rights);
 
     let mut levels: Vec<Vec<MultiNode<N>>> = vec![vec![MultiNode {
         l: l0,
@@ -445,6 +571,9 @@ where
         parent: NO_PARENT,
         op: 0,
     }]];
+    // `(l, r) → index in the level being built`; cleared, not dropped,
+    // between depths.
+    let mut index_of = ConsTable::new();
     let mut left_sizes = vec![vec![1u64]; N];
     let mut right_sizes = vec![vec![1u64]; N];
     // (depth, node index) of the shallowest violation per direction.
@@ -457,59 +586,37 @@ where
 
     for depth in 0..max_len {
         probe.enter("multi_depth");
-        let mut row_fills = 0u64;
-        let mut row_hits = 0u64;
         let mut next: Vec<MultiNode<N>> = Vec::new();
-        let mut index_of: HashMap<([u32; N], [u32; N]), u32> = HashMap::new();
+        index_of.clear();
         let mut l_level = [0u64; N];
         let mut r_level = [0u64; N];
         for (node_index, &node) in levels[depth].iter().enumerate() {
+            // Where each point's two rows start in their pools; unread
+            // for an empty set.
+            let mut l_row = [0usize; N];
+            let mut r_row = [0usize; N];
             for p in 0..N {
                 if node.l[p] != EMPTY_SET {
-                    let filled = ensure_row(
-                        &lefts[p],
-                        alphabet,
-                        &mut left_arena,
-                        &mut left_rows[p],
-                        node.l[p],
-                    );
-                    if filled {
-                        row_fills += 1;
-                    } else {
-                        row_hits += 1;
-                    }
+                    l_row[p] = left.row(p, node.l[p], alphabet);
                 }
                 if node.r[p] != EMPTY_SET {
-                    let filled = ensure_row(
-                        &rights[p],
-                        alphabet,
-                        &mut right_arena,
-                        &mut right_rows[p],
-                        node.r[p],
-                    );
-                    if filled {
-                        row_fills += 1;
-                    } else {
-                        row_hits += 1;
-                    }
+                    r_row[p] = right.row(p, node.r[p], alphabet);
                 }
             }
-            for (i, _) in alphabet.iter().enumerate() {
+            for i in 0..k {
                 let mut l = [EMPTY_SET; N];
                 let mut r = [EMPTY_SET; N];
                 let mut alive = false;
+                let mut hasher = WordHasher::default();
                 for p in 0..N {
                     if node.l[p] != EMPTY_SET {
-                        l[p] = left_rows[p][node.l[p] as usize]
-                            .as_ref()
-                            .expect("row ensured above")[i];
+                        l[p] = left.set_rows[p].pool[l_row[p] + i];
                     }
                     if node.r[p] != EMPTY_SET && (options.walk_right_only || l[p] != EMPTY_SET) {
-                        r[p] = right_rows[p][node.r[p] as usize]
-                            .as_ref()
-                            .expect("row ensured above")[i];
+                        r[p] = right.set_rows[p].pool[r_row[p] + i];
                     }
                     alive |= l[p] != EMPTY_SET || r[p] != EMPTY_SET;
+                    hasher.word(u64::from(l[p]) << 32 | u64::from(r[p]));
                 }
                 if !alive {
                     continue;
@@ -523,15 +630,18 @@ where
                         r_level[p] += mult;
                     }
                 }
-                let index = match index_of.entry((l, r)) {
-                    std::collections::hash_map::Entry::Occupied(e) => {
-                        let index = *e.get() as usize;
+                let index = match index_of.entry(hasher.finish(), |index| {
+                    let seen = &next[index as usize];
+                    seen.l == l && seen.r == r
+                }) {
+                    Entry::Occupied(index) => {
+                        let index = index as usize;
                         next[index].multiplicity += mult;
                         index
                     }
-                    std::collections::hash_map::Entry::Vacant(e) => {
+                    Entry::Vacant(slot) => {
                         let index = next.len();
-                        e.insert(u32::try_from(index).expect("level exceeds u32 nodes"));
+                        slot.insert(u32::try_from(index).expect("level exceeds u32 nodes"));
                         next.push(MultiNode {
                             l,
                             r,
@@ -557,16 +667,22 @@ where
             right_sizes[p].push(r_level[p]);
         }
         peak = peak.max(next.len());
+        let (lt, rt) = (
+            std::mem::take(&mut left.tally),
+            std::mem::take(&mut right.tally),
+        );
         if probe.is_enabled() {
-            probe.add("row_fills", row_fills);
-            probe.add("row_hits", row_hits);
+            probe.add("row_fills", lt.row_fills + rt.row_fills);
+            probe.add("row_hits", lt.row_hits + rt.row_hits);
+            probe.add("state_steps", lt.state_steps + rt.state_steps);
+            probe.add("state_hits", lt.state_hits + rt.state_hits);
             probe.gauge("frontier_nodes", next.len() as i64);
-            probe.gauge("left_sets", left_arena.set_count() as i64);
-            probe.gauge("right_sets", right_arena.set_count() as i64);
-            let bytes = left_arena.approx_bytes() + right_arena.approx_bytes();
+            probe.gauge("left_sets", left.arena.set_count() as i64);
+            probe.gauge("right_sets", right.arena.set_count() as i64);
+            let bytes = left.approx_bytes() + right.approx_bytes();
             probe.gauge("arena_bytes", bytes as i64);
-            let (lu, ls) = left_arena.table_load();
-            let (ru, rs) = right_arena.table_load();
+            let (lu, ls) = left.arena.table_load();
+            let (ru, rs) = right.arena.table_load();
             probe.gauge("cons_used", (lu + ru) as i64);
             probe.gauge("cons_slots", (ls + rs) as i64);
             probe.gauge("cons_load_pct", (100 * (lu + ru) / (ls + rs)) as i64);
@@ -621,8 +737,8 @@ where
     MultiComparison {
         points,
         peak_level_width: peak,
-        left_sets: left_arena.set_count(),
-        right_sets: right_arena.set_count(),
+        left_sets: left.arena.set_count(),
+        right_sets: right.arena.set_count(),
     }
 }
 
@@ -717,11 +833,11 @@ mod tests {
         let a = arena.intern_state(&vec![1]);
         let b = arena.intern_state(&vec![2]);
         assert_eq!(arena.intern_state(&vec![1]), a);
-        let s1 = arena.intern_set(vec![b, a, a]);
-        let s2 = arena.intern_set(vec![a, b]);
+        let s1 = arena.intern_set(&mut vec![b, a, a]);
+        let s2 = arena.intern_set(&mut vec![a, b]);
         assert_eq!(s1, s2, "canonicalization dedups and sorts");
         assert_eq!(arena.set(s1), &[a, b]);
-        assert_eq!(arena.intern_set(Vec::new()), EMPTY_SET);
+        assert_eq!(arena.intern_set(&mut Vec::new()), EMPTY_SET);
         assert_eq!(arena.set_count(), 2);
         assert_eq!(arena.state_count(), 2);
     }
@@ -734,7 +850,7 @@ mod tests {
         let mut arena: DenseArena<u32> = DenseArena::new();
         let states: Vec<u32> = (0..501u32).map(|i| arena.intern_state(&(i * 7))).collect();
         let sets: Vec<u32> = (0..500usize)
-            .map(|i| arena.intern_set(vec![states[i + 1], states[i]]))
+            .map(|i| arena.intern_set(&mut vec![states[i + 1], states[i]]))
             .collect();
         assert_eq!(arena.state_count(), 501);
         assert_eq!(arena.set_count(), 501); // empty set + 500
@@ -746,7 +862,7 @@ mod tests {
             );
             assert_eq!(*arena.state(states[i]), i as u32 * 7);
             assert_eq!(
-                arena.intern_set(vec![states[i], states[i + 1]]),
+                arena.intern_set(&mut vec![states[i], states[i + 1]]),
                 sets[i],
                 "set id moved"
             );
@@ -754,6 +870,125 @@ mod tests {
         }
         assert_eq!(arena.state_count(), 501);
         assert_eq!(arena.set_count(), 501);
+    }
+
+    proptest::proptest! {
+        /// The word hasher and the cons tables are an index only: ids
+        /// are first-seen positions, as in a `BTreeMap` model. States
+        /// are word vectors that differ in their lowest or their highest
+        /// byte alone (the bits a multiply never carries down), sets
+        /// arrive unsorted and with repeats.
+        #[test]
+        fn arena_interns_states_and_sets_like_a_btreemap_model(
+            states in proptest::collection::vec(
+                proptest::collection::vec((0u64..3, 0u64..3), 0..3),
+                1..60,
+            ),
+            sets in proptest::collection::vec(proptest::collection::vec(0usize..60, 0..5), 1..60),
+        ) {
+            use std::collections::BTreeMap;
+            let mut arena: DenseArena<Vec<u64>> = DenseArena::new();
+            let mut state_model: BTreeMap<Vec<u64>, u32> = BTreeMap::new();
+            let mut ids = Vec::new();
+            for words in &states {
+                let state: Vec<u64> = words.iter().map(|&(lo, hi)| lo | hi << 56).collect();
+                let fresh = state_model.len() as u32;
+                let expected = *state_model.entry(state.clone()).or_insert(fresh);
+                let id = arena.intern_state(&state);
+                proptest::prop_assert_eq!(id, expected);
+                proptest::prop_assert_eq!(arena.state(id), &state);
+                ids.push(id);
+            }
+            proptest::prop_assert_eq!(arena.state_count(), state_model.len());
+            let mut set_model: BTreeMap<Vec<u32>, u32> = BTreeMap::from([(Vec::new(), EMPTY_SET)]);
+            for picks in &sets {
+                let mut set: Vec<u32> = picks.iter().map(|&i| ids[i % ids.len()]).collect();
+                let mut canonical = set.clone();
+                canonical.sort_unstable();
+                canonical.dedup();
+                let fresh = set_model.len() as u32;
+                let expected = *set_model.entry(canonical.clone()).or_insert(fresh);
+                let id = arena.intern_set(&mut set);
+                proptest::prop_assert_eq!(id, expected);
+                proptest::prop_assert_eq!(arena.set(id), &canonical[..]);
+            }
+            proptest::prop_assert_eq!(arena.set_count(), set_model.len());
+        }
+    }
+
+    /// A [`CappedBag`] that tallies its `step_all` calls per state.
+    struct Counted {
+        inner: CappedBag,
+        calls: std::cell::RefCell<std::collections::BTreeMap<Vec<u8>, u32>>,
+    }
+
+    impl Counted {
+        fn new(cap: usize) -> Self {
+            Counted {
+                inner: CappedBag { cap },
+                calls: Default::default(),
+            }
+        }
+
+        /// The states some history shorter than `max_len` reaches: the
+        /// ones a counting walk to `max_len` has to step.
+        fn reachable_below(&self, max_len: usize) -> std::collections::BTreeSet<Vec<u8>> {
+            let mut seen = std::collections::BTreeSet::new();
+            let mut frontier = vec![self.inner.initial_state()];
+            for _ in 0..max_len {
+                let mut next = Vec::new();
+                for state in frontier {
+                    if seen.insert(state.clone()) {
+                        for op in alphabet() {
+                            next.extend(self.inner.step(&state, &op));
+                        }
+                    }
+                }
+                frontier = next;
+            }
+            seen
+        }
+    }
+
+    impl ObjectAutomaton for Counted {
+        type State = Vec<u8>;
+        type Op = Op;
+        fn initial_state(&self) -> Vec<u8> {
+            self.inner.initial_state()
+        }
+        fn step(&self, s: &Vec<u8>, op: &Op) -> Vec<Vec<u8>> {
+            self.inner.step(s, op)
+        }
+        fn step_all(&self, s: &Vec<u8>, alphabet: &[Op]) -> Vec<Vec<Vec<u8>>> {
+            *self.calls.borrow_mut().entry(s.clone()).or_insert(0) += 1;
+            alphabet.iter().map(|op| self.inner.step(s, op)).collect()
+        }
+    }
+
+    #[test]
+    fn each_point_steps_each_of_its_states_exactly_once() {
+        // Two points a side share one arena, so the empty bag and every
+        // bag of up to two items has one state id for both automata; each
+        // must still step it itself, once, whatever sets it is in.
+        let lefts = [Counted::new(2), Counted::new(3)];
+        let rights = [Counted::new(3), Counted::new(2)];
+        let multi = multi_compare_upto(&lefts, &rights, &alphabet(), 5, CompareOptions::counting());
+        for automaton in lefts.iter().chain(&rights) {
+            let calls = automaton.calls.borrow();
+            let stepped: std::collections::BTreeSet<Vec<u8>> = calls.keys().cloned().collect();
+            assert_eq!(stepped, automaton.reachable_below(5));
+            assert!(calls.values().all(|&n| n == 1), "stepped twice: {calls:?}");
+        }
+        // A row borrowed from the other point would show here too.
+        let sizes = |cap| language_sizes_of(&CappedBag { cap }, 5);
+        assert_eq!(multi.points[0].left_sizes, sizes(2));
+        assert_eq!(multi.points[0].right_sizes, sizes(3));
+        assert_eq!(multi.points[1].left_sizes, sizes(3));
+        assert_eq!(multi.points[1].right_sizes, sizes(2));
+    }
+
+    fn language_sizes_of(a: &CappedBag, max_len: usize) -> Vec<u64> {
+        compare_upto(a, a, &alphabet(), max_len, CompareOptions::counting()).left_sizes
     }
 
     #[test]

@@ -350,7 +350,9 @@ fn campaign_assignment() -> VotingAssignment<QueueKind> {
 /// How much of the observability stack a campaign run carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Tier {
-    /// Nothing attached: the perturbation baseline.
+    /// Nothing attached: the perturbation baseline, which only the
+    /// `bare_runs_match_instrumented_outcomes` test drives.
+    #[cfg_attr(not(test), allow(dead_code))]
     Bare,
     /// Degradation monitor plus the SLO budget clock. Together they are
     /// the runtime-verification engine whose verdicts the campaigns
@@ -411,15 +413,6 @@ fn drive(recipe: &Recipe, seed: u64, tier: Tier) -> QuorumSystem<TaxiQueueType> 
         }
     }
     sys
-}
-
-/// Runs one campaign with nothing attached at all (no monitor, no
-/// telemetry) — used to check that observability does not perturb the
-/// simulation.
-pub fn run_bare(name: &str, seed: u64) {
-    let r = recipe(name);
-    let sys = drive(&r, seed, Tier::Bare);
-    std::hint::black_box(sys.outcomes().len());
 }
 
 /// Runs one campaign with the degradation monitor and SLO clock but no

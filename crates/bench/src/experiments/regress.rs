@@ -140,6 +140,21 @@ pub const CHECKS: &[Check] = &[
         metric: "sim_client_write_payloads/65536",
         band: Band::MaxRatio(4.0),
     },
+    // The language walk (`relax-automata::multiwalk`), ns per walk, at
+    // Theorem 4's `N = 4` shape and at `N = 1` over the raw QCA. A walk
+    // that steps a state once per set it is a member of, or boxes a row
+    // per set again, reads under twice the baseline; one whose hasher
+    // stops reaching the cons tables' low bits reads tens of times it.
+    Check {
+        file: "BENCH_micro_substrates.json",
+        metric: "product_walk/n4_taxi_3x8",
+        band: Band::MaxRatio(4.0),
+    },
+    Check {
+        file: "BENCH_micro_substrates.json",
+        metric: "product_walk/n1_rawqca_3x6",
+        band: Band::MaxRatio(4.0),
+    },
 ];
 
 /// Returns the checks whose payload file or metric name contains
@@ -414,7 +429,8 @@ mod tests {
             "BENCH_micro_substrates.json",
             &format!(
                 "{{\"sim_client_read_view/65536\":{0},\"sim_client_write_ack/65536\":{0},\
-                 \"sim_client_write_payloads/65536\":{0}}}\n",
+                 \"sim_client_write_payloads/65536\":{0},\"product_walk/n4_taxi_3x8\":{0},\
+                 \"product_walk/n1_rawqca_3x6\":{0}}}\n",
                 overhead * 100.0
             ),
         );
@@ -458,6 +474,7 @@ mod tests {
         // Nine times the baseline's ns per iteration against a 4× band.
         assert!(failed.contains(&"sim_client_read_view/65536"));
         assert!(failed.contains(&"sim_client_write_ack/65536"));
+        assert!(failed.contains(&"product_walk/n4_taxi_3x8"));
         assert!(report(&outcomes).to_string().contains("REGRESSED"));
     }
 
@@ -509,7 +526,7 @@ mod tests {
     #[test]
     fn selection_filters_by_payload_or_metric_substring() {
         let all = selected(None);
-        assert_eq!(all.len(), 10);
+        assert_eq!(all.len(), 12);
         let campaign = selected(Some("fault_campaign"));
         assert_eq!(campaign.len(), 3);
         assert!(campaign
@@ -517,6 +534,7 @@ mod tests {
             .all(|c| c.file == "BENCH_fault_campaign.json"));
         assert_eq!(selected(Some("calm")).len(), 2);
         assert_eq!(selected(Some("sim_client")).len(), 3);
+        assert_eq!(selected(Some("product_walk")).len(), 2);
         let by_metric = selected(Some("overhead_pct"));
         assert_eq!(by_metric.len(), 2);
         assert!(by_metric.iter().all(|c| c.metric == "overhead_pct"));

@@ -90,8 +90,9 @@ impl TaxiVerification {
 ///    never-merging history states into achievable-view-bag sets.
 /// 2. All four `(quotient, reference)` pairs ride one
 ///    [`multi_compare_upto_probed`] tuple walk with a shared dense
-///    state/set interner and memoized successor rows, so common history
-///    structure is explored once instead of four times.
+///    state/set interner, one `step_all` per (point, state) and memoized
+///    successor rows, so common history structure is explored once
+///    instead of four times.
 ///
 /// Verdicts and per-point language sizes are pinned against
 /// [`verify_taxi_lattice_naive`] in tests.
@@ -346,6 +347,10 @@ mod tests {
             report.gauge("lang_size"),
             Some(&[209i64, 269, 287, 373][..])
         );
+        // Each (point, state) pair the walk reached stepped once; the
+        // other member visits found its row.
+        assert_eq!(report.counter("state_steps"), Some(150));
+        assert_eq!(report.counter("state_hits"), Some(34));
         // Exact-sum attribution holds over the live tree.
         assert_eq!(report.self_sum_ns(), report.total_ns());
         // The per-depth frontier timeline came through the walk.

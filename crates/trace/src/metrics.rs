@@ -990,6 +990,8 @@ lat_quantile{quantile=\"0.99\"} 500
             "cons_load_pct",
             "row_fills",
             "row_hits",
+            "state_steps",
+            "state_hits",
             "lang_size",
             "peak_frontier",
             // threaded wall-clock backend (relax-quorum threaded.rs;
