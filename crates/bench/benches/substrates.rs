@@ -1,5 +1,6 @@
 //! Microbenchmarks, the one criterion target: replica logs, the view
-//! cache, the sim client's view and write bookkeeping, the threaded
+//! cache, the sim client's view and write bookkeeping and one whole
+//! invocation through the simulator, the threaded
 //! backend's shard–broker round trip, the bounded language walk and the
 //! naive enumerator, QCA view search, the term rewriter, the lock
 //! manager, the atomicity checker, and the two operational executors
@@ -370,6 +371,60 @@ fn bench_sim_client_write(c: &mut Criterion) {
     }
 }
 
+/// One whole invocation through the sim executor — submit, read phase,
+/// response, write phase, every simulator event in between — on a
+/// healthy three-replica taxi queue with a 1,024-entry history behind
+/// one client: ns per completed invocation. `enq` answers the same
+/// against every view and must pay for nothing that grows with the
+/// history: no view folded, no message body allocated afresh. `deq`
+/// reads the view's value (a one-entry cache hit) and assembles
+/// majorities. The system is rebuilt once its history has drifted an
+/// eighth past 1,024.
+fn bench_sim_invocation(c: &mut Criterion) {
+    const HISTORY: usize = 1 << 10;
+    let fresh = || {
+        let assignment = VotingAssignment::new(3)
+            .with_initial(QueueKind::Deq, 2)
+            .with_final(QueueKind::Deq, 2)
+            .with_initial(QueueKind::Enq, 1)
+            .with_final(QueueKind::Enq, 1);
+        let mut sys = QuorumSystem::new(
+            TaxiQueueType,
+            3,
+            assignment,
+            ClientConfig::default(),
+            NetworkConfig::new(1, 5, 0.0),
+            42,
+        );
+        for i in 0..HISTORY {
+            sys.submit(QueueInv::Enq(i as i64));
+        }
+        assert!(sys.run_to_quiescence(u64::MAX));
+        sys
+    };
+    let mut group = c.benchmark_group("sim_invocation");
+    for (name, inv) in [("enq", QueueInv::Enq(7)), ("deq", QueueInv::Deq)] {
+        let mut sys = fresh();
+        group.bench_function(BenchmarkId::from_parameter(name), |bencher| {
+            bencher.iter_custom(|iters| {
+                let mut timed = Duration::ZERO;
+                for _ in 0..iters {
+                    if sys.outcomes().len() > HISTORY + HISTORY / 8 {
+                        sys = fresh();
+                    }
+                    let t = Instant::now();
+                    sys.submit(inv);
+                    assert!(sys.run_to_quiescence(u64::MAX));
+                    timed += t.elapsed();
+                    assert!(sys.outcomes().last().is_some_and(|o| o.is_completed()));
+                }
+                timed
+            });
+        });
+    }
+    group.finish();
+}
+
 /// The hand-off layer of the threaded backend alone: one client, 256
 /// credits, each a round of its own over three replicas, so a run is
 /// nothing but shard–broker visits around O(1) layer work. Reads µs per
@@ -614,6 +669,7 @@ criterion_group!(
     bench_log_one_writer,
     bench_viewcache,
     bench_sim_client_write,
+    bench_sim_invocation,
     bench_threaded_round_trip,
     bench_product_walk,
     bench_language_enumeration,

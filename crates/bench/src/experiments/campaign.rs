@@ -553,7 +553,10 @@ const REPS: usize = 101;
 ///   telemetry layered on top ([`run_instrumented`]), reps in ABBA
 ///   order, and the median per-rep ratio prices the telemetry. The
 ///   offline happens-before replay behind the verdicts is a post-mortem
-///   tool and is excluded from the gate. Target: ≤ 10% slowdown.
+///   tool and is excluded from the gate. Target: ≤ 10% slowdown. The
+///   percentage rises whenever the baseline gets faster, so the absolute
+///   cost — `instrumented − baseline` in nanoseconds per operation, the
+///   median over the same reps — is printed and recorded beside it.
 ///
 /// Results land in `BENCH_fault_campaign.json`; `regress` gates on its
 /// `within_target` (overhead in budget *and* every verdict ok).
@@ -585,8 +588,10 @@ pub fn main(args: &Args) -> Result<(), String> {
         run_monitored(c, SEED);
         run_instrumented(c, SEED);
     }
+    let suite_ops: usize = CAMPAIGNS.iter().map(|c| recipe(c).submissions.len()).sum();
     let mut baselines = Vec::with_capacity(REPS);
     let mut enabled = Vec::with_capacity(REPS);
+    let mut added_ns = Vec::with_capacity(REPS);
     let time_suite = |f: &dyn Fn(&str, u64), seed: u64| {
         let start = Instant::now();
         for c in CAMPAIGNS {
@@ -605,11 +610,14 @@ pub fn main(args: &Args) -> Result<(), String> {
             let b2 = time_suite(&run_monitored, seed);
             baselines.push(b1 + b2);
             enabled.push(e1 + e2);
+            added_ns.push(((e1 + e2) as f64 - (b1 + b2) as f64) / (2 * suite_ops) as f64);
             (e1 + e2) as f64 / (b1 + b2) as f64
         })
         .collect();
     ratios.sort_by(f64::total_cmp);
+    added_ns.sort_by(f64::total_cmp);
     let ratio = ratios[ratios.len() / 2];
+    let added_ns_per_op = added_ns[added_ns.len() / 2];
     let baseline_ns = *baselines.iter().min().expect("reps > 0");
     let enabled_ns = *enabled.iter().min().expect("reps > 0");
     let overhead_pct = 100.0 * (ratio - 1.0);
@@ -623,6 +631,9 @@ pub fn main(args: &Args) -> Result<(), String> {
     println!("baseline     (monitor + slo)   : {baseline_ns:>12} ns (min rep, 2 suites)");
     println!("instrumented (+trace +stale)   : {enabled_ns:>12} ns (min rep, 2 suites)");
     println!("overhead: {overhead_pct:+.2}%  (target: <= 10%)");
+    println!(
+        "instrumented - baseline: {added_ns_per_op:+.1} ns per operation (median rep, {suite_ops} operations a suite)"
+    );
 
     let campaigns_json: Vec<String> = outcomes
         .iter()
@@ -653,7 +664,8 @@ pub fn main(args: &Args) -> Result<(), String> {
         "{{\"bench\":\"fault_campaign\",\"seed\":{SEED},\"reps\":{REPS},\
          \"campaigns\":[{}],\"all_verdicts_ok\":{all_ok},\
          \"baseline_ns\":{baseline_ns},\"enabled_ns\":{enabled_ns},\
-         \"overhead_pct\":{overhead_pct:.3},\"target_pct\":10.0,\
+         \"overhead_pct\":{overhead_pct:.3},\"added_ns_per_op\":{added_ns_per_op:.1},\
+         \"ops_per_suite\":{suite_ops},\"target_pct\":10.0,\
          \"within_target\":{within_target}}}\n",
         campaigns_json.join(",")
     );

@@ -140,6 +140,19 @@ pub const CHECKS: &[Check] = &[
         metric: "sim_client_write_payloads/65536",
         band: Band::MaxRatio(4.0),
     },
+    // One whole `Enq` through a healthy three-replica sim system over a
+    // 1,024-entry history, ns per completed invocation: the simulator's
+    // events plus a client and three replicas that fold no view and
+    // refill the message bodies they sent last. An invocation path that
+    // evaluates or allocates per invocation again reads half as much
+    // again, which another machine does too — the band catches the path
+    // growing with the history (`sim_invocation/deq` is recorded beside
+    // it, ungated: it reads the view).
+    Check {
+        file: "BENCH_micro_substrates.json",
+        metric: "sim_invocation/enq",
+        band: Band::MaxRatio(4.0),
+    },
     // The language walk (`relax-automata::multiwalk`), ns per walk, at
     // Theorem 4's `N = 4` shape and at `N = 1` over the raw QCA. A walk
     // that steps a state once per set it is a member of, or boxes a row
@@ -429,8 +442,8 @@ mod tests {
             "BENCH_micro_substrates.json",
             &format!(
                 "{{\"sim_client_read_view/65536\":{0},\"sim_client_write_ack/65536\":{0},\
-                 \"sim_client_write_payloads/65536\":{0},\"product_walk/n4_taxi_3x8\":{0},\
-                 \"product_walk/n1_rawqca_3x6\":{0}}}\n",
+                 \"sim_client_write_payloads/65536\":{0},\"sim_invocation/enq\":{0},\
+                 \"product_walk/n4_taxi_3x8\":{0},\"product_walk/n1_rawqca_3x6\":{0}}}\n",
                 overhead * 100.0
             ),
         );
@@ -526,7 +539,7 @@ mod tests {
     #[test]
     fn selection_filters_by_payload_or_metric_substring() {
         let all = selected(None);
-        assert_eq!(all.len(), 12);
+        assert_eq!(all.len(), 13);
         let campaign = selected(Some("fault_campaign"));
         assert_eq!(campaign.len(), 3);
         assert!(campaign

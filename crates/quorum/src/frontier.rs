@@ -55,12 +55,14 @@ pub struct Frontier {
 }
 
 impl Frontier {
-    /// Builds a frontier from per-site summaries (must be sorted by site,
-    /// one per site, counts positive — as maintained by `Log`).
-    pub(crate) fn from_summaries(sites: Vec<SiteSummary>) -> Self {
+    /// Overwrites this frontier with per-site summaries (must be sorted
+    /// by site, one per site, counts positive — as maintained by `Log`),
+    /// in the buffer it already has.
+    pub(crate) fn refill(&mut self, sites: &[SiteSummary]) {
         debug_assert!(sites.windows(2).all(|w| w[0].site < w[1].site));
         debug_assert!(sites.iter().all(|s| s.count > 0));
-        Frontier { sites }
+        self.sites.clear();
+        self.sites.extend_from_slice(sites);
     }
 
     /// An empty frontier (claims no entries; a delta against it is the
@@ -121,7 +123,8 @@ mod tests {
 
     #[test]
     fn lookup_by_site() {
-        let f = Frontier::from_summaries(vec![
+        let mut f = Frontier::empty();
+        f.refill(&[
             SiteSummary {
                 site: 1,
                 count: 2,

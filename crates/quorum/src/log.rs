@@ -31,10 +31,16 @@
 //! |---|---|---|---|
 //! | [`Log::insert`] | above the tail: O(1), no search | binary search, then shift `entries[p..]` and re-hash `prefix[p..]` | the entry sorts at our start |
 //! | [`Log::merge`] | disjoint suffix, the empty receiver included (one bulk append, O(\|other\| + sites(other))), exact prefix, subset | two-pointer union over `entries[p..]`, `p` = first slot at or above `other`'s first timestamp | `other` reaches back to our start |
-//! | [`Log::delta_above_with`] | empty, advertised set = our prefix (suffix) | settle sites from summaries, scan `entries` from the lowest trailing `max + 1` | a site is unadvertised, holed, or ahead of us (full scan) |
-//! | [`Log::diff_with`] | `other` = our prefix (suffix) | — | otherwise: a whole-view scan, which the sim client's write path pays per replica whose record is not a prefix of the view (one cut off, or trailing under interleaved writers) — unless the payload extends, below |
+//! | [`Log::delta_above_into`] | empty, advertised set = our prefix (suffix) | settle sites from summaries, scan `entries` from the lowest trailing `max + 1` | a site is unadvertised, holed, or ahead of us (full scan) |
+//! | [`Log::diff_into`] | `other` = our prefix (suffix) | — | otherwise: a whole-view scan, which the sim client's write path pays per replica whose record is not a prefix of the view (one cut off, or trailing under interleaved writers) — unless the payload extends, below |
 //! | [`Clone::clone_from`] | the longest common prefix stays (binary search over the two prefix-hash arrays), the source's entries above it are copied into spare capacity: O(log n + what differs) — a client's next view over its last | — | the two logs differ at their start |
 //! | [`Log::merge_range`] | the range sorts above our tail (appends in place: a payload extended by its view's new suffix, an ack folding the WAL's next stretch) | one [`Log::range`] copy, then [`Log::merge`]'s | never |
+//!
+//! The two `_into` rows name the forms the runtime calls: they clear and
+//! refill a log the caller keeps (the message body it sent last, see
+//! [`crate::protocol::wire`]), so at steady state they allocate nothing;
+//! [`Log::delta_above_with`] and [`Log::diff_with`] are the same over a
+//! fresh log.
 //!
 //! One writer never leaves the fast paths — and a shard is one writer,
 //! whatever its scheduling policy: every entry it mints carries a
@@ -159,7 +165,7 @@ impl<Op> Default for Log<Op> {
     }
 }
 
-/// Reusable buffers for [`Log::diff_with`] / [`Log::delta_above_with`],
+/// Reusable buffers for [`Log::diff_into`] / [`Log::delta_above_into`],
 /// so the read-response and client write hot loops do not allocate fresh
 /// per-site vectors on every call. All buffers are cleared, never
 /// shrunk: at steady state a scratch owned by a client or replica stops
@@ -237,16 +243,18 @@ impl<Op: Clone> Log<Op> {
         }
     }
 
-    /// A log with exact capacity reserved for its vectors — together
-    /// with [`Log::push_back`] this gives allocation-exact construction
-    /// (at most one allocation per vector, none when `entries == 0`).
-    fn with_capacity_for(entries: usize, sites: usize) -> Log<Op> {
-        Log {
-            entries: Vec::with_capacity(entries),
-            prefix: Vec::with_capacity(entries),
-            sites: Vec::with_capacity(if entries == 0 { 0 } else { sites }),
-            merkle: None,
-        }
+    /// Empties the log, keeping its vectors, and reserves room in them
+    /// for `entries` entries over `sites` sites — with [`Log::push_back`]
+    /// this fills an output buffer with at most one allocation per
+    /// vector (none when it already has the room, or `entries == 0`).
+    fn reset(&mut self, entries: usize, sites: usize) {
+        self.entries.clear();
+        self.prefix.clear();
+        self.sites.clear();
+        self.merkle = None;
+        self.entries.reserve(entries);
+        self.prefix.reserve(entries);
+        self.sites.reserve(if entries == 0 { 0 } else { sites });
     }
 
     /// Appends an entry known to sort strictly above everything present.
@@ -403,12 +411,15 @@ impl<Op: Clone> Log<Op> {
     /// most three allocations, none for an empty range.
     #[must_use]
     pub fn range(&self, lo: usize, hi: usize) -> Log<Op> {
-        let slice = &self.entries[lo..hi];
-        let mut out = Log::with_capacity_for(slice.len(), self.sites.len());
-        for e in slice {
-            out.push_back(e.clone());
-        }
+        let mut out = Log::new();
+        self.range_into(lo, hi, &mut out);
         out
+    }
+
+    /// [`Log::range`] into `out`'s buffers, whatever they held.
+    fn range_into(&self, lo: usize, hi: usize, out: &mut Log<Op>) {
+        out.reset(hi - lo, self.sites.len());
+        out.append(self, lo, hi);
     }
 
     /// Merges `other.entries()[lo..hi]`. A range sorting above our tail
@@ -443,7 +454,14 @@ impl<Op: Clone> Log<Op> {
     /// The per-site summary of this log's entry set (O(sites)).
     #[must_use]
     pub fn frontier(&self) -> Frontier {
-        Frontier::from_summaries(self.sites.clone())
+        let mut f = Frontier::empty();
+        self.frontier_into(&mut f);
+        f
+    }
+
+    /// [`Log::frontier`] into `f`'s buffer, whatever it held.
+    pub fn frontier_into(&self, f: &mut Frontier) {
+        f.refill(&self.sites);
     }
 
     /// The entries a peer advertising frontier `f` is missing, such that
@@ -466,14 +484,23 @@ impl<Op: Clone> Log<Op> {
     /// per-site summary vectors are reused across calls, and the output
     /// log's vectors are reserved to exact size, so a warm call performs
     /// at most three allocations (zero for an empty delta).
+    #[must_use]
+    pub fn delta_above_with(&self, f: &Frontier, scratch: &mut DiffScratch) -> Log<Op> {
+        let mut out = Log::new();
+        self.delta_above_into(f, scratch, &mut out);
+        out
+    }
+
+    /// [`Log::delta_above_with`] into `out`'s buffers, whatever they
+    /// held: a replica answering one client's reads refills the response
+    /// it sent last and allocates nothing once the buffers have grown.
     ///
     /// O(|delta| + |tail| + sites) whenever the peer merely trails us
     /// (the tail path, `delta_tail`); the O(history) scan runs only for
     /// peers with unadvertised sites, per-site holes, or entries we lack.
-    #[must_use]
-    pub fn delta_above_with(&self, f: &Frontier, scratch: &mut DiffScratch) -> Log<Op> {
+    pub fn delta_above_into(&self, f: &Frontier, scratch: &mut DiffScratch, out: &mut Log<Op>) {
         if f.is_empty() || self.is_empty() {
-            return self.clone();
+            return out.clone_from(self);
         }
         let fsites = f.sites();
         // Suffix fast path (one hash compare): when the advertised set
@@ -486,15 +513,14 @@ impl<Op: Clone> Log<Op> {
         let claimed: usize = fsites.iter().map(|s| s.count as usize).sum();
         let claimed_hash = fsites.iter().fold(0u64, |h, s| h ^ s.hash);
         if claimed <= self.entries.len() && self.prefix_hash(claimed) == claimed_hash {
-            return self.range(claimed, self.entries.len());
+            return self.range_into(claimed, self.entries.len(), out);
         }
-        match self.delta_tail(f, scratch) {
-            Some(out) => out,
-            None => self.delta_scan(f, scratch),
+        if !self.delta_tail(f, scratch, out) {
+            self.delta_scan(f, scratch, out);
         }
     }
 
-    /// The tail path of [`Log::delta_above_with`]: the peer trails us on
+    /// The tail path of [`Log::delta_above_into`]: the peer trails us on
     /// some sites and matches us on the rest — two writers interleaving,
     /// each behind on the other's entries. Settles every site from the
     /// summaries alone (O(sites)), then reads only our entries at or
@@ -504,9 +530,10 @@ impl<Op: Clone> Log<Op> {
     /// the entries above the advertised max must leave the advertised
     /// (count, hash) — the test [`Log::delta_scan`] makes by adding up
     /// the entries below it, under the same ≈2⁻⁶⁴ trust in the XOR hash.
-    /// `None` sends the call to the scan: an unadvertised site, a site
-    /// whose advertised max is not below ours, or a failed confirmation.
-    fn delta_tail(&self, f: &Frontier, scratch: &mut DiffScratch) -> Option<Log<Op>> {
+    /// `false` sends the call to the scan, whatever `out` then holds: an
+    /// unadvertised site, a site whose advertised max is not below ours,
+    /// or a failed confirmation.
+    fn delta_tail(&self, f: &Frontier, scratch: &mut DiffScratch, out: &mut Log<Op>) -> bool {
         // Per own site, what must sit above the advertised max (`max`
         // holds that threshold); the scan below counts it back down.
         scratch.below.clear();
@@ -514,9 +541,11 @@ impl<Op: Clone> Log<Op> {
         let mut adv = f.sites().iter().peekable();
         for s in &self.sites {
             while adv.next_if(|a| a.site < s.site).is_some() {}
-            let a = adv.next_if(|a| a.site == s.site)?;
+            let Some(a) = adv.next_if(|a| a.site == s.site) else {
+                return false;
+            };
             if (a.max >= s.max && a != s) || a.count > s.count {
-                return None;
+                return false;
             }
             if a.max < s.max {
                 floor = floor.min(a.max + 1);
@@ -530,7 +559,7 @@ impl<Op: Clone> Log<Op> {
             });
         }
         let tail = &self.entries[self.entries.partition_point(|e| e.ts.counter < floor)..];
-        let mut out = Log::with_capacity_for(n as usize, self.sites.len());
+        out.reset(n as usize, self.sites.len());
         for e in tail {
             let ix = self.sites.binary_search_by_key(&e.ts.site, |s| s.site);
             let b = &mut scratch.below[ix.expect("every entry's site is summarized")];
@@ -540,14 +569,13 @@ impl<Op: Clone> Log<Op> {
                 out.push_back(e.clone());
             }
         }
-        let confirmed = scratch.below.iter().all(|b| b.count == 0 && b.hash == 0);
-        confirmed.then_some(out)
+        scratch.below.iter().all(|b| b.count == 0 && b.hash == 0)
     }
 
-    /// The full scan behind [`Log::delta_above_with`]: three passes over
+    /// The full scan behind [`Log::delta_above_into`]: three passes over
     /// the whole log. The fallback for what [`Log::delta_tail`] declines,
     /// and the oracle its tests compare against.
-    fn delta_scan(&self, f: &Frontier, scratch: &mut DiffScratch) -> Log<Op> {
+    fn delta_scan(&self, f: &Frontier, scratch: &mut DiffScratch, out: &mut Log<Op>) {
         let fsites = f.sites();
         // Summarize, per advertised site, our entries at-or-below the
         // advertised maximum counter.
@@ -580,11 +608,10 @@ impl<Op: Clone> Log<Op> {
             Some(ix) => !scratch.confirmed[ix] || e.ts.counter > fsites[ix].max,
         };
         let n = self.entries.iter().filter(|e| include(e)).count();
-        let mut out = Log::with_capacity_for(n, self.sites.len());
+        out.reset(n, self.sites.len());
         for e in self.entries.iter().filter(|e| include(e)) {
             out.push_back(e.clone());
         }
-        out
     }
 
     /// The entries of `self` absent from `other` (two-pointer set
@@ -600,13 +627,22 @@ impl<Op: Clone> Log<Op> {
     /// scratch, zero when nothing is missing.
     #[must_use]
     pub fn diff_with(&self, other: &Log<Op>, scratch: &mut DiffScratch) -> Log<Op> {
+        let mut out = Log::new();
+        self.diff_into(other, scratch, &mut out);
+        out
+    }
+
+    /// [`Log::diff_with`] into `out`'s buffers, whatever they held: a
+    /// client refills the write payload a replica has acked and allocates
+    /// nothing once the buffers have grown.
+    pub fn diff_into(&self, other: &Log<Op>, scratch: &mut DiffScratch, out: &mut Log<Op>) {
         // Prefix fast path (one hash compare): `other` is exactly our
         // first `m` entries, so the difference is our suffix — the
         // steady-state write shape, where the replica already holds
         // everything but the entry being recorded.
         let m = other.entries.len();
         if m <= self.entries.len() && self.prefix_hash(m) == other.prefix_hash(m) {
-            return self.range(m, self.entries.len());
+            return self.range_into(m, self.entries.len(), out);
         }
         scratch.missing.clear();
         let mut n = 0usize;
@@ -622,13 +658,12 @@ impl<Op: Clone> Log<Op> {
             n += usize::from(missing);
             scratch.missing.push(missing);
         }
-        let mut out = Log::with_capacity_for(n, self.sites.len());
+        out.reset(n, self.sites.len());
         for (e, &missing) in self.entries.iter().zip(&scratch.missing) {
             if missing {
                 out.push_back(e.clone());
             }
         }
-        out
     }
 
     /// The operations in timestamp order, as a history.
@@ -664,7 +699,8 @@ impl<Op: Clone> Log<Op> {
         let end = self.entries.partition_point(|e| e.ts.counter < hi);
         let slice = &self.entries[start..end];
         let n = slice.iter().filter(|e| e.ts.site == site).count();
-        let mut out = Log::with_capacity_for(n, 1);
+        let mut out = Log::new();
+        out.reset(n, 1);
         for e in slice.iter().filter(|e| e.ts.site == site) {
             out.push_back(e.clone());
         }
@@ -716,6 +752,19 @@ mod tests {
         for entry in b.entries() {
             out.insert(entry.clone());
         }
+        out
+    }
+
+    /// The tail path and the full scan, each filling a buffer that held
+    /// something else (the log itself) — what a reused response does.
+    fn delta_tail_of(log: &Log<String>, f: &Frontier) -> Option<Log<String>> {
+        let mut out = log.clone();
+        log.delta_tail(f, &mut DiffScratch::default(), &mut out)
+            .then_some(out)
+    }
+    fn delta_scan_of(log: &Log<String>, f: &Frontier) -> Log<String> {
+        let mut out = log.clone();
+        log.delta_scan(f, &mut DiffScratch::default(), &mut out);
         out
     }
 
@@ -798,11 +847,11 @@ mod tests {
                 .cloned()
                 .collect()
         };
-        let mut scratch = DiffScratch::default();
         let f = peer_with(30).frontier();
-        let got = ours.delta_tail(&f, &mut scratch).expect("peer only trails");
-        assert_eq!(got, ours.delta_scan(&f, &mut scratch));
+        let got = delta_tail_of(&ours, &f).expect("peer only trails");
+        assert_eq!(got, delta_scan_of(&ours, &f));
         assert_eq!(got.len(), 10);
+        check_indices(&got);
 
         // A hole below the advertised max, an unadvertised site, and a
         // peer ahead of us each go to the scan.
@@ -812,19 +861,18 @@ mod tests {
             .filter(|x| x.ts != Timestamp::new(7, 1))
             .cloned()
             .collect();
-        assert!(ours.delta_tail(&holed.frontier(), &mut scratch).is_none());
+        assert!(delta_tail_of(&ours, &holed.frontier()).is_none());
         let one_site = peer_with(0);
-        assert!(ours
-            .delta_tail(&one_site.frontier(), &mut scratch)
-            .is_none());
+        assert!(delta_tail_of(&ours, &one_site.frontier()).is_none());
         let mut ahead = peer_with(30);
         ahead.insert(e(99, 0, "z"));
-        assert!(ours.delta_tail(&ahead.frontier(), &mut scratch).is_none());
+        assert!(delta_tail_of(&ours, &ahead.frontier()).is_none());
+        let mut scratch = DiffScratch::default();
         for peer in [holed, one_site, ahead] {
             let f = peer.frontier();
             assert_eq!(
                 ours.delta_above_with(&f, &mut scratch),
-                ours.delta_scan(&f, &mut DiffScratch::default())
+                delta_scan_of(&ours, &f)
             );
         }
     }
@@ -1129,7 +1177,12 @@ mod tests {
             let d1 = replica.delta_above_with(&known.frontier(), &mut scratch);
             let d2 = replica.delta_above_with(&known.frontier(), &mut scratch);
             prop_assert_eq!(&d1, &delta);
-            prop_assert_eq!(d2, delta);
+            prop_assert_eq!(&d2, &delta);
+            // And the same into a buffer that held something else.
+            let mut out = replica.clone();
+            replica.delta_above_into(&known.frontier(), &mut scratch, &mut out);
+            prop_assert_eq!(&out, &delta);
+            check_indices(&out);
             // The delta never ships entries the peer provably has: every
             // confirmed site's below-max entries are excluded, so the
             // delta is disjoint from `known` on confirmed sites. At
@@ -1154,7 +1207,12 @@ mod tests {
             let d1 = la.diff_with(&lb, &mut scratch);
             let d2 = la.diff_with(&lb, &mut scratch);
             prop_assert_eq!(&d1, &la.diff(&lb));
-            prop_assert_eq!(d1, d2);
+            prop_assert_eq!(&d1, &d2);
+            // And the same into a buffer that held something else.
+            let mut out = lb.clone();
+            la.diff_into(&lb, &mut scratch, &mut out);
+            prop_assert_eq!(&out, &d1);
+            check_indices(&out);
         }
 
         /// The tail path of `delta_above_with` is the full scan: on two
@@ -1200,13 +1258,13 @@ mod tests {
                     }
                 }
                 let f = peer.frontier();
-                let oracle = ours.delta_scan(&f, &mut DiffScratch::default());
+                let oracle = delta_scan_of(&ours, &f);
                 let mut scratch = DiffScratch::default();
                 let cold = ours.delta_above_with(&f, &mut scratch);
                 let warm = ours.delta_above_with(&f, &mut scratch);
                 prop_assert_eq!(&cold, &oracle);
                 prop_assert_eq!(&warm, &oracle);
-                let tail = ours.delta_tail(&f, &mut scratch);
+                let tail = delta_tail_of(&ours, &f);
                 if fault > 2 {
                     prop_assert!(tail.is_some(), "a clean trailing peer takes the tail path");
                 }

@@ -7,7 +7,7 @@
 //! reference builds every view from nothing, by merges alone: it checks
 //! the kept buffer with code that shares none of it.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use relax_sim::NodeId;
@@ -16,17 +16,28 @@ use relax_trace::{EventKind as TraceEvent, OpOutcome, QuorumPhase};
 use crate::assignment::VotingAssignment;
 use crate::backend::Transport;
 use crate::calm::SchedulingPolicy;
+use crate::frontier::Frontier;
 use crate::log::{DiffScratch, Entry, Log};
-use crate::protocol::wire::{ClientConfig, Msg, Outcome, ReplicationMode};
+use crate::protocol::wire::{reuse, ClientConfig, Msg, Outcome, ReplicationMode};
 use crate::relation::HasKind;
 use crate::timestamp::LogicalClock;
 use crate::types::ReplicatedType;
 use crate::viewcache::ViewCache;
 
+/// Where the pending invocation stands. Quorum membership is a bit per
+/// replica (at most 64 of them: [`crate::sim_exec::QuorumSystem`] checks).
 #[derive(Debug, Clone)]
 enum Phase<T: ReplicatedType> {
-    Read { responded: BTreeSet<NodeId> },
-    Write { acked: BTreeSet<NodeId>, op: T::Op },
+    Read { responded: u64 },
+    Write { acked: u64, op: T::Op },
+}
+
+/// Sets `replica`'s bit in a membership mask; `false` if it was set.
+fn joins(members: &mut u64, replica: NodeId) -> bool {
+    let bit = 1u64 << replica.0;
+    let new = *members & bit == 0;
+    *members |= bit;
+    new
 }
 
 #[derive(Debug, Clone)]
@@ -85,6 +96,9 @@ pub struct ClientState<T: ReplicatedType> {
     /// was built — `known[r]` only grows, so same length, same set. An
     /// ack folds the payload, not the view; the next shipment extends it.
     sent: Vec<(Arc<Log<T::Op>>, usize)>,
+    /// Per replica: the frontier its last read request advertised,
+    /// refilled from `known[r]` for the next.
+    asked: Vec<Arc<Frontier>>,
     /// The log last shipped — an updated view or the WAL — as the
     /// invocation it went under, its length and its `prefix_hash`.
     shipped: (u64, usize, u64),
@@ -121,7 +135,8 @@ impl<T: ReplicatedType> std::fmt::Debug for ClientState<T> {
 }
 
 /// A client's write bookkeeping, lent read-only to the invariant tests:
-/// [`ClientState`]'s own fields, `fast_writes` by its length.
+/// [`ClientState`]'s own fields, `fast_writes` by its length and `cache`
+/// by the entries it has folded.
 #[doc(hidden)]
 #[derive(Debug)]
 pub struct ClientBookkeeping<'a, Op> {
@@ -129,6 +144,7 @@ pub struct ClientBookkeeping<'a, Op> {
     pub sent: &'a [(Arc<Log<Op>>, usize)],
     pub shipped: (u64, usize, u64),
     pub fast_writes: usize,
+    pub folded: u64,
 }
 
 impl<T: ReplicatedType> ClientState<T> {
@@ -157,7 +173,9 @@ impl<T: ReplicatedType> ClientState<T> {
             view: Log::new(),
             cache: ViewCache::new(),
             scratch: DiffScratch::default(),
+            // Every slot shares one empty body until its first use.
             sent: vec![Default::default(); n],
+            asked: vec![Arc::default(); n],
             shipped: (0, 0, 0),
             policy: SchedulingPolicy::all_quorum(),
             wal: Log::new(),
@@ -201,6 +219,7 @@ impl<T: ReplicatedType> ClientState<T> {
             sent: &self.sent,
             shipped: self.shipped,
             fast_writes: self.fast_writes.len(),
+            folded: self.cache.entries_replayed(),
         }
     }
 
@@ -253,17 +272,18 @@ impl<T: ReplicatedType> ClientState<T> {
                 inv_id,
                 inv,
                 started_at: ctx.now_ticks(),
-                phase: Phase::Read {
-                    responded: BTreeSet::new(),
-                },
+                phase: Phase::Read { responded: 0 },
             });
             ctx.set_timer(self.config.timeout, inv_id);
             if needs_read {
                 for &r in self.replicas.iter() {
                     // Advertise the frontier so read responses stay
                     // O(missing suffix); the reference asks for it all.
-                    let known =
-                        (self.mode != ReplicationMode::FullLog).then(|| self.known[r.0].frontier());
+                    let known = (self.mode != ReplicationMode::FullLog).then(|| {
+                        let asked = &mut self.asked[r.0];
+                        self.known[r.0].frontier_into(reuse(asked));
+                        Arc::clone(asked)
+                    });
                     ctx.send(r, Msg::ReadReq { inv_id, known });
                 }
             } else {
@@ -337,7 +357,8 @@ impl<T: ReplicatedType> ClientState<T> {
     /// trust of [`ViewCache`]) and `known[r]` sorts below the suffix: a
     /// replica that said nothing since — cut off, or acking late — costs
     /// O(suffix), in place once the transport let go of the last message.
-    /// An ack, a read response or a spliced view means [`Log::diff_with`].
+    /// An ack, a read response or a spliced view means [`Log::diff_into`]
+    /// the payload the replica has let go of.
     fn ship(&mut self, ctx: &mut impl Transport<T>, inv_id: u64, full: &Log<T::Op>) {
         let whole = (self.mode == ReplicationMode::FullLog).then(|| Arc::new(full.clone()));
         let (_, was, hash) = self.shipped;
@@ -353,7 +374,7 @@ impl<T: ReplicatedType> ClientState<T> {
                 Arc::make_mut(payload).merge_range(full, was, full.len());
                 Arc::clone(payload)
             } else {
-                *payload = Arc::new(full.diff_with(known, &mut self.scratch));
+                full.diff_into(known, &mut self.scratch, reuse(payload));
                 *at = known.len();
                 Arc::clone(payload)
             };
@@ -406,17 +427,21 @@ impl<T: ReplicatedType> ClientState<T> {
                 merged_len,
             });
         }
-        let fresh;
-        let value = if self.mode == ReplicationMode::FullLog {
-            // The reference shares no cache with what it checks.
-            fresh = self.ttype.eval_view(view);
-            &fresh
+        let ttype = &self.ttype;
+        let response = if self.mode == ReplicationMode::FullLog {
+            // The reference shares no cache with what it checks, and
+            // evaluates every view whether or not the response reads it.
+            ttype.execute(&ttype.eval_view(view), &pending.inv)
         } else {
-            let ttype = &self.ttype;
-            self.cache
-                .eval_ref(view, ttype.initial_value(), |v, op| ttype.apply_mut(v, op))
+            // The view is folded only if the response reads its value.
+            let (cache, seen) = (&mut self.cache, &*view);
+            let fold = move || {
+                let cache = cache; // moved out: the value outlives the call
+                cache.eval_ref(seen, ttype.initial_value(), |v, op| ttype.apply_mut(v, op))
+            };
+            ttype.respond(fold, &pending.inv)
         };
-        match self.ttype.execute(value, &pending.inv) {
+        match response {
             None => {
                 let latency = ctx.now_ticks() - pending.started_at;
                 self.finish(ctx, Outcome::Refused { latency });
@@ -424,10 +449,7 @@ impl<T: ReplicatedType> ClientState<T> {
             Some(op) => {
                 let ts = self.clock.tick();
                 view.insert(Entry::new(ts, op.clone()));
-                pending.phase = Phase::Write {
-                    acked: BTreeSet::new(),
-                    op,
-                };
+                pending.phase = Phase::Write { acked: 0, op };
                 // The updated view ships from the buffer it was built in.
                 let updated = std::mem::take(&mut self.view);
                 self.ship(ctx, inv_id, &updated);
@@ -482,9 +504,10 @@ impl<T: ReplicatedType> ClientState<T> {
         let Phase::Read { responded } = &mut pending.phase else {
             return;
         };
-        if !responded.insert(from) {
+        if !joins(responded, from) {
             return;
         }
+        let responded = responded.count_ones() as usize;
         if self.mode == ReplicationMode::FullLog {
             self.view.merge(log);
         } else {
@@ -493,7 +516,7 @@ impl<T: ReplicatedType> ClientState<T> {
             // log at response time (see `Log::delta_above`).
             let known = &mut self.known[from.0];
             known.merge(log);
-            if responded.len() == 1 {
+            if responded == 1 {
                 // The first responder's log *is* the view so far, whatever
                 // the last invocation left in the buffer.
                 self.view.clone_from(known);
@@ -502,13 +525,13 @@ impl<T: ReplicatedType> ClientState<T> {
             }
         }
         let kind = self.ttype.invocation_kind(&pending.inv);
-        if responded.len() < self.assignment.initial_size(kind) {
+        if responded < self.assignment.initial_size(kind) {
             return;
         }
         if ctx.trace_enabled() {
             let node = ctx.me().0 as u32;
             let op_id = pending.inv_id as u32;
-            let size = responded.len() as u32;
+            let size = responded as u32;
             ctx.trace(TraceEvent::QuorumAssembled {
                 node,
                 op_id,
@@ -549,9 +572,10 @@ impl<T: ReplicatedType> ClientState<T> {
         let Phase::Write { acked, op } = &mut pending.phase else {
             return;
         };
-        if !acked.insert(from) {
+        if !joins(acked, from) {
             return;
         }
+        let acked = acked.count_ones() as usize;
         if self.mode != ReplicationMode::FullLog && self.shipped.0 == inv_id {
             // The replica merged the payload we sent it, and `known[r]`
             // plus that payload *is* the updated view: fold what was sent,
@@ -560,11 +584,11 @@ impl<T: ReplicatedType> ClientState<T> {
             self.known[from.0].merge(&self.sent[from.0].0);
         }
         let kind = op.kind();
-        if acked.len() >= self.assignment.final_size(kind) {
+        if acked >= self.assignment.final_size(kind) {
             if ctx.trace_enabled() {
                 let node = ctx.me().0 as u32;
                 let op_id = pending.inv_id as u32;
-                let size = acked.len() as u32;
+                let size = acked as u32;
                 ctx.trace(TraceEvent::QuorumAssembled {
                     node,
                     op_id,
@@ -589,17 +613,17 @@ impl<T: ReplicatedType> ClientState<T> {
             let node = ctx.me().0 as u32;
             let op_id = pending.inv_id as u32;
             let (phase, responses, needed) = match &pending.phase {
-                Phase::Read { responded, .. } => {
+                Phase::Read { responded } => {
                     let kind = self.ttype.invocation_kind(&pending.inv);
                     (
                         QuorumPhase::Read,
-                        responded.len(),
+                        responded.count_ones(),
                         self.assignment.initial_size(kind),
                     )
                 }
                 Phase::Write { acked, op } => (
                     QuorumPhase::Write,
-                    acked.len(),
+                    acked.count_ones(),
                     self.assignment.final_size(op.kind()),
                 ),
             };
@@ -607,7 +631,7 @@ impl<T: ReplicatedType> ClientState<T> {
                 node,
                 op_id,
                 phase,
-                responses: responses as u32,
+                responses,
                 needed: needed as u32,
             });
         }

@@ -8,7 +8,7 @@ use relax_sim::NodeId;
 use crate::backend::Transport;
 use crate::log::{DiffScratch, Log};
 use crate::merkle::NodeRange;
-use crate::protocol::wire::Msg;
+use crate::protocol::wire::{reuse, Msg};
 use crate::types::ReplicatedType;
 
 /// A replica site's state: the resident log plus gossip bookkeeping.
@@ -42,6 +42,9 @@ pub struct ReplicaState<T: ReplicatedType> {
     leaf_cache_version: (usize, u64),
     /// Reusable diff buffers for the read hot path.
     scratch: DiffScratch,
+    /// By requesting node: the read response sent to it last, refilled
+    /// for its next request once it has let go of it.
+    read_resps: Vec<Option<Arc<Log<T::Op>>>>,
 }
 
 // Manual impl: the derive would demand `T: Debug`, which the trait does
@@ -73,6 +76,7 @@ impl<T: ReplicatedType> ReplicaState<T> {
             leaf_cache: Vec::new(),
             leaf_cache_version: (0, 0),
             scratch: DiffScratch::default(),
+            read_resps: Vec::new(),
         }
     }
 
@@ -125,19 +129,20 @@ impl<T: ReplicatedType> ReplicaState<T> {
         );
         match msg {
             Msg::ReadReq { inv_id, known } => {
-                let payload = match known {
+                if self.read_resps.len() <= from.0 {
+                    self.read_resps.resize(from.0 + 1, None);
+                }
+                let slot = self.read_resps[from.0].get_or_insert_with(Arc::default);
+                match known {
                     // Only the entries above the client's advertised
                     // frontier.
-                    Some(f) => self.log.delta_above_with(&f, &mut self.scratch),
-                    None => self.log.clone(),
-                };
-                ctx.send(
-                    from,
-                    Msg::ReadResp {
-                        inv_id,
-                        log: Arc::new(payload),
-                    },
-                );
+                    Some(f) => self
+                        .log
+                        .delta_above_into(&f, &mut self.scratch, reuse(slot)),
+                    None => reuse(slot).clone_from(&self.log),
+                }
+                let log = Arc::clone(slot);
+                ctx.send(from, Msg::ReadResp { inv_id, log });
             }
             Msg::WriteReq { inv_id, log: view } => {
                 self.log.merge(&view);

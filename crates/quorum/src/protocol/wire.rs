@@ -34,9 +34,10 @@ pub enum ReplicationMode {
     Merkle,
 }
 
-/// Messages of the quorum protocol. Log payloads are [`Arc`]-shared so a
+/// Messages of the quorum protocol. Bodies are [`Arc`]-shared so a
 /// broadcast of the same log to `n` replicas clones a pointer, not the
-/// entries.
+/// entries — and so a sender that keeps its `Arc` can refill the body it
+/// sent last once everyone else let go of it (`reuse`, below).
 #[derive(Debug, Clone)]
 pub enum Msg<T: ReplicatedType> {
     /// External kick: the client should run this invocation.
@@ -48,7 +49,7 @@ pub enum Msg<T: ReplicatedType> {
         inv_id: u64,
         /// The client's summary of what it already holds of this
         /// replica's log; `None` requests the whole log.
-        known: Option<Frontier>,
+        known: Option<Arc<Frontier>>,
     },
     /// Replica → client: my resident log (or the requested delta).
     ReadResp {
@@ -105,6 +106,19 @@ pub enum Msg<T: ReplicatedType> {
     FlushWal,
 }
 
+/// The buffer behind `slot`, to be overwritten with the next message
+/// body: the one sent last when the transport and the receiver have both
+/// let go of it ([`Arc::get_mut`]), else a fresh one — a message still in
+/// flight keeps what it carries. Every body a node sends repeatedly (a
+/// write payload, a read request's frontier, a read response) goes
+/// through here, so at steady state sending allocates nothing.
+pub(crate) fn reuse<B: Default>(slot: &mut Arc<B>) -> &mut B {
+    if Arc::get_mut(slot).is_none() {
+        *slot = Arc::default();
+    }
+    Arc::get_mut(slot).expect("sole owner: checked or just made")
+}
+
 /// Models the wire size of a protocol message, for the world's payload
 /// accounting: 16 bytes of header, ~24 per log entry (timestamp + small
 /// operation), ~28 per advertised frontier site or tree node (site +
@@ -116,7 +130,7 @@ pub fn msg_wire_bytes<T: ReplicatedType>(msg: &Msg<T>) -> u64 {
     const SITE: u64 = 28;
     const NODE: u64 = 28;
     const RANGE: u64 = 16;
-    let frontier_bytes = |f: &Frontier| f.sites().len() as u64 * SITE;
+    let frontier_bytes = |f: &Arc<Frontier>| f.sites().len() as u64 * SITE;
     match msg {
         Msg::Start(_) | Msg::WriteAck { .. } | Msg::GossipKick | Msg::FlushWal => HEADER,
         Msg::ReadReq { known, .. } => HEADER + known.as_ref().map_or(0, frontier_bytes),

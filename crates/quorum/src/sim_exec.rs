@@ -101,8 +101,9 @@ impl<T: ReplicatedType> QuorumSystem<T> {
     ///
     /// # Panics
     ///
-    /// Panics if `n_clients == 0` or the assignment covers a different
-    /// replica count.
+    /// Panics if `n_clients == 0`, the assignment covers a different
+    /// replica count, or there are more than 64 replicas (a client keeps
+    /// quorum membership as one bit per replica in a `u64`).
     pub fn with_clients(
         ttype: T,
         n_replicas: usize,
@@ -113,6 +114,10 @@ impl<T: ReplicatedType> QuorumSystem<T> {
         seed: u64,
     ) -> Self {
         assert!(n_clients >= 1, "need at least one client");
+        assert!(
+            n_replicas <= 64,
+            "at most 64 replicas (quorum membership is a u64 mask), got {n_replicas}"
+        );
         assert_eq!(
             assignment.n_sites(),
             n_replicas,
@@ -731,6 +736,19 @@ mod tests {
         // The merged replica history is a legal priority-queue history.
         let h = sys.merged_history();
         assert!(PQueueAutomaton::new().accepts(&h));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 replicas")]
+    fn more_replicas_than_a_membership_mask_holds_are_rejected() {
+        let _ = QuorumSystem::new(
+            TaxiQueueType,
+            65,
+            taxi_assignment(65),
+            ClientConfig::default(),
+            NetworkConfig::default(),
+            1,
+        );
     }
 
     #[test]
@@ -1498,13 +1516,15 @@ mod tests {
         )
         .with_wire_accounting()
         .with_gossip(30);
+        // Enqueues never read the view's value; the dequeues fold it.
         for i in 0..10 {
             sys.submit(QueueInv::Enq(i));
+            sys.submit(QueueInv::Deq);
         }
-        assert!(sys.run_until_outcomes(10, 1_000_000));
+        assert!(sys.run_until_outcomes(20, 1_000_000));
         sys.export_metrics();
         let (hits, misses) = sys.viewcache_counts();
-        assert!(hits + misses > 0, "memoized clients consult the cache");
+        assert!(hits + misses > 0, "a dequeue consults the cache");
         let g = |name: &str| {
             sys.registry()
                 .get_gauge(name)

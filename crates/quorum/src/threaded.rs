@@ -56,9 +56,10 @@ use relax_trace::{DegradationMonitor, EventKind as TraceEvent, Registry, TimeBas
 use crate::assignment::VotingAssignment;
 use crate::backend::{ClientTable, Executor, RunStats, Transport};
 use crate::calm::SchedulingPolicy;
+use crate::frontier::Frontier;
 use crate::log::{Entry, Log};
 use crate::protocol::replica::ReplicaState;
-use crate::protocol::wire::{Msg, Outcome};
+use crate::protocol::wire::{reuse, Msg, Outcome};
 use crate::relation::HasKind;
 use crate::timestamp::LogicalClock;
 use crate::types::ReplicatedType;
@@ -116,6 +117,9 @@ struct ShardState<T: ReplicatedType> {
     value: T::Value,
     /// Suffix-replay evaluation for non-commutative types.
     cache: ViewCache<T::Value>,
+    /// The frontier the last reading round advertised, refilled from the
+    /// view for the next (every broker has answered by then).
+    asked: Arc<Frontier>,
     /// Round-robin cursor so clients beyond the batch ceiling are not
     /// starved.
     cursor: usize,
@@ -239,6 +243,7 @@ impl<T: ReplicatedType> ThreadedSystem<T> {
                 view: Log::new(),
                 value: ttype.initial_value(),
                 cache: ViewCache::new(),
+                asked: Arc::default(),
                 cursor: 0,
                 rounds: 0,
                 latencies: Vec::new(),
@@ -633,6 +638,7 @@ fn run_shard<T: ReplicatedType>(
             view,
             value,
             cache,
+            asked,
             latencies,
             batch_sizes,
             calm_fast,
@@ -656,10 +662,13 @@ fn run_shard<T: ReplicatedType>(
         });
         // The frontier is taken after the previous round's inserts, so a
         // replica that has merged the commit beside it ships none of it
-        // back.
-        let read = needs_read.then(|| Msg::ReadReq {
-            inv_id: round_id,
-            known: Some(view.frontier()),
+        // back. One body for every broker: each packet copies a pointer.
+        let read = needs_read.then(|| {
+            view.frontier_into(reuse(asked));
+            Msg::ReadReq {
+                inv_id: round_id,
+                known: Some(Arc::clone(asked)),
+            }
         });
         // The visit: one packet to every reachable broker, one back from
         // each. A round that neither follows a commit nor reads pays none.
@@ -753,22 +762,26 @@ fn run_shard<T: ReplicatedType>(
                 slot.outcomes.push(Outcome::TimedOut);
                 continue;
             }
-            // `execute` only reads the value, so every arm lends it out.
-            let exec_value: &T::Value = if init == 0 {
-                // Zero initial quorum: respond against the empty view
-                // without observing (the sim's fresh-view path).
-                &initial
-            } else {
+            // Zero initial quorum: respond against the empty view
+            // without observing (the sim's fresh-view path).
+            let reads = init > 0;
+            if reads {
                 if let Some(ts) = view.max_timestamp() {
                     slot.clock.observe(ts);
                 }
-                if commutes {
-                    value
-                } else {
-                    cache.eval_ref(view, ttype.initial_value(), |v, op| ttype.apply_mut(v, op))
+            }
+            // The value is lent out only if the response reads it, and
+            // only then is a non-commutative view folded.
+            let (seen, held, cache, initial) = (&*view, &*value, &mut *cache, &initial);
+            let lend = move || match (reads, commutes) {
+                (false, _) => initial,
+                (true, true) => held,
+                (true, false) => {
+                    let cache = cache; // moved out: the value outlives the call
+                    cache.eval_ref(seen, ttype.initial_value(), |v, op| ttype.apply_mut(v, op))
                 }
             };
-            match ttype.execute(exec_value, &inv) {
+            match ttype.respond(lend, &inv) {
                 None => slot.outcomes.push(Outcome::Refused { latency: 0 }),
                 Some(op) => {
                     let ts = slot.clock.tick();

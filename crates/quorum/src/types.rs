@@ -36,7 +36,26 @@ pub trait ReplicatedType: Clone {
     /// Chooses the response for `inv` against the view's value, yielding
     /// the operation execution to record — or `None` when no response is
     /// consistent (e.g. `Deq` on an apparently empty queue).
-    fn execute(&self, value: &Self::Value, inv: &Self::Inv) -> Option<Self::Op>;
+    ///
+    /// The value arrives lazily: call `value` only when the response
+    /// reads it. §3.1's client "chooses a response consistent with the
+    /// view", and an invocation that answers the same against every view
+    /// (`Enq`, `Credit` — the response-stable ones of [`crate::calm`])
+    /// is consistent with this one unseen; the runtime then never folds
+    /// the view at all (see [`crate::viewcache`]'s cost contract).
+    fn respond<'v>(
+        &self,
+        value: impl FnOnce() -> &'v Self::Value,
+        inv: &Self::Inv,
+    ) -> Option<Self::Op>
+    where
+        Self::Value: 'v;
+
+    /// [`ReplicatedType::respond`] against a value already in hand
+    /// (provided).
+    fn execute(&self, value: &Self::Value, inv: &Self::Inv) -> Option<Self::Op> {
+        self.respond(|| value, inv)
+    }
 
     /// The quorum-relevant kind of an invocation.
     fn invocation_kind(&self, inv: &Self::Inv) -> <Self::Op as HasKind>::Kind;
@@ -121,10 +140,14 @@ impl ReplicatedType for TaxiQueueType {
         relax_queues::Eta.apply_mut(value, op);
     }
 
-    fn execute(&self, value: &Self::Value, inv: &QueueInv) -> Option<Self::Op> {
+    fn respond<'v>(
+        &self,
+        value: impl FnOnce() -> &'v Self::Value,
+        inv: &QueueInv,
+    ) -> Option<Self::Op> {
         match inv {
             QueueInv::Enq(e) => Some(relax_queues::QueueOp::Enq(*e)),
-            QueueInv::Deq => value.best().map(|b| relax_queues::QueueOp::Deq(*b)),
+            QueueInv::Deq => value().best().map(|b| relax_queues::QueueOp::Deq(*b)),
         }
     }
 
@@ -168,10 +191,14 @@ impl ReplicatedType for TaxiQueuePrimeType {
         relax_queues::EtaPrime.apply_mut(value, op);
     }
 
-    fn execute(&self, value: &Self::Value, inv: &QueueInv) -> Option<Self::Op> {
+    fn respond<'v>(
+        &self,
+        value: impl FnOnce() -> &'v Self::Value,
+        inv: &QueueInv,
+    ) -> Option<Self::Op> {
         match inv {
             QueueInv::Enq(e) => Some(relax_queues::QueueOp::Enq(*e)),
-            QueueInv::Deq => value.best().map(|b| relax_queues::QueueOp::Deq(*b)),
+            QueueInv::Deq => value().best().map(|b| relax_queues::QueueOp::Deq(*b)),
         }
     }
 
@@ -240,10 +267,10 @@ impl ReplicatedType for BankAccountType {
         relax_queues::eval::AccountEval.apply_mut(value, op);
     }
 
-    fn execute(&self, value: &i64, inv: &AccountInv) -> Option<Self::Op> {
+    fn respond<'v>(&self, value: impl FnOnce() -> &'v i64, inv: &AccountInv) -> Option<Self::Op> {
         match inv {
             AccountInv::Credit(n) => Some(relax_queues::AccountOp::Credit(*n)),
-            AccountInv::Debit(n) => Some(if *value >= i64::from(*n) {
+            AccountInv::Debit(n) => Some(if *value() >= i64::from(*n) {
                 relax_queues::AccountOp::DebitOk(*n)
             } else {
                 relax_queues::AccountOp::DebitOverdraft(*n)

@@ -35,10 +35,23 @@
 //!
 //! # Cost contract
 //!
+//! *Nothing is folded that no response reads.* §3.1's client merges an
+//! initial quorum's logs into a view and then "chooses a response
+//! consistent with the view"; only that second step can need the view's
+//! value, and only for an invocation whose response depends on it. The
+//! runtime therefore hands [`crate::types::ReplicatedType::respond`] a
+//! closure over [`ViewCache::eval_ref`] and the type calls it on demand:
+//! an `Enq` or a `Credit` costs this cache nothing — no replay, no
+//! checkpoint — and a client that never reads a value never stores one.
+//! The cache does not need to have seen the views in between: validity
+//! is decided against the log it is handed, so a demand after any
+//! stretch of growth and splices resumes from the deepest prefix that
+//! survived them.
+//!
 //! The cache *owns* the folded value and extends it in place;
 //! [`ViewCache::eval_ref`] hands out a borrow of it. Counting copies of
 //! the value (`V::clone`, the expensive thing for a collection-valued
-//! `V`):
+//! `V`), per evaluation demanded:
 //!
 //! - **hit** (the log grew by a suffix): O(suffix) applies, no copy;
 //! - **splice** (entries landed below the cached point): one copy — of
@@ -105,7 +118,6 @@ pub struct ViewCache<V> {
     /// geometric boundary (see `checkpoint_slot`), refreshed whenever
     /// a replay crosses that length once `misses > 0`.
     checkpoints: Vec<Option<Cached<V>>>,
-    use_checkpoints: bool,
     hits: u64,
     misses: u64,
     checkpoint_hits: u64,
@@ -131,7 +143,6 @@ impl<V> Default for ViewCache<V> {
             cached: None,
             empty: None,
             checkpoints: Vec::new(),
-            use_checkpoints: true,
             hits: 0,
             misses: 0,
             checkpoint_hits: 0,
@@ -187,7 +198,7 @@ impl<V: Clone> ViewCache<V> {
         };
         self.entries_replayed += (entries.len() - start) as u64;
         // Splice insurance is paid for once a splice has been seen.
-        let armed = self.use_checkpoints && self.misses > 0;
+        let armed = self.misses > 0;
         for (i, e) in entries.iter().enumerate().skip(start) {
             apply(&mut value, &e.op);
             let len = i + 1;
@@ -259,16 +270,6 @@ impl<V: Clone> ViewCache<V> {
     pub fn checkpoint_hits(&self) -> u64 {
         self.checkpoint_hits
     }
-
-    /// Enables or disables the checkpoint chain (on by default).
-    /// Disabling drops stored checkpoints; results never change either
-    /// way, only the replay depth on splices.
-    pub fn set_checkpoints(&mut self, on: bool) {
-        self.use_checkpoints = on;
-        if !on {
-            self.checkpoints.clear();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -334,8 +335,6 @@ mod tests {
 
     #[test]
     fn checkpoints_bound_splice_replay_depth() {
-        let mut plain = ViewCache::new();
-        plain.set_checkpoints(false);
         let mut cp = ViewCache::new();
         let mut log = Log::new();
         // 100 entries at even counters, evaluated at every step. The
@@ -343,23 +342,19 @@ mod tests {
         // chain (nothing is stored before it) and folds one entry twice.
         for i in [2, 1].into_iter().chain(3..=100u64) {
             log.insert(e(2 * i, 0, i as i64));
-            let a = plain.eval(&log, 0i64, |acc, op| *acc += op);
-            let b = cp.eval(&log, 0i64, |acc, op| *acc += op);
-            assert_eq!(a, b);
+            let v = cp.eval(&log, 0i64, |acc, op| *acc += op);
+            assert_eq!(v, fresh_sum(&log));
         }
-        assert_eq!(plain.entries_replayed(), 100 + 1);
         assert_eq!(cp.entries_replayed(), 100 + 1);
         assert_eq!((cp.misses(), cp.checkpoint_hits()), (1, 0));
         // Splice at position 64 (counter 129 lands between 128 and 130):
         // the length-64 prefix survives, longer checkpoints do not.
         log.insert(e(129, 1, 1000));
-        let a = plain.eval(&log, 0i64, |acc, op| *acc += op);
-        let b = cp.eval(&log, 0i64, |acc, op| *acc += op);
-        assert_eq!(a, b);
-        assert_eq!(plain.misses(), 2);
+        let v = cp.eval(&log, 0i64, |acc, op| *acc += op);
+        assert_eq!(v, fresh_sum(&log));
         assert_eq!(cp.misses(), 2, "a checkpoint resume still counts as a miss");
         assert_eq!(cp.checkpoint_hits(), 1);
-        assert_eq!(plain.entries_replayed(), 201 + 1, "full replay from zero");
+        // A replay from zero would read 201 + 1 here.
         assert_eq!(
             cp.entries_replayed(),
             137 + 1,

@@ -26,14 +26,20 @@
 //!    the shard's view like everything else it executes, so the merged
 //!    history holds the same operations as the all-quorum run's and
 //!    stays inside the `{A2}` spec.
+//! 5. **Laziness agrees with the specification**: `respond` asks for
+//!    the view's value exactly for the invocations the analyzer's
+//!    response-stability enumeration finds unstable, and answers as
+//!    `execute` does at every view it enumerates.
 
 use proptest::prelude::*;
 
-use relax_automata::{History, ObjectAutomaton};
-use relax_queues::{AccountEval, AccountOp, AccountValueSpec};
+use relax_automata::{response_stable, History, ObjectAutomaton};
+use relax_queues::{account_alphabet, queue_alphabet, AccountEval, AccountOp, AccountValueSpec};
 use relax_quorum::calm::{analyze_account, SchedulingPolicy};
 use relax_quorum::relation::{account_relation, AccountKind, IntersectionRelation};
-use relax_quorum::runtime::{AccountInv, BankAccountType, ReplicatedType};
+use relax_quorum::runtime::{
+    AccountInv, BankAccountType, QueueInv, ReplicatedType, TaxiQueuePrimeType, TaxiQueueType,
+};
 use relax_quorum::{
     outcome_shapes, ClientConfig, ClientTable, Executor, Log, OutcomeShape, QcaAutomaton,
     QuorumSystem, ThreadedConfig, ThreadedSystem, VotingAssignment,
@@ -435,4 +441,69 @@ fn analyzer_monotone_verdicts_are_sound_over_30_histories_per_level() {
                 .unwrap_or_else(|e| panic!("trial {trial} at {relation:?}: {e:?}"));
         }
     }
+}
+
+/// Runs [`response_stable`] for each of `invs` on its own — over the
+/// views `alphabet` grows to depth 3, as the analyzer does — answering
+/// through `respond` with a value that notes being asked for. Returns,
+/// per invocation, whether any enumerated view was demanded and whether
+/// the enumeration found the response unstable; at every view the lazy
+/// answer must be the eager one.
+fn demanded_and_unstable<T>(ttype: &T, alphabet: &[T::Op], invs: &[T::Inv]) -> Vec<(bool, bool)>
+where
+    T: ReplicatedType,
+    T::Op: PartialEq,
+{
+    invs.iter()
+        .map(|inv| {
+            let demanded = std::cell::Cell::new(false);
+            let verdict = response_stable(
+                ttype.initial_value(),
+                alphabet,
+                3,
+                1,
+                |v, op| ttype.apply_mut(v, op),
+                |v, _| {
+                    let lent = || {
+                        demanded.set(true);
+                        v
+                    };
+                    let lazy = ttype.respond(lent, inv);
+                    assert_eq!(lazy, ttype.execute(v, inv), "{inv:?}: lazy ≠ eager");
+                    lazy
+                },
+            );
+            (demanded.get(), verdict.is_err())
+        })
+        .collect()
+}
+
+/// Layer 5: the demand rule is the response-stability half of the CALM
+/// criterion, type by type. An invocation that never asks for the value
+/// cannot answer differently at two views, so "demanded ⇐ unstable" is
+/// free; the content is the other direction — no stable invocation
+/// folds a view it does not need.
+#[test]
+fn respond_demands_the_value_exactly_for_response_unstable_invocations() {
+    let queue_invs = [QueueInv::Enq(1), QueueInv::Enq(2), QueueInv::Deq];
+    let queue_expect = [(false, false), (false, false), (true, true)];
+    let items = queue_alphabet(&[1, 2]);
+    assert_eq!(
+        demanded_and_unstable(&TaxiQueueType, &items, &queue_invs),
+        queue_expect
+    );
+    assert_eq!(
+        demanded_and_unstable(&TaxiQueuePrimeType, &items, &queue_invs),
+        queue_expect
+    );
+    let account_invs = [
+        AccountInv::Credit(1),
+        AccountInv::Credit(2),
+        AccountInv::Debit(1),
+        AccountInv::Debit(2),
+    ];
+    assert_eq!(
+        demanded_and_unstable(&BankAccountType, &account_alphabet(&[1, 2]), &account_invs),
+        [(false, false), (false, false), (true, true), (true, true)]
+    );
 }

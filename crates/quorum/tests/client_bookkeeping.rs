@@ -25,8 +25,6 @@
 //! from the log itself — and every other replica's payload is compared
 //! with the diff of that log against `known[r]`.
 
-use std::sync::Arc;
-
 use proptest::prelude::*;
 
 use relax_quorum::calm::SchedulingPolicy;
@@ -46,11 +44,12 @@ fn client_node(c: usize) -> NodeId {
 }
 
 /// How often each client was seen to build a live replica's payload by
-/// extension and by re-diff. The two are told apart from outside: an
-/// extension grows the payload where it lies (same `Arc`, the transport
-/// having let go of the last message) while a re-diff allocates its
-/// result before it drops the old one; and a `known[r]` that is no
-/// longer as long as the payload's stamp declines the extension.
+/// extension and by re-diff. Both fill the buffer the last payload lay
+/// in, so the two are told apart by what decides between them: a
+/// `known[r]` still as long as the payload's stamp is a replica that has
+/// said nothing since, whose payload extends (the view having grown by a
+/// suffix above it, which is what these runs' views do); one that is not
+/// declines the extension.
 #[derive(Debug, Default)]
 struct Paths {
     extended: [u32; CLIENTS],
@@ -115,8 +114,8 @@ fn run_checked<T: ReplicatedType<Op: PartialEq>>(
         let before: Vec<_> = (0..CLIENTS)
             .map(|c| {
                 let book = sys.client_bookkeeping(c);
-                let sent = book.sent.iter().map(|(p, stamp)| (Arc::as_ptr(p), *stamp));
-                (book.shipped, sent.collect::<Vec<_>>())
+                let stamps = book.sent.iter().map(|(_, stamp)| *stamp);
+                (book.shipped, stamps.collect::<Vec<_>>())
             })
             .collect();
         sys.world_mut().step();
@@ -127,10 +126,10 @@ fn run_checked<T: ReplicatedType<Op: PartialEq>>(
             if !shipped_now {
                 continue;
             }
-            for (r, &(was_at, stamp)) in sent.iter().enumerate().take(N) {
-                if Arc::as_ptr(&book.sent[r].0) == was_at {
+            for (r, &stamp) in sent.iter().enumerate().take(N) {
+                if book.known[r].len() == stamp {
                     paths.extended[c] += 1;
-                } else if book.known[r].len() != stamp {
+                } else {
                     paths.rediffed[c] += 1;
                 }
             }

@@ -16,6 +16,13 @@
 //! anti-entropy reads nothing but the replica logs, so the replicas
 //! gossip the same tree nodes at the same ticks under either client.
 //!
+//! The production client also folds a view only when the response reads
+//! its value, where the reference evaluates every view of every
+//! invocation. The rotating-partition runs vary the share of invocations
+//! that read (none, one in sixteen, one in two), so a demand that follows
+//! a long unevaluated stretch with splices in it is compared with the
+//! eager answer outcome for outcome.
+//!
 //! The production client also builds every view in one buffer it keeps
 //! across invocations, where the reference starts each from a fresh
 //! log. Four scripted runs at the end put something in that buffer the
@@ -198,6 +205,107 @@ proptest! {
                 .collect(),
         };
         check_equivalence(&s)?;
+    }
+}
+
+/// The benchmark's `sim_partition_heal` phase 1 in small: two clients,
+/// gossip off, a partition rotating through `windows` windows of `per`
+/// invocations a client. Client a (node `N`) keeps a majority and makes
+/// every `deq_every`-th invocation a `Deq`; client b sits with one lone
+/// replica and enqueues, so each rotation splices b's entries into what
+/// a reads next. Returns both clients' outcomes, the rest of what is
+/// observable, and the view caches' `(hits + misses, entries replayed)`.
+#[allow(clippy::type_complexity)]
+fn rotation_run(
+    mode: ReplicationMode,
+    seed: u64,
+    max_delay: u64,
+    deq_every: Option<usize>,
+    (windows, per): (usize, usize),
+) -> (
+    Vec<Outcome<QueueOp>>,
+    Vec<Outcome<QueueOp>>,
+    Observed,
+    (u64, u64),
+) {
+    let mut sys = QuorumSystem::with_clients(
+        TaxiQueueType,
+        N,
+        2,
+        quorums((1, 1), (2, 2)),
+        ClientConfig::default(),
+        NetworkConfig::new(1, max_delay, 0.0),
+        seed,
+    )
+    .with_replication(mode);
+    let mut submitted = 0;
+    for w in 0..windows {
+        let lone = NodeId(w % N);
+        let with_a = (0..N).map(NodeId).filter(|&r| r != lone).chain([NodeId(N)]);
+        let now = sys.world().now().0;
+        sys.world_mut().set_schedule(FaultSchedule::new().at(
+            SimTime(now + 1),
+            Fault::Partition(Partition::groups(vec![
+                with_a.collect(),
+                vec![NodeId(N + 1), lone],
+            ])),
+        ));
+        sys.run_until(SimTime(now + 1));
+        for i in 0..per {
+            let id = (submitted + i) as i64;
+            let reads = deq_every.is_some_and(|k| (submitted + i) % k == k - 1);
+            sys.submit_to(
+                0,
+                if reads {
+                    QueueInv::Deq
+                } else {
+                    QueueInv::Enq(2 * id)
+                },
+            );
+            sys.submit_to(1, QueueInv::Enq(2 * id + 1));
+        }
+        submitted += per;
+        let mut at = now + 1;
+        while sys.outcomes_of(0).len() < submitted || sys.outcomes_of(1).len() < submitted {
+            at += 500;
+            sys.run_until(SimTime(at));
+        }
+    }
+    let (hits, misses) = sys.viewcache_counts();
+    (
+        sys.outcomes_of(0).to_vec(),
+        sys.outcomes_of(1).to_vec(),
+        observed(&sys),
+        (hits + misses, sys.viewcache_replayed_entries()),
+    )
+}
+
+proptest! {
+    /// Lazy ≡ eager: whatever share of client a's invocations reads the
+    /// view's value, the production run (folds on demand) and the
+    /// reference (folds every view) agree on everything observable; and
+    /// a run in which nothing reads folds nothing.
+    #[test]
+    fn views_folded_on_demand_answer_as_views_folded_always(
+        seed in 0u64..1_000_000,
+        max_delay in 1u64..8,
+        windows in 3usize..8,
+        per in 8usize..20,
+    ) {
+        for deq_every in [None, Some(16), Some(2)] {
+            let shape = (windows, per);
+            let full = rotation_run(ReplicationMode::FullLog, seed, max_delay, deq_every, shape);
+            let lazy = rotation_run(ReplicationMode::Merkle, seed, max_delay, deq_every, shape);
+            prop_assert_eq!(&full.0, &lazy.0, "client a, a Deq every {:?}", deq_every);
+            prop_assert_eq!(&full.1, &lazy.1, "client b, a Deq every {:?}", deq_every);
+            prop_assert_eq!(&full.2, &lazy.2, "a Deq every {:?}", deq_every);
+            prop_assert!(full.0.iter().chain(&full.1).all(|o| !o.is_timeout()));
+            prop_assert_eq!(full.3, (0, 0), "the reference consulted the cache");
+            // One fold per dequeue, none for anything else.
+            let deqs = deq_every.map_or(0, |k| (windows * per / k) as u64);
+            prop_assert_eq!(lazy.3.0, deqs.saturating_sub(1), "folds beyond the priming one");
+            prop_assert_eq!(lazy.3.1 == 0, deqs == 0, "entries replayed: {}", lazy.3.1);
+        }
     }
 }
 

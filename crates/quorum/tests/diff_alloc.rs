@@ -30,6 +30,13 @@
 //! place, so the client's live bytes grow linearly with the operations
 //! and every record retires after heal and a WAL flush.
 //!
+//! Last, what an operation of a faulted run allocates in all — message
+//! bodies, membership, view evaluation, the simulator's own queue — as
+//! one exact count over a scripted two-client partitioned run: a view is
+//! folded only when a response reads its value and every body a node
+//! sends repeatedly is refilled where it lies, so the count is a fraction
+//! of what it was, and the client that only enqueues folds nothing.
+//!
 //! Single `#[test]` on purpose: the counting allocator is process-global
 //! and concurrent tests would double-count.
 
@@ -38,8 +45,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use relax_queues::{Bag, Item, QueueOp};
 use relax_quorum::calm::SchedulingPolicy;
-use relax_quorum::relation::AccountKind;
-use relax_quorum::runtime::{AccountInv, BankAccountType, ReplicatedType, TaxiQueueType};
+use relax_quorum::relation::{AccountKind, QueueKind};
+use relax_quorum::runtime::{AccountInv, BankAccountType, QueueInv, ReplicatedType, TaxiQueueType};
 use relax_quorum::{
     ClientConfig, DiffScratch, Entry, Log, QuorumSystem, Timestamp, ViewCache, VotingAssignment,
 };
@@ -172,6 +179,7 @@ fn warm_scratch_diffs_allocate_only_the_result() {
     rebuilding_a_view_copies_what_differs_into_spare_capacity();
     a_client_step_allocates_nothing_that_grows_with_the_history();
     fast_writes_under_a_partition_stay_linear_and_retire();
+    a_partitioned_run_allocates_a_pinned_number_of_times_per_operation();
 }
 
 /// Two writers (sites 0 and 1) with a 65,536-entry history at a
@@ -486,4 +494,94 @@ fn fast_writes_under_a_partition_stay_linear_and_retire() {
     );
     let records = sys.client_bookkeeping(0).fast_writes;
     assert_eq!(records, 0, "every record retires after heal + flush");
+}
+
+/// The benchmark's `sim_partition_heal` phase 1 in small: two clients,
+/// three replicas, gossip off, a partition rotating through twelve
+/// windows of sixteen invocations a client. Client a keeps a majority
+/// and dequeues every eighth time, client b sits with one lone replica
+/// and enqueues. Four windows warm every buffer; the other eight — 256
+/// operations — are counted, allocation by allocation, the simulator's
+/// own included. The run is deterministic, so the count is exact.
+///
+/// At the commit before views were folded on demand and message bodies
+/// refilled in place the same script counted 6,274 (24.5 an operation):
+/// a `Bag` checkpoint copy after every window's splice by either client,
+/// three fresh vectors and an `Arc` per write payload and per read
+/// response, a frontier clone per read request, two `BTreeSet`s per
+/// invocation.
+fn a_partitioned_run_allocates_a_pinned_number_of_times_per_operation() {
+    const WINDOWS: usize = 12;
+    const WARM: usize = 4;
+    const PER: usize = 16;
+    const N: usize = 3;
+    let assignment = VotingAssignment::new(N)
+        .with_initial(QueueKind::Deq, 2)
+        .with_final(QueueKind::Deq, 2)
+        .with_initial(QueueKind::Enq, 1)
+        .with_final(QueueKind::Enq, 1);
+    let mut sys = QuorumSystem::with_clients(
+        TaxiQueueType,
+        N,
+        2,
+        assignment,
+        ClientConfig::default(),
+        NetworkConfig::new(1, 5, 0.0),
+        1,
+    );
+    let mut submitted = 0;
+    let mut window = |sys: &mut QuorumSystem<TaxiQueueType>, w: usize| {
+        let lone = NodeId(w % N);
+        let with_a = (0..N).map(NodeId).filter(|&r| r != lone);
+        let now = sys.world().now().0;
+        sys.world_mut().set_schedule(FaultSchedule::new().at(
+            SimTime(now + 1),
+            Fault::Partition(Partition::groups(vec![
+                with_a.chain([NodeId(N)]).collect(),
+                vec![NodeId(N + 1), lone],
+            ])),
+        ));
+        sys.run_until(SimTime(now + 1));
+        for i in 0..PER {
+            let id = (submitted + i) as i64;
+            let a = if i % 8 == 7 {
+                QueueInv::Deq
+            } else {
+                QueueInv::Enq(2 * id)
+            };
+            sys.submit_to(0, a);
+            sys.submit_to(1, QueueInv::Enq(2 * id + 1));
+        }
+        submitted += PER;
+        let mut at = now + 1;
+        while sys.outcomes_of(0).len() < submitted || sys.outcomes_of(1).len() < submitted {
+            at += 500;
+            sys.run_until(SimTime(at));
+        }
+    };
+    (0..WARM).for_each(|w| window(&mut sys, w));
+    let counted = allocs_during(|| (WARM..WINDOWS).for_each(|w| window(&mut sys, w)));
+    let ops = 2 * PER * (WINDOWS - WARM);
+    let completed = |c| {
+        sys.outcomes_of(c)
+            .iter()
+            .filter(|o| o.is_completed())
+            .count()
+    };
+    assert_eq!((completed(0), completed(1)), (WINDOWS * PER, WINDOWS * PER));
+    assert_eq!(
+        counted,
+        960,
+        "{ops} operations allocated {counted} times ({:.1} each)",
+        counted as f64 / ops as f64
+    );
+    assert!(
+        sys.client_bookkeeping(0).folded > 0,
+        "dequeues read the view"
+    );
+    assert_eq!(
+        sys.client_bookkeeping(1).folded,
+        0,
+        "a client that only enqueues folds no view, so it stores no checkpoint"
+    );
 }

@@ -6,8 +6,8 @@
 //! that splices entries below the cached point changes the prefix hash
 //! and must force a replay (from the deepest surviving checkpoint, or
 //! from zero), while append-only growth extends the cached value in
-//! place by the suffix. Every path — borrowed or owned, with or without
-//! the checkpoint chain — must produce the value `η` would.
+//! place by the suffix. Every path — borrowed or owned, resumed from a
+//! checkpoint or not — must produce the value `η` would.
 
 use proptest::prelude::*;
 
@@ -43,45 +43,38 @@ fn counters(c: &TaxiCache) -> (u64, u64, u64, u64) {
 
 /// Runs an insert/merge script — inserts into a main log and a scratch
 /// log, merges of scratch into main (the splices) — and after every
-/// step, starting with the empty log, demands four-way agreement:
-/// borrowed `eval_ref` == owned `eval` == checkpoint-free == fresh
-/// fold. The borrowed and owned caches must also count alike: the owned
-/// form is the borrowed one plus a copy, nothing else.
-fn check_script(script: Vec<(u8, u64, usize)>) -> Result<(), TestCaseError> {
+/// `every`-th step, starting with the empty log, demands three-way
+/// agreement: borrowed `eval_ref` == owned `eval` == fresh fold. The
+/// borrowed and owned caches must also count alike: the owned form is
+/// the borrowed one plus a copy, nothing else. With `every` above one
+/// the caches meet each demand after a stretch of growth and splices
+/// they never saw — what a client whose responses seldom read the
+/// view's value puts its cache through.
+fn check_script(script: Vec<(u8, u64, usize)>, every: usize) -> Result<(), TestCaseError> {
     let ttype = TaxiQueueType;
     let mut main = Log::new();
     let mut scratch = Log::new();
     let mut borrowed = TaxiCache::default();
     let mut owned = TaxiCache::default();
-    let mut plain = TaxiCache::default();
-    plain.set_checkpoints(false);
     // A leading merge of the still-empty scratch log is a no-op, so the
     // first evaluation sees the empty log.
-    for (kind, counter, site) in std::iter::once((3, 0, 0)).chain(script) {
+    let script = std::iter::once((3, 0, 0)).chain(script);
+    for (step, (kind, counter, site)) in script.enumerate() {
         match kind {
             0 | 1 => main.insert(entry(counter, site)),
             2 => scratch.insert(entry(counter, site)),
             _ => main.merge(&scratch),
+        }
+        if step % every != 0 {
+            continue;
         }
         let fresh = ttype.eval_view(&main);
         let b = borrowed.eval_ref(&main, ttype.initial_value(), |v, op| ttype.apply_mut(v, op));
         prop_assert_eq!(b, &fresh, "borrowed diverged after {} entries", main.len());
         let o = owned.eval(&main, ttype.initial_value(), |v, op| ttype.apply_mut(v, op));
         prop_assert_eq!(&o, &fresh, "owned diverged after {} entries", main.len());
-        let p = plain.eval_ref(&main, ttype.initial_value(), |v, op| ttype.apply_mut(v, op));
-        prop_assert_eq!(
-            p,
-            &fresh,
-            "checkpoint-free diverged after {} entries",
-            main.len()
-        );
         prop_assert_eq!(counters(&borrowed), counters(&owned));
     }
-    // The chain never changes what hits or misses, and resuming from a
-    // checkpoint can only shorten replays.
-    prop_assert_eq!(borrowed.hits(), plain.hits());
-    prop_assert_eq!(borrowed.misses(), plain.misses());
-    prop_assert!(borrowed.entries_replayed() <= plain.entries_replayed());
     Ok(())
 }
 
@@ -92,16 +85,19 @@ proptest! {
     fn memoized_eval_matches_fresh_replay_at_every_step(
         script in proptest::collection::vec((0u8..4, 1u64..40, 0usize..4), 0..40),
     ) {
-        check_script(script)?;
+        check_script(script, 1)?;
     }
 
     /// Long scripts with big counters, so checkpoint boundaries and
     /// deep splices (resumes from the chain) actually occur.
     #[test]
-    fn checkpointed_eval_matches_plain_and_fresh_at_every_step(
+    fn checkpointed_eval_matches_fresh_at_every_step(
         script in proptest::collection::vec((0u8..4, 1u64..200, 0usize..3), 1..80),
     ) {
-        check_script(script)?;
+        check_script(script.clone(), 1)?;
+        // Evaluated at every second and every sixteenth step only.
+        check_script(script.clone(), 2)?;
+        check_script(script, 16)?;
     }
 }
 
