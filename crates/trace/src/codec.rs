@@ -1,30 +1,39 @@
-//! JSONL round-trip: re-ingesting exported traces.
+//! The JSONL trace format: one exporter, one reader, and how each field
+//! *type* is written and read back.
 //!
-//! The write half lives on [`Event::to_json`](crate::event::Event::to_json)
-//! and [`Tracer::export_jsonl`](crate::tracer::Tracer::export_jsonl); this
-//! module is the read half. An exported trace is a [`TraceHeader`] line
-//! (`{"kind":"trace_header","version":2,…}`) followed by one flat JSON
-//! object per event. [`read_trace`] parses either form — headered exports
-//! or bare event streams (version-1 traces predate the header) — back
-//! into typed [`Event`]s, so any trace a binary wrote can be analyzed by
-//! `trace_analyze`, the causality layer, or tests.
+//! An exported trace is a [`TraceHeader`] line
+//! (`{"kind":"trace_header","version":3,…}`) followed by one flat JSON
+//! object per event, `{"t":…,"seq":…,"kind":…,…}`. Which fields a kind
+//! carries is declared once, by the event table in [`crate::event`]; this
+//! module's `Field` trait says once per field type (`u32`, `String`,
+//! `Option<T>`, …) how a value renders and how it parses, so a field that
+//! can be written can be read by construction. `write_trace` is the only
+//! exporter (the tracer and the profiling probe both call it) and
+//! [`read_trace`] the only ingester: headered exports or bare event
+//! streams (version-1 traces predate the header) come back as typed
+//! [`Event`]s for `trace_analyze`, the causality layer, or tests.
 //!
 //! The parser is a small hand-rolled JSON reader covering exactly the
 //! shapes the schema emits (flat objects; arrays only under `groups` and
 //! `left`; `null` only under `now`): the workspace builds offline with no
 //! external dependencies.
 
-use crate::event::{DropCause, Event, EventKind, OpLabel, OpOutcome, PartitionGroups, QuorumPhase};
-use crate::monitor::LevelTransition;
-use crate::staleness::SloViolation;
+use std::borrow::Cow;
+use std::fmt::Write as _;
+
+use crate::event::{Event, EventKind, OpLabel, PartitionGroups};
 
 /// The trace format version this crate writes and the newest it reads.
 /// Older versions stay readable: version 2 added the gray-failure /
 /// asymmetric-partition / duplication fault events and the staleness
 /// telemetry events; version 3 added the profiling events
 /// (`profile_span_enter`/`exit`, `profile_counter`, `profile_gauge`).
-/// Both are strict additions to the version-1 schema.
+/// Both are strict additions to the version-1 schema. Adding a kind or a
+/// field bumps it; renaming or removing one is not allowed.
 pub const FORMAT_VERSION: u32 = 3;
+
+/// The header line's `kind`.
+const HEADER_TAG: &str = "trace_header";
 
 /// The first line of an exported trace: format version plus collection
 /// counters, so a reader knows whether the window is complete.
@@ -37,16 +46,6 @@ pub struct TraceHeader {
     /// Events the bounded ring buffer evicted before export; nonzero
     /// means the trace is a suffix window, not the full run.
     pub dropped_oldest: u64,
-}
-
-impl TraceHeader {
-    /// Renders the header as one JSON object (no trailing newline).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"kind\":\"trace_header\",\"version\":{},\"events\":{},\"dropped_oldest\":{}}}",
-            self.version, self.events, self.dropped_oldest
-        )
-    }
 }
 
 /// A re-ingested trace: the header (if the stream had one) and the events.
@@ -76,53 +75,124 @@ impl std::fmt::Display for TraceParseError {
 impl std::error::Error for TraceParseError {}
 
 // ---------------------------------------------------------------------------
+// Writing
+// ---------------------------------------------------------------------------
+
+/// Appends `s` as a JSON string literal, quotes included.
+pub(crate) fn push_json_str(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+impl Event {
+    /// Appends the event as one flat JSON object (no trailing newline).
+    pub fn write_json(&self, out: &mut String) {
+        let _ = write!(
+            out,
+            "{{\"t\":{},\"seq\":{},\"kind\":\"{}\"",
+            self.time,
+            self.seq,
+            self.kind.tag()
+        );
+        self.kind.write_fields(out);
+        out.push('}');
+    }
+}
+
+/// The exporter: the header line, then one line per event, handed to
+/// `sink` in large blocks (so a `File` needs no `BufWriter` around it).
+pub(crate) fn write_trace(
+    header: &TraceHeader,
+    events: impl Iterator<Item = Event>,
+    sink: &mut impl std::io::Write,
+) -> std::io::Result<()> {
+    const BLOCK: usize = 1 << 16;
+    let mut buf = String::with_capacity(BLOCK + 512);
+    let _ = writeln!(
+        buf,
+        "{{\"kind\":\"{HEADER_TAG}\",\"version\":{},\"events\":{},\"dropped_oldest\":{}}}",
+        header.version, header.events, header.dropped_oldest
+    );
+    for e in events {
+        e.write_json(&mut buf);
+        buf.push('\n');
+        if buf.len() >= BLOCK {
+            sink.write_all(buf.as_bytes())?;
+            buf.clear();
+        }
+    }
+    sink.write_all(buf.as_bytes())
+}
+
+// ---------------------------------------------------------------------------
 // Minimal JSON reader (only the shapes the schema emits)
 // ---------------------------------------------------------------------------
 
+/// A parsed JSON value. Strings borrow from the input line unless they
+/// held an escape.
 #[derive(Debug, Clone, PartialEq)]
-enum JVal {
+pub(crate) enum JVal<'a> {
     Int(u64),
     /// A negative integer, parsed exactly (gauge samples are `i64`).
     Neg(i64),
     Float(f64),
-    Str(String),
+    Str(Cow<'a, str>),
     Bool(bool),
     Null,
-    Arr(Vec<JVal>),
+    Arr(Vec<JVal<'a>>),
     /// A nested object (only under report arrays like `campaigns`).
-    Obj(Vec<(String, JVal)>),
+    Obj(Vec<(Cow<'a, str>, JVal<'a>)>),
+}
+
+impl JVal<'_> {
+    pub(crate) fn as_str(&self) -> Result<&str, String> {
+        match self {
+            JVal::Str(s) => Ok(s),
+            other => expected("string", other),
+        }
+    }
+}
+
+fn expected<T>(what: &str, got: &JVal<'_>) -> Result<T, String> {
+    Err(format!("expected {what}, got {got:?}"))
 }
 
 struct Reader<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn new(s: &'a str) -> Self {
-        Reader {
-            bytes: s.as_bytes(),
-            pos: 0,
-        }
-    }
-
     fn fail<T>(&self, msg: &str) -> Result<T, String> {
         Err(format!("{msg} at byte {}", self.pos))
     }
 
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t'))
-        {
+    fn byte(&self) -> Option<u8> {
+        self.src.as_bytes().get(self.pos).copied()
+    }
+
+    fn peek(&mut self) -> Option<u8> {
+        while matches!(self.byte(), Some(b' ' | b'\t')) {
             self.pos += 1;
         }
+        self.byte()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b) {
+        if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
@@ -130,15 +200,10 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
     /// Parses one `{"key":value,…}` object into key/value pairs.
-    fn object(&mut self) -> Result<Vec<(String, JVal)>, String> {
+    fn object(&mut self) -> Result<Vec<(Cow<'a, str>, JVal<'a>)>, String> {
         self.expect(b'{')?;
-        let mut fields = Vec::new();
+        let mut fields = Vec::with_capacity(8);
         if self.peek() == Some(b'}') {
             self.pos += 1;
             return Ok(fields);
@@ -159,7 +224,7 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<JVal, String> {
+    fn value(&mut self) -> Result<JVal<'a>, String> {
         match self.peek() {
             Some(b'"') => Ok(JVal::Str(self.string()?)),
             Some(b'[') => self.array(),
@@ -172,8 +237,8 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn keyword(&mut self, word: &str, val: JVal) -> Result<JVal, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+    fn keyword(&mut self, word: &str, val: JVal<'a>) -> Result<JVal<'a>, String> {
+        if self.src.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(val)
         } else {
@@ -181,7 +246,7 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<JVal, String> {
+    fn array(&mut self) -> Result<JVal<'a>, String> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         if self.peek() == Some(b']') {
@@ -201,21 +266,19 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn number(&mut self) -> Result<JVal, String> {
+    fn number(&mut self) -> Result<JVal<'a>, String> {
         let start = self.pos;
         let mut float = false;
-        while let Some(&b) = self.bytes.get(self.pos) {
+        while let Some(b) = self.byte() {
             match b {
-                b'0'..=b'9' | b'-' | b'+' => self.pos += 1,
-                b'.' | b'e' | b'E' => {
-                    float = true;
-                    self.pos += 1;
-                }
+                b'0'..=b'9' | b'-' | b'+' => {}
+                b'.' | b'e' | b'E' => float = true,
                 _ => break,
             }
+            self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "non-UTF-8 number".to_string())?;
+        // Only ASCII was consumed, so both ends are char boundaries.
+        let text = &self.src[start..self.pos];
         if float {
             text.parse::<f64>()
                 .map(JVal::Float)
@@ -233,19 +296,32 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// Parses a string literal, borrowing it from the input unless an
+    /// escape forces a copy. `"` and `\` are ASCII, so every slice taken
+    /// here starts and ends on a char boundary.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let mut unescaped: Option<String> = None;
+        let mut run = self.pos;
         loop {
-            match self.bytes.get(self.pos) {
+            match self.byte() {
                 None => return self.fail("unterminated string"),
                 Some(b'"') => {
+                    let tail = &self.src[run..self.pos];
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(match unescaped {
+                        None => Cow::Borrowed(tail),
+                        Some(mut s) => {
+                            s.push_str(tail);
+                            Cow::Owned(s)
+                        }
+                    });
                 }
                 Some(b'\\') => {
+                    let out = unescaped.get_or_insert_with(String::new);
+                    out.push_str(&self.src[run..self.pos]);
                     self.pos += 1;
-                    match self.bytes.get(self.pos) {
+                    match self.byte() {
                         Some(b'"') => out.push('"'),
                         Some(b'\\') => out.push('\\'),
                         Some(b'/') => out.push('/'),
@@ -254,11 +330,9 @@ impl<'a> Reader<'a> {
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .src
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or("truncated \\u escape")?;
-                            let hex =
-                                std::str::from_utf8(hex).map_err(|_| "non-UTF-8 \\u escape")?;
                             let code =
                                 u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
                             out.push(char::from_u32(code).ok_or("non-scalar \\u escape")?);
@@ -267,32 +341,192 @@ impl<'a> Reader<'a> {
                         _ => return self.fail("unknown escape"),
                     }
                     self.pos += 1;
+                    run = self.pos;
                 }
-                Some(&b) if b < 0x80 => {
-                    out.push(b as char);
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8: take the whole scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "non-UTF-8 string".to_string())?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => self.pos += 1,
             }
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Field access helpers
+// Fields: one impl per type, both directions
 // ---------------------------------------------------------------------------
 
-struct Fields(Vec<(String, JVal)>);
+/// How one field type appears in a JSONL line. The event table in
+/// [`crate::event`] routes every field of every kind through an impl of
+/// this trait, in both directions, so the writer and the reader cannot
+/// disagree about a type.
+pub(crate) trait Field: Sized {
+    /// Appends the value's JSON.
+    fn write(&self, out: &mut String);
+    /// Takes the value back out of its parsed JSON.
+    fn read(v: &JVal<'_>) -> Result<Self, String>;
+    /// A random value, edge cases included, for the round-trip test.
+    #[cfg(test)]
+    fn arbitrary(rng: &mut Rng) -> Self;
+}
 
-impl Fields {
-    fn get(&self, key: &str) -> Result<&JVal, String> {
+macro_rules! int_fields {
+    ($($t:ty),*) => {$(
+        impl Field for $t {
+            fn write(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+            // `u64::try_from(u64)` is the identity; the other three check.
+            #[allow(clippy::useless_conversion)]
+            fn read(v: &JVal<'_>) -> Result<Self, String> {
+                match v {
+                    JVal::Int(n) => <$t>::try_from(*n).ok(),
+                    JVal::Neg(n) => <$t>::try_from(*n).ok(),
+                    other => return expected("integer", other),
+                }
+                .ok_or_else(|| format!("overflows {}", stringify!($t)))
+            }
+            #[cfg(test)]
+            fn arbitrary(rng: &mut Rng) -> Self {
+                match rng.next() % 4 {
+                    0 => <$t>::MIN,
+                    1 => <$t>::MAX,
+                    _ => rng.next() as $t,
+                }
+            }
+        }
+    )*};
+}
+int_fields!(u32, u64, usize, i64);
+
+impl Field for f64 {
+    fn write(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+    fn read(v: &JVal<'_>) -> Result<Self, String> {
+        match v {
+            JVal::Float(x) => Ok(*x),
+            JVal::Int(n) => Ok(*n as f64),
+            JVal::Neg(n) => Ok(*n as f64),
+            other => expected("number", other),
+        }
+    }
+    #[cfg(test)]
+    fn arbitrary(rng: &mut Rng) -> Self {
+        // Probabilities: dyadic rationals in [0, 1], both ends included
+        // (they render as the integers `0` and `1`).
+        (rng.next() % 1025) as f64 / 1024.0
+    }
+}
+
+impl Field for String {
+    fn write(&self, out: &mut String) {
+        push_json_str(out, self);
+    }
+    fn read(v: &JVal<'_>) -> Result<Self, String> {
+        v.as_str().map(str::to_string)
+    }
+    #[cfg(test)]
+    fn arbitrary(rng: &mut Rng) -> Self {
+        const ALPHABET: [char; 12] = [
+            'a', 'Q', '5', '(', ' ', '"', '\\', '\n', '\t', '\u{1}', 'é', '→',
+        ];
+        (0..rng.next() % 10)
+            .map(|_| ALPHABET[(rng.next() % 12) as usize])
+            .collect()
+    }
+}
+
+impl Field for OpLabel {
+    fn write(&self, out: &mut String) {
+        push_json_str(out, self);
+    }
+    fn read(v: &JVal<'_>) -> Result<Self, String> {
+        let mut label = OpLabel::default();
+        label.push_str(v.as_str()?);
+        Ok(label)
+    }
+    #[cfg(test)]
+    fn arbitrary(rng: &mut Rng) -> Self {
+        let mut label = OpLabel::default();
+        label.push_str(&String::arbitrary(rng));
+        label
+    }
+}
+
+impl<T: Field> Field for Option<T> {
+    fn write(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write(out),
+            None => out.push_str("null"),
+        }
+    }
+    fn read(v: &JVal<'_>) -> Result<Self, String> {
+        match v {
+            JVal::Null => Ok(None),
+            v => T::read(v).map(Some),
+        }
+    }
+    #[cfg(test)]
+    fn arbitrary(rng: &mut Rng) -> Self {
+        (!rng.next().is_multiple_of(3)).then(|| T::arbitrary(rng))
+    }
+}
+
+fn write_list<T: Field>(items: &[T], out: &mut String) {
+    out.push('[');
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item.write(out);
+    }
+    out.push(']');
+}
+
+impl<T: Field> Field for Vec<T> {
+    fn write(&self, out: &mut String) {
+        write_list(self, out);
+    }
+    fn read(v: &JVal<'_>) -> Result<Self, String> {
+        match v {
+            JVal::Arr(items) => items.iter().map(T::read).collect(),
+            other => expected("array", other),
+        }
+    }
+    #[cfg(test)]
+    fn arbitrary(rng: &mut Rng) -> Self {
+        (0..rng.next() % 4).map(|_| T::arbitrary(rng)).collect()
+    }
+}
+
+impl Field for PartitionGroups {
+    fn write(&self, out: &mut String) {
+        write_list(self, out);
+    }
+    fn read(v: &JVal<'_>) -> Result<Self, String> {
+        Vec::read(v).map(PartitionGroups::new)
+    }
+    #[cfg(test)]
+    fn arbitrary(rng: &mut Rng) -> Self {
+        PartitionGroups::new(Vec::arbitrary(rng))
+    }
+}
+
+/// One parsed line: its top-level fields, looked up by key.
+pub(crate) struct Fields<'a>(Vec<(Cow<'a, str>, JVal<'a>)>);
+
+impl<'a> Fields<'a> {
+    /// Parses a line holding exactly one object: anything but blanks
+    /// after the closing `}` (a second object glued on, a torn write) is
+    /// an error, not silently dropped.
+    fn parse(line: &'a str) -> Result<Self, String> {
+        let mut r = Reader { src: line, pos: 0 };
+        let fields = r.object()?;
+        match r.peek() {
+            None => Ok(Fields(fields)),
+            Some(_) => r.fail("trailing characters after the object"),
+        }
+    }
+
+    fn raw(&self, key: &str) -> Result<&JVal<'a>, String> {
         self.0
             .iter()
             .find(|(k, _)| k == key)
@@ -300,320 +534,73 @@ impl Fields {
             .ok_or_else(|| format!("missing field {key:?}"))
     }
 
-    fn u64(&self, key: &str) -> Result<u64, String> {
-        match self.get(key)? {
-            JVal::Int(n) => Ok(*n),
-            other => Err(format!("field {key:?}: expected integer, got {other:?}")),
-        }
-    }
-
-    fn u32(&self, key: &str) -> Result<u32, String> {
-        u32::try_from(self.u64(key)?).map_err(|_| format!("field {key:?} overflows u32"))
-    }
-
-    fn i64(&self, key: &str) -> Result<i64, String> {
-        match self.get(key)? {
-            JVal::Int(n) => i64::try_from(*n).map_err(|_| format!("field {key:?} overflows i64")),
-            JVal::Neg(n) => Ok(*n),
-            other => Err(format!("field {key:?}: expected integer, got {other:?}")),
-        }
-    }
-
-    fn f64(&self, key: &str) -> Result<f64, String> {
-        match self.get(key)? {
-            JVal::Float(x) => Ok(*x),
-            JVal::Int(n) => Ok(*n as f64),
-            JVal::Neg(n) => Ok(*n as f64),
-            other => Err(format!("field {key:?}: expected number, got {other:?}")),
-        }
-    }
-
-    fn str(&self, key: &str) -> Result<&str, String> {
-        match self.get(key)? {
-            JVal::Str(s) => Ok(s),
-            other => Err(format!("field {key:?}: expected string, got {other:?}")),
-        }
+    /// The field `key`, read as whatever type the caller's slot has.
+    pub(crate) fn get<T: Field>(&self, key: &str) -> Result<T, String> {
+        T::read(self.raw(key)?).map_err(|e| format!("field {key:?}: {e}"))
     }
 }
 
-fn parse_drop_cause(s: &str) -> Result<DropCause, String> {
-    match s {
-        "source_down" => Ok(DropCause::SourceDown),
-        "dest_down" => Ok(DropCause::DestDown),
-        "partitioned" => Ok(DropCause::Partitioned),
-        "loss" => Ok(DropCause::Loss),
-        "link_blocked" => Ok(DropCause::LinkBlocked),
-        other => Err(format!("unknown drop cause {other:?}")),
-    }
-}
-
-fn parse_outcome(s: &str) -> Result<OpOutcome, String> {
-    match s {
-        "completed" => Ok(OpOutcome::Completed),
-        "refused" => Ok(OpOutcome::Refused),
-        "timed_out" => Ok(OpOutcome::TimedOut),
-        other => Err(format!("unknown outcome {other:?}")),
-    }
-}
-
-fn parse_phase(s: &str) -> Result<QuorumPhase, String> {
-    match s {
-        "read" => Ok(QuorumPhase::Read),
-        "write" => Ok(QuorumPhase::Write),
-        other => Err(format!("unknown quorum phase {other:?}")),
-    }
-}
-
-fn parse_kind(tag: &str, f: &Fields) -> Result<EventKind, String> {
-    Ok(match tag {
-        "message_sent" => EventKind::MessageSent {
-            src: f.u32("src")?,
-            dst: f.u32("dst")?,
-            deliver_at: f.u64("deliver_at")?,
-            msg_id: f.u32("msg_id")?,
-        },
-        "message_injected" => EventKind::MessageInjected {
-            dst: f.u32("dst")?,
-            deliver_at: f.u64("deliver_at")?,
-            msg_id: f.u32("msg_id")?,
-        },
-        "message_delivered" => EventKind::MessageDelivered {
-            node: f.u32("node")?,
-            msg_id: f.u32("msg_id")?,
-        },
-        "message_dropped" => EventKind::MessageDropped {
-            src: f.u32("src")?,
-            dst: f.u32("dst")?,
-            cause: parse_drop_cause(f.str("cause")?)?,
-            msg_id: f.u32("msg_id")?,
-        },
-        "timer_set" => EventKind::TimerSet {
-            node: f.u32("node")?,
-            token: f.u64("token")?,
-            fire_at: f.u64("fire_at")?,
-        },
-        "timer_fired" => EventKind::TimerFired {
-            node: f.u32("node")?,
-            token: f.u64("token")?,
-        },
-        "node_crashed" => EventKind::NodeCrashed {
-            node: f.u32("node")?,
-        },
-        "node_recovered" => EventKind::NodeRecovered {
-            node: f.u32("node")?,
-        },
-        "partition_set" => {
-            let JVal::Arr(groups) = f.get("groups")? else {
-                return Err("field \"groups\": expected array".into());
-            };
-            let mut parsed: Vec<Vec<u32>> = Vec::with_capacity(groups.len());
-            for g in groups {
-                let JVal::Arr(ids) = g else {
-                    return Err("partition group: expected array".into());
-                };
-                let mut out = Vec::with_capacity(ids.len());
-                for id in ids {
-                    match id {
-                        JVal::Int(n) => out.push(
-                            u32::try_from(*n).map_err(|_| "node id overflows u32".to_string())?,
-                        ),
-                        other => return Err(format!("node id: expected integer, got {other:?}")),
-                    }
-                }
-                parsed.push(out);
-            }
-            EventKind::PartitionSet {
-                groups: PartitionGroups::new(parsed),
-            }
-        }
-        "partition_healed" => EventKind::PartitionHealed,
-        "loss_rate_set" => EventKind::LossRateSet {
-            probability: f.f64("probability")?,
-        },
-        "op_begin" => {
-            let mut op = OpLabel::default();
-            op.push_str(f.str("op")?);
-            EventKind::OpBegin {
-                node: f.u32("node")?,
-                op_id: f.u32("op_id")?,
-                op,
-            }
-        }
-        "op_end" => EventKind::OpEnd {
-            node: f.u32("node")?,
-            op_id: f.u32("op_id")?,
-            outcome: parse_outcome(f.str("outcome")?)?,
-            latency: f.u64("latency")?,
-        },
-        "quorum_assembled" => EventKind::QuorumAssembled {
-            node: f.u32("node")?,
-            op_id: f.u32("op_id")?,
-            phase: parse_phase(f.str("phase")?)?,
-            size: f.u32("size")?,
-        },
-        "quorum_failed" => EventKind::QuorumFailed {
-            node: f.u32("node")?,
-            op_id: f.u32("op_id")?,
-            phase: parse_phase(f.str("phase")?)?,
-            responses: f.u32("responses")?,
-            needed: f.u32("needed")?,
-        },
-        "view_merged" => EventKind::ViewMerged {
-            node: f.u32("node")?,
-            op_id: f.u32("op_id")?,
-            merged_len: f.u32("merged_len")?,
-        },
-        "level_transition" => {
-            let JVal::Arr(left) = f.get("left")? else {
-                return Err("field \"left\": expected array".into());
-            };
-            let mut names = Vec::with_capacity(left.len());
-            for l in left {
-                match l {
-                    JVal::Str(s) => names.push(s.clone()),
-                    other => return Err(format!("level name: expected string, got {other:?}")),
-                }
-            }
-            let now = match f.get("now")? {
-                JVal::Str(s) => Some(s.clone()),
-                JVal::Null => None,
-                other => {
-                    return Err(format!(
-                        "field \"now\": expected string|null, got {other:?}"
-                    ))
-                }
-            };
-            EventKind::LevelTransition(Box::new(LevelTransition {
-                left: names,
-                now,
-                witness: f.str("witness")?.to_string(),
-                op_index: usize::try_from(f.u64("op_index")?)
-                    .map_err(|_| "op_index overflows usize".to_string())?,
-            }))
-        }
-        "gray_degraded" => EventKind::GrayDegraded {
-            node: f.u32("node")?,
-            multiplier: f.u32("multiplier")?,
-        },
-        "gray_restored" => EventKind::GrayRestored {
-            node: f.u32("node")?,
-        },
-        "link_blocked" => EventKind::LinkBlocked {
-            src: f.u32("src")?,
-            dst: f.u32("dst")?,
-        },
-        "link_restored" => EventKind::LinkRestored {
-            src: f.u32("src")?,
-            dst: f.u32("dst")?,
-        },
-        "duplication_rate_set" => EventKind::DuplicationRateSet {
-            probability: f.f64("probability")?,
-        },
-        "message_duplicated" => EventKind::MessageDuplicated {
-            src: f.u32("src")?,
-            dst: f.u32("dst")?,
-            msg_id: f.u32("msg_id")?,
-            orig_msg_id: f.u32("orig_msg_id")?,
-        },
-        "replica_lag_sampled" => EventKind::ReplicaLagSampled {
-            site: f.u32("site")?,
-            entries_behind: f.u64("entries_behind")?,
-            time_behind: f.u64("time_behind")?,
-        },
-        "frontier_divergence" => EventKind::FrontierDivergence {
-            a: f.u32("a")?,
-            b: f.u32("b")?,
-            entries: f.u64("entries")?,
-        },
-        "slo_budget_exhausted" => EventKind::SloBudgetExhausted(Box::new(SloViolation {
-            level: f.str("level")?.to_string(),
-            budget: f.u64("budget")?,
-            spent: f.u64("spent")?,
-        })),
-        "profile_span_enter" => EventKind::ProfileSpanEnter {
-            name: parse_label(f.str("name")?),
-            wall_ns: f.u64("wall_ns")?,
-        },
-        "profile_span_exit" => EventKind::ProfileSpanExit {
-            name: parse_label(f.str("name")?),
-            wall_ns: f.u64("wall_ns")?,
-        },
-        "profile_counter" => EventKind::ProfileCounter {
-            name: parse_label(f.str("name")?),
-            total: f.u64("total")?,
-        },
-        "profile_gauge" => EventKind::ProfileGauge {
-            name: parse_label(f.str("name")?),
-            value: f.i64("value")?,
-        },
-        other => return Err(format!("unknown event kind {other:?}")),
-    })
-}
-
-fn parse_label(s: &str) -> OpLabel {
-    let mut label = OpLabel::default();
-    label.push_str(s);
-    label
-}
-
-/// Parses one event line (as produced by
-/// [`Event::to_json`](crate::event::Event::to_json)).
-pub fn parse_event(line: &str) -> Result<Event, String> {
-    let fields = Fields(Reader::new(line).object()?);
-    let kind = parse_kind(fields.str("kind")?, &fields)?;
-    Ok(Event {
-        time: fields.u64("t")?,
-        seq: fields.u64("seq")?,
-        kind,
-    })
-}
-
-/// Parses a header line; `Ok(None)` when the line is not a header.
-fn parse_header(line: &str) -> Result<Option<TraceHeader>, String> {
-    let fields = Fields(Reader::new(line).object()?);
-    if fields.str("kind")? != "trace_header" {
-        return Ok(None);
-    }
-    Ok(Some(TraceHeader {
-        version: fields.u32("version")?,
-        events: fields.u64("events")?,
-        dropped_oldest: fields.u64("dropped_oldest")?,
-    }))
-}
-
-/// Re-ingests an exported JSONL trace: an optional [`TraceHeader`] first
-/// line followed by one event per line. Blank lines are skipped. Fails
-/// on malformed lines and on headers from a future format version.
+/// Re-ingests an exported JSONL trace: an optional [`TraceHeader`] on the
+/// first non-blank line, then one event per line. Blank lines are
+/// skipped. Fails — naming the line — on malformed lines, on anything
+/// after a line's object, on a header from a future format version or
+/// in any later position, and on a header whose `events` count is not
+/// the number of event lines that follow (a trace cut off mid-write).
 pub fn read_trace(input: &str) -> Result<ParsedTrace, TraceParseError> {
-    let mut header = None;
+    let mut header: Option<TraceHeader> = None;
     let mut events = Vec::new();
+    let mut last_line = 0;
     for (ix, line) in input.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() {
             continue;
         }
+        last_line = ix + 1;
         let err = |message: String| TraceParseError {
             line: ix + 1,
             message,
         };
-        // Only line 1 may be a header; a headerless stream (pre-header
-        // export) falls through to event parsing.
-        if ix == 0 {
-            if let Some(h) = parse_header(line).map_err(err)? {
-                if h.version > FORMAT_VERSION {
-                    return Err(TraceParseError {
-                        line: ix + 1,
-                        message: format!(
-                            "trace format version {} is newer than supported ({})",
-                            h.version, FORMAT_VERSION
-                        ),
-                    });
-                }
-                header = Some(h);
-                continue;
-            }
+        let fields = Fields::parse(line).map_err(err)?;
+        let kind = fields.raw("kind").and_then(JVal::as_str).map_err(err)?;
+        if kind != HEADER_TAG {
+            events.push(Event {
+                time: fields.get("t").map_err(err)?,
+                seq: fields.get("seq").map_err(err)?,
+                kind: EventKind::read(kind, &fields).map_err(err)?,
+            });
+            continue;
         }
-        events.push(parse_event(line).map_err(err)?);
+        // A headerless stream (pre-header export) never gets here; a
+        // header further down means two traces were concatenated.
+        if header.is_some() || !events.is_empty() {
+            return Err(err(format!(
+                "{HEADER_TAG} is only valid on the first non-blank line"
+            )));
+        }
+        let h = TraceHeader {
+            version: fields.get("version").map_err(err)?,
+            events: fields.get("events").map_err(err)?,
+            dropped_oldest: fields.get("dropped_oldest").map_err(err)?,
+        };
+        if h.version > FORMAT_VERSION {
+            return Err(err(format!(
+                "trace format version {} is newer than supported ({FORMAT_VERSION})",
+                h.version
+            )));
+        }
+        header = Some(h);
+    }
+    // `dropped_oldest` says the window is a suffix of the run; `events`
+    // says how much of the window reached the file.
+    if let Some(h) = header.as_ref().filter(|h| h.events != events.len() as u64) {
+        return Err(TraceParseError {
+            line: last_line,
+            message: format!(
+                "header promises {} events, {} read: the trace is truncated",
+                h.events,
+                events.len()
+            ),
+        });
     }
     Ok(ParsedTrace { header, events })
 }
@@ -643,7 +630,7 @@ pub enum ReportValue {
 /// committed baselines; reusing the trace codec's reader keeps the
 /// workspace dependency-free.
 pub fn report_fields(input: &str) -> Result<Vec<(String, ReportValue)>, String> {
-    let fields = Reader::new(input.trim()).object()?;
+    let fields = Fields::parse(input.trim())?.0;
     Ok(fields
         .into_iter()
         .map(|(k, v)| {
@@ -652,162 +639,79 @@ pub fn report_fields(input: &str) -> Result<Vec<(String, ReportValue)>, String> 
                 JVal::Neg(n) => ReportValue::Number(n as f64),
                 JVal::Float(x) => ReportValue::Number(x),
                 JVal::Bool(b) => ReportValue::Bool(b),
-                JVal::Str(s) => ReportValue::Text(s),
+                JVal::Str(s) => ReportValue::Text(s.into_owned()),
                 JVal::Null | JVal::Arr(_) | JVal::Obj(_) => ReportValue::Nested,
             };
-            (k, v)
+            (k.into_owned(), v)
         })
         .collect())
+}
+
+/// SplitMix64, for [`Field::arbitrary`] (the workspace builds with no
+/// external crates, so this plays the role a proptest dependency would).
+#[cfg(test)]
+pub(crate) struct Rng(u64);
+
+#[cfg(test)]
+impl Rng {
+    pub(crate) fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E3779B97F4A7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+        z ^ (z >> 31)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn round_trip(e: Event) {
-        let json = e.to_json();
-        let back = parse_event(&json).unwrap_or_else(|err| panic!("{json}: {err}"));
-        assert_eq!(back, e, "round-trip of {json}");
+    fn json(e: &Event) -> String {
+        let mut out = String::new();
+        e.write_json(&mut out);
+        out
     }
 
+    fn event(time: u64, seq: u64, kind: EventKind) -> Event {
+        Event { time, seq, kind }
+    }
+
+    /// Every variant of the event table, every field through its
+    /// [`Field::arbitrary`]: write → read must be the identity. (What the
+    /// bytes *are* is pinned by `tests/fixtures/all_kinds_v3.jsonl`.)
     #[test]
-    fn every_event_kind_round_trips() {
-        let mut op = OpLabel::default();
-        op.push_str("Enq(5)");
-        let kinds = vec![
-            EventKind::MessageSent {
-                src: 0,
-                dst: 3,
-                deliver_at: 55,
-                msg_id: 9,
-            },
-            EventKind::MessageInjected {
-                dst: 1,
-                deliver_at: 2,
-                msg_id: 3,
-            },
-            EventKind::MessageDelivered { node: 2, msg_id: 9 },
-            EventKind::MessageDropped {
-                src: 1,
-                dst: 0,
-                cause: DropCause::Partitioned,
-                msg_id: 10,
-            },
-            EventKind::TimerSet {
-                node: 4,
-                token: 17,
-                fire_at: 300,
-            },
-            EventKind::TimerFired { node: 4, token: 17 },
-            EventKind::NodeCrashed { node: 1 },
-            EventKind::NodeRecovered { node: 1 },
-            EventKind::PartitionSet {
-                groups: PartitionGroups::new(vec![vec![3, 0], vec![1, 2]]),
-            },
-            EventKind::PartitionHealed,
-            EventKind::LossRateSet { probability: 0.25 },
-            EventKind::OpBegin {
-                node: 3,
-                op_id: 2,
-                op,
-            },
-            EventKind::OpEnd {
-                node: 3,
-                op_id: 2,
-                outcome: OpOutcome::TimedOut,
-                latency: 200,
-            },
-            EventKind::QuorumAssembled {
-                node: 3,
-                op_id: 2,
-                phase: QuorumPhase::Read,
-                size: 2,
-            },
-            EventKind::QuorumFailed {
-                node: 3,
-                op_id: 2,
-                phase: QuorumPhase::Write,
-                responses: 1,
-                needed: 3,
-            },
-            EventKind::ViewMerged {
-                node: 3,
-                op_id: 2,
-                merged_len: 7,
-            },
-            EventKind::LevelTransition(Box::new(LevelTransition {
-                left: vec!["PQ".into(), "OPQ".into()],
-                now: Some("MPQ".into()),
-                witness: "Deq(5)".into(),
-                op_index: 2,
-            })),
-            EventKind::GrayDegraded {
-                node: 2,
-                multiplier: 10,
-            },
-            EventKind::GrayRestored { node: 2 },
-            EventKind::LinkBlocked { src: 9, dst: 0 },
-            EventKind::LinkRestored { src: 9, dst: 0 },
-            EventKind::DuplicationRateSet { probability: 0.5 },
-            EventKind::MessageDuplicated {
-                src: 9,
-                dst: 1,
-                msg_id: 12,
-                orig_msg_id: 11,
-            },
-            EventKind::ReplicaLagSampled {
-                site: 1,
-                entries_behind: 4,
-                time_behind: 120,
-            },
-            EventKind::FrontierDivergence {
-                a: 0,
-                b: 2,
-                entries: 3,
-            },
-            EventKind::SloBudgetExhausted(Box::new(crate::staleness::SloViolation {
-                level: "PQ".into(),
-                budget: 50,
-                spent: 61,
-            })),
-            EventKind::ProfileSpanEnter {
-                name: parse_label("multiwalk"),
-                wall_ns: 12_345,
-            },
-            EventKind::ProfileSpanExit {
-                name: parse_label("multiwalk"),
-                wall_ns: 99_999,
-            },
-            EventKind::ProfileCounter {
-                name: parse_label("row_hits"),
-                total: u64::MAX,
-            },
-            EventKind::ProfileGauge {
-                name: parse_label("frontier_nodes"),
-                value: -42,
-            },
-        ];
-        for (i, kind) in kinds.into_iter().enumerate() {
-            round_trip(Event {
-                time: 10 * i as u64,
-                seq: i as u64,
-                kind,
-            });
+    fn randomized_events_round_trip() {
+        let mut rng = Rng(0x9E3779B97F4A7C15);
+        let mut seen = String::new();
+        for trial in 0..40 * EventKind::TAGS.len() {
+            let kind = EventKind::arbitrary(trial % EventKind::TAGS.len(), &mut rng);
+            assert_eq!(kind.tag(), EventKind::TAGS[trial % EventKind::TAGS.len()]);
+            let e = event(rng.next(), trial as u64, kind);
+            let line = json(&e);
+            let back = read_trace(&line).unwrap_or_else(|err| panic!("{line}: {err}"));
+            assert_eq!(back.events, [e], "round-trip of {line}");
+            seen.push_str(&line);
+        }
+        // The edge cases the hand-written tests used to spell out.
+        for needle in [
+            "\"value\":-",
+            "\"total\":18446744073709551615",
+            "\"now\":null",
+            "\\u0001",
+            "\\\"",
+            "\\\\",
+            "\"left\":[]",
+        ] {
+            assert!(seen.contains(needle), "no draw produced {needle}");
         }
     }
 
     #[test]
-    fn escaped_witness_round_trips() {
-        round_trip(Event {
-            time: 1,
-            seq: 0,
-            kind: EventKind::LevelTransition(Box::new(LevelTransition {
-                left: vec!["a\"b\\c".into()],
-                now: None,
-                witness: "line\nbreak\tand \u{1} ctrl".into(),
-                op_index: 0,
-            })),
-        });
+    fn escaping_handles_quotes_and_control() {
+        let mut out = String::new();
+        push_json_str(&mut out, "a\"b\\c\nd\u{1}");
+        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\u0001\"");
     }
 
     #[test]
@@ -817,25 +721,15 @@ mod tests {
             events: 2,
             dropped_oldest: 5,
         };
-        let body = format!(
-            "{}\n{}\n{}\n",
-            h.to_json(),
-            Event {
-                time: 1,
-                seq: 0,
-                kind: EventKind::PartitionHealed
-            }
-            .to_json(),
-            Event {
-                time: 2,
-                seq: 1,
-                kind: EventKind::NodeCrashed { node: 0 }
-            }
-            .to_json(),
-        );
-        let parsed = read_trace(&body).unwrap();
+        let events = [
+            event(1, 0, EventKind::PartitionHealed),
+            event(2, 1, EventKind::NodeCrashed { node: 0 }),
+        ];
+        let mut body = Vec::new();
+        write_trace(&h, events.iter().cloned(), &mut body).unwrap();
+        let parsed = read_trace(std::str::from_utf8(&body).unwrap()).unwrap();
         assert_eq!(parsed.header, Some(h));
-        assert_eq!(parsed.events.len(), 2);
+        assert_eq!(parsed.events, events);
 
         let future = "{\"kind\":\"trace_header\",\"version\":99,\"events\":0,\"dropped_oldest\":0}";
         let err = read_trace(future).unwrap_err();
@@ -850,100 +744,60 @@ mod tests {
         assert_eq!(parsed.events[0].kind, EventKind::NodeCrashed { node: 2 },);
     }
 
-    /// Property-style round-trip over randomized events (hand-rolled
-    /// SplitMix64 generator — the workspace builds with no external
-    /// crates, so this plays the role a proptest dependency would).
+    const CRASH: &str = "{\"t\":1,\"seq\":0,\"kind\":\"node_crashed\",\"node\":2}";
+
     #[test]
-    fn randomized_events_round_trip() {
-        let mut state = 0x9E3779B97F4A7C15u64;
-        let mut next = move || {
-            state = state.wrapping_add(0x9E3779B97F4A7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-            z ^ (z >> 31)
+    fn a_second_object_glued_onto_a_line_is_rejected() {
+        let glued = format!("{CRASH}\n{CRASH}{CRASH}\n");
+        let err = read_trace(&glued).unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.message.contains("trailing characters"), "{err}");
+    }
+
+    #[test]
+    fn trailing_garbage_after_the_object_is_rejected() {
+        let err = read_trace(&format!("{CRASH} garbage\n")).unwrap_err();
+        assert_eq!(err.line, 1);
+        assert!(err.message.contains("trailing characters"), "{err}");
+        // Trailing blanks are not garbage.
+        assert_eq!(
+            read_trace(&format!("{CRASH} \t\n")).unwrap().events.len(),
+            1
+        );
+    }
+
+    #[test]
+    fn the_header_is_the_first_non_blank_line_and_no_other() {
+        let header = |version: u32, events: u64| {
+            format!("{{\"kind\":\"trace_header\",\"version\":{version},\"events\":{events},\"dropped_oldest\":0}}")
         };
-        for trial in 0..500u64 {
-            let a = next();
-            let b = next();
-            let c = next();
-            let kind = match trial % 14 {
-                0 => EventKind::GrayDegraded {
-                    node: a as u32 % 64,
-                    multiplier: 1 + b as u32 % 100,
-                },
-                1 => EventKind::GrayRestored {
-                    node: a as u32 % 64,
-                },
-                2 => EventKind::LinkBlocked {
-                    src: a as u32 % 64,
-                    dst: b as u32 % 64,
-                },
-                3 => EventKind::LinkRestored {
-                    src: a as u32 % 64,
-                    dst: b as u32 % 64,
-                },
-                4 => EventKind::DuplicationRateSet {
-                    // Dyadic rationals render and re-parse exactly.
-                    probability: (a % 1024) as f64 / 1024.0,
-                },
-                5 => EventKind::MessageDuplicated {
-                    src: a as u32 % 64,
-                    dst: b as u32 % 64,
-                    msg_id: c as u32,
-                    orig_msg_id: c as u32 ^ 1,
-                },
-                6 => EventKind::ReplicaLagSampled {
-                    site: a as u32 % 64,
-                    entries_behind: b >> 8,
-                    time_behind: c >> 8,
-                },
-                7 => EventKind::FrontierDivergence {
-                    a: a as u32 % 64,
-                    b: b as u32 % 64,
-                    entries: c >> 8,
-                },
-                8 => EventKind::SloBudgetExhausted(Box::new(crate::staleness::SloViolation {
-                    level: format!("L{}", a % 7),
-                    budget: b >> 8,
-                    spent: c >> 8,
-                })),
-                9 => EventKind::ProfileSpanEnter {
-                    name: parse_label(["multiwalk", "depth", "theorem4"][(a % 3) as usize]),
-                    wall_ns: b,
-                },
-                10 => EventKind::ProfileSpanExit {
-                    name: parse_label(["multiwalk", "depth", "theorem4"][(a % 3) as usize]),
-                    wall_ns: b,
-                },
-                11 => EventKind::ProfileCounter {
-                    name: parse_label("row_hits"),
-                    total: b,
-                },
-                12 => EventKind::ProfileGauge {
-                    // Signed: negative samples must survive the codec.
-                    name: parse_label("frontier_nodes"),
-                    value: b as i64,
-                },
-                _ => EventKind::MessageDropped {
-                    src: a as u32 % 64,
-                    dst: b as u32 % 64,
-                    cause: match c % 5 {
-                        0 => DropCause::SourceDown,
-                        1 => DropCause::DestDown,
-                        2 => DropCause::Partitioned,
-                        3 => DropCause::Loss,
-                        _ => DropCause::LinkBlocked,
-                    },
-                    msg_id: c as u32,
-                },
-            };
-            round_trip(Event {
-                time: a >> 8,
-                seq: trial,
-                kind,
-            });
+        let blank_led = format!("\n  \n{}\n{CRASH}\n", header(3, 1));
+        let parsed = read_trace(&blank_led).unwrap();
+        assert_eq!(parsed.header.map(|h| h.events), Some(1));
+        assert_eq!(parsed.events.len(), 1);
+
+        let err = read_trace(&format!("\n{}\n", header(99, 0))).unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.message.contains("newer than supported"), "{err}");
+
+        for later in [
+            format!("{CRASH}\n{}\n", header(3, 1)),
+            format!("{}\n{}\n", header(3, 0), header(3, 0)),
+        ] {
+            let err = read_trace(&later).unwrap_err();
+            assert_eq!(err.line, 2);
+            assert!(err.message.contains("first non-blank line"), "{err}");
         }
+    }
+
+    #[test]
+    fn a_trace_shorter_than_its_header_promises_is_rejected() {
+        let cut = format!(
+            "{{\"kind\":\"trace_header\",\"version\":3,\"events\":5,\"dropped_oldest\":7}}\n{CRASH}\n"
+        );
+        let err = read_trace(&cut).unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.message.contains("promises 5 events, 1 read"), "{err}");
     }
 
     /// A version-2 trace (captured before the version-3 profiling
@@ -1003,7 +857,7 @@ mod tests {
         assert!(matches!(
             parsed.events[1].kind,
             EventKind::MessageDropped {
-                cause: DropCause::Partitioned,
+                cause: crate::event::DropCause::Partitioned,
                 ..
             }
         ));

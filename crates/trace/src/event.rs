@@ -1,12 +1,26 @@
-//! Typed trace events with sim-time stamps and JSONL rendering.
+//! The trace vocabulary: every event kind, declared once.
 //!
 //! Every observable action in the simulator and the quorum runtime maps
 //! to one [`EventKind`] variant; a recorded [`Event`] adds the virtual
 //! time and a monotone sequence number, so a trace is totally ordered
 //! even when many events share a tick. Events render to one JSON object
 //! per line (JSONL) with a flat schema: `{"t":…,"seq":…,"kind":…,…}`.
+//!
+//! The `event_table!` invocation below *is* the schema. Each entry names
+//! a variant, its JSONL tag and its fields in written order, and the
+//! macro expands the one table into the enum, its tags, its writer and
+//! its reader ([`crate::codec`] says how each field type renders). To add
+//! a field or a kind: one line here, one line in
+//! `tests/fixtures/all_kinds_v3.jsonl` (the fixture test fails until the
+//! file lists exactly [`EventKind::TAGS`]), an arm in
+//! `causality::location` if the kind happens at a node (the compiler asks
+//! for it), and a [`FORMAT_VERSION`](crate::codec::FORMAT_VERSION) bump.
 
 use std::fmt::Write as _;
+
+use crate::codec::{Field, Fields, JVal};
+use crate::monitor::LevelTransition;
+use crate::staleness::SloViolation;
 
 /// A fixed-capacity inline operation label.
 ///
@@ -173,82 +187,182 @@ impl FromIterator<Vec<u32>> for PartitionGroups {
     }
 }
 
-/// Why the network dropped a message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DropCause {
-    /// The sending node was crashed at send (or delivery) time.
-    SourceDown,
-    /// The destination node was crashed.
-    DestDown,
-    /// Source and destination were in different partition groups.
-    Partitioned,
-    /// The link's random loss fired.
-    Loss,
-    /// The *directed* link from source to destination was blocked
-    /// (asymmetric partition); the reverse direction may still work.
-    LinkBlocked,
+/// Declares a string vocabulary once: the enum, the stable string each
+/// variant is written as, and (through [`Field`]) the reader that takes
+/// exactly those strings back.
+macro_rules! str_enum {
+    (
+        $(#[$meta:meta])*
+        $name:ident, $what:literal {
+            $( $(#[$vmeta:meta])* $variant:ident = $s:literal ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $name {
+            $( $(#[$vmeta])* $variant ),*
+        }
+
+        impl $name {
+            /// The stable string used in JSONL output.
+            pub fn as_str(self) -> &'static str {
+                match self {
+                    $( $name::$variant => $s ),*
+                }
+            }
+        }
+
+        impl Field for $name {
+            fn write(&self, out: &mut String) {
+                crate::codec::push_json_str(out, self.as_str());
+            }
+            fn read(v: &JVal<'_>) -> Result<Self, String> {
+                match v.as_str()? {
+                    $( $s => Ok($name::$variant), )*
+                    other => Err(format!(concat!("unknown ", $what, " {:?}"), other)),
+                }
+            }
+            #[cfg(test)]
+            fn arbitrary(rng: &mut crate::codec::Rng) -> Self {
+                let all = [$( $name::$variant ),*];
+                all[rng.next() as usize % all.len()]
+            }
+        }
+    };
 }
 
-impl DropCause {
-    /// The stable string used in JSONL output.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            DropCause::SourceDown => "source_down",
-            DropCause::DestDown => "dest_down",
-            DropCause::Partitioned => "partitioned",
-            DropCause::Loss => "loss",
-            DropCause::LinkBlocked => "link_blocked",
-        }
+str_enum! {
+    /// Why the network dropped a message.
+    DropCause, "drop cause" {
+        /// The sending node was crashed at send (or delivery) time.
+        SourceDown = "source_down",
+        /// The destination node was crashed.
+        DestDown = "dest_down",
+        /// Source and destination were in different partition groups.
+        Partitioned = "partitioned",
+        /// The link's random loss fired.
+        Loss = "loss",
+        /// The *directed* link from source to destination was blocked
+        /// (asymmetric partition); the reverse direction may still work.
+        LinkBlocked = "link_blocked",
     }
 }
 
-/// How a client operation ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OpOutcome {
-    /// A quorum was assembled and the operation took effect.
-    Completed,
-    /// The merged view made the operation undefined (e.g. Deq of an
-    /// empty queue) and it was refused.
-    Refused,
-    /// No quorum answered before the client timeout.
-    TimedOut,
-}
-
-impl OpOutcome {
-    /// The stable string used in JSONL output.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            OpOutcome::Completed => "completed",
-            OpOutcome::Refused => "refused",
-            OpOutcome::TimedOut => "timed_out",
-        }
+str_enum! {
+    /// How a client operation ended.
+    OpOutcome, "outcome" {
+        /// A quorum was assembled and the operation took effect.
+        Completed = "completed",
+        /// The merged view made the operation undefined (e.g. Deq of an
+        /// empty queue) and it was refused.
+        Refused = "refused",
+        /// No quorum answered before the client timeout.
+        TimedOut = "timed_out",
     }
 }
 
-/// Which quorum a client was assembling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QuorumPhase {
-    /// The initial (read) quorum.
-    Read,
-    /// The final (write) quorum.
-    Write,
-}
-
-impl QuorumPhase {
-    /// The stable string used in JSONL output.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            QuorumPhase::Read => "read",
-            QuorumPhase::Write => "write",
-        }
+str_enum! {
+    /// Which quorum a client was assembling.
+    QuorumPhase, "quorum phase" {
+        /// The initial (read) quorum.
+        Read = "read",
+        /// The final (write) quorum.
+        Write = "write",
     }
 }
 
-/// One kind of observable action, with its payload.
-#[derive(Debug, Clone, PartialEq)]
-pub enum EventKind {
+/// The event table's expander. Each entry of the table is
+/// `Variant = "tag" { field: Type, … }`, a bare `Variant = "tag"`, or
+/// `Variant = "tag" (Box<Payload { field, … }>)` for a fat, rare payload
+/// struct; fields are written in the order listed, under their own names.
+/// From the one table come the [`EventKind`] enum, [`EventKind::tag`],
+/// [`EventKind::TAGS`], the JSONL writer and the JSONL reader, so a
+/// variant or a field cannot be in one of them and missing from another.
+macro_rules! event_table {
+    // A pattern that binds a tuple variant's box (an optional group in
+    // the transcriber must mention one of its own metavariables).
+    (@bind $payload:ident $name:ident) => { $name };
+    ($(
+        $(#[$vmeta:meta])*
+        $variant:ident = $tag:literal
+        $({ $( $(#[$fmeta:meta])* $field:ident : $fty:ty ),* $(,)? })?
+        $(( Box<$payload:ident { $( $pfield:ident ),* }> ))?
+    ),* $(,)?) => {
+        /// One kind of observable action, with its payload.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum EventKind {$(
+            $(#[$vmeta])*
+            $variant $({ $( $(#[$fmeta])* $field: $fty ),* })? $(( Box<$payload> ))?,
+        )*}
+
+        impl EventKind {
+            /// Every `kind` tag of the format, in table order.
+            pub const TAGS: &'static [&'static str] = &[$( $tag ),*];
+
+            /// The stable `kind` tag used in JSONL output.
+            pub fn tag(&self) -> &'static str {
+                match self {
+                    $( EventKind::$variant { .. } => $tag, )*
+                }
+            }
+
+            /// Appends `,"field":value` for each field, in table order.
+            pub(crate) fn write_fields(&self, out: &mut String) {
+                match self {$(
+                    EventKind::$variant
+                        $({ $( $field ),* })?
+                        $(( event_table!(@bind $payload boxed) ))?
+                    => {
+                        $($(
+                            out.push_str(concat!(",\"", stringify!($field), "\":"));
+                            Field::write($field, out);
+                        )*)?
+                        $(
+                            let $payload { $( $pfield ),* } = &**boxed;
+                            $(
+                                out.push_str(concat!(",\"", stringify!($pfield), "\":"));
+                                Field::write($pfield, out);
+                            )*
+                        )?
+                    }
+                )*}
+            }
+
+            /// Builds the kind tagged `tag` from a parsed line's fields.
+            pub(crate) fn read(tag: &str, f: &Fields<'_>) -> Result<EventKind, String> {
+                Ok(match tag {
+                    $(
+                        $tag => EventKind::$variant
+                            $({ $( $field: f.get(stringify!($field))? ),* })?
+                            $(( Box::new($payload {
+                                $( $pfield: f.get(stringify!($pfield))? ),*
+                            }) ))?,
+                    )*
+                    other => return Err(format!("unknown event kind {other:?}")),
+                })
+            }
+
+            /// The `variant`-th kind of the table with every field drawn
+            /// from [`Field::arbitrary`].
+            #[cfg(test)]
+            #[allow(unused_variables)]
+            pub(crate) fn arbitrary(variant: usize, rng: &mut crate::codec::Rng) -> EventKind {
+                let makers: &[fn(&mut crate::codec::Rng) -> EventKind] = &[$(
+                    |rng| EventKind::$variant
+                        $({ $( $field: Field::arbitrary(rng) ),* })?
+                        $(( Box::new($payload {
+                            $( $pfield: Field::arbitrary(rng) ),*
+                        }) ))?,
+                )*];
+                makers[variant](rng)
+            }
+        }
+    };
+}
+
+event_table! {
     /// A node sent a message into the network.
-    MessageSent {
+    MessageSent = "message_sent" {
         /// Sending node index.
         src: u32,
         /// Destination node index.
@@ -261,7 +375,7 @@ pub enum EventKind {
         msg_id: u32,
     },
     /// The harness injected a message from outside the simulated system.
-    MessageInjected {
+    MessageInjected = "message_injected" {
         /// Destination node index.
         dst: u32,
         /// Scheduled delivery tick.
@@ -270,14 +384,14 @@ pub enum EventKind {
         msg_id: u32,
     },
     /// A message reached its destination's handler.
-    MessageDelivered {
+    MessageDelivered = "message_delivered" {
         /// Receiving node index.
         node: u32,
         /// The id the message was sent (or injected) under.
         msg_id: u32,
     },
     /// The network dropped a message.
-    MessageDropped {
+    MessageDropped = "message_dropped" {
         /// Sending node index.
         src: u32,
         /// Destination node index.
@@ -289,7 +403,7 @@ pub enum EventKind {
         msg_id: u32,
     },
     /// A node armed a timer.
-    TimerSet {
+    TimerSet = "timer_set" {
         /// Owning node index.
         node: u32,
         /// Caller-chosen token identifying the timer.
@@ -298,37 +412,37 @@ pub enum EventKind {
         fire_at: u64,
     },
     /// A timer fired at its owner.
-    TimerFired {
+    TimerFired = "timer_fired" {
         /// Owning node index.
         node: u32,
         /// The timer's token.
         token: u64,
     },
     /// A fault crashed a node.
-    NodeCrashed {
+    NodeCrashed = "node_crashed" {
         /// Crashed node index.
         node: u32,
     },
     /// A fault recovered a node.
-    NodeRecovered {
+    NodeRecovered = "node_recovered" {
         /// Recovered node index.
         node: u32,
     },
     /// A fault installed a partition.
-    PartitionSet {
+    PartitionSet = "partition_set" {
         /// The partition's groups of node indices, behind one thin
         /// pointer (see [`PartitionGroups`]).
         groups: PartitionGroups,
     },
     /// A fault healed the partition.
-    PartitionHealed,
+    PartitionHealed = "partition_healed",
     /// A fault changed the link loss probability.
-    LossRateSet {
+    LossRateSet = "loss_rate_set" {
         /// The new loss probability.
         probability: f64,
     },
     /// A client started an operation.
-    OpBegin {
+    OpBegin = "op_begin" {
         /// Client node index.
         node: u32,
         /// Client-local invocation id.
@@ -337,7 +451,7 @@ pub enum EventKind {
         op: OpLabel,
     },
     /// A client finished an operation.
-    OpEnd {
+    OpEnd = "op_end" {
         /// Client node index.
         node: u32,
         /// Client-local invocation id.
@@ -348,7 +462,7 @@ pub enum EventKind {
         latency: u64,
     },
     /// A client assembled a quorum.
-    QuorumAssembled {
+    QuorumAssembled = "quorum_assembled" {
         /// Client node index.
         node: u32,
         /// Client-local invocation id.
@@ -359,7 +473,7 @@ pub enum EventKind {
         size: u32,
     },
     /// A client's quorum assembly failed (timeout with too few replies).
-    QuorumFailed {
+    QuorumFailed = "quorum_failed" {
         /// Client node index.
         node: u32,
         /// Client-local invocation id.
@@ -372,7 +486,7 @@ pub enum EventKind {
         needed: u32,
     },
     /// A client merged replica logs into a view.
-    ViewMerged {
+    ViewMerged = "view_merged" {
         /// Client node index.
         node: u32,
         /// Client-local invocation id of the operation being served.
@@ -383,44 +497,44 @@ pub enum EventKind {
     /// The degradation monitor observed the history leave one or more
     /// lattice levels. Boxed: the payload is fat and rare, and every
     /// recorded event pays for the enum's largest variant.
-    LevelTransition(Box<crate::monitor::LevelTransition>),
+    LevelTransition = "level_transition" (Box<LevelTransition { left, now, witness, op_index }>),
     /// A fault gray-degraded a node: still alive and responsive, but
     /// every link touching it runs at a delay multiplier.
-    GrayDegraded {
+    GrayDegraded = "gray_degraded" {
         /// The slowed node.
         node: u32,
         /// The integer delay multiplier now in force (≥ 2).
         multiplier: u32,
     },
     /// A fault restored a gray-degraded node to full speed.
-    GrayRestored {
+    GrayRestored = "gray_restored" {
         /// The restored node.
         node: u32,
     },
     /// A fault blocked the *directed* link `src → dst` (asymmetric
     /// partition); traffic `dst → src` is unaffected.
-    LinkBlocked {
+    LinkBlocked = "link_blocked" {
         /// Blocked direction: sender.
         src: u32,
         /// Blocked direction: receiver.
         dst: u32,
     },
     /// A fault unblocked the directed link `src → dst`.
-    LinkRestored {
+    LinkRestored = "link_restored" {
         /// Restored direction: sender.
         src: u32,
         /// Restored direction: receiver.
         dst: u32,
     },
     /// A fault changed the message-duplication probability.
-    DuplicationRateSet {
+    DuplicationRateSet = "duplication_rate_set" {
         /// The new duplication probability.
         probability: f64,
     },
     /// The network manufactured a duplicate copy of a sent message. The
     /// copy travels under its own `msg_id` (its delivery pairs with this
     /// event the way a delivery pairs with a send).
-    MessageDuplicated {
+    MessageDuplicated = "message_duplicated" {
         /// Sending node index (of the original send).
         src: u32,
         /// Destination node index.
@@ -431,7 +545,7 @@ pub enum EventKind {
         orig_msg_id: u32,
     },
     /// Staleness probe: one replica's lag behind the merged frontier.
-    ReplicaLagSampled {
+    ReplicaLagSampled = "replica_lag_sampled" {
         /// The sampled replica.
         site: u32,
         /// Log entries the replica is missing relative to the merged
@@ -443,7 +557,7 @@ pub enum EventKind {
     },
     /// Staleness probe: pairwise frontier divergence between two
     /// replicas (entries held by one but not the other).
-    FrontierDivergence {
+    FrontierDivergence = "frontier_divergence" {
         /// First replica of the pair (`a < b`).
         a: u32,
         /// Second replica of the pair.
@@ -453,12 +567,12 @@ pub enum EventKind {
     },
     /// A degradation SLO error budget ran out. Boxed: fat and rare, like
     /// [`EventKind::LevelTransition`].
-    SloBudgetExhausted(Box<crate::staleness::SloViolation>),
+    SloBudgetExhausted = "slo_budget_exhausted" (Box<SloViolation { level, budget, spent }>),
     /// Profiling: a hierarchical span opened. Spans nest LIFO within a
     /// trace; `wall_ns` is monotone (nanoseconds since the probe was
     /// enabled, derived from `Instant` — never `SystemTime`), while the
     /// event's `t` carries sim time as usual.
-    ProfileSpanEnter {
+    ProfileSpanEnter = "profile_span_enter" {
         /// Span name (≤ 14 bytes, inline — see [`OpLabel`]).
         name: OpLabel,
         /// Monotone nanoseconds since the probe's anchor.
@@ -466,7 +580,7 @@ pub enum EventKind {
     },
     /// Profiling: the innermost open span closed; `name` matches its
     /// `profile_span_enter`.
-    ProfileSpanExit {
+    ProfileSpanExit = "profile_span_exit" {
         /// Span name, equal to the matching enter's.
         name: OpLabel,
         /// Monotone nanoseconds since the probe's anchor.
@@ -475,7 +589,7 @@ pub enum EventKind {
     /// Profiling: a monotone counter's accumulated total at flush time.
     /// Hot paths batch increments in the probe and the total is emitted
     /// once, so a trace carries at most a few of these per counter.
-    ProfileCounter {
+    ProfileCounter = "profile_counter" {
         /// Counter name.
         name: OpLabel,
         /// Accumulated total at emission.
@@ -484,50 +598,12 @@ pub enum EventKind {
     /// Profiling: one gauge sample, attributed to the innermost span
     /// open at record time (per-depth samples yield per-depth
     /// timelines, e.g. `frontier_nodes`).
-    ProfileGauge {
+    ProfileGauge = "profile_gauge" {
         /// Gauge name.
         name: OpLabel,
         /// Sampled value.
         value: i64,
     },
-}
-
-impl EventKind {
-    /// The stable `kind` tag used in JSONL output.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            EventKind::MessageSent { .. } => "message_sent",
-            EventKind::MessageInjected { .. } => "message_injected",
-            EventKind::MessageDelivered { .. } => "message_delivered",
-            EventKind::MessageDropped { .. } => "message_dropped",
-            EventKind::TimerSet { .. } => "timer_set",
-            EventKind::TimerFired { .. } => "timer_fired",
-            EventKind::NodeCrashed { .. } => "node_crashed",
-            EventKind::NodeRecovered { .. } => "node_recovered",
-            EventKind::PartitionSet { .. } => "partition_set",
-            EventKind::PartitionHealed => "partition_healed",
-            EventKind::LossRateSet { .. } => "loss_rate_set",
-            EventKind::OpBegin { .. } => "op_begin",
-            EventKind::OpEnd { .. } => "op_end",
-            EventKind::QuorumAssembled { .. } => "quorum_assembled",
-            EventKind::QuorumFailed { .. } => "quorum_failed",
-            EventKind::ViewMerged { .. } => "view_merged",
-            EventKind::LevelTransition(_) => "level_transition",
-            EventKind::GrayDegraded { .. } => "gray_degraded",
-            EventKind::GrayRestored { .. } => "gray_restored",
-            EventKind::LinkBlocked { .. } => "link_blocked",
-            EventKind::LinkRestored { .. } => "link_restored",
-            EventKind::DuplicationRateSet { .. } => "duplication_rate_set",
-            EventKind::MessageDuplicated { .. } => "message_duplicated",
-            EventKind::ReplicaLagSampled { .. } => "replica_lag_sampled",
-            EventKind::FrontierDivergence { .. } => "frontier_divergence",
-            EventKind::SloBudgetExhausted(_) => "slo_budget_exhausted",
-            EventKind::ProfileSpanEnter { .. } => "profile_span_enter",
-            EventKind::ProfileSpanExit { .. } => "profile_span_exit",
-            EventKind::ProfileCounter { .. } => "profile_counter",
-            EventKind::ProfileGauge { .. } => "profile_gauge",
-        }
-    }
 }
 
 /// A recorded event: sim time, sequence number, and the action.
@@ -541,279 +617,9 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-/// Escapes a string for inclusion in a JSON string literal.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_str_list(items: &[String]) -> String {
-    let quoted: Vec<String> = items
-        .iter()
-        .map(|s| format!("\"{}\"", escape_json(s)))
-        .collect();
-    format!("[{}]", quoted.join(","))
-}
-
-impl Event {
-    /// Renders the event as one flat JSON object (no trailing newline).
-    pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\"t\":{},\"seq\":{},\"kind\":\"{}\"",
-            self.time,
-            self.seq,
-            self.kind.tag()
-        );
-        match &self.kind {
-            EventKind::MessageSent {
-                src,
-                dst,
-                deliver_at,
-                msg_id,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"src\":{src},\"dst\":{dst},\"deliver_at\":{deliver_at},\"msg_id\":{msg_id}"
-                );
-            }
-            EventKind::MessageInjected {
-                dst,
-                deliver_at,
-                msg_id,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"dst\":{dst},\"deliver_at\":{deliver_at},\"msg_id\":{msg_id}"
-                );
-            }
-            EventKind::MessageDelivered { node, msg_id } => {
-                let _ = write!(s, ",\"node\":{node},\"msg_id\":{msg_id}");
-            }
-            EventKind::MessageDropped {
-                src,
-                dst,
-                cause,
-                msg_id,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"src\":{src},\"dst\":{dst},\"cause\":\"{}\",\"msg_id\":{msg_id}",
-                    cause.as_str()
-                );
-            }
-            EventKind::TimerSet {
-                node,
-                token,
-                fire_at,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"node\":{node},\"token\":{token},\"fire_at\":{fire_at}"
-                );
-            }
-            EventKind::TimerFired { node, token } => {
-                let _ = write!(s, ",\"node\":{node},\"token\":{token}");
-            }
-            EventKind::NodeCrashed { node } | EventKind::NodeRecovered { node } => {
-                let _ = write!(s, ",\"node\":{node}");
-            }
-            EventKind::PartitionSet { groups } => {
-                let rendered: Vec<String> = groups
-                    .iter()
-                    .map(|g| {
-                        let ids: Vec<String> = g.iter().map(|n| n.to_string()).collect();
-                        format!("[{}]", ids.join(","))
-                    })
-                    .collect();
-                let _ = write!(s, ",\"groups\":[{}]", rendered.join(","));
-            }
-            EventKind::PartitionHealed => {}
-            EventKind::LossRateSet { probability } => {
-                let _ = write!(s, ",\"probability\":{probability}");
-            }
-            EventKind::OpBegin { node, op_id, op } => {
-                let _ = write!(
-                    s,
-                    ",\"node\":{node},\"op_id\":{op_id},\"op\":\"{}\"",
-                    escape_json(op)
-                );
-            }
-            EventKind::OpEnd {
-                node,
-                op_id,
-                outcome,
-                latency,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"node\":{node},\"op_id\":{op_id},\"outcome\":\"{}\",\"latency\":{latency}",
-                    outcome.as_str()
-                );
-            }
-            EventKind::QuorumAssembled {
-                node,
-                op_id,
-                phase,
-                size,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"node\":{node},\"op_id\":{op_id},\"phase\":\"{}\",\"size\":{size}",
-                    phase.as_str()
-                );
-            }
-            EventKind::QuorumFailed {
-                node,
-                op_id,
-                phase,
-                responses,
-                needed,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"node\":{node},\"op_id\":{op_id},\"phase\":\"{}\",\"responses\":{responses},\"needed\":{needed}",
-                    phase.as_str()
-                );
-            }
-            EventKind::ViewMerged {
-                node,
-                op_id,
-                merged_len,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"node\":{node},\"op_id\":{op_id},\"merged_len\":{merged_len}"
-                );
-            }
-            EventKind::LevelTransition(t) => {
-                let now_json = match &t.now {
-                    Some(n) => format!("\"{}\"", escape_json(n)),
-                    None => "null".to_string(),
-                };
-                let _ = write!(
-                    s,
-                    ",\"left\":{},\"now\":{},\"witness\":\"{}\",\"op_index\":{}",
-                    json_str_list(&t.left),
-                    now_json,
-                    escape_json(&t.witness),
-                    t.op_index
-                );
-            }
-            EventKind::GrayDegraded { node, multiplier } => {
-                let _ = write!(s, ",\"node\":{node},\"multiplier\":{multiplier}");
-            }
-            EventKind::GrayRestored { node } => {
-                let _ = write!(s, ",\"node\":{node}");
-            }
-            EventKind::LinkBlocked { src, dst } | EventKind::LinkRestored { src, dst } => {
-                let _ = write!(s, ",\"src\":{src},\"dst\":{dst}");
-            }
-            EventKind::DuplicationRateSet { probability } => {
-                let _ = write!(s, ",\"probability\":{probability}");
-            }
-            EventKind::MessageDuplicated {
-                src,
-                dst,
-                msg_id,
-                orig_msg_id,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"src\":{src},\"dst\":{dst},\"msg_id\":{msg_id},\"orig_msg_id\":{orig_msg_id}"
-                );
-            }
-            EventKind::ReplicaLagSampled {
-                site,
-                entries_behind,
-                time_behind,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"site\":{site},\"entries_behind\":{entries_behind},\"time_behind\":{time_behind}"
-                );
-            }
-            EventKind::FrontierDivergence { a, b, entries } => {
-                let _ = write!(s, ",\"a\":{a},\"b\":{b},\"entries\":{entries}");
-            }
-            EventKind::SloBudgetExhausted(v) => {
-                let _ = write!(
-                    s,
-                    ",\"level\":\"{}\",\"budget\":{},\"spent\":{}",
-                    escape_json(&v.level),
-                    v.budget,
-                    v.spent
-                );
-            }
-            EventKind::ProfileSpanEnter { name, wall_ns }
-            | EventKind::ProfileSpanExit { name, wall_ns } => {
-                let _ = write!(
-                    s,
-                    ",\"name\":\"{}\",\"wall_ns\":{wall_ns}",
-                    escape_json(name)
-                );
-            }
-            EventKind::ProfileCounter { name, total } => {
-                let _ = write!(s, ",\"name\":\"{}\",\"total\":{total}", escape_json(name));
-            }
-            EventKind::ProfileGauge { name, value } => {
-                let _ = write!(s, ",\"name\":\"{}\",\"value\":{value}", escape_json(name));
-            }
-        }
-        s.push('}');
-        s
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_is_flat_and_tagged() {
-        let e = Event {
-            time: 42,
-            seq: 7,
-            kind: EventKind::MessageSent {
-                src: 0,
-                dst: 3,
-                deliver_at: 55,
-                msg_id: 12,
-            },
-        };
-        assert_eq!(
-            e.to_json(),
-            r#"{"t":42,"seq":7,"kind":"message_sent","src":0,"dst":3,"deliver_at":55,"msg_id":12}"#
-        );
-    }
-
-    #[test]
-    fn drop_cause_renders() {
-        let e = Event {
-            time: 1,
-            seq: 0,
-            kind: EventKind::MessageDropped {
-                src: 2,
-                dst: 0,
-                cause: DropCause::Partitioned,
-                msg_id: 4,
-            },
-        };
-        assert!(e.to_json().contains("\"cause\":\"partitioned\""));
-        assert!(e.to_json().contains("\"msg_id\":4"));
-    }
 
     #[test]
     fn event_kind_stays_within_the_hot_path_budget() {
@@ -846,159 +652,10 @@ mod tests {
     }
 
     #[test]
-    fn partition_groups_render_as_nested_arrays() {
-        let e = Event {
-            time: 200,
-            seq: 3,
-            kind: EventKind::PartitionSet {
-                groups: PartitionGroups::new(vec![vec![3, 0], vec![1, 2]]),
-            },
-        };
-        assert!(e.to_json().contains("\"groups\":[[3,0],[1,2]]"));
-    }
-
-    #[test]
-    fn level_transition_renders_witness_and_levels() {
-        let e = Event {
-            time: 410,
-            seq: 99,
-            kind: EventKind::LevelTransition(Box::new(crate::monitor::LevelTransition {
-                left: vec!["PQ".into()],
-                now: Some("MPQ".into()),
-                witness: "Deq(5)".into(),
-                op_index: 2,
-            })),
-        };
-        let j = e.to_json();
-        assert!(j.contains("\"left\":[\"PQ\"]"));
-        assert!(j.contains("\"now\":\"MPQ\""));
-        assert!(j.contains("\"witness\":\"Deq(5)\""));
-    }
-
-    #[test]
-    fn escaping_handles_quotes_and_control() {
-        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape_json("\u{1}"), "\\u0001");
-    }
-
-    #[test]
     fn every_kind_has_a_distinct_tag() {
-        let kinds = [
-            EventKind::MessageSent {
-                src: 0,
-                dst: 0,
-                deliver_at: 0,
-                msg_id: 0,
-            },
-            EventKind::MessageInjected {
-                dst: 0,
-                deliver_at: 0,
-                msg_id: 0,
-            },
-            EventKind::MessageDelivered { node: 0, msg_id: 0 },
-            EventKind::MessageDropped {
-                src: 0,
-                dst: 0,
-                cause: DropCause::Loss,
-                msg_id: 0,
-            },
-            EventKind::TimerSet {
-                node: 0,
-                token: 0,
-                fire_at: 0,
-            },
-            EventKind::TimerFired { node: 0, token: 0 },
-            EventKind::NodeCrashed { node: 0 },
-            EventKind::NodeRecovered { node: 0 },
-            EventKind::PartitionSet {
-                groups: PartitionGroups::new(Vec::new()),
-            },
-            EventKind::PartitionHealed,
-            EventKind::LossRateSet { probability: 0.0 },
-            EventKind::OpBegin {
-                node: 0,
-                op_id: 0,
-                op: OpLabel::default(),
-            },
-            EventKind::OpEnd {
-                node: 0,
-                op_id: 0,
-                outcome: OpOutcome::Completed,
-                latency: 0,
-            },
-            EventKind::QuorumAssembled {
-                node: 0,
-                op_id: 0,
-                phase: QuorumPhase::Read,
-                size: 0,
-            },
-            EventKind::QuorumFailed {
-                node: 0,
-                op_id: 0,
-                phase: QuorumPhase::Write,
-                responses: 0,
-                needed: 0,
-            },
-            EventKind::ViewMerged {
-                node: 0,
-                op_id: 0,
-                merged_len: 0,
-            },
-            EventKind::LevelTransition(Box::new(crate::monitor::LevelTransition {
-                left: vec![],
-                now: None,
-                witness: String::new(),
-                op_index: 0,
-            })),
-            EventKind::GrayDegraded {
-                node: 0,
-                multiplier: 2,
-            },
-            EventKind::GrayRestored { node: 0 },
-            EventKind::LinkBlocked { src: 0, dst: 0 },
-            EventKind::LinkRestored { src: 0, dst: 0 },
-            EventKind::DuplicationRateSet { probability: 0.0 },
-            EventKind::MessageDuplicated {
-                src: 0,
-                dst: 0,
-                msg_id: 0,
-                orig_msg_id: 0,
-            },
-            EventKind::ReplicaLagSampled {
-                site: 0,
-                entries_behind: 0,
-                time_behind: 0,
-            },
-            EventKind::FrontierDivergence {
-                a: 0,
-                b: 0,
-                entries: 0,
-            },
-            EventKind::SloBudgetExhausted(Box::new(crate::staleness::SloViolation {
-                level: String::new(),
-                budget: 0,
-                spent: 0,
-            })),
-            EventKind::ProfileSpanEnter {
-                name: OpLabel::default(),
-                wall_ns: 0,
-            },
-            EventKind::ProfileSpanExit {
-                name: OpLabel::default(),
-                wall_ns: 0,
-            },
-            EventKind::ProfileCounter {
-                name: OpLabel::default(),
-                total: 0,
-            },
-            EventKind::ProfileGauge {
-                name: OpLabel::default(),
-                value: 0,
-            },
-        ];
-        let mut tags: Vec<&str> = kinds.iter().map(|k| k.tag()).collect();
+        let mut tags = EventKind::TAGS.to_vec();
         tags.sort_unstable();
         tags.dedup();
-        assert_eq!(tags.len(), kinds.len());
+        assert_eq!(tags.len(), EventKind::TAGS.len());
     }
 }

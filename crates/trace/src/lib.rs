@@ -2,11 +2,12 @@
 //!
 //! Observability for the workspace's simulator and quorum runtime:
 //!
-//! * [`event`] — typed, sim-time-stamped trace events ([`event::Event`],
-//!   [`event::EventKind`]) with a flat JSONL rendering; shared vocabulary
-//!   types ([`event::DropCause`], [`event::OpOutcome`],
+//! * [`event`] — the trace vocabulary, declared once: one table names
+//!   every [`event::EventKind`] variant, its JSONL tag and its fields,
+//!   and expands into the enum, its writer and its reader; the shared
+//!   string vocabularies ([`event::DropCause`], [`event::OpOutcome`],
 //!   [`event::QuorumPhase`]) used by the simulator's network and the
-//!   quorum client runtime.
+//!   quorum client runtime are declared the same way.
 //! * [`tracer`] — the bounded ring-buffer collector ([`tracer::Tracer`]);
 //!   disabled by default so instrumented hot paths cost one branch when
 //!   tracing is off.
@@ -17,9 +18,11 @@
 //!   frontiers over a relaxation lattice (Herlihy & Wing, PODC 1987),
 //!   emitting [`monitor::LevelTransition`]s with witness operations the
 //!   moment the observed history falls out of a level.
-//! * [`codec`] — the read half of the JSONL format: a versioned
-//!   [`codec::TraceHeader`] and [`codec::read_trace`], which re-ingests
-//!   any exported trace into typed events.
+//! * [`codec`] — the JSONL format itself: how each field type is
+//!   written and read back, the one exporter behind
+//!   [`tracer::Tracer::export_jsonl`] and [`profile::Probe::write_jsonl`],
+//!   a versioned [`codec::TraceHeader`], and [`codec::read_trace`], which
+//!   re-ingests any exported trace into typed events.
 //! * [`causality`] — the happens-before DAG over a trace
 //!   ([`causality::HbGraph`]): program order per node, send→deliver
 //!   edges paired by message id, fault-attribution edges; per-operation
@@ -30,8 +33,9 @@
 //!   minimal cut of fault events that caused it, rendered as a
 //!   human-readable report ([`analyze::TraceAnalysis`]).
 //! * [`profile`] — the engine flight recorder: a recording
-//!   [`profile::Probe`] (hierarchical wall+sim-time spans, batched
-//!   counters, per-depth gauges) behind the engine's zero-cost
+//!   [`profile::Probe`] (hierarchical wall-time spans, batched
+//!   counters and per-depth gauges, recorded into a
+//!   [`tracer::Tracer`]) behind the engine's zero-cost
 //!   `EngineProbe` seam, and [`profile::ProfileReport`] with exact-sum
 //!   self/child attribution, hot-span rankings, and folded-stack
 //!   export.
@@ -47,7 +51,7 @@
 //! let mut tracer = Tracer::bounded(1024);
 //! tracer.record(5, EventKind::NodeCrashed { node: 2 });
 //! tracer.record(9, EventKind::PartitionHealed);
-//! assert_eq!(tracer.to_jsonl().lines().count(), 2);
+//! assert_eq!(tracer.export_jsonl().lines().count(), 3); // header + 2
 //!
 //! let mut reg = Registry::new();
 //! reg.counter("deq").record(true);

@@ -9,6 +9,8 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
 
+use crate::codec::push_json_str;
+
 /// A monotone event counter with a success/failure split, used for
 /// availability measurements (fraction of operations that found a
 /// quorum, etc.).
@@ -526,10 +528,10 @@ impl Registry {
                 out.push(',');
             }
             first = false;
+            push_json_str(&mut out, name);
             let _ = write!(
                 out,
-                "\"{}\":{{\"successes\":{},\"failures\":{}}}",
-                crate::event::escape_json(name),
+                ":{{\"successes\":{},\"failures\":{}}}",
                 c.successes(),
                 c.failures()
             );
@@ -541,7 +543,8 @@ impl Registry {
                 out.push(',');
             }
             first = false;
-            let _ = write!(out, "\"{}\":{}", crate::event::escape_json(name), g.value());
+            push_json_str(&mut out, name);
+            let _ = write!(out, ":{}", g.value());
         }
         out.push_str("},\"histograms\":{");
         let names: Vec<String> = self.histograms.keys().cloned().collect();
@@ -552,8 +555,9 @@ impl Registry {
             }
             first = false;
             let h = self.histograms.get_mut(&name).expect("key just listed");
+            push_json_str(&mut out, &name);
             if h.is_empty() {
-                let _ = write!(out, "\"{}\":{{\"n\":0}}", crate::event::escape_json(&name));
+                out.push_str(":{\"n\":0}");
             } else {
                 let mean = h.mean().expect("non-empty");
                 let (p50, p95, p99) = (
@@ -564,8 +568,7 @@ impl Registry {
                 let (min, max) = (h.min().expect("non-empty"), h.max().expect("non-empty"));
                 let _ = write!(
                     out,
-                    "\"{}\":{{\"n\":{},\"mean\":{mean},\"p50\":{p50},\"p95\":{p95},\"p99\":{p99},\"min\":{min},\"max\":{max}}}",
-                    crate::event::escape_json(&name),
+                    ":{{\"n\":{},\"mean\":{mean},\"p50\":{p50},\"p95\":{p95},\"p99\":{p99},\"min\":{min},\"max\":{max}}}",
                     h.len()
                 );
             }

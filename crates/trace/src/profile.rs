@@ -4,11 +4,12 @@
 //! self/child attribution, hot-span rankings, per-depth gauge
 //! timelines, and a folded-stack export for flamegraph tooling.
 //!
-//! Time discipline: every span carries **both** clocks. Wall time is
-//! nanoseconds since the probe was enabled, derived from one
-//! [`Instant`] anchor — monotone by construction, never `SystemTime`.
-//! Sim time is whatever the owner last fed [`Probe::set_sim_time`]
-//! (engine walks run outside the simulator and leave it at 0).
+//! Time discipline: wall time is nanoseconds since the probe was
+//! enabled, derived from one [`Instant`] anchor — monotone by
+//! construction, never `SystemTime`. A probe records into its own
+//! [`Tracer`] at sim time 0 (engine walks and harness spans run outside
+//! the simulator); a sim run's spans read their sim time off the trace
+//! they were exported with ([`SpanNode::begin_sim`]).
 //!
 //! Exactness: a span's *self* time is its total minus the sum of its
 //! children's totals. Children are properly nested, disjoint intervals
@@ -29,8 +30,8 @@ use std::time::Instant;
 
 use relax_automata::probe::EngineProbe;
 
-use crate::codec::TraceHeader;
 use crate::event::{Event, EventKind, OpLabel};
+use crate::tracer::Tracer;
 
 fn label(name: &str) -> OpLabel {
     debug_assert!(
@@ -49,18 +50,13 @@ fn label(name: &str) -> OpLabel {
 struct ProbeInner {
     /// The monotone wall-clock anchor (set when the probe is enabled).
     anchor: Instant,
-    /// Sim time stamped onto recorded events.
-    sim_time: u64,
-    /// Next event sequence number.
-    seq: u64,
-    /// Recorded span and gauge events, in order.
-    events: Vec<Event>,
+    /// Recorded span and gauge events, in order: the same recorder the
+    /// simulator's world owns, with a window that never wraps.
+    tracer: Tracer,
     /// Counter accumulators (totals are emitted as events on export).
     /// A linear scan over a handful of `&'static str` names beats a
     /// hash map at this size and keeps `add` allocation-free.
     counters: Vec<(&'static str, u64)>,
-    /// Currently open span depth (for balance checking).
-    open: usize,
 }
 
 /// A recording profiling probe.
@@ -86,11 +82,8 @@ impl Probe {
         Probe {
             inner: Some(Box::new(ProbeInner {
                 anchor: Instant::now(),
-                sim_time: 0,
-                seq: 0,
-                events: Vec::new(),
+                tracer: Tracer::bounded(usize::MAX),
                 counters: Vec::new(),
-                open: 0,
             })),
         }
     }
@@ -100,91 +93,32 @@ impl Probe {
         self.inner.is_some()
     }
 
-    /// Stamps subsequent events with this sim time (the runtime calls
-    /// this as virtual time advances; engine walks leave it at 0).
-    pub fn set_sim_time(&mut self, t: u64) {
-        if let Some(i) = self.inner.as_mut() {
-            i.sim_time = t;
-        }
-    }
-
-    /// The recorded span/gauge events so far (no counter events — those
-    /// materialize on export). Empty when disabled.
-    pub fn events(&self) -> &[Event] {
-        self.inner.as_ref().map_or(&[], |i| &i.events)
-    }
-
-    /// Accumulated counter totals, in first-touch order. Empty when
-    /// disabled.
-    pub fn counter_totals(&self) -> &[(&'static str, u64)] {
-        self.inner.as_ref().map_or(&[], |i| &i.counters)
-    }
-
-    /// Number of spans currently open (nonzero inside a walk).
-    pub fn open_spans(&self) -> usize {
-        self.inner.as_ref().map_or(0, |i| i.open)
-    }
-
-    fn push(&mut self, kind: EventKind) {
-        if let Some(i) = self.inner.as_mut() {
-            i.events.push(Event {
-                time: i.sim_time,
-                seq: i.seq,
-                kind,
-            });
-            i.seq += 1;
-        }
-    }
-
-    /// The recorded events plus one trailing `profile_counter` event
-    /// per accumulated counter — the complete, self-contained profile
-    /// stream.
-    pub fn export_events(&self) -> Vec<Event> {
+    /// The recorder with one trailing `profile_counter` event per
+    /// accumulated counter appended — the complete, self-contained
+    /// profile stream, exported and analysed the way any tracer is.
+    fn flushed(&self) -> Tracer {
         let Some(i) = self.inner.as_ref() else {
-            return Vec::new();
+            return Tracer::disabled();
         };
-        let mut events = i.events.clone();
-        for (offset, &(name, total)) in i.counters.iter().enumerate() {
-            events.push(Event {
-                time: i.sim_time,
-                seq: i.seq + offset as u64,
-                kind: EventKind::ProfileCounter {
-                    name: label(name),
-                    total,
-                },
-            });
+        let mut tracer = i.tracer.clone();
+        for &(name, total) in &i.counters {
+            let name = label(name);
+            tracer.record(0, EventKind::ProfileCounter { name, total });
         }
-        events
+        tracer
     }
 
-    /// Renders the headered JSONL export of [`Probe::export_events`] —
-    /// the same trace format every other exporter writes, so
-    /// `trace_analyze --profile` re-ingests it.
-    pub fn export_jsonl(&self) -> String {
-        let events = self.export_events();
-        let header = TraceHeader {
-            version: crate::codec::FORMAT_VERSION,
-            events: events.len() as u64,
-            dropped_oldest: 0,
-        };
-        let mut out = header.to_json();
-        out.push('\n');
-        for e in &events {
-            out.push_str(&e.to_json());
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Writes [`Probe::export_jsonl`] to a file.
+    /// Writes the headered JSONL export of everything recorded — the
+    /// same trace format every other exporter writes, so `trace_analyze
+    /// --profile` re-ingests it.
     pub fn write_jsonl(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.export_jsonl())
+        self.flushed().write_jsonl(path)
     }
 
     /// Builds the span-tree report over everything recorded so far.
     /// Fails on unbalanced spans (a walk still in progress).
     pub fn report(&self) -> Result<ProfileReport, String> {
-        ProfileReport::from_events(&self.export_events())
+        ProfileReport::from_events(&self.flushed().events().collect::<Vec<Event>>())
     }
 }
 
@@ -197,25 +131,18 @@ impl EngineProbe for Probe {
     fn enter(&mut self, name: &'static str) {
         if let Some(i) = self.inner.as_mut() {
             let wall_ns = i.anchor.elapsed().as_nanos() as u64;
-            i.open += 1;
-            let kind = EventKind::ProfileSpanEnter {
-                name: label(name),
-                wall_ns,
-            };
-            self.push(kind);
+            let name = label(name);
+            i.tracer
+                .record(0, EventKind::ProfileSpanEnter { name, wall_ns });
         }
     }
 
     fn exit(&mut self, name: &'static str) {
         if let Some(i) = self.inner.as_mut() {
             let wall_ns = i.anchor.elapsed().as_nanos() as u64;
-            debug_assert!(i.open > 0, "span exit {name:?} without an open span");
-            i.open = i.open.saturating_sub(1);
-            let kind = EventKind::ProfileSpanExit {
-                name: label(name),
-                wall_ns,
-            };
-            self.push(kind);
+            let name = label(name);
+            i.tracer
+                .record(0, EventKind::ProfileSpanExit { name, wall_ns });
         }
     }
 
@@ -229,11 +156,10 @@ impl EngineProbe for Probe {
     }
 
     fn gauge(&mut self, name: &'static str, value: i64) {
-        let kind = EventKind::ProfileGauge {
-            name: label(name),
-            value,
-        };
-        self.push(kind);
+        if let Some(i) = self.inner.as_mut() {
+            let name = label(name);
+            i.tracer.record(0, EventKind::ProfileGauge { name, value });
+        }
     }
 }
 
@@ -587,11 +513,10 @@ mod tests {
         p.add("row_hits", 5);
         p.gauge("frontier_nodes", 3);
         p.exit("walk");
-        assert!(p.events().is_empty());
-        assert!(p.counter_totals().is_empty());
-        assert!(p.export_events().is_empty());
+        assert!(p.flushed().is_empty());
         let report = p.report().unwrap();
         assert!(report.roots.is_empty());
+        assert!(report.counters.is_empty() && report.gauges.is_empty());
         assert_eq!(report.total_ns(), 0);
     }
 
@@ -605,9 +530,8 @@ mod tests {
         p.add("row_hits", 2);
         p.add("row_hits", 3);
         p.exit("inner");
+        assert!(p.report().unwrap_err().contains("never exited"));
         p.exit("outer");
-        assert_eq!(p.open_spans(), 0);
-        assert_eq!(p.counter_totals(), &[("row_hits", 5)]);
         let report = p.report().unwrap();
         assert_eq!(report.roots.len(), 1);
         assert_eq!(report.roots[0].name, "outer");
@@ -676,25 +600,24 @@ mod tests {
     }
 
     #[test]
-    fn export_jsonl_round_trips_through_the_codec() {
+    fn write_jsonl_round_trips_through_the_codec() {
         let mut p = Probe::enabled();
-        p.set_sim_time(7);
         p.enter("walk");
         p.gauge("arena_bytes", 1024);
         p.add("row_hits", 9);
         p.exit("walk");
-        let jsonl = p.export_jsonl();
-        let parsed = crate::codec::read_trace(&jsonl).unwrap();
+        let path = std::env::temp_dir().join("relax_trace_probe_test.jsonl");
+        p.write_jsonl(&path).unwrap();
+        let parsed = crate::codec::read_trace(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let header = parsed.header.as_ref().expect("headered export");
         assert_eq!(
-            parsed.header.as_ref().map(|h| h.version),
-            Some(crate::codec::FORMAT_VERSION)
+            (header.version, header.events),
+            (crate::codec::FORMAT_VERSION, 4)
         );
-        assert_eq!(parsed.events.len(), 4);
-        assert!(parsed.events.iter().all(|e| e.time == 7));
-        let r = ProfileReport::from_events(&parsed.events).unwrap();
-        assert_eq!(r.counter("row_hits"), Some(9));
-        assert_eq!(r.gauge("arena_bytes"), Some(&[1024][..]));
-        assert_eq!(r.roots[0].begin_sim, 7);
+        let seqs: Vec<u64> = parsed.events.iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, [0, 1, 2, 3]);
+        assert_eq!(ProfileReport::from_events(&parsed.events), p.report());
     }
 
     /// Strategy: a random balanced span program. Commands walk a

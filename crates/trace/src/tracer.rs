@@ -6,9 +6,8 @@
 //! evicted and counted in [`Tracer::dropped_oldest`], so a long run
 //! keeps its most recent window instead of growing without bound.
 
-use crate::codec::{TraceHeader, FORMAT_VERSION};
+use crate::codec::{write_trace, TraceHeader, FORMAT_VERSION};
 use crate::event::{Event, EventKind};
-use std::io::Write;
 use std::path::Path;
 
 /// A stored event: the sequence number is *not* materialised — it is
@@ -165,7 +164,7 @@ impl Tracer {
     /// The versioned header describing this export (format version plus
     /// collection counters), written as the first JSONL line so readers
     /// know whether the window is complete.
-    pub fn header(&self) -> TraceHeader {
+    fn header(&self) -> TraceHeader {
         TraceHeader {
             version: FORMAT_VERSION,
             events: self.buf.len() as u64,
@@ -173,35 +172,22 @@ impl Tracer {
         }
     }
 
-    /// Renders the held events as bare JSONL (one JSON object per line,
-    /// no header). For re-ingestable exports use [`Tracer::export_jsonl`].
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for e in self.events() {
-            out.push_str(&e.to_json());
-            out.push('\n');
-        }
-        out
-    }
-
     /// Renders a versioned [`TraceHeader`] line followed by the held
     /// events as JSONL — the round-trippable export format that
     /// [`crate::codec::read_trace`] ingests.
     pub fn export_jsonl(&self) -> String {
-        let mut out = self.header().to_json();
-        out.push('\n');
-        out.push_str(&self.to_jsonl());
-        out
+        let mut out = Vec::new();
+        write_trace(&self.header(), self.events(), &mut out).expect("a Vec takes every write");
+        String::from_utf8(out).expect("JSONL is UTF-8")
     }
 
     /// Writes the headered export (see [`Tracer::export_jsonl`]) to a file.
     pub fn write_jsonl(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
-        writeln!(f, "{}", self.header().to_json())?;
-        for e in self.events() {
-            writeln!(f, "{}", e.to_json())?;
-        }
-        f.flush()
+        write_trace(
+            &self.header(),
+            self.events(),
+            &mut std::fs::File::create(path)?,
+        )
     }
 }
 
@@ -257,8 +243,8 @@ mod tests {
             },
         );
         t.record(2, EventKind::PartitionHealed);
-        let jsonl = t.to_jsonl();
-        let lines: Vec<&str> = jsonl.lines().collect();
+        let jsonl = t.export_jsonl();
+        let lines: Vec<&str> = jsonl.lines().skip(1).collect();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].starts_with("{\"t\":1,"));
         assert!(lines[1].contains("\"kind\":\"partition_healed\""));
