@@ -25,7 +25,7 @@ use relax_queues::{
 };
 use relax_quorum::calm::SchedulingPolicy;
 use relax_quorum::relation::{AccountKind, QueueKind};
-use relax_quorum::runtime::{AccountInv, BankAccountType, QueueInv, ReplicatedType, TaxiQueueType};
+use relax_quorum::types::{AccountInv, BankAccountType, QueueInv, ReplicatedType, TaxiQueueType};
 use relax_quorum::{
     ClientConfig, DiffScratch, Entry, Executor, Log, QuorumSystem, ThreadedConfig, ThreadedSystem,
     Timestamp, ViewCache, VotingAssignment,

@@ -9,8 +9,9 @@
 //! would diminish in time".
 
 use relax_queues::AccountOp;
+use relax_quorum::protocol::wire::Outcome;
 use relax_quorum::relation::AccountKind;
-use relax_quorum::runtime::{AccountInv, BankAccountType, Outcome};
+use relax_quorum::types::{AccountInv, BankAccountType};
 use relax_quorum::{ClientConfig, QuorumSystem, VotingAssignment};
 use relax_sim::NetworkConfig;
 

@@ -14,7 +14,7 @@
 use relax_automata::SplitMix64;
 use relax_core::cost::operation_availability;
 use relax_quorum::relation::QueueKind;
-use relax_quorum::runtime::{QueueInv, TaxiQueueType};
+use relax_quorum::types::{QueueInv, TaxiQueueType};
 use relax_quorum::{queue_relation, ClientConfig, QuorumSystem, VotingAssignment};
 use relax_sim::{NetworkConfig, NodeId};
 use relax_trace::metrics::wire;

@@ -26,13 +26,14 @@
 //! partition, and every row equivalent.
 
 use relax_quorum::calm::{analyze_account, SchedulingPolicy};
+use relax_quorum::protocol::wire::Outcome;
 use relax_quorum::relation::{account_relation, AccountKind};
-use relax_quorum::runtime::{AccountInv, BankAccountType, Outcome};
+use relax_quorum::types::{AccountInv, BankAccountType};
 use relax_quorum::{outcome_shapes, ClientConfig, QuorumSystem, VotingAssignment};
 use relax_sim::{Fault, FaultSchedule, NetworkConfig, NodeId, Partition, SimTime};
 
 use crate::args::Args;
-use crate::experiments::write_file;
+use crate::experiments::write_payload;
 use crate::table::Table;
 
 /// One sweep point.
@@ -376,7 +377,7 @@ pub fn main(_: &Args) -> Result<(), String> {
          all_equivalent={all_equivalent}"
     );
 
-    write_file("BENCH_calm_fastpath.json", &to_json(&rows))?;
+    write_payload("BENCH_calm_fastpath.json", &to_json(&rows))?;
     println!("wrote BENCH_calm_fastpath.json");
     Ok(())
 }

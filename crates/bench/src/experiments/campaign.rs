@@ -32,13 +32,13 @@
 use std::time::Instant;
 
 use relax_quorum::relation::QueueKind;
-use relax_quorum::runtime::{QueueInv, TaxiQueueType};
+use relax_quorum::types::{QueueInv, TaxiQueueType};
 use relax_quorum::{queue_lattice_monitor, ClientConfig, QuorumSystem, VotingAssignment};
 use relax_sim::{Fault, FaultSchedule, NetworkConfig, NodeId, Partition, SimTime};
 use relax_trace::{EventKind, Histogram, SloMonitor, TraceAnalysis};
 
 use crate::args::Args;
-use crate::experiments::write_file;
+use crate::experiments::write_payload;
 use crate::table::Table;
 
 /// The class of an injected fault, as attributed by the root-cause
@@ -669,7 +669,7 @@ pub fn main(args: &Args) -> Result<(), String> {
          \"within_target\":{within_target}}}\n",
         campaigns_json.join(",")
     );
-    write_file("BENCH_fault_campaign.json", &json)?;
+    write_payload("BENCH_fault_campaign.json", &json)?;
     println!("\nwrote BENCH_fault_campaign.json");
     Ok(())
 }

@@ -17,8 +17,9 @@
 //!   completion order against the `PQ → MPQ → OPQ → DegenPQ` lattice and
 //!   emitting a witnessed transition event the moment `PQ` dies.
 
+use relax_quorum::protocol::wire::Outcome;
 use relax_quorum::relation::QueueKind;
-use relax_quorum::runtime::{Outcome, QueueInv, TaxiQueueType};
+use relax_quorum::types::{QueueInv, TaxiQueueType};
 use relax_quorum::{queue_lattice_monitor, ClientConfig, QuorumSystem, VotingAssignment};
 use relax_sim::{Fault, FaultSchedule, NetworkConfig, NodeId, Partition, SimTime};
 use relax_trace::{Event, LevelTransition, Registry};

@@ -10,8 +10,9 @@ use relax_automata::language_sizes;
 use relax_core::lattices::eta_prime::TaxiLatticeEtaPrime;
 use relax_core::lattices::taxi::{TaxiLattice, TaxiPoint};
 use relax_queues::{queue_alphabet, Item, QueueOp};
+use relax_quorum::protocol::wire::Outcome;
 use relax_quorum::relation::QueueKind;
-use relax_quorum::runtime::{Outcome, QueueInv, ReplicatedType, TaxiQueuePrimeType, TaxiQueueType};
+use relax_quorum::types::{QueueInv, ReplicatedType, TaxiQueuePrimeType, TaxiQueueType};
 use relax_quorum::{ClientConfig, QuorumSystem, VotingAssignment};
 use relax_sim::{FaultSchedule, NetworkConfig, NodeId, SimTime};
 

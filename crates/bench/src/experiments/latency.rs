@@ -9,8 +9,9 @@
 //! analytic order-statistic prediction.
 
 use relax_core::cost::expected_latency;
+use relax_quorum::protocol::wire::Outcome;
 use relax_quorum::relation::AccountKind;
-use relax_quorum::runtime::{AccountInv, BankAccountType, Outcome};
+use relax_quorum::types::{AccountInv, BankAccountType};
 use relax_quorum::{ClientConfig, QuorumSystem, VotingAssignment};
 use relax_sim::NetworkConfig;
 

@@ -173,6 +173,31 @@ pub(crate) fn write_file(path: &str, contents: &str) -> Result<(), String> {
     std::fs::write(path, contents).map_err(|e| format!("{path}: {e}"))
 }
 
+/// Writes a `BENCH_*.json` payload: the one-line JSON object `json`
+/// with the machine it was measured on as its last field,
+/// `"machine":{"nproc":…,"rustc":"…","commit":"…"}` — the fields the
+/// benchmark package prints, `commit` being `unknown` outside git.
+pub(crate) fn write_payload(path: &str, json: &str) -> Result<(), String> {
+    let first_line = |cmd: &str, args: &[&str]| {
+        std::process::Command::new(cmd)
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+            .and_then(|s| s.lines().next().map(str::to_string))
+            .unwrap_or_else(|| "unknown".to_string())
+    };
+    let body = json.trim_end().strip_suffix('}').expect("a JSON object");
+    let machine = format!(
+        "{{\"nproc\":{},\"rustc\":\"{}\",\"commit\":\"{}\"}}",
+        std::thread::available_parallelism().map_or(0, |n| n.get()),
+        first_line("rustc", &["-V"]),
+        first_line("git", &["rev-parse", "HEAD"]),
+    );
+    write_file(path, &format!("{body},\"machine\":{machine}}}\n"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,6 +254,49 @@ mod tests {
                 assert!(line.contains(flag), "{name}: {flag} not in {line:?}");
             }
         }
+    }
+
+    #[test]
+    fn a_payload_with_its_machine_block_keeps_every_checked_metric() {
+        use relax_trace::codec::{report_fields, ReportValue};
+        let dir = std::env::temp_dir().join(format!("relax_payload_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let committed = [
+            (
+                "BENCH_trace_overhead.json",
+                include_str!("../../../../BENCH_trace_overhead.json"),
+            ),
+            (
+                "BENCH_fault_campaign.json",
+                include_str!("../../../../BENCH_fault_campaign.json"),
+            ),
+            (
+                "BENCH_calm_fastpath.json",
+                include_str!("../../../../BENCH_calm_fastpath.json"),
+            ),
+        ];
+        for (file, json) in committed {
+            let path = dir.join(file).display().to_string();
+            write_payload(&path, json).unwrap();
+            let written = std::fs::read_to_string(&path).unwrap();
+            let fields = report_fields(&written).unwrap_or_else(|e| panic!("{file}: {e}"));
+            for check in regress::CHECKS.iter().filter(|c| c.file == file) {
+                assert!(
+                    fields.iter().any(|(name, _)| name == check.metric),
+                    "{file}: {} lost",
+                    check.metric
+                );
+            }
+            let last = fields.last().expect("fields");
+            assert_eq!(
+                (last.0.as_str(), &last.1),
+                ("machine", &ReportValue::Nested)
+            );
+            for key in ["\"nproc\":", "\"rustc\":\"", "\"commit\":\""] {
+                assert!(written.contains(key), "{file}: {key} missing");
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -26,7 +26,7 @@ use std::time::Instant;
 
 use crate::args::Args;
 use crate::experiments::availability::{measure_registry_traced, tradeoff_family};
-use crate::experiments::write_file;
+use crate::experiments::write_payload;
 
 const N: usize = 5;
 const P_UP: f64 = 0.85;
@@ -140,7 +140,7 @@ pub fn main(_: &Args) -> Result<(), String> {
          \"within_target\":{}}}\n",
         overhead_pct <= TARGET_PCT
     );
-    write_file("BENCH_trace_overhead.json", &json)?;
+    write_payload("BENCH_trace_overhead.json", &json)?;
     println!("\nwrote BENCH_trace_overhead.json");
     Ok(())
 }

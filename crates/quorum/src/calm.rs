@@ -29,7 +29,7 @@
 //! (their responses read the view).
 //!
 //! [`SchedulingPolicy`] carries the resulting kind set into the runtime:
-//! the sim client ([`crate::runtime`]) and the threaded broker
+//! the sim client ([`crate::protocol::client`]) and the threaded shard
 //! ([`crate::threaded`]) both consult it to route monotone invocations
 //! onto the coordination-free fast path.
 

@@ -33,8 +33,8 @@
 //!   substrate;
 //! * [`sim_exec`] — the simulator executor: `QuorumSystem` over
 //!   `relax-sim`, used by the availability and latency experiments;
-//! * [`runtime`] — re-exports of the four above under the paths they
-//!   had as one module;
+//! * [`runtime`] — six re-exports the benchmark package still imports
+//!   by their old path;
 //! * [`threaded`] — the sharded wall-clock backend: batching
 //!   per-replica brokers, group-committed log appends, one OS thread
 //!   per replica and per shard, differentially tested against the sim;
@@ -66,45 +66,21 @@ pub mod view;
 pub mod viewcache;
 pub mod voting;
 
-/// Convenient re-exports of the crate's main types.
-pub mod prelude {
-    pub use crate::assignment::VotingAssignment;
-    pub use crate::backend::{outcome_shapes, ClientTable, Executor, OutcomeShape, RunStats};
-    pub use crate::calm::{
-        analyze, analyze_account, analyze_taxi, CalmReport, SchedulingPolicy, Verdict,
-    };
-    pub use crate::frontier::{Frontier, SiteSummary};
-    pub use crate::log::{DiffScratch, Entry, Log};
-    pub use crate::merkle::{MerkleIndex, MerkleNode, NodeRange};
-    pub use crate::qca::QcaAutomaton;
-    pub use crate::relation::{queue_relation, HasKind, IntersectionRelation, QueueKind};
-    pub use crate::repview::RepViewAutomaton;
-    pub use crate::runtime::{
-        queue_lattice_monitor, ClientConfig, QuorumSystem, ReplicatedType, ReplicationMode,
-    };
-    pub use crate::serialdep::{check_serial_dependency, is_minimal_serial_dependency};
-    pub use crate::threaded::{ThreadedConfig, ThreadedSystem};
-    pub use crate::timestamp::{LogicalClock, Timestamp};
-    pub use crate::view::{is_q_closed, q_views};
-    pub use crate::viewcache::ViewCache;
-    pub use crate::voting::WeightedVoting;
-}
-
 pub use assignment::VotingAssignment;
 pub use backend::{outcome_shapes, ClientTable, Executor, OutcomeShape, RunStats, Transport};
 pub use calm::{analyze, analyze_account, analyze_taxi, CalmReport, SchedulingPolicy, Verdict};
 pub use frontier::{Frontier, SiteSummary};
 pub use log::{DiffScratch, Entry, Log};
 pub use merkle::{MerkleIndex, MerkleNode, NodeRange};
+pub use protocol::wire::{ClientConfig, ReplicationMode};
 pub use qca::QcaAutomaton;
 pub use relation::{queue_relation, HasKind, IntersectionRelation, QueueKind};
 pub use repview::RepViewAutomaton;
-pub use runtime::{
-    queue_lattice_monitor, ClientConfig, QuorumSystem, ReplicatedType, ReplicationMode,
-};
 pub use serialdep::{check_serial_dependency, is_minimal_serial_dependency};
+pub use sim_exec::QuorumSystem;
 pub use threaded::{ThreadedConfig, ThreadedSystem};
 pub use timestamp::{LogicalClock, Timestamp};
+pub use types::{queue_lattice_monitor, ReplicatedType};
 pub use view::{is_q_closed, q_views};
 pub use viewcache::ViewCache;
 pub use voting::WeightedVoting;

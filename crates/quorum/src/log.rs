@@ -30,7 +30,7 @@
 //! | operation | fast paths | tail path | O(history) only when |
 //! |---|---|---|---|
 //! | [`Log::insert`] | above the tail: O(1), no search | binary search, then shift `entries[p..]` and re-hash `prefix[p..]` | the entry sorts at our start |
-//! | [`Log::merge`] | disjoint suffix, the empty receiver included (one bulk append, O(\|other\| + sites(other))), exact prefix, subset | two-pointer union over `entries[p..]`, `p` = first slot at or above `other`'s first timestamp | `other` reaches back to our start |
+//! | [`Log::merge`] | disjoint suffix, the empty receiver included (one bulk append, O(\|other\| + sites(other))), exact prefix, subset (O(\|other\| log n): a shard's read deltas after the first of a visit, each repeating it) | two-pointer union over `entries[p..]`, `p` = first slot at or above `other`'s first timestamp | `other` reaches back to our start |
 //! | [`Log::delta_above_into`] | empty, advertised set = our prefix (suffix) | settle sites from summaries, scan `entries` from the lowest trailing `max + 1` | a site is unadvertised, holed, or ahead of us (full scan) |
 //! | [`Log::diff_into`] | `other` = our prefix (suffix) | — | otherwise: a whole-view scan, which the sim client's write path pays per replica whose record is not a prefix of the view (one cut off, or trailing under interleaved writers) — unless the payload extends, below |
 //! | [`Clone::clone_from`] | the longest common prefix stays (binary search over the two prefix-hash arrays), the source's entries above it are copied into spare capacity: O(log n + what differs) — a client's next view over its last | — | the two logs differ at their start |
@@ -340,15 +340,6 @@ impl<Op: Clone> Log<Op> {
 
     /// Merges another log into this one (sorted union, duplicates
     /// discarded) — the fundamental replica/view operation of §3.1.
-    /// [`Log::merge_with`] with nothing to tell.
-    pub fn merge(&mut self, other: &Log<Op>) {
-        self.merge_with(other, |_| {});
-    }
-
-    /// [`Log::merge`], calling `added` once for each entry of `other`
-    /// that was not already present, in timestamp order — what a caller
-    /// folding the merged view incrementally needs, without a second
-    /// search of its own.
     ///
     /// O(1)/O(m log n) fast paths for the common protocol shapes — a
     /// disjoint suffix (appending fresh entries, the empty receiver
@@ -359,13 +350,12 @@ impl<Op: Clone> Log<Op> {
     /// sorting at or above `other`'s first timestamp. Everything below
     /// it, and its prefix hashes, stay where they are, so a splice costs
     /// O(|other| + |tail|) whatever the resident history.
-    pub fn merge_with(&mut self, other: &Log<Op>, mut added: impl FnMut(&Entry<Op>)) {
+    pub fn merge(&mut self, other: &Log<Op>) {
         let Some(first) = other.entries.first() else {
             return;
         };
         // Disjoint-suffix fast path: everything in `other` sorts above us.
         if self.entries.last().is_none_or(|e| e.ts < first.ts) {
-            other.entries.iter().for_each(added);
             self.append(other, 0, other.entries.len());
             return;
         }
@@ -398,11 +388,7 @@ impl<Op: Clone> Log<Op> {
                     self.push_known(ours.next().expect("peeked"));
                 }
                 (Some(_), None) => self.push_known(ours.next().expect("peeked")),
-                (_, Some(_)) => {
-                    let new = theirs.next().expect("peeked");
-                    added(new);
-                    self.push_back(new.clone());
-                }
+                (_, Some(_)) => self.push_back(theirs.next().expect("peeked").clone()),
             }
         }
     }
@@ -1075,14 +1061,6 @@ mod tests {
             prop_assert_eq!(&m, &naive_merged(&la, &lb));
             check_indices(&m);
             check_indices(&la);
-            // `merge_with` is the same merge, and reports exactly the
-            // entries it added, each once, in timestamp order.
-            let mut with = la.clone();
-            let mut added: Vec<Entry<String>> = Vec::new();
-            with.merge_with(&lb, |x| added.push(x.clone()));
-            prop_assert_eq!(&with, &m);
-            let new = lb.diff(&la);
-            prop_assert_eq!(&added[..], new.entries());
         }
 
         /// The bulk append is the repeated-insert oracle and leaves every
@@ -1113,9 +1091,7 @@ mod tests {
             if merkle {
                 let _ = receiver.merkle_index();
             }
-            let mut added = 0;
-            receiver.merge_with(&other, |_| added += 1);
-            prop_assert_eq!(added, other.len(), "an append adds every entry");
+            receiver.merge(&other);
             prop_assert_eq!(&receiver, &expect);
             prop_assert_eq!(receiver.merkle.is_some(), merkle);
             check_indices(&receiver);

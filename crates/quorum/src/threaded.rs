@@ -30,15 +30,32 @@
 //! return: still above every write of the same batch, up to one hand-off
 //! staler towards other shards' commits.
 //!
-//! The protocol state machines are the *same code* as the sim backend:
+//! The replica state machine is the *same code* as the sim backend's:
 //! replicas run `ReplicaState::on_message` over a channel-backed
-//! [`Transport`], and the shard front-end issues the same
-//! `ReadReq`/`ReadResp`/`WriteReq`/`WriteAck` conversation the sim
-//! client does. The sim stays the differential oracle: identical op
-//! streams produce observably identical outcomes, final replica logs,
-//! merged histories, and monitor transitions (exactly, for a single
-//! client over a FIFO fixed-delay network; structurally, for racing
-//! clients) — pinned by `tests/backend_oracle.rs`.
+//! [`Transport`]. The shard front-end holds the sim client's
+//! `ReadReq`/`ReadResp`/`WriteReq`/`WriteAck` conversation and applies
+//! its rules to the replies it takes back, counted per visit:
+//!
+//! * an invocation whose initial quorum exceeds the read responses times
+//!   out; one with initial quorum 0 responds against the initial value
+//!   without observing the view; any other is lent
+//!   [`ViewCache::eval_ref`] over the shard view, as the sim client is;
+//! * a round's writes are closed on the next visit's acks: `Completed`
+//!   iff the acks reach the op's final quorum and at least one, else
+//!   `TimedOut` (the entry still lands wherever it was acked; a commit
+//!   no broker acks leaves the shard view too, as a sim client's next
+//!   read drops a write that reached no replica);
+//! * a CALM-free kind is an invocation with initial quorum 0 that still
+//!   observes the view before it ticks, and completes whatever the acks.
+//!
+//! A down replica is a broker that was never spawned: a packet to it
+//! fails at once and nothing answers, so the shard never needs to know
+//! in advance which replicas are up. The sim stays the differential
+//! oracle: identical op streams produce observably identical outcomes,
+//! final replica logs, merged histories, and monitor transitions
+//! (exactly, for a single client over a FIFO fixed-delay network;
+//! structurally, for racing clients) — pinned by
+//! `tests/backend_oracle.rs`.
 //!
 //! Latencies here are wall-clock **nanoseconds** (recorded into the
 //! registry on a [`TimeBase::WallNanos`] histogram), not sim ticks.
@@ -106,16 +123,12 @@ struct ClientSlot<T: ReplicatedType> {
 struct ShardState<T: ReplicatedType> {
     clients: Vec<ClientSlot<T>>,
     /// Merged view of everything this shard has read or written. A lower
-    /// bound on every reachable replica's log whenever a round executes
-    /// (reads merge the replicas' deltas in; a round's writes land at
-    /// every reachable replica before the next round's read is served),
-    /// so evaluating it reproduces the sim client's per-op view.
+    /// bound on every up replica's log whenever a round executes (reads
+    /// merge the replicas' deltas in; a round's writes land at every
+    /// broker before the next round's read is served), so evaluating it
+    /// reproduces the sim client's per-op view.
     view: Log<T::Op>,
-    /// The view's value, maintained incrementally when
-    /// [`ReplicatedType::apply_commutes`] — each arriving entry is
-    /// folded exactly once, in arrival order.
-    value: T::Value,
-    /// Suffix-replay evaluation for non-commutative types.
+    /// The view's evaluation, lent to every reading invocation.
     cache: ViewCache<T::Value>,
     /// The frontier the last reading round advertised, refilled from the
     /// view for the next (every broker has answered by then).
@@ -140,9 +153,6 @@ struct ShardState<T: ReplicatedType> {
 /// read half (the next round's `ReadReq` out, its `ReadResp` back). A
 /// shard has at most one packet in flight per broker.
 type Packet<T> = (NodeId, Option<Msg<T>>, Option<Msg<T>>);
-
-/// An inbox slot: present for live workers, `None` for down replicas.
-type Inbox<T> = Option<(mpsc::Sender<Packet<T>>, mpsc::Receiver<Packet<T>>)>;
 
 /// The broker side's [`Transport`]: holds the one reply a replica sends
 /// the requester of a read or a write until the broker packs it; no
@@ -187,8 +197,8 @@ pub struct ThreadedSystem<T: ReplicatedType> {
     n_clients: usize,
     replicas: Vec<ReplicaState<T>>,
     shards: Vec<ShardState<T>>,
-    /// Replicas currently unreachable (the wall-clock analogue of a sim
-    /// crash or a partition isolating them from every client).
+    /// Replicas currently down (the wall-clock analogue of a sim crash
+    /// or a partition isolating them from every client): no broker.
     down: BTreeSet<usize>,
     monitor: Option<DegradationMonitor<T::Op>>,
     monitor_seen: Vec<usize>,
@@ -241,7 +251,6 @@ impl<T: ReplicatedType> ThreadedSystem<T> {
             .map(|_| ShardState {
                 clients: Vec::new(),
                 view: Log::new(),
-                value: ttype.initial_value(),
                 cache: ViewCache::new(),
                 asked: Arc::default(),
                 cursor: 0,
@@ -281,12 +290,13 @@ impl<T: ReplicatedType> ThreadedSystem<T> {
     }
 
     /// Installs a CALM scheduling policy (builder-style; the default
-    /// frees nothing). Kinds the policy marks free bypass the read phase
-    /// of a shard round entirely: they execute against the initial value,
-    /// mint a timestamp above everything the shard's own view already
-    /// holds (Lamport's rule applied locally — no message, no wait), and
-    /// ride the round's group commit without waiting on any quorum — a
-    /// round of only free invocations performs no read round-trip at all.
+    /// frees nothing). Kinds the policy marks free run with initial
+    /// quorum 0 and no final quorum: they execute against the initial
+    /// value, mint a timestamp above everything the shard's own view
+    /// already holds (Lamport's rule applied locally — no message, no
+    /// wait), and ride the round's group commit, complete whatever the
+    /// acks — a round of only free invocations performs no read
+    /// round-trip at all.
     #[must_use]
     pub fn with_scheduling(mut self, policy: SchedulingPolicy<<T::Op as HasKind>::Kind>) -> Self {
         self.policy = policy;
@@ -319,15 +329,16 @@ impl<T: ReplicatedType> ThreadedSystem<T> {
         self.monitor.as_ref()
     }
 
-    /// Marks replica `i` unreachable: shards neither read from nor write
-    /// to it, exactly like a sim client racing a crashed or partitioned
-    /// site (requests into the void, no responses).
+    /// Marks replica `i` down: runs spawn no broker for it, so a shard's
+    /// packets to it fail and nothing answers — exactly like a sim client
+    /// racing a crashed or partitioned site (requests into the void, no
+    /// responses).
     pub fn crash(&mut self, i: usize) {
         assert!(i < self.n_replicas, "replica index out of range");
         self.down.insert(i);
     }
 
-    /// Makes replica `i` reachable again. Its log still holds everything
+    /// Brings replica `i` back up. Its log still holds everything
     /// from before the crash (stable storage), but nothing written while
     /// it was down.
     pub fn recover(&mut self, i: usize) {
@@ -397,7 +408,7 @@ where
         self.shards[s].clients[c].backlog.push_back(inv);
     }
 
-    /// Spawns one broker thread per reachable replica and one front-end
+    /// Spawns one broker thread per up replica and one front-end
     /// thread per shard, drains every backlog, and joins. Latency
     /// samples land in [`ThreadedSystem::registry`] under the wall-nanos
     /// time base.
@@ -413,7 +424,6 @@ where
         let start = Instant::now();
 
         let n = self.n_replicas;
-        let reachable: Vec<usize> = (0..n).filter(|i| !self.down.contains(i)).collect();
         let batch_cap = self.config.batch;
         let linger = Duration::from_micros(self.config.flush_micros);
         // Shard threads still running: the brokers' exact batch bound.
@@ -423,48 +433,38 @@ where
         let ttype = &self.ttype;
         let assignment = &self.assignment;
         let policy = &self.policy;
-        let reachable_ref = &reachable;
 
-        // Channels: one inbox per reachable replica, one response inbox
-        // per shard. The main thread moves every sender into a worker,
-        // so brokers exit when the last shard drops its senders.
-        let mut rep_inboxes: Vec<Inbox<T>> = (0..n)
-            .map(|i| (!down.contains(&i)).then(mpsc::channel))
-            .collect();
-        let rep_txs: Vec<Option<mpsc::Sender<Packet<T>>>> = rep_inboxes
-            .iter()
-            .map(|o| o.as_ref().map(|(tx, _)| tx.clone()))
-            .collect();
-        let mut shard_inboxes: Vec<Inbox<T>> = (0..self.config.shards)
-            .map(|_| Some(mpsc::channel()))
-            .collect();
-        let shard_txs: Vec<mpsc::Sender<Packet<T>>> = shard_inboxes
-            .iter()
-            .map(|o| o.as_ref().map(|(tx, _)| tx.clone()).expect("just built"))
-            .collect();
+        // Channels: one inbox per replica, one response inbox per shard.
+        // A down replica's inbox is dropped unread, so a packet sent to it
+        // fails at once and nothing answers it. The main thread moves
+        // every sender into a worker, so brokers exit when the last shard
+        // drops its senders.
+        let (rep_txs, rep_rxs): (Vec<_>, Vec<_>) =
+            (0..n).map(|_| mpsc::channel::<Packet<T>>()).unzip();
+        let (shard_txs, shard_rxs): (Vec<_>, Vec<_>) = (0..self.config.shards)
+            .map(|_| mpsc::channel::<Packet<T>>())
+            .unzip();
 
         let visits: u64 = std::thread::scope(|sc| {
-            let mut brokers = Vec::with_capacity(reachable.len());
-            for (i, rep) in self.replicas.iter_mut().enumerate() {
-                let Some((_, rx)) = rep_inboxes[i].take() else {
-                    continue; // down: no broker, requests go nowhere
-                };
+            let mut brokers = Vec::with_capacity(n);
+            for ((i, rep), rx) in self.replicas.iter_mut().enumerate().zip(rep_rxs) {
+                if down.contains(&i) {
+                    continue; // no broker: `rx` drops here
+                }
                 let shard_txs = shard_txs.clone();
                 brokers.push(
                     sc.spawn(move || run_broker(rep, NodeId(i), rx, shard_txs, n, live, linger)),
                 );
             }
             drop(shard_txs);
-            for (s, shard) in self.shards.iter_mut().enumerate() {
-                let (_, rx) = shard_inboxes[s].take().expect("one take per shard");
-                let to_replicas: Vec<Option<mpsc::Sender<Packet<T>>>> = rep_txs.clone();
+            for ((s, shard), rx) in self.shards.iter_mut().enumerate().zip(shard_rxs) {
+                let to_replicas = rep_txs.clone();
                 sc.spawn(move || {
                     run_shard(
                         shard,
                         ttype,
                         assignment,
                         policy,
-                        reachable_ref,
                         &to_replicas,
                         &rx,
                         NodeId(n + s),
@@ -588,21 +588,20 @@ fn run_broker<T: ReplicatedType>(
 /// invocation each — client-order execution against the shard view
 /// between two visits to the brokers. Each loop turn assembles a round,
 /// pays the one visit that carries the previous round's group commit and
-/// this round's read (either may be absent), closes the previous round's
-/// clock, and executes. Nothing is in flight when it returns.
+/// this round's read (either may be absent), closes the previous round on
+/// the acks it counts, and executes against the responses it counts.
+/// Nothing is in flight when it returns.
 #[allow(clippy::too_many_arguments)]
 fn run_shard<T: ReplicatedType>(
     shard: &mut ShardState<T>,
     ttype: &T,
     assignment: &VotingAssignment<<T::Op as HasKind>::Kind>,
     policy: &SchedulingPolicy<<T::Op as HasKind>::Kind>,
-    reachable: &[usize],
-    to_replicas: &[Option<mpsc::Sender<Packet<T>>>],
+    to_replicas: &[mpsc::Sender<Packet<T>>],
     from_replicas: &mpsc::Receiver<Packet<T>>,
     me: NodeId,
     batch_cap: usize,
 ) {
-    let commutes = ttype.apply_commutes();
     let initial = ttype.initial_value();
     // The round executed last turn: its clients, whose latency is still
     // open, and its group commit, which the next visit carries.
@@ -636,7 +635,6 @@ fn run_shard<T: ReplicatedType>(
         let ShardState {
             clients,
             view,
-            value,
             cache,
             asked,
             latencies,
@@ -646,19 +644,14 @@ fn run_shard<T: ReplicatedType>(
             ..
         } = shard;
 
-        // The round reads, once for all its operations, unless none of
-        // them actually assembles an initial quorum (zero-size quorums
-        // respond against the empty view, oversize ones time out; neither
-        // reads). CALM-free invocations never contribute: a round of only
-        // monotone operations asks the brokers nothing.
+        // The round reads, once for all its operations, when one of its
+        // quorum invocations has a non-empty initial quorum. Zero-size
+        // quorums respond against the initial value and CALM-free kinds
+        // never read: a round of only those asks the brokers nothing.
         let needs_read = round.iter().any(|&ci| {
             let inv = clients[ci].backlog.front().expect("selected non-empty");
             let kind = ttype.invocation_kind(inv);
-            if policy.is_free(kind) {
-                return false;
-            }
-            let init = assignment.initial_size(kind);
-            init > 0 && init <= reachable.len()
+            !policy.is_free(kind) && assignment.initial_size(kind) > 0
         });
         // The frontier is taken after the previous round's inserts, so a
         // replica that has merged the commit beside it ships none of it
@@ -670,43 +663,55 @@ fn run_shard<T: ReplicatedType>(
                 known: Some(Arc::clone(asked)),
             }
         });
-        // The visit: one packet to every reachable broker, one back from
-        // each. A round that neither follows a commit nor reads pays none.
+        // The visit: one packet to every replica, one back from each that
+        // has a broker; the replies are counted, never presumed. A round
+        // that neither follows a commit nor reads pays none.
         let write = commit.take();
+        let (mut responses, mut acks) = (0, 0);
         if write.is_some() || read.is_some() {
-            for &r in reachable {
-                let _ = to_replicas[r].as_ref().expect("reachable ⇒ broker").send((
-                    me,
-                    write.clone(),
-                    read.clone(),
-                ));
-            }
-            for _ in reachable {
-                match from_replicas.recv() {
-                    // Deltas from different replicas overlap (each is
-                    // relative to the same shard frontier): the merge
-                    // reports each genuinely new entry exactly once.
-                    Ok((_, _, Some(Msg::ReadResp { log, .. }))) => view.merge_with(&log, |e| {
-                        if commutes {
-                            ttype.apply_mut(value, &e.op);
-                        }
-                    }),
-                    Ok(_) => {}
-                    Err(_) => return, // brokers gone: nothing left to await
+            let sent = to_replicas
+                .iter()
+                .filter(|tx| tx.send((me, write.clone(), read.clone())).is_ok())
+                .count();
+            for _ in 0..sent {
+                let Ok((_, ack, resp)) = from_replicas.recv() else {
+                    return; // brokers gone: nothing left to await
+                };
+                acks += usize::from(ack.is_some());
+                // Deltas from different replicas overlap (each is relative
+                // to the same shard frontier); the merge drops repeats.
+                if let Some(Msg::ReadResp { log, .. }) = resp {
+                    responses += 1;
+                    view.merge(&log);
                 }
             }
         }
+        // A commit no broker took is lost outright, as the sim client's
+        // is (its next read rebuilds the view from what replicas hold):
+        // its entries leave the view, so no later invocation sees them.
+        if let Some(Msg::WriteReq { log, .. }) = &write {
+            if acks == 0 {
+                *view = view.diff(log);
+            }
+        }
 
-        // The executed round shares one wall-clock latency reading; patch
-        // it into the outcomes it pushed (timeouts carry none).
+        // Close the executed round: a write completes iff its acks reach
+        // the op's final quorum, and at least one (free kinds need none),
+        // and the round shares one wall-clock latency reading (timeouts
+        // carry none).
         if !executed.is_empty() {
             let now = Instant::now();
             let nanos = (now.duration_since(t0).as_nanos() as u64).max(1);
             t0 = now;
             for &ci in &executed {
-                if let Some(Outcome::Completed { latency, .. } | Outcome::Refused { latency }) =
-                    clients[ci].outcomes.last_mut()
-                {
+                let outcome = clients[ci].outcomes.last_mut().expect("one per execution");
+                if let Outcome::Completed { op, .. } = outcome {
+                    let kind = op.kind();
+                    if !policy.is_free(kind) && acks < assignment.final_size(kind).max(1) {
+                        *outcome = Outcome::TimedOut;
+                    }
+                }
+                if let Outcome::Completed { latency, .. } | Outcome::Refused { latency } = outcome {
                     *latency = nanos;
                     latencies.push(nanos);
                 }
@@ -719,89 +724,53 @@ fn run_shard<T: ReplicatedType>(
         // Execute the round's invocations in client order against the
         // (evolving) shard view — exactly the sim client's semantics per
         // op: observe the view's max timestamp, evaluate, choose a
-        // response, tick, append.
+        // response, tick, append. A free kind reads nothing but still
+        // observes what the shard holds (no message, no wait), so a shard
+        // mints in strictly increasing order and its entries only append.
         let mut round_delta: Log<T::Op> = Log::new();
         for &ci in &round {
             let slot = &mut clients[ci];
             let inv = slot.backlog.pop_front().expect("selected non-empty");
             let kind = ttype.invocation_kind(&inv);
-            if policy.is_free(kind) {
-                // CALM fast path: monotone kinds execute against the
-                // initial value (their response never reads the view) and
-                // never wait on any quorum — the entry rides the round's
-                // group commit to every reachable replica, and the op
-                // completes regardless of how many that is. The clock
-                // still observes what the shard already holds (no
-                // message, no wait), so a shard mints in strictly
-                // increasing order and its entries only ever append.
+            let free = policy.is_free(kind);
+            let init = if free {
                 *calm_fast += 1;
-                match ttype.execute(&initial, &inv) {
-                    None => slot.outcomes.push(Outcome::Refused { latency: 0 }),
-                    Some(op) => {
-                        if let Some(ts) = view.max_timestamp() {
-                            slot.clock.observe(ts);
-                        }
-                        let ts = slot.clock.tick();
-                        if !reachable.is_empty() {
-                            round_delta.insert(Entry::new(ts, op.clone()));
-                            view.insert(Entry::new(ts, op.clone()));
-                            if commutes {
-                                ttype.apply_mut(value, &op);
-                            }
-                        }
-                        slot.outcomes.push(Outcome::Completed { op, latency: 0 });
-                    }
-                }
-                continue;
-            }
-            *calm_quorum += 1;
-            let init = assignment.initial_size(kind);
-            let fin = assignment.final_size(kind);
-            if init > reachable.len() {
-                // The initial quorum can never assemble.
+                0
+            } else {
+                *calm_quorum += 1;
+                assignment.initial_size(kind)
+            };
+            if init > responses {
                 slot.outcomes.push(Outcome::TimedOut);
                 continue;
             }
-            // Zero initial quorum: respond against the empty view
-            // without observing (the sim's fresh-view path).
+            // A zero initial quorum by assignment responds against the
+            // initial value without observing (the sim's fresh-view path).
             let reads = init > 0;
-            if reads {
+            if reads || free {
                 if let Some(ts) = view.max_timestamp() {
                     slot.clock.observe(ts);
                 }
             }
-            // The value is lent out only if the response reads it, and
-            // only then is a non-commutative view folded.
-            let (seen, held, cache, initial) = (&*view, &*value, &mut *cache, &initial);
-            let lend = move || match (reads, commutes) {
-                (false, _) => initial,
-                (true, true) => held,
-                (true, false) => {
-                    let cache = cache; // moved out: the value outlives the call
-                    cache.eval_ref(seen, ttype.initial_value(), |v, op| ttype.apply_mut(v, op))
+            // The view is folded only if the response reads its value.
+            let (seen, cache, initial) = (&*view, &mut *cache, &initial);
+            let lend = move || {
+                if !reads {
+                    return initial;
                 }
+                let cache = cache; // moved out: the value outlives the call
+                cache.eval_ref(seen, ttype.initial_value(), |v, op| ttype.apply_mut(v, op))
             };
             match ttype.respond(lend, &inv) {
                 None => slot.outcomes.push(Outcome::Refused { latency: 0 }),
                 Some(op) => {
+                    // The entry goes to every broker whatever the acks —
+                    // the sim's timed-out writes land the same way — and
+                    // leaves the view again if none takes it.
                     let ts = slot.clock.tick();
-                    if !reachable.is_empty() {
-                        // The entry reaches every reachable replica even
-                        // when too few remain for the final quorum — the
-                        // sim's timed-out writes land the same way. With
-                        // no replica reachable it is lost outright (only
-                        // the clock tick remains), also like the sim.
-                        round_delta.insert(Entry::new(ts, op.clone()));
-                        view.insert(Entry::new(ts, op.clone()));
-                        if commutes {
-                            ttype.apply_mut(value, &op);
-                        }
-                    }
-                    slot.outcomes.push(if reachable.len() >= fin.max(1) {
-                        Outcome::Completed { op, latency: 0 }
-                    } else {
-                        Outcome::TimedOut
-                    });
+                    round_delta.insert(Entry::new(ts, op.clone()));
+                    view.insert(Entry::new(ts, op.clone()));
+                    slot.outcomes.push(Outcome::Completed { op, latency: 0 });
                 }
             }
         }
@@ -823,7 +792,7 @@ fn run_shard<T: ReplicatedType>(
 mod tests {
     use super::*;
     use crate::relation::QueueKind;
-    use crate::runtime::{
+    use crate::types::{
         queue_lattice_monitor, AccountInv, BankAccountType, QueueInv, TaxiQueueType,
     };
     use relax_queues::QueueOp;

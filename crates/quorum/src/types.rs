@@ -8,7 +8,9 @@ use crate::log::Log;
 use crate::relation::HasKind;
 
 /// A replicated data type, as the runtime needs it: evaluation of views
-/// plus client-side response choice.
+/// plus client-side response choice. Every view is folded in timestamp
+/// order — through [`crate::ViewCache`] by the sim client and the
+/// threaded shard alike — so `apply` need not commute.
 pub trait ReplicatedType: Clone {
     /// Invocations (operation name + arguments, no response yet).
     type Inv: Clone + std::fmt::Debug;
@@ -25,7 +27,7 @@ pub trait ReplicatedType: Clone {
     fn apply(&self, value: &Self::Value, op: &Self::Op) -> Self::Value;
 
     /// In-place form of [`ReplicatedType::apply`], used by the replay hot
-    /// paths (view cache, shard views) where rebuilding the value per
+    /// path (the view cache) where rebuilding the value per
     /// entry would be quadratic for collection-valued types. The default
     /// delegates to `apply`; concrete types with cheap in-place mutation
     /// should override.
@@ -80,13 +82,9 @@ pub trait ReplicatedType: Clone {
         v
     }
 
-    /// Whether `apply` commutes across operations: folding any set of
-    /// operations into a value yields the same result in every order.
-    /// Backends may then maintain view values incrementally (fold each
-    /// arriving entry once) instead of replaying merged views. `false`
-    /// is always sound and is the provided default; [`BankAccountType`]
-    /// overrides it (integer adds commute), the taxi queues must not
-    /// (`Deq` of an absent item is a no-op, so order matters).
+    /// Always `false`, and read by no backend: the benchmark package's
+    /// layer replay still calls it, and it goes with that call.
+    #[doc(hidden)]
     fn apply_commutes(&self) -> bool {
         false
     }
@@ -283,12 +281,6 @@ impl ReplicatedType for BankAccountType {
             AccountInv::Credit(_) => crate::relation::AccountKind::Credit,
             AccountInv::Debit(_) => crate::relation::AccountKind::Debit,
         }
-    }
-
-    fn apply_commutes(&self) -> bool {
-        // Credits add, debits subtract, overdrafts no-op: integer
-        // addition commutes, so views fold in any order.
-        true
     }
 
     fn op_label(&self, inv: &AccountInv) -> OpLabel {

@@ -23,12 +23,10 @@ use proptest::prelude::*;
 use relax_queues::{AccountOp, QueueOp};
 use relax_quorum::calm::SchedulingPolicy;
 use relax_quorum::relation::{AccountKind, QueueKind};
-use relax_quorum::runtime::{
-    queue_lattice_monitor, AccountInv, BankAccountType, QueueInv, TaxiQueueType,
-};
+use relax_quorum::types::{AccountInv, BankAccountType, QueueInv, TaxiQueueType};
 use relax_quorum::{
-    outcome_shapes, ClientConfig, Executor, Log, OutcomeShape, QuorumSystem, ReplicatedType,
-    ThreadedConfig, ThreadedSystem, VotingAssignment,
+    outcome_shapes, queue_lattice_monitor, ClientConfig, Executor, HasKind, Log, OutcomeShape,
+    QuorumSystem, ReplicatedType, ThreadedConfig, ThreadedSystem, VotingAssignment,
 };
 use relax_sim::{NetworkConfig, NodeId};
 
@@ -302,9 +300,9 @@ fn a_read_after_refused_only_rounds_agrees() {
 }
 
 /// One replica of three reachable: a dequeue's majority can never
-/// assemble, so its read is never sent and the enqueue's commit before it
-/// travels alone; every operation times out on both backends, and only
-/// the enqueues' entries persist.
+/// assemble — its read rides the enqueue's commit and draws one response
+/// — so every operation times out on both backends, and only the
+/// enqueues' entries persist.
 #[test]
 fn an_initial_quorum_beyond_the_reachable_set_agrees() {
     let invs = [
@@ -317,6 +315,187 @@ fn an_initial_quorum_beyond_the_reachable_set_agrees() {
         QueueInv::Deq,
     ];
     check_taxi_exact(3, &[0, 1], &invs, 5).expect("exact");
+}
+
+/// Every quorum-size rule a three-replica assignment can give a family,
+/// case by case: each (initial 0..=3, final 1..=3) for both of its kinds,
+/// under pure quorum scheduling and with the first kind free, with no,
+/// one, two and all three replicas down. One fixed single-client
+/// `stream` per case; the two backends must agree exactly. Returns the
+/// number of cases run.
+fn agree_under_every_rule<T>(
+    ttype: T,
+    kinds: [<T::Op as HasKind>::Kind; 2],
+    stream: &[T::Inv],
+) -> usize
+where
+    T: ReplicatedType + Sync,
+    T::Op: Send + Sync + PartialEq,
+    T::Inv: Send,
+    T::Value: Send,
+    <T::Op as HasKind>::Kind: Sync,
+{
+    let stream: Vec<(usize, T::Inv)> = stream.iter().map(|inv| (0, inv.clone())).collect();
+    let sizes = || (0..=3).flat_map(|init| (1..=3).map(move |fin| (init, fin)));
+    let policies = [
+        SchedulingPolicy::all_quorum(),
+        SchedulingPolicy::coordination_free([kinds[0]]),
+    ];
+    let down_sets: [&[usize]; 4] = [&[], &[0], &[0, 1], &[0, 1, 2]];
+    let mut cases = 0;
+    for (i0, f0) in sizes() {
+        for (i1, f1) in sizes() {
+            let assignment = VotingAssignment::new(3)
+                .with_initial(kinds[0], i0)
+                .with_final(kinds[0], f0)
+                .with_initial(kinds[1], i1)
+                .with_final(kinds[1], f1);
+            for (free, policy) in policies.iter().enumerate() {
+                for down in down_sets {
+                    let mut sim = QuorumSystem::new(
+                        ttype.clone(),
+                        3,
+                        assignment.clone(),
+                        ClientConfig::default(),
+                        fifo_network(),
+                        1,
+                    )
+                    .with_scheduling(policy.clone());
+                    let config = ThreadedConfig::default();
+                    let mut thr =
+                        ThreadedSystem::new(ttype.clone(), 3, 1, assignment.clone(), config)
+                            .with_scheduling(policy.clone());
+                    for &r in down {
+                        sim.world_mut().network_mut().crash(NodeId(r));
+                        thr.crash(r);
+                    }
+                    assert_eq!(
+                        drive(&mut sim, &stream),
+                        drive(&mut thr, &stream),
+                        "{:?} ({i0}, {f0}), {:?} ({i1}, {f1}), first kind free: {}, down {down:?}",
+                        kinds[0],
+                        kinds[1],
+                        free == 1
+                    );
+                    cases += 1;
+                }
+            }
+        }
+    }
+    cases
+}
+
+/// The rule table over both families: 2 × 144 assignments × 2 policies ×
+/// 4 down-sets. Each stream reaches a refusal — a `Deq` of an empty
+/// queue, an overdraft — wherever its reads assemble.
+#[test]
+fn both_backends_agree_under_every_quorum_rule() {
+    use QueueInv::{Deq, Enq};
+    let taxi = [Deq, Enq(3), Enq(7), Deq, Deq, Deq, Enq(5), Deq];
+    let taxi_kinds = [QueueKind::Enq, QueueKind::Deq];
+    assert_eq!(
+        agree_under_every_rule(TaxiQueueType, taxi_kinds, &taxi),
+        1_152
+    );
+    use AccountInv::{Credit, Debit};
+    let account = [
+        Debit(2),
+        Credit(5),
+        Debit(3),
+        Credit(1),
+        Debit(4),
+        Credit(2),
+        Debit(9),
+        Debit(1),
+    ];
+    let account_kinds = [AccountKind::Credit, AccountKind::Debit];
+    assert_eq!(
+        agree_under_every_rule(BankAccountType, account_kinds, &account),
+        1_152
+    );
+}
+
+/// A write that reached no replica stays lost once replicas come back:
+/// for each (initial 0..=3, final 1..=3) of both kinds under pure quorum
+/// scheduling, `stream` runs with every replica down, then again with
+/// every replica up, and the two backends must agree exactly after each
+/// run. Returns the number of assignments run.
+fn agree_across_a_total_outage<T>(
+    ttype: T,
+    kinds: [<T::Op as HasKind>::Kind; 2],
+    stream: &[T::Inv],
+) -> usize
+where
+    T: ReplicatedType + Sync,
+    T::Op: Send + Sync + PartialEq,
+    T::Inv: Send,
+    T::Value: Send,
+    <T::Op as HasKind>::Kind: Sync,
+{
+    let stream: Vec<(usize, T::Inv)> = stream.iter().map(|inv| (0, inv.clone())).collect();
+    let sizes = || (0..=3).flat_map(|init| (1..=3).map(move |fin| (init, fin)));
+    let mut cases = 0;
+    for (i0, f0) in sizes() {
+        for (i1, f1) in sizes() {
+            let assignment = VotingAssignment::new(3)
+                .with_initial(kinds[0], i0)
+                .with_final(kinds[0], f0)
+                .with_initial(kinds[1], i1)
+                .with_final(kinds[1], f1);
+            let mut sim = QuorumSystem::new(
+                ttype.clone(),
+                3,
+                assignment.clone(),
+                ClientConfig::default(),
+                fifo_network(),
+                1,
+            );
+            let config = ThreadedConfig::default();
+            let mut thr = ThreadedSystem::new(ttype.clone(), 3, 1, assignment, config);
+            for r in 0..3 {
+                sim.world_mut().network_mut().crash(NodeId(r));
+                thr.crash(r);
+            }
+            let case = format!("{:?} ({i0}, {f0}), {:?} ({i1}, {f1})", kinds[0], kinds[1]);
+            assert_eq!(
+                drive(&mut sim, &stream),
+                drive(&mut thr, &stream),
+                "{case}, all down"
+            );
+            for r in 0..3 {
+                sim.world_mut().network_mut().recover(NodeId(r));
+                thr.recover(r);
+            }
+            assert_eq!(
+                drive(&mut sim, &stream),
+                drive(&mut thr, &stream),
+                "{case}, recovered"
+            );
+            cases += 1;
+        }
+    }
+    cases
+}
+
+/// Both families across a total outage: a `Deq` or a debit after the
+/// recovery finds none of the enqueues or credits written while every
+/// replica was down.
+#[test]
+fn writes_that_reached_no_replica_stay_lost_on_both_backends() {
+    use QueueInv::{Deq, Enq};
+    let taxi = [Enq(3), Enq(7), Deq, Deq, Deq, Enq(5), Deq];
+    let taxi_kinds = [QueueKind::Enq, QueueKind::Deq];
+    assert_eq!(
+        agree_across_a_total_outage(TaxiQueueType, taxi_kinds, &taxi),
+        144
+    );
+    use AccountInv::{Credit, Debit};
+    let account = [Credit(5), Debit(3), Credit(1), Debit(4), Debit(9), Debit(1)];
+    let account_kinds = [AccountKind::Credit, AccountKind::Debit];
+    assert_eq!(
+        agree_across_a_total_outage(BankAccountType, account_kinds, &account),
+        144
+    );
 }
 
 /// Racing clients: interleaving is backend-specific, so compare

@@ -37,7 +37,7 @@ use relax_automata::{response_stable, History, ObjectAutomaton};
 use relax_queues::{account_alphabet, queue_alphabet, AccountEval, AccountOp, AccountValueSpec};
 use relax_quorum::calm::{analyze_account, SchedulingPolicy};
 use relax_quorum::relation::{account_relation, AccountKind, IntersectionRelation};
-use relax_quorum::runtime::{
+use relax_quorum::types::{
     AccountInv, BankAccountType, QueueInv, ReplicatedType, TaxiQueuePrimeType, TaxiQueueType,
 };
 use relax_quorum::{

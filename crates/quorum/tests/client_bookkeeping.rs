@@ -29,7 +29,7 @@ use proptest::prelude::*;
 
 use relax_quorum::calm::SchedulingPolicy;
 use relax_quorum::relation::{AccountKind, QueueKind};
-use relax_quorum::runtime::{AccountInv, BankAccountType, QueueInv, ReplicatedType, TaxiQueueType};
+use relax_quorum::types::{AccountInv, BankAccountType, QueueInv, ReplicatedType, TaxiQueueType};
 use relax_quorum::{ClientConfig, QuorumSystem, VotingAssignment};
 use relax_sim::{Fault, FaultSchedule, NetworkConfig, NodeId, Partition, SimTime};
 

@@ -33,8 +33,9 @@
 use proptest::prelude::*;
 
 use relax_queues::QueueOp;
+use relax_quorum::protocol::wire::Outcome;
 use relax_quorum::relation::QueueKind;
-use relax_quorum::runtime::{queue_lattice_monitor, Outcome, QueueInv, TaxiQueueType};
+use relax_quorum::types::{queue_lattice_monitor, QueueInv, TaxiQueueType};
 use relax_quorum::{
     outcome_shapes, ClientConfig, Log, OutcomeShape, QuorumSystem, ReplicationMode,
     VotingAssignment,

@@ -12,7 +12,7 @@
 use proptest::prelude::*;
 
 use relax_queues::QueueOp;
-use relax_quorum::runtime::{ReplicatedType, TaxiQueueType};
+use relax_quorum::types::{ReplicatedType, TaxiQueueType};
 use relax_quorum::{Entry, Log, Timestamp, ViewCache};
 
 /// Deterministic op for a timestamp, so the same timestamp always

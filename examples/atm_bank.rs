@@ -10,8 +10,9 @@
 //! Run with `cargo run --example atm_bank`.
 
 use relaxation_lattice::queues::AccountOp;
+use relaxation_lattice::quorum::protocol::wire::Outcome;
 use relaxation_lattice::quorum::relation::AccountKind;
-use relaxation_lattice::quorum::runtime::{AccountInv, BankAccountType, Outcome};
+use relaxation_lattice::quorum::types::{AccountInv, BankAccountType};
 use relaxation_lattice::quorum::{ClientConfig, QuorumSystem, VotingAssignment};
 use relaxation_lattice::sim::{NetworkConfig, SimTime};
 

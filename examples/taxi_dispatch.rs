@@ -16,8 +16,9 @@
 
 use relaxation_lattice::automata::ObjectAutomaton;
 use relaxation_lattice::core::lattices::taxi::{TaxiLattice, TaxiPoint};
+use relaxation_lattice::quorum::protocol::wire::Outcome;
 use relaxation_lattice::quorum::relation::QueueKind;
-use relaxation_lattice::quorum::runtime::{Outcome, QueueInv, TaxiQueueType};
+use relaxation_lattice::quorum::types::{QueueInv, TaxiQueueType};
 use relaxation_lattice::quorum::{
     queue_lattice_monitor, ClientConfig, QuorumSystem, VotingAssignment,
 };

@@ -4,10 +4,9 @@
 use relaxation_lattice::automata::ObjectAutomaton;
 use relaxation_lattice::core::lattices::taxi::{TaxiLattice, TaxiPoint};
 use relaxation_lattice::queues::{AccountOp, PQueueAutomaton};
+use relaxation_lattice::quorum::protocol::wire::Outcome;
 use relaxation_lattice::quorum::relation::{AccountKind, QueueKind};
-use relaxation_lattice::quorum::runtime::{
-    AccountInv, BankAccountType, Outcome, QueueInv, TaxiQueueType,
-};
+use relaxation_lattice::quorum::types::{AccountInv, BankAccountType, QueueInv, TaxiQueueType};
 use relaxation_lattice::quorum::{queue_relation, ClientConfig, QuorumSystem, VotingAssignment};
 use relaxation_lattice::sim::{FaultSchedule, NetworkConfig, NodeId, SimTime};
 
