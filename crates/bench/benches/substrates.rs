@@ -17,7 +17,7 @@ use relax_atomic::{
 use relax_automata::{
     compare_upto, language_upto, CompareOptions, History, IntersectionAutomaton, ObjectAutomaton,
 };
-use relax_core::lattices::taxi::{TaxiLattice, TaxiPoint};
+use relax_core::lattices::taxi::{PackedTaxiReference, TaxiLattice, TaxiPoint};
 use relax_core::theorem4::verify_taxi_lattice;
 use relax_queues::{
     queue_alphabet, PQueueAutomaton, QueueOp, SemiqueueAutomaton, SsQueueAutomaton,
@@ -27,8 +27,8 @@ use relax_quorum::calm::SchedulingPolicy;
 use relax_quorum::relation::{AccountKind, QueueKind};
 use relax_quorum::types::{AccountInv, BankAccountType, QueueInv, ReplicatedType, TaxiQueueType};
 use relax_quorum::{
-    ClientConfig, DiffScratch, Entry, Executor, Log, QuorumSystem, ThreadedConfig, ThreadedSystem,
-    Timestamp, ViewCache, VotingAssignment,
+    ClientConfig, DiffScratch, Entry, Executor, Log, QuorumSystem, RepViewAutomaton,
+    ThreadedConfig, ThreadedSystem, Timestamp, ViewCache, VotingAssignment,
 };
 use relax_sim::{NetworkConfig, NodeId, Partition};
 use relax_spec::{paper_theories, parse_term, Rewriter, Term};
@@ -509,6 +509,79 @@ fn bench_product_walk(c: &mut Criterion) {
     group.finish();
 }
 
+/// The state layer under Theorem 4's walk: ns per `step_all` over every
+/// (point, state) pair the (3, 8) walk steps on one side, i.e. every
+/// state a history of at most 7 operations reaches at each of the four
+/// points. `quotient` is the Rep-view side, `reference` the packed
+/// reference side. A step that sorts again, or a state that goes back to
+/// trees, shows here before it shows in `product_walk/n4_taxi_3x8`.
+fn bench_taxi_states(c: &mut Criterion) {
+    let items = [1, 2, 3];
+    let alphabet = queue_alphabet(&items);
+    let mut group = c.benchmark_group("taxi_states");
+    let points = TaxiPoint::all();
+    bench_step_all(
+        &mut group,
+        "quotient_3x8",
+        &points.map(|p| RepViewAutomaton::new(p.q1, p.q2, &items)),
+        &alphabet,
+    );
+    bench_step_all(
+        &mut group,
+        "reference_3x8",
+        &points.map(|p| PackedTaxiReference::new(p, &items)),
+        &alphabet,
+    );
+    group.finish();
+}
+
+/// One `taxi_states` row: `step_all` over each automaton's states
+/// reachable within 7 operations, round robin.
+fn bench_step_all<A: ObjectAutomaton<Op = QueueOp>>(
+    group: &mut criterion::BenchmarkGroup<'_>,
+    name: &str,
+    automata: &[A],
+    alphabet: &[QueueOp],
+) {
+    let pairs: Vec<(&A, A::State)> = automata
+        .iter()
+        .flat_map(|a| reachable(a, alphabet, 7).into_iter().map(move |s| (a, s)))
+        .collect();
+    let mut next = 0;
+    group.bench_function(BenchmarkId::from_parameter(name), |bencher| {
+        bencher.iter_custom(|iters| {
+            let start = Instant::now();
+            for _ in 0..iters {
+                let (a, s) = &pairs[next];
+                black_box(a.step_all(s, alphabet));
+                next = (next + 1) % pairs.len();
+            }
+            start.elapsed()
+        });
+    });
+}
+
+/// Every state of `a` some history of at most `depth` operations over
+/// `alphabet` reaches.
+fn reachable<A: ObjectAutomaton>(a: &A, alphabet: &[A::Op], depth: usize) -> Vec<A::State> {
+    let mut seen = std::collections::BTreeSet::from([a.initial_state()]);
+    let mut frontier = vec![a.initial_state()];
+    for _ in 0..depth {
+        let mut level = Vec::new();
+        for s in &frontier {
+            for op in alphabet {
+                for t in a.step(s, op) {
+                    if seen.insert(t.clone()) {
+                        level.push(t);
+                    }
+                }
+            }
+        }
+        frontier = level;
+    }
+    seen.into_iter().collect()
+}
+
 fn bench_language_enumeration(c: &mut Criterion) {
     let alphabet = queue_alphabet(&[1, 2]);
     let mut group = c.benchmark_group("language_upto_pqueue");
@@ -672,6 +745,7 @@ criterion_group!(
     bench_sim_invocation,
     bench_threaded_round_trip,
     bench_product_walk,
+    bench_taxi_states,
     bench_language_enumeration,
     bench_qca_accept,
     bench_rewrite,

@@ -168,6 +168,20 @@ pub const CHECKS: &[Check] = &[
         metric: "product_walk/n1_rawqca_3x6",
         band: Band::MaxRatio(4.0),
     },
+    // The state layer under that walk: ns per `step_all` over the states
+    // the (3, 8) walk reaches on each side. A Rep-view step that sorts
+    // its successor again, or a reference whose states go back to trees,
+    // reads several times the baseline here before the walk row moves.
+    Check {
+        file: "BENCH_micro_substrates.json",
+        metric: "taxi_states/quotient_3x8",
+        band: Band::MaxRatio(4.0),
+    },
+    Check {
+        file: "BENCH_micro_substrates.json",
+        metric: "taxi_states/reference_3x8",
+        band: Band::MaxRatio(4.0),
+    },
 ];
 
 /// Returns the checks whose payload file or metric name contains
@@ -443,7 +457,8 @@ mod tests {
             &format!(
                 "{{\"sim_client_read_view/65536\":{0},\"sim_client_write_ack/65536\":{0},\
                  \"sim_client_write_payloads/65536\":{0},\"sim_invocation/enq\":{0},\
-                 \"product_walk/n4_taxi_3x8\":{0},\"product_walk/n1_rawqca_3x6\":{0}}}\n",
+                 \"product_walk/n4_taxi_3x8\":{0},\"product_walk/n1_rawqca_3x6\":{0},\
+                 \"taxi_states/quotient_3x8\":{0},\"taxi_states/reference_3x8\":{0}}}\n",
                 overhead * 100.0
             ),
         );
@@ -489,6 +504,29 @@ mod tests {
         assert!(failed.contains(&"sim_client_write_ack/65536"));
         assert!(failed.contains(&"product_walk/n4_taxi_3x8"));
         assert!(report(&outcomes).to_string().contains("REGRESSED"));
+    }
+
+    /// Five times a state-layer row against its 4× band fails that row,
+    /// and the walk row it sits under (unchanged here) passes.
+    #[test]
+    fn a_five_fold_state_layer_row_regresses() {
+        let base = tmp("base_states");
+        let fresh = tmp("fresh_states");
+        scaffold(&base, 1.0, true);
+        scaffold(&fresh, 1.0, true);
+        let payload = fresh.join("BENCH_micro_substrates.json");
+        let slowed = std::fs::read_to_string(&payload).unwrap().replace(
+            "\"taxi_states/quotient_3x8\":100",
+            "\"taxi_states/quotient_3x8\":500",
+        );
+        write(&fresh, "BENCH_micro_substrates.json", &slowed);
+        let outcomes = compare(&fresh, &base).unwrap();
+        let failed: Vec<&str> = outcomes
+            .iter()
+            .filter(|o| !o.pass)
+            .map(|o| o.check.metric)
+            .collect();
+        assert_eq!(failed, ["taxi_states/quotient_3x8"]);
     }
 
     #[test]
@@ -539,7 +577,7 @@ mod tests {
     #[test]
     fn selection_filters_by_payload_or_metric_substring() {
         let all = selected(None);
-        assert_eq!(all.len(), 13);
+        assert_eq!(all.len(), 15);
         let campaign = selected(Some("fault_campaign"));
         assert_eq!(campaign.len(), 3);
         assert!(campaign
@@ -548,6 +586,7 @@ mod tests {
         assert_eq!(selected(Some("calm")).len(), 2);
         assert_eq!(selected(Some("sim_client")).len(), 3);
         assert_eq!(selected(Some("product_walk")).len(), 2);
+        assert_eq!(selected(Some("taxi_states")).len(), 2);
         let by_metric = selected(Some("overhead_pct"));
         assert_eq!(by_metric.len(), 2);
         assert!(by_metric.iter().all(|c| c.metric == "overhead_pct"));

@@ -23,6 +23,7 @@ use relax_queues::{
     Bag, DegenPqAutomaton, Eta, Item, Mpq, MpqAutomaton, OpqAutomaton, PQueueAutomaton,
     PqValueSpec, QueueOp,
 };
+use relax_quorum::repview::{best, del, ins, rank_domain, PackedBag};
 use relax_quorum::{queue_relation, QcaAutomaton};
 
 /// A point of the taxi lattice, by which constraints hold.
@@ -132,6 +133,77 @@ impl ObjectAutomaton for TaxiReference {
                 .map(TaxiRefState::Bag)
                 .collect(),
             _ => unreachable!("state variant fixed by the point"),
+        }
+    }
+}
+
+/// [`TaxiReference`] over packed bags, for the bounded walk of
+/// Theorem 4 (`crate::theorem4`): the same four behaviors, with a state
+/// of two integers instead of two trees.
+///
+/// The state is `(present, absent)`, two [`PackedBag`]s over a domain of
+/// at most 8 items. `absent` is MPQ's record of dequeued requests and
+/// stays 0 at the other three points. An operation on an item outside
+/// the domain has no successor. `TaxiReference` is the oracle: the two
+/// accept the same language over the domain's queue alphabet.
+#[derive(Debug, Clone)]
+pub struct PackedTaxiReference {
+    point: TaxiPoint,
+    /// Sorted ascending; index = priority rank.
+    domain: Vec<Item>,
+}
+
+impl PackedTaxiReference {
+    /// The packed reference for a point over a finite item domain (see
+    /// [`rank_domain`] for its limits). Its language is exact only on
+    /// histories of at most 255 operations: a longer one can carry a
+    /// [`PackedBag`] byte into the next rank.
+    pub fn new(point: TaxiPoint, domain: &[Item]) -> Self {
+        PackedTaxiReference {
+            point,
+            domain: rank_domain(domain),
+        }
+    }
+}
+
+impl ObjectAutomaton for PackedTaxiReference {
+    type State = (PackedBag, PackedBag);
+    type Op = QueueOp;
+
+    fn initial_state(&self) -> (PackedBag, PackedBag) {
+        (0, 0)
+    }
+
+    fn step(&self, &(present, absent): &(PackedBag, PackedBag), op: &QueueOp) -> Vec<Self::State> {
+        let (QueueOp::Enq(e) | QueueOp::Deq(e)) = op;
+        let Ok(rank) = self.domain.binary_search(e) else {
+            return Vec::new();
+        };
+        if matches!(op, QueueOp::Enq(_)) {
+            return vec![(ins(present, rank), absent)];
+        }
+        let removed = del(present, rank);
+        let held = removed != present;
+        match (self.point.q1, self.point.q2) {
+            // PQ: serve the best item.
+            (true, true) if best(present) == Some(rank) => vec![(removed, absent)],
+            // MPQ (Figure 3-3): re-return an absent item that beats
+            // everything present, or move the best present item to absent.
+            (true, false) => {
+                let mut out = Vec::new();
+                if del(absent, rank) != absent && best(present).is_none_or(|b| rank > b) {
+                    out.push((present, absent));
+                }
+                if best(present) == Some(rank) {
+                    out.push((removed, ins(absent, rank)));
+                }
+                out
+            }
+            // OPQ: serve any present item.
+            (false, true) if held => vec![(removed, absent)],
+            // DegenPQ: serve any present item, keeping or removing it.
+            (false, false) if held => vec![(present, absent), (removed, absent)],
+            _ => Vec::new(),
         }
     }
 }
@@ -332,6 +404,31 @@ mod tests {
                 "QCA at {point:?} differs from {}",
                 point.behavior_name()
             );
+        }
+    }
+
+    /// The packed reference accepts what the literal one does, length
+    /// by length, at every point and over domains whose items are not
+    /// their ranks.
+    #[test]
+    fn packed_reference_matches_the_literal_one() {
+        use relax_automata::{compare_upto, CompareOptions};
+        for point in TaxiPoint::all() {
+            for domain in [&[1, 2][..], &[1, 2, 3], &[5, 9, 40, 41]] {
+                let alphabet = queue_alphabet(domain);
+                let outcome = compare_upto(
+                    &PackedTaxiReference::new(point, domain),
+                    &TaxiReference::new(point),
+                    &alphabet,
+                    7,
+                    CompareOptions::counting(),
+                );
+                assert!(outcome.agree(), "{point:?} over {domain:?}: {outcome:?}");
+                assert_eq!(
+                    outcome.left_sizes, outcome.right_sizes,
+                    "{point:?} over {domain:?}"
+                );
+            }
         }
     }
 

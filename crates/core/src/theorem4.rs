@@ -14,7 +14,7 @@ use relax_automata::{CompareOptions, EngineProbe, History, LanguageDifference, N
 use relax_queues::{queue_alphabet, Item, QueueOp};
 use relax_quorum::repview::RepViewAutomaton;
 
-use crate::lattices::taxi::{TaxiLattice, TaxiPoint, TaxiReference};
+use crate::lattices::taxi::{PackedTaxiReference, TaxiLattice, TaxiPoint};
 
 /// Verification result for one lattice point.
 #[derive(Debug, Clone)]
@@ -82,13 +82,18 @@ impl TaxiVerification {
 /// ≤ `max_len` over `items` — in **one shared walk** for all four
 /// points.
 ///
-/// Two layers keep it small:
+/// Three layers keep it small:
 ///
 /// 1. The QCA side of each point is its [`RepViewAutomaton`] quotient —
 ///    an exact bisimulation (`L(RepView) = L(QCA)`, verified
 ///    differentially in `relax-quorum`), collapsing the QCA's
 ///    never-merging history states into achievable-view-bag sets.
-/// 2. All four `(quotient, reference)` pairs ride one
+/// 2. The reference side is [`PackedTaxiReference`]: the named behavior
+///    over packed bags, two integers a state. The literal
+///    [`crate::lattices::taxi::TaxiReference`] is its oracle (the two
+///    are compared length by length in `lattices::taxi`), and the naive
+///    verifier below still walks the literal pair.
+/// 3. All four `(quotient, reference)` pairs ride one
 ///    [`multi_compare_upto_probed`] tuple walk with a shared dense
 ///    state/set interner, one `step_all` per (point, state) and memoized
 ///    successor rows, so common history structure is explored once
@@ -96,6 +101,12 @@ impl TaxiVerification {
 ///
 /// Verdicts and per-point language sizes are pinned against
 /// [`verify_taxi_lattice_naive`] in tests.
+///
+/// # Panics
+///
+/// If `max_len` exceeds 255, past which a packed multiplicity can carry
+/// into the next rank, or if `items` is empty or holds more than 8
+/// distinct items.
 pub fn verify_taxi_lattice(items: &[Item], max_len: usize) -> TaxiVerification {
     verify_taxi_lattice_probed(items, max_len, &mut NoopProbe)
 }
@@ -116,19 +127,23 @@ fn point_span(p: TaxiPoint) -> &'static str {
 /// tuple walk (whose own `multiwalk` / `multi_depth` spans and frontier
 /// gauges nest inside it), and one `point_q1q2` span per lattice point
 /// covers that point's result assembly and carries its `lang_size` /
-/// `peak_frontier` gauges.
+/// `peak_frontier` gauges. Panics as [`verify_taxi_lattice`] does.
 pub fn verify_taxi_lattice_probed<P: EngineProbe>(
     items: &[Item],
     max_len: usize,
     probe: &mut P,
 ) -> TaxiVerification {
+    assert!(
+        max_len <= 255,
+        "packed multiplicities are bytes: histories of at most 255 operations"
+    );
     probe.enter("theorem4");
-    let lattice = TaxiLattice::new();
     let alphabet = queue_alphabet(items);
     let point_list = TaxiPoint::all();
     let quotients: [RepViewAutomaton; 4] =
         point_list.map(|p| RepViewAutomaton::new(p.q1, p.q2, items));
-    let references: [TaxiReference; 4] = point_list.map(|p| lattice.reference(p));
+    let references: [PackedTaxiReference; 4] =
+        point_list.map(|p| PackedTaxiReference::new(p, items));
     probe.enter("shared_walk");
     let multi = multi_compare_upto_probed(
         &quotients,
@@ -282,6 +297,14 @@ mod tests {
             assert_eq!(e.language_size, n.language_size, "{:?}", e.point);
             assert_eq!(e.holds(), n.holds(), "{:?}", e.point);
         }
+    }
+
+    /// A 256th occurrence would carry into the next rank's byte, so the
+    /// walk refuses a bound that could reach it.
+    #[test]
+    #[should_panic(expected = "at most 255 operations")]
+    fn walk_refuses_histories_a_byte_cannot_count() {
+        verify_taxi_lattice(&[1], 256);
     }
 
     #[test]

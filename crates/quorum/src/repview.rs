@@ -34,9 +34,15 @@
 //! the subset walk regains the sharing the QCA lacks.
 //!
 //! Bags are packed into a `u64` ([`PackedBag`]): 8 bits of multiplicity
-//! per item rank, so `ins`/`del`/`best` are shifts and the view set is a
-//! sorted `Vec<u64>` with cheap hashing — the state the dense interner
-//! of `relax_automata::multiwalk` was built for.
+//! per item rank, so [`ins`]/[`del`]/[`best`] are shifts and the view set
+//! is a sorted `Vec<u64>` with cheap hashing — the state the dense
+//! interner of `relax_automata::multiwalk` was built for.
+//!
+//! Every transition is linear in `|V|` and sorts nothing. `ins_e` adds
+//! one constant to every bag, so it keeps `V` sorted and distinct. `del_e`
+//! leaves the bags without rank `e` alone and subtracts one constant from
+//! the bags with it: two sorted runs, so one merge-dedup yields the next
+//! sorted set.
 
 use relax_automata::ObjectAutomaton;
 use relax_queues::{Item, QueueOp};
@@ -44,13 +50,15 @@ use relax_queues::{Item, QueueOp};
 /// A multiset over an item domain of ≤ 8 ranks, packed 8 bits per rank.
 ///
 /// Rank 0 occupies the low byte; `best` (the maximum item) is the
-/// highest nonzero byte. Multiplicities stay below 256 because QCA
-/// histories are bounded below 64 operations.
+/// highest nonzero byte. A multiplicity must stay below 256: a 256th
+/// occurrence would carry into the next rank. Histories of at most 255
+/// operations never reach it, which is the bound the packed automata
+/// document and `verify_taxi_lattice` asserts.
 pub type PackedBag = u64;
 
 /// Insert one occurrence of `rank`.
 #[inline]
-fn ins(bag: PackedBag, rank: usize) -> PackedBag {
+pub fn ins(bag: PackedBag, rank: usize) -> PackedBag {
     debug_assert!((bag >> (8 * rank)) & 0xff < 0xff, "bag byte overflow");
     bag + (1u64 << (8 * rank))
 }
@@ -58,7 +66,7 @@ fn ins(bag: PackedBag, rank: usize) -> PackedBag {
 /// Delete one occurrence of `rank` (no-op when absent — matching
 /// `Bag::del`, hence `η` on views lacking the item).
 #[inline]
-fn del(bag: PackedBag, rank: usize) -> PackedBag {
+pub fn del(bag: PackedBag, rank: usize) -> PackedBag {
     if (bag >> (8 * rank)) & 0xff != 0 {
         bag - (1u64 << (8 * rank))
     } else {
@@ -69,12 +77,45 @@ fn del(bag: PackedBag, rank: usize) -> PackedBag {
 /// The rank of the best (maximum) item present, if any: the highest
 /// nonzero byte.
 #[inline]
-fn best(bag: PackedBag) -> Option<usize> {
+pub fn best(bag: PackedBag) -> Option<usize> {
     if bag == 0 {
         None
     } else {
         Some((63 - bag.leading_zeros() as usize) / 8)
     }
+}
+
+/// A packed-bag item domain: `domain` sorted and deduplicated, so an
+/// item's index is its rank (rank order is priority order).
+///
+/// # Panics
+///
+/// If the domain is empty or holds more than 8 distinct items (the
+/// packed-bag width).
+pub fn rank_domain(domain: &[Item]) -> Vec<Item> {
+    let mut domain = domain.to_vec();
+    domain.sort_unstable();
+    domain.dedup();
+    assert!(
+        !domain.is_empty() && domain.len() <= 8,
+        "packed bags support 1..=8 distinct items"
+    );
+    domain
+}
+
+/// The sorted union of two strictly ascending runs.
+fn merge_dedup(a: &[PackedBag], b: &[PackedBag]) -> Vec<PackedBag> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        out.push(x.min(y));
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
 }
 
 /// The Rep-view automaton: the taxi-queue `QCA(PQ, {Q1?, Q2?}, η)`
@@ -92,16 +133,16 @@ pub struct RepViewAutomaton {
 
 impl RepViewAutomaton {
     /// Builds the quotient automaton for one lattice point over a finite
-    /// item domain (at most 8 items — the packed-bag width).
+    /// item domain (at most 8 items — the packed-bag width, see
+    /// [`rank_domain`]). Its language is exact only on histories of at
+    /// most 255 operations: a longer one can carry a [`PackedBag`] byte
+    /// into the next rank.
     pub fn new(q1: bool, q2: bool, domain: &[Item]) -> Self {
-        let mut domain = domain.to_vec();
-        domain.sort_unstable();
-        domain.dedup();
-        assert!(
-            !domain.is_empty() && domain.len() <= 8,
-            "packed bags support 1..=8 distinct items"
-        );
-        RepViewAutomaton { q1, q2, domain }
+        RepViewAutomaton {
+            q1,
+            q2,
+            domain: rank_domain(domain),
+        }
     }
 
     /// The lattice point `(q1, q2)` this automaton models.
@@ -111,12 +152,6 @@ impl RepViewAutomaton {
 
     fn rank_of(&self, e: Item) -> Option<usize> {
         self.domain.binary_search(&e).ok()
-    }
-
-    fn canonical(mut v: Vec<PackedBag>) -> Vec<PackedBag> {
-        v.sort_unstable();
-        v.dedup();
-        v
     }
 }
 
@@ -135,12 +170,13 @@ impl ObjectAutomaton for RepViewAutomaton {
                 let Some(rank) = self.rank_of(*e) else {
                     return Vec::new(); // outside the domain: δ undefined
                 };
-                let mut next: Vec<PackedBag> = v.iter().map(|&b| ins(b, rank)).collect();
-                if !self.q1 {
+                let inserted: Vec<PackedBag> = v.iter().map(|&b| ins(b, rank)).collect();
+                if self.q1 {
+                    vec![inserted]
+                } else {
                     // The new Enq's membership in a view is free.
-                    next.extend_from_slice(v);
+                    vec![merge_dedup(v, &inserted)]
                 }
-                vec![Self::canonical(next)]
             }
             QueueOp::Deq(e) => {
                 let Some(rank) = self.rank_of(*e) else {
@@ -149,11 +185,19 @@ impl ObjectAutomaton for RepViewAutomaton {
                 if !v.iter().any(|&b| best(b) == Some(rank)) {
                     return Vec::new(); // no view serves e as the best item
                 }
-                let mut next: Vec<PackedBag> = v.iter().map(|&b| del(b, rank)).collect();
-                if !self.q2 {
-                    next.extend_from_slice(v);
+                // `del_e` shifts the bags holding `e` down by one constant
+                // and keeps the rest: two sorted runs. Under ¬Q2 the kept
+                // run is part of `V` already.
+                let (mut kept, mut shifted) = (Vec::new(), Vec::new());
+                for &b in v {
+                    let d = del(b, rank);
+                    if d != b {
+                        shifted.push(d);
+                    } else if self.q2 {
+                        kept.push(b);
+                    }
                 }
-                vec![Self::canonical(next)]
+                vec![merge_dedup(if self.q2 { &kept } else { v }, &shifted)]
             }
         }
     }
@@ -162,7 +206,8 @@ impl ObjectAutomaton for RepViewAutomaton {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use relax_automata::{compare_upto, CompareOptions};
+    use proptest::prelude::*;
+    use relax_automata::{compare_upto, random_history, CompareOptions};
     use relax_queues::{queue_alphabet, Eta, PqValueSpec};
 
     use crate::qca::QcaAutomaton;
@@ -180,6 +225,44 @@ mod tests {
         assert_eq!(best(0), None);
         // Deleting an absent rank is a no-op, like `Bag::del`.
         assert_eq!(del(b, 1), b);
+    }
+
+    /// The sort-based step the merges replaced: build `next` in any
+    /// order, then sort and dedup it.
+    fn sorted_step(rep: &RepViewAutomaton, v: &[PackedBag], op: &QueueOp) -> Vec<Vec<PackedBag>> {
+        let (QueueOp::Enq(e) | QueueOp::Deq(e)) = *op;
+        let Some(rank) = rep.rank_of(e) else {
+            return Vec::new();
+        };
+        let (f, keep_old): (fn(PackedBag, usize) -> PackedBag, bool) = match op {
+            QueueOp::Enq(_) => (ins, !rep.q1),
+            QueueOp::Deq(_) if v.iter().any(|&b| best(b) == Some(rank)) => (del, !rep.q2),
+            QueueOp::Deq(_) => return Vec::new(),
+        };
+        let mut next: Vec<PackedBag> = v.iter().map(|&b| f(b, rank)).collect();
+        next.extend(v.iter().filter(|_| keep_old));
+        next.sort_unstable();
+        next.dedup();
+        vec![next]
+    }
+
+    proptest! {
+        /// The merge-based step equals the sort-based one on every state
+        /// a random accepted history passes through, for every op.
+        #[test]
+        fn merge_step_equals_sorted_step(seed in 0u64..1_000, len in 0usize..24, point in 0usize..4) {
+            let (q1, q2) = [(true, true), (true, false), (false, true), (false, false)][point];
+            let domain = [1, 4, 6, 9];
+            let alphabet = queue_alphabet(&domain);
+            let rep = RepViewAutomaton::new(q1, q2, &domain);
+            let mut v = rep.initial_state();
+            for op in random_history(&rep, &alphabet, len, seed).iter() {
+                for probe in &alphabet {
+                    prop_assert_eq!(rep.step(&v, probe), sorted_step(&rep, &v, probe));
+                }
+                v = rep.step(&v, op).pop().expect("the history is accepted");
+            }
+        }
     }
 
     /// The load-bearing equivalence: at every lattice point, the quotient
