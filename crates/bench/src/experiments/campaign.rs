@@ -38,7 +38,7 @@ use relax_sim::{Fault, FaultSchedule, NetworkConfig, NodeId, Partition, SimTime}
 use relax_trace::{EventKind, Histogram, SloMonitor, TraceAnalysis};
 
 use crate::args::Args;
-use crate::experiments::write_payload;
+use crate::experiments::{abba, write_payload};
 use crate::table::Table;
 
 /// The class of an injected fault, as attributed by the root-cause
@@ -589,38 +589,22 @@ pub fn main(args: &Args) -> Result<(), String> {
         run_instrumented(c, SEED);
     }
     let suite_ops: usize = CAMPAIGNS.iter().map(|c| recipe(c).submissions.len()).sum();
-    let mut baselines = Vec::with_capacity(REPS);
-    let mut enabled = Vec::with_capacity(REPS);
-    let mut added_ns = Vec::with_capacity(REPS);
-    let time_suite = |f: &dyn Fn(&str, u64), seed: u64| {
+    // All four runs of a block share one seed.
+    let timing = abba(REPS, suite_ops, |instrumented, rep| {
+        let seed = SEED ^ (rep / 2) as u64;
         let start = Instant::now();
         for c in CAMPAIGNS {
-            f(c, seed);
+            if instrumented {
+                run_instrumented(c, seed);
+            } else {
+                run_monitored(c, seed);
+            }
         }
         start.elapsed().as_nanos()
-    };
-    let mut ratios: Vec<f64> = (0..REPS)
-        .map(|rep| {
-            let seed = SEED ^ rep as u64;
-            // ABBA order inside each rep so monotone machine drift
-            // (thermal, scheduler) cancels instead of biasing one side.
-            let b1 = time_suite(&run_monitored, seed);
-            let e1 = time_suite(&run_instrumented, seed);
-            let e2 = time_suite(&run_instrumented, seed);
-            let b2 = time_suite(&run_monitored, seed);
-            baselines.push(b1 + b2);
-            enabled.push(e1 + e2);
-            added_ns.push(((e1 + e2) as f64 - (b1 + b2) as f64) / (2 * suite_ops) as f64);
-            (e1 + e2) as f64 / (b1 + b2) as f64
-        })
-        .collect();
-    ratios.sort_by(f64::total_cmp);
-    added_ns.sort_by(f64::total_cmp);
-    let ratio = ratios[ratios.len() / 2];
-    let added_ns_per_op = added_ns[added_ns.len() / 2];
-    let baseline_ns = *baselines.iter().min().expect("reps > 0");
-    let enabled_ns = *enabled.iter().min().expect("reps > 0");
-    let overhead_pct = 100.0 * (ratio - 1.0);
+    });
+    let (baseline_ns, enabled_ns) = (timing.baseline_ns, timing.enabled_ns);
+    let added_ns_per_op = timing.added_ns_per_op;
+    let overhead_pct = 100.0 * (timing.ratio - 1.0);
     let within_target = overhead_pct <= 10.0 && all_ok;
 
     println!("\n== Observability overhead on the campaign suite ==\n");
@@ -628,8 +612,8 @@ pub fn main(args: &Args) -> Result<(), String> {
         "workload: {} campaigns x {REPS} interleaved reps, median per-rep ratio",
         CAMPAIGNS.len()
     );
-    println!("baseline     (monitor + slo)   : {baseline_ns:>12} ns (min rep, 2 suites)");
-    println!("instrumented (+trace +stale)   : {enabled_ns:>12} ns (min rep, 2 suites)");
+    println!("baseline     (monitor + slo)   : {baseline_ns:>12} ns (min run)");
+    println!("instrumented (+trace +stale)   : {enabled_ns:>12} ns (min run)");
     println!("overhead: {overhead_pct:+.2}%  (target: <= 10%)");
     println!(
         "instrumented - baseline: {added_ns_per_op:+.1} ns per operation (median rep, {suite_ops} operations a suite)"

@@ -198,6 +198,54 @@ pub(crate) fn write_payload(path: &str, json: &str) -> Result<(), String> {
     write_file(path, &format!("{body},\"machine\":{machine}}}\n"))
 }
 
+/// An instrumented configuration timed against its baseline by [`abba`].
+pub(crate) struct Abba {
+    /// The median per-block ratio, instrumented over baseline.
+    pub ratio: f64,
+    /// The lower and upper quartiles of the per-block ratios.
+    pub quartiles: (f64, f64),
+    /// The median per-block `instrumented − baseline`, in nanoseconds
+    /// per operation.
+    pub added_ns_per_op: f64,
+    /// The fastest single baseline run, in nanoseconds.
+    pub baseline_ns: u128,
+    /// The fastest single instrumented run, in nanoseconds.
+    pub enabled_ns: u128,
+}
+
+/// Times `blocks` blocks of four runs in ABBA order — baseline,
+/// instrumented, instrumented, baseline — so that machine-wide noise and
+/// monotone drift hit both sides alike. `run(instrumented, rep)` times
+/// one run of `ops` operations in nanoseconds; block `b` runs rep `2b`
+/// and then rep `2b + 1`, so when a rep repeats the input of the one
+/// before it, each side gets one cold and one warm run per block.
+pub(crate) fn abba(blocks: usize, ops: usize, mut run: impl FnMut(bool, usize) -> u128) -> Abba {
+    let (mut baseline_ns, mut enabled_ns) = (u128::MAX, u128::MAX);
+    let mut added_ns = Vec::with_capacity(blocks);
+    let mut ratios: Vec<f64> = (0..blocks)
+        .map(|block| {
+            let b1 = run(false, 2 * block);
+            let e1 = run(true, 2 * block);
+            let e2 = run(true, 2 * block + 1);
+            let b2 = run(false, 2 * block + 1);
+            baseline_ns = baseline_ns.min(b1).min(b2);
+            enabled_ns = enabled_ns.min(e1).min(e2);
+            added_ns.push(((e1 + e2) as f64 - (b1 + b2) as f64) / (2 * ops) as f64);
+            (e1 + e2) as f64 / (b1 + b2) as f64
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    added_ns.sort_by(f64::total_cmp);
+    let quartile = |q: usize| ratios[ratios.len() * q / 4];
+    Abba {
+        ratio: quartile(2),
+        quartiles: (quartile(1), quartile(3)),
+        added_ns_per_op: added_ns[added_ns.len() / 2],
+        baseline_ns,
+        enabled_ns,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,6 +345,26 @@ mod tests {
             }
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn abba_alternates_the_sides_and_takes_block_medians() {
+        let mut calls = Vec::new();
+        let t = abba(3, 10, |instrumented, rep| {
+            calls.push((instrumented, rep));
+            if instrumented {
+                1_100 + rep as u128
+            } else {
+                1_000
+            }
+        });
+        assert_eq!(calls[..4], [(false, 0), (true, 0), (true, 1), (false, 1)]);
+        assert_eq!(calls[8..], [(false, 4), (true, 4), (true, 5), (false, 5)]);
+        // Block b reads (2201 + 4b) / 2000.
+        assert_eq!(t.ratio, 2205.0 / 2000.0);
+        assert_eq!(t.quartiles, (2201.0 / 2000.0, 2209.0 / 2000.0));
+        assert_eq!(t.added_ns_per_op, 205.0 / 20.0);
+        assert_eq!((t.baseline_ns, t.enabled_ns), (1_000, 1_100));
     }
 
     #[test]

@@ -26,7 +26,7 @@ use std::time::Instant;
 
 use crate::args::Args;
 use crate::experiments::availability::{measure_registry_traced, tradeoff_family};
-use crate::experiments::write_payload;
+use crate::experiments::{abba, write_payload};
 
 const N: usize = 5;
 const P_UP: f64 = 0.85;
@@ -81,39 +81,22 @@ pub fn main(_: &Args) -> Result<(), String> {
         4096,
     ));
 
-    // Interleave baseline and enabled sweeps so machine-wide noise
-    // (other tenants, frequency scaling) hits both configurations
-    // equally, in ABBA blocks of two reps: a sweep that repeats the
-    // seed of the one before it runs warm and one that opens a new seed
-    // runs cold, so each side gets one of each per block — with the
-    // baseline always first, the enabled sweep was always the warm one
-    // and the overhead read low. The gate is the median per-block ratio.
+    // ABBA blocks of two reps: a sweep that repeats the seed of the one
+    // before it runs warm and one that opens a new seed runs cold, so
+    // each side gets one of each per block — with the baseline always
+    // first, the enabled sweep was always the warm one and the overhead
+    // read low. The gate is the median per-block ratio.
     let sweep_ops = tradeoff_family(N).len() * TRIALS as usize * OPS_PER_TRIAL;
-    let mut baselines = Vec::with_capacity(REPS);
-    let mut enabled = Vec::with_capacity(REPS);
-    let mut added_ns = Vec::with_capacity(REPS / 2);
-    let mut ratios: Vec<f64> = (0..REPS / 2)
-        .map(|block| {
-            let (first, second) = (2 * block, 2 * block + 1);
-            let b1 = one_sweep(0, first);
-            let e1 = one_sweep(4096, first);
-            let e2 = one_sweep(4096, second);
-            let b2 = one_sweep(0, second);
-            baselines.extend([b1, b2]);
-            enabled.extend([e1, e2]);
-            added_ns.push(((e1 + e2) as f64 - (b1 + b2) as f64) / (2 * sweep_ops) as f64);
-            (e1 + e2) as f64 / (b1 + b2) as f64
-        })
-        .collect();
-    ratios.sort_by(f64::total_cmp);
-    added_ns.sort_by(f64::total_cmp);
-    let ratio = ratios[ratios.len() / 2];
-    let added_ns_per_op = added_ns[added_ns.len() / 2];
-    let quartile_pct = |q: usize| 100.0 * (ratios[ratios.len() * q / 4] - 1.0);
-    let (q1_pct, q3_pct) = (quartile_pct(1), quartile_pct(3));
-    let baseline_ns = *baselines.iter().min().expect("reps > 0");
-    let enabled_ns = *enabled.iter().min().expect("reps > 0");
-    let overhead_pct = 100.0 * (ratio - 1.0);
+    let timing = abba(REPS / 2, sweep_ops, |traced, rep| {
+        one_sweep(if traced { 4096 } else { 0 }, rep)
+    });
+    let (baseline_ns, enabled_ns) = (timing.baseline_ns, timing.enabled_ns);
+    let added_ns_per_op = timing.added_ns_per_op;
+    let overhead_pct = 100.0 * (timing.ratio - 1.0);
+    let (q1_pct, q3_pct) = (
+        100.0 * (timing.quartiles.0 - 1.0),
+        100.0 * (timing.quartiles.1 - 1.0),
+    );
 
     println!("== Tracing overhead on the availability sweep ==\n");
     println!(

@@ -56,12 +56,9 @@ pub trait Transport<T: ReplicatedType> {
     /// without gossip) may ignore this.
     fn set_timer(&mut self, delay: u64, token: u64);
 
-    /// Whether structured tracing is collecting (lets handlers skip
-    /// building event payloads).
-    fn trace_enabled(&self) -> bool;
-
-    /// Records a structured trace event (no-op when tracing is off).
-    fn trace(&mut self, event: TraceEvent);
+    /// Records the structured trace event `make` builds from this node's
+    /// index; `make` runs only while tracing is on.
+    fn trace(&mut self, make: impl FnOnce(u32) -> TraceEvent);
 }
 
 impl<T: ReplicatedType> Transport<T> for Ctx<'_, Msg<T>> {
@@ -81,12 +78,10 @@ impl<T: ReplicatedType> Transport<T> for Ctx<'_, Msg<T>> {
         Ctx::set_timer(self, delay, token);
     }
 
-    fn trace_enabled(&self) -> bool {
-        Ctx::trace_enabled(self)
-    }
-
-    fn trace(&mut self, event: TraceEvent) {
-        Ctx::trace(self, event);
+    #[inline]
+    fn trace(&mut self, make: impl FnOnce(u32) -> TraceEvent) {
+        let node = Ctx::me(self).0 as u32;
+        Ctx::trace(self, || make(node));
     }
 }
 

@@ -245,15 +245,11 @@ impl<T: ReplicatedType> ClientState<T> {
         while let Some(inv) = self.backlog.pop_front() {
             self.next_inv_id += 1;
             let inv_id = self.next_inv_id;
-            if ctx.trace_enabled() {
-                let op = self.ttype.op_label(&inv);
-                let node = ctx.me().0 as u32;
-                ctx.trace(TraceEvent::OpBegin {
-                    node,
-                    op_id: inv_id as u32,
-                    op,
-                });
-            }
+            ctx.trace(|node| TraceEvent::OpBegin {
+                node,
+                op_id: inv_id as u32,
+                op: self.ttype.op_label(&inv),
+            });
             let kind = self.ttype.invocation_kind(&inv);
             if self.policy.is_free(kind) {
                 self.run_coordination_free(ctx, inv_id, &inv);
@@ -320,20 +316,16 @@ impl<T: ReplicatedType> ClientState<T> {
                 Outcome::Completed { op, latency: 0 }
             }
         };
-        if ctx.trace_enabled() {
-            let kind = if outcome.is_completed() {
+        ctx.trace(|node| TraceEvent::OpEnd {
+            node,
+            op_id: inv_id as u32,
+            outcome: if outcome.is_completed() {
                 OpOutcome::Completed
             } else {
                 OpOutcome::Refused
-            };
-            let node = ctx.me().0 as u32;
-            ctx.trace(TraceEvent::OpEnd {
-                node,
-                op_id: inv_id as u32,
-                outcome: kind,
-                latency: 0,
-            });
-        }
+            },
+            latency: 0,
+        });
         self.outcomes.push(outcome);
     }
 
@@ -417,16 +409,6 @@ impl<T: ReplicatedType> ClientState<T> {
         if let Some(ts) = view.max_timestamp() {
             self.clock.observe(ts);
         }
-        if ctx.trace_enabled() {
-            let node = ctx.me().0 as u32;
-            let op_id = inv_id as u32;
-            let merged_len = view.len() as u32;
-            ctx.trace(TraceEvent::ViewMerged {
-                node,
-                op_id,
-                merged_len,
-            });
-        }
         let ttype = &self.ttype;
         let response = if self.mode == ReplicationMode::FullLog {
             // The reference shares no cache with what it checks, and
@@ -459,22 +441,20 @@ impl<T: ReplicatedType> ClientState<T> {
     }
 
     fn finish(&mut self, ctx: &mut impl Transport<T>, outcome: Outcome<T::Op>) {
-        if ctx.trace_enabled() {
-            if let Some(pending) = self.pending.as_ref() {
+        if let Some(pending) = self.pending.as_ref() {
+            ctx.trace(|node| {
                 let (kind, latency) = match &outcome {
                     Outcome::Completed { latency, .. } => (OpOutcome::Completed, *latency),
                     Outcome::Refused { latency } => (OpOutcome::Refused, *latency),
                     Outcome::TimedOut => (OpOutcome::TimedOut, self.config.timeout),
                 };
-                let node = ctx.me().0 as u32;
-                let op_id = pending.inv_id as u32;
-                ctx.trace(TraceEvent::OpEnd {
+                TraceEvent::OpEnd {
                     node,
-                    op_id,
+                    op_id: pending.inv_id as u32,
                     outcome: kind,
                     latency,
-                });
-            }
+                }
+            });
         }
         self.outcomes.push(outcome);
         self.pending = None;
@@ -528,17 +508,12 @@ impl<T: ReplicatedType> ClientState<T> {
         if responded < self.assignment.initial_size(kind) {
             return;
         }
-        if ctx.trace_enabled() {
-            let node = ctx.me().0 as u32;
-            let op_id = pending.inv_id as u32;
-            let size = responded as u32;
-            ctx.trace(TraceEvent::QuorumAssembled {
-                node,
-                op_id,
-                phase: QuorumPhase::Read,
-                size,
-            });
-        }
+        ctx.trace(|node| TraceEvent::QuorumAssembled {
+            node,
+            op_id: pending.inv_id as u32,
+            phase: QuorumPhase::Read,
+            size: responded as u32,
+        });
         // Initial quorum assembled: evaluate and respond.
         self.respond_with_view(ctx);
     }
@@ -585,17 +560,12 @@ impl<T: ReplicatedType> ClientState<T> {
         }
         let kind = op.kind();
         if acked >= self.assignment.final_size(kind) {
-            if ctx.trace_enabled() {
-                let node = ctx.me().0 as u32;
-                let op_id = pending.inv_id as u32;
-                let size = acked as u32;
-                ctx.trace(TraceEvent::QuorumAssembled {
-                    node,
-                    op_id,
-                    phase: QuorumPhase::Write,
-                    size,
-                });
-            }
+            ctx.trace(|node| TraceEvent::QuorumAssembled {
+                node,
+                op_id: pending.inv_id as u32,
+                phase: QuorumPhase::Write,
+                size: acked as u32,
+            });
             let op = op.clone();
             let latency = ctx.now_ticks() - pending.started_at;
             self.finish(ctx, Outcome::Completed { op, latency });
@@ -608,10 +578,8 @@ impl<T: ReplicatedType> ClientState<T> {
         if self.pending.as_ref().is_none_or(|p| p.inv_id != token) {
             return;
         }
-        if ctx.trace_enabled() {
+        ctx.trace(|node| {
             let pending = self.pending.as_ref().expect("checked above");
-            let node = ctx.me().0 as u32;
-            let op_id = pending.inv_id as u32;
             let (phase, responses, needed) = match &pending.phase {
                 Phase::Read { responded } => {
                     let kind = self.ttype.invocation_kind(&pending.inv);
@@ -627,14 +595,14 @@ impl<T: ReplicatedType> ClientState<T> {
                     self.assignment.final_size(op.kind()),
                 ),
             };
-            ctx.trace(TraceEvent::QuorumFailed {
+            TraceEvent::QuorumFailed {
                 node,
-                op_id,
+                op_id: pending.inv_id as u32,
                 phase,
                 responses,
                 needed: needed as u32,
-            });
-        }
+            }
+        });
         self.finish(ctx, Outcome::TimedOut);
     }
 }

@@ -177,11 +177,7 @@ impl<T: ReplicatedType> Transport<T> for BrokerTransport<T> {
 
     fn set_timer(&mut self, _delay: u64, _token: u64) {}
 
-    fn trace_enabled(&self) -> bool {
-        false
-    }
-
-    fn trace(&mut self, _event: TraceEvent) {}
+    fn trace(&mut self, _make: impl FnOnce(u32) -> TraceEvent) {}
 }
 
 /// The sharded wall-clock backend: `n` replicas, each owned by a broker

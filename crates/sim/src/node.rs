@@ -49,16 +49,13 @@ impl<'a, P> Ctx<'a, P> {
         self.rng
     }
 
-    /// Whether the world is collecting a trace; lets handlers skip
-    /// building expensive event payloads when tracing is off.
-    pub fn trace_enabled(&self) -> bool {
-        self.tracer.is_enabled()
-    }
-
-    /// Records a trace event at the current virtual time (a no-op when
-    /// tracing is off).
-    pub fn trace(&mut self, kind: EventKind) {
-        self.tracer.record(self.now.0, kind);
+    /// Records the trace event `make` builds at the current virtual time;
+    /// `make` runs only while the world collects a trace.
+    #[inline]
+    pub fn trace(&mut self, make: impl FnOnce() -> EventKind) {
+        if self.tracer.is_enabled() {
+            self.tracer.record(self.now.0, make());
+        }
     }
 
     /// Sends `payload` to `dst` (subject to the network model: delay,
@@ -107,14 +104,9 @@ mod tests {
         };
         assert_eq!(ctx.me(), NodeId(3));
         assert_eq!(ctx.now(), SimTime(17));
-        assert!(ctx.trace_enabled());
         ctx.send(NodeId(0), 42);
         ctx.set_timer(5, 99);
-        ctx.trace(EventKind::TimerSet {
-            node: 3,
-            token: 99,
-            fire_at: 22,
-        });
+        ctx.trace(|| EventKind::NodeRecovered { node: 3 });
         assert_eq!(ctx.actions.len(), 2);
         let e = tracer.events().next().unwrap();
         assert_eq!(e.time, 17);

@@ -1,16 +1,17 @@
 //! The simulation world: event queue, clock, nodes, network, faults.
 //!
 //! The world optionally collects a structured trace (see `relax-trace`):
-//! every send, delivery, drop, timer, and injected fault becomes a
+//! every delivery, drop, timer fire, and injected fault becomes a
 //! sim-time-stamped event in a bounded ring buffer, and node handlers
-//! can add their own events through [`Ctx::trace`]. Tracing is off by
-//! default and costs one branch per would-be event when off.
+//! can add their own events through [`Ctx::trace`]; a delivery or fire
+//! names the [`Origin`] record its sender wrote before it. Tracing is off
+//! by default and costs one branch per would-be event when off.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use relax_automata::SplitMix64;
-use relax_trace::{DropCause, EventKind as TraceEvent, Tracer};
+use relax_trace::{DropCause, EventKind as TraceEvent, Origin, Tracer};
 
 use crate::network::{Network, NetworkConfig};
 use crate::node::{Action, Ctx, Node, NodeId};
@@ -23,13 +24,14 @@ enum EventKind<P> {
         src: NodeId,
         dst: NodeId,
         payload: P,
-        /// World-unique id tying this delivery back to its
-        /// `message_sent`/`message_injected` trace event.
+        /// World-unique message id.
         msg_id: u32,
+        origin: Origin,
     },
     Timer {
         node: NodeId,
         token: u64,
+        origin: Origin,
     },
 }
 
@@ -176,11 +178,6 @@ impl<P: Clone, N: Node<P>> World<P, N> {
         &mut self.tracer
     }
 
-    /// Whether a trace is being collected.
-    pub fn trace_enabled(&self) -> bool {
-        self.tracer.is_enabled()
-    }
-
     /// The current virtual time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -288,30 +285,28 @@ impl<P: Clone, N: Node<P>> World<P, N> {
     pub fn send_external(&mut self, dst: NodeId, payload: P) {
         self.messages_injected += 1;
         let msg_id = self.next_msg_id();
-        self.tracer.record(
-            self.now.0,
-            TraceEvent::MessageInjected {
-                dst: dst.0 as u32,
-                deliver_at: self.now.0,
-                msg_id,
-            },
-        );
-        let ev = QueuedEvent {
-            time: self.now,
-            seq: self.next_seq(),
-            kind: EventKind::Deliver {
-                src: dst,
-                dst,
-                payload,
-                msg_id,
-            },
+        let deliver = EventKind::Deliver {
+            src: dst,
+            dst,
+            payload,
+            msg_id,
+            origin: Origin::NONE,
         };
-        self.queue.push(Reverse(ev));
+        self.schedule(0, deliver);
     }
 
-    fn next_seq(&mut self) -> u64 {
+    /// The last record written so far ([`Origin::NONE`] while untraced).
+    fn last_record(&self) -> Origin {
+        Origin::at(self.tracer.next_seq().wrapping_sub(1))
+    }
+
+    /// Queues `kind` to happen `delay` ticks from now, after everything
+    /// queued for that instant before it.
+    fn schedule(&mut self, delay: u64, kind: EventKind<P>) {
         self.seq += 1;
-        self.seq
+        let time = self.now + delay;
+        let seq = self.seq;
+        self.queue.push(Reverse(QueuedEvent { time, seq, kind }));
     }
 
     fn next_msg_id(&mut self) -> u32 {
@@ -450,7 +445,9 @@ impl<P: Clone, N: Node<P>> World<P, N> {
                 dst,
                 ref payload,
                 msg_id,
+                origin,
             } => {
+                let (src, dst_ix) = (src.0 as u32, dst.0 as u32);
                 // Re-check liveness at delivery time: a node that crashed
                 // while the message was in flight loses it.
                 if !self.network.is_up(dst) {
@@ -458,10 +455,11 @@ impl<P: Clone, N: Node<P>> World<P, N> {
                     self.tracer.record(
                         self.now.0,
                         TraceEvent::MessageDropped {
-                            src: src.0 as u32,
-                            dst: dst.0 as u32,
+                            src,
+                            dst: dst_ix,
                             cause: DropCause::DestDown,
                             msg_id,
+                            origin,
                         },
                     );
                     return;
@@ -473,13 +471,19 @@ impl<P: Clone, N: Node<P>> World<P, N> {
                 self.tracer.record(
                     self.now.0,
                     TraceEvent::MessageDelivered {
-                        node: dst.0 as u32,
+                        node: dst_ix,
+                        src,
                         msg_id,
+                        origin,
                     },
                 );
                 dst
             }
-            EventKind::Timer { node, token } => {
+            EventKind::Timer {
+                node,
+                token,
+                origin,
+            } => {
                 if !self.network.is_up(node) {
                     return; // timers are silent on crashed nodes
                 }
@@ -488,6 +492,7 @@ impl<P: Clone, N: Node<P>> World<P, N> {
                     TraceEvent::TimerFired {
                         node: node.0 as u32,
                         token,
+                        origin,
                     },
                 );
                 node
@@ -508,6 +513,10 @@ impl<P: Clone, N: Node<P>> World<P, N> {
         }
         let mut actions = ctx.actions;
 
+        // What the handler sends or arms descends from the last record
+        // it wrote (or its dispatch record), and from a send-time drop
+        // once one is written; a duplicate copy from its duplication.
+        let mut origin = self.last_record();
         for action in actions.drain(..) {
             match action {
                 Action::Send { dst, payload } => {
@@ -518,36 +527,24 @@ impl<P: Clone, N: Node<P>> World<P, N> {
                     let msg_id = self.next_msg_id();
                     match self.network.route(target, dst, &mut self.rng) {
                         Ok(delay) => {
-                            self.tracer.record(
-                                self.now.0,
-                                TraceEvent::MessageSent {
-                                    src: target.0 as u32,
-                                    dst: dst.0 as u32,
-                                    deliver_at: self.now.0 + delay,
-                                    msg_id,
-                                },
-                            );
                             // Duplication fault: the network sometimes emits
                             // a second copy of a routed message. The copy
                             // reuses the original's delay (no extra delay
                             // draw keeps rng parity with duplication-free
                             // runs), gets its own msg_id, and its delivery
-                            // pairs with the message_duplicated event. The
-                            // gate on p > 0 means healthy runs draw nothing.
+                            // names the message_duplicated record. The gate
+                            // on p > 0 means healthy runs draw nothing.
                             let dup = self.network.duplication_probability();
                             let dup_payload =
                                 (dup > 0.0 && self.rng.next_f64() < dup).then(|| payload.clone());
-                            let ev = QueuedEvent {
-                                time: self.now + delay,
-                                seq: self.next_seq(),
-                                kind: EventKind::Deliver {
-                                    src: target,
-                                    dst,
-                                    payload,
-                                    msg_id,
-                                },
+                            let deliver = EventKind::Deliver {
+                                src: target,
+                                dst,
+                                payload,
+                                msg_id,
+                                origin,
                             };
-                            self.queue.push(Reverse(ev));
+                            self.schedule(delay, deliver);
                             if let Some(copy) = dup_payload {
                                 self.messages_duplicated += 1;
                                 let dup_id = self.next_msg_id();
@@ -560,17 +557,14 @@ impl<P: Clone, N: Node<P>> World<P, N> {
                                         orig_msg_id: msg_id,
                                     },
                                 );
-                                let ev = QueuedEvent {
-                                    time: self.now + delay,
-                                    seq: self.next_seq(),
-                                    kind: EventKind::Deliver {
-                                        src: target,
-                                        dst,
-                                        payload: copy,
-                                        msg_id: dup_id,
-                                    },
+                                let deliver = EventKind::Deliver {
+                                    src: target,
+                                    dst,
+                                    payload: copy,
+                                    msg_id: dup_id,
+                                    origin: self.last_record(),
                                 };
-                                self.queue.push(Reverse(ev));
+                                self.schedule(delay, deliver);
                             }
                         }
                         Err(cause) => {
@@ -582,29 +576,20 @@ impl<P: Clone, N: Node<P>> World<P, N> {
                                     dst: dst.0 as u32,
                                     cause,
                                     msg_id,
+                                    origin: Origin::NONE,
                                 },
                             );
+                            origin = self.last_record();
                         }
                     }
                 }
                 Action::Timer { delay, token } => {
-                    self.tracer.record(
-                        self.now.0,
-                        TraceEvent::TimerSet {
-                            node: target.0 as u32,
-                            token,
-                            fire_at: self.now.0 + delay,
-                        },
-                    );
-                    let ev = QueuedEvent {
-                        time: self.now + delay,
-                        seq: self.next_seq(),
-                        kind: EventKind::Timer {
-                            node: target,
-                            token,
-                        },
+                    let timer = EventKind::Timer {
+                        node: target,
+                        token,
+                        origin,
                     };
-                    self.queue.push(Reverse(ev));
+                    self.schedule(delay, timer);
                 }
             }
         }
@@ -913,9 +898,76 @@ mod tests {
             }
         )));
         assert!(evs.iter().any(|e| matches!(e.kind, TE::PartitionHealed)));
-        assert!(evs
-            .iter()
-            .any(|e| matches!(e.kind, TE::MessageInjected { dst: 0, .. })));
+        // The injected kick is delivered from node 0 to itself, with no
+        // origin.
+        assert!(evs.iter().any(|e| matches!(
+            e.kind,
+            TE::MessageDelivered {
+                node: 0,
+                src: 0,
+                origin: Origin::NONE,
+                ..
+            }
+        )));
+    }
+
+    #[test]
+    fn sends_and_timers_name_the_last_record_their_sender_wrote() {
+        use relax_trace::EventKind as TE;
+        /// Node 0, kicked from outside, records one event, sends to 2,
+        /// sends to 1 over a blocked link, and arms a timer.
+        struct Fan;
+        impl Node<()> for Fan {
+            fn on_message(&mut self, ctx: &mut Ctx<'_, ()>, from: NodeId, _msg: ()) {
+                if from == ctx.me() {
+                    ctx.trace(|| TE::NodeRecovered { node: 0 });
+                    ctx.send(NodeId(2), ());
+                    ctx.send(NodeId(1), ());
+                    ctx.set_timer(10, 7);
+                }
+            }
+        }
+        let mut w = World::new(vec![Fan, Fan, Fan], NetworkConfig::new(5, 5, 0.0), 3)
+            .with_trace(64)
+            .with_schedule(
+                FaultSchedule::new().at(SimTime(0), Fault::BlockLink(NodeId(0), NodeId(1))),
+            );
+        w.send_external(NodeId(0), ());
+        w.run_to_quiescence(100);
+        let kinds: Vec<TE> = w.tracer().events().map(|e| e.kind).collect();
+        let o = Origin::at;
+        assert_eq!(
+            kinds,
+            [
+                TE::LinkBlocked { src: 0, dst: 1 },
+                TE::MessageDelivered {
+                    node: 0,
+                    src: 0,
+                    msg_id: 0,
+                    origin: Origin::NONE,
+                },
+                TE::NodeRecovered { node: 0 },
+                // The drop is itself node 0's record: no origin.
+                TE::MessageDropped {
+                    src: 0,
+                    dst: 1,
+                    cause: DropCause::LinkBlocked,
+                    msg_id: 2,
+                    origin: Origin::NONE,
+                },
+                TE::MessageDelivered {
+                    node: 2,
+                    src: 0,
+                    msg_id: 1,
+                    origin: o(2),
+                },
+                TE::TimerFired {
+                    node: 0,
+                    token: 7,
+                    origin: o(3),
+                },
+            ]
+        );
     }
 
     #[test]
@@ -923,7 +975,7 @@ mod tests {
         let mut w = two_echoes();
         w.send_external(NodeId(0), 10);
         w.run_to_quiescence(10_000);
-        assert!(!w.trace_enabled());
+        assert!(!w.tracer().is_enabled());
         assert_eq!(w.tracer().len(), 0);
     }
 

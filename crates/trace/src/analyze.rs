@@ -170,8 +170,8 @@ impl TraceAnalysis {
     }
 }
 
-/// One line of plain English per fault/drop event kind (used by the
-/// degradation report).
+/// One line of plain English per fault kind a causal fault cut holds
+/// (used by the degradation report); any other kind renders as `Debug`.
 pub fn describe(kind: &EventKind) -> String {
     match kind {
         EventKind::PartitionSet { groups } => {
@@ -184,30 +184,17 @@ pub fn describe(kind: &EventKind) -> String {
                 .collect();
             format!("partition set: {}", rendered.join(" | "))
         }
-        EventKind::PartitionHealed => "partition healed".to_string(),
         EventKind::NodeCrashed { node } => format!("node {node} crashed"),
-        EventKind::NodeRecovered { node } => format!("node {node} recovered"),
         EventKind::LossRateSet { probability } => {
             format!("loss rate set to {probability}")
         }
         EventKind::GrayDegraded { node, multiplier } => {
             format!("node {node} gray-degraded ({multiplier}x slower)")
         }
-        EventKind::GrayRestored { node } => format!("node {node} gray-restored"),
         EventKind::LinkBlocked { src, dst } => format!("link {src}->{dst} blocked"),
-        EventKind::LinkRestored { src, dst } => format!("link {src}->{dst} restored"),
         EventKind::DuplicationRateSet { probability } => {
             format!("duplication rate set to {probability}")
         }
-        EventKind::MessageDuplicated {
-            src,
-            dst,
-            orig_msg_id,
-            ..
-        } => format!("message {src}->{dst} duplicated (copy of #{orig_msg_id})"),
-        EventKind::MessageDropped {
-            src, dst, cause, ..
-        } => format!("message {src}->{dst} dropped ({cause:?})"),
         other => format!("{other:?}"),
     }
 }
@@ -283,7 +270,7 @@ fn indent(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{DropCause, OpLabel, OpOutcome};
+    use crate::event::{DropCause, OpLabel, OpOutcome, Origin};
 
     fn ev(time: u64, seq: u64, kind: EventKind) -> Event {
         Event { time, seq, kind }
@@ -328,6 +315,7 @@ mod tests {
                     dst: 1,
                     cause: DropCause::Partitioned,
                     msg_id: 0,
+                    origin: Origin::NONE,
                 },
             ),
             ev(
@@ -358,6 +346,7 @@ mod tests {
                     dst: 0,
                     cause: DropCause::Partitioned,
                     msg_id: 1,
+                    origin: Origin::NONE,
                 },
             ),
             ev(
@@ -391,6 +380,7 @@ mod tests {
                     dst: 1,
                     cause: DropCause::DestDown,
                     msg_id: 2,
+                    origin: Origin::NONE,
                 },
             ),
         ]
@@ -472,17 +462,27 @@ mod tests {
                     multiplier: 50,
                 },
             ),
+            // Client 9 sends to the gray replica 0 after its op_begin;
+            // the gray edge reaches its op_end through program order.
             ev(
                 20,
                 1,
-                EventKind::MessageSent {
-                    src: 9,
-                    dst: 0,
-                    deliver_at: 520,
-                    msg_id: 0,
+                EventKind::OpBegin {
+                    node: 9,
+                    op_id: 1,
+                    op: label("Deq"),
                 },
             ),
-            ev(520, 2, EventKind::MessageDelivered { node: 9, msg_id: 0 }),
+            ev(
+                520,
+                2,
+                EventKind::MessageDelivered {
+                    node: 0,
+                    src: 9,
+                    msg_id: 0,
+                    origin: Origin::at(1),
+                },
+            ),
             ev(
                 520,
                 3,
@@ -516,14 +516,15 @@ mod tests {
         let events = vec![
             ev(0, 0, EventKind::DuplicationRateSet { probability: 0.5 }),
             ev(5, 1, EventKind::LinkBlocked { src: 9, dst: 0 }),
+            // Client 9 sends 0 -> replica 1 (duplicated) and 2 -> replica
+            // 0 (dropped on the blocked link) after its op_begin.
             ev(
                 10,
                 2,
-                EventKind::MessageSent {
-                    src: 9,
-                    dst: 1,
-                    deliver_at: 15,
-                    msg_id: 0,
+                EventKind::OpBegin {
+                    node: 9,
+                    op_id: 1,
+                    op: label("Deq"),
                 },
             ),
             ev(
@@ -544,12 +545,33 @@ mod tests {
                     dst: 0,
                     cause: DropCause::LinkBlocked,
                     msg_id: 2,
+                    origin: Origin::NONE,
                 },
             ),
-            ev(15, 5, EventKind::MessageDelivered { node: 9, msg_id: 1 }),
+            // Replica 1 answers the copy.
+            ev(
+                15,
+                5,
+                EventKind::MessageDelivered {
+                    node: 1,
+                    src: 9,
+                    msg_id: 1,
+                    origin: Origin::at(3),
+                },
+            ),
             ev(
                 20,
                 6,
+                EventKind::MessageDelivered {
+                    node: 9,
+                    src: 1,
+                    msg_id: 3,
+                    origin: Origin::at(5),
+                },
+            ),
+            ev(
+                20,
+                7,
                 EventKind::OpEnd {
                     node: 9,
                     op_id: 1,
@@ -559,7 +581,7 @@ mod tests {
             ),
             ev(
                 20,
-                7,
+                8,
                 EventKind::LevelTransition(Box::new(LevelTransition {
                     op_index: 0,
                     left: vec!["PQ".into()],

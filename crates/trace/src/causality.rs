@@ -5,19 +5,19 @@
 //!
 //! * **program order** — events at the same node are totally ordered by
 //!   their sequence numbers (each node is a sequential automaton);
-//! * **send → deliver** — a `message_delivered` (or in-flight
-//!   `message_dropped`) is caused by the `message_sent`/
-//!   `message_injected` carrying the same `msg_id`;
-//! * **timer set → fire** — paired by `(node, token)`;
+//! * **deliver → origin** — a `message_delivered` (or in-flight
+//!   `message_dropped`) is caused by the record its message was sent
+//!   after, and a `timer_fired` by the record it was armed after (their
+//!   `origin` field; see [`crate::event::Origin`]);
 //! * **fault attribution** — a `message_dropped` is caused by the fault
 //!   that explains it: the latest `partition_set` (cause `partitioned`),
 //!   the latest `node_crashed` of the dead endpoint (`source_down`/
 //!   `dest_down`), the latest `loss_rate_set` (`loss`, when one was
 //!   scheduled), or the latest `link_blocked` on that directed link
-//!   (`link_blocked`); a `message_sent` touching a gray-degraded
-//!   endpoint is caused by the `gray_degraded` that is slowing it, and a
-//!   `message_duplicated` by its original send plus the
-//!   `duplication_rate_set` that enabled it;
+//!   (`link_blocked`); a message sent to or from a gray-degraded
+//!   endpoint is caused by the `gray_degraded` that was slowing it when
+//!   it left, and a `message_duplicated` by its original's origin plus
+//!   the `duplication_rate_set` that enabled it;
 //! * **witness** — a `level_transition` is caused by the `op_end` of its
 //!   witness operation (the monitor observes completed operations in
 //!   completion order, so the witness is the `op_index`-th completed
@@ -33,7 +33,7 @@
 
 use std::collections::HashMap;
 
-use crate::event::{DropCause, Event, EventKind, OpOutcome};
+use crate::event::{DropCause, Event, EventKind, OpOutcome, Origin};
 use crate::metrics::Registry;
 
 /// The happens-before DAG over one trace: events are indices into the
@@ -44,29 +44,27 @@ pub struct HbGraph {
     events: Vec<Event>,
     preds: Vec<Vec<usize>>,
     locations: Vec<Option<u32>>,
+    /// Indices of the completed `op_end`s, in stream order.
+    completed_ends: Vec<usize>,
 }
 
 /// The node at which an event occurs, or `None` for ambient environment
 /// events (partitions, loss-rate changes, monitor transitions) that
 /// belong to no node's program order.
-fn location(kind: &EventKind, in_flight_drop: bool) -> Option<u32> {
+fn location(kind: &EventKind) -> Option<u32> {
     match kind {
-        EventKind::MessageSent { src, .. } => Some(*src),
-        EventKind::MessageInjected { dst, .. } => Some(*dst),
-        EventKind::MessageDelivered { node, .. } => Some(*node),
+        EventKind::MessageDelivered { node, .. } | EventKind::TimerFired { node, .. } => Some(*node),
         // An in-flight drop happens at the delivery point; a send-time
-        // drop happens at the sender (it never left).
-        EventKind::MessageDropped { src, dst, .. } => {
-            Some(if in_flight_drop { *dst } else { *src })
-        }
-        EventKind::TimerSet { node, .. } | EventKind::TimerFired { node, .. } => Some(*node),
+        // drop (no origin) happens at the sender, since it never left.
+        EventKind::MessageDropped {
+            src, dst, origin, ..
+        } => Some(if origin.seq().is_some() { *dst } else { *src }),
         EventKind::NodeCrashed { node } | EventKind::NodeRecovered { node } => Some(*node),
         EventKind::GrayDegraded { node, .. } | EventKind::GrayRestored { node } => Some(*node),
         EventKind::OpBegin { node, .. }
         | EventKind::OpEnd { node, .. }
         | EventKind::QuorumAssembled { node, .. }
-        | EventKind::QuorumFailed { node, .. }
-        | EventKind::ViewMerged { node, .. } => Some(*node),
+        | EventKind::QuorumFailed { node, .. } => Some(*node),
         EventKind::PartitionSet { .. }
         | EventKind::PartitionHealed
         | EventKind::LossRateSet { .. }
@@ -93,28 +91,41 @@ fn location(kind: &EventKind, in_flight_drop: bool) -> Option<u32> {
 impl HbGraph {
     /// Reconstructs the DAG from a trace (events must be in sequence
     /// order, as every exporter produces them).
+    ///
+    /// A message's gray edges are taken as of its origin, when it left.
+    /// The sends a sender makes after one record form a chain in program
+    /// order, so a message also inherits the gray edges of the sends
+    /// before it in that chain, and the sender's next record inherits
+    /// them all.
     pub fn build(events: Vec<Event>) -> Self {
         let n = events.len();
-        // Sends indexed by message id (ids are world-unique).
-        let mut send_of: HashMap<u32, usize> = HashMap::new();
-        for (i, e) in events.iter().enumerate() {
-            if let EventKind::MessageSent { msg_id, .. }
-            | EventKind::MessageInjected { msg_id, .. }
-            | EventKind::MessageDuplicated { msg_id, .. } = &e.kind
-            {
-                send_of.insert(*msg_id, i);
-            }
-        }
-        let locations: Vec<Option<u32>> = events
+        let index_of = |origin: Origin| {
+            let seq = origin.seq()?;
+            events.binary_search_by_key(&seq, |e| e.seq).ok()
+        };
+        // Every message whose origin is in the window, as (origin index,
+        // id, src, dst), in send order within each origin.
+        let mut sent: Vec<(usize, u32, u32, u32)> = events
             .iter()
-            .map(|e| {
-                let in_flight = match &e.kind {
-                    EventKind::MessageDropped { msg_id, .. } => send_of.contains_key(msg_id),
-                    _ => false,
-                };
-                location(&e.kind, in_flight)
+            .filter_map(|e| match e.kind {
+                EventKind::MessageDelivered {
+                    node: dst,
+                    src,
+                    msg_id,
+                    origin,
+                }
+                | EventKind::MessageDropped {
+                    src,
+                    dst,
+                    msg_id,
+                    origin,
+                    ..
+                } => Some((index_of(origin)?, msg_id, src, dst)),
+                _ => None,
             })
             .collect();
+        sent.sort_unstable();
+        let locations: Vec<Option<u32>> = events.iter().map(|e| location(&e.kind)).collect();
 
         let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut last_at: HashMap<u32, usize> = HashMap::new();
@@ -124,41 +135,42 @@ impl HbGraph {
         let mut last_gray: HashMap<u32, usize> = HashMap::new();
         let mut last_link_block: HashMap<(u32, u32), usize> = HashMap::new();
         let mut last_dup: Option<usize> = None;
-        let mut timer_set_at: HashMap<(u32, u64), usize> = HashMap::new();
         let mut completed_ends: Vec<usize> = Vec::new();
+        // Per message id: its origin's index, then the gray events its
+        // send chain met; per origin index: the gray events of all its
+        // sends, inherited by the sender's next record.
+        let mut departed: HashMap<u32, Vec<usize>> = HashMap::new();
+        let mut chain_gray: HashMap<usize, Vec<usize>> = HashMap::new();
+        let mut next_sent = sent.iter().peekable();
 
         for i in 0..n {
+            let mut gray = Vec::new();
+            while let Some(&(_, msg_id, src, dst)) = next_sent.next_if(|s| s.0 == i) {
+                gray.extend([src, dst].iter().filter_map(|e| last_gray.get(e)));
+                departed.insert(msg_id, [&[i], &gray[..]].concat());
+            }
+            if !gray.is_empty() {
+                chain_gray.insert(i, gray);
+            }
             if let Some(loc) = locations[i] {
                 if let Some(&p) = last_at.get(&loc) {
                     preds[i].push(p);
+                    preds[i].extend(chain_gray.get(&p).into_iter().flatten());
                 }
                 last_at.insert(loc, i);
             }
             match &events[i].kind {
-                EventKind::MessageSent { src, dst, .. } => {
-                    // A gray-degraded endpoint slows this message: the
-                    // degradation is part of why everything downstream of
-                    // the send happened when it did.
-                    for endpoint in [src, dst] {
-                        if let Some(&g) = last_gray.get(endpoint) {
-                            preds[i].push(g);
-                        }
-                    }
-                }
                 EventKind::MessageDelivered { msg_id, .. } => {
-                    if let Some(&s) = send_of.get(msg_id) {
-                        preds[i].push(s);
-                    }
+                    preds[i].extend(departed.get(msg_id).into_iter().flatten());
                 }
                 EventKind::MessageDropped {
                     src,
                     dst,
                     cause,
                     msg_id,
+                    ..
                 } => {
-                    if let Some(&s) = send_of.get(msg_id) {
-                        preds[i].push(s);
-                    }
+                    preds[i].extend(departed.get(msg_id).into_iter().flatten());
                     let fault = match cause {
                         DropCause::Partitioned => last_partition,
                         DropCause::SourceDown => last_crash.get(src).copied(),
@@ -172,13 +184,8 @@ impl HbGraph {
                         preds[i].push(f);
                     }
                 }
-                EventKind::TimerSet { node, token, .. } => {
-                    timer_set_at.insert((*node, *token), i);
-                }
-                EventKind::TimerFired { node, token } => {
-                    if let Some(&s) = timer_set_at.get(&(*node, *token)) {
-                        preds[i].push(s);
-                    }
+                EventKind::TimerFired { origin, .. } => {
+                    preds[i].extend(index_of(*origin));
                 }
                 EventKind::NodeCrashed { node } => {
                     last_crash.insert(*node, i);
@@ -204,15 +211,24 @@ impl HbGraph {
                 EventKind::DuplicationRateSet { .. } => {
                     last_dup = Some(i);
                 }
-                EventKind::MessageDuplicated { orig_msg_id, .. } => {
-                    // The copy descends from the original send, and the
-                    // duplication fault setting explains why it exists.
-                    if let Some(&s) = send_of.get(orig_msg_id) {
-                        preds[i].push(s);
+                EventKind::MessageDuplicated {
+                    src,
+                    dst,
+                    orig_msg_id,
+                    ..
+                } => {
+                    // The copy descends from its original's departure, and
+                    // the duplication fault setting explains why it exists.
+                    // An original still in flight when the window ends left
+                    // after its sender's last record, in the same dispatch.
+                    match departed.get(orig_msg_id) {
+                        Some(departure) => preds[i].extend(departure),
+                        None => {
+                            preds[i].extend(last_at.get(src));
+                            preds[i].extend([src, dst].iter().filter_map(|e| last_gray.get(e)));
+                        }
                     }
-                    if let Some(d) = last_dup {
-                        preds[i].push(d);
-                    }
+                    preds[i].extend(last_dup);
                 }
                 EventKind::OpEnd {
                     outcome: OpOutcome::Completed,
@@ -221,9 +237,7 @@ impl HbGraph {
                     completed_ends.push(i);
                 }
                 EventKind::LevelTransition(t) => {
-                    if let Some(&w) = completed_ends.get(t.op_index) {
-                        preds[i].push(w);
-                    }
+                    preds[i].extend(completed_ends.get(t.op_index));
                 }
                 _ => {}
             }
@@ -235,6 +249,7 @@ impl HbGraph {
             events,
             preds,
             locations,
+            completed_ends,
         }
     }
 
@@ -283,20 +298,7 @@ impl HbGraph {
     /// witness of a [`crate::monitor::LevelTransition`] with that index.
     /// `None` when the trace window no longer holds it.
     pub fn witness_op_end(&self, op_index: usize) -> Option<usize> {
-        self.events
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| {
-                matches!(
-                    e.kind,
-                    EventKind::OpEnd {
-                        outcome: OpOutcome::Completed,
-                        ..
-                    }
-                )
-            })
-            .nth(op_index)
-            .map(|(i, _)| i)
+        self.completed_ends.get(op_index).copied()
     }
 
     /// Cuts each client's timeline into per-operation [`Span`]s (in
@@ -549,6 +551,17 @@ mod tests {
         l
     }
 
+    /// Message `msg_id` from `src`, sent after record `origin`, lands at
+    /// `node`.
+    fn delivered(node: u32, src: u32, msg_id: u32, origin: u64) -> EventKind {
+        EventKind::MessageDelivered {
+            node,
+            src,
+            msg_id,
+            origin: Origin::at(origin),
+        }
+    }
+
     /// A hand-built trace: client 9 runs one op against replica 0;
     /// one request is delivered, one response comes back.
     fn tiny_trace() -> Vec<Event> {
@@ -562,31 +575,11 @@ mod tests {
                     op: label("Deq"),
                 },
             ),
-            ev(
-                0,
-                1,
-                EventKind::MessageSent {
-                    src: 9,
-                    dst: 0,
-                    deliver_at: 5,
-                    msg_id: 0,
-                },
-            ),
-            ev(5, 2, EventKind::MessageDelivered { node: 0, msg_id: 0 }),
-            ev(
-                5,
-                3,
-                EventKind::MessageSent {
-                    src: 0,
-                    dst: 9,
-                    deliver_at: 10,
-                    msg_id: 1,
-                },
-            ),
-            ev(10, 4, EventKind::MessageDelivered { node: 9, msg_id: 1 }),
+            ev(5, 1, delivered(0, 9, 0, 0)),
+            ev(10, 2, delivered(9, 0, 1, 1)),
             ev(
                 10,
-                5,
+                3,
                 EventKind::QuorumAssembled {
                     node: 9,
                     op_id: 1,
@@ -596,7 +589,7 @@ mod tests {
             ),
             ev(
                 10,
-                6,
+                4,
                 EventKind::OpEnd {
                     node: 9,
                     op_id: 1,
@@ -608,23 +601,21 @@ mod tests {
     }
 
     #[test]
-    fn send_deliver_edges_pair_by_msg_id() {
+    fn deliveries_link_to_their_origin() {
         let g = HbGraph::build(tiny_trace());
-        // Delivery at the replica (ix 2) is caused by the client's send
-        // (ix 1); the reply delivery (ix 4) by the replica's send (ix 3).
-        assert!(g.preds(2).contains(&1));
-        assert!(g.preds(4).contains(&3));
-        // Program order chains each node's events.
-        assert!(g.preds(1).contains(&0), "client: begin -> send");
-        assert!(g.preds(3).contains(&2), "replica: deliver -> send");
+        // Delivery at the replica (ix 1) is caused by the client's
+        // op_begin (ix 0) it was sent after; the reply delivery (ix 2) by
+        // the replica's delivery (ix 1).
+        assert_eq!(g.preds(1), [0]);
+        assert_eq!(g.preds(2), [0, 1], "program order and origin");
+        assert!(g.preds(3).contains(&2), "client: deliver -> assembled");
     }
 
     #[test]
     fn causal_past_crosses_nodes() {
         let g = HbGraph::build(tiny_trace());
-        let past = g.causal_past(6); // the op_end
-                                     // Everything in this trace is in the op's past.
-        assert_eq!(past, vec![0, 1, 2, 3, 4, 5]);
+        // Everything in this trace is in the op_end's past.
+        assert_eq!(g.causal_past(4), vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -660,30 +651,31 @@ mod tests {
                     op: label("Deq"),
                 },
             ),
+            // Send-time drop: no origin, it happens at the sender.
             ev(
                 200,
                 2,
-                EventKind::TimerSet {
-                    node: 9,
-                    token: 1,
-                    fire_at: 400,
-                },
-            ),
-            // Send-time drop: no message_sent exists for msg_id 7.
-            ev(
-                200,
-                3,
                 EventKind::MessageDropped {
                     src: 9,
                     dst: 0,
                     cause: DropCause::Partitioned,
                     msg_id: 7,
+                    origin: Origin::NONE,
                 },
             ),
-            ev(400, 4, EventKind::TimerFired { node: 9, token: 1 }),
+            // The timer was armed after the op_begin.
             ev(
                 400,
-                5,
+                3,
+                EventKind::TimerFired {
+                    node: 9,
+                    token: 1,
+                    origin: Origin::at(1),
+                },
+            ),
+            ev(
+                400,
+                4,
                 EventKind::QuorumFailed {
                     node: 9,
                     op_id: 1,
@@ -694,7 +686,7 @@ mod tests {
             ),
             ev(
                 400,
-                6,
+                5,
                 EventKind::OpEnd {
                     node: 9,
                     op_id: 1,
@@ -704,10 +696,11 @@ mod tests {
             ),
         ];
         let g = HbGraph::build(events);
-        // The drop is attributed to the partition.
-        assert!(g.preds(3).contains(&0));
-        // The timer-fire pairs with its set.
-        assert!(g.preds(4).contains(&2));
+        // The drop is attributed to the partition, at the sender.
+        assert_eq!(g.preds(2), [0, 1]);
+        assert_eq!(g.location(2), Some(9));
+        // The timer fire links to the record it was armed after.
+        assert!(g.preds(3).contains(&1));
         let spans = g.spans();
         assert_eq!(spans.len(), 1);
         let s = &spans[0];
@@ -753,7 +746,12 @@ mod tests {
     }
 
     #[test]
-    fn gray_degradation_is_an_ancestor_of_sends_it_slows() {
+    fn gray_degradation_is_an_ancestor_of_messages_it_slows() {
+        let begin = |op_id| EventKind::OpBegin {
+            node: 9,
+            op_id,
+            op: label("Deq"),
+        };
         let events = vec![
             ev(
                 10,
@@ -763,36 +761,24 @@ mod tests {
                     multiplier: 8,
                 },
             ),
-            // Client 9 sends to the gray replica 0: edge from the gray event.
-            ev(
-                20,
-                1,
-                EventKind::MessageSent {
-                    src: 9,
-                    dst: 0,
-                    deliver_at: 100,
-                    msg_id: 0,
-                },
-            ),
+            // Client 9 sends 0 -> replica 1, 1 -> gray replica 0, 2 ->
+            // replica 1, all after its op_begin.
+            ev(20, 1, begin(1)),
             ev(30, 2, EventKind::GrayRestored { node: 0 }),
-            // After restoration: no gray edge.
-            ev(
-                40,
-                3,
-                EventKind::MessageSent {
-                    src: 9,
-                    dst: 0,
-                    deliver_at: 45,
-                    msg_id: 1,
-                },
-            ),
-            ev(100, 4, EventKind::MessageDelivered { node: 0, msg_id: 0 }),
+            // After restoration: message 3 to replica 0 meets no gray.
+            ev(40, 3, begin(2)),
+            ev(45, 4, delivered(1, 9, 0, 1)),
+            ev(45, 5, delivered(0, 9, 3, 3)),
+            ev(50, 6, delivered(1, 9, 2, 1)),
+            // Delivered after the restore, sent while it was gray.
+            ev(100, 7, delivered(0, 9, 1, 1)),
         ];
         let g = HbGraph::build(events);
-        assert!(g.preds(1).contains(&0), "send to gray dst <- gray event");
-        assert!(!g.preds(3).contains(&0), "restored: no gray edge");
-        // The gray event reaches the delivery through the send.
-        assert!(g.causal_past(4).contains(&0));
+        assert_eq!(g.preds(4), [1], "sent before the gray send: no edge");
+        assert_eq!(g.preds(7), [0, 1, 5], "sent to the gray node: edge");
+        assert_eq!(g.preds(6), [0, 1, 4], "after it in the send chain");
+        assert!(!g.preds(5).contains(&0), "restored: no gray edge");
+        assert!(g.preds(3).contains(&0), "the sender's next record");
     }
 
     #[test]
@@ -810,6 +796,7 @@ mod tests {
                     dst: 0,
                     cause: DropCause::LinkBlocked,
                     msg_id: 7,
+                    origin: Origin::NONE,
                 },
             ),
         ];
@@ -819,38 +806,36 @@ mod tests {
     }
 
     #[test]
-    fn duplicated_message_descends_from_original_send_and_dup_setting() {
+    fn duplicated_message_descends_from_original_origin_and_dup_setting() {
+        let dup = |msg_id, orig_msg_id| EventKind::MessageDuplicated {
+            src: 9,
+            dst: 0,
+            msg_id,
+            orig_msg_id,
+        };
         let events = vec![
             ev(0, 0, EventKind::DuplicationRateSet { probability: 0.5 }),
             ev(
                 10,
                 1,
-                EventKind::MessageSent {
-                    src: 9,
-                    dst: 0,
-                    deliver_at: 15,
-                    msg_id: 0,
+                EventKind::OpBegin {
+                    node: 9,
+                    op_id: 1,
+                    op: label("Deq"),
                 },
             ),
-            ev(
-                10,
-                2,
-                EventKind::MessageDuplicated {
-                    src: 9,
-                    dst: 0,
-                    msg_id: 1,
-                    orig_msg_id: 0,
-                },
-            ),
-            ev(15, 3, EventKind::MessageDelivered { node: 0, msg_id: 0 }),
-            // The copy's delivery pairs with the duplication event.
-            ev(15, 4, EventKind::MessageDelivered { node: 0, msg_id: 1 }),
+            ev(10, 2, dup(1, 0)),
+            // Message 3 is still in flight when the window ends.
+            ev(10, 3, dup(4, 3)),
+            ev(15, 4, delivered(0, 9, 0, 1)),
+            // The copy names the duplication record as its origin.
+            ev(15, 5, delivered(0, 9, 1, 2)),
         ];
         let g = HbGraph::build(events);
-        assert!(g.preds(2).contains(&1), "copy <- original send");
-        assert!(g.preds(2).contains(&0), "copy <- duplication setting");
-        assert!(g.preds(4).contains(&2), "copy delivery <- duplication");
-        assert!(g.causal_past(4).contains(&0));
+        assert_eq!(g.preds(2), [0, 1], "copy <- original's origin + setting");
+        assert_eq!(g.preds(3), [0, 1], "found through the sender's last record");
+        assert!(g.preds(5).contains(&2), "copy delivery <- duplication");
+        assert!(g.causal_past(5).contains(&0));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! *type* is written and read back.
 //!
 //! An exported trace is a [`TraceHeader`] line
-//! (`{"kind":"trace_header","version":3,…}`) followed by one flat JSON
+//! (`{"kind":"trace_header","version":4,…}`) followed by one flat JSON
 //! object per event, `{"t":…,"seq":…,"kind":…,…}`. Which fields a kind
 //! carries is declared once, by the event table in [`crate::event`]; this
 //! module's `Field` trait says once per field type (`u32`, `String`,
@@ -21,16 +21,18 @@
 use std::borrow::Cow;
 use std::fmt::Write as _;
 
-use crate::event::{Event, EventKind, OpLabel, PartitionGroups};
+use std::collections::HashMap;
+
+use crate::event::{Event, EventKind, OpLabel, Origin, PartitionGroups};
 
 /// The trace format version this crate writes and the newest it reads.
-/// Older versions stay readable: version 2 added the gray-failure /
-/// asymmetric-partition / duplication fault events and the staleness
-/// telemetry events; version 3 added the profiling events
-/// (`profile_span_enter`/`exit`, `profile_counter`, `profile_gauge`).
-/// Both are strict additions to the version-1 schema. Adding a kind or a
-/// field bumps it; renaming or removing one is not allowed.
-pub const FORMAT_VERSION: u32 = 3;
+/// Version 2 added the gray-failure / asymmetric-partition / duplication
+/// fault events and the staleness telemetry events; version 3 the
+/// profiling events; version 4 writes one record per dispatch, with no
+/// `message_sent`, `message_injected`, `timer_set` or `view_merged`
+/// ([`read_trace`] folds older streams into it). Adding a kind or a
+/// field bumps it.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// The header line's `kind`.
 const HEADER_TAG: &str = "trace_header";
@@ -470,6 +472,19 @@ impl<T: Field> Field for Option<T> {
     }
 }
 
+impl Field for Origin {
+    fn write(&self, out: &mut String) {
+        self.seq().write(out);
+    }
+    fn read(v: &JVal<'_>) -> Result<Self, String> {
+        Ok(Option::read(v)?.map_or(Origin::NONE, Origin::at))
+    }
+    #[cfg(test)]
+    fn arbitrary(rng: &mut Rng) -> Self {
+        Option::arbitrary(rng).map_or(Origin::NONE, Origin::at)
+    }
+}
+
 fn write_list<T: Field>(items: &[T], out: &mut String) {
     out.push('[');
     for (i, item) in items.iter().enumerate() {
@@ -538,17 +553,90 @@ impl<'a> Fields<'a> {
     pub(crate) fn get<T: Field>(&self, key: &str) -> Result<T, String> {
         T::read(self.raw(key)?).map_err(|e| format!("field {key:?}: {e}"))
     }
+
+    /// The line's `kind`, held apart from the line.
+    fn kind(&self) -> Result<Cow<'a, str>, String> {
+        match self.raw("kind")? {
+            JVal::Str(s) => Ok(s.clone()),
+            other => expected("string", other),
+        }
+    }
+}
+
+/// Folds a version 1–3 stream into version-4 records as it is read: a
+/// `message_sent`, `message_injected` or `timer_set` line becomes the
+/// `src` and `origin` fields of the record it caused, a `view_merged`
+/// line is dropped, and sequence numbers close the gaps the four leave.
+#[derive(Default)]
+struct Upgrade {
+    /// Lines dropped so far.
+    retired: u64,
+    /// The last kept record other than a `message_duplicated`: the
+    /// record a sender wrote before the sends that follow it.
+    last: Option<u64>,
+    /// Messages in flight by id, timers armed by (node, token): each
+    /// with its sender and origin.
+    sends: HashMap<u32, (u32, Option<u64>)>,
+    timers: HashMap<(u32, u64), (u32, Option<u64>)>,
+}
+
+impl Upgrade {
+    /// Gives one legacy line the fields version 4 writes, or returns
+    /// `false` for a line version 4 does not write at all.
+    fn fold(&mut self, tag: &str, f: &mut Fields<'_>, seq: u64) -> Result<bool, String> {
+        let (here, last) = (Some(seq.saturating_sub(self.retired)), self.last);
+        let caused = match tag {
+            "message_sent" | "message_injected" | "timer_set" | "view_merged" => {
+                match tag {
+                    "message_sent" => self.sends.insert(f.get("msg_id")?, (f.get("src")?, last)),
+                    "message_injected" => {
+                        self.sends.insert(f.get("msg_id")?, (f.get("dst")?, None))
+                    }
+                    "timer_set" => self
+                        .timers
+                        .insert((f.get("node")?, f.get("token")?), (f.get("node")?, last)),
+                    _ => None,
+                };
+                self.retired += 1;
+                return Ok(false);
+            }
+            "message_duplicated" => {
+                self.sends.insert(f.get("msg_id")?, (f.get("src")?, here));
+                return Ok(true);
+            }
+            "message_delivered" | "message_dropped" => self.sends.remove(&f.get("msg_id")?),
+            "timer_fired" => self.timers.get(&(f.get("node")?, f.get("token")?)).copied(),
+            _ => None,
+        };
+        if matches!(tag, "message_delivered" | "message_dropped" | "timer_fired") {
+            // Appended after the line's own fields, so a drop keeps its
+            // `src`; a message sent before the window began came from its
+            // `node` as far as the file says, and a timer's `src` is unread.
+            let (src, origin) = caused.unwrap_or((f.get("node").or_else(|_| f.get("src"))?, None));
+            f.0.push((Cow::Borrowed("src"), JVal::Int(src.into())));
+            f.0.push((
+                Cow::Borrowed("origin"),
+                origin.map_or(JVal::Null, JVal::Int),
+            ));
+        }
+        self.last = here;
+        Ok(true)
+    }
 }
 
 /// Re-ingests an exported JSONL trace: an optional [`TraceHeader`] on the
 /// first non-blank line, then one event per line. Blank lines are
-/// skipped. Fails — naming the line — on malformed lines, on anything
-/// after a line's object, on a header from a future format version or
-/// in any later position, and on a header whose `events` count is not
-/// the number of event lines that follow (a trace cut off mid-write).
+/// skipped. A stream older than version 4 (a headerless one is from
+/// version 1) comes back as the version-4 records its run writes today.
+/// Fails — naming the line — on malformed lines, on anything after a
+/// line's object, on a header from a future format version or in any
+/// later position, and on a header whose `events` count is not the
+/// number of event lines that follow (a trace cut off mid-write).
 pub fn read_trace(input: &str) -> Result<ParsedTrace, TraceParseError> {
     let mut header: Option<TraceHeader> = None;
     let mut events = Vec::new();
+    let mut upgrade = Upgrade::default();
+    let mut lines = 0u64;
     let mut last_line = 0;
     for (ix, line) in input.lines().enumerate() {
         let line = line.trim();
@@ -560,19 +648,25 @@ pub fn read_trace(input: &str) -> Result<ParsedTrace, TraceParseError> {
             line: ix + 1,
             message,
         };
-        let fields = Fields::parse(line).map_err(err)?;
-        let kind = fields.raw("kind").and_then(JVal::as_str).map_err(err)?;
+        let mut fields = Fields::parse(line).map_err(err)?;
+        let kind = fields.kind().map_err(err)?;
         if kind != HEADER_TAG {
+            lines += 1;
+            let seq: u64 = fields.get("seq").map_err(err)?;
+            let legacy = header.as_ref().is_none_or(|h| h.version < 4);
+            if legacy && !upgrade.fold(&kind, &mut fields, seq).map_err(err)? {
+                continue;
+            }
             events.push(Event {
                 time: fields.get("t").map_err(err)?,
-                seq: fields.get("seq").map_err(err)?,
-                kind: EventKind::read(kind, &fields).map_err(err)?,
+                seq: seq.saturating_sub(upgrade.retired),
+                kind: EventKind::read(&kind, &fields).map_err(err)?,
             });
             continue;
         }
         // A headerless stream (pre-header export) never gets here; a
         // header further down means two traces were concatenated.
-        if header.is_some() || !events.is_empty() {
+        if header.is_some() || lines > 0 {
             return Err(err(format!(
                 "{HEADER_TAG} is only valid on the first non-blank line"
             )));
@@ -592,13 +686,12 @@ pub fn read_trace(input: &str) -> Result<ParsedTrace, TraceParseError> {
     }
     // `dropped_oldest` says the window is a suffix of the run; `events`
     // says how much of the window reached the file.
-    if let Some(h) = header.as_ref().filter(|h| h.events != events.len() as u64) {
+    if let Some(h) = header.as_ref().filter(|h| h.events != lines) {
         return Err(TraceParseError {
             line: last_line,
             message: format!(
-                "header promises {} events, {} read: the trace is truncated",
-                h.events,
-                events.len()
+                "header promises {} events, {lines} read: the trace is truncated",
+                h.events
             ),
         });
     }
@@ -679,7 +772,7 @@ mod tests {
 
     /// Every variant of the event table, every field through its
     /// [`Field::arbitrary`]: write → read must be the identity. (What the
-    /// bytes *are* is pinned by `tests/fixtures/all_kinds_v3.jsonl`.)
+    /// bytes *are* is pinned by `tests/fixtures/all_kinds_v4.jsonl`.)
     #[test]
     fn randomized_events_round_trip() {
         let mut rng = Rng(0x9E3779B97F4A7C15);
@@ -689,7 +782,8 @@ mod tests {
             assert_eq!(kind.tag(), EventKind::TAGS[trial % EventKind::TAGS.len()]);
             let e = event(rng.next(), trial as u64, kind);
             let line = json(&e);
-            let back = read_trace(&line).unwrap_or_else(|err| panic!("{line}: {err}"));
+            let v4 = format!("{{\"kind\":\"trace_header\",\"version\":4,\"events\":1,\"dropped_oldest\":0}}\n{line}");
+            let back = read_trace(&v4).unwrap_or_else(|err| panic!("{line}: {err}"));
             assert_eq!(back.events, [e], "round-trip of {line}");
             seen.push_str(&line);
         }
@@ -698,6 +792,7 @@ mod tests {
             "\"value\":-",
             "\"total\":18446744073709551615",
             "\"now\":null",
+            "\"origin\":null",
             "\\u0001",
             "\\\"",
             "\\\\",
@@ -818,6 +913,71 @@ mod tests {
             parsed.events[1].kind,
             EventKind::ReplicaLagSampled { site: 1, .. }
         ));
+    }
+
+    /// Version 3 wrote a record per send, injection, timer arming and
+    /// view merge; they fold into the records they caused, and the
+    /// sequence numbers close up.
+    #[test]
+    fn version_3_sends_and_timers_fold_into_what_they_caused() {
+        let v3 = "\
+{\"kind\":\"trace_header\",\"version\":3,\"events\":12,\"dropped_oldest\":0}
+{\"t\":0,\"seq\":0,\"kind\":\"message_injected\",\"dst\":3,\"deliver_at\":0,\"msg_id\":0}
+{\"t\":0,\"seq\":1,\"kind\":\"message_delivered\",\"node\":3,\"msg_id\":0}
+{\"t\":0,\"seq\":2,\"kind\":\"op_begin\",\"node\":3,\"op_id\":1,\"op\":\"Deq\"}
+{\"t\":0,\"seq\":3,\"kind\":\"view_merged\",\"node\":3,\"op_id\":1,\"merged_len\":0}
+{\"t\":0,\"seq\":4,\"kind\":\"timer_set\",\"node\":3,\"token\":1,\"fire_at\":200}
+{\"t\":0,\"seq\":5,\"kind\":\"message_sent\",\"src\":3,\"dst\":0,\"deliver_at\":4,\"msg_id\":1}
+{\"t\":0,\"seq\":6,\"kind\":\"message_dropped\",\"src\":3,\"dst\":1,\"cause\":\"partitioned\",\"msg_id\":2}
+{\"t\":0,\"seq\":7,\"kind\":\"message_sent\",\"src\":3,\"dst\":2,\"deliver_at\":5,\"msg_id\":3}
+{\"t\":0,\"seq\":8,\"kind\":\"message_duplicated\",\"src\":3,\"dst\":2,\"msg_id\":4,\"orig_msg_id\":3}
+{\"t\":4,\"seq\":9,\"kind\":\"message_delivered\",\"node\":0,\"msg_id\":1}
+{\"t\":5,\"seq\":10,\"kind\":\"message_delivered\",\"node\":2,\"msg_id\":4}
+{\"t\":200,\"seq\":11,\"kind\":\"timer_fired\",\"node\":3,\"token\":1}
+";
+        let delivered = |node, src, msg_id, origin| EventKind::MessageDelivered {
+            node,
+            src,
+            msg_id,
+            origin,
+        };
+        let kinds: Vec<(u64, EventKind)> = read_trace(v3)
+            .unwrap()
+            .events
+            .into_iter()
+            .map(|e| (e.seq, e.kind))
+            .collect();
+        let at = Origin::at;
+        assert_eq!(
+            kinds[..],
+            [
+                (0, delivered(3, 3, 0, Origin::NONE)),
+                (1, kinds[1].1.clone()),
+                (
+                    2,
+                    EventKind::MessageDropped {
+                        src: 3,
+                        dst: 1,
+                        cause: crate::event::DropCause::Partitioned,
+                        msg_id: 2,
+                        origin: Origin::NONE,
+                    }
+                ),
+                (3, kinds[3].1.clone()),
+                (4, delivered(0, 3, 1, at(1))),
+                (5, delivered(2, 3, 4, at(3))),
+                (
+                    6,
+                    EventKind::TimerFired {
+                        node: 3,
+                        token: 1,
+                        origin: at(1),
+                    }
+                ),
+            ]
+        );
+        assert_eq!(kinds[1].1.tag(), "op_begin");
+        assert_eq!(kinds[3].1.tag(), "message_duplicated");
     }
 
     #[test]

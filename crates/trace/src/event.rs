@@ -11,10 +11,12 @@
 //! macro expands the one table into the enum, its tags, its writer and
 //! its reader ([`crate::codec`] says how each field type renders). To add
 //! a field or a kind: one line here, one line in
-//! `tests/fixtures/all_kinds_v3.jsonl` (the fixture test fails until the
+//! `tests/fixtures/all_kinds_v4.jsonl` (the fixture test fails until the
 //! file lists exactly [`EventKind::TAGS`]), an arm in
 //! `causality::location` if the kind happens at a node (the compiler asks
 //! for it), and a [`FORMAT_VERSION`](crate::codec::FORMAT_VERSION) bump.
+//! A delivery or a timer fire names the [`Origin`] record it was sent or
+//! armed after, so a send, an injection or an arming has no record.
 
 use std::fmt::Write as _;
 
@@ -184,6 +186,28 @@ impl std::ops::Deref for PartitionGroups {
 impl FromIterator<Vec<u32>> for PartitionGroups {
     fn from_iter<I: IntoIterator<Item = Vec<u32>>>(iter: I) -> Self {
         PartitionGroups::new(iter.into_iter().collect())
+    }
+}
+
+/// Where a message or a timer came from: the sequence number of the last
+/// record its sender wrote before sending or arming it, or none for a
+/// message injected from outside the system. One word (`u64::MAX` is
+/// none), so the records carrying it stay within 24 bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Origin(u64);
+
+impl Origin {
+    /// No origin: the message was injected from outside the system.
+    pub const NONE: Origin = Origin(u64::MAX);
+
+    /// The record with sequence number `seq`.
+    pub fn at(seq: u64) -> Self {
+        Origin(seq)
+    }
+
+    /// The origin's sequence number, if it has one.
+    pub fn seq(self) -> Option<u64> {
+        (self != Origin::NONE).then_some(self.0)
     }
 }
 
@@ -361,36 +385,19 @@ macro_rules! event_table {
 }
 
 event_table! {
-    /// A node sent a message into the network.
-    MessageSent = "message_sent" {
-        /// Sending node index.
-        src: u32,
-        /// Destination node index.
-        dst: u32,
-        /// Scheduled delivery tick.
-        deliver_at: u64,
-        /// World-unique message id; the matching `message_delivered` (or
-        /// in-flight `message_dropped`) carries the same id, so
-        /// send↔deliver edges pair exactly.
-        msg_id: u32,
-    },
-    /// The harness injected a message from outside the simulated system.
-    MessageInjected = "message_injected" {
-        /// Destination node index.
-        dst: u32,
-        /// Scheduled delivery tick.
-        deliver_at: u64,
-        /// World-unique message id (shared with its delivery).
-        msg_id: u32,
-    },
     /// A message reached its destination's handler.
     MessageDelivered = "message_delivered" {
         /// Receiving node index.
         node: u32,
-        /// The id the message was sent (or injected) under.
+        /// Sending node index (the receiver, for an injected message).
+        src: u32,
+        /// World-unique message id.
         msg_id: u32,
+        /// The record the message was sent after (see [`Origin`]).
+        origin: Origin,
     },
-    /// The network dropped a message.
+    /// The network dropped a message: at send time, or in flight when
+    /// its destination was down at delivery.
     MessageDropped = "message_dropped" {
         /// Sending node index.
         src: u32,
@@ -398,18 +405,12 @@ event_table! {
         dst: u32,
         /// Why it was dropped.
         cause: DropCause,
-        /// The dropped message's id. Send-time drops never produce a
-        /// `message_sent` with this id; in-flight drops do.
+        /// The dropped message's id.
         msg_id: u32,
-    },
-    /// A node armed a timer.
-    TimerSet = "timer_set" {
-        /// Owning node index.
-        node: u32,
-        /// Caller-chosen token identifying the timer.
-        token: u64,
-        /// Tick at which it fires.
-        fire_at: u64,
+        /// The record the message was sent after; none for a send-time
+        /// drop (the drop is itself the sender's record) and for an
+        /// injected message.
+        origin: Origin,
     },
     /// A timer fired at its owner.
     TimerFired = "timer_fired" {
@@ -417,6 +418,8 @@ event_table! {
         node: u32,
         /// The timer's token.
         token: u64,
+        /// The record the timer was armed after (see [`Origin`]).
+        origin: Origin,
     },
     /// A fault crashed a node.
     NodeCrashed = "node_crashed" {
@@ -485,15 +488,6 @@ event_table! {
         /// Replies the assignment required.
         needed: u32,
     },
-    /// A client merged replica logs into a view.
-    ViewMerged = "view_merged" {
-        /// Client node index.
-        node: u32,
-        /// Client-local invocation id of the operation being served.
-        op_id: u32,
-        /// Number of log entries in the merged view.
-        merged_len: u32,
-    },
     /// The degradation monitor observed the history leave one or more
     /// lattice levels. Boxed: the payload is fat and rare, and every
     /// recorded event pays for the enum's largest variant.
@@ -532,8 +526,8 @@ event_table! {
         probability: f64,
     },
     /// The network manufactured a duplicate copy of a sent message. The
-    /// copy travels under its own `msg_id` (its delivery pairs with this
-    /// event the way a delivery pairs with a send).
+    /// copy travels under its own `msg_id`, and its delivery (or drop)
+    /// names this record as its origin.
     MessageDuplicated = "message_duplicated" {
         /// Sending node index (of the original send).
         src: u32,
@@ -624,8 +618,8 @@ mod tests {
     #[test]
     fn event_kind_stays_within_the_hot_path_budget() {
         // Recording copies one `EventKind` per event on the simulator's
-        // hot path; the msg_id fields must stay inside the existing
-        // 24-byte layout (padding holes), not widen every event.
+        // hot path; the msg_id and origin fields must stay inside the
+        // 24-byte layout, not widen every event.
         assert!(std::mem::size_of::<EventKind>() <= 24);
     }
 

@@ -78,7 +78,7 @@ pub mod prelude {
     pub use crate::causality::{HbGraph, LatencyBreakdown, Span};
     pub use crate::codec::{read_trace, ParsedTrace, TraceHeader};
     pub use crate::event::{
-        DropCause, Event, EventKind, OpLabel, OpOutcome, PartitionGroups, QuorumPhase,
+        DropCause, Event, EventKind, OpLabel, OpOutcome, Origin, PartitionGroups, QuorumPhase,
     };
     pub use crate::metrics::{Counter, Gauge, Histogram, Registry, TimeBase};
     pub use crate::monitor::{DegradationMonitor, FrontierChecker, LevelTransition};
@@ -92,7 +92,9 @@ pub mod prelude {
 pub use analyze::TraceAnalysis;
 pub use causality::{HbGraph, LatencyBreakdown, Span};
 pub use codec::{read_trace, ParsedTrace, TraceHeader};
-pub use event::{DropCause, Event, EventKind, OpLabel, OpOutcome, PartitionGroups, QuorumPhase};
+pub use event::{
+    DropCause, Event, EventKind, OpLabel, OpOutcome, Origin, PartitionGroups, QuorumPhase,
+};
 pub use metrics::{Counter, Gauge, Histogram, Registry, TimeBase};
 pub use monitor::{DegradationMonitor, FrontierChecker, LevelTransition};
 pub use profile::{parse_folded, GaugeSeries, HotSpan, Probe, ProfileReport, SpanNode};

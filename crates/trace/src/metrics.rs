@@ -147,25 +147,22 @@ impl TimeBase {
 /// A latency histogram over raw duration samples (exact, not bucketed;
 /// the sample counts in this workspace's experiments are small enough
 /// that exactness is cheaper than binning). The [`TimeBase`] records
-/// which unit the samples carry; it affects exposition layout only.
+/// which unit the samples carry (set through [`Registry::histogram_in`]);
+/// it affects exposition layout only.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Histogram {
     samples: Vec<u64>,
     sorted: bool,
-    /// Explicit bucket upper bounds for text exposition (sorted,
-    /// deduplicated). `None` renders with the time base's default
-    /// layout. Purely a rendering layout: samples stay exact either way.
-    buckets: Option<Box<[u64]>>,
     /// The unit of the samples (default: sim ticks).
     time_base: TimeBase,
 }
 
 /// Bucket upper bounds used by [`Registry::render_prometheus`] for
-/// [`TimeBase::SimTicks`] histograms without an explicit layout.
+/// [`TimeBase::SimTicks`] histograms.
 pub const DEFAULT_BUCKETS: &[u64] = &[1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000];
 
-/// Bucket upper bounds used for [`TimeBase::WallNanos`] histograms
-/// without an explicit layout: 1µs to 1s.
+/// Bucket upper bounds used for [`TimeBase::WallNanos`] histograms: 1µs
+/// to 1s.
 pub const WALL_NANOS_BUCKETS: &[u64] = &[
     1_000,
     5_000,
@@ -186,55 +183,17 @@ impl Histogram {
         Histogram::default()
     }
 
-    /// An empty histogram with an explicit exposition bucket layout
-    /// (bounds are sorted and deduplicated).
-    pub fn with_buckets(bounds: &[u64]) -> Self {
-        let mut h = Histogram::new();
-        h.set_buckets(bounds);
-        h
-    }
-
-    /// An empty histogram recording samples in the given time base.
-    pub fn with_time_base(base: TimeBase) -> Self {
-        let mut h = Histogram::new();
-        h.time_base = base;
-        h
-    }
-
-    /// Declares the unit the samples carry. Affects only the default
-    /// exposition bucket layout; all statistics are unit-agnostic.
-    pub fn set_time_base(&mut self, base: TimeBase) {
-        self.time_base = base;
-    }
-
     /// The unit the samples carry.
     pub fn time_base(&self) -> TimeBase {
         self.time_base
     }
 
-    /// Sets the exposition bucket layout (sorted, deduplicated).
-    pub fn set_buckets(&mut self, bounds: &[u64]) {
-        let mut b: Vec<u64> = bounds.to_vec();
-        b.sort_unstable();
-        b.dedup();
-        self.buckets = Some(b.into_boxed_slice());
-    }
-
-    /// The explicit exposition bucket layout, if one was set.
-    pub fn buckets(&self) -> Option<&[u64]> {
-        self.buckets.as_deref()
-    }
-
     /// Cumulative sample counts per bucket bound (Prometheus `le`
-    /// semantics: each entry counts samples `<= bound`). Uses the
-    /// explicit layout when set, the time base's default layout
-    /// otherwise; the implicit `+Inf` bucket is [`Histogram::len`].
+    /// semantics: each entry counts samples `<= bound`) over the time
+    /// base's layout; the implicit `+Inf` bucket is [`Histogram::len`].
     pub fn bucket_counts(&self) -> Vec<(u64, u64)> {
-        let bounds = self
-            .buckets
-            .as_deref()
-            .unwrap_or_else(|| self.time_base.default_buckets());
-        bounds
+        self.time_base
+            .default_buckets()
             .iter()
             .map(|&b| {
                 let n = self.samples.iter().filter(|&&s| s <= b).count() as u64;
@@ -318,32 +277,13 @@ impl Histogram {
     }
 
     /// Appends all of another histogram's samples into this one.
-    ///
-    /// Mismatched exposition bucket layouts merge to the *union* of the
-    /// two bounds sets — lossless here, because samples are stored
-    /// exactly and bucket counts are recomputed at render time (a
-    /// pre-binned histogram could not do this). If only one side has an
-    /// explicit layout, it wins.
     pub fn merge(&mut self, other: &Histogram) {
         self.samples.extend_from_slice(&other.samples);
         self.sorted = false;
-        // A non-default time base wins, mirroring the explicit-layout
-        // rule below (merging mixed bases is a caller bug either way —
-        // the samples would be incommensurable).
+        // A non-default time base wins (merging mixed bases is a caller
+        // bug either way — the samples would be incommensurable).
         if other.time_base != TimeBase::default() {
             self.time_base = other.time_base;
-        }
-        match (&self.buckets, &other.buckets) {
-            (Some(a), Some(b)) if a != b => {
-                let mut union: Vec<u64> = a.iter().chain(b.iter()).copied().collect();
-                union.sort_unstable();
-                union.dedup();
-                self.buckets = Some(union.into_boxed_slice());
-            }
-            (None, Some(b)) => {
-                self.buckets = Some(b.clone());
-            }
-            _ => {}
         }
     }
 }
@@ -434,7 +374,10 @@ impl Registry {
     pub fn histogram_in(&mut self, name: &str, base: TimeBase) -> &mut Histogram {
         self.histograms
             .entry(name.to_string())
-            .or_insert_with(|| Histogram::with_time_base(base))
+            .or_insert_with(|| Histogram {
+                time_base: base,
+                ..Histogram::default()
+            })
     }
 
     /// Looks up a counter without creating it.
@@ -583,7 +526,7 @@ impl Registry {
     /// * counters → `{name}_total{result="success"|"failure"}`;
     /// * gauges → `{name}`;
     /// * histograms → classic cumulative `{name}_bucket{le="…"}` series
-    ///   (explicit layout or [`DEFAULT_BUCKETS`], plus `+Inf`),
+    ///   (the time base's layout, e.g. [`DEFAULT_BUCKETS`], plus `+Inf`),
     ///   `{name}_sum`, `{name}_count`, and a nearest-rank quantile
     ///   summary family `{name}_quantile{quantile="0.5"|"0.95"|"0.99"}`
     ///   (omitted while empty, since quantiles are undefined there).
@@ -806,38 +749,15 @@ mod tests {
         assert_eq!(merged.rate(), None, "merging empties stays empty");
     }
 
-    #[test]
-    fn merge_of_mismatched_bucket_layouts_takes_the_union() {
-        let mut a = Histogram::with_buckets(&[10, 100]);
-        a.record(7);
-        let mut b = Histogram::with_buckets(&[50, 100, 1000]);
-        b.record(600);
-        a.merge(&b);
-        // Union layout, recomputed cumulative counts over exact samples.
-        assert_eq!(a.buckets(), Some(&[10u64, 50, 100, 1000][..]));
-        assert_eq!(
-            a.bucket_counts(),
-            vec![(10, 1), (50, 1), (100, 1), (1000, 2)]
-        );
-        // Explicit layout wins over an implicit (default) one, in both
-        // merge directions.
-        let mut plain = Histogram::new();
-        plain.record(3);
-        plain.merge(&a);
-        assert_eq!(plain.buckets(), Some(&[10u64, 50, 100, 1000][..]));
-        let mut c = Histogram::with_buckets(&[5]);
-        c.merge(&Histogram::new());
-        assert_eq!(c.buckets(), Some(&[5u64][..]));
-    }
-
     /// The TimeBase satellite's contract: quantile math is sample-exact
     /// and unit-agnostic, so a tick histogram and a nanosecond histogram
     /// fed identical samples agree on every statistic. Only the default
     /// exposition layout differs.
     #[test]
     fn tick_and_nano_quantile_math_agree() {
+        let mut r = Registry::new();
         let mut ticks = Histogram::new();
-        let mut nanos = Histogram::with_time_base(TimeBase::WallNanos);
+        let nanos = r.histogram_in("nanos", TimeBase::WallNanos);
         assert_eq!(ticks.time_base(), TimeBase::SimTicks);
         assert_eq!(nanos.time_base(), TimeBase::WallNanos);
         // An adversarial sample set: duplicates, a zero, a huge outlier,
@@ -860,23 +780,19 @@ mod tests {
         let nano_bounds: Vec<u64> = nanos.bucket_counts().iter().map(|&(b, _)| b).collect();
         assert_eq!(tick_bounds, DEFAULT_BUCKETS.to_vec());
         assert_eq!(nano_bounds, WALL_NANOS_BUCKETS.to_vec());
-        // An explicit layout overrides the base's default, same as before.
-        nanos.set_buckets(&[10, 100]);
-        let explicit: Vec<u64> = nanos.bucket_counts().iter().map(|&(b, _)| b).collect();
-        assert_eq!(explicit, vec![10, 100]);
     }
 
     #[test]
     fn merge_adopts_the_non_default_time_base() {
         let mut into = Histogram::new();
         into.record(5);
-        let mut wall = Histogram::with_time_base(TimeBase::WallNanos);
+        let mut r = Registry::new();
+        let wall = r.histogram_in("wall", TimeBase::WallNanos);
         wall.record(9_000);
-        into.merge(&wall);
+        into.merge(wall);
         assert_eq!(into.time_base(), TimeBase::WallNanos);
         assert_eq!(into.len(), 2);
         // Registry helper: first use pins the base, later callers keep it.
-        let mut r = Registry::new();
         r.histogram_in("lat", TimeBase::WallNanos).record(1_500);
         assert_eq!(r.histogram("lat").time_base(), TimeBase::WallNanos);
         assert_eq!(
@@ -913,7 +829,6 @@ mod tests {
         r.gauge("merkle_sync_rounds").set(7);
         r.gauge("viewcache_replayed_entries").set(912);
         let h = r.histogram("lat");
-        h.set_buckets(&[10, 100]);
         h.record(5);
         h.record(50);
         h.record(500);
@@ -936,8 +851,19 @@ wire_messages_sent 128
 # TYPE wire_shipped_bytes gauge
 wire_shipped_bytes 4096
 # TYPE lat histogram
+lat_bucket{le=\"1\"} 0
+lat_bucket{le=\"2\"} 0
+lat_bucket{le=\"5\"} 1
 lat_bucket{le=\"10\"} 1
+lat_bucket{le=\"25\"} 1
+lat_bucket{le=\"50\"} 2
 lat_bucket{le=\"100\"} 2
+lat_bucket{le=\"250\"} 2
+lat_bucket{le=\"500\"} 3
+lat_bucket{le=\"1000\"} 3
+lat_bucket{le=\"2500\"} 3
+lat_bucket{le=\"5000\"} 3
+lat_bucket{le=\"10000\"} 3
 lat_bucket{le=\"+Inf\"} 3
 lat_sum 555
 lat_count 3
@@ -1033,7 +959,7 @@ lat_quantile{quantile=\"0.99\"} 500
     #[test]
     fn render_prometheus_empty_histogram_omits_quantiles() {
         let mut r = Registry::new();
-        r.histogram("lat").set_buckets(&[10]);
+        r.histogram("lat");
         let text = r.render_prometheus();
         assert!(text.contains("lat_bucket{le=\"10\"} 0"), "{text}");
         assert!(text.contains("lat_count 0"), "{text}");

@@ -134,6 +134,12 @@ impl Tracer {
         self.buf.is_empty()
     }
 
+    /// The sequence number the next recorded event will get.
+    #[inline]
+    pub fn next_seq(&self) -> u64 {
+        self.cleared + self.dropped_oldest + self.buf.len() as u64
+    }
+
     /// Events evicted to keep the buffer within capacity.
     pub fn dropped_oldest(&self) -> u64 {
         self.dropped_oldest
@@ -220,7 +226,14 @@ mod tests {
     fn ring_buffer_evicts_oldest() {
         let mut t = Tracer::bounded(3);
         for i in 0..5 {
-            t.record(i, EventKind::TimerFired { node: 0, token: i });
+            t.record(
+                i,
+                EventKind::TimerFired {
+                    node: 0,
+                    token: i,
+                    origin: crate::event::Origin::NONE,
+                },
+            );
         }
         assert_eq!(t.len(), 3);
         assert_eq!(t.dropped_oldest(), 2);
@@ -228,6 +241,7 @@ mod tests {
         assert_eq!(times, vec![2, 3, 4]);
         // Sequence numbers are global, not buffer-relative.
         assert_eq!(t.events().next().unwrap().seq, 2);
+        assert_eq!(t.next_seq(), 5);
     }
 
     #[test]
@@ -240,6 +254,7 @@ mod tests {
                 dst: 1,
                 cause: DropCause::Loss,
                 msg_id: 0,
+                origin: crate::event::Origin::NONE,
             },
         );
         t.record(2, EventKind::PartitionHealed);
@@ -273,7 +288,7 @@ mod tests {
         }
         let first = t.export_jsonl().lines().next().unwrap().to_string();
         assert!(first.contains("\"kind\":\"trace_header\""), "{first}");
-        assert!(first.contains("\"version\":3"), "{first}");
+        assert!(first.contains("\"version\":4"), "{first}");
         assert!(first.contains("\"events\":2"), "{first}");
         assert!(first.contains("\"dropped_oldest\":1"), "{first}");
     }
@@ -284,6 +299,7 @@ mod tests {
         t.record(1, EventKind::PartitionHealed);
         t.clear();
         assert!(t.is_empty());
+        assert_eq!(t.next_seq(), 1);
         t.record(2, EventKind::PartitionHealed);
         assert_eq!(t.events().next().unwrap().seq, 1);
     }
