@@ -30,7 +30,7 @@ use relax_quorum::{
     ClientConfig, DiffScratch, Entry, Executor, Log, QuorumSystem, RepViewAutomaton,
     ThreadedConfig, ThreadedSystem, Timestamp, ViewCache, VotingAssignment,
 };
-use relax_sim::{NetworkConfig, NodeId, Partition};
+use relax_sim::{Ctx, NetworkConfig, Node, NodeId, Partition, World};
 use relax_spec::{paper_theories, parse_term, Rewriter, Term};
 
 fn make_log(entries: usize, site: usize) -> Log<QueueOp> {
@@ -425,6 +425,40 @@ fn bench_sim_invocation(c: &mut Criterion) {
     group.finish();
 }
 
+/// Keeps `pending` timers armed: each that fires arms the next one 1–200
+/// ticks later (a client timeout's range).
+struct Hold;
+
+impl Node<u64> for Hold {
+    fn on_message(&mut self, ctx: &mut Ctx<'_, u64>, _from: NodeId, pending: u64) {
+        for _ in 0..pending {
+            self.on_timer(ctx, 0);
+        }
+    }
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, u64>, _token: u64) {
+        let delay = 1 + ctx.rng().next_u64() % 200;
+        ctx.set_timer(delay, 0);
+    }
+}
+
+/// The simulator's event queue, in the classic hold model: one
+/// `World::step` with `pending` timers queued, on a node that only
+/// re-arms, ns per event. The calendar of tick buckets schedules and
+/// pops in O(1), so the two sizes read about the same; a binary heap
+/// sifts through log2(pending) levels per event.
+fn bench_sim_hold(c: &mut Criterion) {
+    let mut group = c.benchmark_group("sim_hold");
+    for pending in [64u64, 16_384] {
+        let mut world = World::new(vec![Hold], NetworkConfig::default(), 7);
+        world.send_external(NodeId(0), pending);
+        assert!(world.step());
+        group.bench_function(BenchmarkId::from_parameter(pending), |bencher| {
+            bencher.iter(|| assert!(world.step()));
+        });
+    }
+    group.finish();
+}
+
 /// The hand-off layer of the threaded backend alone: one client, 256
 /// credits, each a round of its own over three replicas, so a run is
 /// nothing but shard–broker visits around O(1) layer work. Reads µs per
@@ -743,6 +777,7 @@ criterion_group!(
     bench_viewcache,
     bench_sim_client_write,
     bench_sim_invocation,
+    bench_sim_hold,
     bench_threaded_round_trip,
     bench_product_walk,
     bench_taxi_states,

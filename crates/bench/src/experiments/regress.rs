@@ -153,6 +153,16 @@ pub const CHECKS: &[Check] = &[
         metric: "sim_invocation/enq",
         band: Band::MaxRatio(4.0),
     },
+    // The simulator's event queue alone: ns per `World::step` with
+    // 16,384 timers pending, each re-armed 1–200 ticks out. The calendar
+    // of tick buckets reads what it reads with 64 pending; a queue that
+    // sifts a binary heap again reads three to seven times as much here,
+    // hence a tighter band than the rows above.
+    Check {
+        file: "BENCH_micro_substrates.json",
+        metric: "sim_hold/16384",
+        band: Band::MaxRatio(3.0),
+    },
     // The language walk (`relax-automata::multiwalk`), ns per walk, at
     // Theorem 4's `N = 4` shape and at `N = 1` over the raw QCA. A walk
     // that steps a state once per set it is a member of, or boxes a row
@@ -457,7 +467,7 @@ mod tests {
             &format!(
                 "{{\"sim_client_read_view/65536\":{0},\"sim_client_write_ack/65536\":{0},\
                  \"sim_client_write_payloads/65536\":{0},\"sim_invocation/enq\":{0},\
-                 \"product_walk/n4_taxi_3x8\":{0},\"product_walk/n1_rawqca_3x6\":{0},\
+                 \"sim_hold/16384\":{0},\"product_walk/n4_taxi_3x8\":{0},\"product_walk/n1_rawqca_3x6\":{0},\
                  \"taxi_states/quotient_3x8\":{0},\"taxi_states/reference_3x8\":{0}}}\n",
                 overhead * 100.0
             ),
@@ -506,27 +516,42 @@ mod tests {
         assert!(report(&outcomes).to_string().contains("REGRESSED"));
     }
 
+    /// The checks that fail when the one micro row `metric` reads `ns`
+    /// against a baseline of 100 and every other payload is unchanged.
+    fn failing_with_micro_row(metric: &str, ns: u32) -> Vec<&'static str> {
+        let base = tmp(&format!("base_{ns}"));
+        let fresh = tmp(&format!("fresh_{ns}"));
+        scaffold(&base, 1.0, true);
+        scaffold(&fresh, 1.0, true);
+        let payload = fresh.join("BENCH_micro_substrates.json");
+        let slowed = std::fs::read_to_string(&payload)
+            .unwrap()
+            .replace(&format!("\"{metric}\":100"), &format!("\"{metric}\":{ns}"));
+        write(&fresh, "BENCH_micro_substrates.json", &slowed);
+        let outcomes = compare(&fresh, &base).unwrap();
+        outcomes
+            .iter()
+            .filter(|o| !o.pass)
+            .map(|o| o.check.metric)
+            .collect()
+    }
+
     /// Five times a state-layer row against its 4× band fails that row,
     /// and the walk row it sits under (unchanged here) passes.
     #[test]
     fn a_five_fold_state_layer_row_regresses() {
-        let base = tmp("base_states");
-        let fresh = tmp("fresh_states");
-        scaffold(&base, 1.0, true);
-        scaffold(&fresh, 1.0, true);
-        let payload = fresh.join("BENCH_micro_substrates.json");
-        let slowed = std::fs::read_to_string(&payload).unwrap().replace(
-            "\"taxi_states/quotient_3x8\":100",
-            "\"taxi_states/quotient_3x8\":500",
-        );
-        write(&fresh, "BENCH_micro_substrates.json", &slowed);
-        let outcomes = compare(&fresh, &base).unwrap();
-        let failed: Vec<&str> = outcomes
-            .iter()
-            .filter(|o| !o.pass)
-            .map(|o| o.check.metric)
-            .collect();
+        let failed = failing_with_micro_row("taxi_states/quotient_3x8", 500);
         assert_eq!(failed, ["taxi_states/quotient_3x8"]);
+    }
+
+    /// The event-queue row at three and a half times its baseline, a
+    /// binary heap's reading at 16,384 pending, fails its 3× band alone.
+    #[test]
+    fn a_heap_speed_event_queue_regresses() {
+        assert_eq!(
+            failing_with_micro_row("sim_hold/16384", 350),
+            ["sim_hold/16384"]
+        );
     }
 
     #[test]
@@ -577,7 +602,7 @@ mod tests {
     #[test]
     fn selection_filters_by_payload_or_metric_substring() {
         let all = selected(None);
-        assert_eq!(all.len(), 15);
+        assert_eq!(all.len(), 16);
         let campaign = selected(Some("fault_campaign"));
         assert_eq!(campaign.len(), 3);
         assert!(campaign

@@ -6,7 +6,8 @@
 //! such events: a discrete-event simulation of message-passing nodes with
 //!
 //! * virtual time ([`time::SimTime`]) and a deterministic event queue
-//!   (FIFO among simultaneous events);
+//!   (FIFO among simultaneous events), a calendar of tick buckets that
+//!   schedules and pops in O(1);
 //! * a network model ([`network::Network`]) with uniform delay bounds,
 //!   message-loss probability, crash/recovery, and group partitions;
 //! * actor-style nodes ([`node::Node`]) exchanging typed messages and
@@ -47,6 +48,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod calendar;
 pub mod network;
 pub mod node;
 pub mod schedule;

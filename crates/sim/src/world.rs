@@ -7,12 +7,10 @@
 //! names the [`Origin`] record its sender wrote before it. Tracing is off
 //! by default and costs one branch per would-be event when off.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use relax_automata::SplitMix64;
 use relax_trace::{DropCause, EventKind as TraceEvent, Origin, Tracer};
 
+use crate::calendar::Calendar;
 use crate::network::{Network, NetworkConfig};
 use crate::node::{Action, Ctx, Node, NodeId};
 use crate::schedule::{Fault, FaultSchedule};
@@ -33,32 +31,6 @@ enum EventKind<P> {
         token: u64,
         origin: Origin,
     },
-}
-
-#[derive(Debug, Clone)]
-struct QueuedEvent<P> {
-    time: SimTime,
-    seq: u64,
-    kind: EventKind<P>,
-}
-
-impl<P> PartialEq for QueuedEvent<P> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<P> Eq for QueuedEvent<P> {}
-impl<P> PartialOrd for QueuedEvent<P> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<P> Ord for QueuedEvent<P> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Ties broken by sequence number: FIFO among simultaneous events,
-        // which makes runs fully deterministic.
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
 }
 
 /// A simulated distributed system: nodes, network, virtual clock, event
@@ -85,8 +57,9 @@ pub struct World<P, N> {
     network: Network,
     rng: SplitMix64,
     now: SimTime,
-    queue: BinaryHeap<Reverse<QueuedEvent<P>>>,
-    seq: u64,
+    /// Pending deliveries and timers, popped by time and FIFO among
+    /// simultaneous ones, which makes runs fully deterministic.
+    queue: Calendar<EventKind<P>>,
     next_msg_id: u32,
     schedule: FaultSchedule,
     tracer: Tracer,
@@ -115,8 +88,7 @@ impl<P: Clone, N: Node<P>> World<P, N> {
             network: Network::new(config, n),
             rng: SplitMix64::seed_from_u64(seed),
             now: SimTime::ZERO,
-            queue: BinaryHeap::new(),
-            seq: 0,
+            queue: Calendar::new(),
             next_msg_id: 0,
             schedule: FaultSchedule::new(),
             tracer: Tracer::disabled(),
@@ -275,7 +247,7 @@ impl<P: Clone, N: Node<P>> World<P, N> {
     pub fn messages_in_flight(&self) -> u64 {
         self.queue
             .iter()
-            .filter(|Reverse(e)| matches!(e.kind, EventKind::Deliver { .. }))
+            .filter(|e| matches!(e, EventKind::Deliver { .. }))
             .count() as u64
     }
 
@@ -303,10 +275,7 @@ impl<P: Clone, N: Node<P>> World<P, N> {
     /// Queues `kind` to happen `delay` ticks from now, after everything
     /// queued for that instant before it.
     fn schedule(&mut self, delay: u64, kind: EventKind<P>) {
-        self.seq += 1;
-        let time = self.now + delay;
-        let seq = self.seq;
-        self.queue.push(Reverse(QueuedEvent { time, seq, kind }));
+        self.queue.push(self.now.0, delay, kind);
     }
 
     fn next_msg_id(&mut self) -> u32 {
@@ -319,8 +288,8 @@ impl<P: Clone, N: Node<P>> World<P, N> {
     /// harnesses that interleave their own observation with stepping.
     pub fn next_event_time(&self) -> Option<SimTime> {
         self.queue
-            .peek()
-            .map(|Reverse(e)| e.time)
+            .peek_time()
+            .map(SimTime)
             .into_iter()
             .chain(self.schedule.next_time())
             .min()
@@ -337,25 +306,28 @@ impl<P: Clone, N: Node<P>> World<P, N> {
     /// Processes the next event or fault. Returns `false` when nothing
     /// remains.
     pub fn step(&mut self) -> bool {
-        let next_event_time = self.queue.peek().map(|Reverse(e)| e.time);
-        let next_fault_time = self.schedule.next_time();
+        self.step_by(SimTime(u64::MAX))
+    }
 
-        match (next_event_time, next_fault_time) {
-            (None, None) => false,
-            (event, Some(tf)) if event.is_none_or(|te| tf <= te) => {
+    /// Processes the next event or fault if it is due by `limit`; faults
+    /// go first at a shared instant. Returns whether it processed one.
+    fn step_by(&mut self, limit: SimTime) -> bool {
+        let next_event_time = self.queue.peek_time().map(SimTime);
+        match (next_event_time, self.schedule.next_time()) {
+            (event, Some(tf)) if tf <= limit && event.is_none_or(|te| tf <= te) => {
                 self.now = tf;
                 for fault in self.schedule.drain_due(tf) {
                     self.apply_fault(fault);
                 }
                 true
             }
-            (Some(_), _) => {
-                let Reverse(ev) = self.queue.pop().expect("peeked non-empty");
-                self.now = ev.time;
+            (Some(te), _) if te <= limit => {
+                let (time, ev) = self.queue.pop().expect("peeked non-empty");
+                self.now = SimTime(time);
                 self.dispatch(ev);
                 true
             }
-            (None, Some(_)) => unreachable!("covered by the second arm"),
+            _ => false,
         }
     }
 
@@ -437,9 +409,9 @@ impl<P: Clone, N: Node<P>> World<P, N> {
         }
     }
 
-    fn dispatch(&mut self, ev: QueuedEvent<P>) {
+    fn dispatch(&mut self, ev: EventKind<P>) {
         self.events_processed += 1;
-        let target = match ev.kind {
+        let target = match ev {
             EventKind::Deliver {
                 src,
                 dst,
@@ -507,7 +479,7 @@ impl<P: Clone, N: Node<P>> World<P, N> {
             actions: std::mem::take(&mut self.actions),
         };
         let node = &mut self.nodes[target.0];
-        match ev.kind {
+        match ev {
             EventKind::Deliver { src, payload, .. } => node.on_message(&mut ctx, src, payload),
             EventKind::Timer { token, .. } => node.on_timer(&mut ctx, token),
         }
@@ -599,14 +571,7 @@ impl<P: Clone, N: Node<P>> World<P, N> {
     /// Runs until virtual time `t` (inclusive of events at `t`); the clock
     /// ends at exactly `t` even if the queue empties earlier.
     pub fn run_until(&mut self, t: SimTime) {
-        loop {
-            match self.next_event_time() {
-                Some(tn) if tn <= t => {
-                    self.step();
-                }
-                _ => break,
-            }
-        }
+        while self.step_by(t) {}
         self.now = t;
     }
 
@@ -769,6 +734,47 @@ mod tests {
         w.send_external(NodeId(0), ());
         w.run_to_quiescence(100);
         assert_eq!(w.node(NodeId(0)).fired, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn far_timers_ties_and_a_clock_set_back_keep_time_then_arrival_order() {
+        /// Logs `(now, what)` for every message and timer it handles.
+        struct Log(Vec<(u64, u64)>);
+        impl Node<u64> for Log {
+            fn on_message(&mut self, ctx: &mut Ctx<'_, u64>, _from: NodeId, msg: u64) {
+                self.0.push((ctx.now().0, msg));
+                if msg == 0 {
+                    // Past the queue's window, a tie across it, and a
+                    // tie inside it.
+                    for (delay, token) in [(1_000, 1), (3, 2), (300, 3), (1_000, 4), (3, 5)] {
+                        ctx.set_timer(delay, token);
+                    }
+                }
+            }
+            fn on_timer(&mut self, ctx: &mut Ctx<'_, u64>, token: u64) {
+                self.0.push((ctx.now().0, token));
+            }
+        }
+        let mut w = World::new(vec![Log(Vec::new())], NetworkConfig::default(), 0);
+        w.send_external(NodeId(0), 0);
+        w.run_until(SimTime(10));
+        // A fault due in the past fires next and sets the clock back to
+        // it, and what is injected then lands ahead of the queued timers.
+        w.set_schedule(FaultSchedule::new().at(SimTime(1), Fault::Heal));
+        assert!(w.step());
+        assert_eq!(w.now(), SimTime(1));
+        w.send_external(NodeId(0), 9);
+        w.run_to_quiescence(100);
+        let log = [
+            (0, 0),
+            (3, 2),
+            (3, 5),
+            (1, 9),
+            (300, 3),
+            (1_000, 1),
+            (1_000, 4),
+        ];
+        assert_eq!(w.node(NodeId(0)).0, log);
     }
 
     #[test]
