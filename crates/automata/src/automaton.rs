@@ -33,18 +33,32 @@ pub trait ObjectAutomaton {
     /// return duplicate states (harmless but wasteful).
     fn step(&self, state: &Self::State, op: &Self::Op) -> Vec<Self::State>;
 
-    /// `δ(s, p)` for every `p` in `alphabet` at once: `result[i]` is
-    /// `step(state, &alphabet[i])`.
+    /// `δ(s, p)` for every `p` in `alphabet` at once, written into `out`
+    /// one run per symbol: afterwards `out.symbol(i)` is
+    /// `step(state, &alphabet[i])`, in the same order. `out` arrives
+    /// cleared; its slots keep the heap memory of the states the last
+    /// call wrote, so an override that fills [`Successors::slot`] in
+    /// place allocates nothing for a successor that fits.
     ///
     /// The default just loops over [`ObjectAutomaton::step`]. Automata
     /// whose transitions share expensive per-state work across operations
     /// (the quorum consensus automaton's Q-view enumeration, for example)
-    /// should override this: the language walk ([`crate::multiwalk`])
-    /// calls it exactly once per state it reaches, however many state
-    /// sets the state is a member of, and nothing else steps the
-    /// automaton during a verification.
-    fn step_all(&self, state: &Self::State, alphabet: &[Self::Op]) -> Vec<Vec<Self::State>> {
-        alphabet.iter().map(|op| self.step(state, op)).collect()
+    /// or whose states own heap memory should override this: the
+    /// language walk ([`crate::multiwalk`]) calls it exactly once per
+    /// state it reaches, however many state sets the state is a member
+    /// of, and nothing else steps the automaton during a verification.
+    fn step_all_into(
+        &self,
+        state: &Self::State,
+        alphabet: &[Self::Op],
+        out: &mut Successors<Self::State>,
+    ) {
+        for op in alphabet {
+            for next in self.step(state, op) {
+                out.push(next);
+            }
+            out.end_symbol();
+        }
     }
 
     /// An optional simulation preorder for frontier pruning: return
@@ -120,8 +134,99 @@ impl<A: ObjectAutomaton + ?Sized> ObjectAutomaton for &A {
     }
 
     // Forwarded explicitly so batched overrides survive the indirection.
-    fn step_all(&self, state: &Self::State, alphabet: &[Self::Op]) -> Vec<Vec<Self::State>> {
-        (**self).step_all(state, alphabet)
+    fn step_all_into(
+        &self,
+        state: &Self::State,
+        alphabet: &[Self::Op],
+        out: &mut Successors<Self::State>,
+    ) {
+        (**self).step_all_into(state, alphabet, out)
+    }
+}
+
+/// The successors of one state under each symbol of an alphabet, as
+/// [`ObjectAutomaton::step_all_into`] writes them: one run of states per
+/// symbol, end to end in one buffer.
+///
+/// [`Successors::clear`] keeps every state written so far as a slot, so
+/// a state that owns heap memory (a `Vec`, a [`History`]) is overwritten
+/// in place by the next call instead of dropped and allocated again.
+#[derive(Debug, Clone)]
+pub struct Successors<S> {
+    /// The first `len` hold this call's successors; the rest are spare.
+    slots: Vec<S>,
+    len: usize,
+    /// `ends[i]`: one past symbol `i`'s last successor.
+    ends: Vec<usize>,
+}
+
+impl<S> Successors<S> {
+    /// An empty buffer.
+    pub const fn new() -> Self {
+        Successors {
+            slots: Vec::new(),
+            len: 0,
+            ends: Vec::new(),
+        }
+    }
+
+    /// Forgets every successor and symbol, keeping the slots.
+    pub fn clear(&mut self) {
+        self.len = 0;
+        self.ends.clear();
+    }
+
+    /// Appends `state` to the current symbol's run.
+    pub fn push(&mut self, state: S) {
+        match self.slots.get_mut(self.len) {
+            Some(slot) => *slot = state,
+            None => self.slots.push(state),
+        }
+        self.len += 1;
+    }
+
+    /// Appends the next slot to the current symbol's run and hands it
+    /// back to be overwritten in place. It holds whatever an earlier
+    /// call left there (or `S::default()`), so the caller resets it.
+    pub fn slot(&mut self) -> &mut S
+    where
+        S: Default,
+    {
+        if self.len == self.slots.len() {
+            self.slots.push(S::default());
+        }
+        self.len += 1;
+        &mut self.slots[self.len - 1]
+    }
+
+    /// Closes the current symbol's run (empty if nothing was appended:
+    /// `δ` undefined there).
+    pub fn end_symbol(&mut self) {
+        self.ends.push(self.len);
+    }
+
+    /// How many symbols' runs are closed.
+    pub fn symbols(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Symbol `i`'s successors.
+    pub fn symbol(&self, i: usize) -> &[S] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.slots[start..self.ends[i]]
+    }
+
+    /// Every successor appended since the last clear, in order: for a
+    /// one-symbol alphabet, exactly `δ(s, p)`.
+    pub fn into_vec(mut self) -> Vec<S> {
+        self.slots.truncate(self.len);
+        self.slots
+    }
+}
+
+impl<S> Default for Successors<S> {
+    fn default() -> Self {
+        Successors::new()
     }
 }
 

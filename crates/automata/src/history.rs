@@ -11,9 +11,23 @@ use std::fmt;
 /// `Op` is whatever operation-execution type the automaton uses — for the
 /// paper's examples an `op(args*)/term(res*)` record such as
 /// `Enq(5)/Ok()`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct History<Op> {
     ops: Vec<Op>,
+}
+
+// By hand for `clone_from`, which refills the target's buffer: the
+// quorum consensus automaton writes successors into reused slots.
+impl<Op: Clone> Clone for History<Op> {
+    fn clone(&self) -> Self {
+        History {
+            ops: self.ops.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.ops.clone_from(&source.ops);
+    }
 }
 
 impl<Op> History<Op> {

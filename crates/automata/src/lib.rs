@@ -84,7 +84,7 @@ pub mod rng;
 
 /// Convenient re-exports of the crate's main types.
 pub mod prelude {
-    pub use crate::automaton::{IntersectionAutomaton, ObjectAutomaton};
+    pub use crate::automaton::{IntersectionAutomaton, ObjectAutomaton, Successors};
     pub use crate::calm::{response_stable, ResponseInstability};
     pub use crate::constraint::{ConstraintId, ConstraintSet, ConstraintUniverse};
     pub use crate::environment::{CombinedAutomaton, Environment, Input};
@@ -103,7 +103,7 @@ pub mod prelude {
     pub use crate::rng::SplitMix64;
 }
 
-pub use automaton::{IntersectionAutomaton, ObjectAutomaton};
+pub use automaton::{IntersectionAutomaton, ObjectAutomaton, Successors};
 pub use calm::{response_stable, ResponseInstability};
 pub use constraint::{ConstraintId, ConstraintSet, ConstraintUniverse};
 pub use environment::{CombinedAutomaton, Environment, Input};
@@ -118,5 +118,5 @@ pub use multiwalk::{
     CompareOptions, DenseArena, LanguageComparison, MultiComparison, StopWhen,
 };
 pub use probe::{EngineProbe, NoopProbe};
-pub use random::{random_history, RandomWalk};
+pub use random::{check_step_all_into, random_history, RandomWalk};
 pub use rng::SplitMix64;

@@ -32,9 +32,11 @@
 //!   reaches) found by a direct `state id → set id` index.
 //! * **The state table** — per point and side, the successor state ids
 //!   of each state id under every alphabet symbol, filled by **one**
-//!   [`ObjectAutomaton::step_all`] per (point, state) however many sets
-//!   the state is a member of. It is the automaton's transition relation
-//!   over the states the walk reached, in integers.
+//!   [`ObjectAutomaton::step_all_into`] per (point, state) however many
+//!   sets the state is a member of, into one [`Successors`] buffer per
+//!   side whose slots are reused call after call; a successor is cloned
+//!   only when the arena has not seen it. It is the automaton's
+//!   transition relation over the states the walk reached, in integers.
 //! * **Set rows** — per point and side, the successor set id of each set
 //!   id under every symbol: per symbol, the members' state-table entries
 //!   gathered into one buffer and interned. Pure integer work, done once
@@ -52,7 +54,7 @@
 
 use std::hash::{Hash, Hasher};
 
-use crate::automaton::ObjectAutomaton;
+use crate::automaton::{ObjectAutomaton, Successors};
 use crate::cons::{ConsTable, Entry, WordHasher};
 use crate::history::History;
 use crate::probe::{EngineProbe, NoopProbe};
@@ -272,6 +274,8 @@ struct Side<'a, A: ObjectAutomaton, const N: usize> {
     members: Vec<usize>,
     /// Scratch: one symbol's gathered successor state ids.
     gathered: Vec<u32>,
+    /// Scratch: the successors of the state being stepped.
+    successors: Successors<A::State>,
     tally: Tally,
 }
 
@@ -290,13 +294,15 @@ impl<'a, A: ObjectAutomaton, const N: usize> Side<'a, A, N> {
             set_rows: std::array::from_fn(|_| RowTable::default()),
             members: Vec::new(),
             gathered: Vec::new(),
+            successors: Successors::new(),
             tally: Tally::default(),
         };
         (side, initial)
     }
 
     /// The offset in `state_rows[p].pool` of `state_id`'s row, written
-    /// on first demand by the one `step_all` this (point, state) gets.
+    /// on first demand by the one `step_all_into` this (point, state)
+    /// gets.
     fn state_row(&mut self, p: usize, state_id: u32, alphabet: &[A::Op]) -> usize {
         if let Some(offset) = self.state_rows[p].offset(state_id) {
             self.tally.state_hits += 1;
@@ -305,14 +311,19 @@ impl<'a, A: ObjectAutomaton, const N: usize> Side<'a, A, N> {
         self.tally.state_steps += 1;
         // Successors are interned after the call returns, so it can
         // borrow the arena's own copy of the state.
-        let successors = self.automata[p].step_all(self.arena.state(state_id), alphabet);
+        self.successors.clear();
+        self.automata[p].step_all_into(self.arena.state(state_id), alphabet, &mut self.successors);
         let k = alphabet.len();
-        assert_eq!(successors.len(), k, "step_all: one entry per symbol");
+        assert_eq!(
+            self.successors.symbols(),
+            k,
+            "step_all_into: one run per symbol"
+        );
         let states = &mut self.state_rows[p];
         let offset = states.open(state_id);
         states.pool.resize(offset + k, 0);
-        for (i, targets) in successors.iter().enumerate() {
-            for target in targets {
+        for i in 0..k {
+            for target in self.successors.symbol(i) {
                 states.pool.push(self.arena.intern_state(target));
             }
             states.pool[offset + i] = u32::try_from(states.pool.len() - offset - k)
@@ -916,7 +927,7 @@ mod tests {
         }
     }
 
-    /// A [`CappedBag`] that tallies its `step_all` calls per state.
+    /// A [`CappedBag`] that tallies its `step_all_into` calls per state.
     struct Counted {
         inner: CappedBag,
         calls: std::cell::RefCell<std::collections::BTreeMap<Vec<u8>, u32>>,
@@ -959,9 +970,9 @@ mod tests {
         fn step(&self, s: &Vec<u8>, op: &Op) -> Vec<Vec<u8>> {
             self.inner.step(s, op)
         }
-        fn step_all(&self, s: &Vec<u8>, alphabet: &[Op]) -> Vec<Vec<Vec<u8>>> {
+        fn step_all_into(&self, s: &Vec<u8>, alphabet: &[Op], out: &mut Successors<Vec<u8>>) {
             *self.calls.borrow_mut().entry(s.clone()).or_insert(0) += 1;
-            alphabet.iter().map(|op| self.inner.step(s, op)).collect()
+            self.inner.step_all_into(s, alphabet, out);
         }
     }
 

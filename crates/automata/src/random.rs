@@ -7,7 +7,7 @@
 //! seeded random walks (all randomness in the workspace flows through
 //! explicit [`SplitMix64`] seeds).
 
-use crate::automaton::ObjectAutomaton;
+use crate::automaton::{ObjectAutomaton, Successors};
 use crate::history::History;
 use crate::rng::SplitMix64;
 
@@ -85,6 +85,47 @@ pub fn random_history<A: ObjectAutomaton>(
     RandomWalk::new(automaton, alphabet.to_vec(), seed).walk(len)
 }
 
+/// Checks an automaton's [`ObjectAutomaton::step_all_into`] against its
+/// per-operation [`ObjectAutomaton::step`] at every state a seeded random
+/// walk of up to `len` operations passes through: per symbol, the same
+/// successors in the same order, and none where `δ` is undefined. One
+/// [`Successors`] buffer serves every call, as in the language walk, so a
+/// slot left holding an earlier call's state shows too. Returns the first
+/// mismatch.
+pub fn check_step_all_into<A: ObjectAutomaton>(
+    automaton: &A,
+    alphabet: &[A::Op],
+    len: usize,
+    seed: u64,
+) -> Result<(), String> {
+    let mut walk = RandomWalk::new(automaton, alphabet.to_vec(), seed);
+    let mut out = Successors::new();
+    loop {
+        let state = walk.state();
+        out.clear();
+        automaton.step_all_into(state, alphabet, &mut out);
+        if out.symbols() != alphabet.len() {
+            return Err(format!(
+                "at {state:?}: {} runs for {} symbols",
+                out.symbols(),
+                alphabet.len()
+            ));
+        }
+        for (i, op) in alphabet.iter().enumerate() {
+            let expected = automaton.step(state, op);
+            if out.symbol(i) != expected.as_slice() {
+                return Err(format!(
+                    "at {state:?} · {op:?}: step_all_into gave {:?}, step {expected:?}",
+                    out.symbol(i)
+                ));
+            }
+        }
+        if walk.history().len() == len || walk.step().is_none() {
+            return Ok(());
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,6 +192,37 @@ mod tests {
         }
         let h = random_history(&TwoSteps, &[0], 10, 7);
         assert_eq!(h.len(), 2);
+    }
+
+    /// A batched step that leaves a slot's earlier contents in place is
+    /// caught, though each call alone starts from a fresh-looking buffer.
+    #[test]
+    fn step_all_into_check_catches_a_stale_slot() {
+        #[derive(Debug, Clone)]
+        struct Stale;
+        impl ObjectAutomaton for Stale {
+            type State = Vec<u8>;
+            type Op = u8;
+            fn initial_state(&self) -> Vec<u8> {
+                Vec::new()
+            }
+            fn step(&self, s: &Vec<u8>, op: &u8) -> Vec<Vec<u8>> {
+                let mut next = s.clone();
+                next.push(*op);
+                vec![next]
+            }
+            fn step_all_into(&self, s: &Vec<u8>, alphabet: &[u8], out: &mut Successors<Vec<u8>>) {
+                for op in alphabet {
+                    let next = out.slot();
+                    next.extend_from_slice(s); // never cleared
+                    next.push(*op);
+                    out.end_symbol();
+                }
+            }
+        }
+        assert!(check_step_all_into(&Stale, &[0, 1], 0, 1).is_ok());
+        assert!(check_step_all_into(&Stale, &[0, 1], 3, 1).is_err());
+        assert!(check_step_all_into(&Counter, &[1, -1], 30, 1).is_ok());
     }
 
     #[test]

@@ -16,6 +16,7 @@ use relax_atomic::{
 };
 use relax_automata::{
     compare_upto, language_upto, CompareOptions, History, IntersectionAutomaton, ObjectAutomaton,
+    Successors,
 };
 use relax_core::lattices::taxi::{PackedTaxiReference, TaxiLattice, TaxiPoint};
 use relax_core::theorem4::verify_taxi_lattice;
@@ -543,7 +544,8 @@ fn bench_product_walk(c: &mut Criterion) {
     group.finish();
 }
 
-/// The state layer under Theorem 4's walk: ns per `step_all` over every
+/// The state layer under Theorem 4's walk: ns per `step_all_into`, into
+/// one reused `Successors` buffer as the walk calls it, over every
 /// (point, state) pair the (3, 8) walk steps on one side, i.e. every
 /// state a history of at most 7 operations reaches at each of the four
 /// points. `quotient` is the Rep-view side, `reference` the packed
@@ -569,8 +571,8 @@ fn bench_taxi_states(c: &mut Criterion) {
     group.finish();
 }
 
-/// One `taxi_states` row: `step_all` over each automaton's states
-/// reachable within 7 operations, round robin.
+/// One `taxi_states` row: `step_all_into` over each automaton's states
+/// reachable within 7 operations, round robin, into one buffer.
 fn bench_step_all<A: ObjectAutomaton<Op = QueueOp>>(
     group: &mut criterion::BenchmarkGroup<'_>,
     name: &str,
@@ -582,12 +584,15 @@ fn bench_step_all<A: ObjectAutomaton<Op = QueueOp>>(
         .flat_map(|a| reachable(a, alphabet, 7).into_iter().map(move |s| (a, s)))
         .collect();
     let mut next = 0;
+    let mut out = Successors::new();
     group.bench_function(BenchmarkId::from_parameter(name), |bencher| {
         bencher.iter_custom(|iters| {
             let start = Instant::now();
             for _ in 0..iters {
                 let (a, s) = &pairs[next];
-                black_box(a.step_all(s, alphabet));
+                out.clear();
+                a.step_all_into(s, alphabet, &mut out);
+                black_box(&out);
                 next = (next + 1) % pairs.len();
             }
             start.elapsed()

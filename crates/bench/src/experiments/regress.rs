@@ -178,10 +178,11 @@ pub const CHECKS: &[Check] = &[
         metric: "product_walk/n1_rawqca_3x6",
         band: Band::MaxRatio(4.0),
     },
-    // The state layer under that walk: ns per `step_all` over the states
-    // the (3, 8) walk reaches on each side. A Rep-view step that sorts
-    // its successor again, or a reference whose states go back to trees,
-    // reads several times the baseline here before the walk row moves.
+    // The state layer under that walk: ns per `step_all_into`, into one
+    // reused `Successors` buffer, over the states the (3, 8) walk reaches
+    // on each side. A Rep-view step that sorts its successor again, or a
+    // reference whose states go back to trees, reads several times the
+    // baseline here before the walk row moves.
     Check {
         file: "BENCH_micro_substrates.json",
         metric: "taxi_states/quotient_3x8",

@@ -17,7 +17,7 @@
 //! | `∅` | degenerate priority queue (both anomalies) |
 
 use relax_automata::{
-    ConstraintSet, ConstraintUniverse, Environment, ObjectAutomaton, RelaxationMap,
+    ConstraintSet, ConstraintUniverse, Environment, ObjectAutomaton, RelaxationMap, Successors,
 };
 use relax_queues::{
     Bag, DegenPqAutomaton, Eta, Item, Mpq, MpqAutomaton, OpqAutomaton, PQueueAutomaton,
@@ -174,36 +174,52 @@ impl ObjectAutomaton for PackedTaxiReference {
         (0, 0)
     }
 
-    fn step(&self, &(present, absent): &(PackedBag, PackedBag), op: &QueueOp) -> Vec<Self::State> {
-        let (QueueOp::Enq(e) | QueueOp::Deq(e)) = op;
-        let Ok(rank) = self.domain.binary_search(e) else {
-            return Vec::new();
-        };
-        if matches!(op, QueueOp::Enq(_)) {
-            return vec![(ins(present, rank), absent)];
-        }
-        let removed = del(present, rank);
-        let held = removed != present;
-        match (self.point.q1, self.point.q2) {
-            // PQ: serve the best item.
-            (true, true) if best(present) == Some(rank) => vec![(removed, absent)],
-            // MPQ (Figure 3-3): re-return an absent item that beats
-            // everything present, or move the best present item to absent.
-            (true, false) => {
-                let mut out = Vec::new();
-                if del(absent, rank) != absent && best(present).is_none_or(|b| rank > b) {
-                    out.push((present, absent));
+    fn step(&self, state: &(PackedBag, PackedBag), op: &QueueOp) -> Vec<Self::State> {
+        let mut out = Successors::new();
+        self.step_all_into(state, std::slice::from_ref(op), &mut out);
+        out.into_vec()
+    }
+
+    fn step_all_into(
+        &self,
+        &(present, absent): &(PackedBag, PackedBag),
+        alphabet: &[QueueOp],
+        out: &mut Successors<Self::State>,
+    ) {
+        for op in alphabet {
+            let (QueueOp::Enq(e) | QueueOp::Deq(e)) = op;
+            // Outside the domain, δ is undefined.
+            if let Ok(rank) = self.domain.binary_search(e) {
+                let removed = del(present, rank);
+                let held = removed != present;
+                match (op, self.point.q1, self.point.q2) {
+                    (QueueOp::Enq(_), ..) => out.push((ins(present, rank), absent)),
+                    // PQ: serve the best item.
+                    (_, true, true) if best(present) == Some(rank) => {
+                        out.push((removed, absent));
+                    }
+                    // MPQ (Figure 3-3): re-return an absent item that beats
+                    // everything present, or move the best present item to
+                    // absent.
+                    (_, true, false) => {
+                        if del(absent, rank) != absent && best(present).is_none_or(|b| rank > b) {
+                            out.push((present, absent));
+                        }
+                        if best(present) == Some(rank) {
+                            out.push((removed, ins(absent, rank)));
+                        }
+                    }
+                    // OPQ: serve any present item.
+                    (_, false, true) if held => out.push((removed, absent)),
+                    // DegenPQ: serve any present item, keeping or removing it.
+                    (_, false, false) if held => {
+                        out.push((present, absent));
+                        out.push((removed, absent));
+                    }
+                    _ => {}
                 }
-                if best(present) == Some(rank) {
-                    out.push((removed, ins(absent, rank)));
-                }
-                out
             }
-            // OPQ: serve any present item.
-            (false, true) if held => vec![(removed, absent)],
-            // DegenPQ: serve any present item, keeping or removing it.
-            (false, false) if held => vec![(present, absent), (removed, absent)],
-            _ => Vec::new(),
+            out.end_symbol();
         }
     }
 }
@@ -381,7 +397,9 @@ pub fn constraint_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use relax_automata::{check_reverse_inclusion_lattice, equal_upto, CombinedAutomaton, Input};
+    use relax_automata::{
+        check_reverse_inclusion_lattice, check_step_all_into, equal_upto, CombinedAutomaton, Input,
+    };
     use relax_queues::queue_alphabet;
 
     #[test]
@@ -428,6 +446,21 @@ mod tests {
                     outcome.left_sizes, outcome.right_sizes,
                     "{point:?} over {domain:?}"
                 );
+            }
+        }
+    }
+
+    /// The batched step into a reused buffer equals the per-op step
+    /// symbol by symbol, at every point.
+    #[test]
+    fn packed_reference_step_all_into_equals_per_op_step() {
+        let domain = [1, 4, 6, 9];
+        let alphabet = queue_alphabet(&domain);
+        for point in TaxiPoint::all() {
+            let reference = PackedTaxiReference::new(point, &domain);
+            for seed in 0..64 {
+                let check = check_step_all_into(&reference, &alphabet, 24, seed);
+                assert_eq!(check, Ok(()), "{point:?}");
             }
         }
     }

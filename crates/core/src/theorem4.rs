@@ -95,9 +95,9 @@ impl TaxiVerification {
 ///    verifier below still walks the literal pair.
 /// 3. All four `(quotient, reference)` pairs ride one
 ///    [`multi_compare_upto_probed`] tuple walk with a shared dense
-///    state/set interner, one `step_all` per (point, state) and memoized
-///    successor rows, so common history structure is explored once
-///    instead of four times.
+///    state/set interner, one `step_all_into` per (point, state) and
+///    memoized successor rows, so common history structure is explored
+///    once instead of four times.
 ///
 /// Verdicts and per-point language sizes are pinned against
 /// [`verify_taxi_lattice_naive`] in tests.

@@ -16,7 +16,7 @@
 //! `{QCA(A, R, η) | R ⊆ Q}` a lattice of automata (§3.2) — the relaxation
 //! lattice of the taxi-queue example.
 
-use relax_automata::{History, ObjectAutomaton};
+use relax_automata::{History, ObjectAutomaton, Successors};
 use relax_queues::{Eval, ValueSpec};
 
 use crate::relation::{HasKind, IntersectionRelation};
@@ -120,12 +120,18 @@ where
     /// checked against precomputed per-position predecessor masks; `η(G)`
     /// is folded once per view and extended to `η(G·p)` incrementally via
     /// [`Eval::apply`]; a group stops scanning views as soon as all its
-    /// operations are enabled.
-    fn step_all(&self, h: &History<S::Op>, alphabet: &[S::Op]) -> Vec<Vec<History<S::Op>>> {
+    /// operations are enabled. The enabled operations' successors `H · p`
+    /// are then written in alphabet order, each into a reused slot.
+    fn step_all_into(
+        &self,
+        h: &History<S::Op>,
+        alphabet: &[S::Op],
+        out: &mut Successors<History<S::Op>>,
+    ) {
         let ops = h.ops();
         assert!(
             ops.len() < 64,
-            "step_all is for bounded histories (< 64 ops)"
+            "step_all_into is for bounded histories (< 64 ops)"
         );
         let n = ops.len();
         let preds = closure_pred_masks(h, &self.relation);
@@ -164,7 +170,7 @@ where
             }
         }
 
-        let mut out: Vec<Vec<History<S::Op>>> = vec![Vec::new(); alphabet.len()];
+        let mut enabled = vec![false; alphabet.len()];
 
         // Group alphabet indices by invocation kind.
         let mut groups: Vec<(<S::Op as HasKind>::Kind, Vec<usize>)> = Vec::new();
@@ -197,7 +203,7 @@ where
                         if self.spec.pre(&v, p) {
                             let v2 = self.eta.apply(&v, p);
                             if self.spec.post(&v, p, &v2) {
-                                out[ai] = vec![h.appended(p.clone())];
+                                enabled[ai] = true;
                                 return false;
                             }
                         }
@@ -213,14 +219,21 @@ where
                 subset = (subset.wrapping_sub(free)) & free;
             }
         }
-        out
+        for (p, enabled) in alphabet.iter().zip(enabled) {
+            if enabled {
+                let next = out.slot();
+                next.clone_from(h);
+                next.push(p.clone());
+            }
+            out.end_symbol();
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use relax_automata::{equal_upto, included_upto};
+    use relax_automata::{check_step_all_into, equal_upto, included_upto};
     use relax_queues::{queue_alphabet, Eta, PqValueSpec, QueueOp};
 
     use crate::relation::queue_relation;
@@ -311,28 +324,36 @@ mod tests {
     }
 
     #[test]
-    fn step_all_matches_per_op_step() {
+    fn step_all_into_matches_per_op_step() {
         // The batched transition (kind-grouped views, incremental η) must
         // agree exactly with the naive per-operation `step` on every
-        // reachable history.
+        // reachable history, written into one reused buffer.
         let alphabet = queue_alphabet(&[1, 2]);
+        let mut out = Successors::new();
         for (q1, q2) in [(true, true), (true, false), (false, true), (false, false)] {
             let a = qca(q1, q2);
             let mut frontier = vec![History::empty()];
             for _ in 0..4 {
                 let mut next = Vec::new();
                 for h in &frontier {
-                    let batched = a.step_all(h, &alphabet);
+                    out.clear();
+                    a.step_all_into(h, &alphabet, &mut out);
+                    assert_eq!(out.symbols(), alphabet.len());
                     for (i, p) in alphabet.iter().enumerate() {
                         assert_eq!(
-                            batched[i],
+                            out.symbol(i),
                             a.step(h, p),
                             "batched/naive disagree on {h:?} · {p:?} under ({q1},{q2})"
                         );
-                        next.extend(batched[i].iter().cloned());
+                        next.extend(out.symbol(i).iter().cloned());
                     }
                 }
                 frontier = next;
+            }
+            // Longer random histories over a wider domain.
+            let wide = queue_alphabet(&[1, 4, 6]);
+            for seed in 0..16 {
+                assert_eq!(check_step_all_into(&a, &wide, 10, seed), Ok(()));
             }
         }
     }

@@ -41,10 +41,12 @@
 //! Every transition is linear in `|V|` and sorts nothing. `ins_e` adds
 //! one constant to every bag, so it keeps `V` sorted and distinct. `del_e`
 //! leaves the bags without rank `e` alone and subtracts one constant from
-//! the bags with it: two sorted runs, so one merge-dedup yields the next
-//! sorted set.
+//! the bags with it: two sorted runs, so one merge yields the next sorted
+//! set. The runs are iterators over `V`, merged straight into the
+//! successor's [`Successors`] slot, so a step allocates nothing once the
+//! slot has grown to fit.
 
-use relax_automata::ObjectAutomaton;
+use relax_automata::{ObjectAutomaton, Successors};
 use relax_queues::{Item, QueueOp};
 
 /// A multiset over an item domain of ≤ 8 ranks, packed 8 bits per rank.
@@ -103,19 +105,24 @@ pub fn rank_domain(domain: &[Item]) -> Vec<Item> {
     domain
 }
 
-/// The sorted union of two strictly ascending runs.
-fn merge_dedup(a: &[PackedBag], b: &[PackedBag]) -> Vec<PackedBag> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        let (x, y) = (a[i], b[j]);
+/// Appends the sorted union of two strictly ascending runs to `out`.
+fn extend_union(
+    out: &mut Vec<PackedBag>,
+    a: impl Iterator<Item = PackedBag>,
+    b: impl Iterator<Item = PackedBag>,
+) {
+    let (mut a, mut b) = (a.peekable(), b.peekable());
+    while let (Some(&x), Some(&y)) = (a.peek(), b.peek()) {
         out.push(x.min(y));
-        i += usize::from(x <= y);
-        j += usize::from(y <= x);
+        if x <= y {
+            a.next();
+        }
+        if y <= x {
+            b.next();
+        }
     }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
+    out.extend(a);
+    out.extend(b);
 }
 
 /// The Rep-view automaton: the taxi-queue `QCA(PQ, {Q1?, Q2?}, η)`
@@ -165,40 +172,55 @@ impl ObjectAutomaton for RepViewAutomaton {
     }
 
     fn step(&self, v: &Vec<PackedBag>, op: &QueueOp) -> Vec<Vec<PackedBag>> {
-        match op {
-            QueueOp::Enq(e) => {
-                let Some(rank) = self.rank_of(*e) else {
-                    return Vec::new(); // outside the domain: δ undefined
-                };
-                let inserted: Vec<PackedBag> = v.iter().map(|&b| ins(b, rank)).collect();
-                if self.q1 {
-                    vec![inserted]
-                } else {
-                    // The new Enq's membership in a view is free.
-                    vec![merge_dedup(v, &inserted)]
-                }
-            }
-            QueueOp::Deq(e) => {
-                let Some(rank) = self.rank_of(*e) else {
-                    return Vec::new();
-                };
-                if !v.iter().any(|&b| best(b) == Some(rank)) {
-                    return Vec::new(); // no view serves e as the best item
-                }
-                // `del_e` shifts the bags holding `e` down by one constant
-                // and keeps the rest: two sorted runs. Under ¬Q2 the kept
-                // run is part of `V` already.
-                let (mut kept, mut shifted) = (Vec::new(), Vec::new());
-                for &b in v {
-                    let d = del(b, rank);
-                    if d != b {
-                        shifted.push(d);
-                    } else if self.q2 {
-                        kept.push(b);
+        let mut out = Successors::new();
+        self.step_all_into(v, std::slice::from_ref(op), &mut out);
+        out.into_vec()
+    }
+
+    fn step_all_into(
+        &self,
+        v: &Vec<PackedBag>,
+        alphabet: &[QueueOp],
+        out: &mut Successors<Vec<PackedBag>>,
+    ) {
+        for op in alphabet {
+            let (QueueOp::Enq(e) | QueueOp::Deq(e)) = *op;
+            // Outside the domain, δ is undefined.
+            if let Some(rank) = self.rank_of(e) {
+                match op {
+                    QueueOp::Enq(_) => {
+                        let next = out.slot();
+                        next.clear();
+                        let inserted = v.iter().map(|&b| ins(b, rank));
+                        if self.q1 {
+                            next.extend(inserted);
+                        } else {
+                            // The new Enq's membership in a view is free.
+                            extend_union(next, v.iter().copied(), inserted);
+                        }
                     }
+                    // Enabled iff some view serves `e` as the best item.
+                    QueueOp::Deq(_) if v.iter().any(|&b| best(b) == Some(rank)) => {
+                        let next = out.slot();
+                        next.clear();
+                        // `del_e` shifts the bags holding `e` down by one
+                        // constant and keeps the rest: two sorted runs.
+                        // Under ¬Q2 the kept run is part of `V` already.
+                        let shifted = v.iter().filter_map(|&b| {
+                            let d = del(b, rank);
+                            (d != b).then_some(d)
+                        });
+                        if self.q2 {
+                            let kept = v.iter().copied().filter(|&b| del(b, rank) == b);
+                            extend_union(next, kept, shifted);
+                        } else {
+                            extend_union(next, v.iter().copied(), shifted);
+                        }
+                    }
+                    QueueOp::Deq(_) => {}
                 }
-                vec![merge_dedup(if self.q2 { &kept } else { v }, &shifted)]
             }
+            out.end_symbol();
         }
     }
 }
@@ -207,7 +229,7 @@ impl ObjectAutomaton for RepViewAutomaton {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use relax_automata::{compare_upto, random_history, CompareOptions};
+    use relax_automata::{check_step_all_into, compare_upto, random_history, CompareOptions};
     use relax_queues::{queue_alphabet, Eta, PqValueSpec};
 
     use crate::qca::QcaAutomaton;
@@ -262,6 +284,18 @@ mod tests {
                 }
                 v = rep.step(&v, op).pop().expect("the history is accepted");
             }
+        }
+    }
+
+    proptest! {
+        /// The batched step into a reused buffer equals the per-op step
+        /// symbol by symbol, at every point.
+        #[test]
+        fn step_all_into_equals_per_op_step(seed in 0u64..1_000, len in 0usize..24, point in 0usize..4) {
+            let (q1, q2) = [(true, true), (true, false), (false, true), (false, false)][point];
+            let domain = [1, 4, 6, 9];
+            let rep = RepViewAutomaton::new(q1, q2, &domain);
+            prop_assert_eq!(check_step_all_into(&rep, &queue_alphabet(&domain), len, seed), Ok(()));
         }
     }
 
