@@ -1504,8 +1504,9 @@ mod tests {
         assert!(violations[0].spent >= 150);
     }
 
-    #[test]
-    fn export_metrics_refreshes_the_pinned_gauge_names() {
+    /// Ten enqueue/dequeue pairs over three gossiping replicas with wire
+    /// accounting, run to completion.
+    fn exported_run(staleness: bool) -> QuorumSystem<TaxiQueueType> {
         let mut sys = QuorumSystem::new(
             TaxiQueueType,
             3,
@@ -1516,13 +1517,37 @@ mod tests {
         )
         .with_wire_accounting()
         .with_gossip(30);
+        if staleness {
+            sys = sys.with_staleness();
+        }
         // Enqueues never read the view's value; the dequeues fold it.
         for i in 0..10 {
             sys.submit(QueueInv::Enq(i));
             sys.submit(QueueInv::Deq);
         }
         assert!(sys.run_until_outcomes(20, 1_000_000));
+        if staleness {
+            sys.sample_staleness();
+        }
         sys.export_metrics();
+        sys
+    }
+
+    /// The whole exposition of one fixed run, byte for byte: a renamed,
+    /// dropped or re-valued gauge shows here before any dashboard.
+    #[test]
+    fn export_metrics_exposition_is_pinned() {
+        let sys = exported_run(true);
+        // Rendering sorts histogram samples in place, hence the copy.
+        assert_eq!(
+            sys.registry().clone().render_prometheus(),
+            include_str!("../tests/fixtures/sim_exposition.prom")
+        );
+    }
+
+    #[test]
+    fn export_metrics_refreshes_the_pinned_gauge_names() {
+        let sys = exported_run(false);
         let (hits, misses) = sys.viewcache_counts();
         assert!(hits + misses > 0, "a dequeue consults the cache");
         let g = |name: &str| {
