@@ -230,37 +230,6 @@ impl<S> Default for Successors<S> {
     }
 }
 
-/// An automaton wrapper that renames nothing but fixes the state set of a
-/// deterministic automaton to single values, asserting determinism at
-/// runtime: useful in proofs like Theorem 4, which exploit that an
-/// automaton's postconditions "completely determine the new value".
-#[derive(Debug, Clone)]
-pub struct Deterministic<A>(pub A);
-
-impl<A: ObjectAutomaton> Deterministic<A> {
-    /// `δ*(H)` as a single value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the underlying automaton is observed to be
-    /// nondeterministic on this history (more than one successor state).
-    pub fn value_after(&self, history: &History<A::Op>) -> Option<A::State> {
-        let mut state = self.0.initial_state();
-        for op in history.iter() {
-            let nexts = self.0.step(&state, op);
-            match nexts.len() {
-                0 => return None,
-                1 => state = nexts.into_iter().next().expect("len checked"),
-                n => panic!(
-                    "automaton wrapped as deterministic is nondeterministic: \
-                     {n} successors for {op:?}"
-                ),
-            }
-        }
-        Some(state)
-    }
-}
-
 /// An automaton accepting exactly `L(A) ∩ L(B)`: the synchronized
 /// product. `δ*((a0,b0), H) = δ*_A(H) × δ*_B(H)`, so `H` is accepted iff
 /// both components accept it — which is what lets the lattice checks test
@@ -379,15 +348,6 @@ mod tests {
         assert!(!enabled.contains(&Op::Deq(2)));
     }
 
-    #[test]
-    fn deterministic_wrapper_returns_value() {
-        let d = Deterministic(TinyBag);
-        let h = History::from(vec![Op::Enq(2), Op::Enq(1)]);
-        assert_eq!(d.value_after(&h), Some(vec![1, 2]));
-        let bad = History::from(vec![Op::Deq(1)]);
-        assert_eq!(d.value_after(&bad), None);
-    }
-
     /// A genuinely nondeterministic automaton for testing δ* fan-out.
     #[derive(Debug, Clone)]
     struct Forky;
@@ -415,12 +375,5 @@ mod tests {
         let h2 = History::from(vec![0, 1]);
         // Only the even branch survives.
         assert_eq!(Forky.delta_star(&h2), HashSet::from([2]));
-    }
-
-    #[test]
-    #[should_panic(expected = "nondeterministic")]
-    fn deterministic_wrapper_panics_on_fanout() {
-        let d = Deterministic(Forky);
-        let _ = d.value_after(&History::from(vec![0]));
     }
 }

@@ -29,8 +29,9 @@ use relax_quorum::calm::{analyze_account, SchedulingPolicy};
 use relax_quorum::protocol::wire::Outcome;
 use relax_quorum::relation::{account_relation, AccountKind};
 use relax_quorum::types::{AccountInv, BankAccountType};
-use relax_quorum::{outcome_shapes, ClientConfig, QuorumSystem, VotingAssignment};
+use relax_quorum::{outcome_shapes, ClientConfig, LayerCounts, QuorumSystem, VotingAssignment};
 use relax_sim::{Fault, FaultSchedule, NetworkConfig, NodeId, Partition, SimTime};
+use relax_trace::metrics;
 
 use crate::args::Args;
 use crate::experiments::write_payload;
@@ -142,7 +143,7 @@ struct RunResult {
     outcomes: Vec<Outcome<relax_queues::AccountOp>>,
     history: Vec<relax_queues::AccountOp>,
     replica_logs: Vec<relax_quorum::Log<relax_queues::AccountOp>>,
-    calm_counts: (u64, u64),
+    counts: LayerCounts,
 }
 
 fn run_one(policy: SchedulingPolicy<AccountKind>, config: Config) -> RunResult {
@@ -184,7 +185,7 @@ fn run_one(policy: SchedulingPolicy<AccountKind>, config: Config) -> RunResult {
         replica_logs: (0..config.replicas)
             .map(|i| sys.replica_log(i).clone())
             .collect(),
-        calm_counts: sys.calm_op_counts(),
+        counts: sys.counts(),
     }
 }
 
@@ -226,8 +227,10 @@ pub fn measure(config: Config) -> CalmRow {
         .filter(|&i| matches!(inv(i, config.debit_every), AccountInv::Credit(_)))
         .count() as u64;
     let quorum_ops = config.ops as u64 - free_ops;
-    debug_assert_eq!(fast.calm_counts, (free_ops, quorum_ops));
-    debug_assert_eq!(base.calm_counts, (0, config.ops as u64));
+    debug_assert_eq!(fast.counts.calm_fast_ops, free_ops);
+    debug_assert_eq!(fast.counts.calm_quorum_ops, quorum_ops);
+    debug_assert_eq!(base.counts.calm_fast_ops, 0);
+    debug_assert_eq!(base.counts.calm_quorum_ops, config.ops as u64);
 
     let base_lat = credit_latencies(config, &base.outcomes);
     let fast_lat = credit_latencies(config, &fast.outcomes);
@@ -352,13 +355,15 @@ pub fn to_json(rows: &[CalmRow]) -> String {
     format!(
         "{{\"bench\":\"calm_fastpath\",\
          \"workload\":\"bank_account\",\"relation\":\"A2\",\
-         \"calm_fast_ops\":{calm_fast_ops},\"calm_quorum_ops\":{calm_quorum_ops},\
+         \"{fast}\":{calm_fast_ops},\"{quorum}\":{calm_quorum_ops},\
          \"rows\":[{}],\
          \"availability_fast\":{availability:.4},\
          \"all_equivalent\":{all_equivalent},\
          \"within_target\":{}}}\n",
         row_json.join(","),
-        availability == 1.0 && all_equivalent
+        availability == 1.0 && all_equivalent,
+        fast = metrics::calm::FAST_OPS,
+        quorum = metrics::calm::QUORUM_OPS,
     )
 }
 

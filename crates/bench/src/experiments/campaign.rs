@@ -442,8 +442,7 @@ pub fn run_instrumented(name: &str, seed: u64) {
 #[must_use]
 pub fn run_campaign(name: &str, seed: u64) -> CampaignOutcome {
     let r = recipe(name);
-    let mut sys = drive(&r, seed, Tier::Full);
-    sys.export_metrics();
+    let sys = drive(&r, seed, Tier::Full);
 
     // Staleness quantiles from the recorded lag samples.
     let mut lags = Histogram::new();

@@ -18,6 +18,9 @@
 //!   completion, and expose the replica logs and merged history that
 //!   the differential oracle compares across backends.
 //!
+//! [`LayerCounts`] is what both executors count of the layers they
+//! share, published under one set of names.
+//!
 //! [`crate::protocol::client::ClientState`] and
 //! [`crate::protocol::replica::ReplicaState`] handlers are generic over
 //! `Transport`, so the sim path monomorphizes to exactly the pre-split
@@ -26,7 +29,8 @@
 //! channels.
 
 use relax_sim::{Ctx, NodeId};
-use relax_trace::EventKind as TraceEvent;
+use relax_trace::metrics::{calm, merkle, viewcache};
+use relax_trace::{EventKind as TraceEvent, Registry};
 
 use crate::log::Log;
 use crate::protocol::wire::{Msg, Outcome};
@@ -115,6 +119,53 @@ impl RunStats {
         }
         self.ops as f64 * 1e9 / self.wall_nanos as f64
     }
+}
+
+/// Declares [`LayerCounts`]: one `u64` per field, each published as the
+/// named gauge, with its field-wise `Add` and its one `export`.
+macro_rules! layer_counts {
+    ($($field:ident => $group:ident::$name:ident,)*) => {
+        /// The tallies of the layers both executors share — view
+        /// evaluation, CALM scheduling and Merkle repair — kept by each
+        /// client, shard, replica and view cache, and summed per executor.
+        /// Each field is the gauge of the same name; see
+        /// `relax_trace::metrics` for what it counts.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct LayerCounts {
+            $(
+                #[doc = concat!("The [`", stringify!($group), "::", stringify!($name), "`] tally.")]
+                pub $field: u64,
+            )*
+        }
+
+        impl std::ops::Add for LayerCounts {
+            type Output = LayerCounts;
+
+            fn add(self, o: LayerCounts) -> LayerCounts {
+                LayerCounts { $($field: self.$field + o.$field,)* }
+            }
+        }
+
+        impl LayerCounts {
+            /// Sets one gauge per tally in `registry`, under the names
+            /// both executors publish.
+            pub fn export(&self, registry: &mut Registry) {
+                $(registry.gauge($group::$name).set(self.$field as i64);)*
+            }
+        }
+    };
+}
+
+layer_counts! {
+    viewcache_hits => viewcache::HITS,
+    viewcache_misses => viewcache::MISSES,
+    viewcache_replayed_entries => viewcache::REPLAYED_ENTRIES,
+    viewcache_checkpoint_hits => viewcache::CHECKPOINT_HITS,
+    calm_fast_ops => calm::FAST_OPS,
+    calm_quorum_ops => calm::QUORUM_OPS,
+    merkle_sync_rounds => merkle::SYNC_ROUNDS,
+    merkle_nodes_exchanged => merkle::NODES_EXCHANGED,
+    merkle_leaf_reuses => merkle::LEAF_REUSES,
 }
 
 /// An execution backend for the replicated object: accepts invocations,

@@ -67,7 +67,9 @@ pub mod viewcache;
 pub mod voting;
 
 pub use assignment::VotingAssignment;
-pub use backend::{outcome_shapes, ClientTable, Executor, OutcomeShape, RunStats, Transport};
+pub use backend::{
+    outcome_shapes, ClientTable, Executor, LayerCounts, OutcomeShape, RunStats, Transport,
+};
 pub use calm::{analyze, analyze_account, analyze_taxi, CalmReport, SchedulingPolicy, Verdict};
 pub use frontier::{Frontier, SiteSummary};
 pub use log::{DiffScratch, Entry, Log};

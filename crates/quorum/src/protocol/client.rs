@@ -14,7 +14,7 @@ use relax_sim::NodeId;
 use relax_trace::{EventKind as TraceEvent, OpOutcome, QuorumPhase};
 
 use crate::assignment::VotingAssignment;
-use crate::backend::Transport;
+use crate::backend::{LayerCounts, Transport};
 use crate::calm::SchedulingPolicy;
 use crate::frontier::Frontier;
 use crate::log::{DiffScratch, Entry, Log};
@@ -114,10 +114,8 @@ pub struct ClientState<T: ReplicatedType> {
     fast_writes: VecDeque<FastWrite>,
     /// Per replica, how much of the WAL it has acked (`wal[..mark]`).
     wal_acked: Vec<usize>,
-    /// Invocations that took the coordination-free fast path.
-    calm_fast: u64,
-    /// Invocations that ran the quorum protocol.
-    calm_quorum: u64,
+    /// The `calm_*` tallies (the cache keeps the `viewcache_*` ones).
+    counts: LayerCounts,
 }
 
 // Manual impl: the derive would demand `T::Value: Debug` (via the view
@@ -181,8 +179,7 @@ impl<T: ReplicatedType> ClientState<T> {
             wal: Log::new(),
             fast_writes: VecDeque::new(),
             wal_acked: vec![0; n],
-            calm_fast: 0,
-            calm_quorum: 0,
+            counts: LayerCounts::default(),
         }
     }
 
@@ -202,14 +199,9 @@ impl<T: ReplicatedType> ClientState<T> {
         self.policy = policy;
     }
 
-    /// The view cache (its hit, miss and replay tallies).
-    pub(crate) fn cache(&self) -> &ViewCache<T::Value> {
-        &self.cache
-    }
-
-    /// Invocations that took the fast path and the quorum path.
-    pub(crate) fn calm_counts(&self) -> (u64, u64) {
-        (self.calm_fast, self.calm_quorum)
+    /// This client's view-cache and CALM tallies.
+    pub(crate) fn counts(&self) -> LayerCounts {
+        self.counts + self.cache.counts
     }
 
     /// The write bookkeeping, for the invariant tests.
@@ -255,7 +247,7 @@ impl<T: ReplicatedType> ClientState<T> {
                 self.run_coordination_free(ctx, inv_id, &inv);
                 continue;
             }
-            self.calm_quorum += 1;
+            self.counts.calm_quorum_ops += 1;
             let needs_read = self.assignment.initial_size(kind) > 0;
             // The reference builds every view from nothing; a zero initial
             // quorum reads nothing, so it empties the buffer it keeps.
@@ -306,7 +298,7 @@ impl<T: ReplicatedType> ClientState<T> {
     /// read) went through its one clock — minted by it, or observed in
     /// `respond_with_view` — so the clock already dominates it all.
     fn run_coordination_free(&mut self, ctx: &mut impl Transport<T>, inv_id: u64, inv: &T::Inv) {
-        self.calm_fast += 1;
+        self.counts.calm_fast_ops += 1;
         let outcome = match self.ttype.execute(&self.ttype.initial_value(), inv) {
             None => Outcome::Refused { latency: 0 },
             Some(op) => {

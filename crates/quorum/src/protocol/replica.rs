@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use relax_sim::NodeId;
 
-use crate::backend::Transport;
+use crate::backend::{LayerCounts, Transport};
 use crate::log::{DiffScratch, Log};
 use crate::merkle::NodeRange;
 use crate::protocol::wire::{reuse, Msg};
@@ -26,13 +26,8 @@ pub struct ReplicaState<T: ReplicatedType> {
     /// probe cadence, or a chatty peer would starve the reverse
     /// direction of the sync.
     epoch: u64,
-    /// Merkle sync: probe broadcasts plus localization requests served.
-    merkle_rounds: u64,
-    /// Merkle sync: node summaries sent (roots and children).
-    merkle_nodes: u64,
-    /// Merkle sync: leaf payloads served from the batch cache instead of
-    /// being re-materialized (Arc reuse across peers).
-    merkle_leaf_reuse: u64,
+    /// The `merkle_*` tallies.
+    pub(crate) counts: LayerCounts,
     /// Batched leaf payloads, valid for `leaf_cache_version` only: each
     /// divergent range is materialized once and shared across every peer
     /// that requests it.
@@ -70,9 +65,7 @@ impl<T: ReplicatedType> ReplicaState<T> {
             gossip: None,
             peers,
             epoch: 0,
-            merkle_rounds: 0,
-            merkle_nodes: 0,
-            merkle_leaf_reuse: 0,
+            counts: LayerCounts::default(),
             leaf_cache: Vec::new(),
             leaf_cache_version: (0, 0),
             scratch: DiffScratch::default(),
@@ -91,15 +84,6 @@ impl<T: ReplicatedType> ReplicaState<T> {
         self.gossip = Some(interval);
     }
 
-    /// Merkle sync tallies as `(rounds, nodes sent, leaf-cache reuses)`.
-    pub(crate) fn merkle_counts(&self) -> (u64, u64, u64) {
-        (
-            self.merkle_rounds,
-            self.merkle_nodes,
-            self.merkle_leaf_reuse,
-        )
-    }
-
     /// The divergent-leaf payload for `r`, materialized once per log
     /// version and Arc-shared across every peer that requests it.
     fn leaf_payload(&mut self, r: NodeRange) -> Arc<Log<T::Op>> {
@@ -109,7 +93,7 @@ impl<T: ReplicatedType> ReplicaState<T> {
             self.leaf_cache_version = version;
         }
         if let Some((_, payload)) = self.leaf_cache.iter().find(|(k, _)| *k == r) {
-            self.merkle_leaf_reuse += 1;
+            self.counts.merkle_leaf_reuses += 1;
             return Arc::clone(payload);
         }
         let (lo, hi) = r.range();
@@ -175,14 +159,14 @@ impl<T: ReplicatedType> ReplicaState<T> {
                 }
             }
             Msg::MerkleRequest { expand, leaves } => {
-                self.merkle_rounds += 1;
+                self.counts.merkle_sync_rounds += 1;
                 if !expand.is_empty() {
                     let mut children = Vec::new();
                     let idx = self.log.merkle_index();
                     for r in &expand {
                         idx.children_into(r.site, r.level, r.index, &mut children);
                     }
-                    self.merkle_nodes += children.len() as u64;
+                    self.counts.merkle_nodes_exchanged += children.len() as u64;
                     ctx.send(
                         from,
                         Msg::MerkleSummary {
@@ -239,10 +223,10 @@ impl<T: ReplicatedType> ReplicaState<T> {
         let roots = self.log.merkle_index().roots();
         if !roots.is_empty() {
             let nodes = Arc::new(roots);
-            self.merkle_rounds += 1;
+            self.counts.merkle_sync_rounds += 1;
             let peers = Arc::clone(&self.peers);
             for &p in peers.iter().filter(|&&p| p != me) {
-                self.merkle_nodes += nodes.len() as u64;
+                self.counts.merkle_nodes_exchanged += nodes.len() as u64;
                 ctx.send(
                     p,
                     Msg::MerkleSummary {

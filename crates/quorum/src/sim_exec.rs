@@ -12,7 +12,7 @@ use relax_trace::{
 };
 
 use crate::assignment::VotingAssignment;
-use crate::backend::{ClientTable, Executor, RunStats};
+use crate::backend::{ClientTable, Executor, LayerCounts, RunStats};
 use crate::calm::SchedulingPolicy;
 use crate::log::Log;
 use crate::protocol::client::{ClientBookkeeping, ClientState};
@@ -179,16 +179,6 @@ impl<T: ReplicatedType> QuorumSystem<T> {
         }
     }
 
-    /// The client state machines, in client-index order.
-    fn clients(&self) -> impl Iterator<Item = &ClientState<T>> {
-        (0..self.clients.len()).map(|ix| self.client(ix))
-    }
-
-    /// The replica state machines, in replica-index order.
-    fn replicas(&self) -> impl Iterator<Item = &ReplicaState<T>> {
-        (0..self.n_replicas).map(|i| self.replica(i))
-    }
-
     /// Enables structured tracing on the underlying world with the given
     /// ring-buffer capacity (builder-style).
     #[must_use]
@@ -231,14 +221,6 @@ impl<T: ReplicatedType> QuorumSystem<T> {
         for ix in 0..self.clients.len() {
             self.world.send_external(self.clients[ix], Msg::FlushWal);
         }
-    }
-
-    /// Fast-path vs. quorum-path invocation counts summed across all
-    /// clients, as `(calm_fast, calm_quorum)`.
-    pub fn calm_op_counts(&self) -> (u64, u64) {
-        self.clients()
-            .map(ClientState::calm_counts)
-            .fold((0, 0), |(f, q), (cf, cq)| (f + cf, q + cq))
     }
 
     /// Installs the protocol's wire-size model ([`msg_wire_bytes`]) on
@@ -298,8 +280,8 @@ impl<T: ReplicatedType> QuorumSystem<T> {
         self.slo.as_ref()
     }
 
-    /// The observability metrics registry: staleness, gossip-efficiency,
-    /// view-cache, and wire gauges, all refreshed by
+    /// The observability metrics registry: staleness, view-cache, CALM,
+    /// Merkle and wire gauges, all refreshed by
     /// [`QuorumSystem::export_metrics`] (call it before scraping).
     pub fn registry(&self) -> &Registry {
         &self.registry
@@ -342,75 +324,60 @@ impl<T: ReplicatedType> QuorumSystem<T> {
         }
     }
 
-    // Always `(0, 0)` since replicas only run the Merkle walk; the next
-    // `[benchmark]` PR removes the one caller (`simheal.rs`), then this.
+    /// The view-cache and CALM tallies of every client plus the Merkle
+    /// tallies of every replica.
+    pub fn counts(&self) -> LayerCounts {
+        let nodes = 0..self.n_replicas + self.clients.len();
+        let counts = nodes.map(|i| match self.world.node(NodeId(i)) {
+            RoleNode::Replica(r) => r.counts,
+            RoleNode::Client(c) => c.counts(),
+        });
+        counts.fold(LayerCounts::default(), |a, b| a + b)
+    }
+
+    // Tuple reads the benchmark package still calls; the next
+    // `[benchmark]` PR moves it to the registry, then deletes these.
+    // `gossip_send_counts` is always `(0, 0)`: replicas only run the
+    // Merkle walk.
     #[doc(hidden)]
     pub fn gossip_send_counts(&self) -> (u64, u64) {
         (0, 0)
     }
 
-    /// Merkle anti-entropy counters summed across all replicas, as
-    /// `(sync_rounds, nodes_exchanged, leaf_reuses)`: localization
-    /// rounds answered, tree nodes shipped in summaries, and divergent
-    /// leaf payloads served from the per-version Arc cache instead of
-    /// being re-materialized.
+    #[doc(hidden)]
     pub fn merkle_sync_counts(&self) -> (u64, u64, u64) {
-        self.replicas()
-            .map(ReplicaState::merkle_counts)
-            .fold((0, 0, 0), |(r, n, u), (dr, dn, du)| {
-                (r + dr, n + dn, u + du)
-            })
+        let c = self.counts();
+        (
+            c.merkle_sync_rounds,
+            c.merkle_nodes_exchanged,
+            c.merkle_leaf_reuses,
+        )
     }
 
-    /// How many view-cache misses (across all clients) resumed from a
-    /// surviving checkpoint instead of replaying from zero.
+    #[doc(hidden)]
     pub fn viewcache_checkpoint_hits(&self) -> u64 {
-        self.clients().map(|c| c.cache().checkpoint_hits()).sum()
+        self.counts().viewcache_checkpoint_hits
     }
 
-    /// View-cache hits and misses summed across all clients.
+    #[doc(hidden)]
     pub fn viewcache_counts(&self) -> (u64, u64) {
-        self.clients()
-            .map(|c| (c.cache().hits(), c.cache().misses()))
-            .fold((0, 0), |(h, m), (dh, dm)| (h + dh, m + dm))
+        let c = self.counts();
+        (c.viewcache_hits, c.viewcache_misses)
     }
 
-    /// Total log entries folded by the clients' view caches — the
-    /// replay depth memoization could not avoid (see
-    /// [`crate::viewcache::ViewCache::entries_replayed`]).
+    #[doc(hidden)]
     pub fn viewcache_replayed_entries(&self) -> u64 {
-        self.clients().map(|c| c.cache().entries_replayed()).sum()
+        self.counts().viewcache_replayed_entries
     }
 
-    /// Refreshes the anti-entropy, view-cache, CALM and wire gauges in
-    /// [`QuorumSystem::registry`] from the current node and world state.
-    /// Call before rendering or scraping the registry.
+    /// Refreshes [`QuorumSystem::registry`]: the staleness gauges from
+    /// the last sample, [`QuorumSystem::counts`], and the world's wire
+    /// counters. Call before rendering or scraping the registry.
     pub fn export_metrics(&mut self) {
         if let Some(tracker) = &self.staleness {
             tracker.flush_gauges(&mut self.registry);
         }
-        let (hits, misses) = self.viewcache_counts();
-        self.registry.gauge("viewcache_hits").set(hits as i64);
-        self.registry.gauge("viewcache_misses").set(misses as i64);
-        let replayed = self.viewcache_replayed_entries();
-        self.registry
-            .gauge("viewcache_replayed_entries")
-            .set(replayed as i64);
-        let cp_hits = self.viewcache_checkpoint_hits();
-        self.registry
-            .gauge("viewcache_checkpoint_hits")
-            .set(cp_hits as i64);
-        let (calm_fast, calm_quorum) = self.calm_op_counts();
-        self.registry.gauge("calm_fast_ops").set(calm_fast as i64);
-        self.registry
-            .gauge("calm_quorum_ops")
-            .set(calm_quorum as i64);
-        let (rounds, nodes, reuses) = self.merkle_sync_counts();
-        self.registry.gauge("merkle_sync_rounds").set(rounds as i64);
-        self.registry
-            .gauge("merkle_nodes_exchanged")
-            .set(nodes as i64);
-        self.registry.gauge("merkle_leaf_reuses").set(reuses as i64);
+        self.counts().export(&mut self.registry);
         self.registry
             .gauge(relax_trace::metrics::wire::MESSAGES_SENT)
             .set(self.world.messages_sent() as i64);
@@ -651,7 +618,11 @@ impl<T: ReplicatedType> Executor<T> for QuorumSystem<T> {
     /// is the host's real elapsed time around the event loop, so sim
     /// throughput is directly comparable to the threaded backend's.
     fn run_all(&mut self) -> RunStats {
-        let total = |sys: &Self| -> usize { sys.clients().map(|c| c.outcomes().len()).sum() };
+        let total = |sys: &Self| -> usize {
+            (0..sys.clients.len())
+                .map(|ix| sys.outcomes_of(ix).len())
+                .sum()
+        };
         let before = total(self);
         let start = std::time::Instant::now();
         self.run_to_quiescence(u64::MAX);
@@ -1151,7 +1122,14 @@ mod tests {
             sys.outcomes_of(1).to_vec(),
             sys.merged_history().into_ops(),
             sys.world().bytes_sent() - before,
-            sys.merkle_sync_counts(),
+            {
+                let c = sys.counts();
+                (
+                    c.merkle_sync_rounds,
+                    c.merkle_nodes_exchanged,
+                    c.merkle_leaf_reuses,
+                )
+            },
         )
     }
 
@@ -1547,30 +1525,29 @@ mod tests {
 
     #[test]
     fn export_metrics_refreshes_the_pinned_gauge_names() {
+        use relax_trace::metrics::{calm, merkle, viewcache, wire};
         let sys = exported_run(false);
-        let (hits, misses) = sys.viewcache_counts();
-        assert!(hits + misses > 0, "a dequeue consults the cache");
+        let c = sys.counts();
+        assert!(
+            c.viewcache_hits + c.viewcache_misses > 0,
+            "a dequeue consults the cache"
+        );
         let g = |name: &str| {
             sys.registry()
                 .get_gauge(name)
                 .unwrap_or_else(|| panic!("gauge {name} missing"))
-                .value()
+                .value() as u64
         };
-        assert_eq!(g("viewcache_hits"), hits as i64);
-        assert_eq!(g("viewcache_misses"), misses as i64);
-        assert_eq!(g("wire_messages_sent"), sys.world().messages_sent() as i64);
-        assert_eq!(g("wire_shipped_bytes"), sys.world().bytes_sent() as i64);
-        assert_eq!(
-            g("viewcache_replayed_entries"),
-            sys.viewcache_replayed_entries() as i64
-        );
-        let (rounds, nodes, reuses) = sys.merkle_sync_counts();
-        assert_eq!(g("merkle_sync_rounds"), rounds as i64);
-        assert_eq!(g("merkle_nodes_exchanged"), nodes as i64);
-        assert_eq!(g("merkle_leaf_reuses"), reuses as i64);
-        assert_eq!(
-            g("viewcache_checkpoint_hits"),
-            sys.viewcache_checkpoint_hits() as i64
-        );
+        assert_eq!(g(viewcache::HITS), c.viewcache_hits);
+        assert_eq!(g(viewcache::MISSES), c.viewcache_misses);
+        assert_eq!(g(viewcache::REPLAYED_ENTRIES), c.viewcache_replayed_entries);
+        assert_eq!(g(viewcache::CHECKPOINT_HITS), c.viewcache_checkpoint_hits);
+        assert_eq!(g(calm::FAST_OPS), c.calm_fast_ops);
+        assert_eq!(g(calm::QUORUM_OPS), c.calm_quorum_ops);
+        assert_eq!(g(merkle::SYNC_ROUNDS), c.merkle_sync_rounds);
+        assert_eq!(g(merkle::NODES_EXCHANGED), c.merkle_nodes_exchanged);
+        assert_eq!(g(merkle::LEAF_REUSES), c.merkle_leaf_reuses);
+        assert_eq!(g(wire::MESSAGES_SENT), sys.world().messages_sent());
+        assert_eq!(g(wire::BYTES_SHIPPED), sys.world().bytes_sent());
     }
 }

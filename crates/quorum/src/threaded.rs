@@ -68,10 +68,11 @@ use std::time::{Duration, Instant};
 
 use relax_automata::History;
 use relax_sim::NodeId;
+use relax_trace::metrics::realtime;
 use relax_trace::{DegradationMonitor, EventKind as TraceEvent, Registry, TimeBase};
 
 use crate::assignment::VotingAssignment;
-use crate::backend::{ClientTable, Executor, RunStats, Transport};
+use crate::backend::{ClientTable, Executor, LayerCounts, RunStats, Transport};
 use crate::calm::SchedulingPolicy;
 use crate::frontier::Frontier;
 use crate::log::{Entry, Log};
@@ -142,10 +143,8 @@ struct ShardState<T: ReplicatedType> {
     latencies: Vec<u64>,
     /// Operations per group commit.
     batch_sizes: Vec<u64>,
-    /// Invocations that took the coordination-free fast path.
-    calm_fast: u64,
-    /// Invocations that ran the quorum protocol.
-    calm_quorum: u64,
+    /// The `calm_*` tallies (the cache keeps the `viewcache_*` ones).
+    counts: LayerCounts,
 }
 
 /// One visit's traffic between a shard and a broker, either way: the
@@ -253,8 +252,7 @@ impl<T: ReplicatedType> ThreadedSystem<T> {
                 rounds: 0,
                 latencies: Vec::new(),
                 batch_sizes: Vec::new(),
-                calm_fast: 0,
-                calm_quorum: 0,
+                counts: LayerCounts::default(),
             })
             .collect();
         for c in 0..n_clients {
@@ -299,16 +297,21 @@ impl<T: ReplicatedType> ThreadedSystem<T> {
         self
     }
 
-    /// Fast-path vs. quorum-path invocation counts summed across all
-    /// shards, as `(calm_fast, calm_quorum)`.
+    /// The view-cache and CALM tallies of every shard plus the Merkle
+    /// tallies of every replica (zero: brokers run no anti-entropy).
+    pub fn counts(&self) -> LayerCounts {
+        let shards = self.shards.iter().map(|s| s.counts + s.cache.counts);
+        shards
+            .chain(self.replicas.iter().map(|r| r.counts))
+            .fold(LayerCounts::default(), |a, b| a + b)
+    }
+
+    // A tuple read the benchmark package still calls; the next
+    // `[benchmark]` PR moves it to the registry, then deletes this.
+    #[doc(hidden)]
     pub fn calm_op_counts(&self) -> (u64, u64) {
-        let mut fast = 0;
-        let mut quorum = 0;
-        for shard in &self.shards {
-            fast += shard.calm_fast;
-            quorum += shard.calm_quorum;
-        }
-        (fast, quorum)
+        let c = self.counts();
+        (c.calm_fast_ops, c.calm_quorum_ops)
     }
 
     /// Attaches an online degradation monitor (builder-style): completed
@@ -345,7 +348,9 @@ impl<T: ReplicatedType> ThreadedSystem<T> {
     /// The wall-clock metrics: `realtime_op_latency_nanos` (p50/p99 come
     /// from here), `realtime_commit_batch_ops`, `realtime_shard_rounds`
     /// and `realtime_broker_visits` (batches the brokers have flushed: per
-    /// replica, one a round and one more a run when a single shard reads).
+    /// replica, one a round and one more a run when a single shard reads);
+    /// beside them [`ThreadedSystem::counts`] under the sim's names.
+    /// [`ThreadedSystem::run_all`] refreshes all of them.
     pub fn registry(&self) -> &Registry {
         &self.registry
     }
@@ -484,26 +489,22 @@ where
             rounds += shard.rounds;
             let hist = self
                 .registry
-                .histogram_in("realtime_op_latency_nanos", TimeBase::WallNanos);
+                .histogram_in(realtime::OP_LATENCY_NANOS, TimeBase::WallNanos);
             for nanos in shard.latencies.drain(..) {
                 hist.record(nanos);
             }
-            let commits = self.registry.histogram("realtime_commit_batch_ops");
+            let commits = self.registry.histogram(realtime::COMMIT_BATCH_OPS);
             for size in shard.batch_sizes.drain(..) {
                 commits.record(size);
             }
         }
         self.registry
-            .gauge("realtime_shard_rounds")
+            .gauge(realtime::SHARD_ROUNDS)
             .set(rounds as i64);
         self.registry
-            .gauge("realtime_broker_visits")
+            .gauge(realtime::BROKER_VISITS)
             .add(visits as i64);
-        let (calm_fast, calm_quorum) = self.calm_op_counts();
-        self.registry.gauge("calm_fast_ops").set(calm_fast as i64);
-        self.registry
-            .gauge("calm_quorum_ops")
-            .set(calm_quorum as i64);
+        self.counts().export(&mut self.registry);
         self.poll_monitor();
         RunStats { ops, wall_nanos }
     }
@@ -635,8 +636,7 @@ fn run_shard<T: ReplicatedType>(
             asked,
             latencies,
             batch_sizes,
-            calm_fast,
-            calm_quorum,
+            counts,
             ..
         } = shard;
 
@@ -730,10 +730,10 @@ fn run_shard<T: ReplicatedType>(
             let kind = ttype.invocation_kind(&inv);
             let free = policy.is_free(kind);
             let init = if free {
-                *calm_fast += 1;
+                counts.calm_fast_ops += 1;
                 0
             } else {
-                *calm_quorum += 1;
+                counts.calm_quorum_ops += 1;
                 assignment.initial_size(kind)
             };
             if init > responses {
@@ -843,7 +843,7 @@ mod tests {
         // Wall-clock latencies landed on the nanos time base.
         let hist = sys
             .registry()
-            .get_histogram("realtime_op_latency_nanos")
+            .get_histogram(realtime::OP_LATENCY_NANOS)
             .expect("recorded");
         assert_eq!(hist.time_base(), TimeBase::WallNanos);
         assert_eq!(hist.len(), 4);
@@ -935,7 +935,7 @@ mod tests {
         // Group commit actually batched: fewer commits than operations.
         let commits = sys
             .registry()
-            .get_histogram("realtime_commit_batch_ops")
+            .get_histogram(realtime::COMMIT_BATCH_OPS)
             .expect("recorded");
         assert!(
             commits.len() < clients * 8,
@@ -967,7 +967,8 @@ mod tests {
         assert!(outcomes[0].is_completed(), "free credit is 100% available");
         assert!(outcomes[1].is_timeout(), "quorum debit still degrades");
         assert_eq!(sys.replica_log(2).len(), 1, "credit rode the group commit");
-        assert_eq!(sys.calm_op_counts(), (1, 1));
+        let calm = |c: LayerCounts| (c.calm_fast_ops, c.calm_quorum_ops);
+        assert_eq!(calm(sys.counts()), (1, 1));
         // After recovery the debit observes the fast-path credit.
         sys.recover(0);
         sys.recover(1);
@@ -980,7 +981,7 @@ mod tests {
                 ..
             }
         ));
-        assert_eq!(sys.calm_op_counts(), (1, 2));
+        assert_eq!(calm(sys.counts()), (1, 2));
     }
 
     #[test]
@@ -1021,7 +1022,8 @@ mod tests {
             }
         }
         sys.run_all();
-        assert_eq!(sys.calm_op_counts(), (72, 24));
+        let c = sys.counts();
+        assert_eq!((c.calm_fast_ops, c.calm_quorum_ops), (72, 24));
         // One op per client per round: client c's j-th entry is round j.
         let log = sys.replica_log(0);
         assert_eq!(log.len(), clients * rounds);
@@ -1091,7 +1093,7 @@ mod tests {
     }
 
     fn broker_visits<T: ReplicatedType>(sys: &ThreadedSystem<T>) -> i64 {
-        let gauge = sys.registry().get_gauge("realtime_broker_visits");
+        let gauge = sys.registry().get_gauge(realtime::BROKER_VISITS);
         gauge.expect("set by run_all").value()
     }
 
@@ -1120,7 +1122,7 @@ mod tests {
             sys.submit_to(0, inv.clone());
         }
         assert_eq!(sys.run_all().ops, stream.len() as u64);
-        let rounds = sys.registry().get_gauge("realtime_shard_rounds");
+        let rounds = sys.registry().get_gauge(realtime::SHARD_ROUNDS);
         assert_eq!(rounds.expect("set").value(), stream.len() as i64);
         broker_visits(&sys)
     }
@@ -1331,8 +1333,9 @@ mod tests {
             assert_eq!(sys.replica_log(i).len(), total as usize, "replica {i}");
         }
         assert_eq!(sys.merged_history().len(), total as usize);
+        let c = sys.counts();
         assert_eq!(
-            sys.calm_op_counts(),
+            (c.calm_fast_ops, c.calm_quorum_ops),
             (
                 clients as u64 * per_client_credits,
                 clients as u64 * per_client_debits

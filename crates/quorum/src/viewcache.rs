@@ -64,6 +64,7 @@
 //! [`ViewCache::eval`] is the owned form: the same call plus one copy of
 //! the result.
 
+use crate::backend::LayerCounts;
 use crate::log::Log;
 use crate::timestamp::Timestamp;
 
@@ -116,12 +117,10 @@ pub struct ViewCache<V> {
     empty: Option<V>,
     /// Checkpoint chain: slot `k` snapshots the fold at the `k`-th
     /// geometric boundary (see `checkpoint_slot`), refreshed whenever
-    /// a replay crosses that length once `misses > 0`.
+    /// a replay crosses that length once a miss has been seen.
     checkpoints: Vec<Option<Cached<V>>>,
-    hits: u64,
-    misses: u64,
-    checkpoint_hits: u64,
-    entries_replayed: u64,
+    /// The `viewcache_*` tallies; the other layers' stay zero.
+    pub(crate) counts: LayerCounts,
 }
 
 // Manual impl so `Debug` does not require `V: Debug` (values may be
@@ -130,9 +129,7 @@ impl<V> std::fmt::Debug for ViewCache<V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ViewCache")
             .field("cached_len", &self.cached.as_ref().map(|c| c.len))
-            .field("hits", &self.hits)
-            .field("misses", &self.misses)
-            .field("checkpoint_hits", &self.checkpoint_hits)
+            .field("counts", &self.counts)
             .finish()
     }
 }
@@ -143,10 +140,7 @@ impl<V> Default for ViewCache<V> {
             cached: None,
             empty: None,
             checkpoints: Vec::new(),
-            hits: 0,
-            misses: 0,
-            checkpoint_hits: 0,
-            entries_replayed: 0,
+            counts: LayerCounts::default(),
         }
     }
 }
@@ -173,11 +167,11 @@ impl<V: Clone> ViewCache<V> {
         let entries = log.entries();
         let (start, mut value) = match self.cached.take_if(|c| is_valid(c, log)) {
             Some(c) => {
-                self.hits += 1;
+                self.counts.viewcache_hits += 1;
                 (c.len, c.value)
             }
             None if self.cached.is_some() => {
-                self.misses += 1;
+                self.counts.viewcache_misses += 1;
                 // Splice below the cached point: resume from the
                 // deepest checkpoint whose prefix survived the splice.
                 match self
@@ -188,7 +182,7 @@ impl<V: Clone> ViewCache<V> {
                     .find(|c| is_valid(c, log))
                 {
                     Some(c) => {
-                        self.checkpoint_hits += 1;
+                        self.counts.viewcache_checkpoint_hits += 1;
                         (c.len, c.value.clone())
                     }
                     None => (0, initial),
@@ -196,9 +190,9 @@ impl<V: Clone> ViewCache<V> {
             }
             None => (0, initial),
         };
-        self.entries_replayed += (entries.len() - start) as u64;
+        self.counts.viewcache_replayed_entries += (entries.len() - start) as u64;
         // Splice insurance is paid for once a splice has been seen.
-        let armed = self.misses > 0;
+        let armed = self.counts.viewcache_misses > 0;
         for (i, e) in entries.iter().enumerate().skip(start) {
             apply(&mut value, &e.op);
             let len = i + 1;
@@ -245,14 +239,14 @@ impl<V: Clone> ViewCache<V> {
     /// How many evaluations reused a cached prefix.
     #[must_use]
     pub fn hits(&self) -> u64 {
-        self.hits
+        self.counts.viewcache_hits
     }
 
     /// How many evaluations found a stale cache and replayed from a
     /// checkpoint or from zero. First-ever evaluations count as neither.
     #[must_use]
     pub fn misses(&self) -> u64 {
-        self.misses
+        self.counts.viewcache_misses
     }
 
     /// Total log entries folded across all evaluations — the replay
@@ -261,14 +255,14 @@ impl<V: Clone> ViewCache<V> {
     /// as the prefix being folded again.
     #[must_use]
     pub fn entries_replayed(&self) -> u64 {
-        self.entries_replayed
+        self.counts.viewcache_replayed_entries
     }
 
     /// How many misses resumed from a surviving checkpoint instead of
     /// replaying from zero.
     #[must_use]
     pub fn checkpoint_hits(&self) -> u64 {
-        self.checkpoint_hits
+        self.counts.viewcache_checkpoint_hits
     }
 }
 

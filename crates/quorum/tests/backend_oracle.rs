@@ -29,6 +29,7 @@ use relax_quorum::{
     QuorumSystem, ReplicatedType, ThreadedConfig, ThreadedSystem, VotingAssignment,
 };
 use relax_sim::{NetworkConfig, NodeId};
+use relax_trace::metrics;
 
 /// Majority-Deq taxi-queue assignment (the runtime's canonical shape).
 fn taxi_assignment(n: usize) -> VotingAssignment<QueueKind> {
@@ -122,7 +123,6 @@ fn check_taxi_exact(
         thr.crash(r);
     }
     let thr_seen = drive(&mut thr, &stream);
-
     prop_assert_eq!(
         &sim_seen,
         &thr_seen,
@@ -131,6 +131,33 @@ fn check_taxi_exact(
         down,
         invs
     );
+    // Both registries publish the shared layers under the same names,
+    // and the two schedulers counted the same invocations. The one
+    // client evaluates on both backends exactly when it does on either.
+    sim.export_metrics();
+    let (sim_reg, thr_reg) = (sim.registry(), thr.registry());
+    let shared = |reg: &relax_trace::Registry| -> Vec<&str> {
+        metrics::EXECUTOR_NAMES
+            .iter()
+            .copied()
+            .filter(|name| {
+                ["viewcache_", "calm_", "merkle_"]
+                    .iter()
+                    .any(|p| name.starts_with(p))
+            })
+            .filter(|name| reg.get_gauge(name).is_some())
+            .collect()
+    };
+    prop_assert_eq!(shared(sim_reg), shared(thr_reg));
+    prop_assert_eq!(shared(thr_reg).len(), 9);
+    for name in [metrics::calm::FAST_OPS, metrics::calm::QUORUM_OPS] {
+        prop_assert_eq!(sim_reg.get_gauge(name), thr_reg.get_gauge(name), "{}", name);
+    }
+    let evaluated = |reg: &relax_trace::Registry| {
+        let g = |name| reg.get_gauge(name).map_or(0, relax_trace::Gauge::value);
+        g(metrics::viewcache::HITS) + g(metrics::viewcache::MISSES) > 0
+    };
+    prop_assert_eq!(evaluated(sim_reg), evaluated(thr_reg));
     let transitions =
         |m: &relax_trace::DegradationMonitor<QueueOp>| -> Vec<(usize, Option<String>)> {
             m.transitions()

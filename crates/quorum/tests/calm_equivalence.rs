@@ -164,8 +164,8 @@ fn run_one(
         history: sys.merged_history().into_ops(),
         replica_logs: (0..N).map(|i| sys.replica_log(i).clone()).collect(),
     };
-    let counts = sys.calm_op_counts();
-    (observed, counts)
+    let counts = sys.counts();
+    (observed, (counts.calm_fast_ops, counts.calm_quorum_ops))
 }
 
 /// The healthy-run property: with no faults, fast ≡ baseline exactly.

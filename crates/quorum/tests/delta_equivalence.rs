@@ -131,7 +131,9 @@ fn run_one(mode: ReplicationMode, s: &Scenario) -> (Observed, u64, (u64, u64)) {
     sys.run_until(SimTime(3_000));
 
     let bytes = sys.world().bytes_sent();
-    (observed(&sys), bytes, sys.viewcache_counts())
+    let counts = sys.counts();
+    let cache = (counts.viewcache_hits, counts.viewcache_misses);
+    (observed(&sys), bytes, cache)
 }
 
 fn observed(sys: &QuorumSystem<TaxiQueueType>) -> Observed {
@@ -272,12 +274,15 @@ fn rotation_run(
             sys.run_until(SimTime(at));
         }
     }
-    let (hits, misses) = sys.viewcache_counts();
+    let c = sys.counts();
     (
         sys.outcomes_of(0).to_vec(),
         sys.outcomes_of(1).to_vec(),
         observed(&sys),
-        (hits + misses, sys.viewcache_replayed_entries()),
+        (
+            c.viewcache_hits + c.viewcache_misses,
+            c.viewcache_replayed_entries,
+        ),
     )
 }
 

@@ -288,18 +288,79 @@ impl Histogram {
     }
 }
 
-/// Canonical gauge names for wire-level accounting, set by experiment
-/// harnesses from the sim world's byte/message counters and summed
-/// across trials with [`Registry::merge_accumulating`].
-///
-/// Names follow the Prometheus convention of putting the unit last
-/// (`_bytes`, not `bytes_` mid-name) — see [`lint_name`], which the
-/// naming test applies to every canonical metric name in the workspace.
-pub mod wire {
-    /// Modeled payload bytes offered to the network.
-    pub const BYTES_SHIPPED: &str = "wire_shipped_bytes";
-    /// Messages offered to the network.
-    pub const MESSAGES_SENT: &str = "wire_messages_sent";
+/// Declares each group of canonical metric names as a module of `&str`
+/// constants, and [`EXECUTOR_NAMES`] as every one of them, so a name is
+/// spelled once and the naming test reads the same table.
+macro_rules! metric_names {
+    ($(
+        $(#[$group_doc:meta])*
+        $group:ident { $($(#[$doc:meta])* $name:ident = $text:literal,)* }
+    )*) => {
+        $(
+            $(#[$group_doc])*
+            pub mod $group {
+                $($(#[$doc])* pub const $name: &str = $text;)*
+            }
+        )*
+        /// Every name a quorum executor's registry can hold besides the
+        /// staleness tracker's per-replica gauges, in declaration order.
+        pub const EXECUTOR_NAMES: &[&str] = &[$($($group::$name,)*)*];
+    };
+}
+
+metric_names! {
+    /// Wire-level accounting, set by the sim executor from its world's
+    /// byte and message counters and summed across trials with
+    /// [`Registry::merge_accumulating`].
+    ///
+    /// Names follow the Prometheus convention of putting the unit last
+    /// (`_bytes`, not `bytes_` mid-name) — see [`lint_name`], which the
+    /// naming test applies to every canonical metric name in the workspace.
+    wire {
+        /// Modeled payload bytes offered to the network.
+        BYTES_SHIPPED = "wire_shipped_bytes",
+        /// Messages offered to the network.
+        MESSAGES_SENT = "wire_messages_sent",
+    }
+    /// View evaluation (`relax-quorum`'s `ViewCache`), summed over the
+    /// sim's clients or the threaded backend's shards.
+    viewcache {
+        /// Evaluations that extended the cached prefix.
+        HITS = "viewcache_hits",
+        /// Evaluations that found the cached prefix spliced.
+        MISSES = "viewcache_misses",
+        /// Log entries folded, the replay memoization could not avoid.
+        REPLAYED_ENTRIES = "viewcache_replayed_entries",
+        /// Misses that resumed from a surviving checkpoint.
+        CHECKPOINT_HITS = "viewcache_checkpoint_hits",
+    }
+    /// CALM scheduling, in both quorum backends.
+    calm {
+        /// Invocations that took the coordination-free fast path.
+        FAST_OPS = "calm_fast_ops",
+        /// Invocations that ran the quorum protocol.
+        QUORUM_OPS = "calm_quorum_ops",
+    }
+    /// Merkle anti-entropy, summed over the replicas.
+    merkle {
+        /// Localization rounds answered.
+        SYNC_ROUNDS = "merkle_sync_rounds",
+        /// Tree nodes shipped in summaries.
+        NODES_EXCHANGED = "merkle_nodes_exchanged",
+        /// Divergent leaf payloads served from the per-version cache.
+        LEAF_REUSES = "merkle_leaf_reuses",
+    }
+    /// The threaded wall-clock backend's own layers (nanosecond time base).
+    realtime {
+        /// Wall nanoseconds per available operation (histogram).
+        OP_LATENCY_NANOS = "realtime_op_latency_nanos",
+        /// Operations per group commit (histogram).
+        COMMIT_BATCH_OPS = "realtime_commit_batch_ops",
+        /// Shard rounds run, cumulative.
+        SHARD_ROUNDS = "realtime_shard_rounds",
+        /// Batches the brokers have flushed, cumulative.
+        BROKER_VISITS = "realtime_broker_visits",
+    }
 }
 
 /// Checks a metric base name against the workspace's Prometheus naming
@@ -821,13 +882,13 @@ mod tests {
         let mut r = Registry::new();
         r.counter("ops").record(true);
         r.counter("ops").record(false);
-        r.gauge("calm_fast_ops").set(12);
-        r.gauge("calm_quorum_ops").set(2);
+        r.gauge(calm::FAST_OPS).set(12);
+        r.gauge(calm::QUORUM_OPS).set(2);
         r.gauge("inflight").set(3);
         r.gauge(wire::BYTES_SHIPPED).set(4096);
         r.gauge(wire::MESSAGES_SENT).set(128);
-        r.gauge("merkle_sync_rounds").set(7);
-        r.gauge("viewcache_replayed_entries").set(912);
+        r.gauge(merkle::SYNC_ROUNDS).set(7);
+        r.gauge(viewcache::REPLAYED_ENTRIES).set(912);
         let h = r.histogram("lat");
         h.record(5);
         h.record(50);
@@ -890,24 +951,10 @@ lat_quantile{quantile=\"0.99\"} 500
             "phase_quorum_retry_stall",
             "phase_partition_stall",
             "phase_local_compute",
-            // wire accounting
-            wire::BYTES_SHIPPED,
-            wire::MESSAGES_SENT,
             // staleness telemetry (staleness.rs; per-replica instances)
             "staleness_lag_entries_r0",
             "staleness_lag_ticks_r0",
             "frontier_divergence_entries_r0_r1",
-            // gossip efficiency (quorum runtime exposition)
-            "gossip_delta_sends",
-            "gossip_full_sends",
-            "viewcache_hits",
-            "viewcache_misses",
-            "viewcache_replayed_entries",
-            "viewcache_checkpoint_hits",
-            // merkle anti-entropy (quorum runtime exposition)
-            "merkle_sync_rounds",
-            "merkle_nodes_exchanged",
-            "merkle_leaf_reuses",
             // engine flight recorder (profile.rs; span/counter/gauge
             // names, each ≤ the trace's 14-byte inline label)
             "frontier_nodes",
@@ -923,17 +970,8 @@ lat_quantile{quantile=\"0.99\"} 500
             "state_hits",
             "lang_size",
             "peak_frontier",
-            // threaded wall-clock backend (relax-quorum threaded.rs;
-            // nanosecond time base)
-            "realtime_op_latency_nanos",
-            "realtime_commit_batch_ops",
-            "realtime_shard_rounds",
-            "realtime_broker_visits",
-            // CALM scheduling (both quorum backends)
-            "calm_fast_ops",
-            "calm_quorum_ops",
         ];
-        for name in canonical {
+        for name in canonical.into_iter().chain(EXECUTOR_NAMES.iter().copied()) {
             assert_eq!(lint_name(name), None, "metric name {name:?} fails lint");
         }
     }
