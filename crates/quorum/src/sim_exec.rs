@@ -335,10 +335,9 @@ impl<T: ReplicatedType> QuorumSystem<T> {
         counts.fold(LayerCounts::default(), |a, b| a + b)
     }
 
-    // Tuple reads the benchmark package still calls; the next
-    // `[benchmark]` PR moves it to the registry, then deletes these.
-    // `gossip_send_counts` is always `(0, 0)`: replicas only run the
-    // Merkle walk.
+    // Tuple reads of `counts` the benchmark package still calls; they go
+    // once it reads the registry by name. `gossip_send_counts` is always
+    // `(0, 0)`: replicas only run the Merkle walk.
     #[doc(hidden)]
     pub fn gossip_send_counts(&self) -> (u64, u64) {
         (0, 0)

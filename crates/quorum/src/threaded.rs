@@ -306,8 +306,8 @@ impl<T: ReplicatedType> ThreadedSystem<T> {
             .fold(LayerCounts::default(), |a, b| a + b)
     }
 
-    // A tuple read the benchmark package still calls; the next
-    // `[benchmark]` PR moves it to the registry, then deletes this.
+    // A tuple read of `counts` the benchmark package still calls; it goes
+    // once the benchmark reads the registry by name.
     #[doc(hidden)]
     pub fn calm_op_counts(&self) -> (u64, u64) {
         let c = self.counts();

@@ -343,9 +343,9 @@ metric_names! {
     }
     /// Merkle anti-entropy, summed over the replicas.
     merkle {
-        /// Localization rounds answered.
+        /// Probe broadcasts plus localization requests served.
         SYNC_ROUNDS = "merkle_sync_rounds",
-        /// Tree nodes shipped in summaries.
+        /// Node summaries sent (roots and children).
         NODES_EXCHANGED = "merkle_nodes_exchanged",
         /// Divergent leaf payloads served from the per-version cache.
         LEAF_REUSES = "merkle_leaf_reuses",
