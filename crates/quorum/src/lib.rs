@@ -30,7 +30,7 @@
 //!   taxi-queue and bank-account presets;
 //! * [`backend`] — the `Executor` / `Transport` / `ClientTable` trait
 //!   split separating the protocol state machines from their execution
-//!   substrate;
+//!   substrate, and the `LayerCounts` both executors publish;
 //! * [`sim_exec`] — the simulator executor: `QuorumSystem` over
 //!   `relax-sim`, used by the availability and latency experiments;
 //! * [`runtime`] — six re-exports the benchmark package still imports

@@ -12,7 +12,8 @@
 //!   disabled by default so instrumented hot paths cost one branch when
 //!   tracing is off.
 //! * [`metrics`] — counters, gauges, exact histograms with
-//!   p50/p95/p99 and `merge`, and a named [`metrics::Registry`].
+//!   p50/p95/p99 and `merge`, a named [`metrics::Registry`], and the one
+//!   table of names the quorum executors publish.
 //! * [`monitor`] — the online degradation monitor
 //!   ([`monitor::DegradationMonitor`]): per-level language-membership
 //!   frontiers over a relaxation lattice (Herlihy & Wing, PODC 1987),
