@@ -7,9 +7,10 @@ use relaxation_lattice::automata::{
 };
 use relaxation_lattice::core::lattices::semiqueue::{SemiqueueLattice, SsQueueLattice};
 use relaxation_lattice::core::lattices::taxi::{TaxiLattice, TaxiPoint};
-use relaxation_lattice::core::theorem4::verify_taxi_lattice;
+use relaxation_lattice::core::theorem4::{verify_taxi_lattice, verify_taxi_lattice_probed};
 use relaxation_lattice::queues::{queue_alphabet, FifoAutomaton, PQueueAutomaton};
 use relaxation_lattice::spec::{paper_theories, parse_term, Rewriter};
+use relaxation_lattice::trace::Probe;
 
 #[test]
 fn theorem_4_and_all_lattice_points_verify() {
@@ -17,6 +18,47 @@ fn theorem_4_and_all_lattice_points_verify() {
     assert!(v.holds(), "{:?}", v.points);
     let v3 = verify_taxi_lattice(&[1, 2, 3], 3);
     assert!(v3.holds(), "{:?}", v3.points);
+}
+
+/// The memo counters that do not depend on how the walk visits the four
+/// lattice points. Each point steps each of its reachable states once
+/// (`state_steps`), finds the rest of its set members already stepped
+/// (`state_hits`) and writes one successor row per reachable set
+/// (`row_fills`), whatever else rides the walk beside it. Only
+/// `row_hits`, one per node that reuses a row, follows the node count.
+#[test]
+fn theorem4_walk_counters_hold_at_the_benchmark_bounds() {
+    let cases = [
+        (
+            3,
+            10,
+            [941_326, 1_976_501, 4_749_700, 9_594_982],
+            [3_672, 3_520, 4_628],
+        ),
+        (
+            4,
+            8,
+            [368_089, 526_490, 1_164_937, 1_735_153],
+            [4_548, 2_868, 5_502],
+        ),
+    ];
+    for (items, max_len, sizes, counters) in cases {
+        let items: Vec<_> = (1..=items).collect();
+        let mut probe = Probe::enabled();
+        let v = verify_taxi_lattice_probed(&items, max_len, &mut probe);
+        assert!(v.holds(), "{:?}", v.points);
+        let got: Vec<usize> = v.points.iter().map(|p| p.language_size).collect();
+        assert_eq!(got, sizes, "|L| at ({}, {max_len})", items.len());
+        let report = probe.report().expect("balanced spans");
+        let read = ["state_steps", "state_hits", "row_fills"]
+            .map(|name| report.counter(name).expect("counted"));
+        assert_eq!(
+            read,
+            counters,
+            "state_steps / state_hits / row_fills at ({}, {max_len})",
+            items.len()
+        );
+    }
 }
 
 #[test]
