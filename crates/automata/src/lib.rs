@@ -14,12 +14,12 @@
 //!   the enumerator exploits.
 //! * [`multiwalk`] — the one bounded walk behind the language layer:
 //!   reachable state sets are interned to dense ids, histories leading
-//!   to the same tuple of (left set, right set) pairs collapse into one
-//!   node carrying a multiplicity, each automaton steps each state it
-//!   reaches once, successor rows are memoized per set, and
-//!   counterexamples are rebuilt from parent pointers. `N` pairs of
-//!   automata ride one walk; every check in [`language`] and [`lattice`]
-//!   is the walk at `N = 1`.
+//!   to the same (left set, right set) pair collapse into one node
+//!   carrying a multiplicity, each automaton steps each state it reaches
+//!   once, successor rows are memoized per set, and counterexamples are
+//!   rebuilt from parent pointers. Every check in [`language`] and
+//!   [`lattice`] is one walk of one pair; a [`LanguageWalker`] walks
+//!   several pairs in turn in buffers it keeps.
 //! * [`calm`] — bounded response-stability checking, the automata-level
 //!   half of the CALM monotonicity analyzer (the quorum layer pairs it
 //!   with language equality on quorum consensus automata to decide which
@@ -95,8 +95,8 @@ pub mod prelude {
     };
     pub use crate::lattice::{check_reverse_inclusion_lattice, LatticeCheck, RelaxationMap};
     pub use crate::multiwalk::{
-        compare_upto, compare_upto_probed, multi_compare_upto, multi_compare_upto_probed,
-        CompareOptions, DenseArena, LanguageComparison, MultiComparison, StopWhen,
+        compare_upto, compare_upto_probed, CompareOptions, DenseArena, LanguageComparison,
+        LanguageWalker, StopWhen,
     };
     pub use crate::probe::{EngineProbe, NoopProbe};
     pub use crate::random::{random_history, RandomWalk};
@@ -114,8 +114,8 @@ pub use language::{
 };
 pub use lattice::{check_reverse_inclusion_lattice, LatticeCheck, RelaxationMap};
 pub use multiwalk::{
-    compare_upto, compare_upto_probed, multi_compare_upto, multi_compare_upto_probed,
-    CompareOptions, DenseArena, LanguageComparison, MultiComparison, StopWhen,
+    compare_upto, compare_upto_probed, CompareOptions, DenseArena, LanguageComparison,
+    LanguageWalker, StopWhen,
 };
 pub use probe::{EngineProbe, NoopProbe};
 pub use random::{check_step_all_into, random_history, RandomWalk};

@@ -1,6 +1,6 @@
 //! Pins the allocation discipline of Theorem 4's language walk.
 //!
-//! The walk steps every (point, state) it reaches once, through
+//! Each point's walk steps every state it reaches once, through
 //! `ObjectAutomaton::step_all_into`, into one `Successors` buffer per
 //! side whose slots keep their heap memory across calls. So a warm
 //! `verify_taxi_lattice` allocates for what it keeps (a state it has not
@@ -73,11 +73,13 @@ fn a_warm_theorem4_walk_allocates_per_new_state_not_per_step() {
     let sizes = |v: &TaxiVerification| v.points.iter().map(|p| p.language_size).collect::<Vec<_>>();
     assert_eq!(sizes(&verification), sizes(&reference));
 
-    // `state_steps` counts the (point, state) pairs the walk interned
-    // and stepped. Measured: 1,440 allocations for its 1,616 steps (0.89
-    // a step); one more allocation per Rep-view step reads 2,248. Before
-    // the buffered step (`step_all` returning `Vec<Vec<State>>`) the
-    // same walk made 16,894 (10.5 a step).
+    // `state_steps` counts the (point, state) pairs the walks interned
+    // and stepped. Measured: 1,523 allocations for its 1,616 steps (0.94
+    // a step). One walk of all four points in a tuple made 1,440: it
+    // interned a state two points share once, where each point's own
+    // walk clones it again. One more allocation per Rep-view step read
+    // 2,248. Before the buffered step (`step_all` returning
+    // `Vec<Vec<State>>`) the same walk made 16,894 (10.5 a step).
     let bound = steps.0 * 5 / 4;
     assert!(
         allocs <= bound,
