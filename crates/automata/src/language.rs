@@ -13,8 +13,8 @@
 //! pruned immediately.
 //!
 //! Counting and comparison run on the one bounded walk of
-//! [`crate::multiwalk`] at `N = 1`: histories reaching the same pair of
-//! state sets collapse into one node, and counterexamples are rebuilt
+//! [`crate::multiwalk`]: histories reaching the same pair of state sets
+//! collapse into one node, and counterexamples are rebuilt
 //! from parent pointers. The materializing enumerators survive in
 //! [`naive`] as the reference implementation the differential tests
 //! compare against; [`language_upto`] is the one of them callers use

@@ -505,10 +505,13 @@ fn bench_threaded_round_trip(c: &mut Criterion) {
     group.finish();
 }
 
-/// The one language walk, ns per walk, in the three shapes its callers
-/// give it: `N = 1` over the raw QCA (whose history states never merge),
-/// `N = 1` over a lattice join check (an intersection against its claimed
-/// join), and Theorem 4's `N = 4` walk over the Rep-view quotients.
+/// The one language walk, ns per call, in the three shapes its callers
+/// give it: one pair over the raw QCA (whose history states never
+/// merge), one pair over a lattice join check (an intersection against
+/// its claimed join), and Theorem 4's four Rep-view quotient pairs
+/// walked in turn through one reused walker. The last row keeps its
+/// `n4_` name, which keys its committed baseline, from when the four
+/// pairs rode one tuple walk.
 fn bench_product_walk(c: &mut Criterion) {
     let alphabet = queue_alphabet(&[1, 2, 3]);
     let mut group = c.benchmark_group("product_walk");

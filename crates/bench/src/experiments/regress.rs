@@ -163,8 +163,8 @@ pub const CHECKS: &[Check] = &[
         metric: "sim_hold/16384",
         band: Band::MaxRatio(3.0),
     },
-    // The language walk (`relax-automata::multiwalk`), ns per walk, at
-    // Theorem 4's `N = 4` shape and at `N = 1` over the raw QCA. A walk
+    // The language walk (`relax-automata::multiwalk`), ns per call, over
+    // Theorem 4's four pairs in turn and over one raw-QCA pair. A walk
     // that steps a state once per set it is a member of, or boxes a row
     // per set again, reads under twice the baseline; one whose hasher
     // stops reaching the cons tables' low bits reads tens of times it.

@@ -16,7 +16,7 @@ pub fn run(items: &[i64], max_len: usize) -> (Table, TaxiVerification) {
 }
 
 /// [`run`] under the flight recorder: the same table plus the probe
-/// that recorded the shared walk — the per-point language sizes and
+/// that recorded the four walks — the per-point language sizes and
 /// peak frontiers in the table come from the verification, their timing
 /// breakdown from the probe's [`report`](Probe::report), one source
 /// each.

@@ -23,7 +23,7 @@
 //! increments locally and call [`EngineProbe::add`] once per depth, so
 //! an *enabled* probe costs a few events per level. The compiled-out
 //! baseline is [`relax_automata::probe::NoopProbe`]; the repo's
-//! benchmark reports enabled-vs-compiled-out on the (3,8) shared walk
+//! benchmark reports enabled-vs-compiled-out on Theorem 4's walks
 //! (`lattice_verify`, `bench.trace_overhead_pct`).
 
 use std::time::Instant;
