@@ -62,7 +62,11 @@ fn bench_log_merge(c: &mut Criterion) {
 /// odd of 256 sites, one entry per site per round): a replica holding
 /// `history` entries, and the odd writer's next 128-entry batch, which
 /// sorts inside the replica's last 256. Both calls cost O(batch), so the
-/// three histories must read the same.
+/// three histories must read the same. Beside them, the two shapes that
+/// read more than a batch: a delta for a peer whose view has a hole and
+/// lacks a site (two plain passes over the history), and one site's
+/// entries, shipped whole, merged into a log that holds all but one of
+/// them (a gallop over the site's entries, then a 128-entry splice).
 fn bench_log_tail_paths(c: &mut Criterion) {
     const SITES: usize = 256;
     for history in [1usize << 10, 1 << 14, 1 << 16] {
@@ -115,6 +119,48 @@ fn bench_log_tail_paths(c: &mut Criterion) {
                     .delta_above_with(black_box(&behind), &mut scratch)
                     .len()
             });
+        });
+        group.finish();
+
+        // The same view with a hole in trailing site 1 and site 2 never
+        // heard of: both ship whole, site 1 once its confirmation fails,
+        // so the delta reads the history twice.
+        let holed: Log<QueueOp> = replica
+            .entries()
+            .iter()
+            .filter(|e| e.ts.site != 2 && e.ts != Timestamp::new(rounds as u64 / 2 + 1, 1))
+            .cloned()
+            .collect();
+        let holed = holed.frontier();
+        let mut group = c.benchmark_group("log_delta_holed");
+        group.bench_with_input(BenchmarkId::from_parameter(history), &(), |bencher, ()| {
+            bencher.iter(|| {
+                ahead
+                    .delta_above_with(black_box(&holed), &mut scratch)
+                    .len()
+            });
+        });
+        group.finish();
+
+        // Site 1 shipped whole into the replica, which holds all of it
+        // but the last round's entry: the merge skips what it holds and
+        // splices in the one entry it lacks.
+        let site: Log<QueueOp> = ahead
+            .entries()
+            .iter()
+            .filter(|e| e.ts.site == 1)
+            .cloned()
+            .collect();
+        let mut group = c.benchmark_group("log_merge_held_site");
+        group.bench_with_input(BenchmarkId::from_parameter(history), &(), |bencher, ()| {
+            bencher.iter_batched(
+                || replica.merged(&headroom),
+                |mut log| {
+                    log.merge(black_box(&site));
+                    log
+                },
+                BatchSize::LargeInput,
+            );
         });
         group.finish();
     }

@@ -140,6 +140,15 @@ pub const CHECKS: &[Check] = &[
         metric: "sim_client_write_payloads/65536",
         band: Band::MaxRatio(4.0),
     },
+    // The replica log's delta for a peer whose view has a hole in one
+    // site and lacks another, at a 65,536-entry history: both sites ship
+    // whole, in two plain passes over the log. The three-pass scan it
+    // replaced read half as much again (EXPERIMENTS PERF-K).
+    Check {
+        file: "BENCH_micro_substrates.json",
+        metric: "log_delta_holed/65536",
+        band: Band::MaxRatio(4.0),
+    },
     // One whole `Enq` through a healthy three-replica sim system over a
     // 1,024-entry history, ns per completed invocation: the simulator's
     // events plus a client and three replicas that fold no view and
@@ -467,7 +476,8 @@ mod tests {
             "BENCH_micro_substrates.json",
             &format!(
                 "{{\"sim_client_read_view/65536\":{0},\"sim_client_write_ack/65536\":{0},\
-                 \"sim_client_write_payloads/65536\":{0},\"sim_invocation/enq\":{0},\
+                 \"sim_client_write_payloads/65536\":{0},\"log_delta_holed/65536\":{0},\
+                 \"sim_invocation/enq\":{0},\
                  \"sim_hold/16384\":{0},\"product_walk/n4_taxi_3x8\":{0},\"product_walk/n1_rawqca_3x6\":{0},\
                  \"taxi_states/quotient_3x8\":{0},\"taxi_states/reference_3x8\":{0}}}\n",
                 overhead * 100.0
@@ -555,6 +565,16 @@ mod tests {
         );
     }
 
+    /// The holed-delta row at five times its baseline fails its 4× band
+    /// alone.
+    #[test]
+    fn a_five_fold_holed_delta_regresses() {
+        assert_eq!(
+            failing_with_micro_row("log_delta_holed/65536", 500),
+            ["log_delta_holed/65536"]
+        );
+    }
+
     #[test]
     fn improvements_never_fail() {
         let base = tmp("base_imp");
@@ -603,7 +623,7 @@ mod tests {
     #[test]
     fn selection_filters_by_payload_or_metric_substring() {
         let all = selected(None);
-        assert_eq!(all.len(), 16);
+        assert_eq!(all.len(), 17);
         let campaign = selected(Some("fault_campaign"));
         assert_eq!(campaign.len(), 3);
         assert!(campaign

@@ -30,9 +30,9 @@
 //! | operation | fast paths | tail path | O(history) only when |
 //! |---|---|---|---|
 //! | [`Log::insert`] | above the tail: O(1), no search | binary search, then shift `entries[p..]` and re-hash `prefix[p..]` | the entry sorts at our start |
-//! | [`Log::merge`] | disjoint suffix, the empty receiver included (one bulk append, O(\|other\| + sites(other))), exact prefix, subset (O(\|other\| log n): a shard's read deltas after the first of a visit, each repeating it) | two-pointer union over `entries[p..]`, `p` = first slot at or above `other`'s first timestamp | `other` reaches back to our start |
-//! | [`Log::delta_above_into`] | empty, advertised set = our prefix (suffix) | settle sites from summaries, scan `entries` from the lowest trailing `max + 1` | a site is unadvertised, holed, or ahead of us (full scan) |
-//! | [`Log::diff_into`] | `other` = our prefix (suffix) | — | otherwise: a whole-view scan, which the sim client's write path pays per replica whose record is not a prefix of the view (one cut off, or trailing under interleaved writers) — unless the payload extends, below |
+//! | [`Log::merge`] | disjoint suffix, the empty receiver included (one bulk append, O(\|other\| + sites(other))), exact prefix | gallop past what we hold (O(log d) per entry of `other`, `d` slots on; a subset — a shard's read deltas after the first of a visit, each repeating it — ends here), then a two-pointer union over `entries[p..]`, `p` = the slot of the first entry we lack | the first entry we lack sorts at our start |
+//! | [`Log::delta_above_into`] | empty, advertised set = our prefix (suffix) | settle every site from the summaries, one pass over `entries` from the lowest `max + 1` of a trailing site | a site ships whole — unadvertised, ahead of us, or holed (one plain pass from our start) |
+//! | [`Log::diff_into`] | `other` = our prefix (suffix) | two-pointer pass from the longest common prefix ([`Clone::clone_from`]'s binary search): O(log n + what follows it in both) — the sim client's write path, per replica whose record is not a prefix of the view (one cut off, or trailing under interleaved writers), unless the payload extends, below | the two logs differ at their start |
 //! | [`Clone::clone_from`] | the longest common prefix stays (binary search over the two prefix-hash arrays), the source's entries above it are copied into spare capacity: O(log n + what differs) — a client's next view over its last | — | the two logs differ at their start |
 //! | [`Log::merge_range`] | the range sorts above our tail (appends in place: a payload extended by its view's new suffix, an ack folding the WAL's next stretch) | one [`Log::range`] copy, then [`Log::merge`]'s | never |
 //!
@@ -111,27 +111,12 @@ impl<Op: Clone> Clone for Log<Op> {
     }
 
     /// `*self = source.clone()`, keeping what the two already share: the
-    /// longest common prefix stays where it lies and only `source`'s
-    /// entries above it are copied, into our spare capacity. Prefixes of
-    /// sorted logs agree as sets iff as sequences, so agreement is
-    /// monotone in the length and a binary search over the two
-    /// prefix-hash arrays finds it (hash and boundary timestamp: the
-    /// [`crate::ViewCache`] validity test, its ≈2⁻⁶⁴ trust). Equal prefixes
-    /// have equal hashes, so nothing is re-based.
+    /// longest common prefix (a binary search over the two prefix-hash
+    /// arrays, `common_prefix`) stays where it lies and only `source`'s
+    /// entries above it are copied, into our spare capacity. Equal
+    /// prefixes have equal hashes, so nothing is re-based.
     fn clone_from(&mut self, source: &Self) {
-        let agree = |n: usize| {
-            self.prefix[n - 1] == source.prefix[n - 1]
-                && self.entries[n - 1].ts == source.entries[n - 1].ts
-        };
-        let (mut keep, mut differ) = (0, self.len().min(source.len()) + 1);
-        while differ - keep > 1 {
-            let mid = keep + (differ - keep) / 2;
-            if agree(mid) {
-                keep = mid;
-            } else {
-                differ = mid;
-            }
-        }
+        let keep = self.common_prefix(source);
         self.entries.truncate(keep);
         self.prefix.truncate(keep);
         self.entries.extend_from_slice(&source.entries[keep..]);
@@ -172,12 +157,40 @@ impl<Op> Default for Log<Op> {
 /// allocating entirely (pinned by `tests/diff_alloc.rs`).
 #[derive(Debug, Clone, Default)]
 pub struct DiffScratch {
-    /// Per advertised site: our entries at-or-below its claimed max.
-    below: Vec<SiteSummary>,
-    /// Per advertised site: whether the claimed summary matched.
-    confirmed: Vec<bool>,
-    /// Per own entry: whether it is absent from the other log.
+    /// Per own site: what the delta ships of it.
+    settle: Vec<Settle>,
+    /// Per own entry above the common prefix: whether it is absent from
+    /// the other log.
     missing: Vec<bool>,
+}
+
+/// What [`Log::delta_above_into`] ships of one of our sites, settled
+/// from our summary of it and the peer's.
+#[derive(Debug, Clone, Copy)]
+struct Settle {
+    /// The entries with counters above this ship; `None`: all of them.
+    above: Option<u64>,
+    /// How many entries ship.
+    ship: u64,
+    /// The count and XOR hash the shipped entries must add up to,
+    /// counted down as they ship: both 0 once the site is confirmed.
+    left: u64,
+    hash: u64,
+}
+
+impl Settle {
+    fn whole(s: &SiteSummary) -> Self {
+        Settle::new(None, s.count, s.hash)
+    }
+
+    fn new(above: Option<u64>, count: u64, hash: u64) -> Self {
+        Settle {
+            above,
+            ship: count,
+            left: count,
+            hash,
+        }
+    }
 }
 
 impl<Op: Clone> Log<Op> {
@@ -341,15 +354,18 @@ impl<Op: Clone> Log<Op> {
     /// Merges another log into this one (sorted union, duplicates
     /// discarded) — the fundamental replica/view operation of §3.1.
     ///
-    /// O(1)/O(m log n) fast paths for the common protocol shapes — a
-    /// disjoint suffix (appending fresh entries, the empty receiver
-    /// included: one bulk copy), an exact prefix (one prefix-hash compare,
-    /// same ≈2⁻⁶⁴ trust model as [`Log::delta_above`]), a subset
-    /// (anti-entropy at steady state, where nothing is new) — and
-    /// otherwise a two-pointer union over our *tail* only: the entries
-    /// sorting at or above `other`'s first timestamp. Everything below
-    /// it, and its prefix hashes, stay where they are, so a splice costs
-    /// O(|other| + |tail|) whatever the resident history.
+    /// Fast paths for the common protocol shapes: a disjoint suffix
+    /// (appending fresh entries, the empty receiver included: one bulk
+    /// copy) and an exact prefix (one prefix-hash compare, same ≈2⁻⁶⁴
+    /// trust model as [`Log::delta_above`]). Otherwise a gallop through
+    /// our entries skips what we already hold, O(log d) per entry of
+    /// `other` that lies `d` slots past the last one — a subset
+    /// (anti-entropy at steady state, where nothing is new) returns there
+    /// — and a two-pointer union splices the rest in over our *tail*
+    /// only: the entries sorting at or above the first new one.
+    /// Everything below it, and its prefix hashes, stay where they are,
+    /// so a merge costs what it adds plus that tail, whatever the
+    /// resident history.
     pub fn merge(&mut self, other: &Log<Op>) {
         let Some(first) = other.entries.first() else {
             return;
@@ -366,18 +382,26 @@ impl<Op: Clone> Log<Op> {
         if m <= self.entries.len() && self.prefix_hash(m) == other.prefix_hash(m) {
             return;
         }
-        // Subset fast path: nothing new (gossip at steady state).
-        if self.contains_log(other) {
-            return;
+        // Gallop past what we hold: `other.entries[j]` is the first entry
+        // we lack, and `p` the slot it sorts into.
+        let (mut p, mut j) = (0, 0);
+        loop {
+            let Some(b) = other.entries.get(j) else {
+                return; // a subset: nothing new
+            };
+            p = self.gallop(p, b.ts);
+            if self.entries.get(p).is_none_or(|a| a.ts != b.ts) {
+                break;
+            }
+            (p, j) = (p + 1, j + 1);
         }
-        // Splice: lift our tail out and union it back in with `other`.
-        let p = self.entries.partition_point(|e| e.ts < first.ts);
+        // Splice: lift our tail out and union it back in with the rest.
         let tail = self.entries.split_off(p);
         self.prefix.truncate(p);
-        self.entries.reserve(tail.len() + m);
-        self.prefix.reserve(tail.len() + m);
+        self.entries.reserve(tail.len() + m - j);
+        self.prefix.reserve(tail.len() + m - j);
         let mut ours = tail.into_iter().peekable();
-        let mut theirs = other.entries.iter().peekable();
+        let mut theirs = other.entries[j..].iter().peekable();
         loop {
             match (ours.peek(), theirs.peek()) {
                 (None, None) => break,
@@ -391,6 +415,44 @@ impl<Op: Clone> Log<Op> {
                 (_, Some(_)) => self.push_back(theirs.next().expect("peeked").clone()),
             }
         }
+    }
+
+    /// The first slot at or after `lo` whose entry does not sort below
+    /// `ts`: probes `lo`, `lo + 1`, `lo + 3`, `lo + 7`, … in doubling
+    /// strides, then binary-searches the last stride — O(log d) for an
+    /// answer `d` slots past `lo`.
+    fn gallop(&self, lo: usize, ts: Timestamp) -> usize {
+        let rest = &self.entries[lo..];
+        let (mut base, mut step) = (0, 1);
+        while base + step <= rest.len() && rest[base + step - 1].ts < ts {
+            base += step;
+            step *= 2;
+        }
+        let end = rest.len().min(base + step);
+        lo + base + rest[base..end].partition_point(|e| e.ts < ts)
+    }
+
+    /// The length of the longest prefix the two logs share. Prefixes of
+    /// sorted logs agree as sets iff as sequences, so agreement is
+    /// monotone in the length and a binary search over the two
+    /// prefix-hash arrays finds it in O(log n) (hash and boundary
+    /// timestamp: the [`crate::ViewCache`] validity test, its ≈2⁻⁶⁴
+    /// trust).
+    fn common_prefix(&self, other: &Self) -> usize {
+        let agree = |n: usize| {
+            self.prefix[n - 1] == other.prefix[n - 1]
+                && self.entries[n - 1].ts == other.entries[n - 1].ts
+        };
+        let (mut keep, mut differ) = (0, self.len().min(other.len()) + 1);
+        while differ - keep > 1 {
+            let mid = keep + (differ - keep) / 2;
+            if agree(mid) {
+                keep = mid;
+            } else {
+                differ = mid;
+            }
+        }
+        keep
     }
 
     /// `entries()[lo..hi]` as a log of its own, at exact capacity: at
@@ -481,9 +543,10 @@ impl<Op: Clone> Log<Op> {
     /// held: a replica answering one client's reads refills the response
     /// it sent last and allocates nothing once the buffers have grown.
     ///
-    /// O(|delta| + |tail| + sites) whenever the peer merely trails us
-    /// (the tail path, `delta_tail`); the O(history) scan runs only for
-    /// peers with unadvertised sites, per-site holes, or entries we lack.
+    /// O(|delta| + |tail| + sites) whenever the peer holds a prefix of
+    /// each of our sites (the tail path, `delta_tail`); a site it lacks
+    /// altogether, is ahead of us on, or holds with a hole ships whole,
+    /// which takes one plain pass from our start.
     pub fn delta_above_into(&self, f: &Frontier, scratch: &mut DiffScratch, out: &mut Log<Op>) {
         if f.is_empty() || self.is_empty() {
             return out.clone_from(self);
@@ -501,103 +564,75 @@ impl<Op: Clone> Log<Op> {
         if claimed <= self.entries.len() && self.prefix_hash(claimed) == claimed_hash {
             return self.range_into(claimed, self.entries.len(), out);
         }
-        if !self.delta_tail(f, scratch, out) {
-            self.delta_scan(f, scratch, out);
-        }
+        self.delta_tail(f, scratch, out);
     }
 
-    /// The tail path of [`Log::delta_above_into`]: the peer trails us on
-    /// some sites and matches us on the rest — two writers interleaving,
-    /// each behind on the other's entries. Settles every site from the
-    /// summaries alone (O(sites)), then reads only our entries at or
-    /// above the lowest counter a trailing site can be missing.
+    /// The tail path of [`Log::delta_above_into`]. Settles every site
+    /// from the two summaries alone (O(sites)), the way a full scan of
+    /// our entries would: a site the peer does not advertise, or
+    /// advertises at or past our max with a different summary, ships
+    /// whole; an equal one ships nothing; one the peer trails us on ships
+    /// its entries above the advertised max. Then reads only our entries
+    /// at or above the lowest counter a site ships from.
     ///
     /// A trailing site is confirmed by subtraction: our summary minus
     /// the entries above the advertised max must leave the advertised
-    /// (count, hash) — the test [`Log::delta_scan`] makes by adding up
-    /// the entries below it, under the same ≈2⁻⁶⁴ trust in the XOR hash.
-    /// `false` sends the call to the scan, whatever `out` then holds: an
-    /// unadvertised site, a site whose advertised max is not below ours,
-    /// or a failed confirmation.
-    fn delta_tail(&self, f: &Frontier, scratch: &mut DiffScratch, out: &mut Log<Op>) -> bool {
-        // Per own site, what must sit above the advertised max (`max`
-        // holds that threshold); the scan below counts it back down.
-        scratch.below.clear();
-        let (mut floor, mut n) = (u64::MAX, 0u64);
+    /// (count, hash) — what adding up the entries below it would give,
+    /// under the same ≈2⁻⁶⁴ trust in the XOR hash. A site that fails
+    /// (the peer holds it with a hole) turns whole, and a second pass
+    /// from our start ships it.
+    fn delta_tail(&self, f: &Frontier, scratch: &mut DiffScratch, out: &mut Log<Op>) {
+        scratch.settle.clear();
+        // What ships, and the lowest counter it ships from.
+        let (mut n, mut floor) = (0, u64::MAX);
         let mut adv = f.sites().iter().peekable();
         for s in &self.sites {
             while adv.next_if(|a| a.site < s.site).is_some() {}
-            let Some(a) = adv.next_if(|a| a.site == s.site) else {
-                return false;
+            let settle = match adv.next_if(|a| a.site == s.site) {
+                Some(a) if a == s => Settle::new(Some(s.max), 0, 0),
+                Some(a) if a.max < s.max && a.count < s.count => {
+                    Settle::new(Some(a.max), s.count - a.count, s.hash ^ a.hash)
+                }
+                _ => Settle::whole(s),
             };
-            if (a.max >= s.max && a != s) || a.count > s.count {
-                return false;
+            if settle.ship > 0 {
+                n += settle.ship;
+                floor = floor.min(settle.above.map_or(0, |max| max + 1));
             }
-            if a.max < s.max {
-                floor = floor.min(a.max + 1);
-            }
-            n += s.count - a.count;
-            scratch.below.push(SiteSummary {
-                site: s.site,
-                count: s.count - a.count,
-                max: a.max,
-                hash: s.hash ^ a.hash,
-            });
+            scratch.settle.push(settle);
         }
-        let tail = &self.entries[self.entries.partition_point(|e| e.ts.counter < floor)..];
+        if self.delta_pass(n, floor, scratch, out) {
+            return;
+        }
+        n = 0;
+        for (b, s) in scratch.settle.iter_mut().zip(&self.sites) {
+            if b.left != 0 || b.hash != 0 {
+                *b = Settle::whole(s);
+            }
+            n += b.ship;
+        }
+        // Every site now ships whole or is confirmed, so this pass's
+        // own verdict says nothing.
+        self.delta_pass(n, 0, scratch, out);
+    }
+
+    /// Refills `out` with the `n` entries `scratch.settle` ships, reading
+    /// ours from counter `floor` on; true when every site's shipped
+    /// entries add up to what it owes.
+    fn delta_pass(&self, n: u64, floor: u64, scratch: &mut DiffScratch, out: &mut Log<Op>) -> bool {
+        let settle = &mut scratch.settle;
         out.reset(n as usize, self.sites.len());
-        for e in tail {
+        let start = self.entries.partition_point(|e| e.ts.counter < floor);
+        for e in &self.entries[start..] {
             let ix = self.sites.binary_search_by_key(&e.ts.site, |s| s.site);
-            let b = &mut scratch.below[ix.expect("every entry's site is summarized")];
-            if e.ts.counter > b.max {
-                b.count = b.count.wrapping_sub(1);
+            let b = &mut settle[ix.expect("every entry's site is summarized")];
+            if b.above.is_none_or(|max| e.ts.counter > max) {
+                b.left = b.left.wrapping_sub(1);
                 b.hash ^= mix_ts(e.ts);
                 out.push_back(e.clone());
             }
         }
-        scratch.below.iter().all(|b| b.count == 0 && b.hash == 0)
-    }
-
-    /// The full scan behind [`Log::delta_above_into`]: three passes over
-    /// the whole log. The fallback for what [`Log::delta_tail`] declines,
-    /// and the oracle its tests compare against.
-    fn delta_scan(&self, f: &Frontier, scratch: &mut DiffScratch, out: &mut Log<Op>) {
-        let fsites = f.sites();
-        // Summarize, per advertised site, our entries at-or-below the
-        // advertised maximum counter.
-        scratch.below.clear();
-        scratch.below.extend(fsites.iter().map(|s| SiteSummary {
-            site: s.site,
-            count: 0,
-            max: 0,
-            hash: 0,
-        }));
-        for e in &self.entries {
-            if let Some(ix) = f.index_of(e.ts.site) {
-                if e.ts.counter <= fsites[ix].max {
-                    let b = &mut scratch.below[ix];
-                    b.count += 1;
-                    b.max = b.max.max(e.ts.counter);
-                    b.hash ^= mix_ts(e.ts);
-                }
-            }
-        }
-        scratch.confirmed.clear();
-        scratch.confirmed.extend(
-            fsites
-                .iter()
-                .zip(&scratch.below)
-                .map(|(s, b)| b.count == s.count && b.max == s.max && b.hash == s.hash),
-        );
-        let include = |e: &Entry<Op>| match f.index_of(e.ts.site) {
-            None => true,
-            Some(ix) => !scratch.confirmed[ix] || e.ts.counter > fsites[ix].max,
-        };
-        let n = self.entries.iter().filter(|e| include(e)).count();
-        out.reset(n, self.sites.len());
-        for e in self.entries.iter().filter(|e| include(e)) {
-            out.push_back(e.clone());
-        }
+        settle.iter().all(|b| b.left == 0 && b.hash == 0)
     }
 
     /// The entries of `self` absent from `other` (two-pointer set
@@ -621,6 +656,9 @@ impl<Op: Clone> Log<Op> {
     /// [`Log::diff_with`] into `out`'s buffers, whatever they held: a
     /// client refills the write payload a replica has acked and allocates
     /// nothing once the buffers have grown.
+    ///
+    /// O(|self| − p + |other| − p + log n), `p` the two logs' longest
+    /// common prefix: below it `other` holds all of ours.
     pub fn diff_into(&self, other: &Log<Op>, scratch: &mut DiffScratch, out: &mut Log<Op>) {
         // Prefix fast path (one hash compare): `other` is exactly our
         // first `m` entries, so the difference is our suffix — the
@@ -630,14 +668,19 @@ impl<Op: Clone> Log<Op> {
         if m <= self.entries.len() && self.prefix_hash(m) == other.prefix_hash(m) {
             return self.range_into(m, self.entries.len(), out);
         }
+        // Otherwise a two-pointer pass from the longest common prefix:
+        // a record cut off mid-view, or trailing under interleaved
+        // writers, shares most of its start with the view.
+        let p = self.common_prefix(other);
+        let (ours, theirs) = (&self.entries[p..], &other.entries[p..]);
         scratch.missing.clear();
         let mut n = 0usize;
         let mut j = 0;
-        for e in &self.entries {
-            while j < other.entries.len() && other.entries[j].ts < e.ts {
+        for e in ours {
+            while j < theirs.len() && theirs[j].ts < e.ts {
                 j += 1;
             }
-            let missing = !(j < other.entries.len() && other.entries[j].ts == e.ts);
+            let missing = !(j < theirs.len() && theirs[j].ts == e.ts);
             if !missing {
                 j += 1;
             }
@@ -645,7 +688,7 @@ impl<Op: Clone> Log<Op> {
             scratch.missing.push(missing);
         }
         out.reset(n, self.sites.len());
-        for (e, &missing) in self.entries.iter().zip(&scratch.missing) {
+        for (e, &missing) in ours.iter().zip(&scratch.missing) {
             if missing {
                 out.push_back(e.clone());
             }
@@ -741,17 +784,49 @@ mod tests {
         out
     }
 
-    /// The tail path and the full scan, each filling a buffer that held
-    /// something else (the log itself) — what a reused response does.
-    fn delta_tail_of(log: &Log<String>, f: &Frontier) -> Option<Log<String>> {
+    /// The tail path, filling a buffer that held something else (the
+    /// log itself) — what a reused response does.
+    fn delta_tail_of(log: &Log<String>, f: &Frontier) -> Log<String> {
         let mut out = log.clone();
-        log.delta_tail(f, &mut DiffScratch::default(), &mut out)
-            .then_some(out)
-    }
-    fn delta_scan_of(log: &Log<String>, f: &Frontier) -> Log<String> {
-        let mut out = log.clone();
-        log.delta_scan(f, &mut DiffScratch::default(), &mut out);
+        log.delta_tail(f, &mut DiffScratch::default(), &mut out);
         out
+    }
+
+    /// The oracle of the tail path: a full scan, three passes over the
+    /// whole log. Per advertised site it sums our entries at or below the
+    /// advertised max; a site whose sum matches the advertised summary
+    /// ships the entries above it, any other ships whole.
+    fn delta_scan_of(log: &Log<String>, f: &Frontier) -> Log<String> {
+        let fsites = f.sites();
+        let mut below: Vec<SiteSummary> = fsites
+            .iter()
+            .map(|s| SiteSummary {
+                site: s.site,
+                count: 0,
+                max: 0,
+                hash: 0,
+            })
+            .collect();
+        for e in log.entries() {
+            if let Some(ix) = f.index_of(e.ts.site) {
+                if e.ts.counter <= fsites[ix].max {
+                    let b = &mut below[ix];
+                    b.count += 1;
+                    b.max = b.max.max(e.ts.counter);
+                    b.hash ^= mix_ts(e.ts);
+                }
+            }
+        }
+        let confirmed: Vec<bool> = fsites.iter().zip(&below).map(|(s, b)| s == b).collect();
+        let include = |e: &Entry<String>| match f.index_of(e.ts.site) {
+            None => true,
+            Some(ix) => !confirmed[ix] || e.ts.counter > fsites[ix].max,
+        };
+        log.entries()
+            .iter()
+            .filter(|e| include(e))
+            .cloned()
+            .collect()
     }
 
     /// Recomputes the indices from scratch and checks them against the
@@ -820,7 +895,7 @@ mod tests {
     }
 
     #[test]
-    fn tail_delta_serves_a_trailing_peer_and_declines_the_rest() {
+    fn tail_delta_settles_every_peer_shape() {
         // Two writers interleave: sites 0 and 1. The peer wrote site 0
         // itself and trails on site 1.
         let ours: Log<String> = (1..=40u64)
@@ -833,33 +908,27 @@ mod tests {
                 .cloned()
                 .collect()
         };
-        let f = peer_with(30).frontier();
-        let got = delta_tail_of(&ours, &f).expect("peer only trails");
-        assert_eq!(got, delta_scan_of(&ours, &f));
-        assert_eq!(got.len(), 10);
-        check_indices(&got);
-
+        let trailing = peer_with(30);
         // A hole below the advertised max, an unadvertised site, and a
-        // peer ahead of us each go to the scan.
-        let holed: Log<String> = peer_with(30)
+        // peer ahead of us settle too: the site ships whole.
+        let holed: Log<String> = trailing
             .entries()
             .iter()
             .filter(|x| x.ts != Timestamp::new(7, 1))
             .cloned()
             .collect();
-        assert!(delta_tail_of(&ours, &holed.frontier()).is_none());
         let one_site = peer_with(0);
-        assert!(delta_tail_of(&ours, &one_site.frontier()).is_none());
         let mut ahead = peer_with(30);
         ahead.insert(e(99, 0, "z"));
-        assert!(delta_tail_of(&ours, &ahead.frontier()).is_none());
         let mut scratch = DiffScratch::default();
-        for peer in [holed, one_site, ahead] {
+        for (peer, ships) in [(trailing, 10), (holed, 40), (one_site, 40), (ahead, 50)] {
             let f = peer.frontier();
-            assert_eq!(
-                ours.delta_above_with(&f, &mut scratch),
-                delta_scan_of(&ours, &f)
-            );
+            let got = delta_tail_of(&ours, &f);
+            assert_eq!(got, delta_scan_of(&ours, &f));
+            assert_eq!(got.len(), ships);
+            assert_eq!(ours.delta_above_with(&f, &mut scratch), got);
+            assert_eq!(peer.merged(&got), peer.merged(&ours));
+            check_indices(&got);
         }
     }
 
@@ -1193,8 +1262,9 @@ mod tests {
 
         /// The tail path of `delta_above_with` is the full scan: on two
         /// writers interleaving over 8–12 sites, with the peer trailing,
-        /// holed, missing whole sites, or ahead of us, the same `Log`
-        /// comes out, warm scratch or cold. Four scenarios a case.
+        /// holed, missing whole sites, or ahead of us, the tail path
+        /// settles every site and the same `Log` comes out, warm scratch
+        /// or cold. Four scenarios a case.
         #[test]
         fn delta_tail_matches_the_full_scan(seeds in proptest::collection::vec(0u64..u64::MAX, 4)) {
             for seed in seeds {
@@ -1241,12 +1311,8 @@ mod tests {
                 prop_assert_eq!(&cold, &oracle);
                 prop_assert_eq!(&warm, &oracle);
                 let tail = delta_tail_of(&ours, &f);
-                if fault > 2 {
-                    prop_assert!(tail.is_some(), "a clean trailing peer takes the tail path");
-                }
-                if let Some(tail) = tail {
-                    prop_assert_eq!(&tail, &oracle);
-                }
+                prop_assert_eq!(&tail, &oracle);
+                check_indices(&tail);
                 prop_assert_eq!(&peer.merged(&oracle), &peer.merged(&ours));
             }
         }
@@ -1283,6 +1349,87 @@ mod tests {
                 receiver.merge(&other);
                 prop_assert_eq!(&receiver, &expect);
                 check_indices(&receiver);
+            }
+        }
+
+        /// The galloping merge is the repeated-insert oracle when `other`
+        /// repeats most of ours: a peer's log with holes of its own, plus
+        /// one site shipped whole, entries we lack included. The receiver
+        /// has holes too; Merkle index built and not. Four scenarios a
+        /// case.
+        #[test]
+        fn gallop_merge_matches_naive_over_a_mostly_held_log(
+            seeds in proptest::collection::vec(0u64..u64::MAX, 4),
+        ) {
+            for seed in seeds {
+                let mut rng = SplitMix64::seed_from_u64(seed);
+                let sites = 2 + rng.index(6);
+                let whole = rng.index(sites);
+                let n = 1 + rng.index(600) as u64;
+                let mut receiver: Log<String> = Log::new();
+                let mut other: Log<String> = Log::new();
+                for c in 1..=n {
+                    for site in 0..sites {
+                        let x = e(c, site, "op");
+                        let held = rng.index(16) > 0;
+                        if held {
+                            receiver.insert(x.clone());
+                        }
+                        if site == whole || (held && rng.index(8) > 0) {
+                            other.insert(x);
+                        }
+                    }
+                }
+                let expect = naive_merged(&receiver, &other);
+                if rng.index(2) == 0 {
+                    let _ = receiver.merkle_index();
+                }
+                receiver.merge(&other);
+                prop_assert_eq!(&receiver, &expect);
+                check_indices(&receiver);
+            }
+        }
+
+        /// `diff_into` from the common prefix is the naive set
+        /// difference: two logs that share a long prefix, then diverge —
+        /// each holding entries the other lacks (`other ⊄ self`), or
+        /// `other` a mere subset or extension — into a warm scratch and
+        /// a buffer that held something else. Four scenarios a case.
+        #[test]
+        fn diff_from_a_long_common_prefix_is_the_set_difference(
+            seeds in proptest::collection::vec(0u64..u64::MAX, 4),
+        ) {
+            let mut scratch = DiffScratch::default();
+            for seed in seeds {
+                let mut rng = SplitMix64::seed_from_u64(seed);
+                let grid = |i: u64| e(1 + i / 4, (i % 4) as usize, "op");
+                let shared = 256 + rng.index(1024) as u64;
+                let end = shared + 1 + rng.index(64) as u64;
+                // 0: both diverge, 1: `other` only lacks, 2: `other` only adds.
+                let shape = rng.index(3);
+                let mut ours: Log<String> = (0..shared).map(grid).collect();
+                let mut other = ours.clone();
+                for i in shared..end {
+                    match rng.index(3) {
+                        0 if shape != 2 => ours.insert(grid(i)),
+                        1 if shape != 1 => other.insert(grid(i)),
+                        _ => {
+                            ours.insert(grid(i));
+                            other.insert(grid(i));
+                        }
+                    }
+                }
+                let expect: Log<String> = ours
+                    .entries()
+                    .iter()
+                    .filter(|x| other.entries().binary_search_by_key(&x.ts, |y| y.ts).is_err())
+                    .cloned()
+                    .collect();
+                let mut out = other.clone();
+                ours.diff_into(&other, &mut scratch, &mut out);
+                prop_assert_eq!(&out, &expect);
+                check_indices(&out);
+                prop_assert_eq!(&other.merged(&out), &other.merged(&ours));
             }
         }
     }

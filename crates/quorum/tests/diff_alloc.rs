@@ -509,7 +509,8 @@ fn fast_writes_under_a_partition_stay_linear_and_retire() {
 /// a `Bag` checkpoint copy after every window's splice by either client,
 /// three fresh vectors and an `Arc` per write payload and per read
 /// response, a frontier clone per read request, two `BTreeSet`s per
-/// invocation.
+/// invocation. A merge that spliced from `other`'s first entry, rather
+/// than from the first one it adds, lifted out a longer tail: 960.
 fn a_partitioned_run_allocates_a_pinned_number_of_times_per_operation() {
     const WINDOWS: usize = 12;
     const WARM: usize = 4;
@@ -571,7 +572,7 @@ fn a_partitioned_run_allocates_a_pinned_number_of_times_per_operation() {
     assert_eq!((completed(0), completed(1)), (WINDOWS * PER, WINDOWS * PER));
     assert_eq!(
         counted,
-        960,
+        910,
         "{ops} operations allocated {counted} times ({:.1} each)",
         counted as f64 / ops as f64
     );
