@@ -558,7 +558,9 @@ const REPS: usize = 101;
 ///   median over the same reps — is printed and recorded beside it.
 ///
 /// Results land in `BENCH_fault_campaign.json`; `regress` gates on its
-/// `within_target` (overhead in budget *and* every verdict ok).
+/// `added_ns_per_op` (within 1.45× the baseline's) and on
+/// `all_verdicts_ok`. `within_target` (overhead in budget *and* every
+/// verdict ok) is still printed and recorded, but not gated.
 /// `--trace NAME PATH` first exports the named campaign's full JSONL
 /// trace, ready for `trace_analyze PATH --staleness`.
 pub fn main(args: &Args) -> Result<(), String> {
