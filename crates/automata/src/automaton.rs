@@ -61,18 +61,18 @@ pub trait ObjectAutomaton {
         }
     }
 
-    /// An optional simulation preorder for frontier pruning: return
-    /// `true` only when every history accepted from `weaker` is also
-    /// accepted from `stronger`, so a reachable-state frontier that
-    /// contains `stronger` may drop `weaker` without changing the
-    /// accepted language. Online monitors use this to keep frontiers of
-    /// nondeterministic specifications small (a remove-or-keep branch
-    /// otherwise doubles the frontier on every operation).
-    ///
-    /// The default prunes nothing, which is always sound.
-    fn subsumes(&self, stronger: &Self::State, weaker: &Self::State) -> bool {
-        let _ = (stronger, weaker);
-        false
+    /// `δ(s, p)` written over `state` where it holds at most one state:
+    /// `Some(true)` once written, `Some(false)` where `δ` is undefined
+    /// (`state` is then anything). The default `None` means "use
+    /// [`ObjectAutomaton::step`]"; an [`Acceptor`] calls this whenever
+    /// its frontier holds one state. An override may instead write one
+    /// successor that simulates the others (DegenPQ's `Deq`): the
+    /// acceptor still accepts the same language while this automaton
+    /// steps on, but a run that switches automata between operations
+    /// (§2.3's combined run) is exact only over exact overrides.
+    fn step_in_place(&self, state: &mut Self::State, op: &Self::Op) -> Option<bool> {
+        let _ = (state, op);
+        None
     }
 
     /// `δ*(s, H)`: the set of states reachable from `s` by the history
@@ -104,20 +104,11 @@ pub trait ObjectAutomaton {
         self.delta_star_from(&self.initial_state(), history)
     }
 
-    /// A history `H` is accepted iff `δ*(H) ≠ ∅`.
+    /// A history `H` is accepted iff `δ*(H) ≠ ∅`, decided online by an
+    /// [`Acceptor`].
     fn accepts(&self, history: &History<Self::Op>) -> bool {
-        !self.delta_star(history).is_empty()
-    }
-
-    /// The operations enabled after `H`: those `p` from `alphabet` with
-    /// `δ*(H · p) ≠ ∅`.
-    fn enabled_after(&self, history: &History<Self::Op>, alphabet: &[Self::Op]) -> Vec<Self::Op> {
-        let states = self.delta_star(history);
-        alphabet
-            .iter()
-            .filter(|op| states.iter().any(|s| !self.step(s, op).is_empty()))
-            .cloned()
-            .collect()
+        let mut acceptor = Acceptor::new(self.initial_state());
+        history.iter().all(|op| acceptor.step(self, op))
     }
 }
 
@@ -133,7 +124,11 @@ impl<A: ObjectAutomaton + ?Sized> ObjectAutomaton for &A {
         (**self).step(state, op)
     }
 
-    // Forwarded explicitly so batched overrides survive the indirection.
+    // Forwarded explicitly so overrides survive the indirection.
+    fn step_in_place(&self, state: &mut Self::State, op: &Self::Op) -> Option<bool> {
+        (**self).step_in_place(state, op)
+    }
+
     fn step_all_into(
         &self,
         state: &Self::State,
@@ -227,6 +222,65 @@ impl<S> Successors<S> {
 impl<S> Default for Successors<S> {
     fn default() -> Self {
         Successors::new()
+    }
+}
+
+/// The online frontier `δ*(H)` of §2.1, stepped one operation at a
+/// time and deduplicated by equality. Every membership check steps one:
+/// [`ObjectAutomaton::accepts`], the combined run of §2.3 and the
+/// degradation monitor's levels.
+///
+/// A one-state frontier steps in place through
+/// [`ObjectAutomaton::step_in_place`], cloning and allocating nothing; a
+/// larger one steps through [`ObjectAutomaton::step`] into a buffer the
+/// acceptor keeps (monitored frontiers stay tiny, so a linear scan for
+/// duplicates beats hashing whole states). The automaton comes with each
+/// step, so a run may switch automata between operations.
+#[derive(Debug, Clone)]
+pub struct Acceptor<S> {
+    frontier: Vec<S>,
+    /// The previous frontier's buffer, reused by the next wide step.
+    scratch: Vec<S>,
+}
+
+impl<S: Clone + Eq> Acceptor<S> {
+    /// The frontier `{initial}`.
+    pub fn new(initial: S) -> Self {
+        Acceptor {
+            frontier: vec![initial],
+            scratch: Vec::new(),
+        }
+    }
+
+    /// Steps the frontier past `op` under `automaton`; `true` while the
+    /// history so far is accepted.
+    pub fn step<A>(&mut self, automaton: &A, op: &A::Op) -> bool
+    where
+        A: ObjectAutomaton<State = S> + ?Sized,
+    {
+        if let [state] = self.frontier.as_mut_slice() {
+            match automaton.step_in_place(state, op) {
+                Some(true) => return true,
+                Some(false) => self.frontier.clear(),
+                None => {}
+            }
+        }
+        let mut next = std::mem::take(&mut self.scratch);
+        next.clear();
+        for s in &self.frontier {
+            for t in automaton.step(s, op) {
+                if !next.contains(&t) {
+                    next.push(t);
+                }
+            }
+        }
+        self.scratch = std::mem::replace(&mut self.frontier, next);
+        !self.frontier.is_empty()
+    }
+
+    /// The states the history so far reaches (none once rejected).
+    pub fn states(&self) -> &[S] {
+        &self.frontier
     }
 }
 
@@ -338,16 +392,6 @@ mod tests {
         assert!(states.contains(&vec![1, 1]));
     }
 
-    #[test]
-    fn enabled_after_respects_preconditions() {
-        let alphabet = vec![Op::Enq(1), Op::Deq(1), Op::Deq(2)];
-        let h = History::from(vec![Op::Enq(1)]);
-        let enabled = TinyBag.enabled_after(&h, &alphabet);
-        assert!(enabled.contains(&Op::Enq(1)));
-        assert!(enabled.contains(&Op::Deq(1)));
-        assert!(!enabled.contains(&Op::Deq(2)));
-    }
-
     /// A genuinely nondeterministic automaton for testing δ* fan-out.
     #[derive(Debug, Clone)]
     struct Forky;
@@ -366,6 +410,57 @@ mod tests {
                 _ => vec![],
             }
         }
+    }
+
+    #[test]
+    fn acceptor_frontier_is_delta_star_without_duplicates() {
+        let ops = [0, 0, 1, 0, 1, 1];
+        let mut acceptor = Acceptor::new(Forky.initial_state());
+        for n in 1..=ops.len() {
+            let alive = acceptor.step(&Forky, &ops[n - 1]);
+            let delta = Forky.delta_star(&History::from(ops[..n].to_vec()));
+            let states: HashSet<u8> = acceptor.states().iter().copied().collect();
+            assert_eq!(states.len(), acceptor.states().len(), "after {n} ops");
+            assert_eq!(states, delta, "after {n} ops");
+            assert_eq!(alive, !delta.is_empty());
+        }
+    }
+
+    /// A counter that steps in place: `Inc` (`true`) always, `Dec` while
+    /// positive.
+    #[derive(Debug, Clone)]
+    struct InPlace;
+
+    impl ObjectAutomaton for InPlace {
+        type State = u8;
+        type Op = bool;
+        fn initial_state(&self) -> u8 {
+            0
+        }
+        fn step(&self, _: &u8, _: &bool) -> Vec<u8> {
+            unreachable!("a one-state frontier steps in place")
+        }
+        fn step_in_place(&self, s: &mut u8, inc: &bool) -> Option<bool> {
+            match (inc, *s) {
+                (true, _) => *s += 1,
+                (false, 0) => return Some(false),
+                (false, _) => *s -= 1,
+            }
+            Some(true)
+        }
+    }
+
+    #[test]
+    fn a_one_state_frontier_steps_in_place_until_it_dies() {
+        let mut acceptor = Acceptor::new(0);
+        for op in [true, true, false] {
+            assert!(acceptor.step(&InPlace, &op));
+        }
+        assert_eq!(acceptor.states(), [1]);
+        assert!(acceptor.step(&InPlace, &false));
+        assert!(!acceptor.step(&InPlace, &false));
+        assert!(acceptor.states().is_empty());
+        assert!(!acceptor.step(&InPlace, &true), "the dead stay dead");
     }
 
     #[test]

@@ -13,9 +13,7 @@
 //! premature `Debit`, the atomic queue's `Deq`/`commit`/`abort`), "the
 //! environment changes before the transition function is selected".
 
-use std::collections::HashSet;
-
-use crate::automaton::ObjectAutomaton;
+use crate::automaton::{Acceptor, ObjectAutomaton};
 use crate::constraint::ConstraintSet;
 use crate::history::History;
 use crate::lattice::RelaxationMap;
@@ -73,11 +71,18 @@ pub enum CombinedError {
 pub struct CombinedState<S> {
     /// The environment component (an element of `2^C`).
     pub constraints: ConstraintSet,
-    /// The object component (an element of `2^STATE`).
-    pub states: HashSet<S>,
+    /// The object component (an element of `2^STATE`), without duplicates.
+    pub states: Vec<S>,
 }
 
 /// The combined automaton `<2^C × STATE, (c0, s0), EVENT ∪ OP, δ>`.
+///
+/// [`CombinedAutomaton::run`] steps one [`Acceptor`] under whichever
+/// automaton `φ` selects at each operation, which is exact only while no
+/// `φ(c)` overrides [`ObjectAutomaton::step_in_place`] with a state that
+/// merely simulates the others (DegenPQ keeps a dequeued item, which a
+/// priority queue selected after recovery would have to serve). No
+/// relaxation map in the workspace does.
 #[derive(Debug, Clone)]
 pub struct CombinedAutomaton<M, Env> {
     map: M,
@@ -115,7 +120,6 @@ where
         inputs: &[Input<Env::Event, <M::A as ObjectAutomaton>::Op>],
     ) -> Result<CombinedState<<M::A as ObjectAutomaton>::State>, CombinedError> {
         let mut constraints = self.env.initial_constraints();
-        let mut states: HashSet<<M::A as ObjectAutomaton>::State> = HashSet::new();
 
         // The object's initial state comes from the preferred automaton
         // (all automata in a lattice share s0 by definition).
@@ -125,7 +129,7 @@ where
             .or_else(|| self.map.preferred())
             .ok_or(CombinedError::PhiUndefined { constraints, at: 0 })?
             .initial_state();
-        states.insert(initial);
+        let mut acceptor = Acceptor::new(initial);
 
         for (at, input) in inputs.iter().enumerate() {
             // δ1: event facet updates the environment first.
@@ -143,19 +147,14 @@ where
                     .map
                     .automaton(constraints)
                     .ok_or(CombinedError::PhiUndefined { constraints, at })?;
-                let mut next: HashSet<<M::A as ObjectAutomaton>::State> = HashSet::new();
-                for s in &states {
-                    next.extend(automaton.step(s, op));
-                }
-                if next.is_empty() {
+                if !acceptor.step(&automaton, op) {
                     return Err(CombinedError::Rejected { at, constraints });
                 }
-                states = next;
             }
         }
         Ok(CombinedState {
             constraints,
-            states,
+            states: acceptor.states().to_vec(),
         })
     }
 

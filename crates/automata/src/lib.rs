@@ -6,7 +6,7 @@
 //! * [`automaton::ObjectAutomaton`] — a simple object automaton
 //!   `<STATE, s0, OP, δ>` with a partial, nondeterministic transition
 //!   function; `δ*` extends to histories and a history is *accepted* when
-//!   `δ*(H) ≠ ∅` (§2.1).
+//!   `δ*(H) ≠ ∅` (§2.1), which [`automaton::Acceptor`] decides online.
 //! * [`history::History`] — a finite sequence of operation executions.
 //! * [`language`] — bounded enumeration of the language `L(A)` over a
 //!   finite operation alphabet, with inclusion/equality checks up to a
@@ -84,7 +84,7 @@ pub mod rng;
 
 /// Convenient re-exports of the crate's main types.
 pub mod prelude {
-    pub use crate::automaton::{IntersectionAutomaton, ObjectAutomaton, Successors};
+    pub use crate::automaton::{Acceptor, IntersectionAutomaton, ObjectAutomaton, Successors};
     pub use crate::calm::{response_stable, ResponseInstability};
     pub use crate::constraint::{ConstraintId, ConstraintSet, ConstraintUniverse};
     pub use crate::environment::{CombinedAutomaton, Environment, Input};
@@ -103,7 +103,7 @@ pub mod prelude {
     pub use crate::rng::SplitMix64;
 }
 
-pub use automaton::{IntersectionAutomaton, ObjectAutomaton, Successors};
+pub use automaton::{Acceptor, IntersectionAutomaton, ObjectAutomaton, Successors};
 pub use calm::{response_stable, ResponseInstability};
 pub use constraint::{ConstraintId, ConstraintSet, ConstraintUniverse};
 pub use environment::{CombinedAutomaton, Environment, Input};

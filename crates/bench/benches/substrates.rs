@@ -1,6 +1,6 @@
 //! Microbenchmarks, the one criterion target: replica logs, the view
 //! cache, the sim client's view and write bookkeeping and one whole
-//! invocation through the simulator, the threaded
+//! invocation through the simulator, the degradation monitor, the threaded
 //! backend's shard–broker round trip, the bounded language walk and the
 //! naive enumerator, QCA view search, the term rewriter, the lock
 //! manager, the atomicity checker, and the two operational executors
@@ -28,8 +28,8 @@ use relax_quorum::calm::SchedulingPolicy;
 use relax_quorum::relation::{AccountKind, QueueKind};
 use relax_quorum::types::{AccountInv, BankAccountType, QueueInv, ReplicatedType, TaxiQueueType};
 use relax_quorum::{
-    ClientConfig, DiffScratch, Entry, Executor, Log, QuorumSystem, RepViewAutomaton,
-    ThreadedConfig, ThreadedSystem, Timestamp, ViewCache, VotingAssignment,
+    queue_lattice_monitor, ClientConfig, DiffScratch, Entry, Executor, Log, QuorumSystem,
+    RepViewAutomaton, ThreadedConfig, ThreadedSystem, Timestamp, ViewCache, VotingAssignment,
 };
 use relax_sim::{Ctx, NetworkConfig, Node, NodeId, Partition, World};
 use relax_spec::{paper_theories, parse_term, Rewriter, Term};
@@ -506,6 +506,47 @@ fn bench_sim_hold(c: &mut Criterion) {
     group.finish();
 }
 
+/// The degradation monitor (`queue_lattice_monitor`: PQ, MPQ, OPQ and
+/// DegenPQ, each an acceptor), ns per observed operation over a PQ-legal
+/// history: 16 enqueues, then `ops` more, each pair an `Enq` of a new
+/// best item and its `Deq`, so 16 items stay live while MPQ's `absent`
+/// bag and DegenPQ's one bag grow with the history. A level that clones
+/// its state per operation again reads the history's length here: the
+/// two sizes must read about the same. A monitor runs the history from
+/// the start; a fresh one replaces it, untimed, at the end.
+fn bench_monitor_observe(c: &mut Criterion) {
+    let mut group = c.benchmark_group("monitor_observe");
+    for ops in [1usize << 10, 1 << 14] {
+        let mut history: Vec<QueueOp> = (0..16).map(QueueOp::Enq).collect();
+        for i in 0..ops as i64 / 2 {
+            history.extend([QueueOp::Enq(16 + i), QueueOp::Deq(16 + i)]);
+        }
+        let mut monitor = queue_lattice_monitor();
+        let mut next = 0;
+        group.bench_function(BenchmarkId::from_parameter(ops), |bencher| {
+            bencher.iter_custom(|iters| {
+                let (mut timed, mut left) = (Duration::ZERO, iters as usize);
+                while left > 0 {
+                    if next == history.len() {
+                        monitor = queue_lattice_monitor();
+                        next = 0;
+                    }
+                    let run = &history[next..history.len().min(next + left)];
+                    let t = Instant::now();
+                    for op in run {
+                        black_box(monitor.observe(op));
+                    }
+                    timed += t.elapsed();
+                    (next, left) = (next + run.len(), left - run.len());
+                }
+                assert_eq!(monitor.current_level(), Some("PQ"));
+                timed
+            });
+        });
+    }
+    group.finish();
+}
+
 /// The hand-off layer of the threaded backend alone: one client, 256
 /// credits, each a round of its own over three replicas, so a run is
 /// nothing but shard–broker visits around O(1) layer work. Reads µs per
@@ -832,6 +873,7 @@ criterion_group!(
     bench_sim_client_write,
     bench_sim_invocation,
     bench_sim_hold,
+    bench_monitor_observe,
     bench_threaded_round_trip,
     bench_product_walk,
     bench_taxi_states,

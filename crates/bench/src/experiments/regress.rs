@@ -175,6 +175,16 @@ pub const CHECKS: &[Check] = &[
         metric: "sim_hold/16384",
         band: Band::MaxRatio(3.0),
     },
+    // The degradation monitor's four levels, ns per observed operation
+    // over a 16,400-operation PQ-legal history: each level's acceptor
+    // holds one state and steps it in place, so this reads about what
+    // the 1,040-operation row does. A level that clones its state per
+    // operation again reads over a thousand times the baseline here.
+    Check {
+        file: "BENCH_micro_substrates.json",
+        metric: "monitor_observe/16384",
+        band: Band::MaxRatio(4.0),
+    },
     // The language walk (`relax-automata::multiwalk`), ns per call, over
     // Theorem 4's four pairs in turn and over one raw-QCA pair. A walk
     // that steps a state once per set it is a member of, or boxes a row
@@ -482,7 +492,8 @@ mod tests {
                 "{{\"sim_client_read_view/65536\":{0},\"sim_client_write_ack/65536\":{0},\
                  \"sim_client_write_payloads/65536\":{0},\"log_delta_holed/65536\":{0},\
                  \"sim_invocation/enq\":{0},\
-                 \"sim_hold/16384\":{0},\"product_walk/n4_taxi_3x8\":{0},\"product_walk/n1_rawqca_3x6\":{0},\
+                 \"sim_hold/16384\":{0},\"monitor_observe/16384\":{0},\
+                 \"product_walk/n4_taxi_3x8\":{0},\"product_walk/n1_rawqca_3x6\":{0},\
                  \"taxi_states/quotient_3x8\":{0},\"taxi_states/reference_3x8\":{0}}}\n",
                 overhead * 100.0
             ),
@@ -581,6 +592,16 @@ mod tests {
         );
     }
 
+    /// A monitor at five times its baseline per operation fails its 4×
+    /// band alone.
+    #[test]
+    fn a_five_fold_monitor_regresses() {
+        assert_eq!(
+            failing_with(MICRO, "monitor_observe/16384", 500),
+            ["monitor_observe/16384"]
+        );
+    }
+
     /// Tracing that adds half as much again to a campaign operation fails
     /// the campaign's ns gate alone; a third more passes it.
     #[test]
@@ -641,7 +662,7 @@ mod tests {
     #[test]
     fn selection_filters_by_payload_or_metric_substring() {
         let all = selected(None);
-        assert_eq!(all.len(), 16);
+        assert_eq!(all.len(), 17);
         let campaign = selected(Some("fault_campaign"));
         assert_eq!(campaign.len(), 2);
         assert!(campaign

@@ -397,10 +397,13 @@ pub fn constraint_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use relax_automata::{
-        check_reverse_inclusion_lattice, check_step_all_into, equal_upto, CombinedAutomaton, Input,
+        check_reverse_inclusion_lattice, check_step_all_into, equal_upto, CombinedAutomaton,
+        History, Input,
     };
     use relax_queues::queue_alphabet;
+    use std::collections::HashSet;
 
     #[test]
     fn lattice_is_a_relaxation_lattice() {
@@ -564,5 +567,58 @@ mod tests {
             Input::Op(QueueOp::Deq(2)),
         ];
         assert!(!combined.accepts(&recovered));
+    }
+
+    /// The combined run, stepping the exact `δ*` of each operation under
+    /// the automaton `φ` selects there: the set of object states after
+    /// `inputs`, or `None` once an operation empties it.
+    fn exact_combined_run(
+        inputs: &[Input<TaxiEvent, QueueOp>],
+    ) -> Option<HashSet<History<QueueOp>>> {
+        let (lattice, env) = (TaxiLattice::new(), TaxiEnvironment::new());
+        let mut constraints = env.initial_constraints();
+        let mut states = HashSet::from([History::empty()]);
+        for input in inputs {
+            match input {
+                Input::Event(e) => constraints = env.on_event(constraints, e),
+                Input::Op(op) => {
+                    let qca = lattice.automaton(constraints).expect("φ is total");
+                    states = states.iter().flat_map(|h| qca.step(h, op)).collect();
+                    if states.is_empty() {
+                        return None;
+                    }
+                }
+                Input::Both(..) => unreachable!("taxi events are not operations"),
+            }
+        }
+        Some(states)
+    }
+
+    proptest! {
+        /// Under random losses and repairs of `Q1` and `Q2`, the combined
+        /// run's one acceptor reaches exactly the states the exact run
+        /// does, and so accepts exactly what it accepts.
+        #[test]
+        fn combined_run_is_exact_under_degrade_and_recover(
+            draws in proptest::collection::vec((0u8..12, 0usize..4), 0..10)
+        ) {
+            let events = [
+                TaxiEvent::Q1Lost,
+                TaxiEvent::Q1Restored,
+                TaxiEvent::Q2Lost,
+                TaxiEvent::Q2Restored,
+            ];
+            let alphabet = queue_alphabet(&[1, 2]);
+            let inputs: Vec<_> = draws
+                .iter()
+                .map(|&(kind, i)| match kind {
+                    0..=3 => Input::Event(events[i]),
+                    _ => Input::Op(alphabet[i]),
+                })
+                .collect();
+            let combined = CombinedAutomaton::new(TaxiLattice::new(), TaxiEnvironment::new());
+            let run = combined.run(&inputs).ok().map(|end| end.states.into_iter().collect());
+            prop_assert_eq!(run, exact_combined_run(&inputs), "{:?}", inputs);
+        }
     }
 }

@@ -46,13 +46,23 @@ impl ObjectAutomaton for DegenPqAutomaton {
         }
     }
 
-    /// DegenPQ is monotone in the bag: `Enq` is always enabled and
-    /// `Deq(e)` needs only `isIn(q, e)`, so a superbag accepts every
-    /// history a subbag does. Frontier monitors can therefore keep just
-    /// the ⊆-maximal bags — without this, the remove-or-keep branch of
-    /// `Deq` doubles the frontier on every dequeue.
-    fn subsumes(&self, stronger: &Bag<Item>, weaker: &Bag<Item>) -> bool {
-        weaker.is_subbag(stronger)
+    /// `Deq(e)` keeps `e`. The keep branch accepts every history the
+    /// remove branch does: DegenPQ is monotone in the bag (`Enq` is
+    /// always enabled and `Deq(e)` needs only `isIn(q, e)`), so a
+    /// superbag accepts whatever a subbag does — bag inclusion is a
+    /// forward simulation of the automaton by itself. An [`Acceptor`]
+    /// therefore keeps one state, the ⊆-greatest bag of `δ*(H)`, where
+    /// stepping both branches would double its frontier on every
+    /// dequeue.
+    ///
+    /// [`Acceptor`]: relax_automata::Acceptor
+    fn step_in_place(&self, s: &mut Bag<Item>, op: &QueueOp) -> Option<bool> {
+        match op {
+            QueueOp::Enq(e) => s.ins(*e),
+            QueueOp::Deq(e) if s.contains(e) => {}
+            QueueOp::Deq(_) => return Some(false),
+        }
+        Some(true)
     }
 }
 

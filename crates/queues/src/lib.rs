@@ -81,3 +81,13 @@ pub use spec::{AccountValueSpec, PqValueSpec, ValueSpec};
 pub use ssqueue::{SsQueueAutomaton, SsState};
 pub use stuttering::{StutQ, StutteringAutomaton};
 pub use to_term::ToTerm;
+
+/// `δ(s, p)` of an automaton that writes its transition in place.
+fn step_copy<A: relax_automata::ObjectAutomaton>(a: &A, s: &A::State, op: &A::Op) -> Vec<A::State> {
+    let mut next = s.clone();
+    match a.step_in_place(&mut next, op) {
+        Some(true) => vec![next],
+        Some(false) => Vec::new(),
+        None => unreachable!("the automaton steps in place"),
+    }
+}

@@ -70,33 +70,27 @@ impl ObjectAutomaton for MpqAutomaton {
     }
 
     fn step(&self, s: &Mpq, op: &QueueOp) -> Vec<Mpq> {
+        crate::step_copy(self, s, op)
+    }
+
+    /// `Deq(e)` has at most one successor: the two branches of Figure
+    /// 3-3 never both apply, since an absent item re-returned must beat
+    /// the best present one and a transfer takes exactly that one.
+    fn step_in_place(&self, s: &mut Mpq, op: &QueueOp) -> Option<bool> {
         match op {
-            QueueOp::Enq(e) => {
-                let mut s2 = s.clone();
-                s2.present.ins(*e);
-                vec![s2]
+            QueueOp::Enq(e) => s.present.ins(*e),
+            // Transfer the best present item to absent.
+            QueueOp::Deq(e) if s.present.best() == Some(e) => {
+                s.present.del(e);
+                s.absent.ins(*e);
             }
-            QueueOp::Deq(e) => {
-                let mut out = Vec::new();
-                // Branch 1: re-return an absent item that beats everything
-                // present; the state is unchanged.
-                let beats_present = s.present.best().is_none_or(|best| e > best);
-                if s.absent.contains(e) && beats_present {
-                    out.push(s.clone());
-                }
-                // Branch 2: transfer the best present item to absent.
-                if s.present.best() == Some(e) {
-                    let mut s2 = s.clone();
-                    s2.present.del(e);
-                    s2.absent.ins(*e);
-                    // Deduplicate: both branches can produce distinct
-                    // states, but never the same one (branch 1 keeps the
-                    // state, branch 2 moves an item).
-                    out.push(s2);
-                }
-                out
-            }
+            // Re-return an absent item that beats everything present;
+            // the state is unchanged.
+            QueueOp::Deq(e)
+                if s.absent.contains(e) && s.present.best().is_none_or(|best| e > best) => {}
+            QueueOp::Deq(_) => return Some(false),
         }
+        Some(true)
     }
 }
 

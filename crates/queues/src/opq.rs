@@ -33,16 +33,16 @@ impl ObjectAutomaton for OpqAutomaton {
     }
 
     fn step(&self, s: &Bag<Item>, op: &QueueOp) -> Vec<Bag<Item>> {
+        crate::step_copy(self, s, op)
+    }
+
+    fn step_in_place(&self, s: &mut Bag<Item>, op: &QueueOp) -> Option<bool> {
         match op {
-            QueueOp::Enq(e) => vec![s.clone().inserted(*e)],
-            QueueOp::Deq(e) => {
-                if s.contains(e) {
-                    vec![s.clone().deleted(e)]
-                } else {
-                    vec![]
-                }
-            }
+            QueueOp::Enq(e) => s.ins(*e),
+            QueueOp::Deq(e) if s.contains(e) => s.del(e),
+            QueueOp::Deq(_) => return Some(false),
         }
+        Some(true)
     }
 }
 

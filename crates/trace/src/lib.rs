@@ -82,7 +82,7 @@ pub mod prelude {
         DropCause, Event, EventKind, OpLabel, OpOutcome, Origin, PartitionGroups, QuorumPhase,
     };
     pub use crate::metrics::{Counter, Gauge, Histogram, Registry, TimeBase};
-    pub use crate::monitor::{DegradationMonitor, FrontierChecker, LevelTransition};
+    pub use crate::monitor::{DegradationMonitor, LevelTransition};
     pub use crate::profile::{parse_folded, GaugeSeries, HotSpan, Probe, ProfileReport, SpanNode};
     pub use crate::staleness::{
         staleness_report, FrontierView, SiteCount, SloMonitor, SloViolation, StalenessTracker,
@@ -97,7 +97,7 @@ pub use event::{
     DropCause, Event, EventKind, OpLabel, OpOutcome, Origin, PartitionGroups, QuorumPhase,
 };
 pub use metrics::{Counter, Gauge, Histogram, Registry, TimeBase};
-pub use monitor::{DegradationMonitor, FrontierChecker, LevelTransition};
+pub use monitor::{DegradationMonitor, LevelTransition};
 pub use profile::{parse_folded, GaugeSeries, HotSpan, Probe, ProfileReport, SpanNode};
 pub use staleness::{
     staleness_report, FrontierView, SiteCount, SloMonitor, SloViolation, StalenessTracker,

@@ -4,96 +4,32 @@
 //! language inclusion: as faults accumulate, the observed history may
 //! fall out of the strongest specification (e.g. PQ) while remaining in
 //! weaker relaxations (MPQ, OPQ, DegenPQ). The monitor tracks language
-//! membership *online*: one [`FrontierChecker`] per level advances the
-//! set of reachable automaton states past each observed operation
-//! (exactly the frontier construction `language_upto` uses offline in
-//! `relax-automata`), and the moment a frontier empties, that level is
-//! dead — the operation that killed it is the *witness*, and the monitor
-//! emits a [`LevelTransition`] naming the levels left and the strongest
-//! level still inhabited.
+//! membership *online*: one [`Acceptor`] per level advances the
+//! reachable-state frontier past each observed operation, in place
+//! while it holds one state, and the moment a frontier empties, that
+//! level is dead — the operation that killed it is the *witness*, and
+//! the monitor emits a [`LevelTransition`] naming the levels left and
+//! the strongest level still inhabited.
 //!
 //! Levels are registered strongest-first; the lattice need not be a
 //! chain (MPQ and OPQ are incomparable), so a single operation can kill
 //! several levels at once.
 
 use crate::event::EventKind;
-use relax_automata::ObjectAutomaton;
+use relax_automata::{Acceptor, ObjectAutomaton};
 use std::fmt::Debug;
 
-/// Tracks the reachable-state frontier of one automaton along an
-/// observed history (online language membership).
-///
-/// The frontier is a plain vector, deduplicated by equality and pruned
-/// by the automaton's [`ObjectAutomaton::subsumes`] preorder: monitored
-/// frontiers stay tiny (usually a single state), so linear scans beat
-/// hashing whole states, and subsumption keeps nondeterministic
-/// remove-or-keep specifications from doubling the frontier per op.
-#[derive(Debug, Clone)]
-pub struct FrontierChecker<A: ObjectAutomaton> {
-    automaton: A,
-    frontier: Vec<A::State>,
-    /// Previous frontier buffer, recycled to avoid a per-op allocation.
-    scratch: Vec<A::State>,
-}
-
-impl<A: ObjectAutomaton> FrontierChecker<A> {
-    /// Starts at the automaton's initial state.
-    pub fn new(automaton: A) -> Self {
-        let frontier = vec![automaton.initial_state()];
-        FrontierChecker {
-            automaton,
-            frontier,
-            scratch: Vec::new(),
-        }
-    }
-
-    /// Advances the frontier past `op`. Returns `true` while the
-    /// history so far is still in the automaton's language.
-    pub fn observe(&mut self, op: &A::Op) -> bool {
-        let mut next = std::mem::take(&mut self.scratch);
-        next.clear();
-        for s in &self.frontier {
-            for t in self.automaton.step(s, op) {
-                if next
-                    .iter()
-                    .any(|u| *u == t || self.automaton.subsumes(u, &t))
-                {
-                    continue;
-                }
-                next.retain(|u| !self.automaton.subsumes(&t, u));
-                next.push(t);
-            }
-        }
-        self.scratch = std::mem::replace(&mut self.frontier, next);
-        !self.frontier.is_empty()
-    }
-
-    /// Number of states currently reachable (0 once the level is dead).
-    pub fn frontier_size(&self) -> usize {
-        self.frontier.len()
-    }
-
-    /// True while the observed history is in the language.
-    pub fn alive(&self) -> bool {
-        !self.frontier.is_empty()
-    }
-}
-
-/// Object-safe view of a level's membership checker, so one monitor can
-/// hold levels backed by different automaton types (PQ, MPQ, OPQ, … are
-/// distinct types sharing an `Op`).
+/// Object-safe view of a level's automaton and its acceptor, so one
+/// monitor can hold levels backed by different automaton types (PQ,
+/// MPQ, OPQ, … are distinct types sharing an `Op`).
 trait LevelChecker<Op>: Debug {
+    /// Steps past `op`; `true` while the history is in the language.
     fn observe(&mut self, op: &Op) -> bool;
-    fn frontier_size(&self) -> usize;
 }
 
-impl<A: ObjectAutomaton + Debug> LevelChecker<A::Op> for FrontierChecker<A> {
+impl<A: ObjectAutomaton + Debug> LevelChecker<A::Op> for (A, Acceptor<A::State>) {
     fn observe(&mut self, op: &A::Op) -> bool {
-        FrontierChecker::observe(self, op)
-    }
-
-    fn frontier_size(&self) -> usize {
-        FrontierChecker::frontier_size(self)
+        self.1.step(&self.0, op)
     }
 }
 
@@ -154,9 +90,10 @@ impl<Op: Debug> DegradationMonitor<Op> {
         A: ObjectAutomaton<Op = Op> + Debug + 'static,
         A::State: 'static,
     {
+        let acceptor = Acceptor::new(automaton.initial_state());
         self.levels.push(MonitorLevel {
             name: name.into(),
-            checker: Box::new(FrontierChecker::new(automaton)),
+            checker: Box::new((automaton, acceptor)),
             alive: true,
             died_at: None,
         });
@@ -218,14 +155,6 @@ impl<Op: Debug> DegradationMonitor<Op> {
     /// All level transitions so far, in observation order.
     pub fn transitions(&self) -> &[LevelTransition] {
         &self.transitions
-    }
-
-    /// Per-level `(name, alive, frontier size)` snapshot, strongest first.
-    pub fn level_status(&self) -> Vec<(&str, bool, usize)> {
-        self.levels
-            .iter()
-            .map(|l| (l.name.as_str(), l.alive, l.checker.frontier_size()))
-            .collect()
     }
 }
 
@@ -381,40 +310,5 @@ mod tests {
             }
             other => panic!("wrong event kind: {other:?}"),
         }
-    }
-
-    #[test]
-    fn frontier_checker_matches_offline_membership() {
-        use relax_automata::History;
-        // For a batch of histories, the online frontier verdict must equal
-        // the offline `accepts` verdict.
-        let histories: Vec<Vec<Op>> = vec![
-            vec![],
-            vec![Op::Inc],
-            vec![Op::Dec],
-            vec![Op::Inc, Op::Dec],
-            vec![Op::Inc, Op::Dec, Op::Dec],
-            vec![Op::Inc, Op::Inc, Op::Dec, Op::Dec],
-        ];
-        for h in histories {
-            let mut chk = FrontierChecker::new(Strict);
-            let mut online = true;
-            for op in &h {
-                online = chk.observe(op) && online;
-            }
-            let offline = Strict.accepts(&History::from(h.clone()));
-            assert_eq!(online, offline, "history {h:?}");
-        }
-    }
-
-    #[test]
-    fn level_status_reports_frontier_sizes() {
-        let mut m = monitor();
-        m.observe(&Op::Dec);
-        let status = m.level_status();
-        assert_eq!(status[0], ("strict", false, 0));
-        assert_eq!(status[1].0, "relaxed");
-        assert!(status[1].1);
-        assert!(status[1].2 >= 1);
     }
 }

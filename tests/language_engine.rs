@@ -9,13 +9,19 @@
 
 use std::collections::HashSet;
 
+use proptest::prelude::*;
 use relaxation_lattice::automata::language::naive;
 use relaxation_lattice::automata::multiwalk::{
     compare_upto, CompareOptions, LanguageComparison, LanguageWalker, StopWhen,
 };
 use relaxation_lattice::automata::{
-    equal_upto, included_upto, language_sizes, History, LanguageDifference, NoopProbe,
-    ObjectAutomaton, SplitMix64,
+    equal_upto, included_upto, language_sizes, random_history, Acceptor, History,
+    LanguageDifference, NoopProbe, ObjectAutomaton, SplitMix64,
+};
+use relaxation_lattice::core::lattices::taxi::{TaxiPoint, TaxiReference};
+use relaxation_lattice::queues::{
+    queue_alphabet, BagAutomaton, DegenPqAutomaton, MpqAutomaton, OpqAutomaton, PQueueAutomaton,
+    QueueOp,
 };
 
 /// A random nondeterministic automaton over states `0..states` and
@@ -402,5 +408,122 @@ fn shared_taxi_walk_matches_naive_at_small_bounds() {
         assert_eq!(s.point, n.point);
         assert_eq!(s.language_size, n.language_size, "{:?}", s.point);
         assert!(s.holds() && n.holds(), "{:?}", s.point);
+    }
+}
+
+/// Steps an [`Acceptor`] along `ops` and holds it to the exact `δ*` after
+/// every prefix: it accepts iff `δ*` is non-empty, as `accepts` does, and
+/// holds distinct states of `δ*` — all of them when `exact`. Returns the
+/// acceptor's states after the whole history.
+fn acceptor_against_delta_star<A: ObjectAutomaton>(
+    automaton: &A,
+    ops: &[A::Op],
+    exact: bool,
+) -> Result<Vec<A::State>, String> {
+    let mut acceptor = Acceptor::new(automaton.initial_state());
+    for n in 0..=ops.len() {
+        let alive = n == 0 || acceptor.step(automaton, &ops[n - 1]);
+        let prefix = History::from(ops[..n].to_vec());
+        let delta = automaton.delta_star(&prefix);
+        let states = acceptor.states();
+        let distinct: HashSet<&A::State> = states.iter().collect();
+        let fails = [
+            (alive == delta.is_empty(), "verdict differs from δ*"),
+            (
+                alive != automaton.accepts(&prefix),
+                "verdict differs from accepts",
+            ),
+            (distinct.len() != states.len(), "duplicate states"),
+            (
+                states.iter().any(|s| !delta.contains(s)),
+                "a state outside δ*",
+            ),
+            (
+                exact && states.len() != delta.len(),
+                "states missing from δ*",
+            ),
+        ];
+        if let Some((_, why)) = fails.iter().find(|(failed, _)| *failed) {
+            return Err(format!("{why} after {prefix:?}: {states:?} vs {delta:?}"));
+        }
+    }
+    Ok(acceptor.states().to_vec())
+}
+
+/// A history of up to `len` operations: a random walk of `automaton`
+/// (accepted) followed by a few arbitrary operations (mostly rejected).
+fn walk_then_noise<A: ObjectAutomaton>(
+    automaton: &A,
+    alphabet: &[A::Op],
+    len: usize,
+    seed: u64,
+) -> Vec<A::Op> {
+    let mut ops = random_history(automaton, alphabet, len, seed)
+        .ops()
+        .to_vec();
+    let mut rng = SplitMix64::seed_from_u64(seed);
+    for _ in 0..rng.index(3) {
+        ops.push(alphabet[rng.index(alphabet.len())].clone());
+    }
+    ops
+}
+
+proptest! {
+    /// Every membership check steps the one acceptor; `δ*` is its oracle.
+    #[test]
+    fn acceptor_matches_delta_star(seed in 0u64..u64::MAX, len in 0usize..12) {
+        let alphabet = queue_alphabet(&[1, 2, 3]);
+        let outcomes = [
+            ("PQ", at_most_one_state(&PQueueAutomaton::new(), &alphabet, len, seed)),
+            ("OPQ", at_most_one_state(&OpqAutomaton::new(), &alphabet, len, seed)),
+            ("MPQ", at_most_one_state(&MpqAutomaton::new(), &alphabet, len, seed)),
+            ("DegenPQ", greatest_bag_only(&alphabet, len, seed)),
+        ];
+        for (name, outcome) in outcomes {
+            prop_assert!(outcome.is_ok(), "{name}: {outcome:?}");
+        }
+        let bag = BagAutomaton::new();
+        let ops = walk_then_noise(&bag, &alphabet, len, seed);
+        let outcome = acceptor_against_delta_star(&bag, &ops, true);
+        prop_assert!(outcome.is_ok(), "Bag: {outcome:?}");
+        for point in TaxiPoint::all() {
+            let reference = TaxiReference::new(point);
+            let ops = walk_then_noise(&reference, &alphabet, len, seed);
+            let outcome = acceptor_against_delta_star(&reference, &ops, true);
+            prop_assert!(outcome.is_ok(), "{point:?}: {outcome:?}");
+        }
+        let (a, _, ops) = random_pair(seed);
+        let ops = walk_then_noise(&a, &ops, len, seed);
+        let outcome = acceptor_against_delta_star(&a, &ops, true);
+        prop_assert!(outcome.is_ok(), "random automaton of seed {seed}: {outcome:?}");
+    }
+}
+
+/// A queue automaton whose in-place step is exact: its acceptor is `δ*`
+/// and holds at most one state.
+fn at_most_one_state<A: ObjectAutomaton<Op = QueueOp>>(
+    automaton: &A,
+    alphabet: &[QueueOp],
+    len: usize,
+    seed: u64,
+) -> Result<(), String> {
+    let ops = walk_then_noise(automaton, alphabet, len, seed);
+    match acceptor_against_delta_star(automaton, &ops, true)?.len() {
+        0 | 1 => Ok(()),
+        n => Err(format!("{ops:?}: {n} states")),
+    }
+}
+
+/// DegenPQ's in-place `Deq` keeps the item: its acceptor holds at most
+/// one state, the ⊆-greatest bag of `δ*`.
+fn greatest_bag_only(alphabet: &[QueueOp], len: usize, seed: u64) -> Result<(), String> {
+    let degen = DegenPqAutomaton::new();
+    let ops = walk_then_noise(&degen, alphabet, len, seed);
+    let states = acceptor_against_delta_star(&degen, &ops, false)?;
+    let delta = degen.delta_star(&History::from(ops.clone()));
+    match states.as_slice() {
+        [] => Ok(()),
+        [greatest] if delta.iter().all(|b| b.is_subbag(greatest)) => Ok(()),
+        _ => Err(format!("{ops:?}: {states:?} of {delta:?}")),
     }
 }
