@@ -243,7 +243,7 @@ pub struct Acceptor<S> {
     scratch: Vec<S>,
 }
 
-impl<S: Clone + Eq> Acceptor<S> {
+impl<S: Eq> Acceptor<S> {
     /// The frontier `{initial}`.
     pub fn new(initial: S) -> Self {
         Acceptor {
@@ -259,10 +259,11 @@ impl<S: Clone + Eq> Acceptor<S> {
         A: ObjectAutomaton<State = S> + ?Sized,
     {
         if let [state] = self.frontier.as_mut_slice() {
-            match automaton.step_in_place(state, op) {
-                Some(true) => return true,
-                Some(false) => self.frontier.clear(),
-                None => {}
+            if let Some(defined) = automaton.step_in_place(state, op) {
+                if !defined {
+                    self.frontier.clear();
+                }
+                return defined;
             }
         }
         let mut next = std::mem::take(&mut self.scratch);

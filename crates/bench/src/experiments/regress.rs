@@ -94,9 +94,10 @@ pub const CHECKS: &[Check] = &[
     // ns: `instrumented − baseline`, the median ABBA block. Its
     // percentage (still printed and recorded) divides by a baseline that
     // runs the degradation monitor, so it rises whenever the monitor gets
-    // cheaper at the same tracing cost. Pinned runs of one binary spread
-    // about a third around their median on a shared machine; a tracer
-    // that costs half as much again fails.
+    // cheaper at the same tracing cost. Quiet pinned runs read within a
+    // third of the baseline, and a tracer that costs half as much again
+    // fails; a slow spell on a shared machine scales the figure too
+    // (EXPERIMENTS MON-A).
     Check {
         file: "BENCH_fault_campaign.json",
         metric: "added_ns_per_op",
