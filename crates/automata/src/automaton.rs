@@ -66,10 +66,9 @@ pub trait ObjectAutomaton {
     /// (`state` is then anything). The default `None` means "use
     /// [`ObjectAutomaton::step`]"; an [`Acceptor`] calls this whenever
     /// its frontier holds one state. An override may instead write one
-    /// successor that simulates the others (DegenPQ's `Deq`): the
-    /// acceptor still accepts the same language while this automaton
-    /// steps on, but a run that switches automata between operations
-    /// (§2.3's combined run) is exact only over exact overrides.
+    /// successor that simulates the others (DegenPQ's `Deq`), which
+    /// accepts the same language only while this automaton steps on:
+    /// §2.3's combined run, which switches automata, never steps in place.
     fn step_in_place(&self, state: &mut Self::State, op: &Self::Op) -> Option<bool> {
         let _ = (state, op);
         None
@@ -235,7 +234,7 @@ impl<S> Default for Successors<S> {
 /// larger one steps through [`ObjectAutomaton::step`] into a buffer the
 /// acceptor keeps (monitored frontiers stay tiny, so a linear scan for
 /// duplicates beats hashing whole states). The automaton comes with each
-/// step, so a run may switch automata between operations.
+/// step: a run that switches automata steps [`Acceptor::step_exact`].
 #[derive(Debug, Clone)]
 pub struct Acceptor<S> {
     frontier: Vec<S>,
@@ -266,20 +265,29 @@ impl<S: Eq> Acceptor<S> {
                 return defined;
             }
         }
+        self.step_exact(automaton, op)
+    }
+
+    /// [`Acceptor::step`] through [`ObjectAutomaton::step`] alone, so the
+    /// frontier stays exactly `δ*(H)` whatever `step_in_place` writes.
+    pub fn step_exact<A>(&mut self, automaton: &A, op: &A::Op) -> bool
+    where
+        A: ObjectAutomaton<State = S> + ?Sized,
+    {
         let mut next = std::mem::take(&mut self.scratch);
         next.clear();
-        for s in &self.frontier {
-            for t in automaton.step(s, op) {
-                if !next.contains(&t) {
-                    next.push(t);
-                }
+        for t in self.frontier.iter().flat_map(|s| automaton.step(s, op)) {
+            if !next.contains(&t) {
+                next.push(t);
             }
         }
         self.scratch = std::mem::replace(&mut self.frontier, next);
         !self.frontier.is_empty()
     }
 
-    /// The states the history so far reaches (none once rejected).
+    /// States the history so far reaches (none once rejected): `δ*(H)`,
+    /// or a subset that accepts the same continuations under the same
+    /// automaton where its in-place step keeps one simulating state.
     pub fn states(&self) -> &[S] {
         &self.frontier
     }

@@ -71,18 +71,19 @@ pub enum CombinedError {
 pub struct CombinedState<S> {
     /// The environment component (an element of `2^C`).
     pub constraints: ConstraintSet,
-    /// The object component (an element of `2^STATE`), without duplicates.
+    /// The object component (an element of `2^STATE`), without
+    /// duplicates: exactly `δ*` of the run.
     pub states: Vec<S>,
 }
 
 /// The combined automaton `<2^C × STATE, (c0, s0), EVENT ∪ OP, δ>`.
 ///
 /// [`CombinedAutomaton::run`] steps one [`Acceptor`] under whichever
-/// automaton `φ` selects at each operation, which is exact only while no
-/// `φ(c)` overrides [`ObjectAutomaton::step_in_place`] with a state that
-/// merely simulates the others (DegenPQ keeps a dequeued item, which a
-/// priority queue selected after recovery would have to serve). No
-/// relaxation map in the workspace does.
+/// automaton `φ` selects at each operation, through
+/// [`Acceptor::step_exact`]: an in-place step may keep one state that
+/// simulates the others only under the automaton that takes it
+/// (DegenPQ keeps a dequeued item, which a priority queue selected
+/// after recovery would have to serve).
 #[derive(Debug, Clone)]
 pub struct CombinedAutomaton<M, Env> {
     map: M,
@@ -147,7 +148,7 @@ where
                     .map
                     .automaton(constraints)
                     .ok_or(CombinedError::PhiUndefined { constraints, at })?;
-                if !acceptor.step(&automaton, op) {
+                if !acceptor.step_exact(&automaton, op) {
                     return Err(CombinedError::Rejected { at, constraints });
                 }
             }
@@ -300,5 +301,56 @@ mod tests {
         let inputs = [Input::Event(0u8), Input::Op(7u8), Input::Both(1, 9)];
         let h = CombinedAutomaton::<Fam, Env>::object_history(&inputs);
         assert_eq!(h.ops(), &[7, 9]);
+    }
+
+    /// A counter whose `Dec` (1) may or may not decrement, stepped in
+    /// place by keeping the count: one successor that simulates the
+    /// other, as DegenPQ's `Deq` is.
+    #[derive(Debug, Clone)]
+    struct KeepOrDec;
+
+    impl ObjectAutomaton for KeepOrDec {
+        type State = u32;
+        type Op = u8;
+        fn initial_state(&self) -> u32 {
+            0
+        }
+        fn step(&self, s: &u32, op: &u8) -> Vec<u32> {
+            match (op, *s) {
+                (0, _) => vec![s + 1],
+                (_, 0) => vec![],
+                _ => vec![s - 1, *s],
+            }
+        }
+        fn step_in_place(&self, s: &mut u32, op: &u8) -> Option<bool> {
+            match (op, *s) {
+                (0, _) => *s += 1,
+                (_, 0) => return Some(false),
+                _ => {}
+            }
+            Some(true)
+        }
+    }
+
+    struct KeepFam {
+        u: ConstraintUniverse,
+    }
+    impl RelaxationMap for KeepFam {
+        type A = KeepOrDec;
+        fn universe(&self) -> &ConstraintUniverse {
+            &self.u
+        }
+        fn automaton(&self, _: ConstraintSet) -> Option<KeepOrDec> {
+            Some(KeepOrDec)
+        }
+    }
+
+    #[test]
+    fn a_combined_run_never_steps_in_place() {
+        let u = ConstraintUniverse::new(["Tight"]);
+        let c = CombinedAutomaton::new(KeepFam { u: u.clone() }, Env { u });
+        let mut end = c.run(&[Input::Op(0), Input::Op(1)]).unwrap();
+        end.states.sort_unstable();
+        assert_eq!(end.states, [0, 1]);
     }
 }

@@ -350,10 +350,12 @@ fn campaign_assignment() -> VotingAssignment<QueueKind> {
 /// How much of the observability stack a campaign run carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Tier {
-    /// Nothing attached: the perturbation baseline, which only the
-    /// `bare_runs_match_instrumented_outcomes` test drives.
-    #[cfg_attr(not(test), allow(dead_code))]
+    /// Nothing attached: the perturbation baseline, and the baseline of
+    /// the telemetry's share of a run that carries no monitor.
     Bare,
+    /// Tracing and staleness sampling alone, without the monitor and the
+    /// SLO clock: what the telemetry costs whatever the monitor costs.
+    Traced,
     /// Degradation monitor plus the SLO budget clock. Together they are
     /// the runtime-verification engine whose verdicts the campaigns
     /// exist to check — part of the system under test, so they form the
@@ -376,12 +378,12 @@ fn campaign_system(seed: u64, tier: Tier) -> QuorumSystem<TaxiQueueType> {
         NetworkConfig::new(5, 5, 0.0),
         seed,
     );
-    if tier != Tier::Bare {
+    if matches!(tier, Tier::Monitored | Tier::Full) {
         sys = sys
             .with_monitor(queue_lattice_monitor())
             .with_slo(SloMonitor::new().budget("PQ", PQ_BUDGET));
     }
-    if tier == Tier::Full {
+    if matches!(tier, Tier::Traced | Tier::Full) {
         sys = sys.with_trace(8192).with_staleness();
         // A campaign emits ~1-2k events; skip the tracer's
         // growth-realloc chain instead of paying it on every rep.
@@ -415,26 +417,16 @@ fn drive(recipe: &Recipe, seed: u64, tier: Tier) -> QuorumSystem<TaxiQueueType> 
     sys
 }
 
-/// Runs one campaign with the degradation monitor and SLO clock but no
-/// telemetry — the baseline of the overhead gate. Monitor and SLO clock
-/// are the verification engine the campaigns exist to exercise (part of
-/// the system under test); the gate prices the *telemetry* layered on
-/// top of them.
-pub fn run_monitored(name: &str, seed: u64) {
-    let r = recipe(name);
-    let sys = drive(&r, seed, Tier::Monitored);
-    std::hint::black_box(sys.outcomes().len());
-}
-
-/// Runs one campaign with the full *online* observability stack
-/// (verification engine plus tracing and staleness sampling) but no
-/// offline analysis — the enabled side of the overhead gate. The
-/// happens-before replay behind the verdicts is a post-mortem tool, not
-/// a runtime cost, so it is priced out of the gate.
-pub fn run_instrumented(name: &str, seed: u64) {
-    let r = recipe(name);
-    let sys = drive(&r, seed, Tier::Full);
-    std::hint::black_box(sys.outcomes().len());
+/// Runs every campaign once at `tier` under `seed`, returning wall-clock
+/// nanoseconds. The happens-before replay behind the verdicts is a
+/// post-mortem tool, not a runtime cost, so no tier runs it.
+fn time_suite(tier: Tier, seed: u64) -> u128 {
+    let start = Instant::now();
+    for c in CAMPAIGNS {
+        let sys = drive(&recipe(c), seed, tier);
+        std::hint::black_box(sys.outcomes().len());
+    }
+    start.elapsed().as_nanos()
 }
 
 /// Runs one named campaign fully instrumented and returns its
@@ -539,7 +531,7 @@ pub fn render(outcomes: &[CampaignOutcome]) -> Table {
 }
 
 const SEED: u64 = 0xCA11;
-const REPS: usize = 101;
+const REPS: usize = 301;
 
 /// `relax-bench fault_campaign [--trace NAME PATH]`, in two halves:
 ///
@@ -547,20 +539,22 @@ const REPS: usize = 101;
 ///   trace is replayed through the happens-before analysis and each
 ///   witnessed transition's minimal fault cut is checked against the
 ///   injected fault pattern.
-/// * **overhead** — the same deterministic workloads run with the
-///   verification engine alone ([`run_monitored`]) and with the *online*
-///   telemetry layered on top ([`run_instrumented`]), reps in ABBA
-///   order, and the median per-rep ratio prices the telemetry. The
-///   offline happens-before replay behind the verdicts is a post-mortem
-///   tool and is excluded from the gate. Target: ≤ 10% slowdown. The
-///   percentage rises whenever the baseline gets faster, so the absolute
-///   cost — `instrumented − baseline` in nanoseconds per operation, the
-///   median over the same reps — is printed and recorded beside it.
+/// * **overhead** — the same deterministic workloads run, in ABBA blocks
+///   of suites, with the verification engine (monitor and SLO clock)
+///   alone and with the *online* telemetry — tracing and staleness
+///   sampling — layered on top; the median per-block ratio prices the
+///   telemetry. Target: ≤ 10% slowdown. That percentage rises whenever
+///   the monitor gets cheaper, so `instrumented − baseline` in
+///   nanoseconds per operation is printed and recorded beside it, and a
+///   second set of blocks prices the telemetry over a run that carries
+///   nothing else (`telemetry_pct`). No tier runs the offline
+///   happens-before replay behind the verdicts.
 ///
 /// Results land in `BENCH_fault_campaign.json`; `regress` gates on its
-/// `added_ns_per_op` (within 1.45× the baseline's) and on
+/// `telemetry_pct` (at most 5 points over the baseline's) and on
 /// `all_verdicts_ok`. `within_target` (overhead in budget *and* every
-/// verdict ok) is still printed and recorded, but not gated.
+/// verdict ok) and `added_ns_per_op` are printed and recorded, not
+/// gated.
 /// `--trace NAME PATH` first exports the named campaign's full JSONL
 /// trace, ready for `trace_analyze PATH --staleness`.
 pub fn main(args: &Args) -> Result<(), String> {
@@ -582,31 +576,27 @@ pub fn main(args: &Args) -> Result<(), String> {
         outcomes.len()
     );
 
-    // Warm-up both paths, then interleave baseline and instrumented
-    // reps so machine-wide noise hits both equally; gate on the median
-    // ratio.
-    for c in CAMPAIGNS {
-        run_monitored(c, SEED);
-        run_instrumented(c, SEED);
-    }
+    // Warm up both tiers, then interleave their suites in ABBA blocks so
+    // machine-wide noise hits both equally; all four runs of a block
+    // share one seed.
     let suite_ops: usize = CAMPAIGNS.iter().map(|c| recipe(c).submissions.len()).sum();
-    // All four runs of a block share one seed.
-    let timing = abba(REPS, suite_ops, |instrumented, rep| {
-        let seed = SEED ^ (rep / 2) as u64;
-        let start = Instant::now();
-        for c in CAMPAIGNS {
-            if instrumented {
-                run_instrumented(c, seed);
-            } else {
-                run_monitored(c, seed);
-            }
-        }
-        start.elapsed().as_nanos()
-    });
+    let time = |base: Tier, priced: Tier| {
+        time_suite(base, SEED);
+        time_suite(priced, SEED);
+        abba(REPS, suite_ops, |is_priced, rep| {
+            let tier = if is_priced { priced } else { base };
+            time_suite(tier, SEED ^ (rep / 2) as u64)
+        })
+    };
+    let timing = time(Tier::Monitored, Tier::Full);
+    let telemetry = time(Tier::Bare, Tier::Traced);
+    let pct = |ratio: f64| 100.0 * (ratio - 1.0);
     let (baseline_ns, enabled_ns) = (timing.baseline_ns, timing.enabled_ns);
     let added_ns_per_op = timing.added_ns_per_op;
-    let overhead_pct = 100.0 * (timing.ratio - 1.0);
+    let overhead_pct = pct(timing.ratio);
     let within_target = overhead_pct <= 10.0 && all_ok;
+    let telemetry_pct = pct(telemetry.ratio);
+    let (telemetry_q1, telemetry_q3) = (pct(telemetry.quartiles.0), pct(telemetry.quartiles.1));
 
     println!("\n== Observability overhead on the campaign suite ==\n");
     println!(
@@ -618,6 +608,10 @@ pub fn main(args: &Args) -> Result<(), String> {
     println!("overhead: {overhead_pct:+.2}%  (target: <= 10%)");
     println!(
         "instrumented - baseline: {added_ns_per_op:+.1} ns per operation (median rep, {suite_ops} operations a suite)"
+    );
+    println!(
+        "telemetry over a run with no monitor: {telemetry_pct:+.2}%  [quartiles {telemetry_q1:+.2}% .. {telemetry_q3:+.2}%]  ({} ns bare, min run)",
+        telemetry.baseline_ns
     );
 
     let campaigns_json: Vec<String> = outcomes
@@ -650,6 +644,8 @@ pub fn main(args: &Args) -> Result<(), String> {
          \"campaigns\":[{}],\"all_verdicts_ok\":{all_ok},\
          \"baseline_ns\":{baseline_ns},\"enabled_ns\":{enabled_ns},\
          \"overhead_pct\":{overhead_pct:.3},\"added_ns_per_op\":{added_ns_per_op:.1},\
+         \"telemetry_pct\":{telemetry_pct:.3},\"telemetry_q1_pct\":{telemetry_q1:.3},\
+         \"telemetry_q3_pct\":{telemetry_q3:.3},\
          \"ops_per_suite\":{suite_ops},\"target_pct\":10.0,\
          \"within_target\":{within_target}}}\n",
         campaigns_json.join(",")

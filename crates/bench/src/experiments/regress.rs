@@ -90,18 +90,18 @@ pub const CHECKS: &[Check] = &[
         metric: "within_target",
         band: Band::MustBeTrue,
     },
-    // What the campaign's tracing and staleness add to an operation, in
-    // ns: `instrumented − baseline`, the median ABBA block. Its
-    // percentage (still printed and recorded) divides by a baseline that
-    // runs the degradation monitor, so it rises whenever the monitor gets
-    // cheaper at the same tracing cost. Quiet pinned runs read within a
-    // third of the baseline, and a tracer that costs half as much again
-    // fails; a slow spell on a shared machine scales the figure too
-    // (EXPERIMENTS MON-A).
+    // What the campaign's tracing and staleness sampling cost, in percent
+    // of a run that carries neither them nor the monitor: the median of
+    // 301 ABBA blocks. Unlike the campaign's `overhead_pct`, whose base
+    // runs the monitor, it does not move when the monitor does, and
+    // unlike the added nanoseconds it does not scale with a slow spell
+    // of the machine. Thirty pinned runs of each of two binaries read
+    // 10.3–12.8 against the baseline's 11.5; a tracer that costs half as
+    // much again reads over 17 (EXPERIMENTS MON-A).
     Check {
         file: "BENCH_fault_campaign.json",
-        metric: "added_ns_per_op",
-        band: Band::MaxRatio(1.45),
+        metric: "telemetry_pct",
+        band: Band::MaxAbsDelta(5.0),
     },
     Check {
         file: "BENCH_fault_campaign.json",
@@ -476,8 +476,7 @@ mod tests {
             dir,
             "BENCH_fault_campaign.json",
             &format!(
-                "{{\"overhead_pct\":{overhead},\"added_ns_per_op\":{},\"all_verdicts_ok\":{ok}}}\n",
-                overhead * 100.0
+                "{{\"overhead_pct\":{overhead},\"telemetry_pct\":{overhead},\"all_verdicts_ok\":{ok}}}\n"
             ),
         );
         write(
@@ -603,16 +602,20 @@ mod tests {
         );
     }
 
-    /// Tracing that adds half as much again to a campaign operation fails
-    /// the campaign's ns gate alone; a third more passes it.
+    /// Telemetry that costs a campaign half as much again, from the
+    /// committed baseline's 11.52%, fails the campaign's gate; the
+    /// highest pinned reading of either binary passes it.
     #[test]
-    fn half_again_campaign_added_ns_regresses() {
-        let file = "BENCH_fault_campaign.json";
-        assert_eq!(
-            failing_with(file, "added_ns_per_op", 150),
-            ["added_ns_per_op"]
-        );
-        assert!(failing_with(file, "added_ns_per_op", 133).is_empty());
+    fn half_again_campaign_telemetry_regresses() {
+        let check = CHECKS.iter().find(|c| c.metric == "telemetry_pct").unwrap();
+        let base = ReportValue::Number(11.52);
+        let passes = |fresh: f64| {
+            judge(check, &base, &ReportValue::Number(fresh))
+                .unwrap()
+                .pass
+        };
+        assert!(!passes(11.52 * 1.5));
+        assert!(passes(12.82));
     }
 
     #[test]

@@ -82,12 +82,6 @@ impl AccountOp {
             AccountOp::Credit(n) | AccountOp::DebitOk(n) | AccountOp::DebitOverdraft(n) => *n,
         }
     }
-
-    /// True for operation executions that invoke `Debit` (either
-    /// termination condition).
-    pub fn is_debit_invocation(&self) -> bool {
-        matches!(self, AccountOp::DebitOk(_) | AccountOp::DebitOverdraft(_))
-    }
 }
 
 impl fmt::Display for AccountOp {
@@ -146,7 +140,5 @@ mod tests {
         assert!(QueueOp::Enq(9).is_enq());
         assert!(QueueOp::Deq(9).is_deq());
         assert_eq!(AccountOp::DebitOk(4).amount(), 4);
-        assert!(AccountOp::DebitOverdraft(4).is_debit_invocation());
-        assert!(!AccountOp::Credit(4).is_debit_invocation());
     }
 }

@@ -500,7 +500,10 @@ proptest! {
 }
 
 /// A queue automaton whose in-place step is exact: its acceptor is `δ*`
-/// and holds at most one state.
+/// and holds at most one state. These automata take `step` from their
+/// in-place step, so this holds the acceptor's in-place path to its
+/// copying one; `crates/queues/tests/step_in_place.rs` holds MPQ's
+/// transition to Figure 3-3.
 fn at_most_one_state<A: ObjectAutomaton<Op = QueueOp>>(
     automaton: &A,
     alphabet: &[QueueOp],
