@@ -135,6 +135,20 @@ impl ObjectAutomaton for TaxiReference {
             _ => unreachable!("state variant fixed by the point"),
         }
     }
+
+    /// Each point's own automaton's in-place step, so an acceptor over a
+    /// reference never copies a bag or an MPQ record. At the degenerate
+    /// point that step keeps a dequeued item (see
+    /// [`DegenPqAutomaton::step_in_place`]).
+    fn step_in_place(&self, s: &mut TaxiRefState, op: &QueueOp) -> Option<bool> {
+        match (self.point.q1, self.point.q2, s) {
+            (true, true, TaxiRefState::Bag(b)) => PQueueAutomaton::new().step_in_place(b, op),
+            (true, false, TaxiRefState::Mpq(m)) => MpqAutomaton::new().step_in_place(m, op),
+            (false, true, TaxiRefState::Bag(b)) => OpqAutomaton::new().step_in_place(b, op),
+            (false, false, TaxiRefState::Bag(b)) => DegenPqAutomaton::new().step_in_place(b, op),
+            _ => unreachable!("state variant fixed by the point"),
+        }
+    }
 }
 
 /// [`TaxiReference`] over packed bags, for the bounded walk of

@@ -25,8 +25,8 @@
 //! [`crate::protocol::replica::ReplicaState`] handlers are generic over
 //! `Transport`, so the sim path monomorphizes to exactly the pre-split
 //! code (pinned by the existing equivalence suites), while the threaded
-//! backend's replica brokers reuse the *same* replica state machine over
-//! channels.
+//! backend's shards and brokers step the *same* client and replica state
+//! machines over channels.
 
 use relax_sim::{Ctx, NodeId};
 use relax_trace::metrics::{calm, merkle, viewcache};
@@ -48,16 +48,17 @@ pub trait Transport<T: ReplicatedType> {
     fn me(&self) -> NodeId;
 
     /// The current time in the backend's tick domain (virtual ticks on
-    /// the sim; a coarse monotone counter on the threaded backend,
-    /// which keeps real latencies in its own nanosecond registry).
+    /// the sim; wall-clock nanoseconds since the run began on the
+    /// threaded backend).
     fn now_ticks(&self) -> u64;
 
     /// Sends a protocol message to `dst`.
     fn send(&mut self, dst: NodeId, msg: Msg<T>);
 
     /// Requests a timer callback after `delay` ticks carrying `token`.
-    /// Backends without timers (the threaded replica brokers run
-    /// without gossip) may ignore this.
+    /// Backends without timers may ignore this (the threaded one: a
+    /// shard's round closes when every live broker has answered, and
+    /// brokers run without gossip).
     fn set_timer(&mut self, delay: u64, token: u64);
 
     /// Records the structured trace event `make` builds from this node's

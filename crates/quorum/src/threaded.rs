@@ -6,61 +6,38 @@
 //! second while staying observably equivalent to the sim:
 //!
 //! * **Sharded client front-ends.** Clients are partitioned round-robin
-//!   across `shards` worker threads. Each shard owns its clients'
-//!   backlogs, logical clocks, and outcome tables outright — no locks —
-//!   and runs *rounds*: one read phase and one write phase amortized
-//!   over up to `batch` clients.
-//! * **Batched request brokers.** Each replica is owned by exactly one
-//!   worker thread (lock-light: the only sharing is `mpsc` channels
-//!   between shards and brokers). A broker drains its inbox in batches —
-//!   flush on size or deadline, in the style of prepare/commit brokers —
-//!   and serves *writes before reads* within a batch, so reads observe
-//!   the freshest merged state without any extra coordination.
-//! * **Group commit.** A shard's whole round of executed operations is
-//!   appended to replicas as *one* [`Msg::WriteReq`] carrying one merged
-//!   batch log: the replica pays one merge — one frontier/Merkle
-//!   refresh — per batch instead of per operation.
+//!   across `shards` worker threads. Each thread steps one [`ClientState`]
+//!   — the sim client's state machine — over all its clients in rounds
+//!   of up to `batch`, with one view and one frontier for every broker.
+//! * **Batched request brokers.** Each replica is owned by one broker
+//!   thread running the sim's `ReplicaState` over a channel-backed
+//!   [`Transport`]. It drains its inbox in batches — flush on size or
+//!   deadline — and serves *writes before reads* within a batch, so reads
+//!   observe the freshest merged state without extra coordination.
+//! * **Group commit.** A round's operations reach each replica as *one*
+//!   [`Msg::WriteReq`]: one merge, one frontier/Merkle refresh per batch.
 //!
-//! A round visits each broker once, not twice: round *k*'s `WriteReq` and
-//! round *k+1*'s `ReadReq` travel in one packet and their replies come
-//! back in one — the replica that has just merged a commit answers the
-//! next read from the same log state. Only a run's first read and last
-//! write travel alone. With several shards a read is therefore as of its
-//! own previous commit's arrival at each broker, not as of the acks'
-//! return: still above every write of the same batch, up to one hand-off
-//! staler towards other shards' commits.
+//! Round *k*'s `WriteReq` and round *k+1*'s `ReadReq` travel in one
+//! packet a broker and their replies in one: the replica that has just
+//! merged a commit answers the next read from the same log state. Once
+//! every broker still running has answered, the commit closes on the
+//! acks and the next round executes on the responses — no run waits on a
+//! timer. With several shards a read is as of its own previous commit's
+//! arrival at each broker: up to one hand-off staler towards other
+//! shards' commits. A down replica is a broker never spawned: a packet to
+//! it fails at once. A broker whose thread ends mid-run says so to every
+//! shard as it goes, and [`Executor::run_all`] re-raises its panic.
 //!
-//! The replica state machine is the *same code* as the sim backend's:
-//! replicas run `ReplicaState::on_message` over a channel-backed
-//! [`Transport`]. The shard front-end holds the sim client's
-//! `ReadReq`/`ReadResp`/`WriteReq`/`WriteAck` conversation and applies
-//! its rules to the replies it takes back, counted per visit:
-//!
-//! * an invocation whose initial quorum exceeds the read responses times
-//!   out; one with initial quorum 0 responds against the initial value
-//!   without observing the view; any other is lent
-//!   [`ViewCache::eval_ref`] over the shard view, as the sim client is;
-//! * a round's writes are closed on the next visit's acks: `Completed`
-//!   iff the acks reach the op's final quorum and at least one, else
-//!   `TimedOut` (the entry still lands wherever it was acked; a commit
-//!   no broker acks leaves the shard view too, as a sim client's next
-//!   read drops a write that reached no replica);
-//! * a CALM-free kind is an invocation with initial quorum 0 that still
-//!   observes the view before it ticks, and completes whatever the acks.
-//!
-//! A down replica is a broker that was never spawned: a packet to it
-//! fails at once and nothing answers, so the shard never needs to know
-//! in advance which replicas are up. The sim stays the differential
-//! oracle: identical op streams produce observably identical outcomes,
-//! final replica logs, merged histories, and monitor transitions
-//! (exactly, for a single client over a FIFO fixed-delay network;
-//! structurally, for racing clients) — pinned by
-//! `tests/backend_oracle.rs`.
-//!
-//! Latencies here are wall-clock **nanoseconds** (recorded into the
-//! registry on a [`TimeBase::WallNanos`] histogram), not sim ticks.
+//! The sim stays the differential oracle: identical op streams produce
+//! observably identical outcomes, replica logs, merged histories and
+//! monitor transitions (exactly for one client over a FIFO fixed-delay
+//! network, structurally for racing clients) — `tests/backend_oracle.rs`.
+//! Latencies are wall-clock **nanoseconds** (a [`TimeBase::WallNanos`]
+//! histogram); a round's clock starts when the previous round closes, so
+//! the rounds' latencies tile the run.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::cell::Cell;
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -74,14 +51,12 @@ use relax_trace::{DegradationMonitor, EventKind as TraceEvent, Registry, TimeBas
 use crate::assignment::VotingAssignment;
 use crate::backend::{ClientTable, Executor, LayerCounts, RunStats, Transport};
 use crate::calm::SchedulingPolicy;
-use crate::frontier::Frontier;
-use crate::log::{Entry, Log};
+use crate::log::Log;
+use crate::protocol::client::ClientState;
 use crate::protocol::replica::ReplicaState;
-use crate::protocol::wire::{reuse, Msg, Outcome};
+use crate::protocol::wire::{ClientConfig, Msg, Outcome};
 use crate::relation::HasKind;
-use crate::timestamp::LogicalClock;
 use crate::types::ReplicatedType;
-use crate::viewcache::ViewCache;
 
 /// Knobs of the threaded backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,68 +85,61 @@ impl Default for ThreadedConfig {
     }
 }
 
-/// One client's protocol-visible state: its backlog, logical clock, and
-/// outcome table. Owned by exactly one shard.
-struct ClientSlot<T: ReplicatedType> {
-    clock: LogicalClock,
-    backlog: VecDeque<T::Inv>,
-    outcomes: Vec<Outcome<T::Op>>,
-}
+/// One visit's traffic between a shard and a broker, either way: a write
+/// half (`WriteReq` out, `WriteAck` back) and a read half (`ReadReq` out,
+/// `ReadResp` back).
+type Halves<T> = (Option<Msg<T>>, Option<Msg<T>>);
 
-/// A shard front-end: a set of clients plus the shard's merged view of
-/// the replicas, maintained across rounds so each read phase ships only
-/// deltas above the view's frontier.
-struct ShardState<T: ReplicatedType> {
-    clients: Vec<ClientSlot<T>>,
-    /// Merged view of everything this shard has read or written. A lower
-    /// bound on every up replica's log whenever a round executes (reads
-    /// merge the replicas' deltas in; a round's writes land at every
-    /// broker before the next round's read is served), so evaluating it
-    /// reproduces the sim client's per-op view.
-    view: Log<T::Op>,
-    /// The view's evaluation, lent to every reading invocation.
-    cache: ViewCache<T::Value>,
-    /// The frontier the last reading round advertised, refilled from the
-    /// view for the next (every broker has answered by then).
-    asked: Arc<Frontier>,
-    /// Round-robin cursor so clients beyond the batch ceiling are not
-    /// starved.
-    cursor: usize,
-    /// Rounds run so far (doubles as the round's correlation id).
-    rounds: u64,
-    /// Wall nanoseconds per available (completed or refused) operation.
-    latencies: Vec<u64>,
-    /// Operations per group commit.
-    batch_sizes: Vec<u64>,
-    /// The `calm_*` tallies (the cache keeps the `viewcache_*` ones).
-    counts: LayerCounts,
-}
+/// Halves and their sender, at most one in flight per (shard, broker); a
+/// broker whose thread ends sends every shard one with neither half.
+type Packet<T> = (NodeId, Halves<T>);
 
-/// One visit's traffic between a shard and a broker, either way: the
-/// sender, the write half (a `WriteReq` out, its `WriteAck` back) and the
-/// read half (the next round's `ReadReq` out, its `ReadResp` back). A
-/// shard has at most one packet in flight per broker.
-type Packet<T> = (NodeId, Option<Msg<T>>, Option<Msg<T>>);
-
-/// The broker side's [`Transport`]: holds the one reply a replica sends
-/// the requester of a read or a write until the broker packs it; no
-/// timers or tracing (the threaded backend runs replicas without gossip).
-struct BrokerTransport<T: ReplicatedType> {
+/// Either end's channel-backed [`Transport`]: holds what its node sends
+/// each peer — a write half (`WriteReq`, `WriteAck`) and a read half
+/// (`ReadReq`, `ReadResp`) per peer `base + i` — until the driver packs
+/// them into one packet, and reads the wall clock in nanoseconds since
+/// the run began (strictly increasing, so every closed round waited a
+/// positive time). No timers: a round closes when every live broker has
+/// answered, and brokers run without gossip. No tracing.
+struct ChannelTransport<T: ReplicatedType> {
     me: NodeId,
-    reply: Option<Msg<T>>,
+    base: usize,
+    epoch: Instant,
+    last: Cell<u64>,
+    halves: Vec<Halves<T>>,
 }
 
-impl<T: ReplicatedType> Transport<T> for BrokerTransport<T> {
+impl<T: ReplicatedType> ChannelTransport<T> {
+    fn new(me: NodeId, base: usize, peers: usize) -> Self {
+        let (epoch, last) = (Instant::now(), Cell::new(0));
+        let halves = (0..peers).map(|_| (None, None)).collect();
+        ChannelTransport {
+            me,
+            base,
+            epoch,
+            last,
+            halves,
+        }
+    }
+}
+
+impl<T: ReplicatedType> Transport<T> for ChannelTransport<T> {
     fn me(&self) -> NodeId {
         self.me
     }
 
     fn now_ticks(&self) -> u64 {
-        0
+        let now = (self.epoch.elapsed().as_nanos() as u64).max(self.last.get() + 1);
+        self.last.set(now);
+        now
     }
 
-    fn send(&mut self, _requester: NodeId, msg: Msg<T>) {
-        self.reply = Some(msg);
+    fn send(&mut self, peer: NodeId, msg: Msg<T>) {
+        let (write, read) = &mut self.halves[peer.0 - self.base];
+        match msg {
+            Msg::WriteReq { .. } | Msg::WriteAck { .. } => *write = Some(msg),
+            _ => *read = Some(msg),
+        }
     }
 
     fn set_timer(&mut self, _delay: u64, _token: u64) {}
@@ -185,22 +153,23 @@ impl<T: ReplicatedType> Transport<T> for BrokerTransport<T> {
 /// then [`ThreadedSystem::run_all`] (repeatable — state persists across
 /// runs, like the sim).
 pub struct ThreadedSystem<T: ReplicatedType> {
-    ttype: T,
-    assignment: VotingAssignment<<T::Op as HasKind>::Kind>,
     config: ThreadedConfig,
     n_replicas: usize,
     n_clients: usize,
     replicas: Vec<ReplicaState<T>>,
-    shards: Vec<ShardState<T>>,
+    /// One client state machine per shard; client `ix` is its slot
+    /// `ix / shards`.
+    shards: Vec<ClientState<T>>,
     /// Replicas currently down (the wall-clock analogue of a sim crash
     /// or a partition isolating them from every client): no broker.
     down: BTreeSet<usize>,
     monitor: Option<DegradationMonitor<T::Op>>,
     monitor_seen: Vec<usize>,
     registry: Registry,
-    /// Which invocation kinds skip the quorum protocol (CALM-monotone
-    /// kinds; empty by default, so scheduling is pure quorum).
-    policy: SchedulingPolicy<<T::Op as HasKind>::Kind>,
+    /// Test-only fault: broker `.0` panics once it has flushed `.1`
+    /// batches.
+    #[cfg(test)]
+    broker_fault: Option<(usize, u64)>,
 }
 
 impl<T: ReplicatedType> std::fmt::Debug for ThreadedSystem<T> {
@@ -221,7 +190,9 @@ impl<T: ReplicatedType> ThreadedSystem<T> {
     /// # Panics
     ///
     /// Panics if `n_clients == 0`, the config has zero shards or batch,
-    /// or the assignment covers a different replica count.
+    /// the assignment covers a different replica count, or there are more
+    /// than 64 replicas (a round keeps quorum membership as one bit per
+    /// replica in a `u64`).
     pub fn new(
         ttype: T,
         n_replicas: usize,
@@ -232,6 +203,7 @@ impl<T: ReplicatedType> ThreadedSystem<T> {
         assert!(n_clients >= 1, "need at least one client");
         assert!(config.shards >= 1, "need at least one shard");
         assert!(config.batch >= 1, "need a positive batch ceiling");
+        assert!(n_replicas <= 64, "at most 64 replicas, got {n_replicas}");
         assert_eq!(
             assignment.n_sites(),
             n_replicas,
@@ -242,31 +214,20 @@ impl<T: ReplicatedType> ThreadedSystem<T> {
             .map(|_| ReplicaState::new(Arc::clone(&replica_ids)))
             .collect();
         let n_shards = config.shards.min(n_clients);
-        let mut shards: Vec<ShardState<T>> = (0..n_shards)
-            .map(|_| ShardState {
-                clients: Vec::new(),
-                view: Log::new(),
-                cache: ViewCache::new(),
-                asked: Arc::default(),
-                cursor: 0,
-                rounds: 0,
-                latencies: Vec::new(),
-                batch_sizes: Vec::new(),
-                counts: LayerCounts::default(),
+        let assignment = Arc::new(assignment);
+        // Client c's timestamp site matches the sim's node id n + c, so
+        // both backends mint identical timestamps.
+        let shards = (0..n_shards)
+            .map(|s| {
+                let ids = Arc::clone(&replica_ids);
+                let me = NodeId(n_replicas + s);
+                let sites = (s..n_clients).step_by(n_shards).map(|c| n_replicas + c);
+                let client = ClientConfig::default();
+                ClientState::new(me, ttype.clone(), Arc::clone(&assignment), ids, client)
+                    .shared(sites, config.batch)
             })
             .collect();
-        for c in 0..n_clients {
-            // Client c's timestamp site matches the sim's node id n + c,
-            // so both backends mint identical timestamps.
-            shards[c % n_shards].clients.push(ClientSlot {
-                clock: LogicalClock::new(n_replicas + c),
-                backlog: VecDeque::new(),
-                outcomes: Vec::new(),
-            });
-        }
         ThreadedSystem {
-            ttype,
-            assignment,
             config: ThreadedConfig {
                 shards: n_shards,
                 ..config
@@ -279,7 +240,8 @@ impl<T: ReplicatedType> ThreadedSystem<T> {
             monitor: None,
             monitor_seen: vec![0; n_clients],
             registry: Registry::new(),
-            policy: SchedulingPolicy::all_quorum(),
+            #[cfg(test)]
+            broker_fault: None,
         }
     }
 
@@ -290,17 +252,20 @@ impl<T: ReplicatedType> ThreadedSystem<T> {
     /// already holds (Lamport's rule applied locally — no message, no
     /// wait), and ride the round's group commit, complete whatever the
     /// acks — a round of only free invocations performs no read
-    /// round-trip at all.
+    /// round-trip at all. A free write no broker took waits in the
+    /// shard's WAL and rides its next commit, as a sim client's does.
     #[must_use]
     pub fn with_scheduling(mut self, policy: SchedulingPolicy<<T::Op as HasKind>::Kind>) -> Self {
-        self.policy = policy;
+        for shard in &mut self.shards {
+            shard.set_policy(policy.clone());
+        }
         self
     }
 
     /// The view-cache and CALM tallies of every shard plus the Merkle
     /// tallies of every replica (zero: brokers run no anti-entropy).
     pub fn counts(&self) -> LayerCounts {
-        let shards = self.shards.iter().map(|s| s.counts + s.cache.counts);
+        let shards = self.shards.iter().map(ClientState::counts);
         shards
             .chain(self.replicas.iter().map(|r| r.counts))
             .fold(LayerCounts::default(), |a, b| a + b)
@@ -365,12 +330,11 @@ impl<T: ReplicatedType> ThreadedSystem<T> {
     /// Feeds newly completed operations (client-index order) to the
     /// attached monitor.
     fn poll_monitor(&mut self) {
-        let Some(monitor) = self.monitor.as_mut() else {
+        let Some(mut monitor) = self.monitor.take() else {
             return;
         };
         for ix in 0..self.n_clients {
-            let (s, c) = (ix % self.config.shards, ix / self.config.shards);
-            let outcomes = &self.shards[s].clients[c].outcomes;
+            let outcomes = self.outcomes_of(ix);
             for o in &outcomes[self.monitor_seen[ix]..] {
                 if let Outcome::Completed { op, .. } = o {
                     monitor.observe(op);
@@ -378,6 +342,7 @@ impl<T: ReplicatedType> ThreadedSystem<T> {
             }
             self.monitor_seen[ix] = outcomes.len();
         }
+        self.monitor = Some(monitor);
     }
 }
 
@@ -388,17 +353,17 @@ impl<T: ReplicatedType> ClientTable<T> for ThreadedSystem<T> {
 
     fn outcomes_of(&self, ix: usize) -> &[Outcome<T::Op>] {
         let (s, c) = self.locate(ix);
-        &self.shards[s].clients[c].outcomes
+        self.shards[s].outcomes_of(c)
     }
 }
 
 impl<T> Executor<T> for ThreadedSystem<T>
 where
-    T: ReplicatedType + Sync,
+    T: ReplicatedType + Send,
     T::Op: Send + Sync,
     T::Inv: Send,
     T::Value: Send,
-    <T::Op as HasKind>::Kind: Sync,
+    <T::Op as HasKind>::Kind: Send + Sync,
 {
     fn n_replicas(&self) -> usize {
         self.n_replicas
@@ -406,34 +371,33 @@ where
 
     fn submit_to(&mut self, ix: usize, inv: T::Inv) {
         let (s, c) = self.locate(ix);
-        self.shards[s].clients[c].backlog.push_back(inv);
+        self.shards[s].submit(c, inv);
     }
 
     /// Spawns one broker thread per up replica and one front-end
     /// thread per shard, drains every backlog, and joins. Latency
     /// samples land in [`ThreadedSystem::registry`] under the wall-nanos
     /// time base.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the panic of a broker thread that panicked.
     fn run_all(&mut self) -> RunStats {
-        let outcome_total = |sys: &Self| -> usize {
-            sys.shards
-                .iter()
-                .flat_map(|s| s.clients.iter())
-                .map(|c| c.outcomes.len())
-                .sum()
-        };
-        let before = outcome_total(self);
+        let before: Vec<usize> = (0..self.n_clients)
+            .map(|ix| self.outcomes_of(ix).len())
+            .collect();
         let start = Instant::now();
 
         let n = self.n_replicas;
-        let batch_cap = self.config.batch;
         let linger = Duration::from_micros(self.config.flush_micros);
         // Shard threads still running: the brokers' exact batch bound.
         // Relaxed: the count publishes no data, it only ends a wait early.
         let live = &AtomicUsize::new(self.config.shards);
         let down = &self.down;
-        let ttype = &self.ttype;
-        let assignment = &self.assignment;
-        let policy = &self.policy;
+        #[cfg(test)]
+        let fault = self.broker_fault;
+        #[cfg(not(test))]
+        let fault: Option<(usize, u64)> = None;
 
         // Channels: one inbox per replica, one response inbox per shard.
         // A down replica's inbox is dropped unread, so a packet sent to it
@@ -446,64 +410,63 @@ where
             .map(|_| mpsc::channel::<Packet<T>>())
             .unzip();
 
-        let visits: u64 = std::thread::scope(|sc| {
+        let (visits, commits) = std::thread::scope(|sc| {
             let mut brokers = Vec::with_capacity(n);
             for ((i, rep), rx) in self.replicas.iter_mut().enumerate().zip(rep_rxs) {
                 if down.contains(&i) {
                     continue; // no broker: `rx` drops here
                 }
                 let shard_txs = shard_txs.clone();
-                brokers.push(
-                    sc.spawn(move || run_broker(rep, NodeId(i), rx, shard_txs, n, live, linger)),
-                );
+                let crash_after = fault.and_then(|(b, after)| (b == i).then_some(after));
+                brokers.push(sc.spawn(move || {
+                    let ctx = ChannelTransport::new(NodeId(i), n, shard_txs.len());
+                    let run = || run_broker(rep, ctx, &rx, &shard_txs, live, linger, crash_after);
+                    let flushed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run));
+                    // However the broker ended, its inbox closes first (a
+                    // packet sent from then on fails), then every shard
+                    // hears so, and none waits on a reply that cannot come.
+                    drop(rx);
+                    for tx in &shard_txs {
+                        let _ = tx.send((NodeId(i), (None, None))); // a finished shard hears nothing
+                    }
+                    flushed.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                }));
             }
             drop(shard_txs);
-            for ((s, shard), rx) in self.shards.iter_mut().enumerate().zip(shard_rxs) {
+            let mut shards = Vec::with_capacity(self.shards.len());
+            for ((s, client), rx) in self.shards.iter_mut().enumerate().zip(shard_rxs) {
                 let to_replicas = rep_txs.clone();
-                sc.spawn(move || {
-                    run_shard(
-                        shard,
-                        ttype,
-                        assignment,
-                        policy,
-                        &to_replicas,
-                        &rx,
-                        NodeId(n + s),
-                        batch_cap,
-                    );
+                shards.push(sc.spawn(move || {
+                    let commits = drive_shard(client, NodeId(n + s), &to_replicas, &rx);
                     live.fetch_sub(1, Ordering::Relaxed);
-                });
+                    commits
+                }));
             }
             drop(rep_txs);
-            let flushed = brokers
-                .into_iter()
-                .map(|b| b.join().expect("broker panicked"));
-            flushed.sum()
+            let commits: Vec<Vec<u64>> = shards.into_iter().map(join).collect();
+            (brokers.into_iter().map(join).sum::<u64>(), commits)
         });
 
-        let ops = (outcome_total(self) - before) as u64;
         let wall_nanos = (start.elapsed().as_nanos() as u64).max(1);
-
-        let mut rounds = 0;
-        for shard in &mut self.shards {
-            rounds += shard.rounds;
-            let hist = self
-                .registry
-                .histogram_in(realtime::OP_LATENCY_NANOS, TimeBase::WallNanos);
-            for nanos in shard.latencies.drain(..) {
-                hist.record(nanos);
-            }
-            let commits = self.registry.histogram(realtime::COMMIT_BATCH_OPS);
-            for size in shard.batch_sizes.drain(..) {
-                commits.record(size);
+        let (reg, shards, mut ops) = (&mut self.registry, self.config.shards, 0);
+        let hist = reg.histogram_in(realtime::OP_LATENCY_NANOS, TimeBase::WallNanos);
+        for (ix, seen) in before.into_iter().enumerate() {
+            let fresh = &self.shards[ix % shards].outcomes_of(ix / shards)[seen..];
+            ops += fresh.len() as u64;
+            for o in fresh {
+                if let Outcome::Completed { latency, .. } | Outcome::Refused { latency } = o {
+                    hist.record(*latency);
+                }
             }
         }
-        self.registry
-            .gauge(realtime::SHARD_ROUNDS)
-            .set(rounds as i64);
-        self.registry
-            .gauge(realtime::BROKER_VISITS)
-            .add(visits as i64);
+        let batches = reg.histogram(realtime::COMMIT_BATCH_OPS);
+        commits
+            .into_iter()
+            .flatten()
+            .for_each(|size| batches.record(size));
+        let rounds: u64 = self.shards.iter().map(ClientState::rounds).sum();
+        reg.gauge(realtime::SHARD_ROUNDS).set(rounds as i64);
+        reg.gauge(realtime::BROKER_VISITS).add(visits as i64);
         self.counts().export(&mut self.registry);
         self.poll_monitor();
         RunStats { ops, wall_nanos }
@@ -523,6 +486,13 @@ where
     }
 }
 
+/// Joins a worker, re-raising its panic with the worker's own payload.
+fn join<R>(worker: std::thread::ScopedJoinHandle<'_, R>) -> R {
+    worker
+        .join()
+        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+}
+
 /// The broker loop: drain the inbox in batches (flush on size or
 /// deadline), serve the batch's writes, then its reads, and answer each
 /// shard with one packet. The replica's protocol behaviour is
@@ -535,19 +505,14 @@ where
 /// in `live`. A shard that has drained its backlog is not waited for.
 fn run_broker<T: ReplicatedType>(
     rep: &mut ReplicaState<T>,
-    me: NodeId,
-    rx: mpsc::Receiver<Packet<T>>,
-    shard_txs: Vec<mpsc::Sender<Packet<T>>>,
-    n_replicas: usize,
+    mut ctx: ChannelTransport<T>,
+    rx: &mpsc::Receiver<Packet<T>>,
+    shard_txs: &[mpsc::Sender<Packet<T>>],
     live: &AtomicUsize,
     linger: Duration,
+    crash_after: Option<u64>,
 ) -> u64 {
     let mut batch: Vec<Packet<T>> = Vec::with_capacity(shard_txs.len());
-    let mut ctx = BrokerTransport { me, reply: None };
-    let mut serve = |from: NodeId, msg: Option<Msg<T>>| -> Option<Msg<T>> {
-        rep.on_message(&mut ctx, from, msg?);
-        ctx.reply.take()
-    };
     let mut flushed = 0;
     loop {
         let Ok(first) = rx.recv() else {
@@ -564,224 +529,70 @@ fn run_broker<T: ReplicatedType>(
                 Err(_) => break,
             }
         }
-        // Every write of the batch before any read of it (each ack takes
-        // its request's place in the packet): the batch's reads see every
-        // write of the batch — a packet's own among them, which is what
-        // lets the next round's read ride this round's commit — and the
-        // replica pays one merged-state refresh for the whole group.
-        for (from, write, _) in &mut batch {
-            *write = serve(*from, write.take());
+        if crash_after == Some(flushed) {
+            panic!("broker {} failed after {flushed} flushes", ctx.me.0);
         }
-        for (from, ack, read) in batch.drain(..) {
+        // Every write of the batch before any read of it: the batch's
+        // reads see every write of the batch — a packet's own among them,
+        // which is what lets the next round's read ride this round's
+        // commit — and the replica pays one merged-state refresh for the
+        // whole group.
+        for (from, (write, _)) in &mut batch {
+            if let Some(msg) = write.take() {
+                rep.on_message(&mut ctx, *from, msg);
+            }
+        }
+        for (from, (_, read)) in batch.drain(..) {
+            if let Some(msg) = read {
+                rep.on_message(&mut ctx, from, msg);
+            }
             // Shard `s` is node `n + s`. A send can only fail if the
             // shard exited, which it cannot do while awaiting us.
-            let _ = shard_txs[from.0 - n_replicas].send((me, ack, serve(from, read)));
+            let s = from.0 - ctx.base;
+            let _ = shard_txs[s].send((ctx.me, std::mem::take(&mut ctx.halves[s])));
         }
         flushed += 1;
     }
 }
 
-/// The shard front-end loop: rounds of up to `batch_cap` clients, one
-/// invocation each — client-order execution against the shard view
-/// between two visits to the brokers. Each loop turn assembles a round,
-/// pays the one visit that carries the previous round's group commit and
-/// this round's read (either may be absent), closes the previous round on
-/// the acks it counts, and executes against the responses it counts.
-/// Nothing is in flight when it returns.
-#[allow(clippy::too_many_arguments)]
-fn run_shard<T: ReplicatedType>(
-    shard: &mut ShardState<T>,
-    ttype: &T,
-    assignment: &VotingAssignment<<T::Op as HasKind>::Kind>,
-    policy: &SchedulingPolicy<<T::Op as HasKind>::Kind>,
+/// The shard thread: steps `client` over the broker channels, one visit
+/// a turn — to every broker the packet the client filled for it (a
+/// round's commit, the next round's read, or both), back from every
+/// broker still running its reply, fed to the client ack first — then
+/// [`ClientState::close`]. Ends when a turn has nothing to send: every
+/// backlog drained, nothing in flight. Returns every commit's size.
+fn drive_shard<T: ReplicatedType>(
+    client: &mut ClientState<T>,
+    me: NodeId,
     to_replicas: &[mpsc::Sender<Packet<T>>],
     from_replicas: &mpsc::Receiver<Packet<T>>,
-    me: NodeId,
-    batch_cap: usize,
-) {
-    let initial = ttype.initial_value();
-    // The round executed last turn: its clients, whose latency is still
-    // open, and its group commit, which the next visit carries.
-    let mut executed: Vec<usize> = Vec::new();
-    let mut commit: Option<Msg<T>> = None;
-    // A round's clock runs from the instant the previous round's last
-    // reply was taken (the loop's start for the first) to the instant its
-    // own last ack is: the rounds' latencies tile the run, never overlap.
-    let mut t0 = Instant::now();
-    loop {
-        // Assemble the round: pending clients from the cursor, wrapping,
-        // up to the batch ceiling. Empty once all backlogs are drained:
-        // that turn only lands the last commit.
-        let n_clients = shard.clients.len();
-        let mut round: Vec<usize> = Vec::with_capacity(batch_cap.min(n_clients));
-        for off in 0..n_clients {
-            let ci = (shard.cursor + off) % n_clients;
-            if !shard.clients[ci].backlog.is_empty() {
-                round.push(ci);
-                if round.len() >= batch_cap {
-                    break;
-                }
+) -> Vec<u64> {
+    let mut ctx = ChannelTransport::new(me, 0, to_replicas.len());
+    let mut commits = Vec::new();
+    client.start_next(&mut ctx);
+    // Every broker gets the same halves: packet 0 speaks for all.
+    while !matches!(ctx.halves[0], (None, None)) {
+        if let Some(Msg::WriteReq { log, .. }) = &ctx.halves[0].0 {
+            commits.push(log.len() as u64);
+        }
+        // The replies are counted, never presumed: a broker whose inbox
+        // is closed takes nothing and owes nothing.
+        let mut awaiting = 0u64;
+        for (r, tx) in to_replicas.iter().enumerate() {
+            if tx.send((me, std::mem::take(&mut ctx.halves[r]))).is_ok() {
+                awaiting |= 1 << r;
             }
         }
-        if let Some(&last) = round.last() {
-            shard.cursor = (last + 1) % n_clients;
-            shard.rounds += 1;
-        }
-        let round_id = shard.rounds;
-
-        let ShardState {
-            clients,
-            view,
-            cache,
-            asked,
-            latencies,
-            batch_sizes,
-            counts,
-            ..
-        } = shard;
-
-        // The round reads, once for all its operations, when one of its
-        // quorum invocations has a non-empty initial quorum. Zero-size
-        // quorums respond against the initial value and CALM-free kinds
-        // never read: a round of only those asks the brokers nothing.
-        let needs_read = round.iter().any(|&ci| {
-            let inv = clients[ci].backlog.front().expect("selected non-empty");
-            let kind = ttype.invocation_kind(inv);
-            !policy.is_free(kind) && assignment.initial_size(kind) > 0
-        });
-        // The frontier is taken after the previous round's inserts, so a
-        // replica that has merged the commit beside it ships none of it
-        // back. One body for every broker: each packet copies a pointer.
-        let read = needs_read.then(|| {
-            view.frontier_into(reuse(asked));
-            Msg::ReadReq {
-                inv_id: round_id,
-                known: Some(Arc::clone(asked)),
-            }
-        });
-        // The visit: one packet to every replica, one back from each that
-        // has a broker; the replies are counted, never presumed. A round
-        // that neither follows a commit nor reads pays none.
-        let write = commit.take();
-        let (mut responses, mut acks) = (0, 0);
-        if write.is_some() || read.is_some() {
-            let sent = to_replicas
-                .iter()
-                .filter(|tx| tx.send((me, write.clone(), read.clone())).is_ok())
-                .count();
-            for _ in 0..sent {
-                let Ok((_, ack, resp)) = from_replicas.recv() else {
-                    return; // brokers gone: nothing left to await
-                };
-                acks += usize::from(ack.is_some());
-                // Deltas from different replicas overlap (each is relative
-                // to the same shard frontier); the merge drops repeats.
-                if let Some(Msg::ReadResp { log, .. }) = resp {
-                    responses += 1;
-                    view.merge(&log);
-                }
+        while awaiting != 0 {
+            let (from, (ack, resp)) = from_replicas.recv().expect("brokers outlive shards");
+            awaiting &= !(1 << from.0);
+            for msg in [ack, resp].into_iter().flatten() {
+                client.on_message(&mut ctx, from, msg);
             }
         }
-        // A commit no broker took is lost outright, as the sim client's
-        // is (its next read rebuilds the view from what replicas hold):
-        // its entries leave the view, so no later invocation sees them.
-        if let Some(Msg::WriteReq { log, .. }) = &write {
-            if acks == 0 {
-                *view = view.diff(log);
-            }
-        }
-
-        // Close the executed round: a write completes iff its acks reach
-        // the op's final quorum, and at least one (free kinds need none),
-        // and the round shares one wall-clock latency reading (timeouts
-        // carry none).
-        if !executed.is_empty() {
-            let now = Instant::now();
-            let nanos = (now.duration_since(t0).as_nanos() as u64).max(1);
-            t0 = now;
-            for &ci in &executed {
-                let outcome = clients[ci].outcomes.last_mut().expect("one per execution");
-                if let Outcome::Completed { op, .. } = outcome {
-                    let kind = op.kind();
-                    if !policy.is_free(kind) && acks < assignment.final_size(kind).max(1) {
-                        *outcome = Outcome::TimedOut;
-                    }
-                }
-                if let Outcome::Completed { latency, .. } | Outcome::Refused { latency } = outcome {
-                    *latency = nanos;
-                    latencies.push(nanos);
-                }
-            }
-        }
-        if round.is_empty() {
-            return;
-        }
-
-        // Execute the round's invocations in client order against the
-        // (evolving) shard view — exactly the sim client's semantics per
-        // op: observe the view's max timestamp, evaluate, choose a
-        // response, tick, append. A free kind reads nothing but still
-        // observes what the shard holds (no message, no wait), so a shard
-        // mints in strictly increasing order and its entries only append.
-        let mut round_delta: Log<T::Op> = Log::new();
-        for &ci in &round {
-            let slot = &mut clients[ci];
-            let inv = slot.backlog.pop_front().expect("selected non-empty");
-            let kind = ttype.invocation_kind(&inv);
-            let free = policy.is_free(kind);
-            let init = if free {
-                counts.calm_fast_ops += 1;
-                0
-            } else {
-                counts.calm_quorum_ops += 1;
-                assignment.initial_size(kind)
-            };
-            if init > responses {
-                slot.outcomes.push(Outcome::TimedOut);
-                continue;
-            }
-            // A zero initial quorum by assignment responds against the
-            // initial value without observing (the sim's fresh-view path).
-            let reads = init > 0;
-            if reads || free {
-                if let Some(ts) = view.max_timestamp() {
-                    slot.clock.observe(ts);
-                }
-            }
-            // The view is folded only if the response reads its value.
-            let (seen, cache, initial) = (&*view, &mut *cache, &initial);
-            let lend = move || {
-                if !reads {
-                    return initial;
-                }
-                let cache = cache; // moved out: the value outlives the call
-                cache.eval_ref(seen, ttype.initial_value(), |v, op| ttype.apply_mut(v, op))
-            };
-            match ttype.respond(lend, &inv) {
-                None => slot.outcomes.push(Outcome::Refused { latency: 0 }),
-                Some(op) => {
-                    // The entry goes to every broker whatever the acks —
-                    // the sim's timed-out writes land the same way — and
-                    // leaves the view again if none takes it.
-                    let ts = slot.clock.tick();
-                    round_delta.insert(Entry::new(ts, op.clone()));
-                    view.insert(Entry::new(ts, op.clone()));
-                    slot.outcomes.push(Outcome::Completed { op, latency: 0 });
-                }
-            }
-        }
-
-        // Group commit: the whole round's appends travel as one
-        // WriteReq per replica, on the next visit, and merge in one batch.
-        if !round_delta.is_empty() {
-            batch_sizes.push(round_delta.len() as u64);
-            commit = Some(Msg::WriteReq {
-                inv_id: round_id,
-                log: Arc::new(round_delta),
-            });
-        }
-        executed = round;
+        client.close(&mut ctx);
     }
+    commits
 }
 
 #[cfg(test)]
@@ -1107,11 +918,11 @@ mod tests {
         stream: &[T::Inv],
     ) -> i64
     where
-        T: ReplicatedType + Sync,
+        T: ReplicatedType + Send,
         T::Op: Send + Sync,
         T::Inv: Send,
         T::Value: Send,
-        <T::Op as HasKind>::Kind: Sync,
+        <T::Op as HasKind>::Kind: Send + Sync,
     {
         let mut sys = ThreadedSystem::new(ttype, 3, 1, assignment, ThreadedConfig::default())
             .with_scheduling(policy);
@@ -1280,6 +1091,35 @@ mod tests {
             assert_eq!(split.run_all().ops, 0);
             assert_eq!(broker_visits(&split), before, "cut {cut}");
         }
+    }
+
+    /// A broker thread that panics mid-run: its shard stops waiting on it,
+    /// and `run_all` re-raises the broker's own panic. A watchdog turns a
+    /// hang into a failure instead of a stalled run.
+    #[test]
+    fn a_broker_panic_reaches_the_caller_instead_of_hanging() {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let mut sys = ThreadedSystem::new(
+                TaxiQueueType,
+                3,
+                1,
+                taxi_assignment(3),
+                ThreadedConfig::default(),
+            );
+            sys.broker_fault = Some((1, 3));
+            for v in 0..16 {
+                sys.submit_to(0, QueueInv::Enq(v));
+            }
+            let run = std::panic::AssertUnwindSafe(|| sys.run_all());
+            let panic = std::panic::catch_unwind(run).expect_err("a broker panicked");
+            let message = panic.downcast_ref::<String>().cloned();
+            let _ = tx.send(message);
+        });
+        let message = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("run_all hung on a panicked broker");
+        assert_eq!(message.as_deref(), Some("broker 1 failed after 3 flushes"));
     }
 
     /// Multi-shard stress: well past the single-shard sweet spot, mixing

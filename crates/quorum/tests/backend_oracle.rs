@@ -356,11 +356,11 @@ fn agree_under_every_rule<T>(
     stream: &[T::Inv],
 ) -> usize
 where
-    T: ReplicatedType + Sync,
+    T: ReplicatedType + Send,
     T::Op: Send + Sync + PartialEq,
     T::Inv: Send,
     T::Value: Send,
-    <T::Op as HasKind>::Kind: Sync,
+    <T::Op as HasKind>::Kind: Send + Sync,
 {
     let stream: Vec<(usize, T::Inv)> = stream.iter().map(|inv| (0, inv.clone())).collect();
     let sizes = || (0..=3).flat_map(|init| (1..=3).map(move |fin| (init, fin)));
@@ -453,11 +453,11 @@ fn agree_across_a_total_outage<T>(
     stream: &[T::Inv],
 ) -> usize
 where
-    T: ReplicatedType + Sync,
+    T: ReplicatedType + Send,
     T::Op: Send + Sync + PartialEq,
     T::Inv: Send,
     T::Value: Send,
-    <T::Op as HasKind>::Kind: Sync,
+    <T::Op as HasKind>::Kind: Send + Sync,
 {
     let stream: Vec<(usize, T::Inv)> = stream.iter().map(|inv| (0, inv.clone())).collect();
     let sizes = || (0..=3).flat_map(|init| (1..=3).map(move |fin| (init, fin)));
@@ -523,6 +523,50 @@ fn writes_that_reached_no_replica_stay_lost_on_both_backends() {
         agree_across_a_total_outage(BankAccountType, account_kinds, &account),
         144
     );
+}
+
+/// A CALM-free write that reached no replica waits in the client's WAL
+/// on both backends: a credit runs while every replica is down, the
+/// replicas recover, and the next run's debit reads it and lands it with
+/// its own write, as the credit after it does its own.
+#[test]
+fn a_free_write_no_replica_took_lands_from_the_wal_after_recovery() {
+    let policy = SchedulingPolicy::coordination_free([AccountKind::Credit]);
+    let mut sim = QuorumSystem::new(
+        BankAccountType,
+        3,
+        account_assignment(3),
+        ClientConfig::default(),
+        fifo_network(),
+        7,
+    )
+    .with_scheduling(policy.clone());
+    let config = ThreadedConfig::default();
+    let mut thr = ThreadedSystem::new(BankAccountType, 3, 1, account_assignment(3), config)
+        .with_scheduling(policy);
+    for r in 0..3 {
+        sim.world_mut().network_mut().crash(NodeId(r));
+        thr.crash(r);
+    }
+    let outage = [(0, AccountInv::Credit(5))];
+    let (sim_seen, thr_seen) = (drive(&mut sim, &outage), drive(&mut thr, &outage));
+    assert_eq!(sim_seen, thr_seen, "all down");
+    assert!(thr_seen.history.is_empty(), "no replica took the credit");
+    for r in 0..3 {
+        sim.world_mut().network_mut().recover(NodeId(r));
+        thr.recover(r);
+    }
+    let later = [(0, AccountInv::Debit(3)), (0, AccountInv::Credit(1))];
+    let (sim_seen, thr_seen) = (drive(&mut sim, &later), drive(&mut thr, &later));
+    assert_eq!(sim_seen, thr_seen, "recovered");
+    assert_eq!(
+        thr_seen.shapes[0][1],
+        OutcomeShape::Completed(AccountOp::DebitOk(3)),
+        "the debit read the credit"
+    );
+    for log in &thr_seen.replica_logs {
+        assert_eq!(log.len(), 3, "the credit landed from the WAL");
+    }
 }
 
 /// Racing clients: interleaving is backend-specific, so compare

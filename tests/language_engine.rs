@@ -18,7 +18,7 @@ use relaxation_lattice::automata::{
     equal_upto, included_upto, language_sizes, random_history, Acceptor, History,
     LanguageDifference, NoopProbe, ObjectAutomaton, SplitMix64,
 };
-use relaxation_lattice::core::lattices::taxi::{TaxiPoint, TaxiReference};
+use relaxation_lattice::core::lattices::taxi::{TaxiPoint, TaxiRefState, TaxiReference};
 use relaxation_lattice::queues::{
     queue_alphabet, BagAutomaton, DegenPqAutomaton, MpqAutomaton, OpqAutomaton, PQueueAutomaton,
     QueueOp,
@@ -489,7 +489,7 @@ proptest! {
         for point in TaxiPoint::all() {
             let reference = TaxiReference::new(point);
             let ops = walk_then_noise(&reference, &alphabet, len, seed);
-            let outcome = acceptor_against_delta_star(&reference, &ops, true);
+            let outcome = reference_in_place(&reference, point, &ops);
             prop_assert!(outcome.is_ok(), "{point:?}: {outcome:?}");
         }
         let (a, _, ops) = random_pair(seed);
@@ -514,6 +514,47 @@ fn at_most_one_state<A: ObjectAutomaton<Op = QueueOp>>(
     match acceptor_against_delta_star(automaton, &ops, true)?.len() {
         0 | 1 => Ok(()),
         n => Err(format!("{ops:?}: {n} states")),
+    }
+}
+
+/// A taxi reference steps each point's own automaton in place: its
+/// acceptor holds at most one state — all of `δ*` at the three exact
+/// points, and at the degenerate one the ⊆-greatest bag of `δ*`, as
+/// DegenPQ's own acceptor does.
+fn reference_in_place(
+    reference: &TaxiReference,
+    point: TaxiPoint,
+    ops: &[QueueOp],
+) -> Result<(), String> {
+    let states = acceptor_against_delta_star(reference, ops, point.q1 || point.q2)?;
+    let delta = reference.delta_star(&History::from(ops.to_vec()));
+    let within = |s: &TaxiRefState, greatest: &TaxiRefState| match (s, greatest) {
+        (TaxiRefState::Bag(s), TaxiRefState::Bag(g)) => s.is_subbag(g),
+        _ => s == greatest,
+    };
+    match states.as_slice() {
+        [] => Ok(()),
+        [one] if delta.iter().all(|s| within(s, one)) => Ok(()),
+        _ => Err(format!("{ops:?}: {states:?} of {delta:?}")),
+    }
+}
+
+/// Every point of the taxi reference answers `step_in_place`, so an
+/// acceptor over it never clones a bag or an MPQ record per operation.
+#[test]
+fn every_taxi_reference_point_steps_in_place() {
+    let script = [
+        (QueueOp::Enq(2), true),
+        (QueueOp::Deq(3), false),
+        (QueueOp::Deq(2), true),
+    ];
+    for point in TaxiPoint::all() {
+        let reference = TaxiReference::new(point);
+        let mut state = reference.initial_state();
+        for (op, alive) in &script {
+            let stepped = reference.step_in_place(&mut state, op);
+            assert_eq!(stepped, Some(*alive), "{point:?} {op:?}");
+        }
     }
 }
 
