@@ -92,12 +92,11 @@ pub const CHECKS: &[Check] = &[
     },
     // What the campaign's tracing and staleness sampling cost, in percent
     // of a run that carries neither them nor the monitor: the median of
-    // 301 ABBA blocks. Unlike the campaign's `overhead_pct`, whose base
-    // runs the monitor, it does not move when the monitor does, and
-    // unlike the added nanoseconds it does not scale with a slow spell
-    // of the machine. Thirty pinned runs of each of two binaries read
-    // 10.3–12.8 against the baseline's 11.5; a tracer that costs half as
-    // much again reads over 17 (EXPERIMENTS MON-A).
+    // 301 ABBA blocks (DESIGN §6). It does not move when the monitor
+    // does, and unlike added nanoseconds it does not scale with a slow
+    // spell of the machine. Thirty pinned runs of each of two binaries
+    // read 10.3–12.8 against the baseline's 11.5; a tracer that costs
+    // half as much again reads over 17 (EXPERIMENTS MON-A).
     Check {
         file: "BENCH_fault_campaign.json",
         metric: "telemetry_pct",
@@ -475,9 +474,7 @@ mod tests {
         write(
             dir,
             "BENCH_fault_campaign.json",
-            &format!(
-                "{{\"overhead_pct\":{overhead},\"telemetry_pct\":{overhead},\"all_verdicts_ok\":{ok}}}\n"
-            ),
+            &format!("{{\"telemetry_pct\":{overhead},\"all_verdicts_ok\":{ok}}}\n"),
         );
         write(
             dir,

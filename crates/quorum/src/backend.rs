@@ -28,10 +28,13 @@
 //! backend's shards and brokers step the *same* client and replica state
 //! machines over channels.
 
+use std::sync::Arc;
+
 use relax_sim::{Ctx, NodeId};
 use relax_trace::metrics::{calm, merkle, viewcache};
 use relax_trace::{EventKind as TraceEvent, Registry};
 
+use crate::assignment::VotingAssignment;
 use crate::log::Log;
 use crate::protocol::wire::{Msg, Outcome};
 use crate::types::ReplicatedType;
@@ -195,7 +198,35 @@ pub trait Executor<T: ReplicatedType>: ClientTable<T> {
 
     /// The union of all replica logs in timestamp order — the system's
     /// "true" history.
-    fn merged_history(&self) -> History<T::Op>;
+    fn merged_history(&self) -> History<T::Op> {
+        let mut all = Log::new();
+        for i in 0..self.n_replicas() {
+            all.merge(self.replica_log(i));
+        }
+        all.to_history()
+    }
+}
+
+/// The replica ids `0..n_replicas` of an executor, after the checks both
+/// constructors make: at least one client, at most 64 replicas (a round
+/// keeps quorum membership as a `u64` mask), and an assignment covering
+/// exactly the replicas.
+pub(crate) fn replica_ids<K: Copy + Ord + std::fmt::Debug>(
+    n_replicas: usize,
+    n_clients: usize,
+    assignment: &VotingAssignment<K>,
+) -> Arc<[NodeId]> {
+    assert!(n_clients >= 1, "need at least one client");
+    assert!(
+        n_replicas <= 64,
+        "at most 64 replicas (quorum membership is a u64 mask), got {n_replicas}"
+    );
+    assert_eq!(
+        assignment.n_sites(),
+        n_replicas,
+        "assignment must cover exactly the replica set"
+    );
+    (0..n_replicas).map(NodeId).collect()
 }
 
 /// An outcome with backend-specific measurements erased: latencies are

@@ -12,7 +12,7 @@ use relax_trace::{
 };
 
 use crate::assignment::VotingAssignment;
-use crate::backend::{ClientTable, Executor, LayerCounts, RunStats};
+use crate::backend::{replica_ids, ClientTable, Executor, LayerCounts, RunStats};
 use crate::calm::SchedulingPolicy;
 use crate::log::Log;
 use crate::protocol::client::{ClientBookkeeping, ClientState};
@@ -62,7 +62,8 @@ pub struct QuorumSystem<T: ReplicatedType> {
     clients: Vec<NodeId>,
     n_replicas: usize,
     monitor: Option<DegradationMonitor<T::Op>>,
-    monitor_seen: Vec<usize>,
+    /// Outcomes of the one client the monitor has been fed.
+    monitor_seen: usize,
     staleness: Option<StalenessTracker>,
     /// Reusable frontier-snapshot buffers for `sample_staleness` (one
     /// view per replica; inner vectors cleared and refilled per sample).
@@ -113,17 +114,7 @@ impl<T: ReplicatedType> QuorumSystem<T> {
         network: NetworkConfig,
         seed: u64,
     ) -> Self {
-        assert!(n_clients >= 1, "need at least one client");
-        assert!(
-            n_replicas <= 64,
-            "at most 64 replicas (quorum membership is a u64 mask), got {n_replicas}"
-        );
-        assert_eq!(
-            assignment.n_sites(),
-            n_replicas,
-            "assignment must cover exactly the replica set"
-        );
-        let replica_ids: Arc<[NodeId]> = (0..n_replicas).map(NodeId).collect();
+        let replica_ids = replica_ids(n_replicas, n_clients, &assignment);
         let assignment = Arc::new(assignment);
         let mut nodes: Vec<RoleNode<T>> = (0..n_replicas)
             .map(|_| RoleNode::Replica(Box::new(ReplicaState::new(Arc::clone(&replica_ids)))))
@@ -143,7 +134,7 @@ impl<T: ReplicatedType> QuorumSystem<T> {
             clients,
             n_replicas,
             monitor: None,
-            monitor_seen: vec![0; n_clients],
+            monitor_seen: 0,
             staleness: None,
             staleness_views: (0..n_replicas)
                 .map(|i| FrontierView {
@@ -158,10 +149,7 @@ impl<T: ReplicatedType> QuorumSystem<T> {
     }
 
     fn client(&self, ix: usize) -> &ClientState<T> {
-        match self.world.node(self.clients[ix]) {
-            RoleNode::Client(c) => c,
-            RoleNode::Replica(_) => unreachable!("client ids are fixed"),
-        }
+        client_at(&self.world, self.clients[ix])
     }
 
     fn client_mut(&mut self, ix: usize) -> &mut ClientState<T> {
@@ -232,12 +220,26 @@ impl<T: ReplicatedType> QuorumSystem<T> {
         self
     }
 
-    /// Attaches an online degradation monitor (builder-style). As
-    /// operations complete, they are fed to the monitor in completion
-    /// order; level transitions are appended to the world's trace (when
-    /// tracing is enabled) with the completed operation as witness.
+    /// Attaches an online degradation monitor (builder-style). After
+    /// every simulator step the client's newly completed operations are
+    /// fed to it in completion order; level transitions are appended to
+    /// the world's trace (when tracing is enabled) with the completed
+    /// operation as witness.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a system with more than one client: completion order is
+    /// the merged history's timestamp order only for one client
+    /// (DESIGN §6), so racing clients would be graded on a history that
+    /// never happened.
     #[must_use]
     pub fn with_monitor(mut self, monitor: DegradationMonitor<T::Op>) -> Self {
+        assert_eq!(
+            self.clients.len(),
+            1,
+            "a degradation monitor attaches to a one-client system only: \
+             completion order is timestamp order for one client alone"
+        );
         self.monitor = Some(monitor);
         self
     }
@@ -385,49 +387,6 @@ impl<T: ReplicatedType> QuorumSystem<T> {
             .set(self.world.bytes_sent() as i64);
     }
 
-    /// Feeds any newly completed operations (across all clients, in
-    /// completion order) to the attached monitor; called automatically by
-    /// the run methods after every step.
-    fn poll_monitor(&mut self) {
-        if self.monitor.is_none() {
-            return;
-        }
-        let mut fresh: Vec<<T as ReplicatedType>::Op> = Vec::new();
-        for ix in 0..self.clients.len() {
-            let outcomes = self.outcomes_of(ix);
-            let seen = self.monitor_seen[ix];
-            if outcomes.len() > seen {
-                for o in &outcomes[seen..] {
-                    if let Outcome::Completed { op, .. } = o {
-                        fresh.push(op.clone());
-                    }
-                }
-                self.monitor_seen[ix] = outcomes.len();
-            }
-        }
-        let now = self.world.now().0;
-        let mut events: Vec<TraceEvent> = Vec::new();
-        if !fresh.is_empty() {
-            let monitor = self.monitor.as_mut().expect("checked above");
-            for op in fresh {
-                if let Some(transition) = monitor.observe(&op) {
-                    if let Some(slo) = self.slo.as_mut() {
-                        for level in &transition.left {
-                            slo.level_died(now, level);
-                        }
-                    }
-                    events.push(transition.to_event());
-                }
-            }
-        }
-        if let Some(slo) = self.slo.as_mut() {
-            events.extend(slo.advance(now));
-        }
-        for event in events {
-            self.world.tracer_mut().record(now, event);
-        }
-    }
-
     /// Enables replica-to-replica anti-entropy: every `interval` ticks of
     /// inactivity, each replica broadcasts its hash-tree roots to its
     /// peers, and any peer whose tree disagrees walks the mismatch down
@@ -483,61 +442,46 @@ impl<T: ReplicatedType> QuorumSystem<T> {
         self.world.send_external(client, Msg::Start(inv));
     }
 
-    /// One simulator event plus a monitor poll. Returns whether the
-    /// world made progress.
-    fn step_once(&mut self) -> bool {
-        let progressed = self.world.step();
-        if progressed {
-            self.poll_monitor();
-        }
-        progressed
+    /// [`World::run_with`], with the monitor feed (a no-op while no
+    /// monitor is attached) before `stop` after every step.
+    fn run_with(
+        &mut self,
+        limit: SimTime,
+        budget: u64,
+        stop: impl Fn(&World<Msg<T>, RoleNode<T>>) -> bool,
+    ) -> bool {
+        let client = self.clients[0];
+        let (monitor, slo, seen) = (&mut self.monitor, &mut self.slo, &mut self.monitor_seen);
+        self.world.run_with(limit, budget, |world| {
+            if let Some(monitor) = monitor {
+                feed_monitor(world, client, monitor, slo.as_mut(), seen);
+            }
+            stop(world)
+        })
     }
 
-    /// Runs the simulation until `t`.
+    /// Runs the simulation until `t`; the clock ends at `t`, or where it
+    /// was if that is later.
     pub fn run_until(&mut self, t: SimTime) {
-        if self.monitor.is_none() {
-            self.world.run_until(t);
-            return;
-        }
-        while self.world.next_event_time().is_some_and(|tn| tn <= t) {
-            self.step_once();
-        }
+        self.run_with(t, u64::MAX, |_| false);
         self.world.advance_clock_to(t);
     }
 
     /// Runs to quiescence (bounded by `max_events`).
     pub fn run_to_quiescence(&mut self, max_events: u64) -> bool {
-        if self.monitor.is_none() {
-            return self.world.run_to_quiescence(max_events);
-        }
-        let mut budget = max_events;
-        while budget > 0 {
-            if !self.step_once() {
-                return true;
-            }
-            budget -= 1;
-        }
-        self.world.next_event_time().is_none()
+        self.run_with(SimTime(u64::MAX), max_events, |_| false)
+            || self.world.next_event_time().is_none()
     }
 
-    /// Runs until at least `count` outcomes have been recorded (or the
-    /// event budget is exhausted). Returns `true` if the count was
-    /// reached.
-    pub fn run_until_outcomes(&mut self, count: usize, max_events: u64) -> bool {
-        let mut budget = max_events;
-        while self.outcomes().len() < count && budget > 0 {
-            if !self.step_once() {
-                break;
-            }
-            budget -= 1;
-        }
-        self.outcomes().len() >= count
-    }
-
-    /// Runs until the first outcome is recorded. Returns `true` on
-    /// success within the event budget.
+    /// Runs until the first client has recorded an outcome. Returns
+    /// `true` on success within the event budget.
     pub fn run_to_first_outcome(&mut self, max_events: u64) -> bool {
-        self.run_until_outcomes(1, max_events)
+        if self.outcomes().is_empty() {
+            let client = self.clients[0];
+            let done = |w: &World<_, _>| !client_at(w, client).outcomes().is_empty();
+            self.run_with(SimTime(u64::MAX), max_events, done);
+        }
+        !self.outcomes().is_empty()
     }
 
     /// The first client's outcomes.
@@ -560,19 +504,6 @@ impl<T: ReplicatedType> QuorumSystem<T> {
         self.client(ix).bookkeeping()
     }
 
-    /// All clients' completed operations, flattened.
-    pub fn completed_ops(&self) -> Vec<T::Op> {
-        let mut out = Vec::new();
-        for ix in 0..self.clients.len() {
-            for o in self.outcomes_of(ix) {
-                if let Outcome::Completed { op, .. } = o {
-                    out.push(op.clone());
-                }
-            }
-        }
-        out
-    }
-
     /// The resident log of replica `i`.
     ///
     /// # Panics
@@ -585,11 +516,48 @@ impl<T: ReplicatedType> QuorumSystem<T> {
     /// The union of all replica logs, as a history in timestamp order —
     /// the system's "true" history.
     pub fn merged_history(&self) -> History<T::Op> {
-        let mut all = Log::new();
-        for i in 0..self.n_replicas {
-            all.merge(self.replica_log(i));
+        Executor::merged_history(self)
+    }
+}
+
+/// The client at node `id`.
+fn client_at<T: ReplicatedType>(world: &World<Msg<T>, RoleNode<T>>, id: NodeId) -> &ClientState<T> {
+    match world.node(id) {
+        RoleNode::Client(c) => c,
+        RoleNode::Replica(_) => unreachable!("client ids are fixed"),
+    }
+}
+
+/// Feeds the operations the client at `id` completed since `seen` to
+/// `monitor`, in completion order, and records each level transition —
+/// then whatever `slo` budget the transitions exhausted — in the world's
+/// trace.
+fn feed_monitor<T: ReplicatedType>(
+    world: &mut World<Msg<T>, RoleNode<T>>,
+    id: NodeId,
+    monitor: &mut DegradationMonitor<T::Op>,
+    mut slo: Option<&mut SloMonitor>,
+    seen: &mut usize,
+) {
+    let now = world.now().0;
+    while let Some(outcome) = client_at(world, id).outcomes().get(*seen) {
+        *seen += 1;
+        let Outcome::Completed { op, .. } = outcome else {
+            continue;
+        };
+        if let Some(transition) = monitor.observe(op) {
+            if let Some(slo) = slo.as_deref_mut() {
+                for level in &transition.left {
+                    slo.level_died(now, level);
+                }
+            }
+            world.tracer_mut().record(now, transition.to_event());
         }
-        all.to_history()
+    }
+    if let Some(slo) = slo {
+        for event in slo.advance(now) {
+            world.tracer_mut().record(now, event);
+        }
     }
 }
 
@@ -634,10 +602,6 @@ impl<T: ReplicatedType> Executor<T> for QuorumSystem<T> {
     fn replica_log(&self, i: usize) -> &Log<T::Op> {
         QuorumSystem::replica_log(self, i)
     }
-
-    fn merged_history(&self) -> History<T::Op> {
-        QuorumSystem::merged_history(self)
-    }
 }
 
 #[cfg(test)]
@@ -662,6 +626,16 @@ mod tests {
             .with_final(QueueKind::Deq, maj)
             .with_initial(QueueKind::Enq, 1)
             .with_final(QueueKind::Enq, n - maj + 1)
+    }
+
+    /// Steps a gossiping system (which never quiesces) until its client
+    /// has recorded `count` outcomes, within a million events.
+    fn run_until_outcomes(sys: &mut QuorumSystem<TaxiQueueType>, count: usize) -> bool {
+        let mut budget = 1_000_000;
+        while sys.outcomes().len() < count && budget > 0 && sys.world_mut().step() {
+            budget -= 1;
+        }
+        sys.outcomes().len() >= count
     }
 
     fn healthy_system(seed: u64) -> QuorumSystem<TaxiQueueType> {
@@ -719,6 +693,24 @@ mod tests {
             NetworkConfig::default(),
             1,
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "a degradation monitor attaches to a one-client system only")]
+    fn a_monitor_on_racing_clients_is_refused() {
+        // Completion order is not the merged history's order once two
+        // clients race: a PQ-legal `Enq(1) Enq(9) Deq(9)` fed as
+        // `Enq(1) Deq(9) Enq(9)` kills every level.
+        let _ = QuorumSystem::with_clients(
+            TaxiQueueType,
+            3,
+            2,
+            taxi_assignment(3),
+            ClientConfig::default(),
+            NetworkConfig::default(),
+            1,
+        )
+        .with_monitor(queue_lattice_monitor());
     }
 
     #[test]
@@ -894,10 +886,17 @@ mod tests {
             sys.submit_to(0, QueueInv::Deq);
             sys.submit_to(1, QueueInv::Deq);
             sys.run_to_quiescence(100_000);
-            let deqs = sys
-                .completed_ops()
-                .into_iter()
-                .filter(|op| matches!(op, QueueOp::Deq(5)))
+            let deqs = (0..2)
+                .flat_map(|ix| sys.outcomes_of(ix))
+                .filter(|o| {
+                    matches!(
+                        o,
+                        Outcome::Completed {
+                            op: QueueOp::Deq(5),
+                            ..
+                        }
+                    )
+                })
                 .count();
             if deqs == 2 {
                 duplicated += 1;
@@ -1017,7 +1016,7 @@ mod tests {
             for i in 0..120 {
                 sys.submit(QueueInv::Enq(i));
             }
-            assert!(sys.run_until_outcomes(120, 1_000_000));
+            assert!(run_until_outcomes(&mut sys, 120));
             sys.world().bytes_sent()
         };
         let full = run(ReplicationMode::FullLog);
@@ -1059,7 +1058,7 @@ mod tests {
         let wait = |sys: &mut QuorumSystem<TaxiQueueType>, a: usize, b: usize| {
             let mut budget = 1_000_000u64;
             while (sys.outcomes_of(0).len() < a || sys.outcomes_of(1).len() < b) && budget > 0 {
-                if !sys.step_once() {
+                if !sys.world_mut().step() {
                     break;
                 }
                 budget -= 1;
@@ -1212,7 +1211,7 @@ mod tests {
             }
             let done = 6 * (w + 1);
             while sys.outcomes_of(0).len() < done || sys.outcomes_of(1).len() < done {
-                assert!(sys.step_once(), "window {w} stalled ({modes:?})");
+                assert!(sys.world_mut().step(), "window {w} stalled ({modes:?})");
             }
         }
         (
@@ -1502,7 +1501,7 @@ mod tests {
             sys.submit(QueueInv::Enq(i));
             sys.submit(QueueInv::Deq);
         }
-        assert!(sys.run_until_outcomes(20, 1_000_000));
+        assert!(run_until_outcomes(&mut sys, 20));
         if staleness {
             sys.sample_staleness();
         }

@@ -29,9 +29,11 @@
 //! shard as it goes, and [`Executor::run_all`] re-raises its panic.
 //!
 //! The sim stays the differential oracle: identical op streams produce
-//! observably identical outcomes, replica logs, merged histories and
-//! monitor transitions (exactly for one client over a FIFO fixed-delay
-//! network, structurally for racing clients) — `tests/backend_oracle.rs`.
+//! observably identical outcomes, replica logs and merged histories
+//! (exactly for one client over a FIFO fixed-delay network, structurally
+//! for racing clients) — `tests/backend_oracle.rs`. No degradation
+//! monitor attaches here; a caller grades a client's completed ops with
+//! one of its own.
 //! Latencies are wall-clock **nanoseconds** (a [`TimeBase::WallNanos`]
 //! histogram); a round's clock starts when the previous round closes, so
 //! the rounds' latencies tile the run.
@@ -43,13 +45,12 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use relax_automata::History;
 use relax_sim::NodeId;
 use relax_trace::metrics::realtime;
-use relax_trace::{DegradationMonitor, EventKind as TraceEvent, Registry, TimeBase};
+use relax_trace::{EventKind as TraceEvent, Registry, TimeBase};
 
 use crate::assignment::VotingAssignment;
-use crate::backend::{ClientTable, Executor, LayerCounts, RunStats, Transport};
+use crate::backend::{replica_ids, ClientTable, Executor, LayerCounts, RunStats, Transport};
 use crate::calm::SchedulingPolicy;
 use crate::log::Log;
 use crate::protocol::client::ClientState;
@@ -152,6 +153,7 @@ impl<T: ReplicatedType> Transport<T> for ChannelTransport<T> {
 /// module docs for the dataflow; construct, [`ThreadedSystem::submit_to`],
 /// then [`ThreadedSystem::run_all`] (repeatable — state persists across
 /// runs, like the sim).
+#[derive(Debug)]
 pub struct ThreadedSystem<T: ReplicatedType> {
     config: ThreadedConfig,
     n_replicas: usize,
@@ -163,24 +165,11 @@ pub struct ThreadedSystem<T: ReplicatedType> {
     /// Replicas currently down (the wall-clock analogue of a sim crash
     /// or a partition isolating them from every client): no broker.
     down: BTreeSet<usize>,
-    monitor: Option<DegradationMonitor<T::Op>>,
-    monitor_seen: Vec<usize>,
     registry: Registry,
     /// Test-only fault: broker `.0` panics once it has flushed `.1`
     /// batches.
     #[cfg(test)]
     broker_fault: Option<(usize, u64)>,
-}
-
-impl<T: ReplicatedType> std::fmt::Debug for ThreadedSystem<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ThreadedSystem")
-            .field("n_replicas", &self.n_replicas)
-            .field("n_clients", &self.n_clients)
-            .field("config", &self.config)
-            .field("down", &self.down)
-            .finish_non_exhaustive()
-    }
 }
 
 impl<T: ReplicatedType> ThreadedSystem<T> {
@@ -200,16 +189,9 @@ impl<T: ReplicatedType> ThreadedSystem<T> {
         assignment: VotingAssignment<<T::Op as HasKind>::Kind>,
         config: ThreadedConfig,
     ) -> Self {
-        assert!(n_clients >= 1, "need at least one client");
+        let replica_ids = replica_ids(n_replicas, n_clients, &assignment);
         assert!(config.shards >= 1, "need at least one shard");
         assert!(config.batch >= 1, "need a positive batch ceiling");
-        assert!(n_replicas <= 64, "at most 64 replicas, got {n_replicas}");
-        assert_eq!(
-            assignment.n_sites(),
-            n_replicas,
-            "assignment must cover exactly the replica set"
-        );
-        let replica_ids: Arc<[NodeId]> = (0..n_replicas).map(NodeId).collect();
         let replicas = (0..n_replicas)
             .map(|_| ReplicaState::new(Arc::clone(&replica_ids)))
             .collect();
@@ -237,8 +219,6 @@ impl<T: ReplicatedType> ThreadedSystem<T> {
             replicas,
             shards,
             down: BTreeSet::new(),
-            monitor: None,
-            monitor_seen: vec![0; n_clients],
             registry: Registry::new(),
             #[cfg(test)]
             broker_fault: None,
@@ -279,20 +259,6 @@ impl<T: ReplicatedType> ThreadedSystem<T> {
         (c.calm_fast_ops, c.calm_quorum_ops)
     }
 
-    /// Attaches an online degradation monitor (builder-style): completed
-    /// operations are fed to it in client-index order after each
-    /// [`ThreadedSystem::run_all`].
-    #[must_use]
-    pub fn with_monitor(mut self, monitor: DegradationMonitor<T::Op>) -> Self {
-        self.monitor = Some(monitor);
-        self
-    }
-
-    /// The attached degradation monitor, if any.
-    pub fn monitor(&self) -> Option<&DegradationMonitor<T::Op>> {
-        self.monitor.as_ref()
-    }
-
     /// Marks replica `i` down: runs spawn no broker for it, so a shard's
     /// packets to it fail and nothing answers — exactly like a sim client
     /// racing a crashed or partitioned site (requests into the void, no
@@ -325,24 +291,6 @@ impl<T: ReplicatedType> ThreadedSystem<T> {
     fn locate(&self, ix: usize) -> (usize, usize) {
         assert!(ix < self.n_clients, "client index out of range");
         (ix % self.config.shards, ix / self.config.shards)
-    }
-
-    /// Feeds newly completed operations (client-index order) to the
-    /// attached monitor.
-    fn poll_monitor(&mut self) {
-        let Some(mut monitor) = self.monitor.take() else {
-            return;
-        };
-        for ix in 0..self.n_clients {
-            let outcomes = self.outcomes_of(ix);
-            for o in &outcomes[self.monitor_seen[ix]..] {
-                if let Outcome::Completed { op, .. } = o {
-                    monitor.observe(op);
-                }
-            }
-            self.monitor_seen[ix] = outcomes.len();
-        }
-        self.monitor = Some(monitor);
     }
 }
 
@@ -468,21 +416,12 @@ where
         reg.gauge(realtime::SHARD_ROUNDS).set(rounds as i64);
         reg.gauge(realtime::BROKER_VISITS).add(visits as i64);
         self.counts().export(&mut self.registry);
-        self.poll_monitor();
         RunStats { ops, wall_nanos }
     }
 
     fn replica_log(&self, i: usize) -> &Log<T::Op> {
         assert!(i < self.n_replicas, "replica index out of range");
         self.replicas[i].log()
-    }
-
-    fn merged_history(&self) -> History<T::Op> {
-        let mut all = Log::new();
-        for r in &self.replicas {
-            all.merge(r.log());
-        }
-        all.to_history()
     }
 }
 
@@ -621,8 +560,7 @@ mod tests {
             1,
             taxi_assignment(3),
             ThreadedConfig::default(),
-        )
-        .with_monitor(queue_lattice_monitor());
+        );
         sys.submit_to(0, QueueInv::Enq(2));
         sys.submit_to(0, QueueInv::Enq(9));
         sys.submit_to(0, QueueInv::Deq);
@@ -645,8 +583,16 @@ mod tests {
                 ..
             }
         ));
-        // Sequential single-client use degrades nothing.
-        assert!(sys.monitor().expect("attached").transitions().is_empty());
+        // Sequential single-client use degrades nothing: a monitor fed
+        // the client's completed ops sees no transition.
+        let mut monitor = queue_lattice_monitor();
+        for o in outcomes {
+            if let Outcome::Completed { op, .. } = o {
+                monitor.observe(op);
+            }
+        }
+        assert!(monitor.transitions().is_empty());
+        assert_eq!(monitor.current_level(), Some("PQ"));
         // All three replicas converged on the full log.
         for i in 0..3 {
             assert_eq!(sys.replica_log(i).len(), 4, "replica {i}");

@@ -5,7 +5,9 @@
 //! the *same* invocation stream through both and compares everything
 //! observable: per-client outcome shapes (latencies erased — they live
 //! in different time domains), final per-replica logs, the merged
-//! history, and degradation-monitor transitions.
+//! history; a single-client taxi run also compares the sim's online
+//! degradation-monitor transitions with a monitor fed offline from the
+//! threaded client's completed ops.
 //!
 //! Equality granularity:
 //!
@@ -117,8 +119,7 @@ fn check_taxi_exact(
         1,
         taxi_assignment(n),
         ThreadedConfig::default(),
-    )
-    .with_monitor(queue_lattice_monitor());
+    );
     for &r in down {
         thr.crash(r);
     }
@@ -158,6 +159,15 @@ fn check_taxi_exact(
         g(metrics::viewcache::HITS) + g(metrics::viewcache::MISSES) > 0
     };
     prop_assert_eq!(evaluated(sim_reg), evaluated(thr_reg));
+    // The sim's monitor, fed online after every step, against one fed
+    // offline from the threaded client's completed ops: for one client
+    // both see completion order.
+    let mut offline = queue_lattice_monitor();
+    for shape in &thr_seen.shapes[0] {
+        if let OutcomeShape::Completed(op) = shape {
+            offline.observe(op);
+        }
+    }
     let transitions =
         |m: &relax_trace::DegradationMonitor<QueueOp>| -> Vec<(usize, Option<String>)> {
             m.transitions()
@@ -167,7 +177,7 @@ fn check_taxi_exact(
         };
     prop_assert_eq!(
         transitions(sim.monitor().expect("attached")),
-        transitions(thr.monitor().expect("attached")),
+        transitions(&offline),
         "monitor divergence (n={}, down={:?})",
         n,
         down

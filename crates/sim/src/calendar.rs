@@ -114,6 +114,11 @@ impl<T> Calendar<T> {
     }
 
     /// The time of the earliest pending event.
+    ///
+    /// This and [`Calendar::pop`] run once per event inside the world's
+    /// one generic run loop, where the compiler called them out of line
+    /// without the hint (about 5% of a faulted sim run).
+    #[inline]
     pub(crate) fn peek_time(&self) -> Option<u64> {
         if self.near > 0 {
             Some(self.base + self.first_offset())
@@ -124,6 +129,7 @@ impl<T> Calendar<T> {
 
     /// Removes the earliest pending event (the first scheduled among
     /// those due at its time).
+    #[inline]
     pub(crate) fn pop(&mut self) -> Option<(u64, T)> {
         if self.near == 0 {
             self.base = self.peek_time()?;

@@ -568,24 +568,38 @@ impl<P: Clone, N: Node<P>> World<P, N> {
         self.actions = actions;
     }
 
+    /// Processes what is due by `limit`, at most `budget` events or
+    /// faults, calling `after` after each and stopping once it returns
+    /// `true`. Returns whether nothing due was left.
+    pub fn run_with(
+        &mut self,
+        limit: SimTime,
+        budget: u64,
+        mut after: impl FnMut(&mut Self) -> bool,
+    ) -> bool {
+        for _ in 0..budget {
+            if !self.step_by(limit) {
+                return true;
+            }
+            if after(self) {
+                return false;
+            }
+        }
+        false
+    }
+
     /// Runs until virtual time `t` (inclusive of events at `t`); the clock
     /// ends at exactly `t` even if the queue empties earlier.
     pub fn run_until(&mut self, t: SimTime) {
-        while self.step_by(t) {}
+        self.run_with(t, u64::MAX, |_| false);
         self.now = t;
     }
 
     /// Runs until no events or faults remain, or `max_events` is hit.
     /// Returns `true` if the system quiesced.
     pub fn run_to_quiescence(&mut self, max_events: u64) -> bool {
-        let mut budget = max_events;
-        while budget > 0 {
-            if !self.step() {
-                return true;
-            }
-            budget -= 1;
-        }
-        self.queue.is_empty() && self.schedule.is_empty()
+        self.run_with(SimTime(u64::MAX), max_events, |_| false)
+            || (self.queue.is_empty() && self.schedule.is_empty())
     }
 }
 
