@@ -26,7 +26,7 @@
 //! `Transport`, so the sim path monomorphizes to exactly the pre-split
 //! code (pinned by the existing equivalence suites), while the threaded
 //! backend's shards and brokers step the *same* client and replica state
-//! machines over channels.
+//! machines over one inbox per thread.
 
 use std::sync::Arc;
 
@@ -44,8 +44,8 @@ use relax_automata::History;
 /// replica state machine does besides mutating its own state.
 ///
 /// Implementations: the simulator's [`Ctx`] (virtual time, seeded rng,
-/// simulated network) and the threaded backend's channel transport
-/// (wall clock, OS threads, `mpsc` channels).
+/// simulated network) and the threaded backend's inbox-backed transport
+/// (wall clock, OS threads, one inbox per thread).
 pub trait Transport<T: ReplicatedType> {
     /// This node's id.
     fn me(&self) -> NodeId;

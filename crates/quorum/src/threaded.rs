@@ -10,7 +10,7 @@
 //!   — the sim client's state machine — over all its clients in rounds
 //!   of up to `batch`, with one view and one frontier for every broker.
 //! * **Batched request brokers.** Each replica is owned by one broker
-//!   thread running the sim's `ReplicaState` over a channel-backed
+//!   thread running the sim's `ReplicaState` over an inbox-backed
 //!   [`Transport`]. It drains its inbox in batches — flush on size or
 //!   deadline — and serves *writes before reads* within a batch, so reads
 //!   observe the freshest merged state without extra coordination.
@@ -28,6 +28,20 @@
 //! it fails at once. A broker whose thread ends mid-run says so to every
 //! shard as it goes, and [`Executor::run_all`] re-raises its panic.
 //!
+//! Every thread receives through one inbox of its own: a `Mutex` over a
+//! `Vec` of packets, and a `Condvar` its one receiver sleeps on. Arrival
+//! order is FIFO; a send to an inbox whose receiver is gone (a down or
+//! ended broker) fails at once and hands the packet back; a wait ends
+//! when every sender is gone. A sender pushes under the lock, notes
+//! whether the receiver sleeps, unlocks, and only then wakes it, and only
+//! if it slept. A receiver woken under the lock would, on a CPU it shares
+//! with the sender, preempt it just to block on that lock, and then run
+//! again for the next packet: `std::sync::mpsc`, which wakes under its
+//! waker lock, cost a one-shard round about three more context switches
+//! on one CPU (8–9 against 5.6–5.8).
+//! The receiver takes everything queued in one swap, so a broker's batch
+//! and a shard's replies arrive whole.
+//!
 //! The sim stays the differential oracle: identical op streams produce
 //! observably identical outcomes, replica logs and merged histories
 //! (exactly for one client over a FIFO fixed-delay network, structurally
@@ -41,8 +55,7 @@
 use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use relax_sim::NodeId;
@@ -95,7 +108,147 @@ type Halves<T> = (Option<Msg<T>>, Option<Msg<T>>);
 /// broker whose thread ends sends every shard one with neither half.
 type Packet<T> = (NodeId, Halves<T>);
 
-/// Either end's channel-backed [`Transport`]: holds what its node sends
+/// One thread's inbox: what its senders pushed, in arrival order, and
+/// whether its one receiver sleeps on `wake`.
+struct Inbox<P> {
+    state: Mutex<InboxState<P>>,
+    wake: Condvar,
+}
+
+struct InboxState<P> {
+    queue: Vec<P>,
+    /// The receiver is gone: a send fails and hands its packet back.
+    closed: bool,
+    /// The receiver waits on `wake`: the next push (or the last sender
+    /// leaving) clears this and notifies once.
+    asleep: bool,
+    /// Live [`Sender`]s: with none left, a wait on an empty queue ends.
+    senders: usize,
+}
+
+impl<P> Inbox<P> {
+    // Every update leaves the state whole, so the guard of a lock that a
+    // panicking thread held is still safe to use.
+    fn lock(&self) -> MutexGuard<'_, InboxState<P>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Notifies a receiver the caller found asleep. Called only after the
+    /// guard is dropped: a receiver woken under the lock would run, on a
+    /// shared CPU, only to block on that lock again.
+    fn wake_if(&self, asleep: bool) {
+        if asleep {
+            self.wake.notify_one();
+        }
+    }
+}
+
+/// A sending end of an [`Inbox`]; clones count as further senders.
+struct Sender<P>(Arc<Inbox<P>>);
+
+/// The one receiving end of an [`Inbox`]; dropping it closes the inbox.
+struct Receiver<P>(Arc<Inbox<P>>);
+
+/// A new inbox with one sender.
+fn inbox<P>() -> (Sender<P>, Receiver<P>) {
+    let shared = Arc::new(Inbox {
+        state: Mutex::new(InboxState {
+            queue: Vec::new(),
+            closed: false,
+            asleep: false,
+            senders: 1,
+        }),
+        wake: Condvar::new(),
+    });
+    (Sender(Arc::clone(&shared)), Receiver(shared))
+}
+
+impl<P> Sender<P> {
+    /// Queues `packet` behind everything sent before it and wakes the
+    /// receiver if it sleeps; hands the packet back if the receiver is
+    /// gone.
+    fn send(&self, packet: P) -> Result<(), P> {
+        let mut state = self.0.lock();
+        if state.closed {
+            return Err(packet);
+        }
+        state.queue.push(packet);
+        let asleep = std::mem::take(&mut state.asleep);
+        drop(state);
+        self.0.wake_if(asleep);
+        Ok(())
+    }
+}
+
+impl<P> Clone for Sender<P> {
+    fn clone(&self) -> Self {
+        self.0.lock().senders += 1;
+        Sender(Arc::clone(&self.0))
+    }
+}
+
+impl<P> Drop for Sender<P> {
+    fn drop(&mut self) {
+        let mut state = self.0.lock();
+        state.senders -= 1;
+        let asleep = state.senders == 0 && std::mem::take(&mut state.asleep);
+        drop(state);
+        self.0.wake_if(asleep);
+    }
+}
+
+impl<P> Receiver<P> {
+    /// Moves everything queued onto the end of `into`, in arrival order,
+    /// first sleeping while the queue is empty, a sender is left and
+    /// `deadline` (if any) has not passed. Returns whether it moved
+    /// anything.
+    fn take(&self, into: &mut Vec<P>, deadline: Option<Instant>) -> bool {
+        let mut state = self.0.lock();
+        loop {
+            if !state.queue.is_empty() {
+                if into.is_empty() {
+                    std::mem::swap(into, &mut state.queue);
+                } else {
+                    into.append(&mut state.queue);
+                }
+                return true;
+            }
+            if state.senders == 0 {
+                return false;
+            }
+            let left = match deadline {
+                None => None,
+                Some(at) => match at.checked_duration_since(Instant::now()) {
+                    Some(left) if !left.is_zero() => Some(left),
+                    _ => return false,
+                },
+            };
+            state.asleep = true;
+            state = match left {
+                None => self
+                    .0
+                    .wake
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner),
+                Some(left) => {
+                    let woken = self.0.wake.wait_timeout(state, left);
+                    woken.unwrap_or_else(PoisonError::into_inner).0
+                }
+            };
+            state.asleep = false;
+        }
+    }
+}
+
+impl<P> Drop for Receiver<P> {
+    fn drop(&mut self) {
+        let mut state = self.0.lock();
+        state.closed = true;
+        state.queue.clear();
+    }
+}
+
+/// Either end's inbox-backed [`Transport`]: holds what its node sends
 /// each peer — a write half (`WriteReq`, `WriteAck`) and a read half
 /// (`ReadReq`, `ReadResp`) per peer `base + i` — until the driver packs
 /// them into one packet, and reads the wall clock in nanoseconds since
@@ -347,18 +500,17 @@ where
         #[cfg(not(test))]
         let fault: Option<(usize, u64)> = None;
 
-        // Channels: one inbox per replica, one response inbox per shard.
-        // A down replica's inbox is dropped unread, so a packet sent to it
-        // fails at once and nothing answers it. The main thread moves
-        // every sender into a worker, so brokers exit when the last shard
-        // drops its senders.
-        let (rep_txs, rep_rxs): (Vec<_>, Vec<_>) =
-            (0..n).map(|_| mpsc::channel::<Packet<T>>()).unzip();
+        // One inbox per replica, one response inbox per shard. A down
+        // replica's inbox is dropped unread, so a packet sent to it fails
+        // at once and nothing answers it. The main thread moves every
+        // sender into a worker, so brokers exit when the last shard drops
+        // its senders.
+        let (rep_txs, rep_rxs): (Vec<_>, Vec<_>) = (0..n).map(|_| inbox::<Packet<T>>()).unzip();
         let (shard_txs, shard_rxs): (Vec<_>, Vec<_>) = (0..self.config.shards)
-            .map(|_| mpsc::channel::<Packet<T>>())
+            .map(|_| inbox::<Packet<T>>())
             .unzip();
 
-        let (visits, commits) = std::thread::scope(|sc| {
+        let (visits, shard_logs) = std::thread::scope(|sc| {
             let mut brokers = Vec::with_capacity(n);
             for ((i, rep), rx) in self.replicas.iter_mut().enumerate().zip(rep_rxs) {
                 if down.contains(&i) {
@@ -385,14 +537,14 @@ where
             for ((s, client), rx) in self.shards.iter_mut().enumerate().zip(shard_rxs) {
                 let to_replicas = rep_txs.clone();
                 shards.push(sc.spawn(move || {
-                    let commits = drive_shard(client, NodeId(n + s), &to_replicas, &rx);
+                    let log = drive_shard(client, NodeId(n + s), &to_replicas, &rx);
                     live.fetch_sub(1, Ordering::Relaxed);
-                    commits
+                    log
                 }));
             }
             drop(rep_txs);
-            let commits: Vec<Vec<u64>> = shards.into_iter().map(join).collect();
-            (brokers.into_iter().map(join).sum::<u64>(), commits)
+            let shard_logs: Vec<ShardLog> = shards.into_iter().map(join).collect();
+            (brokers.into_iter().map(join).sum::<u64>(), shard_logs)
         });
 
         let wall_nanos = (start.elapsed().as_nanos() as u64).max(1);
@@ -407,11 +559,12 @@ where
                 }
             }
         }
-        let batches = reg.histogram(realtime::COMMIT_BATCH_OPS);
-        commits
-            .into_iter()
-            .flatten()
-            .for_each(|size| batches.record(size));
+        for ShardLog { commits, visits } in shard_logs {
+            let batches = reg.histogram(realtime::COMMIT_BATCH_OPS);
+            commits.into_iter().for_each(|size| batches.record(size));
+            let spans = reg.histogram_in(realtime::VISIT_NANOS, TimeBase::WallNanos);
+            visits.into_iter().for_each(|span| spans.record(span));
+        }
         let rounds: u64 = self.shards.iter().map(ClientState::rounds).sum();
         reg.gauge(realtime::SHARD_ROUNDS).set(rounds as i64);
         reg.gauge(realtime::BROKER_VISITS).add(visits as i64);
@@ -445,8 +598,8 @@ fn join<R>(worker: std::thread::ScopedJoinHandle<'_, R>) -> R {
 fn run_broker<T: ReplicatedType>(
     rep: &mut ReplicaState<T>,
     mut ctx: ChannelTransport<T>,
-    rx: &mpsc::Receiver<Packet<T>>,
-    shard_txs: &[mpsc::Sender<Packet<T>>],
+    rx: &Receiver<Packet<T>>,
+    shard_txs: &[Sender<Packet<T>>],
     live: &AtomicUsize,
     linger: Duration,
     crash_after: Option<u64>,
@@ -454,18 +607,15 @@ fn run_broker<T: ReplicatedType>(
     let mut batch: Vec<Packet<T>> = Vec::with_capacity(shard_txs.len());
     let mut flushed = 0;
     loop {
-        let Ok(first) = rx.recv() else {
+        if !rx.take(&mut batch, None) {
             return flushed; // every shard finished and dropped its sender
-        };
-        batch.push(first);
+        }
         let mut deadline = None; // read the clock only for a short batch
         while batch.len() < live.load(Ordering::Relaxed) {
-            let now = Instant::now();
-            let left = deadline.get_or_insert(now + linger).duration_since(now);
+            let at = *deadline.get_or_insert_with(|| Instant::now() + linger);
             // Takes what is queued even at the deadline, then times out.
-            match rx.recv_timeout(left) {
-                Ok(m) => batch.push(m),
-                Err(_) => break,
+            if !rx.take(&mut batch, Some(at)) {
+                break;
             }
         }
         if crash_after == Some(flushed) {
@@ -494,26 +644,37 @@ fn run_broker<T: ReplicatedType>(
     }
 }
 
-/// The shard thread: steps `client` over the broker channels, one visit
+/// What one shard thread's run leaves for the registry.
+struct ShardLog {
+    /// Every commit's size, in operations.
+    commits: Vec<u64>,
+    /// Every visit's wall nanoseconds, from sending its packets to
+    /// feeding back its last reply.
+    visits: Vec<u64>,
+}
+
+/// The shard thread: steps `client` over the broker inboxes, one visit
 /// a turn — to every broker the packet the client filled for it (a
 /// round's commit, the next round's read, or both), back from every
 /// broker still running its reply, fed to the client ack first — then
 /// [`ClientState::close`]. Ends when a turn has nothing to send: every
-/// backlog drained, nothing in flight. Returns every commit's size.
+/// backlog drained, nothing in flight.
 fn drive_shard<T: ReplicatedType>(
     client: &mut ClientState<T>,
     me: NodeId,
-    to_replicas: &[mpsc::Sender<Packet<T>>],
-    from_replicas: &mpsc::Receiver<Packet<T>>,
-) -> Vec<u64> {
+    to_replicas: &[Sender<Packet<T>>],
+    from_replicas: &Receiver<Packet<T>>,
+) -> ShardLog {
     let mut ctx = ChannelTransport::new(me, 0, to_replicas.len());
-    let mut commits = Vec::new();
+    let (mut commits, mut visits) = (Vec::new(), Vec::new());
+    let mut replies = Vec::with_capacity(to_replicas.len());
     client.start_next(&mut ctx);
     // Every broker gets the same halves: packet 0 speaks for all.
     while !matches!(ctx.halves[0], (None, None)) {
         if let Some(Msg::WriteReq { log, .. }) = &ctx.halves[0].0 {
             commits.push(log.len() as u64);
         }
+        let sent = ctx.now_ticks();
         // The replies are counted, never presumed: a broker whose inbox
         // is closed takes nothing and owes nothing.
         let mut awaiting = 0u64;
@@ -523,15 +684,19 @@ fn drive_shard<T: ReplicatedType>(
             }
         }
         while awaiting != 0 {
-            let (from, (ack, resp)) = from_replicas.recv().expect("brokers outlive shards");
-            awaiting &= !(1 << from.0);
-            for msg in [ack, resp].into_iter().flatten() {
-                client.on_message(&mut ctx, from, msg);
+            let took = from_replicas.take(&mut replies, None);
+            assert!(took, "brokers outlive shards");
+            for (from, (ack, resp)) in replies.drain(..) {
+                awaiting &= !(1 << from.0);
+                for msg in [ack, resp].into_iter().flatten() {
+                    client.on_message(&mut ctx, from, msg);
+                }
             }
         }
+        visits.push(ctx.now_ticks() - sent);
         client.close(&mut ctx);
     }
-    commits
+    ShardLog { commits, visits }
 }
 
 #[cfg(test)]
@@ -542,6 +707,7 @@ mod tests {
         queue_lattice_monitor, AccountInv, BankAccountType, QueueInv, TaxiQueueType,
     };
     use relax_queues::QueueOp;
+    use std::sync::mpsc;
 
     fn taxi_assignment(n: usize) -> VotingAssignment<QueueKind> {
         let maj = n / 2 + 1;
@@ -1039,13 +1205,126 @@ mod tests {
         }
     }
 
+    #[test]
+    fn visit_spans_are_one_per_visit_and_fit_in_the_run() {
+        // One shard over three live brokers: every visit is one batch
+        // at each, so the brokers' flushes count the shard's visits.
+        let mut sys = ThreadedSystem::new(
+            TaxiQueueType,
+            3,
+            4,
+            taxi_assignment(3),
+            ThreadedConfig {
+                shards: 1,
+                batch: 2,
+                flush_micros: 20,
+            },
+        );
+        for c in 0..4 {
+            sys.submit_to(c, QueueInv::Enq(c as i64));
+            sys.submit_to(c, QueueInv::Deq);
+        }
+        let stats = sys.run_all();
+        let spans = sys.registry().get_histogram(realtime::VISIT_NANOS);
+        let spans = spans.expect("recorded");
+        assert_eq!(spans.time_base(), TimeBase::WallNanos);
+        assert_eq!(3 * spans.len() as i64, broker_visits(&sys));
+        assert!(spans.min() > Some(0));
+        assert!(
+            spans.sum() <= stats.wall_nanos,
+            "visits took {} ns in a run of {} ns",
+            spans.sum(),
+            stats.wall_nanos
+        );
+    }
+
+    #[test]
+    fn a_send_to_a_dropped_inbox_returns_its_packet() {
+        let (tx, rx) = inbox::<u32>();
+        assert_eq!(tx.send(7), Ok(()));
+        drop(rx);
+        assert_eq!(tx.send(8), Err(8));
+    }
+
+    /// Runs `f` on a thread of its own and returns what it returns; a
+    /// watchdog turns a hang into a failure.
+    fn within_ten_seconds<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> R {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || tx.send(f()));
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("hung past the 10-s watchdog")
+    }
+
+    #[test]
+    fn dropping_the_last_sender_ends_a_blocked_wait() {
+        let joined = within_ten_seconds(|| {
+            let (tx, rx) = inbox::<u32>();
+            let shared = Arc::clone(&rx.0);
+            let second = tx.clone();
+            let waiter = std::thread::spawn(move || {
+                let mut got = Vec::new();
+                let first = rx.take(&mut got, None);
+                let last = rx.take(&mut got, None);
+                (first, last, got)
+            });
+            assert_eq!(tx.send(1), Ok(()));
+            drop(tx);
+            // The receiver takes the packet and sleeps again: one sender
+            // is left.
+            while !shared.lock().asleep {
+                std::thread::yield_now();
+            }
+            drop(second);
+            waiter.join().expect("receiver")
+        });
+        assert_eq!(joined, (true, false, vec![1]));
+    }
+
+    #[test]
+    fn a_ping_pong_of_100000_packets_finishes_in_order() {
+        const PACKETS: u32 = 100_000;
+        within_ten_seconds(|| {
+            let (to_pong, pong_inbox) = inbox::<u32>();
+            let (to_ping, ping_inbox) = inbox::<u32>();
+            let replied = Arc::new(AtomicUsize::new(0));
+            let seen = Arc::clone(&replied);
+            let pong = std::thread::spawn(move || {
+                let mut got = Vec::new();
+                let mut next = 0;
+                while pong_inbox.take(&mut got, None) {
+                    for i in got.drain(..) {
+                        assert_eq!(i, next, "out of order");
+                        next += 1;
+                        to_ping.send(i).expect("ping waits for every reply");
+                        // Go back to sleep only once ping holds the reply:
+                        // the next ping then races this receiver to sleep,
+                        // the moment a wake can go missing.
+                        while seen.load(Ordering::Acquire) <= i as usize {
+                            std::thread::yield_now();
+                        }
+                    }
+                }
+                next
+            });
+            let mut got = Vec::new();
+            for i in 0..PACKETS {
+                to_pong.send(i).expect("pong outlives the pings");
+                assert!(ping_inbox.take(&mut got, None));
+                assert_eq!(got, [i]);
+                got.clear();
+                replied.store(i as usize + 1, Ordering::Release);
+            }
+            drop(to_pong);
+            assert_eq!(pong.join().expect("pong"), PACKETS);
+        });
+    }
+
     /// A broker thread that panics mid-run: its shard stops waiting on it,
     /// and `run_all` re-raises the broker's own panic. A watchdog turns a
     /// hang into a failure instead of a stalled run.
     #[test]
     fn a_broker_panic_reaches_the_caller_instead_of_hanging() {
-        let (tx, rx) = mpsc::channel();
-        std::thread::spawn(move || {
+        let message = within_ten_seconds(|| {
             let mut sys = ThreadedSystem::new(
                 TaxiQueueType,
                 3,
@@ -1059,12 +1338,8 @@ mod tests {
             }
             let run = std::panic::AssertUnwindSafe(|| sys.run_all());
             let panic = std::panic::catch_unwind(run).expect_err("a broker panicked");
-            let message = panic.downcast_ref::<String>().cloned();
-            let _ = tx.send(message);
+            panic.downcast_ref::<String>().cloned()
         });
-        let message = rx
-            .recv_timeout(Duration::from_secs(10))
-            .expect("run_all hung on a panicked broker");
         assert_eq!(message.as_deref(), Some("broker 1 failed after 3 flushes"));
     }
 

@@ -360,6 +360,9 @@ metric_names! {
         SHARD_ROUNDS = "realtime_shard_rounds",
         /// Batches the brokers have flushed, cumulative.
         BROKER_VISITS = "realtime_broker_visits",
+        /// Wall nanoseconds per shard visit, from sending its packets
+        /// to feeding back its last reply (histogram).
+        VISIT_NANOS = "realtime_visit_nanos",
     }
 }
 
