@@ -134,7 +134,7 @@ pub fn measure_registry(
     seed: u64,
 ) -> Registry {
     let regs = fan_trials(trials, |trial| {
-        trial_registry(n, assignment, p_up, trial, seed, 0)
+        trial_registry(n, assignment, p_up, trial, seed)
     });
     let mut reg = Registry::new();
     for r in &regs {
@@ -152,27 +152,9 @@ pub fn measure_registry_sequential(
     trials: u32,
     seed: u64,
 ) -> Registry {
-    measure_registry_traced(n, assignment, p_up, trials, seed, 0)
-}
-
-/// Like [`measure_registry`], with structured tracing enabled on every
-/// trial's world when `trace_capacity > 0` (used by
-/// [`trace_overhead`](super::trace_overhead) to price the
-/// instrumentation).
-/// Deliberately sequential: the overhead bench compares per-trial wall
-/// clock, which thread scheduling would distort.
-pub fn measure_registry_traced(
-    n: usize,
-    assignment: &VotingAssignment<QueueKind>,
-    p_up: f64,
-    trials: u32,
-    seed: u64,
-    trace_capacity: usize,
-) -> Registry {
     let mut reg = Registry::new();
     for trial in 0..trials {
-        let r = trial_registry(n, assignment, p_up, trial, seed, trace_capacity);
-        reg.merge_accumulating(&r);
+        reg.merge_accumulating(&trial_registry(n, assignment, p_up, trial, seed));
     }
     reg
 }
@@ -186,7 +168,6 @@ fn trial_registry(
     p_up: f64,
     trial: u32,
     seed: u64,
-    trace_capacity: usize,
 ) -> Registry {
     let mut reg = Registry::new();
     let mut rng = SplitMix64::seed_from_u64(
@@ -201,9 +182,6 @@ fn trial_registry(
         seed ^ (u64::from(trial) * 2_654_435_761),
     )
     .with_wire_accounting();
-    if trace_capacity > 0 {
-        sys = sys.with_trace(trace_capacity);
-    }
     // Preload a request while everything is up, so Deq has something
     // to return.
     sys.submit(QueueInv::Enq(5));

@@ -353,9 +353,11 @@ enum Tier {
     /// Nothing attached: the perturbation baseline, and the baseline of
     /// the telemetry's share of a run.
     Bare,
-    /// Tracing and staleness sampling alone, without the monitor and the
-    /// SLO clock: what the telemetry costs whatever the monitor costs.
-    Traced,
+    /// Tracing alone: the tracer's share of the telemetry.
+    Tracing,
+    /// Tracing and staleness sampling, without the monitor and the SLO
+    /// clock: what the telemetry costs whatever the monitor costs.
+    Telemetry,
     /// The degradation monitor and the SLO budget clock — the
     /// runtime-verification engine whose verdicts the campaigns exist to
     /// check — plus tracing and staleness sampling.
@@ -380,10 +382,13 @@ fn campaign_system(seed: u64, tier: Tier) -> QuorumSystem<TaxiQueueType> {
             .with_slo(SloMonitor::new().budget("PQ", PQ_BUDGET));
     }
     if tier != Tier::Bare {
-        sys = sys.with_trace(8192).with_staleness();
+        sys = sys.with_trace(8192);
         // A campaign emits ~1-2k events; skip the tracer's
         // growth-realloc chain instead of paying it on every rep.
         sys.world_mut().tracer_mut().reserve_events(2048);
+    }
+    if matches!(tier, Tier::Telemetry | Tier::Full) {
+        sys = sys.with_staleness();
     }
     sys
 }
@@ -538,12 +543,14 @@ const REPS: usize = 301;
 /// * **overhead** — the same deterministic workloads run, in ABBA blocks
 ///   of suites, with nothing attached and with the *online* telemetry —
 ///   tracing and staleness sampling — alone; the median per-block ratio
-///   prices the telemetry (`telemetry_pct`, DESIGN §6). No tier runs the
+///   prices the telemetry (`telemetry_pct`, DESIGN §6). A second pass
+///   prices tracing alone against the same bare runs (`tracing_pct`);
+///   the staleness sampler's share is the difference. No tier runs the
 ///   offline happens-before replay behind the verdicts.
 ///
 /// Results land in `BENCH_fault_campaign.json`; `regress` gates on its
 /// `telemetry_pct` (at most 5 points over the baseline's) and on
-/// `all_verdicts_ok`.
+/// `all_verdicts_ok`; `tracing_pct` is reported, not gated.
 /// `--trace NAME PATH` first exports the named campaign's full JSONL
 /// trace, ready for `trace_analyze PATH --staleness`.
 pub fn main(args: &Args) -> Result<(), String> {
@@ -565,28 +572,41 @@ pub fn main(args: &Args) -> Result<(), String> {
         outcomes.len()
     );
 
-    // Warm up both tiers, then interleave their suites in ABBA blocks so
-    // machine-wide noise hits both equally; all four runs of a block
-    // share one seed.
+    // Warm up every timed tier, then interleave each instrumented tier's
+    // suites with bare ones in ABBA blocks so machine-wide noise hits
+    // both equally; all four runs of a block share one seed.
     let suite_ops: usize = CAMPAIGNS.iter().map(|c| recipe(c).submissions.len()).sum();
-    time_suite(Tier::Bare, SEED);
-    time_suite(Tier::Traced, SEED);
-    let telemetry = abba(REPS, suite_ops, |traced, rep| {
-        let tier = if traced { Tier::Traced } else { Tier::Bare };
-        time_suite(tier, SEED ^ (rep / 2) as u64)
-    });
-    let pct = |ratio: f64| 100.0 * (ratio - 1.0);
-    let telemetry_pct = pct(telemetry.ratio);
-    let (telemetry_q1, telemetry_q3) = (pct(telemetry.quartiles.0), pct(telemetry.quartiles.1));
+    for tier in [Tier::Bare, Tier::Tracing, Tier::Telemetry] {
+        time_suite(tier, SEED);
+    }
+    let priced = |tier: Tier| {
+        let timing = abba(REPS, |instrumented, rep| {
+            time_suite(
+                if instrumented { tier } else { Tier::Bare },
+                SEED ^ (rep / 2) as u64,
+            )
+        });
+        let pct = |ratio: f64| 100.0 * (ratio - 1.0);
+        let (q1, q3) = timing.quartiles;
+        (pct(timing.ratio), pct(q1), pct(q3), timing.baseline_ns)
+    };
+    let (telemetry_pct, telemetry_q1, telemetry_q3, bare_ns) = priced(Tier::Telemetry);
+    let (tracing_pct, tracing_q1, tracing_q3, _) = priced(Tier::Tracing);
 
     println!("\n== Observability overhead on the campaign suite ==\n");
     println!(
-        "workload: {} campaigns x {REPS} interleaved reps, median per-rep ratio",
+        "workload: {} campaigns x {REPS} interleaved reps per tier, median per-rep ratio",
         CAMPAIGNS.len()
     );
     println!(
-        "telemetry over a run with no monitor: {telemetry_pct:+.2}%  [quartiles {telemetry_q1:+.2}% .. {telemetry_q3:+.2}%]  ({} ns bare, min run)",
-        telemetry.baseline_ns
+        "telemetry over a run with no monitor: {telemetry_pct:+.2}%  [quartiles {telemetry_q1:+.2}% .. {telemetry_q3:+.2}%]  ({bare_ns} ns bare, min run)"
+    );
+    println!(
+        "tracing alone over the same bare runs: {tracing_pct:+.2}%  [quartiles {tracing_q1:+.2}% .. {tracing_q3:+.2}%]"
+    );
+    println!(
+        "staleness sampling, the difference: {:+.2} points",
+        telemetry_pct - tracing_pct
     );
 
     let campaigns_json: Vec<String> = outcomes
@@ -618,7 +638,9 @@ pub fn main(args: &Args) -> Result<(), String> {
         "{{\"bench\":\"fault_campaign\",\"seed\":{SEED},\"reps\":{REPS},\
          \"campaigns\":[{}],\"all_verdicts_ok\":{all_ok},\
          \"telemetry_pct\":{telemetry_pct:.3},\"telemetry_q1_pct\":{telemetry_q1:.3},\
-         \"telemetry_q3_pct\":{telemetry_q3:.3},\"ops_per_suite\":{suite_ops}}}\n",
+         \"telemetry_q3_pct\":{telemetry_q3:.3},\"tracing_pct\":{tracing_pct:.3},\
+         \"tracing_q1_pct\":{tracing_q1:.3},\"tracing_q3_pct\":{tracing_q3:.3},\
+         \"ops_per_suite\":{suite_ops}}}\n",
         campaigns_json.join(",")
     );
     write_payload("BENCH_fault_campaign.json", &json)?;
@@ -681,17 +703,19 @@ mod tests {
 
     #[test]
     fn bare_runs_match_instrumented_outcomes() {
-        // The uninstrumented baseline runs the same deterministic
-        // workload (observability must not perturb the system).
+        // Every timed tier runs the same deterministic workload as the
+        // fully instrumented one (observability must not perturb the
+        // system).
         for name in CAMPAIGNS {
             let r = recipe(name);
-            let bare = drive(&r, SEED, Tier::Bare);
-            let inst = drive(&r, SEED, Tier::Full);
-            assert_eq!(
-                bare.outcomes(),
-                inst.outcomes(),
-                "observability perturbed campaign {name}"
-            );
+            let full = drive(&r, SEED, Tier::Full);
+            for tier in [Tier::Bare, Tier::Tracing, Tier::Telemetry] {
+                assert_eq!(
+                    drive(&r, SEED, tier).outcomes(),
+                    full.outcomes(),
+                    "{tier:?} perturbed campaign {name}"
+                );
+            }
         }
     }
 }

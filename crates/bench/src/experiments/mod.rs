@@ -21,7 +21,6 @@ pub mod regress;
 pub mod serialdep;
 pub mod summary;
 pub mod theorem4;
-pub mod trace_overhead;
 pub mod voting;
 
 /// One row of [`EXPERIMENTS`]: name, one-line summary, accepted flags
@@ -33,9 +32,9 @@ pub type Experiment = (
     fn(&Args) -> Result<(), String>,
 );
 
-/// Everything `relax-bench` runs. All but `trace_overhead` and
-/// `fault_campaign` (which time themselves) and `regress` (which reads
-/// files) print the same bytes on every run.
+/// Everything `relax-bench` runs. All but `fault_campaign` (which times
+/// itself) and `regress` (which reads files) print the same bytes on
+/// every run.
 pub const EXPERIMENTS: &[Experiment] = &[
     (
         "figures",
@@ -128,12 +127,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
         calm::main,
     ),
     (
-        "trace_overhead",
-        "what sim tracing costs on the availability sweep",
-        &[],
-        trace_overhead::main,
-    ),
-    (
         "fault_campaign",
         "five fault campaigns: root-cause verdicts, telemetry overhead",
         &["--trace NAME PATH"],
@@ -204,24 +197,18 @@ pub(crate) struct Abba {
     pub ratio: f64,
     /// The lower and upper quartiles of the per-block ratios.
     pub quartiles: (f64, f64),
-    /// The median per-block `instrumented − baseline`, in nanoseconds
-    /// per operation.
-    pub added_ns_per_op: f64,
     /// The fastest single baseline run, in nanoseconds.
     pub baseline_ns: u128,
-    /// The fastest single instrumented run, in nanoseconds.
-    pub enabled_ns: u128,
 }
 
 /// Times `blocks` blocks of four runs in ABBA order — baseline,
 /// instrumented, instrumented, baseline — so that machine-wide noise and
 /// monotone drift hit both sides alike. `run(instrumented, rep)` times
-/// one run of `ops` operations in nanoseconds; block `b` runs rep `2b`
-/// and then rep `2b + 1`, so when a rep repeats the input of the one
-/// before it, each side gets one cold and one warm run per block.
-pub(crate) fn abba(blocks: usize, ops: usize, mut run: impl FnMut(bool, usize) -> u128) -> Abba {
-    let (mut baseline_ns, mut enabled_ns) = (u128::MAX, u128::MAX);
-    let mut added_ns = Vec::with_capacity(blocks);
+/// one run in nanoseconds; block `b` runs rep `2b` and then rep `2b + 1`,
+/// so when a rep repeats the input of the one before it, each side gets
+/// one cold and one warm run per block.
+pub(crate) fn abba(blocks: usize, mut run: impl FnMut(bool, usize) -> u128) -> Abba {
+    let mut baseline_ns = u128::MAX;
     let mut ratios: Vec<f64> = (0..blocks)
         .map(|block| {
             let b1 = run(false, 2 * block);
@@ -229,20 +216,15 @@ pub(crate) fn abba(blocks: usize, ops: usize, mut run: impl FnMut(bool, usize) -
             let e2 = run(true, 2 * block + 1);
             let b2 = run(false, 2 * block + 1);
             baseline_ns = baseline_ns.min(b1).min(b2);
-            enabled_ns = enabled_ns.min(e1).min(e2);
-            added_ns.push(((e1 + e2) as f64 - (b1 + b2) as f64) / (2 * ops) as f64);
             (e1 + e2) as f64 / (b1 + b2) as f64
         })
         .collect();
     ratios.sort_by(f64::total_cmp);
-    added_ns.sort_by(f64::total_cmp);
     let quartile = |q: usize| ratios[ratios.len() * q / 4];
     Abba {
         ratio: quartile(2),
         quartiles: (quartile(1), quartile(3)),
-        added_ns_per_op: added_ns[added_ns.len() / 2],
         baseline_ns,
-        enabled_ns,
     }
 }
 
@@ -275,7 +257,7 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), EXPERIMENTS.len(), "duplicate name");
-        assert_eq!(sorted.len(), 18);
+        assert_eq!(sorted.len(), 17);
 
         // The crate's doc table lists them in table order.
         let lib_rows = documented(include_str!("../lib.rs"), "//! | `relax-bench ");
@@ -310,10 +292,6 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("relax_payload_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let committed = [
-            (
-                "BENCH_trace_overhead.json",
-                include_str!("../../../../BENCH_trace_overhead.json"),
-            ),
             (
                 "BENCH_fault_campaign.json",
                 include_str!("../../../../BENCH_fault_campaign.json"),
@@ -350,7 +328,7 @@ mod tests {
     #[test]
     fn abba_alternates_the_sides_and_takes_block_medians() {
         let mut calls = Vec::new();
-        let t = abba(3, 10, |instrumented, rep| {
+        let t = abba(3, |instrumented, rep| {
             calls.push((instrumented, rep));
             if instrumented {
                 1_100 + rep as u128
@@ -363,8 +341,7 @@ mod tests {
         // Block b reads (2201 + 4b) / 2000.
         assert_eq!(t.ratio, 2205.0 / 2000.0);
         assert_eq!(t.quartiles, (2201.0 / 2000.0, 2209.0 / 2000.0));
-        assert_eq!(t.added_ns_per_op, 205.0 / 20.0);
-        assert_eq!((t.baseline_ns, t.enabled_ns), (1_000, 1_100));
+        assert_eq!(t.baseline_ns, 1_000);
     }
 
     #[test]

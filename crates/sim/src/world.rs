@@ -310,12 +310,13 @@ impl<P: Clone, N: Node<P>> World<P, N> {
     }
 
     /// Processes the next event or fault if it is due by `limit`; faults
-    /// go first at a shared instant. Returns whether it processed one.
+    /// go first at a shared instant, and one due before the clock applies
+    /// at the clock. Returns whether it processed one.
     fn step_by(&mut self, limit: SimTime) -> bool {
         let next_event_time = self.queue.peek_time().map(SimTime);
         match (next_event_time, self.schedule.next_time()) {
             (event, Some(tf)) if tf <= limit && event.is_none_or(|te| tf <= te) => {
-                self.now = tf;
+                self.now = self.now.max(tf);
                 for fault in self.schedule.drain_due(tf) {
                     self.apply_fault(fault);
                 }
@@ -589,10 +590,11 @@ impl<P: Clone, N: Node<P>> World<P, N> {
     }
 
     /// Runs until virtual time `t` (inclusive of events at `t`); the clock
-    /// ends at exactly `t` even if the queue empties earlier.
+    /// ends at `t` even if the queue empties earlier, or where it was if
+    /// that is later.
     pub fn run_until(&mut self, t: SimTime) {
         self.run_with(t, u64::MAX, |_| false);
-        self.now = t;
+        self.advance_clock_to(t);
     }
 
     /// Runs until no events or faults remain, or `max_events` is hit.
@@ -751,7 +753,7 @@ mod tests {
     }
 
     #[test]
-    fn far_timers_ties_and_a_clock_set_back_keep_time_then_arrival_order() {
+    fn far_timers_ties_and_a_fault_due_in_the_past_keep_time_then_arrival_order() {
         /// Logs `(now, what)` for every message and timer it handles.
         struct Log(Vec<(u64, u64)>);
         impl Node<u64> for Log {
@@ -769,21 +771,27 @@ mod tests {
                 self.0.push((ctx.now().0, token));
             }
         }
-        let mut w = World::new(vec![Log(Vec::new())], NetworkConfig::default(), 0);
+        let mut w = World::new(vec![Log(Vec::new())], NetworkConfig::default(), 0).with_trace(64);
         w.send_external(NodeId(0), 0);
         w.run_until(SimTime(10));
-        // A fault due in the past fires next and sets the clock back to
-        // it, and what is injected then lands ahead of the queued timers.
+        // A fault due in the past fires next, at the clock, which never
+        // runs back; it is traced there, and what is injected then lands
+        // at the clock too, ahead of the queued timers.
         w.set_schedule(FaultSchedule::new().at(SimTime(1), Fault::Heal));
         assert!(w.step());
-        assert_eq!(w.now(), SimTime(1));
+        assert_eq!(w.now(), SimTime(10));
+        let healed = w.tracer().events().last().expect("traced");
+        assert_eq!(
+            (healed.time, healed.kind),
+            (10, relax_trace::EventKind::PartitionHealed)
+        );
         w.send_external(NodeId(0), 9);
         w.run_to_quiescence(100);
         let log = [
             (0, 0),
             (3, 2),
             (3, 5),
-            (1, 9),
+            (10, 9),
             (300, 3),
             (1_000, 1),
             (1_000, 4),
