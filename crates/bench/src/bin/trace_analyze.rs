@@ -98,7 +98,8 @@ fn main() -> ExitCode {
     print!("{}", analysis.report());
 
     if let Some(s) = staleness {
-        println!("\nstaleness timeline:");
+        // The report starts with its own "staleness timeline:" header.
+        println!();
         print!("{s}");
     }
 

@@ -7,6 +7,10 @@
 //!   entries;
 //! * [`log`] — replica logs: timestamped operation records, merged in
 //!   timestamp order with duplicates discarded;
+//! * [`frontier`] — per-site summaries of a log's entry set (the table
+//!   delta replication ships against), and [`Staleness`], the sampler
+//!   that reads every replica's table in place for per-replica lag and
+//!   pairwise divergence;
 //! * [`merkle`] — per-site Merkle trees over the timestamp space, the
 //!   O(log n) divergence-localizing refinement of [`frontier`] behind
 //!   replica-to-replica anti-entropy;
@@ -71,7 +75,7 @@ pub use backend::{
     outcome_shapes, ClientTable, Executor, LayerCounts, OutcomeShape, RunStats, Transport,
 };
 pub use calm::{analyze, analyze_account, analyze_taxi, CalmReport, SchedulingPolicy, Verdict};
-pub use frontier::{Frontier, SiteSummary};
+pub use frontier::{Frontier, SiteSummary, Staleness};
 pub use log::{DiffScratch, Entry, Log};
 pub use merkle::{MerkleIndex, MerkleNode, NodeRange};
 pub use protocol::wire::{ClientConfig, ReplicationMode};

@@ -6,14 +6,12 @@ use std::sync::Arc;
 
 use relax_automata::History;
 use relax_sim::{Ctx, NetworkConfig, Node, NodeId, SimTime, World};
-use relax_trace::{
-    DegradationMonitor, EventKind as TraceEvent, FrontierView, Registry, SiteCount, SloMonitor,
-    StalenessTracker,
-};
+use relax_trace::{DegradationMonitor, Registry, SloMonitor};
 
 use crate::assignment::VotingAssignment;
 use crate::backend::{replica_ids, ClientTable, Executor, LayerCounts, RunStats};
 use crate::calm::SchedulingPolicy;
+use crate::frontier::Staleness;
 use crate::log::Log;
 use crate::protocol::client::{ClientBookkeeping, ClientState};
 use crate::protocol::replica::ReplicaState;
@@ -64,12 +62,7 @@ pub struct QuorumSystem<T: ReplicatedType> {
     monitor: Option<DegradationMonitor<T::Op>>,
     /// Outcomes of the one client the monitor has been fed.
     monitor_seen: usize,
-    staleness: Option<StalenessTracker>,
-    /// Reusable frontier-snapshot buffers for `sample_staleness` (one
-    /// view per replica; inner vectors cleared and refilled per sample).
-    staleness_views: Vec<FrontierView>,
-    /// Reusable event buffer for `sample_staleness`.
-    staleness_scratch: Vec<TraceEvent>,
+    staleness: Option<Staleness>,
     slo: Option<SloMonitor>,
     registry: Registry,
 }
@@ -136,13 +129,6 @@ impl<T: ReplicatedType> QuorumSystem<T> {
             monitor: None,
             monitor_seen: 0,
             staleness: None,
-            staleness_views: (0..n_replicas)
-                .map(|i| FrontierView {
-                    replica: i as u32,
-                    sites: Vec::new(),
-                })
-                .collect(),
-            staleness_scratch: Vec::new(),
             slo: None,
             registry: Registry::new(),
         }
@@ -249,15 +235,16 @@ impl<T: ReplicatedType> QuorumSystem<T> {
         self.monitor.as_ref()
     }
 
-    /// Attaches a replica-staleness tracker (builder-style). Each
-    /// [`QuorumSystem::sample_staleness`] call then snapshots every
-    /// replica's frontier and records per-replica lag and pairwise
-    /// divergence events into the trace; the corresponding gauges in
-    /// [`QuorumSystem::registry`] reflect the latest sample after
-    /// [`QuorumSystem::export_metrics`].
+    /// Attaches a replica-staleness sampler (builder-style): a
+    /// [`Staleness`], which lives in `frontier.rs` beside the site tables
+    /// it reads. Each [`QuorumSystem::sample_staleness`] call then reads
+    /// every replica log's site table in place and records per-replica
+    /// lag and pairwise divergence events into the trace; the
+    /// corresponding gauges in [`QuorumSystem::registry`] reflect the
+    /// latest sample after [`QuorumSystem::export_metrics`].
     #[must_use]
     pub fn with_staleness(mut self) -> Self {
-        self.staleness = Some(StalenessTracker::new(self.n_replicas));
+        self.staleness = Some(Staleness::new(self.n_replicas));
         self
     }
 
@@ -272,8 +259,8 @@ impl<T: ReplicatedType> QuorumSystem<T> {
         self
     }
 
-    /// The attached staleness tracker, if any.
-    pub fn staleness(&self) -> Option<&StalenessTracker> {
+    /// The attached staleness sampler, if any.
+    pub fn staleness(&self) -> Option<&Staleness> {
         self.staleness.as_ref()
     }
 
@@ -289,40 +276,30 @@ impl<T: ReplicatedType> QuorumSystem<T> {
         &self.registry
     }
 
-    /// Snapshots every replica's frontier into the staleness tracker and
-    /// records `ReplicaLagSampled` / `FrontierDivergence` trace events.
-    /// No-op unless [`QuorumSystem::with_staleness`] was called. Purely
-    /// observational — sends no messages and draws no randomness, so
-    /// sampling cannot perturb a run.
+    /// Steps the staleness sampler over every replica log's site table,
+    /// read in place ([`crate::Log::site_summaries`]), and records its
+    /// `ReplicaLagSampled` / `FrontierDivergence` readings into the
+    /// trace. No-op unless [`QuorumSystem::with_staleness`] was called.
+    /// Purely observational — sends no messages and draws no randomness,
+    /// so sampling cannot perturb a run.
     ///
-    /// This is the hot path of high-frequency monitoring, so it reuses
-    /// the system's snapshot buffers and defers all gauge refreshes:
-    /// [`QuorumSystem::export_metrics`] writes the latest readings into
-    /// the registry when a scrape actually wants them.
+    /// The same readings are what [`QuorumSystem::export_metrics`] writes
+    /// into the registry when a scrape wants them.
     pub fn sample_staleness(&mut self) {
-        let Some(tracker) = self.staleness.as_mut() else {
+        let Some(staleness) = self.staleness.as_mut() else {
             return;
         };
-        for (i, view) in self.staleness_views.iter_mut().enumerate() {
-            // Not `self.replica(i)`: the tracker and the views are
-            // borrowed mutably, so only `world` may be read here.
-            let log = match self.world.node(NodeId(i)) {
-                RoleNode::Replica(r) => r.log(),
-                RoleNode::Client(_) => unreachable!("replica ids are 0..n"),
-            };
-            view.sites.clear();
-            view.sites
-                .extend(log.site_summaries().iter().map(|s| SiteCount {
-                    site: s.site as u32,
-                    count: s.count,
-                    hash: s.hash,
-                }));
-        }
         let now = self.world.now().0;
-        self.staleness_scratch.clear();
-        tracker.sample_into(now, &self.staleness_views, &mut self.staleness_scratch);
-        for event in self.staleness_scratch.drain(..) {
-            self.world.tracer_mut().record(now, event);
+        // Not `self.replica(i)`: the sampler is borrowed mutably, so only
+        // `world` may be read here.
+        let world = &self.world;
+        staleness.sample(now, |i| match world.node(NodeId(i)) {
+            RoleNode::Replica(r) => r.log().site_summaries(),
+            RoleNode::Client(_) => unreachable!("replica ids are 0..n"),
+        });
+        let tracer = self.world.tracer_mut();
+        for event in staleness.readings() {
+            tracer.record(now, event);
         }
     }
 
@@ -375,8 +352,8 @@ impl<T: ReplicatedType> QuorumSystem<T> {
     /// the last sample, [`QuorumSystem::counts`], and the world's wire
     /// counters. Call before rendering or scraping the registry.
     pub fn export_metrics(&mut self) {
-        if let Some(tracker) = &self.staleness {
-            tracker.flush_gauges(&mut self.registry);
+        if let Some(staleness) = &self.staleness {
+            staleness.export(&mut self.registry);
         }
         self.counts().export(&mut self.registry);
         self.registry
@@ -610,6 +587,7 @@ mod tests {
     use relax_automata::ObjectAutomaton;
     use relax_queues::{PQueueAutomaton, QueueOp};
     use relax_sim::{Fault, FaultSchedule};
+    use relax_trace::EventKind as TraceEvent;
 
     use crate::relation::QueueKind;
     use crate::types::{
@@ -1392,9 +1370,9 @@ mod tests {
         for i in 0..3 {
             assert_eq!(lag(&sys, i), Some(0), "replica {i} still lagging");
         }
-        let tracker = sys.staleness().expect("attached");
-        assert_eq!(tracker.samples(), 2);
-        assert_eq!(tracker.max_lag(), &[0, 1, 1]);
+        let staleness = sys.staleness().expect("attached");
+        assert_eq!(staleness.samples(), 2);
+        assert_eq!(staleness.max_lag(), &[0, 1, 1]);
         // Both samples landed in the trace: 3 lag events each.
         let lag_events = sys
             .world()

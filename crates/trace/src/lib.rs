@@ -40,11 +40,13 @@
 //!   `EngineProbe` seam, and [`profile::ProfileReport`] with exact-sum
 //!   self/child attribution, hot-span rankings, and folded-stack
 //!   export.
-//! * [`staleness`] — replication staleness telemetry: per-replica lag
-//!   and pairwise frontier divergence from periodic snapshots
-//!   ([`staleness::StalenessTracker`]), plus degradation SLO error
-//!   budgets with witnessed exhaustion events
-//!   ([`staleness::SloMonitor`]).
+//! * [`staleness`] — replication staleness telemetry: degradation SLO
+//!   error budgets with witnessed exhaustion events
+//!   ([`staleness::SloMonitor`]) and the timeline report
+//!   ([`staleness::staleness_report`]); the per-replica lag and pairwise
+//!   divergence events it reports are sampled in `relax-quorum`
+//!   (`relax_quorum::Staleness`), which reads the replica logs' site
+//!   tables in place.
 //!
 //! ```
 //! use relax_trace::prelude::*;
@@ -84,9 +86,7 @@ pub mod prelude {
     pub use crate::metrics::{Counter, Gauge, Histogram, Registry, TimeBase};
     pub use crate::monitor::{DegradationMonitor, LevelTransition};
     pub use crate::profile::{parse_folded, GaugeSeries, HotSpan, Probe, ProfileReport, SpanNode};
-    pub use crate::staleness::{
-        staleness_report, FrontierView, SiteCount, SloMonitor, SloViolation, StalenessTracker,
-    };
+    pub use crate::staleness::{staleness_report, SloMonitor, SloViolation};
     pub use crate::tracer::Tracer;
 }
 
@@ -99,7 +99,5 @@ pub use event::{
 pub use metrics::{Counter, Gauge, Histogram, Registry, TimeBase};
 pub use monitor::{DegradationMonitor, LevelTransition};
 pub use profile::{parse_folded, GaugeSeries, HotSpan, Probe, ProfileReport, SpanNode};
-pub use staleness::{
-    staleness_report, FrontierView, SiteCount, SloMonitor, SloViolation, StalenessTracker,
-};
+pub use staleness::{staleness_report, SloMonitor, SloViolation};
 pub use tracer::Tracer;

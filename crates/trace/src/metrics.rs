@@ -303,7 +303,9 @@ macro_rules! metric_names {
             }
         )*
         /// Every name a quorum executor's registry can hold besides the
-        /// staleness tracker's per-replica gauges, in declaration order.
+        /// per-replica staleness gauges, which `relax_quorum::Staleness`
+        /// (beside the replica logs' site tables it reads in place)
+        /// names by replica; in declaration order.
         pub const EXECUTOR_NAMES: &[&str] = &[$($($group::$name,)*)*];
     };
 }
@@ -954,7 +956,7 @@ lat_quantile{quantile=\"0.99\"} 500
             "phase_quorum_retry_stall",
             "phase_partition_stall",
             "phase_local_compute",
-            // staleness telemetry (staleness.rs; per-replica instances)
+            // staleness gauges (relax_quorum::Staleness; per-replica instances)
             "staleness_lag_entries_r0",
             "staleness_lag_ticks_r0",
             "frontier_divergence_entries_r0_r1",

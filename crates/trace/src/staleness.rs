@@ -1,208 +1,19 @@
-//! Staleness telemetry: per-replica lag, pairwise frontier divergence,
-//! and degradation SLO error budgets.
+//! Staleness telemetry: degradation SLO error budgets and the report
+//! of a recorded staleness timeline.
 //!
-//! The lattice monitor (PR 4) witnesses *that* a level died; this module
-//! makes the replica-level cause observable. A [`StalenessTracker`] is
-//! fed periodic [`FrontierView`] snapshots (one per replica, decoupled
-//! from the quorum crate's `Frontier` type so `relax-trace` stays
-//! dependency-free) and emits [`EventKind::ReplicaLagSampled`] and
-//! [`EventKind::FrontierDivergence`] events plus last-value gauges. An
-//! [`SloMonitor`] turns "how long have we been degraded" into an error
-//! budget: each level gets a budget of ticks it may spend dead, and the
-//! first tick past the budget emits a witnessed
-//! [`EventKind::SloBudgetExhausted`] event.
+//! The lattice monitor witnesses *that* a level died; the
+//! [`EventKind::ReplicaLagSampled`] and [`EventKind::FrontierDivergence`]
+//! events show the replica-level cause. They are sampled where the
+//! frontiers live: `relax_quorum::Staleness` reads every replica log's
+//! site table in place, so this crate keeps only the event kinds and
+//! stays dependency-free. An [`SloMonitor`] turns "how long have we been
+//! degraded" into an error budget: each level gets a budget of ticks it
+//! may spend dead, and the first tick past the budget emits a witnessed
+//! [`EventKind::SloBudgetExhausted`] event. [`staleness_report`] renders
+//! all of it from a trace.
 
 use crate::event::{Event, EventKind};
-use crate::metrics::Registry;
 use std::fmt::Write as _;
-
-/// One site's entry count inside a replica's frontier snapshot, plus the
-/// order-insensitive hash of that site's entries (mirrors the quorum
-/// crate's `SiteSummary`, re-declared here so the trace crate does not
-/// depend on it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SiteCount {
-    /// Originating site (replica id namespace of the log entries).
-    pub site: u32,
-    /// Entries this replica holds from that site.
-    pub count: u64,
-    /// Order-insensitive hash of those entries.
-    pub hash: u64,
-}
-
-/// A replica's frontier at sampling time: how many entries it holds from
-/// each originating site.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FrontierView {
-    /// The replica this snapshot describes.
-    pub replica: u32,
-    /// Per-site entry counts (any order; missing sites count as zero).
-    pub sites: Vec<SiteCount>,
-}
-
-impl FrontierView {
-    fn count_of(&self, site: u32) -> u64 {
-        self.sites
-            .iter()
-            .find(|s| s.site == site)
-            .map_or(0, |s| s.count)
-    }
-}
-
-/// Computes per-replica lag and pairwise divergence from frontier
-/// snapshots, remembering when each replica was last caught up so
-/// `time_behind` measures sim-ticks of continuous staleness.
-#[derive(Debug, Clone)]
-pub struct StalenessTracker {
-    /// Last sim time each replica matched the merged frontier.
-    caught_up: Vec<u64>,
-    /// Largest `entries_behind` ever sampled per replica.
-    max_lag: Vec<u64>,
-    samples: u64,
-    /// Most recent per-replica `(replica, entries_behind, time_behind)`,
-    /// for deferred gauge flushing.
-    last_lag: Vec<(u32, u64, u64)>,
-    /// Most recent pairwise `(a, b, entries)` divergences, same purpose.
-    last_div: Vec<(u32, u32, u64)>,
-    /// Scratch `(site, max count)` buffer reused across samples.
-    merged: Vec<(u32, u64)>,
-}
-
-impl StalenessTracker {
-    /// A tracker for `n_replicas` replicas, all considered caught up at
-    /// time zero.
-    pub fn new(n_replicas: usize) -> Self {
-        StalenessTracker {
-            caught_up: vec![0; n_replicas],
-            max_lag: vec![0; n_replicas],
-            samples: 0,
-            last_lag: vec![(0, 0, 0); n_replicas],
-            last_div: Vec::new(),
-            merged: Vec::new(),
-        }
-    }
-
-    /// Number of `sample` calls so far.
-    pub fn samples(&self) -> u64 {
-        self.samples
-    }
-
-    /// Largest `entries_behind` ever sampled for each replica.
-    pub fn max_lag(&self) -> &[u64] {
-        &self.max_lag
-    }
-
-    /// Takes one staleness sample: computes the merged frontier (per-site
-    /// max across all views), then per-replica lag and pairwise
-    /// divergence. Returns the telemetry events to record (the caller
-    /// stamps time and sequence) and sets last-value gauges in `reg`.
-    ///
-    /// `views[i]` must describe replica `i` (one view per replica, in
-    /// replica order).
-    pub fn sample(
-        &mut self,
-        now: u64,
-        views: &[FrontierView],
-        reg: Option<&mut Registry>,
-    ) -> Vec<EventKind> {
-        let mut out = Vec::new();
-        self.sample_into(now, views, &mut out);
-        if let Some(reg) = reg {
-            self.flush_gauges(reg);
-        }
-        out
-    }
-
-    /// Allocation-light [`StalenessTracker::sample`]: appends the
-    /// telemetry events to `out` (not cleared) and defers all gauge
-    /// updates — call [`StalenessTracker::flush_gauges`] when a scrape
-    /// actually needs them. This is the hot sampling path: per-sample
-    /// cost is a handful of integer loops over reusable buffers, so
-    /// high-frequency sampling stays cheap enough for an overhead budget.
-    pub fn sample_into(&mut self, now: u64, views: &[FrontierView], out: &mut Vec<EventKind>) {
-        assert_eq!(
-            views.len(),
-            self.caught_up.len(),
-            "one FrontierView per replica"
-        );
-        self.samples += 1;
-        // Merged frontier: the union view a perfectly-replicated site
-        // would hold — per-site max entry count across all replicas.
-        self.merged.clear();
-        for v in views {
-            for s in &v.sites {
-                match self.merged.iter_mut().find(|(site, _)| *site == s.site) {
-                    Some((_, max)) => *max = (*max).max(s.count),
-                    None => self.merged.push((s.site, s.count)),
-                }
-            }
-        }
-        let merged_total: u64 = self.merged.iter().map(|(_, n)| n).sum();
-
-        for (i, v) in views.iter().enumerate() {
-            let held: u64 = self.merged.iter().map(|&(site, _)| v.count_of(site)).sum();
-            let entries_behind = merged_total - held;
-            if entries_behind == 0 {
-                self.caught_up[i] = now;
-            }
-            self.max_lag[i] = self.max_lag[i].max(entries_behind);
-            let time_behind = now - self.caught_up[i];
-            self.last_lag[i] = (v.replica, entries_behind, time_behind);
-            out.push(EventKind::ReplicaLagSampled {
-                site: v.replica,
-                entries_behind,
-                time_behind,
-            });
-        }
-        // Pairwise divergence: entry-count distance, plus one entry per
-        // site whose counts agree but whose hashes do not (same length,
-        // different contents — invisible to counts alone).
-        self.last_div.clear();
-        for a in 0..views.len() {
-            for b in (a + 1)..views.len() {
-                let (va, vb) = (&views[a], &views[b]);
-                let mut entries = 0u64;
-                for &(site, _) in &self.merged {
-                    let (ca, cb) = (va.count_of(site), vb.count_of(site));
-                    entries += ca.abs_diff(cb);
-                    if ca == cb && ca > 0 {
-                        let ha = va.sites.iter().find(|s| s.site == site).map(|s| s.hash);
-                        let hb = vb.sites.iter().find(|s| s.site == site).map(|s| s.hash);
-                        if ha != hb {
-                            entries += 1;
-                        }
-                    }
-                }
-                self.last_div.push((va.replica, vb.replica, entries));
-                out.push(EventKind::FrontierDivergence {
-                    a: va.replica,
-                    b: vb.replica,
-                    entries,
-                });
-            }
-        }
-    }
-
-    /// Writes the most recent sample's lag and divergence readings into
-    /// `reg` as last-value gauges (`staleness_lag_entries_r{i}`,
-    /// `staleness_lag_ticks_r{i}`, `frontier_divergence_entries_r{a}_r{b}`).
-    /// A no-op before the first sample.
-    pub fn flush_gauges(&self, reg: &mut Registry) {
-        if self.samples == 0 {
-            return;
-        }
-        for &(site, entries, ticks) in &self.last_lag {
-            reg.gauge(&format!("staleness_lag_entries_r{site}"))
-                .set(entries as i64);
-            reg.gauge(&format!("staleness_lag_ticks_r{site}"))
-                .set(ticks as i64);
-        }
-        for &(a, b, entries) in &self.last_div {
-            reg.gauge(&format!("frontier_divergence_entries_r{a}_r{b}"))
-                .set(entries as i64);
-        }
-    }
-}
 
 /// A witnessed SLO violation: the named level has been dead for `spent`
 /// ticks against a budget of `budget`.
@@ -377,87 +188,6 @@ pub fn staleness_report(events: &[Event]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn view(replica: u32, sites: &[(u32, u64, u64)]) -> FrontierView {
-        FrontierView {
-            replica,
-            sites: sites
-                .iter()
-                .map(|&(site, count, hash)| SiteCount { site, count, hash })
-                .collect(),
-        }
-    }
-
-    #[test]
-    fn lag_measures_entries_and_time_behind_the_merged_frontier() {
-        let mut t = StalenessTracker::new(2);
-        // Replica 1 is two entries behind from t=10 onward.
-        let ahead = view(0, &[(0, 3, 7), (1, 1, 8)]);
-        let behind = view(1, &[(0, 1, 5), (1, 1, 8)]);
-        let evs = t.sample(10, &[ahead.clone(), behind.clone()], None);
-        assert!(evs.contains(&EventKind::ReplicaLagSampled {
-            site: 0,
-            entries_behind: 0,
-            time_behind: 0,
-        }));
-        assert!(evs.contains(&EventKind::ReplicaLagSampled {
-            site: 1,
-            entries_behind: 2,
-            time_behind: 10,
-        }));
-        // Still behind 30 ticks later: time_behind grows, entries stay.
-        let evs = t.sample(40, &[ahead.clone(), behind], None);
-        assert!(evs.contains(&EventKind::ReplicaLagSampled {
-            site: 1,
-            entries_behind: 2,
-            time_behind: 40,
-        }));
-        // Caught up: lag resets, and time_behind restarts from here.
-        let caught = view(1, &[(0, 3, 7), (1, 1, 8)]);
-        let evs = t.sample(50, &[ahead, caught], None);
-        assert!(evs.contains(&EventKind::ReplicaLagSampled {
-            site: 1,
-            entries_behind: 0,
-            time_behind: 0,
-        }));
-        assert_eq!(t.max_lag(), &[0, 2]);
-        assert_eq!(t.samples(), 3);
-    }
-
-    #[test]
-    fn divergence_counts_entry_distance_and_hash_mismatches() {
-        let mut t = StalenessTracker::new(2);
-        // Same counts on site 0 but different hashes (+1), two entries
-        // apart on site 1 (+2).
-        let a = view(0, &[(0, 2, 111), (1, 4, 9)]);
-        let b = view(1, &[(0, 2, 222), (1, 2, 3)]);
-        let evs = t.sample(5, &[a, b], None);
-        assert!(evs.contains(&EventKind::FrontierDivergence {
-            a: 0,
-            b: 1,
-            entries: 3,
-        }));
-    }
-
-    #[test]
-    fn sample_sets_gauges_when_given_a_registry() {
-        let mut t = StalenessTracker::new(2);
-        let mut reg = Registry::new();
-        let a = view(0, &[(0, 3, 1)]);
-        let b = view(1, &[(0, 1, 1)]);
-        t.sample(20, &[a, b], Some(&mut reg));
-        assert_eq!(
-            reg.get_gauge("staleness_lag_entries_r1").unwrap().value(),
-            2
-        );
-        assert_eq!(reg.get_gauge("staleness_lag_ticks_r1").unwrap().value(), 20);
-        assert_eq!(
-            reg.get_gauge("frontier_divergence_entries_r0_r1")
-                .unwrap()
-                .value(),
-            2
-        );
-    }
 
     #[test]
     fn slo_budget_fires_once_at_exhaustion() {
