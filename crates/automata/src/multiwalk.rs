@@ -42,9 +42,13 @@
 //!
 //! Both tables are a `start` offset per id into one flat pool, and every
 //! level of nodes sits end to end in one vector. A walk starts by
-//! clearing all of it, capacity kept, so a pair walked after another
-//! through the same [`LanguageWalker`] regrows nothing. [`CompareOptions`]
-//! says which histories the walk follows and when it may stop.
+//! clearing all of it, capacity kept and the arena's states retired for
+//! refilling in place, so a pair walked after another through the same
+//! [`LanguageWalker`] regrows and re-clones nothing. Theorem 4's walker
+//! (`relax-core`'s `theorem4`) lives in a thread-local slot between
+//! calls, so a thread keeps the capacity of the largest walk it ran.
+//! [`CompareOptions`] says which histories the walk follows and when it
+//! may stop.
 //! `tests/language_engine.rs` holds all of this to
 //! [`crate::language::naive`] on seeded random automata.
 
@@ -68,9 +72,17 @@ const NONE: u32 = u32::MAX;
 /// [`ConsTable`] interning; a singleton set is found through its one
 /// member's id. Ids are positions in the dense stores, so table growth
 /// never moves one.
+///
+/// Clearing the arena retires its states instead of dropping them: the
+/// next states interned overwrite them in place (`clone_from`), so a
+/// state that owns heap memory (the Rep-view's bag vectors) reuses the
+/// retired one's rather than allocating its own.
 #[derive(Debug, Clone)]
 pub struct DenseArena<S> {
+    /// Interned states by id: the first `live` are this arena's, the
+    /// rest retired by [`DenseArena::clear`] and refilled in turn.
     states: Vec<S>,
+    live: usize,
     state_table: ConsTable,
     data: Vec<u32>,
     spans: Vec<(u32, u32)>,
@@ -89,6 +101,7 @@ impl<S: Clone + Eq + Ord + Hash> DenseArena<S> {
     pub fn new() -> Self {
         DenseArena {
             states: Vec::new(),
+            live: 0,
             state_table: ConsTable::new(),
             data: Vec::new(),
             spans: vec![(0, 0)],
@@ -98,9 +111,10 @@ impl<S: Clone + Eq + Ord + Hash> DenseArena<S> {
     }
 
     /// Forgets every state and every set but the empty set, keeping the
-    /// storage's capacity: ids start again from the first one.
+    /// storage's capacity and the states themselves, retired: ids start
+    /// again from the first one.
     fn clear(&mut self) {
-        self.states.clear();
+        self.live = 0;
         self.state_table.clear();
         self.data.clear();
         self.spans.truncate(1);
@@ -108,7 +122,8 @@ impl<S: Clone + Eq + Ord + Hash> DenseArena<S> {
         self.singleton.clear();
     }
 
-    /// Interns a state, returning its dense id (stable thereafter).
+    /// Interns a state, returning its dense id (stable thereafter). A
+    /// new state refills the next retired slot, if any, in place.
     pub fn intern_state(&mut self, s: &S) -> u32 {
         let mut hasher = WordHasher::default();
         s.hash(&mut hasher);
@@ -119,9 +134,13 @@ impl<S: Clone + Eq + Ord + Hash> DenseArena<S> {
         {
             Entry::Occupied(id) => id,
             Entry::Vacant(slot) => {
-                let id = u32::try_from(self.states.len()).expect("arena exceeds u32 state ids");
+                let id = u32::try_from(self.live).expect("arena exceeds u32 state ids");
                 slot.insert(id);
-                self.states.push(s.clone());
+                match self.states.get_mut(self.live) {
+                    Some(retired) => retired.clone_from(s),
+                    None => self.states.push(s.clone()),
+                }
+                self.live += 1;
                 self.singleton.push(NONE);
                 id
             }
@@ -173,7 +192,7 @@ impl<S: Clone + Eq + Ord + Hash> DenseArena<S> {
 
     /// The state behind a dense state id.
     pub fn state(&self, id: u32) -> &S {
-        &self.states[id as usize]
+        &self.states[..self.live][id as usize]
     }
 
     /// Number of interned sets (including the empty set).
@@ -183,7 +202,7 @@ impl<S: Clone + Eq + Ord + Hash> DenseArena<S> {
 
     /// Number of interned states.
     pub fn state_count(&self) -> usize {
-        self.states.len()
+        self.live
     }
 
     /// Approximate heap bytes held by the arena: dense state storage,
@@ -524,8 +543,11 @@ struct Node {
 /// tables and set rows, every level's nodes and the per-level index that
 /// collapses them. [`LanguageWalker::walk`] clears all of it first and
 /// keeps the capacity, so walking several pairs in turn through one
-/// walker regrows none of it (Theorem 4's four lattice points). No
-/// result outlives the walk that computed it.
+/// walker regrows none of it (Theorem 4's four lattice points). A walker
+/// that outlives its caller keeps the capacity of the largest walk it
+/// ran: Theorem 4's waits in a thread-local slot between calls, so a
+/// repeated verification on one thread walks in the last one's buffers.
+/// No result outlives the walk that computed it.
 #[derive(Debug)]
 pub struct LanguageWalker<L: ObjectAutomaton, R: ObjectAutomaton> {
     left: Side<L::State>,
@@ -874,6 +896,31 @@ mod tests {
         }
         assert_eq!(arena.state_count(), 501);
         assert_eq!(arena.set_count(), 501);
+    }
+
+    #[test]
+    fn a_cleared_arena_never_hands_out_a_retired_state() {
+        let mut arena: DenseArena<Vec<u8>> = DenseArena::new();
+        let retired: Vec<u32> = (0..4u8).map(|i| arena.intern_state(&vec![i; 3])).collect();
+        let pair = arena.intern_set(&mut vec![retired[3], retired[0]]);
+        arena.clear();
+        assert_eq!((arena.state_count(), arena.set_count()), (0, 1));
+        // New states take the ids from 0 and refill the retired slots;
+        // one equal to a retired state is new again.
+        let fresh = [vec![9u8], vec![8; 5], vec![0; 3]];
+        for (id, state) in (0u32..).zip(&fresh) {
+            assert_eq!(arena.intern_state(state), id);
+            assert_eq!(arena.state(id), state);
+        }
+        assert_eq!(arena.intern_state(&vec![9]), 0);
+        assert_eq!(arena.state_count(), 3);
+        // The fourth retired slot is past the live ids.
+        let past =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| arena.state(3).clone()));
+        assert!(past.is_err(), "handed out a retired state");
+        // Set ids restart as well.
+        assert_eq!(arena.intern_set(&mut vec![2, 0]), pair);
+        assert_eq!(arena.set(pair), &[0, 2]);
     }
 
     proptest::proptest! {

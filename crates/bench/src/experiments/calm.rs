@@ -34,7 +34,7 @@ use relax_sim::{Fault, FaultSchedule, NetworkConfig, NodeId, Partition, SimTime}
 use relax_trace::metrics;
 
 use crate::args::Args;
-use crate::experiments::write_payload;
+use crate::experiments::{quantile, write_payload};
 use crate::table::Table;
 
 /// One sweep point.
@@ -202,14 +202,6 @@ fn credit_latencies(config: Config, outcomes: &[Outcome<relax_queues::AccountOp>
         .collect();
     lat.sort_unstable();
     lat
-}
-
-fn quantile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let ix = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[ix]
 }
 
 /// Builds, loads, and runs one sweep point end to end — baseline and

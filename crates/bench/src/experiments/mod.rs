@@ -7,6 +7,7 @@ pub mod account;
 pub mod availability;
 pub mod calm;
 pub mod campaign;
+pub mod compare;
 pub mod concurrency;
 pub mod degradation;
 pub mod eta_ablation;
@@ -33,8 +34,8 @@ pub type Experiment = (
 );
 
 /// Everything `relax-bench` runs. All but `fault_campaign` (which times
-/// itself) and `regress` (which reads files) print the same bytes on
-/// every run.
+/// itself), `compare` (which times two benchmark builds) and `regress`
+/// (which reads files) print the same bytes on every run.
 pub const EXPERIMENTS: &[Experiment] = &[
     (
         "figures",
@@ -133,6 +134,19 @@ pub const EXPERIMENTS: &[Experiment] = &[
         campaign::main,
     ),
     (
+        "compare",
+        "two benchmark builds on one workload in alternated pairs",
+        &[
+            "--a BIN",
+            "--b BIN",
+            "--workload W",
+            "--pairs N",
+            "--seconds S",
+            "--seed N",
+        ],
+        compare::main,
+    ),
+    (
         "regress",
         "fresh BENCH_*.json payloads against the committed baselines",
         &[
@@ -189,6 +203,15 @@ pub(crate) fn write_payload(path: &str, json: &str) -> Result<(), String> {
         first_line("git", &["rev-parse", "HEAD"]),
     );
     write_file(path, &format!("{body},\"machine\":{machine}}}\n"))
+}
+
+/// The `q`-quantile of ascending `sorted` by nearest rank (the sample at
+/// rank `round((len − 1) · q)`); the default value when there are none.
+pub(crate) fn quantile<T: Copy + Default>(sorted: &[T], q: f64) -> T {
+    if sorted.is_empty() {
+        return T::default();
+    }
+    sorted[((sorted.len() - 1) as f64 * q).round() as usize]
 }
 
 /// An instrumented configuration timed against its baseline by [`abba`].
@@ -257,7 +280,7 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), EXPERIMENTS.len(), "duplicate name");
-        assert_eq!(sorted.len(), 17);
+        assert_eq!(sorted.len(), 18);
 
         // The crate's doc table lists them in table order.
         let lib_rows = documented(include_str!("../lib.rs"), "//! | `relax-bench ");

@@ -26,6 +26,7 @@
 //! | `relax-bench markov` | §2.3: a Markov environment over the taxi lattice |
 //! | `relax-bench calm_fastpath` | coordination-free credits on the sim: equivalence and availability (`BENCH_calm_fastpath.json`) |
 //! | `relax-bench fault_campaign` | five fault campaigns: root-cause verdicts and the telemetry overhead, `telemetry_pct`, with tracing's share of it (`BENCH_fault_campaign.json`) |
+//! | `relax-bench compare` | two builds of the repository's benchmark on one workload, in alternated pairs: per end-to-end metric the median ratio B/A, B's wins and a sign-test p |
 //! | `relax-bench regress` | the fresh `BENCH_*.json` payloads against the committed `baselines/` |
 
 #![warn(missing_docs)]

@@ -7,6 +7,13 @@
 //! bound over a finite item alphabet — exercising every case of the
 //! induction — and does the same for the other lattice points:
 //! `{Q1, Q2} ↔ PQ`, `{Q2} ↔ OPQ`, `∅ ↔ DegenPQ`.
+//!
+//! The walker the four points walk through outlives the call: it waits in
+//! a thread-local slot between verifications, so a thread that verifies
+//! again walks in the buffers of its last walk. A thread keeps the
+//! capacity of the largest walk it ran until it exits.
+
+use std::cell::RefCell;
 
 use relax_automata::language::naive;
 use relax_automata::{
@@ -16,6 +23,16 @@ use relax_queues::{queue_alphabet, Item, QueueOp};
 use relax_quorum::repview::RepViewAutomaton;
 
 use crate::lattices::taxi::{PackedTaxiReference, TaxiLattice, TaxiPoint};
+
+thread_local! {
+    /// The walker of this thread's last [`verify_taxi_lattice_probed`]
+    /// call, empty until the first one returns. A call takes it out for
+    /// its four walks and puts it back after them; a call that finds the
+    /// slot empty (the first, one nested inside another, one after a
+    /// panic mid-walk) builds a fresh walker.
+    static WALKER: RefCell<Option<LanguageWalker<RepViewAutomaton, PackedTaxiReference>>> =
+        const { RefCell::new(None) };
+}
 
 /// Verification result for one lattice point.
 #[derive(Debug, Clone)]
@@ -98,7 +115,9 @@ impl TaxiVerification {
 ///    [`LanguageWalker`]: a dense state/set interner a side, one
 ///    `step_all_into` per (point, state) and memoized successor rows,
 ///    all cleared between points with their capacity kept, so a point
-///    regrows nothing the one before it grew. A walk's node is one
+///    regrows nothing the one before it grew. The walker is the
+///    thread's own and outlives the call (see the module docs), so a
+///    repeated verification regrows nothing either. A walk's node is one
 ///    point's (left set, right set) pair: a node holding all four
 ///    points' pairs makes levels wider than the widest point's own
 ///    (3,423 such nodes at (4, 8) against 2,040).
@@ -150,7 +169,9 @@ pub fn verify_taxi_lattice_probed<P: EngineProbe>(
     let references: [PackedTaxiReference; 4] =
         point_list.map(|p| PackedTaxiReference::new(p, items));
     probe.enter("shared_walk");
-    let mut walker = LanguageWalker::new();
+    // Taken out of the slot, not borrowed in it: no borrow is held
+    // across a walk.
+    let mut walker = WALKER.take().unwrap_or_default();
     let walks: Vec<_> = quotients
         .iter()
         .zip(&references)
@@ -165,6 +186,7 @@ pub fn verify_taxi_lattice_probed<P: EngineProbe>(
             )
         })
         .collect();
+    WALKER.set(Some(walker));
     probe.exit("shared_walk");
 
     let points = point_list

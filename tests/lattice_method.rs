@@ -7,7 +7,9 @@ use relaxation_lattice::automata::{
 };
 use relaxation_lattice::core::lattices::semiqueue::{SemiqueueLattice, SsQueueLattice};
 use relaxation_lattice::core::lattices::taxi::{TaxiLattice, TaxiPoint};
-use relaxation_lattice::core::theorem4::{verify_taxi_lattice, verify_taxi_lattice_probed};
+use relaxation_lattice::core::theorem4::{
+    verify_taxi_lattice, verify_taxi_lattice_naive, verify_taxi_lattice_probed, TaxiVerification,
+};
 use relaxation_lattice::queues::{queue_alphabet, FifoAutomaton, PQueueAutomaton};
 use relaxation_lattice::spec::{paper_theories, parse_term, Rewriter};
 use relaxation_lattice::trace::Probe;
@@ -58,6 +60,57 @@ fn theorem4_walk_counters_hold_at_the_benchmark_bounds() {
             "state_steps / state_hits / row_fills at ({}, {max_len})",
             items.len()
         );
+    }
+}
+
+/// Each point's `(point, |L|, peak_frontier, difference)`, in lattice
+/// order.
+fn answers(v: &TaxiVerification) -> Vec<String> {
+    v.points
+        .iter()
+        .map(|p| {
+            format!(
+                "{:?} {} {} {:?}",
+                p.point, p.language_size, p.peak_frontier, p.difference
+            )
+        })
+        .collect()
+}
+
+/// The walker `verify_taxi_lattice` keeps on its thread between calls
+/// answers as a fresh one does, after walks of a larger shape and of a
+/// differently shaped alphabet have grown and filled its buffers.
+#[test]
+fn a_reused_walker_answers_as_a_fresh_one() {
+    // A thread of its own starts with no walker: the call builds one.
+    let fresh = |items: Vec<i64>, max_len| {
+        std::thread::spawn(move || verify_taxi_lattice(&items, max_len))
+            .join()
+            .expect("the fresh verification panicked")
+    };
+    verify_taxi_lattice(&[1, 2, 3], 6);
+    verify_taxi_lattice(&[1, 2, 3, 4], 3);
+    for (items, max_len) in [(vec![1, 2], 4), (vec![1, 2, 3], 3)] {
+        let warm = verify_taxi_lattice(&items, max_len);
+        assert_eq!(answers(&warm), answers(&fresh(items.clone(), max_len)));
+        // The naive enumerator's peak counts histories, not nodes.
+        let naive = verify_taxi_lattice_naive(&items, max_len);
+        for (w, n) in warm.points.iter().zip(&naive.points) {
+            assert_eq!(
+                (w.point, w.language_size, &w.difference),
+                (n.point, n.language_size, &n.difference)
+            );
+        }
+    }
+    // The benchmark's two shapes, each walked after the other.
+    for (items, max_len) in [
+        (vec![1, 2, 3, 4], 8),
+        (vec![1, 2, 3], 10),
+        (vec![1, 2, 3, 4], 8),
+    ] {
+        let warm = verify_taxi_lattice(&items, max_len);
+        assert!(warm.holds());
+        assert_eq!(answers(&warm), answers(&fresh(items, max_len)));
     }
 }
 
