@@ -16,14 +16,15 @@
 //!   baseline and under the analyzer-derived policy with identical
 //!   seeds and demand the two runs be *observably equivalent* (same
 //!   outcome shapes, merged history, and replica logs). The monotone
-//!   ops' p50/p99 latency in sim ticks is reported, not gated.
+//!   ops' p50 latency in sim ticks is reported, not gated.
 //! * **Availability rows** partition the client from every replica
 //!   before the workload starts and heal afterwards: baseline credits
 //!   time out; fast-path credits must stay 100% available and still
 //!   converge to every replica once the partition heals and WALs flush.
 //!
 //! The gate: fast-path availability 1.0 under the quorum-blocking
-//! partition, and every row equivalent.
+//! partition, and every row equivalent. A run that misses it fails
+//! (exit 1) after printing its table.
 
 use relax_quorum::calm::{analyze_account, SchedulingPolicy};
 use relax_quorum::protocol::wire::Outcome;
@@ -31,10 +32,9 @@ use relax_quorum::relation::{account_relation, AccountKind};
 use relax_quorum::types::{AccountInv, BankAccountType};
 use relax_quorum::{outcome_shapes, ClientConfig, LayerCounts, QuorumSystem, VotingAssignment};
 use relax_sim::{Fault, FaultSchedule, NetworkConfig, NodeId, Partition, SimTime};
-use relax_trace::metrics;
 
 use crate::args::Args;
-use crate::experiments::{quantile, write_payload};
+use crate::experiments::quantile;
 use crate::table::Table;
 
 /// One sweep point.
@@ -99,12 +99,8 @@ pub struct CalmRow {
     pub quorum_ops: u64,
     /// Baseline monotone-op p50 latency (sim ticks; completed ops only).
     pub base_p50: u64,
-    /// Baseline monotone-op p99 latency.
-    pub base_p99: u64,
     /// Fast-path monotone-op p50 latency.
     pub fast_p50: u64,
-    /// Fast-path monotone-op p99 latency.
-    pub fast_p99: u64,
     /// Completed fraction of monotone ops under the baseline.
     pub availability_base: f64,
     /// Completed fraction of monotone ops under the fast path.
@@ -254,21 +250,11 @@ pub fn measure(config: Config) -> CalmRow {
         free_ops,
         quorum_ops,
         base_p50: quantile(&base_lat, 0.5),
-        base_p99: quantile(&base_lat, 0.99),
         fast_p50: quantile(&fast_lat, 0.5),
-        fast_p99: quantile(&fast_lat, 0.99),
         availability_base,
         availability_fast,
         equivalent,
     }
-}
-
-/// The worst fast-path availability across the partitioned rows.
-pub fn gate_availability(rows: &[CalmRow]) -> f64 {
-    rows.iter()
-        .filter(|r| r.config.partitioned)
-        .map(|r| r.availability_fast)
-        .fold(1.0, f64::min)
 }
 
 /// Measures every sweep point and renders the table.
@@ -313,70 +299,35 @@ pub fn run(sweep: &[Config]) -> (Table, Vec<CalmRow>) {
     (t, rows)
 }
 
-/// Renders the rows as the `BENCH_calm_fastpath.json` payload.
-pub fn to_json(rows: &[CalmRow]) -> String {
-    let availability = gate_availability(rows);
+/// The gate line over `rows`, and whether the gate holds: the worst
+/// fast-path availability across the partitioned rows is 1.0 and every
+/// row is equivalent.
+pub fn gate(rows: &[CalmRow]) -> (String, bool) {
+    let availability = (rows.iter())
+        .filter(|r| r.config.partitioned)
+        .map(|r| r.availability_fast)
+        .fold(1.0, f64::min);
     let all_equivalent = rows.iter().all(|r| r.equivalent);
-    let calm_fast_ops: u64 = rows.iter().map(|r| r.free_ops).sum();
-    let calm_quorum_ops: u64 = rows.iter().map(|r| r.quorum_ops).sum();
-    let row_json: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"replicas\":{},\"ops\":{},\"debit_every\":{},\"partitioned\":{},\
-                 \"free_ops\":{},\"quorum_ops\":{},\
-                 \"base_p50\":{},\"base_p99\":{},\"fast_p50\":{},\"fast_p99\":{},\
-                 \"availability_base\":{:.4},\"availability_fast\":{:.4},\
-                 \"equivalent\":{}}}",
-                r.config.replicas,
-                r.config.ops,
-                r.config.debit_every,
-                r.config.partitioned,
-                r.free_ops,
-                r.quorum_ops,
-                r.base_p50,
-                r.base_p99,
-                r.fast_p50,
-                r.fast_p99,
-                r.availability_base,
-                r.availability_fast,
-                r.equivalent
-            )
-        })
-        .collect();
-    format!(
-        "{{\"bench\":\"calm_fastpath\",\
-         \"workload\":\"bank_account\",\"relation\":\"A2\",\
-         \"{fast}\":{calm_fast_ops},\"{quorum}\":{calm_quorum_ops},\
-         \"rows\":[{}],\
-         \"availability_fast\":{availability:.4},\
-         \"all_equivalent\":{all_equivalent},\
-         \"within_target\":{}}}\n",
-        row_json.join(","),
-        availability == 1.0 && all_equivalent,
-        fast = metrics::calm::FAST_OPS,
-        quorum = metrics::calm::QUORUM_OPS,
-    )
+    let line = format!(
+        "gate: fast availability under partition {availability:.2}, \
+         all_equivalent={all_equivalent}"
+    );
+    (line, availability == 1.0 && all_equivalent)
 }
 
 /// `relax-bench calm_fastpath`: runs [`SWEEP`], prints the table and the
-/// gate line, and writes `BENCH_calm_fastpath.json` (`regress` requires
-/// its `within_target`).
+/// gate line, and fails (exit 1) when the [`gate`] does not hold.
 pub fn main(_: &Args) -> Result<(), String> {
     println!("== CALM fast path: coordination-free monotone operations ==\n");
     let (table, rows) = run(SWEEP);
     println!("{table}");
-
-    let availability = gate_availability(&rows);
-    let all_equivalent = rows.iter().all(|r| r.equivalent);
-    println!(
-        "gate: fast availability under partition {availability:.2}, \
-         all_equivalent={all_equivalent}"
-    );
-
-    write_payload("BENCH_calm_fastpath.json", &to_json(&rows))?;
-    println!("wrote BENCH_calm_fastpath.json");
-    Ok(())
+    let (line, holds) = gate(&rows);
+    println!("{line}");
+    if holds {
+        Ok(())
+    } else {
+        Err(format!("{line}: the gate does not hold"))
+    }
 }
 
 #[cfg(test)]
@@ -409,14 +360,15 @@ mod tests {
         assert!(row.equivalent, "post-heal convergence failed");
     }
 
+    /// The sweep `relax-bench calm_fastpath` runs, in full, passes its
+    /// gate; a row that diverges fails it.
     #[test]
-    fn json_payload_carries_the_gate() {
-        let rows = vec![measure(small(false)), measure(small(true))];
-        let json = to_json(&rows);
-        assert!(json.contains("\"bench\":\"calm_fastpath\""));
-        assert!(!json.contains("latency_ratio"));
-        assert!(json.contains("\"availability_fast\":1.0000"));
-        assert!(json.contains("\"all_equivalent\":true"));
-        assert!(json.contains("\"within_target\":true"));
+    fn the_full_sweep_passes_the_gate_and_a_divergence_fails_it() {
+        let (_, mut rows) = run(SWEEP);
+        let (line, holds) = gate(&rows);
+        assert!(holds, "{line}");
+        rows[0].equivalent = false;
+        let (line, holds) = gate(&rows);
+        assert!(!holds && line.ends_with("all_equivalent=false"), "{line}");
     }
 }

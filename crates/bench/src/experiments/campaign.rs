@@ -38,7 +38,7 @@ use relax_sim::{Fault, FaultSchedule, NetworkConfig, NodeId, Partition, SimTime}
 use relax_trace::{EventKind, Histogram, SloMonitor, TraceAnalysis};
 
 use crate::args::Args;
-use crate::experiments::{abba, write_payload};
+use crate::experiments::{write_payload, Readings, Verdict};
 use crate::table::Table;
 
 /// The class of an injected fault, as attributed by the root-cause
@@ -534,6 +534,28 @@ pub fn render(outcomes: &[CampaignOutcome]) -> Table {
 const SEED: u64 = 0xCA11;
 const REPS: usize = 301;
 
+/// Times `blocks` blocks of four runs in ABBA order — bare,
+/// instrumented, instrumented, bare — so that machine-wide noise and
+/// monotone drift hit both sides alike. `run(instrumented, rep)` times
+/// one run in nanoseconds; block `b` runs rep `2b` and then rep `2b + 1`,
+/// so when a rep repeats the input of the one before it, each side gets
+/// one cold and one warm run per block. Returns each block's two sums
+/// (A bare, B instrumented) and the fastest bare run.
+fn abba_blocks(blocks: usize, mut run: impl FnMut(bool, usize) -> u128) -> (Readings, u128) {
+    let mut readings = Readings::default();
+    let mut bare_ns = u128::MAX;
+    for block in 0..blocks {
+        let b1 = run(false, 2 * block);
+        let e1 = run(true, 2 * block);
+        let e2 = run(true, 2 * block + 1);
+        let b2 = run(false, 2 * block + 1);
+        bare_ns = bare_ns.min(b1).min(b2);
+        readings.a.push((b1 + b2) as f64);
+        readings.b.push((e1 + e2) as f64);
+    }
+    (readings, bare_ns)
+}
+
 /// `relax-bench fault_campaign [--trace NAME PATH]`, in two halves:
 ///
 /// * **verdicts** — every named campaign runs fully instrumented; the
@@ -543,14 +565,18 @@ const REPS: usize = 301;
 /// * **overhead** — the same deterministic workloads run, in ABBA blocks
 ///   of suites, with nothing attached and with the *online* telemetry —
 ///   tracing and staleness sampling — alone; the median per-block ratio
-///   prices the telemetry (`telemetry_pct`, DESIGN §6). A second pass
-///   prices tracing alone against the same bare runs (`tracing_pct`);
-///   the staleness sampler's share is the difference. No tier runs the
-///   offline happens-before replay behind the verdicts.
+///   prices the telemetry (`telemetry_pct`, DESIGN §6), with the
+///   blocks in which the instrumented side ran faster and their
+///   sign-test p. A second pass prices tracing alone against the same
+///   bare runs (`tracing_pct`); the staleness sampler's share is the
+///   difference. No tier runs the offline happens-before replay behind
+///   the verdicts.
 ///
-/// Results land in `BENCH_fault_campaign.json`; `regress` gates on its
-/// `telemetry_pct` (at most 5 points over the baseline's) and on
-/// `all_verdicts_ok`; `tracing_pct` is reported, not gated.
+/// A campaign attributed wrongly fails the run (exit 1) after the
+/// verdict table, before anything is timed. Results land in
+/// `BENCH_fault_campaign.json`; `regress` gates on its `telemetry_pct`
+/// (at most 5 points over the baseline's); `tracing_pct` is reported,
+/// not gated.
 /// `--trace NAME PATH` first exports the named campaign's full JSONL
 /// trace, ready for `trace_analyze PATH --staleness`.
 pub fn main(args: &Args) -> Result<(), String> {
@@ -571,6 +597,9 @@ pub fn main(args: &Args) -> Result<(), String> {
         outcomes.iter().filter(|o| o.verdict_ok()).count(),
         outcomes.len()
     );
+    if !all_ok {
+        return Err("a campaign's fault cut is not the injected fault".to_string());
+    }
 
     // Warm up every timed tier, then interleave each instrumented tier's
     // suites with bare ones in ABBA blocks so machine-wide noise hits
@@ -580,18 +609,25 @@ pub fn main(args: &Args) -> Result<(), String> {
         time_suite(tier, SEED);
     }
     let priced = |tier: Tier| {
-        let timing = abba(REPS, |instrumented, rep| {
+        let (readings, bare_ns) = abba_blocks(REPS, |instrumented, rep| {
             time_suite(
                 if instrumented { tier } else { Tier::Bare },
                 SEED ^ (rep / 2) as u64,
             )
         });
-        let pct = |ratio: f64| 100.0 * (ratio - 1.0);
-        let (q1, q3) = timing.quartiles;
-        (pct(timing.ratio), pct(q1), pct(q3), timing.baseline_ns)
+        (readings.verdict(false), bare_ns)
     };
-    let (telemetry_pct, telemetry_q1, telemetry_q3, bare_ns) = priced(Tier::Telemetry);
-    let (tracing_pct, tracing_q1, tracing_q3, _) = priced(Tier::Tracing);
+    let (telemetry, bare_ns) = priced(Tier::Telemetry);
+    let (tracing, _) = priced(Tier::Tracing);
+    let pct = |ratio: f64| 100.0 * (ratio - 1.0);
+    let [telemetry_q1, telemetry_pct, telemetry_q3] = telemetry.ratio.map(pct);
+    let [tracing_q1, tracing_pct, tracing_q3] = tracing.ratio.map(pct);
+    let wins = |v: &Verdict| {
+        format!(
+            "  instrumented faster in {}/{REPS} blocks, sign-test p {:.1e}",
+            v.wins, v.p
+        )
+    };
 
     println!("\n== Observability overhead on the campaign suite ==\n");
     println!(
@@ -601,9 +637,11 @@ pub fn main(args: &Args) -> Result<(), String> {
     println!(
         "telemetry over a run with no monitor: {telemetry_pct:+.2}%  [quartiles {telemetry_q1:+.2}% .. {telemetry_q3:+.2}%]  ({bare_ns} ns bare, min run)"
     );
+    println!("{}", wins(&telemetry));
     println!(
         "tracing alone over the same bare runs: {tracing_pct:+.2}%  [quartiles {tracing_q1:+.2}% .. {tracing_q3:+.2}%]"
     );
+    println!("{}", wins(&tracing));
     println!(
         "staleness sampling, the difference: {:+.2} points",
         telemetry_pct - tracing_pct
@@ -699,6 +737,40 @@ mod tests {
         assert_eq!(o.samples, 30);
         // Replica 2 holds Enq(9) alone for most of the run: lag shows.
         assert!(o.lag_max >= 1, "{o:?}");
+    }
+
+    /// Stand-in timings: bare runs take 1,000 ns, instrumented rep `r`
+    /// 1,100 + `r`, so block `b` sums to 2,000 against 2,201 + 4`b`.
+    #[test]
+    fn abba_blocks_alternate_the_sides_and_feed_the_shared_verdict() {
+        let stand_in = |instrumented: bool, rep: usize| {
+            if instrumented {
+                1_100 + rep as u128
+            } else {
+                1_000
+            }
+        };
+        let mut calls = Vec::new();
+        let (readings, bare_ns) = abba_blocks(3, |instrumented, rep| {
+            calls.push((instrumented, rep));
+            stand_in(instrumented, rep)
+        });
+        assert_eq!(calls[..4], [(false, 0), (true, 0), (true, 1), (false, 1)]);
+        assert_eq!(calls[8..], [(false, 4), (true, 4), (true, 5), (false, 5)]);
+        assert_eq!(bare_ns, 1_000);
+        assert_eq!(readings.a, [2_000.0; 3]);
+        assert_eq!(readings.b, [2_201.0, 2_205.0, 2_209.0]);
+        let v = readings.verdict(false);
+        assert_eq!(v.ratio[1], 2_205.0 / 2_000.0);
+        assert_eq!((v.wins, v.ties, v.p), (0, 0, 0.25));
+        // At the campaign's 301 blocks the quartiles are the ratios of
+        // ranks 75, 150 and 225.
+        let (readings, _) = abba_blocks(REPS, stand_in);
+        let rank = |b: f64| (2_201.0 + 4.0 * b) / 2_000.0;
+        assert_eq!(
+            readings.verdict(false).ratio,
+            [rank(75.0), rank(150.0), rank(225.0)]
+        );
     }
 
     #[test]

@@ -23,7 +23,7 @@
 use std::process::Command;
 
 use crate::args::Args;
-use crate::experiments::quantile;
+use crate::experiments::Readings;
 use crate::table::Table;
 
 /// The benchmark's end-to-end metrics, and whether higher reads better.
@@ -33,77 +33,6 @@ const METRICS: [(&str, bool); 4] = [
     ("peak_rss_mb", false),
     ("setup_s", false),
 ];
-
-/// One metric's readings, pair by pair, of each side.
-#[derive(Debug, Clone, Default, PartialEq)]
-struct Readings {
-    /// A's reading in each pair.
-    a: Vec<f64>,
-    /// B's reading in each pair.
-    b: Vec<f64>,
-}
-
-/// What one metric's pairs say.
-#[derive(Debug, Clone, PartialEq)]
-struct Verdict {
-    /// A's lower quartile, median and upper quartile.
-    a: [f64; 3],
-    /// B's lower quartile, median and upper quartile.
-    b: [f64; 3],
-    /// The median of the per-pair ratios B/A.
-    ratio: f64,
-    /// Pairs in which B reads better.
-    wins: usize,
-    /// Pairs in which both read the same.
-    ties: usize,
-    /// Two-sided sign-test p of `wins` over the untied pairs.
-    p: f64,
-}
-
-fn ascending(values: impl IntoIterator<Item = f64>) -> Vec<f64> {
-    let mut v: Vec<f64> = values.into_iter().collect();
-    v.sort_by(f64::total_cmp);
-    v
-}
-
-fn quartiles(values: &[f64]) -> [f64; 3] {
-    let v = ascending(values.iter().copied());
-    [0.25, 0.5, 0.75].map(|q| quantile(&v, q))
-}
-
-impl Readings {
-    /// The verdict on these pairs for a metric where higher reads better
-    /// when `higher_is_better`.
-    fn verdict(&self, higher_is_better: bool) -> Verdict {
-        let pairs = || self.a.iter().zip(&self.b);
-        let wins = pairs()
-            .filter(|(a, b)| if higher_is_better { b > a } else { b < a })
-            .count();
-        let ties = pairs().filter(|(a, b)| a == b).count();
-        Verdict {
-            a: quartiles(&self.a),
-            b: quartiles(&self.b),
-            ratio: quantile(&ascending(pairs().map(|(a, b)| b / a)), 0.5),
-            wins,
-            ties,
-            p: sign_test_p(wins, self.a.len() - ties),
-        }
-    }
-}
-
-/// Two-sided sign test: the chance that `n` tosses of a fair coin land
-/// at least as far from `n / 2` heads as `wins` did.
-fn sign_test_p(wins: usize, n: usize) -> f64 {
-    let k = wins.min(n - wins);
-    // C(n, i) / 2^n, term by term.
-    let mut term = 0.5f64.powi(n as i32);
-    let mut tail = 0.0;
-    for i in 0..=k {
-        tail += term;
-        term *= (n - i) as f64 / (i + 1) as f64;
-    }
-    (2.0 * tail).min(1.0)
-}
 
 /// The value of end-to-end metric `name` in a benchmark result line
 /// (`…"name":{"value":V,…`).
@@ -228,7 +157,7 @@ pub fn main(args: &Args) -> Result<(), String> {
             name.to_string(),
             spread(v.a),
             spread(v.b),
-            format!("{:.4}", v.ratio),
+            format!("{:.4}", v.ratio[1]),
             format!("{}/{pairs} ({} tied)", v.wins, v.ties),
             format!("{:.4}", v.p),
         ]);
@@ -240,32 +169,6 @@ pub fn main(args: &Args) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn the_sign_test_is_two_sided_and_exact() {
-        assert_eq!(sign_test_p(10, 10), 2.0 / 1024.0);
-        assert_eq!(sign_test_p(0, 10), 2.0 / 1024.0);
-        assert_eq!(sign_test_p(9, 10), 22.0 / 1024.0);
-        assert_eq!(sign_test_p(5, 10), 1.0);
-        assert_eq!(sign_test_p(0, 0), 1.0);
-        assert_eq!(sign_test_p(1, 1), 1.0);
-    }
-
-    #[test]
-    fn a_verdict_reads_wins_in_the_metric_s_own_direction() {
-        let r = Readings {
-            a: vec![100.0, 110.0, 90.0, 100.0, 120.0],
-            b: vec![120.0, 110.0, 99.0, 130.0, 108.0],
-        };
-        let faster = r.verdict(true);
-        assert_eq!((faster.wins, faster.ties), (3, 1));
-        assert_eq!(faster.p, 10.0 / 16.0);
-        assert_eq!(faster.ratio, 1.1);
-        assert_eq!(faster.a, [100.0, 100.0, 110.0]);
-        assert_eq!(faster.b, [108.0, 110.0, 120.0]);
-        // The same readings of a lower-is-better metric.
-        assert_eq!(r.verdict(false).wins, 1);
-    }
 
     #[test]
     fn metrics_are_read_from_a_result_line() {

@@ -20,6 +20,7 @@ pub mod par;
 pub mod prob;
 pub mod regress;
 pub mod serialdep;
+pub mod substrates;
 pub mod summary;
 pub mod theorem4;
 pub mod voting;
@@ -34,8 +35,9 @@ pub type Experiment = (
 );
 
 /// Everything `relax-bench` runs. All but `fault_campaign` (which times
-/// itself), `compare` (which times two benchmark builds) and `regress`
-/// (which reads files) print the same bytes on every run.
+/// itself), `substrates` (which times every layer), `compare` (which
+/// times two benchmark builds) and `regress` (which reads files) print
+/// the same bytes on every run.
 pub const EXPERIMENTS: &[Experiment] = &[
     (
         "figures",
@@ -134,6 +136,12 @@ pub const EXPERIMENTS: &[Experiment] = &[
         campaign::main,
     ),
     (
+        "substrates",
+        "per-layer micro-benchmarks, ns per iteration",
+        &[],
+        substrates::main,
+    ),
+    (
         "compare",
         "two benchmark builds on one workload in alternated pairs",
         &[
@@ -214,41 +222,74 @@ pub(crate) fn quantile<T: Copy + Default>(sorted: &[T], q: f64) -> T {
     sorted[((sorted.len() - 1) as f64 * q).round() as usize]
 }
 
-/// An instrumented configuration timed against its baseline by [`abba`].
-pub(crate) struct Abba {
-    /// The median per-block ratio, instrumented over baseline.
-    pub ratio: f64,
-    /// The lower and upper quartiles of the per-block ratios.
-    pub quartiles: (f64, f64),
-    /// The fastest single baseline run, in nanoseconds.
-    pub baseline_ns: u128,
+/// One metric's readings of two sides, A and B, taken in alternated
+/// pairs: `compare`'s runs of two benchmark builds, `fault_campaign`'s
+/// ABBA blocks of bare and instrumented suites.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct Readings {
+    /// A's reading in each pair.
+    pub a: Vec<f64>,
+    /// B's reading in each pair.
+    pub b: Vec<f64>,
 }
 
-/// Times `blocks` blocks of four runs in ABBA order — baseline,
-/// instrumented, instrumented, baseline — so that machine-wide noise and
-/// monotone drift hit both sides alike. `run(instrumented, rep)` times
-/// one run in nanoseconds; block `b` runs rep `2b` and then rep `2b + 1`,
-/// so when a rep repeats the input of the one before it, each side gets
-/// one cold and one warm run per block.
-pub(crate) fn abba(blocks: usize, mut run: impl FnMut(bool, usize) -> u128) -> Abba {
-    let mut baseline_ns = u128::MAX;
-    let mut ratios: Vec<f64> = (0..blocks)
-        .map(|block| {
-            let b1 = run(false, 2 * block);
-            let e1 = run(true, 2 * block);
-            let e2 = run(true, 2 * block + 1);
-            let b2 = run(false, 2 * block + 1);
-            baseline_ns = baseline_ns.min(b1).min(b2);
-            (e1 + e2) as f64 / (b1 + b2) as f64
-        })
-        .collect();
-    ratios.sort_by(f64::total_cmp);
-    let quartile = |q: usize| ratios[ratios.len() * q / 4];
-    Abba {
-        ratio: quartile(2),
-        quartiles: (quartile(1), quartile(3)),
-        baseline_ns,
+/// What one metric's pairs say.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Verdict {
+    /// A's lower quartile, median and upper quartile.
+    pub a: [f64; 3],
+    /// B's lower quartile, median and upper quartile.
+    pub b: [f64; 3],
+    /// The lower quartile, median and upper quartile of the per-pair
+    /// ratios B/A.
+    pub ratio: [f64; 3],
+    /// Pairs in which B reads better.
+    pub wins: usize,
+    /// Pairs in which both read the same.
+    pub ties: usize,
+    /// Two-sided sign-test p of `wins` over the untied pairs.
+    pub p: f64,
+}
+
+/// The lower quartile, median and upper quartile of `values`.
+fn quartiles(values: impl IntoIterator<Item = f64>) -> [f64; 3] {
+    let mut v: Vec<f64> = values.into_iter().collect();
+    v.sort_by(f64::total_cmp);
+    [0.25, 0.5, 0.75].map(|q| quantile(&v, q))
+}
+
+impl Readings {
+    /// The verdict on these pairs for a metric where higher reads better
+    /// when `higher_is_better`.
+    pub fn verdict(&self, higher_is_better: bool) -> Verdict {
+        let pairs = || self.a.iter().zip(&self.b);
+        let wins = pairs()
+            .filter(|(a, b)| if higher_is_better { b > a } else { b < a })
+            .count();
+        let ties = pairs().filter(|(a, b)| a == b).count();
+        Verdict {
+            a: quartiles(self.a.iter().copied()),
+            b: quartiles(self.b.iter().copied()),
+            ratio: quartiles(pairs().map(|(a, b)| b / a)),
+            wins,
+            ties,
+            p: sign_test_p(wins, self.a.len() - ties),
+        }
     }
+}
+
+/// Two-sided sign test: the chance that `n` tosses of a fair coin land
+/// at least as far from `n / 2` heads as `wins` did.
+fn sign_test_p(wins: usize, n: usize) -> f64 {
+    let k = wins.min(n - wins);
+    // C(n, i) / 2^n, term by term.
+    let mut term = 0.5f64.powi(n as i32);
+    let mut tail = 0.0;
+    for i in 0..=k {
+        tail += term;
+        term *= (n - i) as f64 / (i + 1) as f64;
+    }
+    (2.0 * tail).min(1.0)
 }
 
 #[cfg(test)]
@@ -280,7 +321,7 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), EXPERIMENTS.len(), "duplicate name");
-        assert_eq!(sorted.len(), 18);
+        assert_eq!(sorted.len(), 19);
 
         // The crate's doc table lists them in table order.
         let lib_rows = documented(include_str!("../lib.rs"), "//! | `relax-bench ");
@@ -317,11 +358,11 @@ mod tests {
         let committed = [
             (
                 "BENCH_fault_campaign.json",
-                include_str!("../../../../BENCH_fault_campaign.json"),
+                include_str!("../../../../baselines/BENCH_fault_campaign.json"),
             ),
             (
-                "BENCH_calm_fastpath.json",
-                include_str!("../../../../BENCH_calm_fastpath.json"),
+                "BENCH_micro_substrates.json",
+                include_str!("../../../../baselines/BENCH_micro_substrates.json"),
             ),
         ];
         for (file, json) in committed {
@@ -349,22 +390,29 @@ mod tests {
     }
 
     #[test]
-    fn abba_alternates_the_sides_and_takes_block_medians() {
-        let mut calls = Vec::new();
-        let t = abba(3, |instrumented, rep| {
-            calls.push((instrumented, rep));
-            if instrumented {
-                1_100 + rep as u128
-            } else {
-                1_000
-            }
-        });
-        assert_eq!(calls[..4], [(false, 0), (true, 0), (true, 1), (false, 1)]);
-        assert_eq!(calls[8..], [(false, 4), (true, 4), (true, 5), (false, 5)]);
-        // Block b reads (2201 + 4b) / 2000.
-        assert_eq!(t.ratio, 2205.0 / 2000.0);
-        assert_eq!(t.quartiles, (2201.0 / 2000.0, 2209.0 / 2000.0));
-        assert_eq!(t.baseline_ns, 1_000);
+    fn the_sign_test_is_two_sided_and_exact() {
+        assert_eq!(sign_test_p(10, 10), 2.0 / 1024.0);
+        assert_eq!(sign_test_p(0, 10), 2.0 / 1024.0);
+        assert_eq!(sign_test_p(9, 10), 22.0 / 1024.0);
+        assert_eq!(sign_test_p(5, 10), 1.0);
+        assert_eq!(sign_test_p(0, 0), 1.0);
+        assert_eq!(sign_test_p(1, 1), 1.0);
+    }
+
+    #[test]
+    fn a_verdict_reads_wins_in_the_metric_s_own_direction() {
+        let r = Readings {
+            a: vec![100.0, 110.0, 90.0, 100.0, 120.0],
+            b: vec![120.0, 110.0, 99.0, 130.0, 108.0],
+        };
+        let faster = r.verdict(true);
+        assert_eq!((faster.wins, faster.ties), (3, 1));
+        assert_eq!(faster.p, 10.0 / 16.0);
+        assert_eq!(faster.ratio, [1.0, 1.1, 1.2]);
+        assert_eq!(faster.a, [100.0, 100.0, 110.0]);
+        assert_eq!(faster.b, [108.0, 110.0, 120.0]);
+        // The same readings of a lower-is-better metric.
+        assert_eq!(r.verdict(false).wins, 1);
     }
 
     #[test]

@@ -1,12 +1,18 @@
-//! Microbenchmarks, the one criterion target: replica logs, the view
-//! cache, the sim client's view and write bookkeeping and one whole
-//! invocation through the simulator, the degradation monitor, the threaded
-//! backend's shard–broker round trip, the bounded language walk and the
-//! naive enumerator, QCA view search, the term rewriter, the lock
-//! manager, the atomicity checker, and the two operational executors
+//! `relax-bench substrates`: the per-layer micro-benchmarks — replica
+//! logs, the view cache, the sim client's view and write bookkeeping and
+//! one whole invocation through the simulator, the degradation monitor,
+//! the threaded backend's shard–broker round trip, the bounded language
+//! walk and the naive enumerator, QCA view search, the term rewriter, the
+//! lock manager, the atomicity checker, and the two operational executors
 //! (print spooler, replicated taxi queue on the simulator) end to end.
+//!
+//! A row is a name and a closure that times it on one `Bencher`; each
+//! prints its mean wall-clock ns per iteration, and the run writes every
+//! row to `BENCH_micro_substrates.json` (`{"<row>": <mean ns>, …}` plus
+//! the machine block), where `relax-bench regress` gates some of them.
+//! Numbers are indicative means over an adaptive batch, not statistically
+//! analysed.
 
-use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -34,6 +40,119 @@ use relax_quorum::{
 use relax_sim::{Ctx, NetworkConfig, Node, NodeId, Partition, World};
 use relax_spec::{paper_theories, parse_term, Rewriter, Term};
 
+use crate::args::Args;
+use crate::experiments::write_payload;
+
+/// The payload `relax-bench substrates` writes into the cwd.
+const PAYLOAD: &str = "BENCH_micro_substrates.json";
+
+/// Runs one row's timing loop and keeps its mean.
+#[derive(Debug, Default)]
+struct Bencher {
+    mean_ns: f64,
+    iters: u64,
+}
+
+impl Bencher {
+    /// Times the routine: a short warm-up, then enough iterations to fill
+    /// the measurement window, reporting mean wall-clock ns per iteration.
+    fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
+        // Warm-up (also primes caches and the closure's first-call costs).
+        let warmup_end = Instant::now() + Duration::from_millis(20);
+        let mut warmup_iters: u64 = 0;
+        while Instant::now() < warmup_end {
+            black_box(routine());
+            warmup_iters += 1;
+        }
+        // Measurement: batches sized from the warm-up rate, ~60ms total.
+        let batch = warmup_iters.clamp(1, u64::MAX);
+        let window = Duration::from_millis(60);
+        let start = Instant::now();
+        let mut total_iters: u64 = 0;
+        while start.elapsed() < window {
+            for _ in 0..batch {
+                black_box(routine());
+            }
+            total_iters += batch;
+        }
+        let elapsed = start.elapsed();
+        self.iters = total_iters;
+        self.mean_ns = elapsed.as_nanos() as f64 / total_iters as f64;
+    }
+
+    /// Times `routine` on a fresh input from `setup` each iteration, for
+    /// routines that consume or mutate their input. Only the routine is
+    /// on the clock — not the set-up, nor dropping the routine's output.
+    /// Stops after ~60ms of timed work or ~1s of wall time in all.
+    fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R)
+    where
+        S: FnMut() -> I,
+        R: FnMut(I) -> O,
+    {
+        for _ in 0..3 {
+            black_box(routine(setup()));
+        }
+        let (window, wall_cap) = (Duration::from_millis(60), Duration::from_secs(1));
+        let start = Instant::now();
+        let mut timed = Duration::ZERO;
+        let mut iters: u64 = 0;
+        while timed < window && start.elapsed() < wall_cap {
+            let input = setup();
+            let t = Instant::now();
+            let out = routine(input);
+            timed += t.elapsed();
+            black_box(out);
+            iters += 1;
+        }
+        self.iters = iters;
+        self.mean_ns = timed.as_nanos() as f64 / iters as f64;
+    }
+
+    /// Hands the clock to the routine: it is called with an iteration
+    /// count, runs that many, and returns the time it wants counted — so
+    /// it can time one step out of each iteration's many. Batches double
+    /// until ~60ms have been counted or ~300ms of wall time have passed.
+    fn iter_custom<R: FnMut(u64) -> Duration>(&mut self, mut routine: R) {
+        black_box(routine(3));
+        let (window, wall_cap) = (Duration::from_millis(60), Duration::from_millis(300));
+        let start = Instant::now();
+        let (mut timed, mut iters, mut batch) = (Duration::ZERO, 0u64, 1u64);
+        while timed < window && start.elapsed() < wall_cap {
+            timed += routine(batch);
+            iters += batch;
+            batch *= 2;
+        }
+        self.iters = iters;
+        self.mean_ns = timed.as_nanos() as f64 / iters as f64;
+    }
+}
+
+/// Where a group hands its rows: a row's name, and the closure that
+/// times it on one [`Bencher`].
+type Sink<'s> = dyn FnMut(String, &mut dyn FnMut(&mut Bencher)) + 's;
+
+/// Every group, in the order a run measures them.
+const GROUPS: [fn(&mut Sink<'_>); 18] = [
+    log_merge,
+    log_tail_paths,
+    log_one_writer,
+    viewcache,
+    sim_client_write,
+    sim_invocation,
+    sim_hold,
+    monitor_observe,
+    threaded_round_trip,
+    product_walk,
+    taxi_states,
+    language_enumeration,
+    qca_accept,
+    rewrite,
+    locking,
+    commit_order_check,
+    spooler,
+    quorum_system,
+];
+
 fn make_log(entries: usize, site: usize) -> Log<QueueOp> {
     (0..entries)
         .map(|i| {
@@ -45,17 +164,14 @@ fn make_log(entries: usize, site: usize) -> Log<QueueOp> {
         .collect()
 }
 
-fn bench_log_merge(c: &mut Criterion) {
-    let mut group = c.benchmark_group("log_merge");
-    group.sample_size(20);
+fn log_merge(row: &mut Sink<'_>) {
     for size in [100usize, 1000] {
         let a = make_log(size, 0);
         let b = make_log(size, 1);
-        group.bench_with_input(BenchmarkId::from_parameter(size), &size, |bencher, _| {
+        row(format!("log_merge/{size}"), &mut |bencher| {
             bencher.iter(|| black_box(a.merged(&b)).len());
         });
     }
-    group.finish();
 }
 
 /// The shard-round shapes of two interleaving writers (the even and the
@@ -67,7 +183,7 @@ fn bench_log_merge(c: &mut Criterion) {
 /// lacks a site (two plain passes over the history), and one site's
 /// entries, shipped whole, merged into a log that holds all but one of
 /// them (a gallop over the site's entries, then a 128-entry splice).
-fn bench_log_tail_paths(c: &mut Criterion) {
+fn log_tail_paths(row: &mut Sink<'_>) {
     const SITES: usize = 256;
     for history in [1usize << 10, 1 << 14, 1 << 16] {
         let rounds = history / SITES + 1;
@@ -95,32 +211,30 @@ fn bench_log_tail_paths(c: &mut Criterion) {
         )]
         .into_iter()
         .collect();
-        let mut group = c.benchmark_group("log_merge_splice_128");
-        group.bench_with_input(BenchmarkId::from_parameter(history), &(), |bencher, ()| {
+        row(format!("log_merge_splice_128/{history}"), &mut |bencher| {
             bencher.iter_batched(
                 || replica.merged(&headroom),
                 |mut log| {
                     log.merge(black_box(&batch));
                     log
                 },
-                BatchSize::LargeInput,
             );
         });
-        group.finish();
 
         // The even writer's view: one interleaved batch behind.
         let behind = replica.frontier();
         let ahead = replica.merged(&batch);
         let mut scratch = DiffScratch::default();
-        let mut group = c.benchmark_group("log_delta_one_batch_behind");
-        group.bench_with_input(BenchmarkId::from_parameter(history), &(), |bencher, ()| {
-            bencher.iter(|| {
-                ahead
-                    .delta_above_with(black_box(&behind), &mut scratch)
-                    .len()
-            });
-        });
-        group.finish();
+        row(
+            format!("log_delta_one_batch_behind/{history}"),
+            &mut |bencher| {
+                bencher.iter(|| {
+                    ahead
+                        .delta_above_with(black_box(&behind), &mut scratch)
+                        .len()
+                });
+            },
+        );
 
         // The same view with a hole in trailing site 1 and site 2 never
         // heard of: both ship whole, site 1 once its confirmation fails,
@@ -132,15 +246,13 @@ fn bench_log_tail_paths(c: &mut Criterion) {
             .cloned()
             .collect();
         let holed = holed.frontier();
-        let mut group = c.benchmark_group("log_delta_holed");
-        group.bench_with_input(BenchmarkId::from_parameter(history), &(), |bencher, ()| {
+        row(format!("log_delta_holed/{history}"), &mut |bencher| {
             bencher.iter(|| {
                 ahead
                     .delta_above_with(black_box(&holed), &mut scratch)
                     .len()
             });
         });
-        group.finish();
 
         // Site 1 shipped whole into the replica, which holds all of it
         // but the last round's entry: the merge skips what it holds and
@@ -151,18 +263,15 @@ fn bench_log_tail_paths(c: &mut Criterion) {
             .filter(|e| e.ts.site == 1)
             .cloned()
             .collect();
-        let mut group = c.benchmark_group("log_merge_held_site");
-        group.bench_with_input(BenchmarkId::from_parameter(history), &(), |bencher, ()| {
+        row(format!("log_merge_held_site/{history}"), &mut |bencher| {
             bencher.iter_batched(
                 || replica.merged(&headroom),
                 |mut log| {
                     log.merge(black_box(&site));
                     log
                 },
-                BatchSize::LargeInput,
             );
         });
-        group.finish();
     }
 }
 
@@ -181,7 +290,7 @@ fn bench_log_tail_paths(c: &mut Criterion) {
 /// commit appends. `unobserved`: only the first round observes; after
 /// it client `c` mints `M + c + 1 + j`, which lands among everything
 /// minted since — every later commit is a splice over a growing tail.
-fn bench_log_one_writer(c: &mut Criterion) {
+fn log_one_writer(row: &mut Sink<'_>) {
     const SITES: u64 = 256;
     let stamp = |counter: u64, site: u64| {
         Entry::new(
@@ -198,7 +307,7 @@ fn bench_log_one_writer(c: &mut Criterion) {
     // one entry that sorts just above them. A power-of-two log is exactly
     // full, and so is any clone; merging that entry in buys each fresh
     // copy the headroom a log grown by appends normally has (as in
-    // `bench_log_tail_paths`).
+    // `log_tail_paths`).
     let resident_log = |resident: u64| -> (Log<QueueOp>, Log<QueueOp>) {
         let mut replica: Log<QueueOp> = Log::new();
         for r in 0..resident / SITES {
@@ -210,33 +319,30 @@ fn bench_log_one_writer(c: &mut Criterion) {
         let (replica, headroom) = resident_log(resident);
         let next = round_from(resident + 1);
 
-        let mut group = c.benchmark_group("log_insert_above_tail");
-        group.bench_with_input(BenchmarkId::from_parameter(resident), &(), |bencher, ()| {
-            bencher.iter_batched(
-                || replica.merged(&headroom),
-                |mut log| {
-                    for entry in black_box(&next).entries() {
-                        log.insert(entry.clone());
-                    }
-                    log
-                },
-                BatchSize::LargeInput,
-            );
-        });
-        group.finish();
+        row(
+            format!("log_insert_above_tail/{resident}"),
+            &mut |bencher| {
+                bencher.iter_batched(
+                    || replica.merged(&headroom),
+                    |mut log| {
+                        for entry in black_box(&next).entries() {
+                            log.insert(entry.clone());
+                        }
+                        log
+                    },
+                );
+            },
+        );
 
-        let mut group = c.benchmark_group("log_merge_append_256");
-        group.bench_with_input(BenchmarkId::from_parameter(resident), &(), |bencher, ()| {
+        row(format!("log_merge_append_256/{resident}"), &mut |bencher| {
             bencher.iter_batched(
                 || replica.merged(&headroom),
                 |mut log| {
                     log.merge(black_box(&next));
                     log
                 },
-                BatchSize::LargeInput,
             );
         });
-        group.finish();
     }
 
     let resident = 1u64 << 14;
@@ -246,22 +352,22 @@ fn bench_log_one_writer(c: &mut Criterion) {
             .map(|j| round_from(resident + 1 + stride * j))
             .collect()
     };
-    let mut group = c.benchmark_group("shard_round_free_after_debit");
     for (shape, rounds) in [("observed", sixteen(SITES)), ("unobserved", sixteen(1))] {
-        group.bench_with_input(BenchmarkId::from_parameter(shape), &(), |bencher, ()| {
-            bencher.iter_batched(
-                || replica.merged(&headroom),
-                |mut log| {
-                    for round in black_box(&rounds) {
-                        log.merge(round);
-                    }
-                    log
-                },
-                BatchSize::LargeInput,
-            );
-        });
+        row(
+            format!("shard_round_free_after_debit/{shape}"),
+            &mut |bencher| {
+                bencher.iter_batched(
+                    || replica.merged(&headroom),
+                    |mut log| {
+                        for round in black_box(&rounds) {
+                            log.merge(round);
+                        }
+                        log
+                    },
+                );
+            },
+        );
     }
-    group.finish();
 }
 
 /// The two `ViewCache` paths over a taxi view of `size` pending
@@ -278,7 +384,7 @@ fn bench_log_one_writer(c: &mut Criterion) {
 /// each a splice to the cache the other left behind; the chain stores
 /// nothing before the cache has seen a miss, so one early splice — the
 /// view's first two entries arriving in reverse — arms it.
-fn bench_viewcache(c: &mut Criterion) {
+fn viewcache(row: &mut Sink<'_>) {
     let ttype = TaxiQueueType;
     let eval = |cache: &mut ViewCache<_>, log: &Log<QueueOp>| {
         cache
@@ -290,15 +396,13 @@ fn bench_viewcache(c: &mut Criterion) {
         let mut cache = ViewCache::new();
         eval(&mut cache, &log);
         let mut counter = 2 * size as u64;
-        let mut group = c.benchmark_group("viewcache_eval_append_1");
-        group.bench_with_input(BenchmarkId::from_parameter(size), &(), |bencher, ()| {
+        row(format!("viewcache_eval_append_1/{size}"), &mut |bencher| {
             bencher.iter(|| {
                 counter += 1;
                 log.insert(Entry::new(Timestamp::new(counter, 0), QueueOp::Enq(0)));
                 eval(&mut cache, black_box(&log))
             });
         });
-        group.finish();
         assert_eq!(cache.misses(), 0);
 
         let base = make_log(size + 64, 0);
@@ -315,14 +419,12 @@ fn bench_viewcache(c: &mut Criterion) {
         eval(&mut cache, &base);
         assert_eq!((cache.misses(), cache.checkpoint_hits()), (1, 0));
         let mut turn = 0;
-        let mut group = c.benchmark_group("viewcache_splice_resume");
-        group.bench_with_input(BenchmarkId::from_parameter(size), &(), |bencher, ()| {
+        row(format!("viewcache_splice_resume/{size}"), &mut |bencher| {
             bencher.iter(|| {
                 turn ^= 1;
                 eval(&mut cache, black_box(&spliced[turn]))
             });
         });
-        group.finish();
         assert_eq!(cache.checkpoint_hits(), cache.misses() - 1);
     }
 }
@@ -392,16 +494,15 @@ fn one_write(sys: &mut QuorumSystem<BankAccountType>) -> [Duration; 2] {
 /// is shipped, so their three resident sizes must read the same (cache
 /// misses aside). A system is rebuilt once its history has drifted an
 /// eighth past `resident`.
-fn bench_sim_client_write(c: &mut Criterion) {
+fn sim_client_write(row: &mut Sink<'_>) {
     for resident in [1usize << 10, 1 << 14, 1 << 16] {
         for (free, name, step) in [
             (false, "sim_client_read_view", 0),
             (false, "sim_client_write_ack", 1),
             (true, "sim_client_write_payloads", 1),
         ] {
-            let mut sys = sim_client(resident, free);
-            let mut group = c.benchmark_group(name);
-            group.bench_function(BenchmarkId::from_parameter(resident), |bencher| {
+            row(format!("{name}/{resident}"), &mut |bencher| {
+                let mut sys = sim_client(resident, free);
                 bencher.iter_custom(|iters| {
                     let mut timed = Duration::ZERO;
                     for _ in 0..iters {
@@ -413,7 +514,6 @@ fn bench_sim_client_write(c: &mut Criterion) {
                     timed
                 });
             });
-            group.finish();
         }
     }
 }
@@ -427,7 +527,7 @@ fn bench_sim_client_write(c: &mut Criterion) {
 /// reads the view's value (a one-entry cache hit) and assembles
 /// majorities. The system is rebuilt once its history has drifted an
 /// eighth past 1,024.
-fn bench_sim_invocation(c: &mut Criterion) {
+fn sim_invocation(row: &mut Sink<'_>) {
     const HISTORY: usize = 1 << 10;
     let fresh = || {
         let assignment = VotingAssignment::new(3)
@@ -449,10 +549,9 @@ fn bench_sim_invocation(c: &mut Criterion) {
         assert!(sys.run_to_quiescence(u64::MAX));
         sys
     };
-    let mut group = c.benchmark_group("sim_invocation");
     for (name, inv) in [("enq", QueueInv::Enq(7)), ("deq", QueueInv::Deq)] {
-        let mut sys = fresh();
-        group.bench_function(BenchmarkId::from_parameter(name), |bencher| {
+        row(format!("sim_invocation/{name}"), &mut |bencher| {
+            let mut sys = fresh();
             bencher.iter_custom(|iters| {
                 let mut timed = Duration::ZERO;
                 for _ in 0..iters {
@@ -469,7 +568,6 @@ fn bench_sim_invocation(c: &mut Criterion) {
             });
         });
     }
-    group.finish();
 }
 
 /// Keeps `pending` timers armed: each that fires arms the next one 1–200
@@ -493,17 +591,15 @@ impl Node<u64> for Hold {
 /// re-arms, ns per event. The calendar of tick buckets schedules and
 /// pops in O(1), so the two sizes read about the same; a binary heap
 /// sifts through log2(pending) levels per event.
-fn bench_sim_hold(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sim_hold");
+fn sim_hold(row: &mut Sink<'_>) {
     for pending in [64u64, 16_384] {
         let mut world = World::new(vec![Hold], NetworkConfig::default(), 7);
         world.send_external(NodeId(0), pending);
         assert!(world.step());
-        group.bench_function(BenchmarkId::from_parameter(pending), |bencher| {
+        row(format!("sim_hold/{pending}"), &mut |bencher| {
             bencher.iter(|| assert!(world.step()));
         });
     }
-    group.finish();
 }
 
 /// The degradation monitor (`queue_lattice_monitor`: PQ, MPQ, OPQ and
@@ -514,8 +610,7 @@ fn bench_sim_hold(c: &mut Criterion) {
 /// its state per operation again reads the history's length here: the
 /// two sizes must read about the same. A monitor runs the history from
 /// the start; a fresh one replaces it, untimed, at the end.
-fn bench_monitor_observe(c: &mut Criterion) {
-    let mut group = c.benchmark_group("monitor_observe");
+fn monitor_observe(row: &mut Sink<'_>) {
     for ops in [1usize << 10, 1 << 14] {
         let mut history: Vec<QueueOp> = (0..16).map(QueueOp::Enq).collect();
         for i in 0..ops as i64 / 2 {
@@ -523,7 +618,7 @@ fn bench_monitor_observe(c: &mut Criterion) {
         }
         let mut monitor = queue_lattice_monitor();
         let mut next = 0;
-        group.bench_function(BenchmarkId::from_parameter(ops), |bencher| {
+        row(format!("monitor_observe/{ops}"), &mut |bencher| {
             bencher.iter_custom(|iters| {
                 let (mut timed, mut left) = (Duration::ZERO, iters as usize);
                 while left > 0 {
@@ -544,7 +639,6 @@ fn bench_monitor_observe(c: &mut Criterion) {
             });
         });
     }
-    group.finish();
 }
 
 /// The hand-off layer of the threaded backend alone: one client, 256
@@ -555,12 +649,11 @@ fn bench_monitor_observe(c: &mut Criterion) {
 /// schedules every credit through its quorums — a read and a commit per
 /// round, which share one visit; `free` frees them — a commit per round,
 /// one visit. Thread wake-ups on a shared box: reported, not gated.
-fn bench_threaded_round_trip(c: &mut Criterion) {
+fn threaded_round_trip(row: &mut Sink<'_>) {
     const ROUNDS: u32 = 256;
     let assignment = VotingAssignment::new(3)
         .with_initial(AccountKind::Credit, 1)
         .with_final(AccountKind::Credit, 1);
-    let mut group = c.benchmark_group("threaded_round_trip");
     for (name, policy) in [
         ("reads", SchedulingPolicy::all_quorum()),
         (
@@ -568,7 +661,7 @@ fn bench_threaded_round_trip(c: &mut Criterion) {
             SchedulingPolicy::coordination_free([AccountKind::Credit]),
         ),
     ] {
-        group.bench_function(BenchmarkId::from_parameter(name), |bencher| {
+        row(format!("threaded_round_trip/{name}"), &mut |bencher| {
             bencher.iter_custom(|runs| {
                 let mut per_round = Duration::ZERO;
                 for _ in 0..runs {
@@ -589,7 +682,6 @@ fn bench_threaded_round_trip(c: &mut Criterion) {
             });
         });
     }
-    group.finish();
 }
 
 /// The one language walk, ns per call, in the three shapes its callers
@@ -599,10 +691,8 @@ fn bench_threaded_round_trip(c: &mut Criterion) {
 /// walked in turn through one reused walker. The last row keeps its
 /// `n4_` name, which keys its committed baseline, from when the four
 /// pairs rode one tuple walk.
-fn bench_product_walk(c: &mut Criterion) {
+fn product_walk(row: &mut Sink<'_>) {
     let alphabet = queue_alphabet(&[1, 2, 3]);
-    let mut group = c.benchmark_group("product_walk");
-    group.sample_size(10);
 
     let lattice = TaxiLattice::new();
     let theorem_4 = TaxiPoint {
@@ -610,13 +700,13 @@ fn bench_product_walk(c: &mut Criterion) {
         q2: false,
     };
     let (qca, mpq) = (lattice.qca(theorem_4), lattice.reference(theorem_4));
-    group.bench_function(BenchmarkId::from_parameter("n1_rawqca_3x6"), |bencher| {
+    row("product_walk/n1_rawqca_3x6".to_string(), &mut |bencher| {
         bencher.iter(|| compare_upto(&qca, &mpq, &alphabet, 6, CompareOptions::counting()));
     });
 
     let join = IntersectionAutomaton::new(StutteringAutomaton::new(2), SemiqueueAutomaton::new(2));
     let phi_of_join = SsQueueAutomaton::new(1, 1);
-    group.bench_function(BenchmarkId::from_parameter("n1_join_ssq_3x7"), |bencher| {
+    row("product_walk/n1_join_ssq_3x7".to_string(), &mut |bencher| {
         bencher.iter(|| {
             compare_upto(
                 &join,
@@ -628,10 +718,9 @@ fn bench_product_walk(c: &mut Criterion) {
         });
     });
 
-    group.bench_function(BenchmarkId::from_parameter("n4_taxi_3x8"), |bencher| {
+    row("product_walk/n4_taxi_3x8".to_string(), &mut |bencher| {
         bencher.iter(|| verify_taxi_lattice(black_box(&[1, 2, 3]), 8));
     });
-    group.finish();
 }
 
 /// The state layer under Theorem 4's walk: ns per `step_all_into`, into
@@ -641,41 +730,39 @@ fn bench_product_walk(c: &mut Criterion) {
 /// points. `quotient` is the Rep-view side, `reference` the packed
 /// reference side. A step that sorts again, or a state that goes back to
 /// trees, shows here before it shows in `product_walk/n4_taxi_3x8`.
-fn bench_taxi_states(c: &mut Criterion) {
+fn taxi_states(row: &mut Sink<'_>) {
     let items = [1, 2, 3];
     let alphabet = queue_alphabet(&items);
-    let mut group = c.benchmark_group("taxi_states");
     let points = TaxiPoint::all();
-    bench_step_all(
-        &mut group,
-        "quotient_3x8",
+    step_all_row(
+        row,
+        "taxi_states/quotient_3x8",
         &points.map(|p| RepViewAutomaton::new(p.q1, p.q2, &items)),
         &alphabet,
     );
-    bench_step_all(
-        &mut group,
-        "reference_3x8",
+    step_all_row(
+        row,
+        "taxi_states/reference_3x8",
         &points.map(|p| PackedTaxiReference::new(p, &items)),
         &alphabet,
     );
-    group.finish();
 }
 
 /// One `taxi_states` row: `step_all_into` over each automaton's states
 /// reachable within 7 operations, round robin, into one buffer.
-fn bench_step_all<A: ObjectAutomaton<Op = QueueOp>>(
-    group: &mut criterion::BenchmarkGroup<'_>,
+fn step_all_row<A: ObjectAutomaton<Op = QueueOp>>(
+    row: &mut Sink<'_>,
     name: &str,
     automata: &[A],
     alphabet: &[QueueOp],
 ) {
-    let pairs: Vec<(&A, A::State)> = automata
-        .iter()
-        .flat_map(|a| reachable(a, alphabet, 7).into_iter().map(move |s| (a, s)))
-        .collect();
-    let mut next = 0;
-    let mut out = Successors::new();
-    group.bench_function(BenchmarkId::from_parameter(name), |bencher| {
+    row(name.to_string(), &mut |bencher| {
+        let pairs: Vec<(&A, A::State)> = automata
+            .iter()
+            .flat_map(|a| reachable(a, alphabet, 7).into_iter().map(move |s| (a, s)))
+            .collect();
+        let mut next = 0;
+        let mut out = Successors::new();
         bencher.iter_custom(|iters| {
             let start = Instant::now();
             for _ in 0..iters {
@@ -711,22 +798,17 @@ fn reachable<A: ObjectAutomaton>(a: &A, alphabet: &[A::Op], depth: usize) -> Vec
     seen.into_iter().collect()
 }
 
-fn bench_language_enumeration(c: &mut Criterion) {
+fn language_enumeration(row: &mut Sink<'_>) {
     let alphabet = queue_alphabet(&[1, 2]);
-    let mut group = c.benchmark_group("language_upto_pqueue");
-    group.sample_size(10);
     for len in [4usize, 6] {
-        group.bench_with_input(BenchmarkId::from_parameter(len), &len, |bencher, &len| {
+        row(format!("language_upto_pqueue/{len}"), &mut |bencher| {
             bencher.iter(|| language_upto(&PQueueAutomaton::new(), &alphabet, len).len());
         });
     }
-    group.finish();
 }
 
-fn bench_qca_accept(c: &mut Criterion) {
+fn qca_accept(row: &mut Sink<'_>) {
     let lattice = TaxiLattice::new();
-    let mut group = c.benchmark_group("qca_accepts");
-    group.sample_size(10);
     for len in [8usize, 12] {
         // A duplicate-heavy history accepted by the Q1 point: Enq then
         // repeated Deqs of the same item.
@@ -739,14 +821,13 @@ fn bench_qca_accept(c: &mut Criterion) {
             q1: true,
             q2: false,
         });
-        group.bench_with_input(BenchmarkId::from_parameter(len), &h, |bencher, h| {
-            bencher.iter(|| black_box(qca.accepts(h)));
+        row(format!("qca_accepts/{len}"), &mut |bencher| {
+            bencher.iter(|| black_box(qca.accepts(&h)));
         });
     }
-    group.finish();
 }
 
-fn bench_commit_order_check(c: &mut Criterion) {
+fn commit_order_check(row: &mut Sink<'_>) {
     let report = Spooler::new(SpoolerConfig {
         strategy: DequeueStrategy::Optimistic,
         printers: 4,
@@ -756,28 +837,28 @@ fn bench_commit_order_check(c: &mut Criterion) {
         seed: 11,
     })
     .run();
-    c.bench_function("commit_order_serializability_30jobs", |bencher| {
-        bencher.iter(|| {
-            black_box(serializable_in_commit_order(
-                &SemiqueueAutomaton::new(4),
-                &report.schedule,
-            ))
-        });
-    });
+    row(
+        "commit_order_serializability_30jobs".to_string(),
+        &mut |bencher| {
+            bencher.iter(|| {
+                black_box(serializable_in_commit_order(
+                    &SemiqueueAutomaton::new(4),
+                    &report.schedule,
+                ))
+            });
+        },
+    );
 }
 
-fn bench_spooler(c: &mut Criterion) {
-    let mut group = c.benchmark_group("spooler_40jobs_4printers");
-    group.sample_size(20);
+fn spooler(row: &mut Sink<'_>) {
     for strategy in [
         DequeueStrategy::BlockingFifo,
         DequeueStrategy::Optimistic,
         DequeueStrategy::Pessimistic,
     ] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("{strategy:?}")),
-            &strategy,
-            |bencher, &strategy| {
+        row(
+            format!("spooler_40jobs_4printers/{strategy:?}"),
+            &mut |bencher| {
                 bencher.iter(|| {
                     black_box(
                         Spooler::new(SpoolerConfig {
@@ -796,16 +877,15 @@ fn bench_spooler(c: &mut Criterion) {
             },
         );
     }
-    group.finish();
 }
 
-fn bench_quorum_system(c: &mut Criterion) {
+fn quorum_system(row: &mut Sink<'_>) {
     let assignment = VotingAssignment::new(5)
         .with_initial(QueueKind::Enq, 1)
         .with_final(QueueKind::Enq, 3)
         .with_initial(QueueKind::Deq, 3)
         .with_final(QueueKind::Deq, 3);
-    c.bench_function("quorum_taxi_50ops_5replicas", |bencher| {
+    row("quorum_taxi_50ops_5replicas".to_string(), &mut |bencher| {
         bencher.iter(|| {
             let mut sys = QuorumSystem::new(
                 TaxiQueueType,
@@ -827,12 +907,10 @@ fn bench_quorum_system(c: &mut Criterion) {
     });
 }
 
-fn bench_rewrite(c: &mut Criterion) {
+fn rewrite(row: &mut Sink<'_>) {
     let set = paper_theories().expect("shipped theories parse");
     let bag = set.theory("Bag").expect("Bag present").clone();
     let rw = Rewriter::new(&bag).expect("rewriter builds");
-    let mut group = c.benchmark_group("rewrite_bag_del_chain");
-    group.sample_size(10);
     for size in [10usize, 30] {
         // ins-chain of `size` items, then delete them all.
         let mut t = parse_term(&bag, "emp").expect("parses");
@@ -843,15 +921,14 @@ fn bench_rewrite(c: &mut Criterion) {
         for i in 0..size {
             d = Term::app("del", vec![d, Term::Int(i as i64)]);
         }
-        group.bench_with_input(BenchmarkId::from_parameter(size), &d, |bencher, term| {
-            bencher.iter(|| rw.normalize(black_box(term)).expect("terminates"));
+        row(format!("rewrite_bag_del_chain/{size}"), &mut |bencher| {
+            bencher.iter(|| rw.normalize(black_box(&d)).expect("terminates"));
         });
     }
-    group.finish();
 }
 
-fn bench_locking(c: &mut Criterion) {
-    c.bench_function("lock_manager_churn_100tx", |bencher| {
+fn locking(row: &mut Sink<'_>) {
+    row("lock_manager_churn_100tx".to_string(), &mut |bencher| {
         bencher.iter(|| {
             let mut lm: LockManager<u32> = LockManager::new();
             for i in 0..100u32 {
@@ -864,25 +941,95 @@ fn bench_locking(c: &mut Criterion) {
     });
 }
 
-criterion_group!(
-    benches,
-    bench_log_merge,
-    bench_log_tail_paths,
-    bench_log_one_writer,
-    bench_viewcache,
-    bench_sim_client_write,
-    bench_sim_invocation,
-    bench_sim_hold,
-    bench_monitor_observe,
-    bench_threaded_round_trip,
-    bench_product_walk,
-    bench_taxi_states,
-    bench_language_enumeration,
-    bench_qca_accept,
-    bench_rewrite,
-    bench_locking,
-    bench_commit_order_check,
-    bench_spooler,
-    bench_quorum_system
-);
-criterion_main!(benches);
+/// `relax-bench substrates`: times every row of `GROUPS` in order,
+/// printing each, and writes them all to `BENCH_micro_substrates.json`.
+pub fn main(_: &Args) -> Result<(), String> {
+    let mut results: Vec<(String, f64)> = Vec::new();
+    for group in GROUPS {
+        group(&mut |name, body| {
+            let mut bencher = Bencher::default();
+            body(&mut bencher);
+            println!(
+                "bench {name:<50} {:>14.1} ns/iter  ({} iters)",
+                bencher.mean_ns, bencher.iters
+            );
+            results.push((name, bencher.mean_ns));
+        });
+    }
+    let fields: Vec<String> = (results.iter())
+        .map(|(name, ns)| format!("{name:?}:{ns:.1}"))
+        .collect();
+    write_payload(PAYLOAD, &format!("{{{}}}\n", fields.join(",")))?;
+    println!("\nwrote {PAYLOAD}");
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::experiments::regress::CHECKS;
+
+    #[test]
+    fn iter_batched_hands_every_iteration_a_fresh_input() {
+        let mut b = Bencher::default();
+        let mut set_ups = 0u64;
+        b.iter_batched(
+            || {
+                set_ups += 1;
+                vec![1u8; 4]
+            },
+            |mut v| {
+                assert_eq!(v.len(), 4, "input was reused");
+                v.push(0);
+                v
+            },
+        );
+        assert_eq!(
+            set_ups,
+            b.iters + 3,
+            "one set-up per call, warm-up included"
+        );
+        assert!(b.mean_ns > 0.0);
+    }
+
+    #[test]
+    fn iter_custom_counts_only_what_the_routine_reports() {
+        let mut b = Bencher::default();
+        let mut ran = 0u64;
+        b.iter_custom(|iters| {
+            ran += iters;
+            std::thread::sleep(Duration::from_millis(1));
+            Duration::from_nanos(500 * iters)
+        });
+        assert_eq!(
+            ran,
+            b.iters + 3,
+            "every requested iteration ran, warm-up included"
+        );
+        assert!((b.mean_ns - 500.0).abs() < 1e-6, "mean {} ns", b.mean_ns);
+    }
+
+    /// The row names a run writes, collected without timing any row: 62
+    /// of them, none twice, and every micro-benchmark metric `regress`
+    /// gates among them.
+    #[test]
+    fn every_gated_micro_metric_is_a_row() {
+        let mut names: Vec<String> = Vec::new();
+        for group in GROUPS {
+            group(&mut |name, _| names.push(name));
+        }
+        assert_eq!(names.len(), 62);
+        let mut unique = names.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), names.len(), "a row name repeats");
+        let gated: Vec<&str> = (CHECKS.iter())
+            .filter(|c| c.file == PAYLOAD)
+            .map(|c| c.metric)
+            .collect();
+        assert_eq!(gated.len(), 11);
+        for metric in gated {
+            assert!(names.iter().any(|n| n == metric), "{metric} is no row");
+        }
+    }
+}
