@@ -1,6 +1,8 @@
 //! Experiment implementations, one module per paper artifact, and the
 //! table `relax-bench <name>` dispatches through.
 
+use std::path::Path;
+
 use crate::args::{usage, Args};
 
 pub mod account;
@@ -191,11 +193,15 @@ pub(crate) fn write_file(path: &str, contents: &str) -> Result<(), String> {
 /// Writes a `BENCH_*.json` payload: the one-line JSON object `json`
 /// with the machine it was measured on as its last field,
 /// `"machine":{"nproc":…,"rustc":"…","commit":"…"}` — the fields the
-/// benchmark package prints, `commit` being `unknown` outside git.
+/// benchmark package prints. `commit` is the `HEAD` of the checkout this
+/// binary was built from, whatever the cwd, and `unknown` when its
+/// source is no git checkout.
 pub(crate) fn write_payload(path: &str, json: &str) -> Result<(), String> {
+    let source = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let first_line = |cmd: &str, args: &[&str]| {
         std::process::Command::new(cmd)
             .args(args)
+            .current_dir(&source)
             .output()
             .ok()
             .filter(|o| o.status.success())
@@ -208,7 +214,11 @@ pub(crate) fn write_payload(path: &str, json: &str) -> Result<(), String> {
         "{{\"nproc\":{},\"rustc\":\"{}\",\"commit\":\"{}\"}}",
         std::thread::available_parallelism().map_or(0, |n| n.get()),
         first_line("rustc", &["-V"]),
-        first_line("git", &["rev-parse", "HEAD"]),
+        if source.join(".git").exists() {
+            first_line("git", &["rev-parse", "HEAD"])
+        } else {
+            "unknown".to_string()
+        },
     );
     write_file(path, &format!("{body},\"machine\":{machine}}}\n"))
 }
@@ -387,6 +397,31 @@ mod tests {
             }
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_payload_names_the_commit_of_its_source_from_any_cwd() {
+        let dir = std::env::temp_dir().join(format!("relax_cwd_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let back = std::env::current_dir().unwrap();
+        std::env::set_current_dir(&dir).unwrap();
+        let written = write_payload("BENCH_cwd.json", "{\"x\":1}\n")
+            .and_then(|()| std::fs::read_to_string("BENCH_cwd.json").map_err(|e| e.to_string()));
+        std::env::set_current_dir(back).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        let written = written.unwrap();
+        let commit = (written.split("\"commit\":\"").nth(1))
+            .and_then(|rest| rest.split('"').next())
+            .expect("a commit field");
+        if Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../.git")
+            .exists()
+        {
+            assert_eq!(commit.len(), 40, "{written}");
+            assert!(commit.bytes().all(|b| b.is_ascii_hexdigit()), "{written}");
+        } else {
+            assert_eq!(commit, "unknown");
+        }
     }
 
     #[test]

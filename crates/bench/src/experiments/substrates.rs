@@ -1,10 +1,11 @@
 //! `relax-bench substrates`: the per-layer micro-benchmarks — replica
 //! logs, the view cache, the sim client's view and write bookkeeping and
 //! one whole invocation through the simulator, the degradation monitor,
-//! the threaded backend's shard–broker round trip, the bounded language
-//! walk and the naive enumerator, QCA view search, the term rewriter, the
-//! lock manager, the atomicity checker, and the two operational executors
-//! (print spooler, replicated taxi queue on the simulator) end to end.
+//! the threaded backend's shard–broker round trip and group round, the
+//! bounded language walk and the naive enumerator, QCA view search, the
+//! term rewriter, the lock manager, the atomicity checker, and the two
+//! operational executors (print spooler, replicated taxi queue on the
+//! simulator) end to end.
 //!
 //! A row is a name and a closure that times it on one `Bencher`; each
 //! prints its mean wall-clock ns per iteration, and the run writes every
@@ -141,7 +142,7 @@ const GROUPS: [fn(&mut Sink<'_>); 18] = [
     sim_invocation,
     sim_hold,
     monitor_observe,
-    threaded_round_trip,
+    threaded_rounds,
     product_walk,
     taxi_states,
     language_enumeration,
@@ -641,46 +642,61 @@ fn monitor_observe(row: &mut Sink<'_>) {
     }
 }
 
-/// The hand-off layer of the threaded backend alone: one client, 256
-/// credits, each a round of its own over three replicas, so a run is
-/// nothing but shard–broker visits around O(1) layer work. Reads µs per
-/// round (a run's wall time over its rounds; the spawn and join of its
-/// four threads is in there, about half a microsecond a round). `reads`
-/// schedules every credit through its quorums — a read and a commit per
-/// round, which share one visit; `free` frees them — a commit per round,
-/// one visit. Thread wake-ups on a shared box: reported, not gated.
-fn threaded_round_trip(row: &mut Sink<'_>) {
-    const ROUNDS: u32 = 256;
+/// The threaded backend's rounds over three replicas, µs per round (a
+/// run's wall time over its rounds; the spawn and join of its four
+/// threads is in there). `threaded_round_trip` is the hand-off layer
+/// alone: one client, 256 credits, each a round of its own, so a run is
+/// nothing but shard–broker visits around O(1) layer work (spawn and
+/// join: about half a microsecond a round). `threaded_group_round` is a
+/// round's per-member cost: 256 clients on one shard at batch 256, each
+/// crediting 8 times, so a run is 8 rounds of 256 — execution, the
+/// view's bulk take of the commit, and each broker's merge of it.
+/// `reads` schedules every credit through its quorums — a read and a
+/// commit per round, which share one visit; `free` frees them — a commit
+/// per round, one visit. Thread wake-ups on a shared box: reported, not
+/// gated.
+fn threaded_rounds(row: &mut Sink<'_>) {
     let assignment = VotingAssignment::new(3)
         .with_initial(AccountKind::Credit, 1)
         .with_final(AccountKind::Credit, 1);
-    for (name, policy) in [
-        ("reads", SchedulingPolicy::all_quorum()),
-        (
-            "free",
-            SchedulingPolicy::coordination_free([AccountKind::Credit]),
-        ),
+    for (shape, clients, rounds) in [
+        ("threaded_round_trip", 1, 256),
+        ("threaded_group_round", 256, 8),
     ] {
-        row(format!("threaded_round_trip/{name}"), &mut |bencher| {
-            bencher.iter_custom(|runs| {
-                let mut per_round = Duration::ZERO;
-                for _ in 0..runs {
-                    let mut sys = ThreadedSystem::new(
-                        BankAccountType,
-                        3,
-                        1,
-                        assignment.clone(),
-                        ThreadedConfig::default(),
-                    )
-                    .with_scheduling(policy.clone());
-                    for _ in 0..ROUNDS {
-                        sys.submit_to(0, AccountInv::Credit(1));
+        for (name, policy) in [
+            ("reads", SchedulingPolicy::all_quorum()),
+            (
+                "free",
+                SchedulingPolicy::coordination_free([AccountKind::Credit]),
+            ),
+        ] {
+            row(format!("{shape}/{name}"), &mut |bencher| {
+                bencher.iter_custom(|runs| {
+                    let mut per_round = Duration::ZERO;
+                    for _ in 0..runs {
+                        let config = ThreadedConfig {
+                            batch: clients,
+                            ..ThreadedConfig::default()
+                        };
+                        let mut sys = ThreadedSystem::new(
+                            BankAccountType,
+                            3,
+                            clients,
+                            assignment.clone(),
+                            config,
+                        )
+                        .with_scheduling(policy.clone());
+                        for _ in 0..rounds {
+                            for c in 0..clients {
+                                sys.submit_to(c, AccountInv::Credit(1));
+                            }
+                        }
+                        per_round += Duration::from_nanos(sys.run_all().wall_nanos) / rounds;
                     }
-                    per_round += Duration::from_nanos(sys.run_all().wall_nanos) / ROUNDS;
-                }
-                per_round
+                    per_round
+                });
             });
-        });
+        }
     }
 }
 
@@ -1009,7 +1025,7 @@ mod tests {
         assert!((b.mean_ns - 500.0).abs() < 1e-6, "mean {} ns", b.mean_ns);
     }
 
-    /// The row names a run writes, collected without timing any row: 62
+    /// The row names a run writes, collected without timing any row: 64
     /// of them, none twice, and every micro-benchmark metric `regress`
     /// gates among them.
     #[test]
@@ -1018,7 +1034,7 @@ mod tests {
         for group in GROUPS {
             group(&mut |name, _| names.push(name));
         }
-        assert_eq!(names.len(), 62);
+        assert_eq!(names.len(), 64);
         let mut unique = names.clone();
         unique.sort_unstable();
         unique.dedup();

@@ -25,7 +25,7 @@
 //! | `relax-bench markov` | §2.3: a Markov environment over the taxi lattice |
 //! | `relax-bench calm_fastpath` | coordination-free credits on the sim: equivalence and availability (exit 1 when either fails) |
 //! | `relax-bench fault_campaign` | five fault campaigns: root-cause verdicts (exit 1 when one fails) and the telemetry overhead, `telemetry_pct`, with tracing's share of it (`BENCH_fault_campaign.json`) |
-//! | `relax-bench substrates` | the per-layer micro-benchmarks, ns per iteration of each of 62 rows (`BENCH_micro_substrates.json`) |
+//! | `relax-bench substrates` | the per-layer micro-benchmarks, ns per iteration of each of 64 rows (`BENCH_micro_substrates.json`) |
 //! | `relax-bench compare` | two builds of the repository's benchmark on one workload, in alternated pairs: per end-to-end metric the median ratio B/A, B's wins and a sign-test p |
 //! | `relax-bench regress` | the fresh `BENCH_*.json` payloads against the committed `baselines/` |
 

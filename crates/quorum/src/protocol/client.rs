@@ -134,7 +134,9 @@ pub struct ClientState<T: ReplicatedType> {
     /// write phase inserts into its spare capacity. Whatever an invocation
     /// leaves behind — timed out, refused, superseded — is overwritten.
     /// The reference starts each from `Log::new()` and only ever merges.
-    /// Shared bookkeeping keeps everything it has read or written here.
+    /// Shared bookkeeping keeps everything it has read here, and takes
+    /// what it writes from the group commit in bulk: the round's entries
+    /// it lacks before a response reads it, the rest when the round ends.
     view: Log<T::Op>,
     /// Memoized view evaluation across invocations (suffix-only replay).
     cache: ViewCache<T::Value>,
@@ -416,7 +418,11 @@ impl<T: ReplicatedType> ClientState<T> {
     /// above them times out; a zero one responds against the initial value;
     /// a CALM-free invocation (response-stable, by the analyzer) too, and
     /// completes whatever the acks: per replica through the WAL, shared in
-    /// the group commit.
+    /// the group commit. Shared, each entry is written once, into the
+    /// commit; the view takes the commit's new suffix in one
+    /// [`Log::merge_range`] append only when a response reads the view,
+    /// and once at the end, so each member still sees every entry of the
+    /// members before it, and clocks observe both logs.
     fn execute(&mut self, ctx: &mut impl Transport<T>) {
         let Some(mut round) = self.reading.take() else {
             return;
@@ -424,8 +430,9 @@ impl<T: ReplicatedType> ClientState<T> {
         let responded = round.answered.count_ones() as usize;
         let initial = self.ttype.initial_value();
         let mut members = std::mem::take(&mut self.members);
-        // Shared: the round's entries, kept in the body it last shipped.
-        let mut commit = Log::new();
+        // Shared: the round's entries, kept in the body it last shipped,
+        // and how many of them the view has taken.
+        let (mut commit, mut synced) = (Log::new(), 0);
         if self.shared {
             commit = std::mem::take(reuse(&mut self.commit));
             commit.clone_from(&Log::new());
@@ -452,12 +459,12 @@ impl<T: ReplicatedType> ClientState<T> {
                 self.view.merge(&self.wal);
             }
             // A free invocation observes what a shard holds — entries of
-            // other slots its clock never saw — so a shard mints in
-            // strictly increasing order and its entries only append. A
-            // lone client's clock already dominates what it holds: it
-            // minted or observed all of it.
+            // other slots its clock never saw, in the view or the round —
+            // so a shard mints in strictly increasing order and its
+            // entries only append. A lone client's clock already dominates
+            // what it holds: it minted or observed all of it.
             if reads || (free && self.shared) {
-                if let Some(ts) = self.view.max_timestamp() {
+                if let Some(ts) = self.view.max_timestamp().max(commit.max_timestamp()) {
                     slot.clock.observe(ts);
                 }
             }
@@ -472,13 +479,17 @@ impl<T: ReplicatedType> ClientState<T> {
                 // The view is folded only if the response reads its value
                 // (per replica, a blind quorum write folds the emptied view).
                 let fold = reads || !(free || self.shared);
-                let (cache, seen, initial) = (&mut self.cache, &self.view, &initial);
+                let (cache, view, initial) = (&mut self.cache, &mut self.view, &initial);
+                let (round, synced) = (&commit, &mut synced);
                 let lend = move || {
                     if !fold {
                         return initial;
                     }
+                    // Shared: the round's entries the view lacks, in bulk.
+                    view.merge_range(round, *synced, round.len());
+                    *synced = round.len();
                     let cache = cache; // moved out: the value outlives the call
-                    cache.eval_ref(seen, ttype.initial_value(), |v, op| ttype.apply_mut(v, op))
+                    cache.eval_ref(view, ttype.initial_value(), |v, op| ttype.apply_mut(v, op))
                 };
                 ttype.respond(lend, &m.inv)
             };
@@ -489,8 +500,13 @@ impl<T: ReplicatedType> ClientState<T> {
             let entry = Entry::new(slot.clock.tick(), op.clone());
             if self.shared {
                 wal_wanted |= free || reads;
-                commit.insert(entry.clone());
-                self.view.insert(entry);
+                // A blind write observed nothing: an entry sorting inside
+                // the round shifts what the view took, so it retakes it all
+                // (a merge drops repeats).
+                if commit.max_timestamp() > Some(entry.ts) {
+                    synced = 0;
+                }
+                commit.insert(entry);
             } else if free {
                 self.wal.insert(entry);
                 self.ship_wal(ctx, m.inv_id);
@@ -505,6 +521,9 @@ impl<T: ReplicatedType> ClientState<T> {
             m.outcome = Outcome::Completed { op, latency: 0 };
         }
         if self.shared {
+            // The view takes the rest of the round before the WAL, which
+            // it holds already, joins the commit.
+            self.view.merge_range(&commit, synced, commit.len());
             // One group commit for every replica: the round's entries,
             // plus free ones no replica took yet, which ride where §3.1
             // ships a sim client's WAL (with a free write or a reading one).

@@ -16,6 +16,8 @@
 //!   observe the freshest merged state without extra coordination.
 //! * **Group commit.** A round's operations reach each replica as *one*
 //!   [`Msg::WriteReq`]: one merge, one frontier/Merkle refresh per batch.
+//!   The shard writes each entry once, into that commit; its view takes
+//!   the commit in bulk, as a response reads it and when the round ends.
 //!
 //! Round *k*'s `WriteReq` and round *k+1*'s `ReadReq` travel in one
 //! packet a broker and their replies in one: the replica that has just

@@ -19,6 +19,11 @@
 //! * **Racing clients → structural.** Cross-client interleaving is
 //!   scheduler-dependent on both backends (and differs between them),
 //!   so the comparison is per-client outcome kinds and op multisets.
+//! * **One shard of many slots, every broker up → serial.** A shard
+//!   executes its rounds in a fixed order against a view that holds
+//!   everything, so its run is one-copy serial: the merged history,
+//!   folded in timestamp order through a plain model of the object, must
+//!   give every outcome of the round order.
 
 use proptest::prelude::*;
 
@@ -659,4 +664,215 @@ fn racing_clients_agree_structurally() {
             "both extra dequeues refused"
         );
     }
+}
+
+/// The order one shard executes its slots' invocations in (`lens[c]` of
+/// slot `c`) with every broker up: each round takes the next invocation
+/// of up to `batch` slots that have one, from a cursor just past the last
+/// round's last slot, wrapping. Pairs of (slot, index in its stream).
+fn round_order(lens: &[usize], batch: usize) -> Vec<(usize, usize)> {
+    let k = lens.len();
+    let (mut next, mut cursor, mut order) = (vec![0; k], 0, Vec::new());
+    loop {
+        let round: Vec<usize> = (cursor..cursor + k)
+            .map(|i| i % k)
+            .filter(|&c| next[c] < lens[c])
+            .take(batch)
+            .collect();
+        let Some(&last) = round.last() else {
+            return order;
+        };
+        for c in round {
+            order.push((c, next[c]));
+            next[c] += 1;
+        }
+        cursor = (last + 1) % k;
+    }
+}
+
+/// Runs `streams` (slot `c`'s invocations at `streams[c]`) through one
+/// shard of `streams.len()` slots in rounds of up to `batch`, three
+/// replicas all up, and holds the run to `serial`: one copy of the
+/// object that answers an invocation and applies it, `None` for no
+/// consistent response. Taken in round order, each invocation's outcome
+/// must be the model's answer — `Refused` exactly where it has none — and
+/// each completed one the next op of the merged history in timestamp
+/// order, which every replica holds whole.
+fn check_serial<T>(
+    ttype: T,
+    assignment: VotingAssignment<<T::Op as HasKind>::Kind>,
+    policy: SchedulingPolicy<<T::Op as HasKind>::Kind>,
+    streams: &[Vec<T::Inv>],
+    batch: usize,
+    mut serial: impl FnMut(&T::Inv) -> Option<T::Op>,
+) -> Result<(), proptest::TestCaseError>
+where
+    T: ReplicatedType + Send,
+    T::Op: Send + Sync + PartialEq,
+    T::Inv: Send,
+    T::Value: Send,
+    <T::Op as HasKind>::Kind: Send + Sync,
+{
+    let config = ThreadedConfig {
+        shards: 1,
+        batch,
+        ..ThreadedConfig::default()
+    };
+    let mut thr =
+        ThreadedSystem::new(ttype, 3, streams.len(), assignment, config).with_scheduling(policy);
+    let stream: Vec<(usize, T::Inv)> = (streams.iter().enumerate())
+        .flat_map(|(c, invs)| invs.iter().map(move |inv| (c, inv.clone())))
+        .collect();
+    let seen = drive(&mut thr, &stream);
+    let mut history = seen.history.iter();
+    let lens: Vec<usize> = streams.iter().map(Vec::len).collect();
+    for (c, i) in round_order(&lens, batch) {
+        let (shape, answer) = (&seen.shapes[c][i], serial(&streams[c][i]));
+        match (&answer, shape) {
+            (Some(op), OutcomeShape::Completed(got)) => {
+                prop_assert_eq!(got, op, "slot {} op {}", c, i);
+                prop_assert_eq!(history.next(), Some(op), "slot {} op {}", c, i);
+            }
+            (None, OutcomeShape::Refused) => {}
+            _ => prop_assert!(
+                false,
+                "slot {} op {}: {:?} against {:?}",
+                c,
+                i,
+                shape,
+                answer
+            ),
+        }
+    }
+    prop_assert_eq!(history.next(), None, "the history holds more than ran");
+    for log in &seen.replica_logs {
+        prop_assert_eq!(log.len(), seen.history.len());
+    }
+    Ok(())
+}
+
+/// The account as one copy: a balance.
+fn serial_account() -> impl FnMut(&AccountInv) -> Option<AccountOp> {
+    let mut balance = 0u64;
+    move |inv| {
+        Some(match *inv {
+            AccountInv::Credit(n) => {
+                balance += u64::from(n);
+                AccountOp::Credit(n)
+            }
+            AccountInv::Debit(n) if u64::from(n) <= balance => {
+                balance -= u64::from(n);
+                AccountOp::DebitOk(n)
+            }
+            AccountInv::Debit(n) => AccountOp::DebitOverdraft(n),
+        })
+    }
+}
+
+/// The taxi queue as one copy: a bag that answers its best.
+fn serial_bag() -> impl FnMut(&QueueInv) -> Option<QueueOp> {
+    let mut bag: Vec<i64> = Vec::new();
+    move |inv| match *inv {
+        QueueInv::Enq(v) => {
+            bag.push(v);
+            Some(QueueOp::Enq(v))
+        }
+        QueueInv::Deq => {
+            let best = (0..bag.len()).max_by_key(|&i| bag[i])?;
+            Some(QueueOp::Deq(bag.swap_remove(best)))
+        }
+    }
+}
+
+proptest! {
+    /// One shard of up to eight slots in rounds of up to as many, every
+    /// broker up, on either family, its write kind free or not: every
+    /// member of a round sees the entries of the members before it.
+    #[test]
+    fn one_shard_of_many_slots_is_one_copy_serial(
+        k in 1usize..9,
+        batch_raw in 0usize..8,
+        taxi in any::<bool>(),
+        free in any::<bool>(),
+        ops in proptest::collection::vec((0usize..8, any::<bool>(), 1u32..10), 1..40),
+    ) {
+        let batch = 1 + batch_raw % k;
+        if taxi {
+            let mut streams = vec![Vec::new(); k];
+            for &(c, write, v) in &ops {
+                streams[c % k].push(if write { QueueInv::Enq(i64::from(v)) } else { QueueInv::Deq });
+            }
+            let policy = if free {
+                SchedulingPolicy::coordination_free([QueueKind::Enq])
+            } else {
+                SchedulingPolicy::all_quorum()
+            };
+            check_serial(TaxiQueueType, taxi_assignment(3), policy, &streams, batch, serial_bag())?;
+        } else {
+            let mut streams = vec![Vec::new(); k];
+            for &(c, write, v) in &ops {
+                streams[c % k].push(if write { AccountInv::Credit(v) } else { AccountInv::Debit(v) });
+            }
+            let policy = if free {
+                SchedulingPolicy::coordination_free([AccountKind::Credit])
+            } else {
+                SchedulingPolicy::all_quorum()
+            };
+            check_serial(BankAccountType, account_assignment(3), policy, &streams, batch, serial_account())?;
+        }
+    }
+}
+
+/// Two credits, then two debits of more than either, in one round: the
+/// first debit sees both credits of its own round, the second what the
+/// first left.
+#[test]
+fn a_debit_sees_the_credits_before_it_in_its_round() {
+    use AccountInv::{Credit, Debit};
+    let config = ThreadedConfig {
+        batch: 4,
+        ..ThreadedConfig::default()
+    };
+    let mut thr = ThreadedSystem::new(BankAccountType, 3, 4, account_assignment(3), config);
+    let stream = [(0, Credit(5)), (1, Credit(5)), (2, Debit(8)), (3, Debit(8))];
+    let got = drive(&mut thr, &stream).shapes.concat();
+    let want = [
+        AccountOp::Credit(5),
+        AccountOp::Credit(5),
+        AccountOp::DebitOk(8),
+        AccountOp::DebitOverdraft(8),
+    ];
+    assert_eq!(got, want.map(OutcomeShape::Completed));
+}
+
+/// A blind credit (initial quorum 0: its clock observes nothing) mints
+/// below the entries three debits of its round minted and the view has
+/// taken: it sorts inside the round, and the debit after it still sees it.
+#[test]
+fn a_blind_write_sorting_inside_its_round_is_seen_after_it() {
+    use AccountInv::{Credit, Debit};
+    let assignment = VotingAssignment::new(3)
+        .with_initial(AccountKind::Credit, 0)
+        .with_final(AccountKind::Credit, 1)
+        .with_initial(AccountKind::Debit, 1)
+        .with_final(AccountKind::Debit, 3);
+    let config = ThreadedConfig {
+        batch: 5,
+        ..ThreadedConfig::default()
+    };
+    let mut thr = ThreadedSystem::new(BankAccountType, 3, 5, assignment, config);
+    let invs = [Debit(1), Debit(1), Debit(1), Credit(5), Debit(5)];
+    let stream: Vec<(usize, AccountInv)> = invs.into_iter().enumerate().collect();
+    let seen = drive(&mut thr, &stream);
+    let overdraft = OutcomeShape::Completed(AccountOp::DebitOverdraft(1));
+    let want = [
+        overdraft.clone(),
+        overdraft.clone(),
+        overdraft,
+        OutcomeShape::Completed(AccountOp::Credit(5)),
+        OutcomeShape::Completed(AccountOp::DebitOk(5)),
+    ];
+    assert_eq!(seen.shapes.concat(), want);
+    // The credit sorts second: below the debits of slots 1 and 2.
+    assert_eq!(seen.history[1], AccountOp::Credit(5));
 }
