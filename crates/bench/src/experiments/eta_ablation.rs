@@ -7,12 +7,11 @@
 //! schedule trades *inversions* (η) against *ignored requests* (η′).
 
 use relax_automata::language_sizes;
-use relax_core::lattices::eta_prime::TaxiLatticeEtaPrime;
 use relax_core::lattices::taxi::{TaxiLattice, TaxiPoint};
-use relax_queues::{queue_alphabet, Item, QueueOp};
+use relax_queues::{queue_alphabet, EtaPrime, Item, QueueOp};
 use relax_quorum::protocol::wire::Outcome;
 use relax_quorum::relation::QueueKind;
-use relax_quorum::types::{QueueInv, ReplicatedType, TaxiQueuePrimeType, TaxiQueueType};
+use relax_quorum::types::{QueueInv, ReplicatedType, TaxiQueue, TaxiQueueType};
 use relax_quorum::{ClientConfig, QuorumSystem, VotingAssignment};
 use relax_sim::{FaultSchedule, NetworkConfig, NodeId, SimTime};
 
@@ -23,7 +22,7 @@ use crate::table::Table;
 pub fn language_size_table(max_len: usize) -> Table {
     let alphabet = queue_alphabet(&[1, 2]);
     let eta = TaxiLattice::new();
-    let eta_prime = TaxiLatticeEtaPrime::new();
+    let eta_prime = TaxiLattice::with_eta(EtaPrime);
     let mut t = Table::new(["point", "|L| with η", "|L| with η′", "relation"]);
     for point in TaxiPoint::all() {
         // Counted on the subset graph — no history materialization.
@@ -182,7 +181,7 @@ pub fn operational_table(seeds: u64) -> Table {
     add_row(
         "η′ (skipped requests ignored)",
         (0..seeds)
-            .map(|s| run_replicated(TaxiQueuePrimeType, s))
+            .map(|s| run_replicated(TaxiQueue(EtaPrime), s))
             .collect(),
     );
     t
@@ -220,7 +219,7 @@ mod tests {
     fn eta_prime_trades_starvation_for_order() {
         let eta: Vec<EtaRunMetrics> = (0..12).map(|s| run_replicated(TaxiQueueType, s)).collect();
         let prime: Vec<EtaRunMetrics> = (0..12)
-            .map(|s| run_replicated(TaxiQueuePrimeType, s))
+            .map(|s| run_replicated(TaxiQueue(EtaPrime), s))
             .collect();
         let eta_ignored: usize = eta.iter().map(|r| r.ignored).sum();
         let prime_ignored: usize = prime.iter().map(|r| r.ignored).sum();

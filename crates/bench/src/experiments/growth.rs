@@ -10,9 +10,8 @@
 //! unconstrained behavior").
 
 use relax_automata::language_sizes;
-use relax_core::lattices::eta_prime::TaxiLatticeEtaPrime;
 use relax_core::lattices::taxi::{TaxiLattice, TaxiPoint};
-use relax_queues::{queue_alphabet, Item, SemiqueueAutomaton};
+use relax_queues::{queue_alphabet, EtaPrime, Item, SemiqueueAutomaton};
 
 use crate::args::Args;
 use crate::table::Table;
@@ -21,7 +20,7 @@ use crate::table::Table;
 pub fn taxi_growth(items: &[Item], max_len: usize) -> Table {
     let alphabet = queue_alphabet(items);
     let eta = TaxiLattice::new();
-    let eta_prime = TaxiLatticeEtaPrime::new();
+    let eta_prime = TaxiLattice::with_eta(EtaPrime);
     let mut header = vec!["point".to_string(), "η/η′".to_string()];
     for n in 0..=max_len {
         header.push(format!("n={n}"));

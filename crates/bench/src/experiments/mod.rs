@@ -192,9 +192,11 @@ pub(crate) fn write_file(path: &str, contents: &str) -> Result<(), String> {
 
 /// Writes a `BENCH_*.json` payload: the one-line JSON object `json`
 /// with the machine it was measured on as its last field,
-/// `"machine":{"nproc":…,"rustc":"…","commit":"…"}` — the fields the
-/// benchmark package prints. `commit` is the `HEAD` of the checkout this
-/// binary was built from, whatever the cwd, and `unknown` when its
+/// `"machine":{"nproc":…,"cpus_allowed":…,"rustc":"…","commit":"…"}`.
+/// `nproc` counts the machine's online CPUs, and `cpus_allowed` those
+/// this process may run on, so a payload written under `taskset` shows
+/// both the machine and the pin. `commit` is the `HEAD` of the checkout
+/// this binary was built from, whatever the cwd, and `unknown` when its
 /// source is no git checkout.
 pub(crate) fn write_payload(path: &str, json: &str) -> Result<(), String> {
     let source = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -210,9 +212,14 @@ pub(crate) fn write_payload(path: &str, json: &str) -> Result<(), String> {
             .unwrap_or_else(|| "unknown".to_string())
     };
     let body = json.trim_end().strip_suffix('}').expect("a JSON object");
+    // The standard library's parallelism follows the affinity mask.
+    let allowed = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let online = std::fs::read_to_string("/sys/devices/system/cpu/online")
+        .ok()
+        .and_then(|list| cpu_list_len(&list));
     let machine = format!(
-        "{{\"nproc\":{},\"rustc\":\"{}\",\"commit\":\"{}\"}}",
-        std::thread::available_parallelism().map_or(0, |n| n.get()),
+        "{{\"nproc\":{},\"cpus_allowed\":{allowed},\"rustc\":\"{}\",\"commit\":\"{}\"}}",
+        online.unwrap_or(allowed),
         first_line("rustc", &["-V"]),
         if source.join(".git").exists() {
             first_line("git", &["rev-parse", "HEAD"])
@@ -221,6 +228,18 @@ pub(crate) fn write_payload(path: &str, json: &str) -> Result<(), String> {
         },
     );
     write_file(path, &format!("{body},\"machine\":{machine}}}\n"))
+}
+
+/// How many CPUs a kernel CPU list names: `0-1` two, `0,2-3` three.
+/// `None` when `list` is not one.
+fn cpu_list_len(list: &str) -> Option<usize> {
+    let number = |s: &str| s.parse::<usize>().ok();
+    (list.trim().split(','))
+        .map(|range| match range.split_once('-') {
+            Some((lo, hi)) => number(hi)?.checked_sub(number(lo)?).map(|d| d + 1),
+            None => number(range).map(|_| 1),
+        })
+        .sum()
 }
 
 /// The `q`-quantile of ascending `sorted` by nearest rank (the sample at
@@ -395,8 +414,26 @@ mod tests {
             for key in ["\"nproc\":", "\"rustc\":\"", "\"commit\":\""] {
                 assert!(written.contains(key), "{file}: {key} missing");
             }
+            let count = |key: &str| -> usize {
+                let rest = written.split(key).nth(1).expect(key);
+                rest[..rest.find(',').expect("a later field")]
+                    .parse()
+                    .expect(key)
+            };
+            let (nproc, allowed) = (count("\"nproc\":"), count("\"cpus_allowed\":"));
+            assert!(nproc >= allowed && allowed >= 1, "{file}: {written}");
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_cpu_list_counts_its_ranges_and_singletons() {
+        assert_eq!(cpu_list_len("0-1\n"), Some(2));
+        assert_eq!(cpu_list_len("0,2-3"), Some(3));
+        assert_eq!(cpu_list_len("5"), Some(1));
+        for bad in ["", "0-", "3-1", "a", "0,,1"] {
+            assert_eq!(cpu_list_len(bad), None, "{bad:?}");
+        }
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! The paper's three prebuilt relaxation lattices.
 
 pub mod account;
-pub mod eta_prime;
 pub mod semiqueue;
 pub mod taxi;

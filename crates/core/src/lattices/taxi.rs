@@ -15,12 +15,26 @@
 //! | `{Q1}` | multi-priority queue (duplicates, never out of order) |
 //! | `{Q2}` | out-of-order priority queue (no duplicates) |
 //! | `∅` | degenerate priority queue (both anomalies) |
+//!
+//! The evaluation function is a parameter of the lattice (§3.3): "When
+//! designing a relaxation lattice, the exact way in which the evaluation
+//! function η should extend the transition function δ* is application
+//! dependent. … The resulting lattice would produce a different set of
+//! relaxed behaviors: unlike QCA(PQ, Q2, η), QCA(PQ, Q2, η′) never
+//! services requests out of order, but it could ignore certain
+//! requests." [`TaxiLattice::with_eta`]`(EtaPrime)` is that ablation:
+//! the same constraint universe, the same value spec, `η′` in place of
+//! `η`. At the top both lattices coincide with the priority queue (a
+//! serial dependency relation makes the evaluation function
+//! irrelevant); at `{Q2}` they *diverge*: `η` yields the out-of-order
+//! priority queue, `η′` the [`relax_queues::DiscardingPqAutomaton`] — a
+//! strictly smaller language trading starvation for order.
 
 use relax_automata::{
     ConstraintSet, ConstraintUniverse, Environment, ObjectAutomaton, RelaxationMap, Successors,
 };
 use relax_queues::{
-    Bag, DegenPqAutomaton, Eta, Item, Mpq, MpqAutomaton, OpqAutomaton, PQueueAutomaton,
+    Bag, DegenPqAutomaton, Eta, Eval, Item, Mpq, MpqAutomaton, OpqAutomaton, PQueueAutomaton,
     PqValueSpec, QueueOp,
 };
 use relax_quorum::repview::{best, del, ins, rank_domain, PackedBag};
@@ -238,18 +252,33 @@ impl ObjectAutomaton for PackedTaxiReference {
     }
 }
 
-/// The taxi-queue relaxation lattice: `φ(R) = QCA(PQ, R, η)` over the
-/// universe `{Q1, Q2}`.
+/// The taxi-queue relaxation lattice: `φ(R) = QCA(PQ, R, E)` over the
+/// universe `{Q1, Q2}`, where `E` is the evaluation function: the
+/// paper's `η` unless the lattice is built by [`TaxiLattice::with_eta`].
 #[derive(Debug, Clone)]
-pub struct TaxiLattice {
+pub struct TaxiLattice<E = Eta> {
     universe: ConstraintUniverse,
+    eta: E,
 }
 
 impl TaxiLattice {
-    /// Builds the lattice.
+    /// Builds the lattice of the paper's `η`.
     pub fn new() -> Self {
+        TaxiLattice::with_eta(Eta)
+    }
+
+    /// The named reference specification at a point.
+    pub fn reference(&self, point: TaxiPoint) -> TaxiReference {
+        TaxiReference::new(point)
+    }
+}
+
+impl<E: Eval<Value = Bag<Item>, Op = QueueOp> + Clone> TaxiLattice<E> {
+    /// Builds the lattice of the evaluation function `eta`.
+    pub fn with_eta(eta: E) -> Self {
         TaxiLattice {
             universe: ConstraintUniverse::new(["Q1", "Q2"]),
+            eta,
         }
     }
 
@@ -274,13 +303,12 @@ impl TaxiLattice {
     }
 
     /// The QCA at a point.
-    pub fn qca(&self, point: TaxiPoint) -> QcaAutomaton<PqValueSpec, Eta> {
-        QcaAutomaton::new(PqValueSpec, Eta, queue_relation(point.q1, point.q2))
-    }
-
-    /// The named reference specification at a point.
-    pub fn reference(&self, point: TaxiPoint) -> TaxiReference {
-        TaxiReference::new(point)
+    pub fn qca(&self, point: TaxiPoint) -> QcaAutomaton<PqValueSpec, E> {
+        QcaAutomaton::new(
+            PqValueSpec,
+            self.eta.clone(),
+            queue_relation(point.q1, point.q2),
+        )
     }
 }
 
@@ -290,8 +318,8 @@ impl Default for TaxiLattice {
     }
 }
 
-impl RelaxationMap for TaxiLattice {
-    type A = QcaAutomaton<PqValueSpec, Eta>;
+impl<E: Eval<Value = Bag<Item>, Op = QueueOp> + Clone> RelaxationMap for TaxiLattice<E> {
+    type A = QcaAutomaton<PqValueSpec, E>;
 
     fn universe(&self) -> &ConstraintUniverse {
         &self.universe
@@ -359,64 +387,15 @@ impl Environment for TaxiEnvironment {
     }
 }
 
-/// Derives the environment's event trace from a simulator fault schedule
-/// (§2.3's bridge between the concrete environment and the abstract one).
-///
-/// Semantics: dispatchers and drivers fall back to reading/writing *all
-/// reachable* sites. A network **partition** that splits the replica set
-/// (two or more groups each holding replicas) breaks both intersection
-/// constraints — clients on different sides use disjoint quorums. Healing
-/// restores them. Crashes alone do not break the constraints under the
-/// all-reachable fallback (operations use the surviving, mutually
-/// connected sites); they only cost availability, which the operational
-/// experiments measure separately.
-pub fn constraint_trace(
-    schedule: &relax_sim::FaultSchedule,
-    n_replicas: usize,
-) -> Vec<(relax_sim::SimTime, TaxiEvent)> {
-    let mut out = Vec::new();
-    let mut split = false;
-    for (t, fault) in schedule.entries() {
-        match fault {
-            relax_sim::Fault::Partition(p) => {
-                let replica_groups = (0..n_replicas)
-                    .map(relax_sim::NodeId)
-                    .filter(|&r| {
-                        // Count the distinct groups replicas land in by
-                        // checking mutual connectivity against replica 0.
-                        !p.connected(relax_sim::NodeId(0), r)
-                    })
-                    .count();
-                let now_split = replica_groups > 0;
-                if now_split && !split {
-                    out.push((*t, TaxiEvent::Q1Lost));
-                    out.push((*t, TaxiEvent::Q2Lost));
-                } else if !now_split && split {
-                    out.push((*t, TaxiEvent::Q1Restored));
-                    out.push((*t, TaxiEvent::Q2Restored));
-                }
-                split = now_split;
-            }
-            relax_sim::Fault::Heal if split => {
-                out.push((*t, TaxiEvent::Q1Restored));
-                out.push((*t, TaxiEvent::Q2Restored));
-                split = false;
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
     use relax_automata::{
-        check_reverse_inclusion_lattice, check_step_all_into, equal_upto, CombinedAutomaton,
-        History, Input,
+        check_reverse_inclusion_lattice, check_step_all_into, equal_upto, included_upto,
+        CombinedAutomaton, History, Input,
     };
-    use relax_queues::queue_alphabet;
+    use relax_queues::{queue_alphabet, DiscardingPqAutomaton, EtaPrime};
     use std::collections::HashSet;
 
     #[test]
@@ -505,50 +484,68 @@ mod tests {
     }
 
     #[test]
-    fn constraint_trace_follows_partitions() {
-        use relax_sim::{Fault, FaultSchedule, NodeId, Partition, SimTime};
-        let schedule = FaultSchedule::new()
-            .at(SimTime(5), Fault::Crash(NodeId(1))) // crash alone: no event
-            .at(
-                SimTime(10),
-                Fault::Partition(Partition::groups(vec![
-                    vec![NodeId(0)],
-                    vec![NodeId(1), NodeId(2)],
-                ])),
-            )
-            .at(SimTime(40), Fault::Heal)
-            .at(SimTime(50), Fault::Recover(NodeId(1)));
-        let trace = constraint_trace(&schedule, 3);
-        assert_eq!(trace.len(), 4);
-        assert_eq!(trace[0], (SimTime(10), TaxiEvent::Q1Lost));
-        assert_eq!(trace[1], (SimTime(10), TaxiEvent::Q2Lost));
-        assert_eq!(trace[2], (SimTime(40), TaxiEvent::Q1Restored));
-        assert_eq!(trace[3], (SimTime(40), TaxiEvent::Q2Restored));
+    fn eta_prime_lattice_satisfies_the_lattice_laws() {
+        let l = TaxiLattice::with_eta(EtaPrime);
+        let alphabet = queue_alphabet(&[1, 2]);
+        let check = check_reverse_inclusion_lattice(&l, &alphabet, 4);
+        assert!(check.is_ok(), "violations: {:?}", check.violations);
     }
 
     #[test]
-    fn trace_drives_the_combined_automaton() {
-        use relax_sim::{Fault, FaultSchedule, NodeId, Partition, SimTime};
-        // A partition window: dequeues inside the window may degrade.
-        let schedule = FaultSchedule::new()
-            .at(
-                SimTime(10),
-                Fault::Partition(Partition::groups(vec![
-                    vec![NodeId(0)],
-                    vec![NodeId(1), NodeId(2)],
-                ])),
-            )
-            .at(SimTime(40), Fault::Heal);
-        let trace = constraint_trace(&schedule, 3);
-        let combined = CombinedAutomaton::new(TaxiLattice::new(), TaxiEnvironment::new());
-        // Interleave: enqueue before the partition, dequeue out of order
-        // during it — accepted because the trace has degraded the object.
-        let mut inputs = vec![Input::Op(QueueOp::Enq(2)), Input::Op(QueueOp::Enq(9))];
-        for (_, ev) in &trace[..2] {
-            inputs.push(Input::Event(*ev));
-        }
-        inputs.push(Input::Op(QueueOp::Deq(2)));
-        assert!(combined.accepts(&inputs));
+    fn eta_prime_top_agrees_with_eta_lattice_and_pq() {
+        // With a serial dependency relation the evaluation function is
+        // irrelevant: both tops equal the priority queue.
+        let alphabet = queue_alphabet(&[1, 2]);
+        let top = TaxiLattice::with_eta(EtaPrime).qca(TaxiPoint { q1: true, q2: true });
+        assert!(equal_upto(&top, &PQueueAutomaton::new(), &alphabet, 5).is_ok());
+    }
+
+    #[test]
+    fn eta_prime_q2_point_is_the_discarding_queue() {
+        let alphabet = queue_alphabet(&[1, 2, 3]);
+        let relaxed = TaxiLattice::with_eta(EtaPrime).qca(TaxiPoint {
+            q1: false,
+            q2: true,
+        });
+        assert!(
+            equal_upto(&relaxed, &DiscardingPqAutomaton::new(), &alphabet, 4).is_ok(),
+            "QCA(PQ, Q2, η′) should equal the discarding priority queue"
+        );
+    }
+
+    #[test]
+    fn eta_prime_is_strictly_stronger_than_eta_at_q2() {
+        // L(QCA(PQ,Q2,η′)) ⊊ L(QCA(PQ,Q2,η)): η′ never lets a skipped
+        // request be serviced later.
+        let alphabet = queue_alphabet(&[1, 2]);
+        let point = TaxiPoint {
+            q1: false,
+            q2: true,
+        };
+        let eta = TaxiLattice::new().qca(point);
+        let eta_prime = TaxiLattice::with_eta(EtaPrime).qca(point);
+        assert!(included_upto(&eta_prime, &eta, &alphabet, 5).is_ok());
+        let skipped_then_served = History::from(vec![
+            QueueOp::Enq(2),
+            QueueOp::Enq(1),
+            QueueOp::Deq(1),
+            QueueOp::Deq(2),
+        ]);
+        assert!(eta.accepts(&skipped_then_served));
+        assert!(!eta_prime.accepts(&skipped_then_served));
+    }
+
+    #[test]
+    fn eta_prime_starvation_is_the_price_of_order() {
+        // η′ ignores the skipped request entirely: after serving 1 with 2
+        // pending, no continuation ever serves 2.
+        let eta_prime = TaxiLattice::with_eta(EtaPrime).qca(TaxiPoint {
+            q1: false,
+            q2: true,
+        });
+        let h = History::from(vec![QueueOp::Enq(2), QueueOp::Enq(1), QueueOp::Deq(1)]);
+        assert!(eta_prime.accepts(&h));
+        assert!(!eta_prime.accepts(&h.appended(QueueOp::Deq(2))));
     }
 
     #[test]

@@ -40,7 +40,6 @@ pub mod theorem4;
 pub mod prelude {
     pub use crate::cost::{operation_availability, quorum_availability, CostDimension};
     pub use crate::lattices::account::AccountLattice;
-    pub use crate::lattices::eta_prime::TaxiLatticeEtaPrime;
     pub use crate::lattices::semiqueue::{SemiqueueLattice, SsQueueLattice, StutteringLattice};
     pub use crate::lattices::taxi::{TaxiLattice, TaxiPoint};
     pub use crate::prob::{
@@ -52,7 +51,6 @@ pub mod prelude {
 
 pub use cost::{operation_availability, quorum_availability, CostDimension};
 pub use lattices::account::AccountLattice;
-pub use lattices::eta_prime::TaxiLatticeEtaPrime;
 pub use lattices::semiqueue::{SemiqueueLattice, SsQueueLattice, StutteringLattice};
 pub use lattices::taxi::{TaxiLattice, TaxiPoint};
 pub use prob::{top_n_miss_analytic, top_n_miss_monte_carlo, ConstraintModel, MarkovChain};

@@ -2,6 +2,7 @@
 //! ([`ReplicatedType`]), and the paper's two worked examples as presets:
 //! the taxi-dispatch priority queue of §3.3 and the bank account of §3.4.
 
+use relax_queues::{AccountEval, AccountOp, Bag, Eta, Eval, Item, QueueOp};
 use relax_trace::{DegradationMonitor, OpLabel};
 
 use crate::log::Log;
@@ -9,8 +10,10 @@ use crate::relation::HasKind;
 
 /// A replicated data type, as the runtime needs it: evaluation of views
 /// plus client-side response choice. Every view is folded in timestamp
-/// order — through [`crate::ViewCache`] by the sim client and the
-/// threaded shard alike — so `apply` need not commute.
+/// order through the type's evaluation function [`ReplicatedType::eta`]
+/// — by [`crate::ViewCache`] in the sim client and the threaded shard
+/// alike — so η need not commute. §3.3 leaves η to the application, and
+/// the type declares it once: the fold methods are provided over it.
 pub trait ReplicatedType: Clone {
     /// Invocations (operation name + arguments, no response yet).
     type Inv: Clone + std::fmt::Debug;
@@ -18,21 +21,21 @@ pub trait ReplicatedType: Clone {
     type Op: Clone + std::fmt::Debug + HasKind;
     /// The value domain views evaluate to.
     type Value: Clone;
+    /// The evaluation function views are folded through.
+    type Eta: Eval<Value = Self::Value, Op = Self::Op>;
 
-    /// The value of the empty view.
-    fn initial_value(&self) -> Self::Value;
+    /// The evaluation function `η` (total; §3.2).
+    fn eta(&self) -> &Self::Eta;
 
-    /// Extends a view's value by one operation (the evaluation function
-    /// `η`; total).
-    fn apply(&self, value: &Self::Value, op: &Self::Op) -> Self::Value;
+    /// The value of the empty view: `η(Λ)` (provided).
+    fn initial_value(&self) -> Self::Value {
+        self.eta().initial()
+    }
 
-    /// In-place form of [`ReplicatedType::apply`], used by the replay hot
-    /// path (the view cache) where rebuilding the value per
-    /// entry would be quadratic for collection-valued types. The default
-    /// delegates to `apply`; concrete types with cheap in-place mutation
-    /// should override.
+    /// Extends a view's value in place by one operation: η's step
+    /// (provided).
     fn apply_mut(&self, value: &mut Self::Value, op: &Self::Op) {
-        *value = self.apply(value, op);
+        self.eta().apply_mut(value, op);
     }
 
     /// Chooses the response for `inv` against the view's value, yielding
@@ -94,99 +97,40 @@ pub trait ReplicatedType: Clone {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueueInv {
     /// Enqueue a request with the given priority.
-    Enq(relax_queues::Item),
+    Enq(Item),
     /// Dequeue the best visible request.
     Deq,
 }
 
-/// Renders a [`QueueInv`] label without the `fmt` machinery (hot path;
-/// see [`ReplicatedType::op_label`]).
-fn queue_inv_label(inv: &QueueInv) -> OpLabel {
-    let mut label = OpLabel::default();
-    match inv {
-        QueueInv::Enq(e) => {
-            label.push_str("Enq(");
-            label.push_i64(*e);
-            label.push_str(")");
-        }
-        QueueInv::Deq => label.push_str("Deq"),
-    }
-    label
-}
-
-/// The replicated taxi-dispatch priority queue of §3.3, with the paper's
-/// evaluation function `η` (views are bags).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TaxiQueueType;
-
-impl ReplicatedType for TaxiQueueType {
-    type Inv = QueueInv;
-    type Op = relax_queues::QueueOp;
-    type Value = relax_queues::Bag<relax_queues::Item>;
-
-    fn initial_value(&self) -> Self::Value {
-        relax_queues::Bag::new()
-    }
-
-    fn apply(&self, value: &Self::Value, op: &Self::Op) -> Self::Value {
-        use relax_queues::Eval;
-        relax_queues::Eta.apply(value, op)
-    }
-
-    fn apply_mut(&self, value: &mut Self::Value, op: &Self::Op) {
-        use relax_queues::Eval;
-        relax_queues::Eta.apply_mut(value, op);
-    }
-
-    fn respond<'v>(
-        &self,
-        value: impl FnOnce() -> &'v Self::Value,
-        inv: &QueueInv,
-    ) -> Option<Self::Op> {
-        match inv {
-            QueueInv::Enq(e) => Some(relax_queues::QueueOp::Enq(*e)),
-            QueueInv::Deq => value().best().map(|b| relax_queues::QueueOp::Deq(*b)),
-        }
-    }
-
-    fn invocation_kind(&self, inv: &QueueInv) -> crate::relation::QueueKind {
-        match inv {
-            QueueInv::Enq(_) => crate::relation::QueueKind::Enq,
-            QueueInv::Deq => crate::relation::QueueKind::Deq,
-        }
-    }
-
-    fn op_label(&self, inv: &QueueInv) -> OpLabel {
-        queue_inv_label(inv)
-    }
-}
-
-/// The replicated taxi queue with the *alternative* evaluation function
-/// `η′` of §3.3: a dequeue's view discards every pending request with
-/// priority above the returned one ("skipped over" requests are ignored
-/// forever). Compare with [`TaxiQueueType`] — same invocations, same
-/// quorums, different degradation: never out of order, may starve
+/// The replicated taxi-dispatch priority queue of §3.3, its views folded
+/// through the evaluation function `E`. `TaxiQueue(Eta)` is the paper's
+/// queue, [`TaxiQueueType`](type@TaxiQueueType): views are bags, and a
+/// driver dequeues the highest-priority request that appears not to have
+/// been served. `TaxiQueue(EtaPrime)` folds the alternative `η′` of §3.3: a dequeue's
+/// view discards every pending request with priority above the returned
+/// one ("skipped over" requests are ignored forever). Same invocations,
+/// same quorums, different degradation: never out of order, may starve
 /// requests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TaxiQueuePrimeType;
+pub struct TaxiQueue<E>(pub E);
 
-impl ReplicatedType for TaxiQueuePrimeType {
+/// The taxi queue with the paper's `η`.
+pub type TaxiQueueType = TaxiQueue<Eta>;
+
+/// The taxi queue with the paper's `η`: the one value of
+/// [`TaxiQueueType`](type@TaxiQueueType), named as a unit struct's would
+/// be.
+#[allow(non_upper_case_globals)]
+pub const TaxiQueueType: TaxiQueueType = TaxiQueue(Eta);
+
+impl<E: Eval<Value = Bag<Item>, Op = QueueOp> + Clone> ReplicatedType for TaxiQueue<E> {
     type Inv = QueueInv;
-    type Op = relax_queues::QueueOp;
-    type Value = relax_queues::Bag<relax_queues::Item>;
+    type Op = QueueOp;
+    type Value = Bag<Item>;
+    type Eta = E;
 
-    fn initial_value(&self) -> Self::Value {
-        relax_queues::Bag::new()
-    }
-
-    fn apply(&self, value: &Self::Value, op: &Self::Op) -> Self::Value {
-        use relax_queues::Eval;
-        relax_queues::EtaPrime.apply(value, op)
-    }
-
-    fn apply_mut(&self, value: &mut Self::Value, op: &Self::Op) {
-        use relax_queues::Eval;
-        relax_queues::EtaPrime.apply_mut(value, op);
+    fn eta(&self) -> &E {
+        &self.0
     }
 
     fn respond<'v>(
@@ -195,8 +139,8 @@ impl ReplicatedType for TaxiQueuePrimeType {
         inv: &QueueInv,
     ) -> Option<Self::Op> {
         match inv {
-            QueueInv::Enq(e) => Some(relax_queues::QueueOp::Enq(*e)),
-            QueueInv::Deq => value().best().map(|b| relax_queues::QueueOp::Deq(*b)),
+            QueueInv::Enq(e) => Some(QueueOp::Enq(*e)),
+            QueueInv::Deq => value().best().map(|b| QueueOp::Deq(*b)),
         }
     }
 
@@ -208,7 +152,16 @@ impl ReplicatedType for TaxiQueuePrimeType {
     }
 
     fn op_label(&self, inv: &QueueInv) -> OpLabel {
-        queue_inv_label(inv)
+        let mut label = OpLabel::default();
+        match inv {
+            QueueInv::Enq(e) => {
+                label.push_str("Enq(");
+                label.push_i64(*e);
+                label.push_str(")");
+            }
+            QueueInv::Deq => label.push_str("Deq"),
+        }
+        label
     }
 }
 
@@ -223,7 +176,7 @@ impl ReplicatedType for TaxiQueuePrimeType {
 /// Attach it with [`crate::sim_exec::QuorumSystem::with_monitor`] to classify the live
 /// completion order of a replicated taxi queue against the lattice.
 #[must_use]
-pub fn queue_lattice_monitor() -> DegradationMonitor<relax_queues::QueueOp> {
+pub fn queue_lattice_monitor() -> DegradationMonitor<QueueOp> {
     DegradationMonitor::new()
         .level("PQ", relax_queues::PQueueAutomaton::new())
         .level("MPQ", relax_queues::MpqAutomaton::new())
@@ -248,30 +201,21 @@ pub struct BankAccountType;
 
 impl ReplicatedType for BankAccountType {
     type Inv = AccountInv;
-    type Op = relax_queues::AccountOp;
+    type Op = AccountOp;
     type Value = i64;
+    type Eta = AccountEval;
 
-    fn initial_value(&self) -> i64 {
-        0
-    }
-
-    fn apply(&self, value: &i64, op: &Self::Op) -> i64 {
-        use relax_queues::Eval;
-        relax_queues::eval::AccountEval.apply(value, op)
-    }
-
-    fn apply_mut(&self, value: &mut i64, op: &Self::Op) {
-        use relax_queues::Eval;
-        relax_queues::eval::AccountEval.apply_mut(value, op);
+    fn eta(&self) -> &AccountEval {
+        &AccountEval
     }
 
     fn respond<'v>(&self, value: impl FnOnce() -> &'v i64, inv: &AccountInv) -> Option<Self::Op> {
         match inv {
-            AccountInv::Credit(n) => Some(relax_queues::AccountOp::Credit(*n)),
+            AccountInv::Credit(n) => Some(AccountOp::Credit(*n)),
             AccountInv::Debit(n) => Some(if *value() >= i64::from(*n) {
-                relax_queues::AccountOp::DebitOk(*n)
+                AccountOp::DebitOk(*n)
             } else {
-                relax_queues::AccountOp::DebitOverdraft(*n)
+                AccountOp::DebitOverdraft(*n)
             }),
         }
     }
@@ -299,7 +243,26 @@ impl ReplicatedType for BankAccountType {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use relax_queues::QueueOp;
+    use crate::log::Entry;
+    use crate::timestamp::Timestamp;
+    use relax_queues::EtaPrime;
+
+    #[test]
+    fn a_taxi_queue_folds_its_views_through_its_own_eta() {
+        // Under η the skipped request 9 stays pending; under η′ serving
+        // 2 discards it.
+        let ops = [QueueOp::Enq(2), QueueOp::Enq(9), QueueOp::Deq(2)];
+        let mut log = Log::new();
+        for (i, op) in ops.iter().enumerate() {
+            log.insert(Entry::new(Timestamp::new(i as u64 + 1, 0), *op));
+        }
+        let eta = TaxiQueue(Eta).eval_view(&log);
+        assert_eq!((eta.len(), eta.count(&9)), (1, 1));
+        assert_eq!(eta, Eta.eval(&ops));
+        let eta_prime = TaxiQueue(EtaPrime).eval_view(&log);
+        assert!(eta_prime.is_empty());
+        assert_eq!(eta_prime, EtaPrime.eval(&ops));
+    }
 
     #[test]
     fn duplicate_deq_kills_pq_and_opq_in_the_same_step() {
@@ -336,10 +299,6 @@ mod tests {
         for inv in [QueueInv::Enq(5), QueueInv::Enq(-3), QueueInv::Deq] {
             assert_eq!(
                 TaxiQueueType.op_label(&inv).as_str(),
-                OpLabel::from_debug(&inv).as_str()
-            );
-            assert_eq!(
-                TaxiQueuePrimeType.op_label(&inv).as_str(),
                 OpLabel::from_debug(&inv).as_str()
             );
         }

@@ -34,11 +34,13 @@
 use proptest::prelude::*;
 
 use relax_automata::{response_stable, History, ObjectAutomaton};
-use relax_queues::{account_alphabet, queue_alphabet, AccountEval, AccountOp, AccountValueSpec};
+use relax_queues::{
+    account_alphabet, queue_alphabet, AccountEval, AccountOp, AccountValueSpec, EtaPrime,
+};
 use relax_quorum::calm::{analyze_account, SchedulingPolicy};
 use relax_quorum::relation::{account_relation, AccountKind, IntersectionRelation};
 use relax_quorum::types::{
-    AccountInv, BankAccountType, QueueInv, ReplicatedType, TaxiQueuePrimeType, TaxiQueueType,
+    AccountInv, BankAccountType, QueueInv, ReplicatedType, TaxiQueue, TaxiQueueType,
 };
 use relax_quorum::{
     outcome_shapes, ClientConfig, ClientTable, Executor, Log, OutcomeShape, QcaAutomaton,
@@ -493,7 +495,7 @@ fn respond_demands_the_value_exactly_for_response_unstable_invocations() {
         queue_expect
     );
     assert_eq!(
-        demanded_and_unstable(&TaxiQueuePrimeType, &items, &queue_invs),
+        demanded_and_unstable(&TaxiQueue(EtaPrime), &items, &queue_invs),
         queue_expect
     );
     let account_invs = [

@@ -59,7 +59,9 @@
 //! let mut reg = Registry::new();
 //! reg.counter("deq").record(true);
 //! reg.histogram("latency").record(42);
-//! assert!(reg.to_json().contains("\"deq\""));
+//! let text = reg.render_prometheus();
+//! assert!(text.contains("deq_total{result=\"success\"} 1"));
+//! assert!(text.contains("latency_count 1"));
 //! ```
 
 #![warn(missing_docs)]

@@ -9,8 +9,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
 
-use crate::codec::push_json_str;
-
 /// A monotone event counter with a success/failure split, used for
 /// availability measurements (fraction of operations that found a
 /// quorum, etc.).
@@ -527,65 +525,6 @@ impl Registry {
         out
     }
 
-    /// Renders the registry as one JSON object, with per-histogram
-    /// derived statistics rather than raw samples.
-    pub fn to_json(&mut self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        let mut first = true;
-        for (name, c) in &self.counters {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            push_json_str(&mut out, name);
-            let _ = write!(
-                out,
-                ":{{\"successes\":{},\"failures\":{}}}",
-                c.successes(),
-                c.failures()
-            );
-        }
-        out.push_str("},\"gauges\":{");
-        let mut first = true;
-        for (name, g) in &self.gauges {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            push_json_str(&mut out, name);
-            let _ = write!(out, ":{}", g.value());
-        }
-        out.push_str("},\"histograms\":{");
-        let names: Vec<String> = self.histograms.keys().cloned().collect();
-        let mut first = true;
-        for name in names {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let h = self.histograms.get_mut(&name).expect("key just listed");
-            push_json_str(&mut out, &name);
-            if h.is_empty() {
-                out.push_str(":{\"n\":0}");
-            } else {
-                let mean = h.mean().expect("non-empty");
-                let (p50, p95, p99) = (
-                    h.p50().expect("non-empty"),
-                    h.p95().expect("non-empty"),
-                    h.p99().expect("non-empty"),
-                );
-                let (min, max) = (h.min().expect("non-empty"), h.max().expect("non-empty"));
-                let _ = write!(
-                    out,
-                    ":{{\"n\":{},\"mean\":{mean},\"p50\":{p50},\"p95\":{p95},\"p99\":{p99},\"min\":{min},\"max\":{max}}}",
-                    h.len()
-                );
-            }
-        }
-        out.push_str("}}");
-        out
-    }
-
     /// Prometheus text exposition (one sample per line, with `# TYPE`
     /// headers, names in stable `BTreeMap` order):
     ///
@@ -1010,7 +949,7 @@ lat_quantile{quantile=\"0.99\"} 500
     }
 
     #[test]
-    fn registry_summary_and_json_are_stable() {
+    fn registry_summary_names_counters_and_quantiles() {
         let mut r = Registry::new();
         r.counter("enq").record(true);
         r.histogram("lat").record(4);
@@ -1018,11 +957,5 @@ lat_quantile{quantile=\"0.99\"} 500
         let s = r.summary();
         assert!(s.contains("counter   enq"));
         assert!(s.contains("p95=8"));
-        let j = r.to_json();
-        assert!(j.starts_with("{\"counters\":{"));
-        assert!(j.contains("\"enq\":{\"successes\":1,\"failures\":0}"));
-        assert!(j.contains("\"lat\":{\"n\":2,\"mean\":6,"));
-        // Rendering twice gives the same bytes (ordering is stable).
-        assert_eq!(j, r.to_json());
     }
 }
