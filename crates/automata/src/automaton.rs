@@ -103,11 +103,19 @@ pub trait ObjectAutomaton {
         self.delta_star_from(&self.initial_state(), history)
     }
 
-    /// A history `H` is accepted iff `δ*(H) ≠ ∅`, decided online by an
-    /// [`Acceptor`].
+    /// A history `H` is accepted iff `δ*(H) ≠ ∅`: iff it has no
+    /// [`ObjectAutomaton::first_rejection`].
     fn accepts(&self, history: &History<Self::Op>) -> bool {
+        self.first_rejection(history).is_none()
+    }
+
+    /// The index of the first op whose prefix `H[..=i]` is rejected, or
+    /// `None` when all of `H` is accepted, decided online by an
+    /// [`Acceptor`]. Acceptance is prefix-closed, so every shorter
+    /// prefix is accepted and every longer one rejected.
+    fn first_rejection(&self, history: &History<Self::Op>) -> Option<usize> {
         let mut acceptor = Acceptor::new(self.initial_state());
-        history.iter().all(|op| acceptor.step(self, op))
+        history.iter().position(|op| !acceptor.step(self, op))
     }
 }
 

@@ -3,7 +3,8 @@
 //! one whole invocation through the simulator, the degradation monitor,
 //! the threaded backend's shard–broker round trip and group round, the
 //! bounded language walk and the naive enumerator, QCA view search, the
-//! term rewriter, the lock manager, the atomicity checker, and the two
+//! whole-run check against each lattice point's automaton, the term
+//! rewriter, the lock manager, the atomicity checker, and the two
 //! operational executors (print spooler, replicated taxi queue on the
 //! simulator) end to end.
 //!
@@ -28,8 +29,8 @@ use relax_automata::{
 use relax_core::lattices::taxi::{PackedTaxiReference, TaxiLattice, TaxiPoint};
 use relax_core::theorem4::verify_taxi_lattice;
 use relax_queues::{
-    queue_alphabet, PQueueAutomaton, QueueOp, SemiqueueAutomaton, SsQueueAutomaton,
-    StutteringAutomaton,
+    queue_alphabet, AccountOp, BouncingAccountAutomaton, PQueueAutomaton, QueueOp,
+    SemiqueueAutomaton, SsQueueAutomaton, StutteringAutomaton,
 };
 use relax_quorum::calm::SchedulingPolicy;
 use relax_quorum::relation::{AccountKind, QueueKind};
@@ -133,7 +134,7 @@ impl Bencher {
 type Sink<'s> = dyn FnMut(String, &mut dyn FnMut(&mut Bencher)) + 's;
 
 /// Every group, in the order a run measures them.
-const GROUPS: [fn(&mut Sink<'_>); 18] = [
+const GROUPS: [fn(&mut Sink<'_>); 19] = [
     log_merge,
     log_tail_paths,
     log_one_writer,
@@ -147,6 +148,7 @@ const GROUPS: [fn(&mut Sink<'_>); 18] = [
     taxi_states,
     language_enumeration,
     qca_accept,
+    reference_accept,
     rewrite,
     locking,
     commit_order_check,
@@ -843,6 +845,51 @@ fn qca_accept(row: &mut Sink<'_>) {
     }
 }
 
+/// The whole-run check, ns per op: `first_rejection` of one 10⁵-op
+/// history the point's automaton accepts, at the four taxi points and
+/// the account's `{A2}`. The QCA above costs exponentially more with
+/// length; these rows must not grow with it.
+fn reference_accept(row: &mut Sink<'_>) {
+    const OPS: u32 = 100_000;
+    fn per_op<A: ObjectAutomaton>(bencher: &mut Bencher, a: &A, h: &History<A::Op>) {
+        bencher.iter_custom(|iters| {
+            let t = Instant::now();
+            for _ in 0..iters {
+                assert_eq!(black_box(a.first_rejection(h)), None);
+            }
+            t.elapsed() / OPS
+        });
+    }
+    // A PQ history, so every taxi point accepts it: 16 pending items,
+    // then each Deq serves the Enq before it, the best.
+    let mut taxi: History<QueueOp> = (0..16).map(QueueOp::Enq).collect();
+    for i in 16..16 + (i64::from(OPS) - 16) / 2 {
+        taxi.extend([QueueOp::Enq(i), QueueOp::Deq(i)]);
+    }
+    assert_eq!(taxi.len(), OPS as usize);
+    let lattice = TaxiLattice::new();
+    for (name, point) in ["PQ", "MPQ", "OPQ", "DegenPQ"]
+        .into_iter()
+        .zip(TaxiPoint::all())
+    {
+        let reference = lattice.reference(point);
+        row(format!("reference_accepts/{name}"), &mut |b| {
+            per_op(b, &reference, &taxi);
+        });
+    }
+    // Credits, debits that succeed and debits that bounce spuriously.
+    let account: History<AccountOp> = (0..OPS)
+        .map(|i| match i % 3 {
+            0 => AccountOp::Credit(3),
+            1 => AccountOp::DebitOk(2),
+            _ => AccountOp::DebitOverdraft(1),
+        })
+        .collect();
+    row("reference_accepts/A2".to_string(), &mut |b| {
+        per_op(b, &BouncingAccountAutomaton::new(), &account);
+    });
+}
+
 fn commit_order_check(row: &mut Sink<'_>) {
     let report = Spooler::new(SpoolerConfig {
         strategy: DequeueStrategy::Optimistic,
@@ -1025,7 +1072,7 @@ mod tests {
         assert!((b.mean_ns - 500.0).abs() < 1e-6, "mean {} ns", b.mean_ns);
     }
 
-    /// The row names a run writes, collected without timing any row: 64
+    /// The row names a run writes, collected without timing any row: 69
     /// of them, none twice, and every micro-benchmark metric `regress`
     /// gates among them.
     #[test]
@@ -1034,7 +1081,7 @@ mod tests {
         for group in GROUPS {
             group(&mut |name, _| names.push(name));
         }
-        assert_eq!(names.len(), 64);
+        assert_eq!(names.len(), 69);
         let mut unique = names.clone();
         unique.sort_unstable();
         unique.dedup();

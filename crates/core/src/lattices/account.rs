@@ -14,6 +14,15 @@
 //! keeping `A2` guarantees debits always see earlier debits, so the true
 //! balance never goes negative.
 //!
+//! Each point has a *named* reference behavior, whose language equals
+//! the point's QCA (tested: `{A2}` to length 7 over amounts {0, 1, 2},
+//! the top to length 4):
+//!
+//! | constraints | behavior |
+//! |-------------|----------|
+//! | `{A1, A2}` | one-copy account, [`relax_queues::AccountAutomaton`] (preferred) |
+//! | `{A2}` | bouncing account, [`relax_queues::BouncingAccountAutomaton`]: a debit may bounce while the funds exist |
+//!
 //! The environment events here **overlap the object's operations**: a
 //! premature `Debit` is both an operation and the event that signals `A1`
 //! no longer holds (§2.3's non-disjoint `EVENT`/`OP` case).
@@ -85,10 +94,11 @@ impl RelaxationMap for AccountLattice {
 mod tests {
     use super::*;
     use relax_automata::{
-        check_reverse_inclusion_lattice, equal_upto, language_upto, History, ObjectAutomaton,
+        check_reverse_inclusion_lattice, equal_upto, language_sizes, language_upto, History,
+        ObjectAutomaton,
     };
     use relax_queues::ops::account_alphabet;
-    use relax_queues::{AccountAutomaton, AccountOp};
+    use relax_queues::{AccountAutomaton, AccountOp, BouncingAccountAutomaton};
 
     fn alphabet() -> Vec<AccountOp> {
         account_alphabet(&[1, 2])
@@ -128,6 +138,23 @@ mod tests {
         let l = AccountLattice::new();
         let preferred = l.preferred().expect("preferred defined");
         assert!(equal_upto(&preferred, &AccountAutomaton::new(), &alphabet(), 4).is_ok());
+    }
+
+    /// `L(QCA(Account, {A2}, η)) = L(BouncingAccountAutomaton)` to
+    /// length 7 over amounts {0, 1, 2}, with `|L|` per length. Amount 0
+    /// is the one that needs the automaton's debited bit.
+    #[test]
+    fn a2_point_equals_the_bouncing_account() {
+        const SIZES: [usize; 8] = [1, 6, 39, 270, 1964, 14857, 115958, 927933];
+        let l = AccountLattice::new();
+        let alphabet = account_alphabet(&[0, 1, 2]);
+        let reference = BouncingAccountAutomaton::new();
+        let max_len = SIZES.len() - 1;
+        let a2 = l
+            .automaton(l.universe().set_of(&["A2"]))
+            .expect("{A2} in domain");
+        assert_eq!(equal_upto(&a2, &reference, &alphabet, max_len), Ok(()));
+        assert_eq!(language_sizes(&reference, &alphabet, max_len), SIZES);
     }
 
     #[test]

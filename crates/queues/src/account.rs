@@ -112,6 +112,58 @@ impl ObjectAutomaton for AccountAutomaton {
     }
 }
 
+/// The account's `{A2}` point (§3.4): the one-copy account, except that
+/// a debit may bounce while the funds exist.
+///
+/// With `A1` relaxed a debit's view holds every earlier debit but any
+/// subset of the credits, so its balance ranges from the true balance
+/// down to minus the successful debits. `Debit(n)/Ok()` still needs the
+/// true balance; `Debit(n)/Overdraft()` needs only a view below `n`,
+/// which exists for every `n > 0` and, for `n = 0`, once a positive
+/// debit has succeeded. The state is the true balance and that bit.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BouncingAccountAutomaton;
+
+impl BouncingAccountAutomaton {
+    /// Creates the automaton.
+    pub fn new() -> Self {
+        BouncingAccountAutomaton
+    }
+}
+
+impl ObjectAutomaton for BouncingAccountAutomaton {
+    /// The true balance, and whether a positive debit has succeeded.
+    type State = (Account, bool);
+    type Op = AccountOp;
+
+    fn initial_state(&self) -> (Account, bool) {
+        (Account::new(), false)
+    }
+
+    fn step(&self, s: &(Account, bool), op: &AccountOp) -> Vec<(Account, bool)> {
+        crate::step_copy(self, s, op)
+    }
+
+    fn step_in_place(&self, s: &mut (Account, bool), op: &AccountOp) -> Option<bool> {
+        let (account, debited) = s;
+        Some(match *op {
+            AccountOp::Credit(n) => {
+                *account = account.credited(n);
+                true
+            }
+            AccountOp::DebitOk(n) => match account.debited(n) {
+                Some(rest) => {
+                    *account = rest;
+                    *debited |= n > 0;
+                    true
+                }
+                None => false,
+            },
+            AccountOp::DebitOverdraft(n) => n > 0 || *debited,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -12,6 +12,7 @@
 //! | Fig 3-4 Out-of-order priority queue | [`bag::Bag`] | [`opq::OpqAutomaton`] |
 //! | Fig 3-5 Degenerate priority queue | [`bag::Bag`] | [`degen::DegenPqAutomaton`] |
 //! | §3.4 Bank account | [`account::Account`] | [`account::AccountAutomaton`] |
+//! | §3.4 Bank account, `A1` relaxed | [`account::Account`] | [`account::BouncingAccountAutomaton`] |
 //! | Fig 4-1 Semiqueue_k | [`fifo::Fifo`] | [`semiqueue::SemiqueueAutomaton`] |
 //! | Fig 4-3 Stuttering_j queue | [`stuttering::StutQ`] | [`stuttering::StutteringAutomaton`] |
 //! | §4.2.2 SSqueue_{j,k} | [`ssqueue::SsState`] | [`ssqueue::SsQueueAutomaton`] |
@@ -49,7 +50,7 @@ pub mod to_term;
 
 /// Convenient re-exports of the crate's main types.
 pub mod prelude {
-    pub use crate::account::{Account, AccountAutomaton};
+    pub use crate::account::{Account, AccountAutomaton, BouncingAccountAutomaton};
     pub use crate::bag::{Bag, BagAutomaton};
     pub use crate::degen::DegenPqAutomaton;
     pub use crate::discard::DiscardingPqAutomaton;
@@ -66,7 +67,7 @@ pub mod prelude {
     pub use crate::to_term::ToTerm;
 }
 
-pub use account::{Account, AccountAutomaton};
+pub use account::{Account, AccountAutomaton, BouncingAccountAutomaton};
 pub use bag::{Bag, BagAutomaton};
 pub use degen::DegenPqAutomaton;
 pub use discard::DiscardingPqAutomaton;

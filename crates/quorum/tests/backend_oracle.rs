@@ -7,7 +7,9 @@
 //! in different time domains), final per-replica logs, the merged
 //! history; a single-client taxi run also compares the sim's online
 //! degradation-monitor transitions with a monitor fed offline from the
-//! threaded client's completed ops.
+//! threaded client's completed ops. A single client's merged history is
+//! also judged whole by its point's automaton: PQ for the taxi queue,
+//! the `{A2}` account for the account.
 //!
 //! Equality granularity:
 //!
@@ -27,7 +29,8 @@
 
 use proptest::prelude::*;
 
-use relax_queues::{AccountOp, QueueOp};
+use relax_automata::{History, ObjectAutomaton};
+use relax_queues::{AccountOp, BouncingAccountAutomaton, PQueueAutomaton, QueueOp};
 use relax_quorum::calm::SchedulingPolicy;
 use relax_quorum::relation::{AccountKind, QueueKind};
 use relax_quorum::types::{AccountInv, BankAccountType, QueueInv, TaxiQueueType};
@@ -137,6 +140,11 @@ fn check_taxi_exact(
         down,
         invs
     );
+    // One client at `{Q1,Q2}`: the merged history is a PQ history.
+    let h = History::from(sim_seen.history.clone());
+    if let Some(i) = PQueueAutomaton::new().first_rejection(&h) {
+        prop_assert!(false, "PQ rejects op {}, {}, of {}", i, h.ops()[i], h);
+    }
     // Both registries publish the shared layers under the same names,
     // and the two schedulers counted the same invocations. The one
     // client evaluates on both backends exactly when it does on either.
@@ -259,6 +267,11 @@ proptest! {
             &down,
             &invs
         );
+        // One client at `{A2}`: a debit may bounce, never overdraw.
+        let h = History::from(sim_seen.history);
+        if let Some(i) = BouncingAccountAutomaton::new().first_rejection(&h) {
+            prop_assert!(false, "{{A2}} rejects op {}, {}, of {}", i, h.ops()[i], h);
+        }
     }
 }
 

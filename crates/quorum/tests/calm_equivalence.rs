@@ -15,9 +15,8 @@
 //!    are 100% available in the fast run; coordination-requiring ops
 //!    degrade identically in both runs; fast-path entries converge to
 //!    every replica after heal + WAL flush; and the fast run's merged
-//!    history is accepted by the QCA at the analyzed relation (the
-//!    fast path never fabricates a behavior outside the degraded
-//!    spec).
+//!    history is accepted by the analyzed point's automaton (the fast
+//!    path never fabricates a behavior outside the degraded spec).
 //! 3. **Analyzer soundness** (the satellite property): every kind the
 //!    analyzer classifies monotone, replayed coordination-free against
 //!    30 random histories per lattice level, never changes observable
@@ -35,7 +34,7 @@ use proptest::prelude::*;
 
 use relax_automata::{response_stable, History, ObjectAutomaton};
 use relax_queues::{
-    account_alphabet, queue_alphabet, AccountEval, AccountOp, AccountValueSpec, EtaPrime,
+    account_alphabet, queue_alphabet, AccountOp, BouncingAccountAutomaton, EtaPrime, QueueOp,
 };
 use relax_quorum::calm::{analyze_account, SchedulingPolicy};
 use relax_quorum::relation::{account_relation, AccountKind, IntersectionRelation};
@@ -43,8 +42,8 @@ use relax_quorum::types::{
     AccountInv, BankAccountType, QueueInv, ReplicatedType, TaxiQueue, TaxiQueueType,
 };
 use relax_quorum::{
-    outcome_shapes, ClientConfig, ClientTable, Executor, Log, OutcomeShape, QcaAutomaton,
-    QuorumSystem, ThreadedConfig, ThreadedSystem, VotingAssignment,
+    outcome_shapes, ClientConfig, ClientTable, Executor, Log, OutcomeShape, QuorumSystem,
+    ThreadedConfig, ThreadedSystem, VotingAssignment,
 };
 use relax_sim::{Fault, FaultSchedule, NetworkConfig, NodeId, Partition, SimTime};
 
@@ -213,7 +212,7 @@ proptest! {
     /// Faulted runs: free ops stay 100% available, coordination-requiring
     /// ops degrade identically, fast-path entries converge everywhere
     /// after heal + flush, and the fast history stays inside the degraded
-    /// spec (QCA-accepted at the analyzed relation).
+    /// spec (accepted by the `{A2}` automaton).
     #[test]
     fn faulted_fast_path_degrades_gracefully_and_stays_in_spec(
         seed in 0u64..1_000_000,
@@ -264,7 +263,7 @@ fn run_one_shard(
 proptest! {
     /// Several clients on one threaded shard: the CALM run answers every
     /// client as the all-quorum run does, its merged history holds the
-    /// same operations, and the `{A2}` QCA accepts it.
+    /// same operations, and the `{A2}` automaton accepts it.
     #[test]
     fn threaded_shard_keeps_the_all_quorum_operations_and_stays_in_spec(
         clients in 2usize..5,
@@ -278,13 +277,11 @@ proptest! {
         let (fast_shapes, fast) = run_one_shard(credit_only_policy(), clients, &invs);
         prop_assert_eq!(&base_shapes, &fast_shapes);
         prop_assert_eq!(fast.len(), invs.len(), "every op completes and lands once");
-        let qca = QcaAutomaton::new(AccountValueSpec, AccountEval, account_relation(false, true));
-        prop_assert!(
-            qca.accepts(&History::from(fast.clone())),
-            "fast history rejected by the {{A2}} QCA: {:?}",
-            fast
-        );
-        let mut fast = fast;
+        let h = History::from(fast);
+        if let Some(i) = BouncingAccountAutomaton::new().first_rejection(&h) {
+            prop_assert!(false, "{{A2}} rejects op {}, {}, of {}", i, h.ops()[i], h);
+        }
+        let mut fast = h.into_ops();
         base.sort_unstable();
         fast.sort_unstable();
         prop_assert_eq!(base, fast);
@@ -373,15 +370,12 @@ fn check_faulted(s: &Scenario) -> Result<(), proptest::TestCaseError> {
     }
 
     // Soundness: the fast run's merged history is a behavior of the
-    // degraded specification — the QCA at the analyzed relation accepts
-    // it.
-    let qca = QcaAutomaton::new(AccountValueSpec, AccountEval, account_relation(false, true));
-    prop_assert!(
-        qca.accepts(&History::from(fast.history.clone())),
-        "fast history rejected by the {{A2}} QCA under {:?}: {:?}",
-        s,
-        fast.history
-    );
+    // degraded specification — the `{A2}` automaton, which accepts
+    // what the QCA at the analyzed relation does, accepts it.
+    let h = History::from(fast.history);
+    if let Some(i) = BouncingAccountAutomaton::new().first_rejection(&h) {
+        prop_assert!(false, "{{A2}} rejects op {}, {}, of {}", i, h.ops()[i], h);
+    }
     Ok(())
 }
 
@@ -480,6 +474,18 @@ where
         .collect()
 }
 
+/// `Deq`'s answer at the view `ops`, folded by `ttype`'s evaluation.
+fn deq_at<T>(ttype: &T, ops: &[QueueOp]) -> Option<QueueOp>
+where
+    T: ReplicatedType<Inv = QueueInv, Op = QueueOp>,
+{
+    let mut value = ttype.initial_value();
+    for op in ops {
+        ttype.apply_mut(&mut value, op);
+    }
+    ttype.execute(&value, &QueueInv::Deq)
+}
+
 /// Layer 5: the demand rule is the response-stability half of the CALM
 /// criterion, type by type. An invocation that never asks for the value
 /// cannot answer differently at two views, so "demanded ⇐ unstable" is
@@ -498,6 +504,13 @@ fn respond_demands_the_value_exactly_for_response_unstable_invocations() {
         demanded_and_unstable(&TaxiQueue(EtaPrime), &items, &queue_invs),
         queue_expect
     );
+    // The η′ row says something only if η′ is what got folded: at
+    // `Enq(1) Enq(2) Deq(1)`, a view the enumeration reaches, η leaves
+    // {2} and η′ leaves {}, so the two answer `Deq` differently.
+    let view = [QueueOp::Enq(1), QueueOp::Enq(2), QueueOp::Deq(1)];
+    assert!(view.iter().all(|op| items.contains(op)));
+    assert_eq!(deq_at(&TaxiQueueType, &view), Some(QueueOp::Deq(2)));
+    assert_eq!(deq_at(&TaxiQueue(EtaPrime), &view), None);
     let account_invs = [
         AccountInv::Credit(1),
         AccountInv::Credit(2),

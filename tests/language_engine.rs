@@ -412,17 +412,22 @@ fn shared_taxi_walk_matches_naive_at_small_bounds() {
 }
 
 /// Steps an [`Acceptor`] along `ops` and holds it to the exact `δ*` after
-/// every prefix: it accepts iff `δ*` is non-empty, as `accepts` does, and
-/// holds distinct states of `δ*` — all of them when `exact`. Returns the
-/// acceptor's states after the whole history.
+/// every prefix: it accepts iff `δ*` is non-empty, as `accepts` does,
+/// first rejects at the op `first_rejection` names, and holds distinct
+/// states of `δ*` — all of them when `exact`. Returns the acceptor's
+/// states after the whole history.
 fn acceptor_against_delta_star<A: ObjectAutomaton>(
     automaton: &A,
     ops: &[A::Op],
     exact: bool,
 ) -> Result<Vec<A::State>, String> {
     let mut acceptor = Acceptor::new(automaton.initial_state());
+    let mut rejected_at = None;
     for n in 0..=ops.len() {
         let alive = n == 0 || acceptor.step(automaton, &ops[n - 1]);
+        if !alive && rejected_at.is_none() {
+            rejected_at = Some(n - 1);
+        }
         let prefix = History::from(ops[..n].to_vec());
         let delta = automaton.delta_star(&prefix);
         let states = acceptor.states();
@@ -432,6 +437,10 @@ fn acceptor_against_delta_star<A: ObjectAutomaton>(
             (
                 alive != automaton.accepts(&prefix),
                 "verdict differs from accepts",
+            ),
+            (
+                automaton.first_rejection(&prefix) != rejected_at,
+                "first_rejection names another op",
             ),
             (distinct.len() != states.len(), "duplicate states"),
             (

@@ -1,14 +1,16 @@
 //! Cross-crate integration: the operational replicated objects against
 //! their lattice specifications, under failure injection.
 
-use relaxation_lattice::automata::ObjectAutomaton;
+use relaxation_lattice::automata::{History, ObjectAutomaton, SplitMix64};
 use relaxation_lattice::core::lattices::taxi::{TaxiLattice, TaxiPoint};
-use relaxation_lattice::queues::{AccountOp, PQueueAutomaton};
+use relaxation_lattice::queues::{
+    AccountAutomaton, AccountOp, BouncingAccountAutomaton, PQueueAutomaton, QueueOp,
+};
 use relaxation_lattice::quorum::protocol::wire::Outcome;
 use relaxation_lattice::quorum::relation::{AccountKind, QueueKind};
 use relaxation_lattice::quorum::types::{AccountInv, BankAccountType, QueueInv, TaxiQueueType};
 use relaxation_lattice::quorum::{queue_relation, ClientConfig, QuorumSystem, VotingAssignment};
-use relaxation_lattice::sim::{FaultSchedule, NetworkConfig, NodeId, SimTime};
+use relaxation_lattice::sim::{Fault, FaultSchedule, NetworkConfig, NodeId, Partition, SimTime};
 
 fn preferred_assignment(n: usize) -> VotingAssignment<QueueKind> {
     let maj = n / 2 + 1;
@@ -40,10 +42,9 @@ fn healthy_runs_are_one_copy_serializable_across_seeds() {
         }
         assert!(sys.run_to_quiescence(1_000_000));
         let h = sys.merged_history();
-        assert!(
-            PQueueAutomaton::new().accepts(&h),
-            "seed {seed}: {h} is not a PQ history"
-        );
+        if let Some(i) = PQueueAutomaton::new().first_rejection(&h) {
+            panic!("seed {seed}: PQ rejects op {i}, {}, of {h}", h.ops()[i]);
+        }
     }
 }
 
@@ -84,7 +85,12 @@ fn relaxed_runs_stay_within_the_lattice_bottom() {
         }
         sys.run_to_quiescence(1_000_000);
         let h = sys.merged_history();
-        assert!(degen.accepts(&h), "seed {seed}: {h} outside the lattice");
+        if let Some(i) = degen.first_rejection(&h) {
+            panic!(
+                "seed {seed}: DegenPQ rejects op {i}, {}, of {h}",
+                h.ops()[i]
+            );
+        }
     }
 }
 
@@ -92,6 +98,7 @@ fn relaxed_runs_stay_within_the_lattice_bottom() {
 fn account_never_overdraws_under_partitions_and_loss() {
     // A2 held (debit finals cover all sites), A1 relaxed, messages lost,
     // one replica flapping: completed DebitOks never exceed credits.
+    let mut rejected = Vec::new();
     for seed in 0..10 {
         let assignment = VotingAssignment::new(3)
             .with_initial(AccountKind::Credit, 1)
@@ -108,11 +115,16 @@ fn account_never_overdraws_under_partitions_and_loss() {
         );
         sys.world_mut()
             .set_schedule(FaultSchedule::new().down_between(NodeId(2), SimTime(100), SimTime(450)));
-        sys.submit(AccountInv::Credit(10));
-        sys.submit(AccountInv::Debit(4));
-        sys.submit(AccountInv::Credit(3));
-        sys.submit(AccountInv::Debit(9));
-        sys.submit(AccountInv::Debit(2));
+        let invs = [
+            AccountInv::Credit(10),
+            AccountInv::Debit(4),
+            AccountInv::Credit(3),
+            AccountInv::Debit(9),
+            AccountInv::Debit(2),
+        ];
+        for inv in invs {
+            sys.submit(inv);
+        }
         sys.run_to_quiescence(2_000_000);
 
         let mut credits = 0i64;
@@ -130,7 +142,30 @@ fn account_never_overdraws_under_partitions_and_loss() {
             debits <= credits,
             "seed {seed}: overdrew ({debits} > {credits})"
         );
+
+        // The replicas' log is another matter. A debit that timed out
+        // may still have landed below its final quorum, where a later
+        // debit's view can miss it; the log then overdraws. Each
+        // rejection must be of that kind, and the rejected seeds are
+        // pinned, so a new kind of rejection fails here.
+        let h = sys.merged_history();
+        if let Some(i) = BouncingAccountAutomaton::new().first_rejection(&h) {
+            let landed = |n: &u32| {
+                h.iter().any(|op| {
+                    matches!(op, AccountOp::DebitOk(m) | AccountOp::DebitOverdraft(m) if m == n)
+                })
+            };
+            assert!(
+                invs.iter().zip(sys.outcomes()).any(|(inv, o)| {
+                    matches!((inv, o), (AccountInv::Debit(n), Outcome::TimedOut) if landed(n))
+                }),
+                "seed {seed}: {{A2}} rejects op {i}, {}, of {h}, and no timed-out debit landed",
+                h.ops()[i]
+            );
+            rejected.push(seed);
+        }
     }
+    assert_eq!(rejected, [0, 7], "seeds whose replicated log overdraws");
 }
 
 #[test]
@@ -140,11 +175,6 @@ fn operational_account_histories_live_in_the_declarative_lattice() {
     // histories that the *declarative* QCA(Account, {A2}, η) accepts. The
     // runtime's actual read-quorum views are existence witnesses for the
     // QCA's Q-views.
-    use relaxation_lattice::core::lattices::account::AccountLattice;
-    let lattice = AccountLattice::new();
-    let relaxed = lattice.qca_unchecked(false, true);
-    let preferred = lattice.qca_unchecked(true, true);
-
     let mut saw_degraded = false;
     for seed in 0..25 {
         let assignment = VotingAssignment::new(3)
@@ -167,17 +197,82 @@ fn operational_account_histories_live_in_the_declarative_lattice() {
         sys.run_to_quiescence(1_000_000);
 
         let h = sys.merged_history();
-        assert!(
-            relaxed.accepts(&h),
-            "seed {seed}: {h} outside QCA(Account, {{A2}}, η)"
-        );
-        if !preferred.accepts(&h) {
-            saw_degraded = true; // a genuinely degraded (but specified) run
+        if let Some(i) = BouncingAccountAutomaton::new().first_rejection(&h) {
+            panic!("seed {seed}: {{A2}} rejects op {i}, {}, of {h}", h.ops()[i]);
         }
+        // A genuinely degraded (but specified) run.
+        saw_degraded |= AccountAutomaton::new().first_rejection(&h).is_some();
     }
     assert!(
         saw_degraded,
         "expected at least one spurious bounce across seeds"
+    );
+}
+
+/// One client against 3 replicas over 12 windows of 8 random taxi ops;
+/// window `w` cuts replica `w % 3` off from the client and the other
+/// two, and a heal follows. Returns the merged history.
+fn rotating_partition_run(deq_initial: usize, seed: u64) -> History<QueueOp> {
+    let assignment = VotingAssignment::new(3)
+        .with_initial(QueueKind::Enq, 1)
+        .with_final(QueueKind::Enq, 2)
+        .with_initial(QueueKind::Deq, deq_initial)
+        .with_final(QueueKind::Deq, 2);
+    let mut sys = QuorumSystem::new(
+        TaxiQueueType,
+        3,
+        assignment,
+        ClientConfig::default(),
+        NetworkConfig::new(1, 5, 0.0),
+        seed,
+    );
+    let mut rng = SplitMix64::seed_from_u64(seed);
+    for w in 0..12 {
+        let lone = NodeId(w % 3);
+        let rest = (0..4).map(NodeId).filter(|&r| r != lone).collect();
+        let now = sys.world().now().0;
+        sys.world_mut().set_schedule(FaultSchedule::new().at(
+            SimTime(now + 1),
+            Fault::Partition(Partition::groups(vec![rest, vec![lone]])),
+        ));
+        sys.run_until(SimTime(now + 1));
+        for _ in 0..8 {
+            sys.submit(if rng.gen_bool(0.5) {
+                QueueInv::Enq(rng.range_u64(0, 9) as i64)
+            } else {
+                QueueInv::Deq
+            });
+        }
+        sys.run_to_quiescence(1_000_000);
+    }
+    let now = sys.world().now().0;
+    sys.world_mut()
+        .set_schedule(FaultSchedule::new().at(SimTime(now + 1), Fault::Heal));
+    sys.run_to_quiescence(1_000_000);
+    sys.merged_history()
+}
+
+#[test]
+fn the_whole_run_check_catches_what_a_12_op_probe_misses() {
+    // At `{Q1,Q2}` (Enq 1/2, Deq 2/2) every merged history is a PQ
+    // history, whichever replica the window cuts off.
+    for seed in 0..50 {
+        let h = rotating_partition_run(2, seed);
+        if let Some(i) = PQueueAutomaton::new().first_rejection(&h) {
+            panic!("seed {seed}: PQ rejects op {i}, {}, of {h}", h.ops()[i]);
+        }
+    }
+    // A `Deq` initial quorum of 1 drops Q1 and Q2. The whole-run check
+    // rejects some seed, and more seeds than a probe of the first 12
+    // ops does.
+    let rejections: Vec<usize> = (0..50)
+        .filter_map(|seed| PQueueAutomaton::new().first_rejection(&rotating_partition_run(1, seed)))
+        .collect();
+    let within_probe = rejections.iter().filter(|&&i| i < 12).count();
+    assert!(!rejections.is_empty(), "no seed rejects the mutant");
+    assert!(
+        within_probe < rejections.len(),
+        "every rejection is within the first 12 ops: {rejections:?}"
     );
 }
 
@@ -241,7 +336,6 @@ fn trace_analysis_names_the_flapping_partitions_as_degradation_root_cause() {
     // two flapping partitions — the later crash, which is causally
     // unrelated to the witness, must not appear.
     use relaxation_lattice::quorum::queue_lattice_monitor;
-    use relaxation_lattice::sim::{Fault, Partition};
     use relaxation_lattice::trace::{read_trace, EventKind, TraceAnalysis};
 
     let n = 3;
