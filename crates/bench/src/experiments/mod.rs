@@ -20,7 +20,6 @@ pub mod lattices;
 pub mod markov;
 pub mod par;
 pub mod prob;
-pub mod regress;
 pub mod serialdep;
 pub mod substrates;
 pub mod summary;
@@ -37,9 +36,8 @@ pub type Experiment = (
 );
 
 /// Everything `relax-bench` runs. All but `fault_campaign` (which times
-/// itself), `substrates` (which times every layer), `compare` (which
-/// times two benchmark builds) and `regress` (which reads files) print
-/// the same bytes on every run.
+/// itself), `substrates` (which times every layer) and `compare` (which
+/// times two benchmark builds) print the same bytes on every run.
 pub const EXPERIMENTS: &[Experiment] = &[
     (
         "figures",
@@ -156,18 +154,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
         ],
         compare::main,
     ),
-    (
-        "regress",
-        "fresh BENCH_*.json payloads against the committed baselines",
-        &[
-            "--fresh DIR",
-            "--baselines DIR",
-            "--only SUBSTR",
-            "--bless",
-            "--list",
-        ],
-        regress::main,
-    ),
 ];
 
 /// The row named `name`.
@@ -253,7 +239,8 @@ pub(crate) fn quantile<T: Copy + Default>(sorted: &[T], q: f64) -> T {
 
 /// One metric's readings of two sides, A and B, taken in alternated
 /// pairs: `compare`'s runs of two benchmark builds, `fault_campaign`'s
-/// ABBA blocks of bare and instrumented suites.
+/// ABBA blocks of bare and instrumented suites, `substrates`' ABBA blocks
+/// of a gated row and its denominator.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct Readings {
     /// A's reading in each pair.
@@ -307,6 +294,35 @@ impl Readings {
     }
 }
 
+/// Times `blocks` blocks of four runs in ABBA order — A, B, B, A — so
+/// that machine-wide noise and monotone drift hit both sides alike.
+/// `run(on_b, rep)` times one run of side B when `on_b`, of side A
+/// otherwise; block `k` runs rep `2k` and then rep `2k + 1`, so when a
+/// rep repeats the input of the one before it, each side gets one cold
+/// and one warm run per block. Returns each block's two sums.
+pub(crate) fn abba_blocks(blocks: usize, mut run: impl FnMut(bool, usize) -> f64) -> Readings {
+    let mut readings = Readings::default();
+    for block in 0..blocks {
+        let a1 = run(false, 2 * block);
+        let b1 = run(true, 2 * block);
+        let b2 = run(true, 2 * block + 1);
+        let a2 = run(false, 2 * block + 1);
+        readings.a.push(a1 + a2);
+        readings.b.push(b1 + b2);
+    }
+    readings
+}
+
+/// `Ok` when `reading` is at most `bound`; otherwise an error naming
+/// `what`, the reading and the bound.
+pub(crate) fn within(what: &str, reading: f64, bound: f64) -> Result<(), String> {
+    if reading <= bound {
+        Ok(())
+    } else {
+        Err(format!("{what} reads {reading:.3}, over its bound {bound}"))
+    }
+}
+
 /// Two-sided sign test: the chance that `n` tosses of a fair coin land
 /// at least as far from `n / 2` heads as `wins` did.
 fn sign_test_p(wins: usize, n: usize) -> f64 {
@@ -350,7 +366,7 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), EXPERIMENTS.len(), "duplicate name");
-        assert_eq!(sorted.len(), 19);
+        assert_eq!(sorted.len(), 18);
 
         // The crate's doc table lists them in table order.
         let lib_rows = documented(include_str!("../lib.rs"), "//! | `relax-bench ");
@@ -379,51 +395,35 @@ mod tests {
         }
     }
 
+    /// A payload gains the machine block as its last field and keeps
+    /// every field it was handed, numbers and nested objects alike.
     #[test]
     fn a_payload_with_its_machine_block_keeps_every_checked_metric() {
-        use relax_trace::codec::{report_fields, ReportValue};
         let dir = std::env::temp_dir().join(format!("relax_payload_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let committed = [
-            (
-                "BENCH_fault_campaign.json",
-                include_str!("../../../../baselines/BENCH_fault_campaign.json"),
-            ),
-            (
-                "BENCH_micro_substrates.json",
-                include_str!("../../../../baselines/BENCH_micro_substrates.json"),
-            ),
-        ];
-        for (file, json) in committed {
-            let path = dir.join(file).display().to_string();
-            write_payload(&path, json).unwrap();
-            let written = std::fs::read_to_string(&path).unwrap();
-            let fields = report_fields(&written).unwrap_or_else(|e| panic!("{file}: {e}"));
-            for check in regress::CHECKS.iter().filter(|c| c.file == file) {
-                assert!(
-                    fields.iter().any(|(name, _)| name == check.metric),
-                    "{file}: {} lost",
-                    check.metric
-                );
-            }
-            let last = fields.last().expect("fields");
-            assert_eq!(
-                (last.0.as_str(), &last.1),
-                ("machine", &ReportValue::Nested)
-            );
-            for key in ["\"nproc\":", "\"rustc\":\"", "\"commit\":\""] {
-                assert!(written.contains(key), "{file}: {key} missing");
-            }
-            let count = |key: &str| -> usize {
-                let rest = written.split(key).nth(1).expect(key);
-                rest[..rest.find(',').expect("a later field")]
-                    .parse()
-                    .expect(key)
-            };
-            let (nproc, allowed) = (count("\"nproc\":"), count("\"cpus_allowed\":"));
-            assert!(nproc >= allowed && allowed >= 1, "{file}: {written}");
-        }
+        let path = dir.join("BENCH_synthetic.json").display().to_string();
+        let body = "{\"telemetry_pct\":11.52,\"sim_hold/16384\":61.1,\
+                    \"ratios\":{\"sim_hold/16384\":0.97}}";
+        write_payload(&path, &format!("{body}\n")).unwrap();
+        let written = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
+        let kept = body.strip_suffix('}').unwrap();
+        assert!(
+            written.starts_with(&format!("{kept},\"machine\":{{\"nproc\":")),
+            "{written}"
+        );
+        assert!(written.ends_with("\"}}\n"), "{written}");
+        for key in ["\"cpus_allowed\":", "\"rustc\":\"", "\"commit\":\""] {
+            assert!(written.contains(key), "{key} missing: {written}");
+        }
+        let count = |key: &str| -> usize {
+            let rest = written.split(key).nth(1).expect(key);
+            rest[..rest.find(',').expect("a later field")]
+                .parse()
+                .expect(key)
+        };
+        let (nproc, allowed) = (count("\"nproc\":"), count("\"cpus_allowed\":"));
+        assert!(nproc >= allowed && allowed >= 1, "{written}");
     }
 
     #[test]
@@ -459,6 +459,41 @@ mod tests {
         } else {
             assert_eq!(commit, "unknown");
         }
+    }
+
+    /// Stand-in timings: A runs take 1,000 ns, B rep `r` 1,100 + `r`,
+    /// so block `k` sums to 2,000 against 2,201 + 4`k`.
+    #[test]
+    fn abba_blocks_alternate_the_sides_and_feed_the_shared_verdict() {
+        let stand_in = |on_b: bool, rep: usize| if on_b { 1_100.0 + rep as f64 } else { 1_000.0 };
+        let mut calls = Vec::new();
+        let readings = abba_blocks(3, |on_b, rep| {
+            calls.push((on_b, rep));
+            stand_in(on_b, rep)
+        });
+        assert_eq!(calls[..4], [(false, 0), (true, 0), (true, 1), (false, 1)]);
+        assert_eq!(calls[8..], [(false, 4), (true, 4), (true, 5), (false, 5)]);
+        assert_eq!(readings.a, [2_000.0; 3]);
+        assert_eq!(readings.b, [2_201.0, 2_205.0, 2_209.0]);
+        let v = readings.verdict(false);
+        assert_eq!(v.ratio[1], 2_205.0 / 2_000.0);
+        assert_eq!((v.wins, v.ties, v.p), (0, 0, 0.25));
+        // At 301 blocks the quartiles are the ratios of ranks 75, 150 and
+        // 225.
+        let rank = |k: f64| (2_201.0 + 4.0 * k) / 2_000.0;
+        assert_eq!(
+            abba_blocks(301, stand_in).verdict(false).ratio,
+            [rank(75.0), rank(150.0), rank(225.0)]
+        );
+    }
+
+    #[test]
+    fn a_reading_at_its_bound_passes_and_one_above_names_itself() {
+        assert_eq!(within("x", 1.5, 1.5), Ok(()));
+        assert_eq!(
+            within("x ÷ y", 1.75, 1.5),
+            Err("x ÷ y reads 1.750, over its bound 1.5".to_string())
+        );
     }
 
     #[test]

@@ -8,12 +8,16 @@
 //! operational executors (print spooler, replicated taxi queue on the
 //! simulator) end to end.
 //!
-//! A row is a name and a closure that times it on one `Bencher`; each
-//! prints its mean wall-clock ns per iteration, and the run writes every
-//! row to `BENCH_micro_substrates.json` (`{"<row>": <mean ns>, …}` plus
-//! the machine block), where `relax-bench regress` gates some of them.
-//! Numbers are indicative means over an adaptive batch, not statistically
-//! analysed.
+//! A row is a name and a closure that times one window of it on its
+//! `Bencher`. A row reports the median ns per iteration of its windows.
+//! The rows in `GATES` are timed in pairs, each alternated with its
+//! denominator in ABBA blocks, and a gate reads the median per-block
+//! ratio of the two. The run prints every row and then the gate table,
+//! writes `BENCH_micro_substrates.json` (`{"<row>": <median ns>, …,
+//! "ratios": {"<gated row>": <ratio>, …}}` plus the machine block), and
+//! fails when a ratio is over its bound. A ratio measured inside one run
+//! means the same on any machine: no reading is held against a number
+//! recorded elsewhere.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -36,69 +40,191 @@ use relax_quorum::calm::SchedulingPolicy;
 use relax_quorum::relation::{AccountKind, QueueKind};
 use relax_quorum::types::{AccountInv, BankAccountType, QueueInv, ReplicatedType, TaxiQueueType};
 use relax_quorum::{
-    queue_lattice_monitor, ClientConfig, DiffScratch, Entry, Executor, Log, QuorumSystem,
+    queue_lattice_monitor, ClientConfig, DiffScratch, Entry, Executor, Frontier, Log, QuorumSystem,
     RepViewAutomaton, ThreadedConfig, ThreadedSystem, Timestamp, ViewCache, VotingAssignment,
 };
 use relax_sim::{Ctx, NetworkConfig, Node, NodeId, Partition, World};
 use relax_spec::{paper_theories, parse_term, Rewriter, Term};
 
 use crate::args::Args;
-use crate::experiments::write_payload;
+use crate::experiments::{abba_blocks, quantile, within, write_payload, Readings};
+use crate::table::Table;
 
 /// The payload `relax-bench substrates` writes into the cwd.
 const PAYLOAD: &str = "BENCH_micro_substrates.json";
 
-/// Runs one row's timing loop and keeps its mean.
+/// One gate: `row`'s median per-block ratio over `per`, the two timed
+/// alternately in ABBA blocks, may read at most `bound`.
+#[derive(Debug)]
+struct Gate {
+    row: &'static str,
+    per: &'static str,
+    bound: f64,
+}
+
+/// Every gate, each with the regression it catches. A bound is 1.5 times
+/// the highest reading of fifteen pinned runs of unchanged layers,
+/// rounded up to two figures; `sim_hold`'s is 1.37 times, so that the
+/// heap it was set against fails by as wide a margin (EXPERIMENTS,
+/// Micro-benchmarks).
+const GATES: [Gate; 11] = [
+    // The sim client's bookkeeping: each step costs what changed and
+    // what it ships, whatever the history. A client that copies the
+    // first responder's log into its view again, folds the view into
+    // `known[r]`, or re-diffs the WAL for a silent replica reads about
+    // 64 times as much at 64 times the history.
+    Gate {
+        row: "sim_client_read_view/65536",
+        per: "sim_client_read_view/1024",
+        bound: 2.1,
+    },
+    Gate {
+        row: "sim_client_write_ack/65536",
+        per: "sim_client_write_ack/1024",
+        bound: 1.9,
+    },
+    Gate {
+        row: "sim_client_write_payloads/65536",
+        per: "sim_client_write_payloads/1024",
+        bound: 2.0,
+    },
+    // The replica log's delta for a peer whose view has a hole in one
+    // site and lacks another: two plain passes, linear in the history,
+    // so four times the history reads about four times as much. A delta
+    // that grows with the square of the history reads sixteen times.
+    Gate {
+        row: "log_delta_holed/65536",
+        per: "log_delta_holed/16384",
+        bound: 6.0,
+    },
+    // One whole `Enq` through a healthy three-replica sim system, which
+    // folds no view and refills the message bodies it sent last: sixteen
+    // times the history reads about the same. An invocation path that
+    // evaluates the view or copies a log per invocation grows with it.
+    Gate {
+        row: "sim_invocation/enq_16384",
+        per: "sim_invocation/enq",
+        bound: 1.8,
+    },
+    // The simulator's event queue: the calendar of tick buckets pops in
+    // O(1), so 16,384 pending timers read what 64 do. A binary heap
+    // keyed by `(time, seq)` sifts through log2(pending) levels and
+    // reads over twice as much (`mutants/calendar_heap.patch`).
+    Gate {
+        row: "sim_hold/16384",
+        per: "sim_hold/64",
+        bound: 1.6,
+    },
+    // The degradation monitor's four levels, each stepping one state in
+    // place: sixteen times the history reads about the same. A level
+    // that clones its frontier per operation reads the history's length
+    // (`mutants/monitor_hashset.patch`).
+    Gate {
+        row: "monitor_observe/16384",
+        per: "monitor_observe/1024",
+        bound: 1.8,
+    },
+    // The language walk over one raw-QCA pair and over Theorem 4's four
+    // pairs, against the same walk at a smaller bound: the ratio is the
+    // walk's growth in nodes times any per-node cost that grows with
+    // the tables. A hasher that stops reaching the cons tables' low
+    // bits, or a memo that stops hitting, grows with the walk.
+    Gate {
+        row: "product_walk/n1_rawqca_3x6",
+        per: "product_walk/n1_rawqca_3x5",
+        bound: 6.3,
+    },
+    Gate {
+        row: "product_walk/n4_taxi_3x8",
+        per: "product_walk/n4_taxi_3x6",
+        bound: 6.2,
+    },
+    // The state layer under Theorem 4's walk, each side against the
+    // other: a Rep-view step that sorts its successor again raises the
+    // first ratio, a reference whose states go back to trees the second.
+    Gate {
+        row: "taxi_states/quotient_3x8",
+        per: "taxi_states/reference_3x8",
+        bound: 5.8,
+    },
+    Gate {
+        row: "taxi_states/reference_3x8",
+        per: "taxi_states/quotient_3x8",
+        bound: 0.43,
+    },
+];
+
+/// Windows per row timed alone, and ABBA blocks per gated pair.
+const WINDOWS: usize = 15;
+/// A window's timed work. A window that times one step out of many may
+/// end sooner, at [`WINDOW_WALL`] of wall time.
+const WINDOW: Duration = Duration::from_millis(4);
+const WINDOW_WALL: Duration = Duration::from_millis(25);
+/// The warm-up of an `iter` row, whose rate sizes its window.
+const WARMUP: Duration = Duration::from_millis(20);
+
+/// Times one row a window at a time: each call of one of its loops times
+/// one window and records its ns per iteration, the first call after a
+/// warm-up that sizes the window. A row reports the median of its
+/// windows, so a slow spell of the machine moves a window, not the row.
 #[derive(Debug, Default)]
 struct Bencher {
-    mean_ns: f64,
+    /// Iterations per window, once sized (`iter` and `iter_custom`).
+    batch: u64,
+    /// ns per iteration of each window, in the order they were timed.
+    windows: Vec<f64>,
+    /// Iterations timed in all.
     iters: u64,
 }
 
 impl Bencher {
-    /// Times the routine: a short warm-up, then enough iterations to fill
-    /// the measurement window, reporting mean wall-clock ns per iteration.
-    fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
-        // Warm-up (also primes caches and the closure's first-call costs).
-        let warmup_end = Instant::now() + Duration::from_millis(20);
-        let mut warmup_iters: u64 = 0;
-        while Instant::now() < warmup_end {
-            black_box(routine());
-            warmup_iters += 1;
-        }
-        // Measurement: batches sized from the warm-up rate, ~60ms total.
-        let batch = warmup_iters.clamp(1, u64::MAX);
-        let window = Duration::from_millis(60);
-        let start = Instant::now();
-        let mut total_iters: u64 = 0;
-        while start.elapsed() < window {
-            for _ in 0..batch {
-                black_box(routine());
-            }
-            total_iters += batch;
-        }
-        let elapsed = start.elapsed();
-        self.iters = total_iters;
-        self.mean_ns = elapsed.as_nanos() as f64 / total_iters as f64;
+    fn record(&mut self, timed: Duration, iters: u64) {
+        self.windows.push(timed.as_nanos() as f64 / iters as f64);
+        self.iters += iters;
     }
 
-    /// Times `routine` on a fresh input from `setup` each iteration, for
-    /// routines that consume or mutate their input. Only the routine is
-    /// on the clock — not the set-up, nor dropping the routine's output.
-    /// Stops after ~60ms of timed work or ~1s of wall time in all.
+    /// The median of the windows' ns per iteration.
+    fn median_ns(&self) -> f64 {
+        let mut sorted = self.windows.clone();
+        sorted.sort_by(f64::total_cmp);
+        quantile(&sorted, 0.5)
+    }
+
+    /// Times one window of `routine`'s iterations.
+    fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
+        if self.batch == 0 {
+            // Also primes caches and the closure's first-call costs.
+            let (start, mut warm) = (Instant::now(), 0u128);
+            while start.elapsed() < WARMUP {
+                black_box(routine());
+                warm += 1;
+            }
+            self.batch = (warm * WINDOW.as_nanos() / WARMUP.as_nanos()).max(1) as u64;
+        }
+        let start = Instant::now();
+        for _ in 0..self.batch {
+            black_box(routine());
+        }
+        self.record(start.elapsed(), self.batch);
+    }
+
+    /// Times one window of `routine` on a fresh input from `setup` each
+    /// iteration, for routines that consume or mutate their input. Only
+    /// the routine is on the clock — not the set-up, nor dropping the
+    /// routine's output.
     fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R)
     where
         S: FnMut() -> I,
         R: FnMut(I) -> O,
     {
-        for _ in 0..3 {
-            black_box(routine(setup()));
+        if self.windows.is_empty() {
+            for _ in 0..3 {
+                black_box(routine(setup()));
+            }
         }
-        let (window, wall_cap) = (Duration::from_millis(60), Duration::from_secs(1));
         let start = Instant::now();
-        let mut timed = Duration::ZERO;
-        let mut iters: u64 = 0;
-        while timed < window && start.elapsed() < wall_cap {
+        let (mut timed, mut iters) = (Duration::ZERO, 0u64);
+        while timed < WINDOW && start.elapsed() < WINDOW_WALL {
             let input = setup();
             let t = Instant::now();
             let out = routine(input);
@@ -106,35 +232,44 @@ impl Bencher {
             black_box(out);
             iters += 1;
         }
-        self.iters = iters;
-        self.mean_ns = timed.as_nanos() as f64 / iters as f64;
+        self.record(timed, iters);
     }
 
-    /// Hands the clock to the routine: it is called with an iteration
-    /// count, runs that many, and returns the time it wants counted — so
-    /// it can time one step out of each iteration's many. Batches double
-    /// until ~60ms have been counted or ~300ms of wall time have passed.
+    /// Hands the clock to the routine for one window: it is called with
+    /// an iteration count, runs that many, and returns the time it wants
+    /// counted — so it can time one step out of each iteration's many.
+    /// The first call doubles the count until one call fills a window.
     fn iter_custom<R: FnMut(u64) -> Duration>(&mut self, mut routine: R) {
-        black_box(routine(3));
-        let (window, wall_cap) = (Duration::from_millis(60), Duration::from_millis(300));
-        let start = Instant::now();
-        let (mut timed, mut iters, mut batch) = (Duration::ZERO, 0u64, 1u64);
-        while timed < window && start.elapsed() < wall_cap {
-            timed += routine(batch);
-            iters += batch;
-            batch *= 2;
+        if self.batch == 0 {
+            black_box(routine(3));
+            self.batch = 1;
+            loop {
+                let start = Instant::now();
+                if routine(self.batch) >= WINDOW || start.elapsed() >= WINDOW_WALL {
+                    break;
+                }
+                self.batch *= 2;
+            }
         }
-        self.iters = iters;
-        self.mean_ns = timed.as_nanos() as f64 / iters as f64;
+        let timed = routine(self.batch);
+        self.record(timed, self.batch);
     }
 }
 
-/// Where a group hands its rows: a row's name, and the closure that
-/// times it on one [`Bencher`].
-type Sink<'s> = dyn FnMut(String, &mut dyn FnMut(&mut Bencher)) + 's;
+/// One window of a row, timed on the row's [`Bencher`].
+type Body<'b> = dyn FnMut(&mut Bencher) + 'b;
+
+/// Where a group hands its rows.
+trait Sink {
+    /// Times the row `name` alone.
+    fn row(&mut self, name: String, body: &mut Body<'_>);
+    /// Times two rows alternately in ABBA blocks, for the gates in
+    /// [`GATES`] that divide one by the other.
+    fn pair(&mut self, a: (String, &mut Body<'_>), b: (String, &mut Body<'_>));
+}
 
 /// Every group, in the order a run measures them.
-const GROUPS: [fn(&mut Sink<'_>); 19] = [
+const GROUPS: [fn(&mut dyn Sink); 19] = [
     log_merge,
     log_tail_paths,
     log_one_writer,
@@ -167,11 +302,11 @@ fn make_log(entries: usize, site: usize) -> Log<QueueOp> {
         .collect()
 }
 
-fn log_merge(row: &mut Sink<'_>) {
+fn log_merge(rows: &mut dyn Sink) {
     for size in [100usize, 1000] {
         let a = make_log(size, 0);
         let b = make_log(size, 1);
-        row(format!("log_merge/{size}"), &mut |bencher| {
+        rows.row(format!("log_merge/{size}"), &mut |bencher| {
             bencher.iter(|| black_box(a.merged(&b)).len());
         });
     }
@@ -183,12 +318,13 @@ fn log_merge(row: &mut Sink<'_>) {
 /// sorts inside the replica's last 256. Both calls cost O(batch), so the
 /// three histories must read the same. Beside them, the two shapes that
 /// read more than a batch: a delta for a peer whose view has a hole and
-/// lacks a site (two plain passes over the history), and one site's
-/// entries, shipped whole, merged into a log that holds all but one of
-/// them (a gallop over the site's entries, then a 128-entry splice).
-fn log_tail_paths(row: &mut Sink<'_>) {
+/// lacks a site (two plain passes over the history, so its two largest
+/// sizes are timed as a gated pair), and one site's entries, shipped
+/// whole, merged into a log that holds all but one of them (a gallop over
+/// the site's entries, then a 128-entry splice).
+fn log_tail_paths(rows: &mut dyn Sink) {
     const SITES: usize = 256;
-    for history in [1usize << 10, 1 << 14, 1 << 16] {
+    let holed = [1usize << 10, 1 << 14, 1 << 16].map(|history| {
         let rounds = history / SITES + 1;
         let mut replica: Log<QueueOp> = Log::new();
         let mut batch: Log<QueueOp> = Log::new();
@@ -214,7 +350,7 @@ fn log_tail_paths(row: &mut Sink<'_>) {
         )]
         .into_iter()
         .collect();
-        row(format!("log_merge_splice_128/{history}"), &mut |bencher| {
+        rows.row(format!("log_merge_splice_128/{history}"), &mut |bencher| {
             bencher.iter_batched(
                 || replica.merged(&headroom),
                 |mut log| {
@@ -228,7 +364,7 @@ fn log_tail_paths(row: &mut Sink<'_>) {
         let behind = replica.frontier();
         let ahead = replica.merged(&batch);
         let mut scratch = DiffScratch::default();
-        row(
+        rows.row(
             format!("log_delta_one_batch_behind/{history}"),
             &mut |bencher| {
                 bencher.iter(|| {
@@ -239,24 +375,6 @@ fn log_tail_paths(row: &mut Sink<'_>) {
             },
         );
 
-        // The same view with a hole in trailing site 1 and site 2 never
-        // heard of: both ship whole, site 1 once its confirmation fails,
-        // so the delta reads the history twice.
-        let holed: Log<QueueOp> = replica
-            .entries()
-            .iter()
-            .filter(|e| e.ts.site != 2 && e.ts != Timestamp::new(rounds as u64 / 2 + 1, 1))
-            .cloned()
-            .collect();
-        let holed = holed.frontier();
-        row(format!("log_delta_holed/{history}"), &mut |bencher| {
-            bencher.iter(|| {
-                ahead
-                    .delta_above_with(black_box(&holed), &mut scratch)
-                    .len()
-            });
-        });
-
         // Site 1 shipped whole into the replica, which holds all of it
         // but the last round's entry: the merge skips what it holds and
         // splices in the one entry it lacks.
@@ -266,7 +384,7 @@ fn log_tail_paths(row: &mut Sink<'_>) {
             .filter(|e| e.ts.site == 1)
             .cloned()
             .collect();
-        row(format!("log_merge_held_site/{history}"), &mut |bencher| {
+        rows.row(format!("log_merge_held_site/{history}"), &mut |bencher| {
             bencher.iter_batched(
                 || replica.merged(&headroom),
                 |mut log| {
@@ -275,7 +393,32 @@ fn log_tail_paths(row: &mut Sink<'_>) {
                 },
             );
         });
-    }
+
+        // The even writer's view with a hole in trailing site 1 and site
+        // 2 never heard of: both ship whole, site 1 once its confirmation
+        // fails, so the delta reads the history twice.
+        let holed: Log<QueueOp> = replica
+            .entries()
+            .iter()
+            .filter(|e| e.ts.site != 2 && e.ts != Timestamp::new(rounds as u64 / 2 + 1, 1))
+            .cloned()
+            .collect();
+        (history, ahead, holed.frontier())
+    });
+    let [mut small, mut mid, mut large] = holed.each_ref().map(holed_delta);
+    rows.row(small.0, &mut small.1);
+    rows.pair((mid.0, &mut mid.1), (large.0, &mut large.1));
+}
+
+/// The row of the delta of `ahead` for a peer at the frontier `holed`.
+fn holed_delta(
+    (history, ahead, holed): &(usize, Log<QueueOp>, Frontier),
+) -> (String, impl FnMut(&mut Bencher) + '_) {
+    let mut scratch = DiffScratch::default();
+    let body = move |bencher: &mut Bencher| {
+        bencher.iter(|| ahead.delta_above_with(black_box(holed), &mut scratch).len());
+    };
+    (format!("log_delta_holed/{history}"), body)
 }
 
 /// One writer's shapes: a shard of 256 clients (one site each, one entry
@@ -293,7 +436,7 @@ fn log_tail_paths(row: &mut Sink<'_>) {
 /// commit appends. `unobserved`: only the first round observes; after
 /// it client `c` mints `M + c + 1 + j`, which lands among everything
 /// minted since — every later commit is a splice over a growing tail.
-fn log_one_writer(row: &mut Sink<'_>) {
+fn log_one_writer(rows: &mut dyn Sink) {
     const SITES: u64 = 256;
     let stamp = |counter: u64, site: u64| {
         Entry::new(
@@ -322,7 +465,7 @@ fn log_one_writer(row: &mut Sink<'_>) {
         let (replica, headroom) = resident_log(resident);
         let next = round_from(resident + 1);
 
-        row(
+        rows.row(
             format!("log_insert_above_tail/{resident}"),
             &mut |bencher| {
                 bencher.iter_batched(
@@ -337,7 +480,7 @@ fn log_one_writer(row: &mut Sink<'_>) {
             },
         );
 
-        row(format!("log_merge_append_256/{resident}"), &mut |bencher| {
+        rows.row(format!("log_merge_append_256/{resident}"), &mut |bencher| {
             bencher.iter_batched(
                 || replica.merged(&headroom),
                 |mut log| {
@@ -356,7 +499,7 @@ fn log_one_writer(row: &mut Sink<'_>) {
             .collect()
     };
     for (shape, rounds) in [("observed", sixteen(SITES)), ("unobserved", sixteen(1))] {
-        row(
+        rows.row(
             format!("shard_round_free_after_debit/{shape}"),
             &mut |bencher| {
                 bencher.iter_batched(
@@ -387,7 +530,7 @@ fn log_one_writer(row: &mut Sink<'_>) {
 /// each a splice to the cache the other left behind; the chain stores
 /// nothing before the cache has seen a miss, so one early splice — the
 /// view's first two entries arriving in reverse — arms it.
-fn viewcache(row: &mut Sink<'_>) {
+fn viewcache(rows: &mut dyn Sink) {
     let ttype = TaxiQueueType;
     let eval = |cache: &mut ViewCache<_>, log: &Log<QueueOp>| {
         cache
@@ -399,7 +542,7 @@ fn viewcache(row: &mut Sink<'_>) {
         let mut cache = ViewCache::new();
         eval(&mut cache, &log);
         let mut counter = 2 * size as u64;
-        row(format!("viewcache_eval_append_1/{size}"), &mut |bencher| {
+        rows.row(format!("viewcache_eval_append_1/{size}"), &mut |bencher| {
             bencher.iter(|| {
                 counter += 1;
                 log.insert(Entry::new(Timestamp::new(counter, 0), QueueOp::Enq(0)));
@@ -422,7 +565,7 @@ fn viewcache(row: &mut Sink<'_>) {
         eval(&mut cache, &base);
         assert_eq!((cache.misses(), cache.checkpoint_hits()), (1, 0));
         let mut turn = 0;
-        row(format!("viewcache_splice_resume/{size}"), &mut |bencher| {
+        rows.row(format!("viewcache_splice_resume/{size}"), &mut |bencher| {
             bencher.iter(|| {
                 turn ^= 1;
                 eval(&mut cache, black_box(&spliced[turn]))
@@ -495,17 +638,18 @@ fn one_write(sys: &mut QuorumSystem<BankAccountType>) -> [Duration; 2] {
 /// from the prefix it shares with the responder's log, folding an ack
 /// and shipping the WAL past a silent replica cost what changed and what
 /// is shipped, so their three resident sizes must read the same (cache
-/// misses aside). A system is rebuilt once its history has drifted an
-/// eighth past `resident`.
-fn sim_client_write(row: &mut Sink<'_>) {
-    for resident in [1usize << 10, 1 << 14, 1 << 16] {
-        for (free, name, step) in [
-            (false, "sim_client_read_view", 0),
-            (false, "sim_client_write_ack", 1),
-            (true, "sim_client_write_payloads", 1),
-        ] {
-            row(format!("{name}/{resident}"), &mut |bencher| {
-                let mut sys = sim_client(resident, free);
+/// misses aside), and the largest is timed as a gated pair with the
+/// smallest. A system is rebuilt once its history has drifted an eighth
+/// past `resident`.
+fn sim_client_write(rows: &mut dyn Sink) {
+    for (free, name, step) in [
+        (false, "sim_client_read_view", 0),
+        (false, "sim_client_write_ack", 1),
+        (true, "sim_client_write_payloads", 1),
+    ] {
+        let body = |resident: usize| {
+            let mut sys = sim_client(resident, free);
+            move |bencher: &mut Bencher| {
                 bencher.iter_custom(|iters| {
                     let mut timed = Duration::ZERO;
                     for _ in 0..iters {
@@ -516,23 +660,28 @@ fn sim_client_write(row: &mut Sink<'_>) {
                     }
                     timed
                 });
-            });
-        }
+            }
+        };
+        rows.row(format!("{name}/16384"), &mut body(1 << 14));
+        rows.pair(
+            (format!("{name}/1024"), &mut body(1 << 10)),
+            (format!("{name}/65536"), &mut body(1 << 16)),
+        );
     }
 }
 
 /// One whole invocation through the sim executor — submit, read phase,
 /// response, write phase, every simulator event in between — on a
-/// healthy three-replica taxi queue with a 1,024-entry history behind
-/// one client: ns per completed invocation. `enq` answers the same
+/// healthy three-replica taxi queue with a history of `history` entries
+/// behind one client: ns per completed invocation. `enq` answers the same
 /// against every view and must pay for nothing that grows with the
-/// history: no view folded, no message body allocated afresh. `deq`
-/// reads the view's value (a one-entry cache hit) and assembles
-/// majorities. The system is rebuilt once its history has drifted an
-/// eighth past 1,024.
-fn sim_invocation(row: &mut Sink<'_>) {
-    const HISTORY: usize = 1 << 10;
-    let fresh = || {
+/// history: no view folded, no message body allocated afresh, so at
+/// 16,384 entries it is timed as a gated pair with itself at 1,024.
+/// `deq` reads the view's value (a one-entry cache hit) and assembles
+/// majorities. A system is rebuilt once its history has drifted an
+/// eighth past `history`.
+fn sim_invocation(rows: &mut dyn Sink) {
+    let fresh = |history: usize| {
         let assignment = VotingAssignment::new(3)
             .with_initial(QueueKind::Deq, 2)
             .with_final(QueueKind::Deq, 2)
@@ -546,20 +695,20 @@ fn sim_invocation(row: &mut Sink<'_>) {
             NetworkConfig::new(1, 5, 0.0),
             42,
         );
-        for i in 0..HISTORY {
+        for i in 0..history {
             sys.submit(QueueInv::Enq(i as i64));
         }
         assert!(sys.run_to_quiescence(u64::MAX));
         sys
     };
-    for (name, inv) in [("enq", QueueInv::Enq(7)), ("deq", QueueInv::Deq)] {
-        row(format!("sim_invocation/{name}"), &mut |bencher| {
-            let mut sys = fresh();
+    let body = |history: usize, inv: QueueInv| {
+        let mut sys = fresh(history);
+        move |bencher: &mut Bencher| {
             bencher.iter_custom(|iters| {
                 let mut timed = Duration::ZERO;
                 for _ in 0..iters {
-                    if sys.outcomes().len() > HISTORY + HISTORY / 8 {
-                        sys = fresh();
+                    if sys.outcomes().len() > history + history / 8 {
+                        sys = fresh(history);
                     }
                     let t = Instant::now();
                     sys.submit(inv);
@@ -569,8 +718,22 @@ fn sim_invocation(row: &mut Sink<'_>) {
                 }
                 timed
             });
-        });
-    }
+        }
+    };
+    rows.pair(
+        (
+            "sim_invocation/enq".to_string(),
+            &mut body(1 << 10, QueueInv::Enq(7)),
+        ),
+        (
+            "sim_invocation/enq_16384".to_string(),
+            &mut body(1 << 14, QueueInv::Enq(7)),
+        ),
+    );
+    rows.row(
+        "sim_invocation/deq".to_string(),
+        &mut body(1 << 10, QueueInv::Deq),
+    );
 }
 
 /// Keeps `pending` timers armed: each that fires arms the next one 1–200
@@ -592,17 +755,19 @@ impl Node<u64> for Hold {
 /// The simulator's event queue, in the classic hold model: one
 /// `World::step` with `pending` timers queued, on a node that only
 /// re-arms, ns per event. The calendar of tick buckets schedules and
-/// pops in O(1), so the two sizes read about the same; a binary heap
-/// sifts through log2(pending) levels per event.
-fn sim_hold(row: &mut Sink<'_>) {
-    for pending in [64u64, 16_384] {
+/// pops in O(1), so the two sizes read about the same and are timed as a
+/// gated pair; a binary heap sifts through log2(pending) levels per
+/// event.
+fn sim_hold(rows: &mut dyn Sink) {
+    let body = |pending: u64| {
         let mut world = World::new(vec![Hold], NetworkConfig::default(), 7);
         world.send_external(NodeId(0), pending);
         assert!(world.step());
-        row(format!("sim_hold/{pending}"), &mut |bencher| {
-            bencher.iter(|| assert!(world.step()));
-        });
-    }
+        let body = move |bencher: &mut Bencher| bencher.iter(|| assert!(world.step()));
+        (format!("sim_hold/{pending}"), body)
+    };
+    let (mut few, mut many) = (body(64), body(16_384));
+    rows.pair((few.0, &mut few.1), (many.0, &mut many.1));
 }
 
 /// The degradation monitor (`queue_lattice_monitor`: PQ, MPQ, OPQ and
@@ -611,17 +776,18 @@ fn sim_hold(row: &mut Sink<'_>) {
 /// best item and its `Deq`, so 16 items stay live while MPQ's `absent`
 /// bag and DegenPQ's one bag grow with the history. A level that clones
 /// its state per operation again reads the history's length here: the
-/// two sizes must read about the same. A monitor runs the history from
-/// the start; a fresh one replaces it, untimed, at the end.
-fn monitor_observe(row: &mut Sink<'_>) {
-    for ops in [1usize << 10, 1 << 14] {
+/// two sizes must read about the same, and are timed as a gated pair. A
+/// monitor runs the history from the start; a fresh one replaces it,
+/// untimed, at the end.
+fn monitor_observe(rows: &mut dyn Sink) {
+    let body = |ops: usize| {
         let mut history: Vec<QueueOp> = (0..16).map(QueueOp::Enq).collect();
         for i in 0..ops as i64 / 2 {
             history.extend([QueueOp::Enq(16 + i), QueueOp::Deq(16 + i)]);
         }
         let mut monitor = queue_lattice_monitor();
         let mut next = 0;
-        row(format!("monitor_observe/{ops}"), &mut |bencher| {
+        let body = move |bencher: &mut Bencher| {
             bencher.iter_custom(|iters| {
                 let (mut timed, mut left) = (Duration::ZERO, iters as usize);
                 while left > 0 {
@@ -640,8 +806,11 @@ fn monitor_observe(row: &mut Sink<'_>) {
                 assert_eq!(monitor.current_level(), Some("PQ"));
                 timed
             });
-        });
-    }
+        };
+        (format!("monitor_observe/{ops}"), body)
+    };
+    let (mut short, mut long) = (body(1 << 10), body(1 << 14));
+    rows.pair((short.0, &mut short.1), (long.0, &mut long.1));
 }
 
 /// The threaded backend's rounds over three replicas, µs per round (a
@@ -657,7 +826,7 @@ fn monitor_observe(row: &mut Sink<'_>) {
 /// commit per round, which share one visit; `free` frees them — a commit
 /// per round, one visit. Thread wake-ups on a shared box: reported, not
 /// gated.
-fn threaded_rounds(row: &mut Sink<'_>) {
+fn threaded_rounds(rows: &mut dyn Sink) {
     let assignment = VotingAssignment::new(3)
         .with_initial(AccountKind::Credit, 1)
         .with_final(AccountKind::Credit, 1);
@@ -672,7 +841,7 @@ fn threaded_rounds(row: &mut Sink<'_>) {
                 SchedulingPolicy::coordination_free([AccountKind::Credit]),
             ),
         ] {
-            row(format!("{shape}/{name}"), &mut |bencher| {
+            rows.row(format!("{shape}/{name}"), &mut |bencher| {
                 bencher.iter_custom(|runs| {
                     let mut per_round = Duration::ZERO;
                     for _ in 0..runs {
@@ -706,10 +875,11 @@ fn threaded_rounds(row: &mut Sink<'_>) {
 /// give it: one pair over the raw QCA (whose history states never
 /// merge), one pair over a lattice join check (an intersection against
 /// its claimed join), and Theorem 4's four Rep-view quotient pairs
-/// walked in turn through one reused walker. The last row keeps its
-/// `n4_` name, which keys its committed baseline, from when the four
-/// pairs rode one tuple walk.
-fn product_walk(row: &mut Sink<'_>) {
+/// walked in turn through one reused walker. The first and the last
+/// are timed as gated pairs with the same walk at a smaller bound. The
+/// last row keeps its `n4_` name from when the four pairs rode one
+/// tuple walk.
+fn product_walk(rows: &mut dyn Sink) {
     let alphabet = queue_alphabet(&[1, 2, 3]);
 
     let lattice = TaxiLattice::new();
@@ -718,27 +888,30 @@ fn product_walk(row: &mut Sink<'_>) {
         q2: false,
     };
     let (qca, mpq) = (lattice.qca(theorem_4), lattice.reference(theorem_4));
-    row("product_walk/n1_rawqca_3x6".to_string(), &mut |bencher| {
-        bencher.iter(|| compare_upto(&qca, &mpq, &alphabet, 6, CompareOptions::counting()));
-    });
+    let (qca, mpq, alphabet) = (&qca, &mpq, &alphabet);
+    let rawqca = |len: usize| {
+        let body = move |bencher: &mut Bencher| {
+            bencher.iter(|| compare_upto(qca, mpq, alphabet, len, CompareOptions::counting()));
+        };
+        (format!("product_walk/n1_rawqca_3x{len}"), body)
+    };
+    let (mut short, mut long) = (rawqca(5), rawqca(6));
+    rows.pair((short.0, &mut short.1), (long.0, &mut long.1));
 
     let join = IntersectionAutomaton::new(StutteringAutomaton::new(2), SemiqueueAutomaton::new(2));
     let phi_of_join = SsQueueAutomaton::new(1, 1);
-    row("product_walk/n1_join_ssq_3x7".to_string(), &mut |bencher| {
-        bencher.iter(|| {
-            compare_upto(
-                &join,
-                &phi_of_join,
-                &alphabet,
-                7,
-                CompareOptions::counting(),
-            )
-        });
+    rows.row("product_walk/n1_join_ssq_3x7".to_string(), &mut |bencher| {
+        bencher.iter(|| compare_upto(&join, &phi_of_join, alphabet, 7, CompareOptions::counting()));
     });
 
-    row("product_walk/n4_taxi_3x8".to_string(), &mut |bencher| {
-        bencher.iter(|| verify_taxi_lattice(black_box(&[1, 2, 3]), 8));
-    });
+    let taxi = |len: usize| {
+        let body = move |bencher: &mut Bencher| {
+            bencher.iter(|| verify_taxi_lattice(black_box(&[1, 2, 3]), len));
+        };
+        (format!("product_walk/n4_taxi_3x{len}"), body)
+    };
+    let (mut short, mut long) = (taxi(6), taxi(8));
+    rows.pair((short.0, &mut short.1), (long.0, &mut long.1));
 }
 
 /// The state layer under Theorem 4's walk: ns per `step_all_into`, into
@@ -746,41 +919,40 @@ fn product_walk(row: &mut Sink<'_>) {
 /// (point, state) pair the (3, 8) walk steps on one side, i.e. every
 /// state a history of at most 7 operations reaches at each of the four
 /// points. `quotient` is the Rep-view side, `reference` the packed
-/// reference side. A step that sorts again, or a state that goes back to
-/// trees, shows here before it shows in `product_walk/n4_taxi_3x8`.
-fn taxi_states(row: &mut Sink<'_>) {
+/// reference side, timed as a gated pair. A step that sorts again, or a
+/// state that goes back to trees, shows here before it shows in
+/// `product_walk/n4_taxi_3x8`.
+fn taxi_states(rows: &mut dyn Sink) {
     let items = [1, 2, 3];
     let alphabet = queue_alphabet(&items);
     let points = TaxiPoint::all();
-    step_all_row(
-        row,
-        "taxi_states/quotient_3x8",
-        &points.map(|p| RepViewAutomaton::new(p.q1, p.q2, &items)),
-        &alphabet,
-    );
-    step_all_row(
-        row,
-        "taxi_states/reference_3x8",
-        &points.map(|p| PackedTaxiReference::new(p, &items)),
-        &alphabet,
+    let quotients = points.map(|p| RepViewAutomaton::new(p.q1, p.q2, &items));
+    let references = points.map(|p| PackedTaxiReference::new(p, &items));
+    rows.pair(
+        (
+            "taxi_states/quotient_3x8".to_string(),
+            &mut step_all(&quotients, &alphabet),
+        ),
+        (
+            "taxi_states/reference_3x8".to_string(),
+            &mut step_all(&references, &alphabet),
+        ),
     );
 }
 
 /// One `taxi_states` row: `step_all_into` over each automaton's states
 /// reachable within 7 operations, round robin, into one buffer.
-fn step_all_row<A: ObjectAutomaton<Op = QueueOp>>(
-    row: &mut Sink<'_>,
-    name: &str,
-    automata: &[A],
-    alphabet: &[QueueOp],
-) {
-    row(name.to_string(), &mut |bencher| {
-        let pairs: Vec<(&A, A::State)> = automata
-            .iter()
-            .flat_map(|a| reachable(a, alphabet, 7).into_iter().map(move |s| (a, s)))
-            .collect();
-        let mut next = 0;
-        let mut out = Successors::new();
+fn step_all<'a, A: ObjectAutomaton<Op = QueueOp>>(
+    automata: &'a [A],
+    alphabet: &'a [QueueOp],
+) -> impl FnMut(&mut Bencher) + 'a {
+    let pairs: Vec<(&A, A::State)> = automata
+        .iter()
+        .flat_map(|a| reachable(a, alphabet, 7).into_iter().map(move |s| (a, s)))
+        .collect();
+    let mut next = 0;
+    let mut out = Successors::new();
+    move |bencher| {
         bencher.iter_custom(|iters| {
             let start = Instant::now();
             for _ in 0..iters {
@@ -792,7 +964,7 @@ fn step_all_row<A: ObjectAutomaton<Op = QueueOp>>(
             }
             start.elapsed()
         });
-    });
+    }
 }
 
 /// Every state of `a` some history of at most `depth` operations over
@@ -816,16 +988,16 @@ fn reachable<A: ObjectAutomaton>(a: &A, alphabet: &[A::Op], depth: usize) -> Vec
     seen.into_iter().collect()
 }
 
-fn language_enumeration(row: &mut Sink<'_>) {
+fn language_enumeration(rows: &mut dyn Sink) {
     let alphabet = queue_alphabet(&[1, 2]);
     for len in [4usize, 6] {
-        row(format!("language_upto_pqueue/{len}"), &mut |bencher| {
+        rows.row(format!("language_upto_pqueue/{len}"), &mut |bencher| {
             bencher.iter(|| language_upto(&PQueueAutomaton::new(), &alphabet, len).len());
         });
     }
 }
 
-fn qca_accept(row: &mut Sink<'_>) {
+fn qca_accept(rows: &mut dyn Sink) {
     let lattice = TaxiLattice::new();
     for len in [8usize, 12] {
         // A duplicate-heavy history accepted by the Q1 point: Enq then
@@ -839,7 +1011,7 @@ fn qca_accept(row: &mut Sink<'_>) {
             q1: true,
             q2: false,
         });
-        row(format!("qca_accepts/{len}"), &mut |bencher| {
+        rows.row(format!("qca_accepts/{len}"), &mut |bencher| {
             bencher.iter(|| black_box(qca.accepts(&h)));
         });
     }
@@ -849,7 +1021,7 @@ fn qca_accept(row: &mut Sink<'_>) {
 /// history the point's automaton accepts, at the four taxi points and
 /// the account's `{A2}`. The QCA above costs exponentially more with
 /// length; these rows must not grow with it.
-fn reference_accept(row: &mut Sink<'_>) {
+fn reference_accept(rows: &mut dyn Sink) {
     const OPS: u32 = 100_000;
     fn per_op<A: ObjectAutomaton>(bencher: &mut Bencher, a: &A, h: &History<A::Op>) {
         bencher.iter_custom(|iters| {
@@ -873,7 +1045,7 @@ fn reference_accept(row: &mut Sink<'_>) {
         .zip(TaxiPoint::all())
     {
         let reference = lattice.reference(point);
-        row(format!("reference_accepts/{name}"), &mut |b| {
+        rows.row(format!("reference_accepts/{name}"), &mut |b| {
             per_op(b, &reference, &taxi);
         });
     }
@@ -885,12 +1057,12 @@ fn reference_accept(row: &mut Sink<'_>) {
             _ => AccountOp::DebitOverdraft(1),
         })
         .collect();
-    row("reference_accepts/A2".to_string(), &mut |b| {
+    rows.row("reference_accepts/A2".to_string(), &mut |b| {
         per_op(b, &BouncingAccountAutomaton::new(), &account);
     });
 }
 
-fn commit_order_check(row: &mut Sink<'_>) {
+fn commit_order_check(rows: &mut dyn Sink) {
     let report = Spooler::new(SpoolerConfig {
         strategy: DequeueStrategy::Optimistic,
         printers: 4,
@@ -900,7 +1072,7 @@ fn commit_order_check(row: &mut Sink<'_>) {
         seed: 11,
     })
     .run();
-    row(
+    rows.row(
         "commit_order_serializability_30jobs".to_string(),
         &mut |bencher| {
             bencher.iter(|| {
@@ -913,13 +1085,13 @@ fn commit_order_check(row: &mut Sink<'_>) {
     );
 }
 
-fn spooler(row: &mut Sink<'_>) {
+fn spooler(rows: &mut dyn Sink) {
     for strategy in [
         DequeueStrategy::BlockingFifo,
         DequeueStrategy::Optimistic,
         DequeueStrategy::Pessimistic,
     ] {
-        row(
+        rows.row(
             format!("spooler_40jobs_4printers/{strategy:?}"),
             &mut |bencher| {
                 bencher.iter(|| {
@@ -942,13 +1114,13 @@ fn spooler(row: &mut Sink<'_>) {
     }
 }
 
-fn quorum_system(row: &mut Sink<'_>) {
+fn quorum_system(rows: &mut dyn Sink) {
     let assignment = VotingAssignment::new(5)
         .with_initial(QueueKind::Enq, 1)
         .with_final(QueueKind::Enq, 3)
         .with_initial(QueueKind::Deq, 3)
         .with_final(QueueKind::Deq, 3);
-    row("quorum_taxi_50ops_5replicas".to_string(), &mut |bencher| {
+    rows.row("quorum_taxi_50ops_5replicas".to_string(), &mut |bencher| {
         bencher.iter(|| {
             let mut sys = QuorumSystem::new(
                 TaxiQueueType,
@@ -970,7 +1142,7 @@ fn quorum_system(row: &mut Sink<'_>) {
     });
 }
 
-fn rewrite(row: &mut Sink<'_>) {
+fn rewrite(rows: &mut dyn Sink) {
     let set = paper_theories().expect("shipped theories parse");
     let bag = set.theory("Bag").expect("Bag present").clone();
     let rw = Rewriter::new(&bag).expect("rewriter builds");
@@ -984,14 +1156,14 @@ fn rewrite(row: &mut Sink<'_>) {
         for i in 0..size {
             d = Term::app("del", vec![d, Term::Int(i as i64)]);
         }
-        row(format!("rewrite_bag_del_chain/{size}"), &mut |bencher| {
+        rows.row(format!("rewrite_bag_del_chain/{size}"), &mut |bencher| {
             bencher.iter(|| rw.normalize(black_box(&d)).expect("terminates"));
         });
     }
 }
 
-fn locking(row: &mut Sink<'_>) {
-    row("lock_manager_churn_100tx".to_string(), &mut |bencher| {
+fn locking(rows: &mut dyn Sink) {
+    rows.row("lock_manager_churn_100tx".to_string(), &mut |bencher| {
         bencher.iter(|| {
             let mut lm: LockManager<u32> = LockManager::new();
             for i in 0..100u32 {
@@ -1004,95 +1176,244 @@ fn locking(row: &mut Sink<'_>) {
     });
 }
 
-/// `relax-bench substrates`: times every row of `GROUPS` in order,
-/// printing each, and writes them all to `BENCH_micro_substrates.json`.
-pub fn main(_: &Args) -> Result<(), String> {
-    let mut results: Vec<(String, f64)> = Vec::new();
-    for group in GROUPS {
-        group(&mut |name, body| {
-            let mut bencher = Bencher::default();
-            body(&mut bencher);
-            println!(
-                "bench {name:<50} {:>14.1} ns/iter  ({} iters)",
-                bencher.mean_ns, bencher.iters
-            );
-            results.push((name, bencher.mean_ns));
-        });
+/// Times each row a group hands it and keeps what a run reports.
+#[derive(Debug, Default)]
+struct Runner {
+    /// Every row timed: its name and median ns per iteration.
+    rows: Vec<(String, f64)>,
+    /// Every gate read: the quartiles of its per-block ratios.
+    ratios: Vec<(&'static Gate, [f64; 3])>,
+}
+
+impl Runner {
+    fn report(&mut self, name: String, bencher: &Bencher) {
+        let ns = bencher.median_ns();
+        println!(
+            "bench {name:<50} {ns:>14.1} ns/iter  ({} iters)",
+            bencher.iters
+        );
+        self.rows.push((name, ns));
     }
-    let fields: Vec<String> = (results.iter())
+}
+
+impl Sink for Runner {
+    fn row(&mut self, name: String, body: &mut Body<'_>) {
+        let mut bencher = Bencher::default();
+        for _ in 0..WINDOWS {
+            body(&mut bencher);
+        }
+        self.report(name, &bencher);
+    }
+
+    fn pair(&mut self, a: (String, &mut Body<'_>), b: (String, &mut Body<'_>)) {
+        let (mut on_a, mut on_b) = (Bencher::default(), Bencher::default());
+        let readings = abba_blocks(WINDOWS, |on_b_side, _| {
+            let bencher = if on_b_side {
+                b.1(&mut on_b);
+                &on_b
+            } else {
+                a.1(&mut on_a);
+                &on_a
+            };
+            *bencher.windows.last().expect("a window was timed")
+        });
+        for gate in &GATES {
+            let pair = (gate.row, gate.per);
+            let oriented = if pair == (&b.0, &a.0) {
+                readings.clone()
+            } else if pair == (&a.0, &b.0) {
+                Readings {
+                    a: readings.b.clone(),
+                    b: readings.a.clone(),
+                }
+            } else {
+                continue;
+            };
+            self.ratios.push((gate, oriented.verdict(false).ratio));
+        }
+        self.report(a.0, &on_a);
+        self.report(b.0, &on_b);
+    }
+}
+
+/// `Ok` when `ratio` is within `gate`'s bound; otherwise an error naming
+/// the row, the ratio and the bound.
+fn check(gate: &Gate, ratio: f64) -> Result<(), String> {
+    within(&format!("{} ÷ {}", gate.row, gate.per), ratio, gate.bound)
+}
+
+/// `relax-bench substrates`: times every row of `GROUPS` in order,
+/// printing each, then prints the gate table, writes every row and ratio
+/// to `BENCH_micro_substrates.json`, and fails when a gate reads over its
+/// bound.
+pub fn main(_: &Args) -> Result<(), String> {
+    let mut runner = Runner::default();
+    for group in GROUPS {
+        group(&mut runner);
+    }
+
+    println!("\n== Gates: median per-block ratio over {WINDOWS} ABBA blocks ==\n");
+    let mut table = Table::new(["row", "per", "ratio", "quartiles", "bound", "verdict"]);
+    let mut failed = Vec::new();
+    for (gate, [q1, ratio, q3]) in &runner.ratios {
+        let verdict = check(gate, *ratio);
+        table.row([
+            gate.row.to_string(),
+            gate.per.to_string(),
+            format!("{ratio:.3}"),
+            format!("{q1:.3} .. {q3:.3}"),
+            format!("{:.2}", gate.bound),
+            if verdict.is_ok() { "ok" } else { "OVER" }.to_string(),
+        ]);
+        failed.extend(verdict.err());
+    }
+    print!("{table}");
+
+    let fields: Vec<String> = (runner.rows.iter())
         .map(|(name, ns)| format!("{name:?}:{ns:.1}"))
         .collect();
-    write_payload(PAYLOAD, &format!("{{{}}}\n", fields.join(",")))?;
+    let ratios: Vec<String> = (runner.ratios.iter())
+        .map(|(gate, ratio)| format!("{:?}:{:.4}", gate.row, ratio[1]))
+        .collect();
+    write_payload(
+        PAYLOAD,
+        &format!(
+            "{{{},\"ratios\":{{{}}}}}\n",
+            fields.join(","),
+            ratios.join(",")
+        ),
+    )?;
     println!("\nwrote {PAYLOAD}");
-    Ok(())
+    match failed.len() {
+        0 => Ok(()),
+        _ => Err(failed.join("; ")),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::regress::CHECKS;
 
     #[test]
     fn iter_batched_hands_every_iteration_a_fresh_input() {
         let mut b = Bencher::default();
         let mut set_ups = 0u64;
-        b.iter_batched(
-            || {
-                set_ups += 1;
-                vec![1u8; 4]
-            },
-            |mut v| {
-                assert_eq!(v.len(), 4, "input was reused");
-                v.push(0);
-                v
-            },
-        );
+        for _ in 0..2 {
+            b.iter_batched(
+                || {
+                    set_ups += 1;
+                    vec![1u8; 4]
+                },
+                |mut v| {
+                    assert_eq!(v.len(), 4, "input was reused");
+                    v.push(0);
+                    v
+                },
+            );
+        }
         assert_eq!(
             set_ups,
             b.iters + 3,
             "one set-up per call, warm-up included"
         );
-        assert!(b.mean_ns > 0.0);
+        assert_eq!(b.windows.len(), 2);
+        assert!(b.median_ns() > 0.0);
     }
 
+    /// Each call records one window of the batch the first call sized;
+    /// the sizing calls are not recorded.
     #[test]
     fn iter_custom_counts_only_what_the_routine_reports() {
         let mut b = Bencher::default();
-        let mut ran = 0u64;
-        b.iter_custom(|iters| {
-            ran += iters;
-            std::thread::sleep(Duration::from_millis(1));
-            Duration::from_nanos(500 * iters)
-        });
-        assert_eq!(
-            ran,
-            b.iters + 3,
-            "every requested iteration ran, warm-up included"
-        );
-        assert!((b.mean_ns - 500.0).abs() < 1e-6, "mean {} ns", b.mean_ns);
+        let mut calls = Vec::new();
+        for _ in 0..3 {
+            b.iter_custom(|iters| {
+                calls.push(iters);
+                Duration::from_nanos(1_000_000 * iters)
+            });
+        }
+        // 3 to warm up, then 1, 2 and 4 ms: the last fills a window.
+        assert_eq!(calls, [3, 1, 2, 4, 4, 4, 4]);
+        assert_eq!((b.batch, b.iters, b.windows.len()), (4, 12, 3));
+        assert_eq!(b.median_ns(), 1_000_000.0);
     }
 
-    /// The row names a run writes, collected without timing any row: 69
-    /// of them, none twice, and every micro-benchmark metric `regress`
-    /// gates among them.
+    /// A slow spell moves one window, not the row's reading.
+    #[test]
+    fn a_row_reads_the_median_of_its_windows() {
+        let b = Bencher {
+            windows: vec![100.0, 104.0, 900.0, 98.0, 101.0],
+            ..Bencher::default()
+        };
+        assert_eq!(b.median_ns(), 101.0);
+    }
+
+    /// A reading at its bound passes; one above fails, naming the row, the
+    /// ratio and the bound.
+    #[test]
+    fn a_gate_passes_at_its_bound_and_fails_above_it() {
+        for gate in &GATES {
+            assert_eq!(check(gate, gate.bound), Ok(()));
+            let over = gate.bound * 1.01;
+            let err = check(gate, over).unwrap_err();
+            for needle in [
+                gate.row,
+                gate.per,
+                &format!("{over:.3}"),
+                &format!("{}", gate.bound),
+            ] {
+                assert!(err.contains(needle), "{needle} not in {err:?}");
+            }
+        }
+    }
+
+    /// The names of a run's rows and pairs, collected without timing.
+    #[derive(Default)]
+    struct Names {
+        rows: Vec<String>,
+        pairs: Vec<(String, String)>,
+    }
+
+    impl Sink for Names {
+        fn row(&mut self, name: String, _: &mut Body<'_>) {
+            self.rows.push(name);
+        }
+        fn pair(&mut self, a: (String, &mut Body<'_>), b: (String, &mut Body<'_>)) {
+            self.rows.extend([a.0.clone(), b.0.clone()]);
+            self.pairs.push((a.0, b.0));
+        }
+    }
+
+    /// The rows a run writes: 72 of them, none twice. Every gate's row
+    /// and denominator are rows timed as a pair, and every pair is
+    /// read by a gate.
     #[test]
     fn every_gated_micro_metric_is_a_row() {
-        let mut names: Vec<String> = Vec::new();
+        let mut names = Names::default();
         for group in GROUPS {
-            group(&mut |name, _| names.push(name));
+            group(&mut names);
         }
-        assert_eq!(names.len(), 69);
-        let mut unique = names.clone();
+        assert_eq!(names.rows.len(), 72);
+        let mut unique = names.rows.clone();
         unique.sort_unstable();
         unique.dedup();
-        assert_eq!(unique.len(), names.len(), "a row name repeats");
-        let gated: Vec<&str> = (CHECKS.iter())
-            .filter(|c| c.file == PAYLOAD)
-            .map(|c| c.metric)
-            .collect();
-        assert_eq!(gated.len(), 11);
-        for metric in gated {
-            assert!(names.iter().any(|n| n == metric), "{metric} is no row");
+        assert_eq!(unique.len(), names.rows.len(), "a row name repeats");
+        let paired = |x: &str, y: &str| {
+            (names.pairs.iter()).any(|(a, b)| (a == x && b == y) || (a == y && b == x))
+        };
+        for gate in &GATES {
+            assert!(
+                paired(gate.row, gate.per),
+                "{gate:?} is not timed as a pair"
+            );
+        }
+        for (a, b) in &names.pairs {
+            assert!(
+                GATES
+                    .iter()
+                    .any(|g| (g.row, g.per) == (a, b) || (g.row, g.per) == (b, a)),
+                "{a} and {b} are timed as a pair that no gate reads"
+            );
         }
     }
 }

@@ -24,10 +24,9 @@
 //! | `relax-bench growth` | accepted histories per length, per lattice point |
 //! | `relax-bench markov` | §2.3: a Markov environment over the taxi lattice |
 //! | `relax-bench calm_fastpath` | coordination-free credits on the sim: equivalence and availability (exit 1 when either fails) |
-//! | `relax-bench fault_campaign` | five fault campaigns: root-cause verdicts (exit 1 when one fails) and the telemetry overhead, `telemetry_pct`, with tracing's share of it (`BENCH_fault_campaign.json`) |
-//! | `relax-bench substrates` | the per-layer micro-benchmarks, ns per iteration of each of 64 rows (`BENCH_micro_substrates.json`) |
+//! | `relax-bench fault_campaign` | five fault campaigns: root-cause verdicts (exit 1 when one fails) and the telemetry overhead, `telemetry_pct` (exit 1 over its ceiling), with tracing's share of it (`BENCH_fault_campaign.json`) |
+//! | `relax-bench substrates` | the per-layer micro-benchmarks, ns per iteration of each of 72 rows, and 11 gates, each a row's ratio over a denominator timed in the same run (exit 1 when one is over its bound; `BENCH_micro_substrates.json`) |
 //! | `relax-bench compare` | two builds of the repository's benchmark on one workload, in alternated pairs: per end-to-end metric the median ratio B/A, B's wins and a sign-test p |
-//! | `relax-bench regress` | the fresh `BENCH_*.json` payloads against the committed `baselines/` |
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

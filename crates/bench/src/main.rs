@@ -4,7 +4,8 @@
 //!
 //! Exits 2 on an unknown name, an unknown flag or a missing value —
 //! after printing that experiment's usage line — and 1 when the
-//! experiment itself fails (an unwritable output, a regressed check).
+//! experiment itself fails (an unwritable output, a false verdict, a
+//! gate over its bound).
 
 use std::process::ExitCode;
 

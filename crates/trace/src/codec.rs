@@ -155,7 +155,7 @@ pub(crate) enum JVal<'a> {
     Bool(bool),
     Null,
     Arr(Vec<JVal<'a>>),
-    /// A nested object (only under report arrays like `campaigns`).
+    /// A nested object.
     Obj(Vec<(Cow<'a, str>, JVal<'a>)>),
 }
 
@@ -698,48 +698,6 @@ pub fn read_trace(input: &str) -> Result<ParsedTrace, TraceParseError> {
     Ok(ParsedTrace { header, events })
 }
 
-// ---------------------------------------------------------------------------
-// Flat report documents (BENCH_*.json gate files)
-// ---------------------------------------------------------------------------
-
-/// A top-level field of a flat JSON report document, as surfaced by
-/// [`report_fields`]. Gate metrics are numbers and booleans; nested
-/// arrays/objects (per-row detail) are marked but not traversed.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ReportValue {
-    /// A numeric field (integers are widened to `f64`).
-    Number(f64),
-    /// A boolean field (e.g. `within_target`).
-    Bool(bool),
-    /// A string field (e.g. `bench`, `workload`).
-    Text(String),
-    /// An array or object field, present but not flattened.
-    Nested,
-}
-
-/// Parses one flat JSON document — the shape every `BENCH_*.json` gate
-/// file uses — into its top-level fields, in document order. The
-/// regression checker (`relax-bench regress`) diffs these against
-/// committed baselines; reusing the trace codec's reader keeps the
-/// workspace dependency-free.
-pub fn report_fields(input: &str) -> Result<Vec<(String, ReportValue)>, String> {
-    let fields = Fields::parse(input.trim())?.0;
-    Ok(fields
-        .into_iter()
-        .map(|(k, v)| {
-            let v = match v {
-                JVal::Int(n) => ReportValue::Number(n as f64),
-                JVal::Neg(n) => ReportValue::Number(n as f64),
-                JVal::Float(x) => ReportValue::Number(x),
-                JVal::Bool(b) => ReportValue::Bool(b),
-                JVal::Str(s) => ReportValue::Text(s.into_owned()),
-                JVal::Null | JVal::Arr(_) | JVal::Obj(_) => ReportValue::Nested,
-            };
-            (k.into_owned(), v)
-        })
-        .collect())
-}
-
 /// SplitMix64, for [`Field::arbitrary`] (the workspace builds with no
 /// external crates, so this plays the role a proptest dependency would).
 #[cfg(test)]
@@ -978,25 +936,6 @@ mod tests {
         );
         assert_eq!(kinds[1].1.tag(), "op_begin");
         assert_eq!(kinds[3].1.tag(), "message_duplicated");
-    }
-
-    #[test]
-    fn report_fields_surface_gate_metrics() {
-        let doc = "{\"bench\":\"profile_overhead\",\"reps\":51,\
-                   \"campaigns\":[{\"name\":\"gray\",\"ok\":true}],\
-                   \"overhead_pct\":-1.25,\"target_pct\":5.0,\
-                   \"within_target\":true}\n";
-        let fields = report_fields(doc).unwrap();
-        let get = |k: &str| fields.iter().find(|(n, _)| n == k).map(|(_, v)| v.clone());
-        assert_eq!(
-            get("bench"),
-            Some(ReportValue::Text("profile_overhead".into()))
-        );
-        assert_eq!(get("reps"), Some(ReportValue::Number(51.0)));
-        assert_eq!(get("overhead_pct"), Some(ReportValue::Number(-1.25)));
-        assert_eq!(get("target_pct"), Some(ReportValue::Number(5.0)));
-        assert_eq!(get("within_target"), Some(ReportValue::Bool(true)));
-        assert_eq!(get("campaigns"), Some(ReportValue::Nested));
     }
 
     /// A version-1 trace (captured before the version-2 event additions)
