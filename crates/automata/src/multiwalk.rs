@@ -41,7 +41,11 @@
 //!   reused by every node containing that set.
 //!
 //! Both tables are a `start` offset per id into one flat pool, and every
-//! level of nodes sits end to end in one vector. A walk starts by
+//! level of nodes sits end to end in one vector. A level finds the node
+//! of a `(left set, right set)` pair by its left set id, not by hash:
+//! `by_left` holds the level's newest node per left set, and the level's
+//! other nodes with that left set are chained behind it, so a lookup
+//! walks a short chain comparing right set ids. A walk starts by
 //! clearing all of it, capacity kept and the arena's states retired for
 //! refilling in place, so a pair walked after another through the same
 //! [`LanguageWalker`] regrows and re-clones nothing. Theorem 4's walker
@@ -533,6 +537,10 @@ struct Node {
     multiplicity: u64,
     /// Index of the parent node in [`LanguageWalker::nodes`].
     parent: u32,
+    /// Index of the level's previous node with the same left set
+    /// ([`NONE`] for the first): the chain [`LanguageWalker::by_left`]
+    /// starts.
+    next: u32,
     op: u16,
 }
 
@@ -541,7 +549,8 @@ struct Node {
 ///
 /// The walker owns everything a walk builds: both sides' arenas, state
 /// tables and set rows, every level's nodes and the per-level index that
-/// collapses them. [`LanguageWalker::walk`] clears all of it first and
+/// collapses them (per left set id, a chain of the level's nodes with
+/// that left set). [`LanguageWalker::walk`] clears all of it first and
 /// keeps the capacity, so walking several pairs in turn through one
 /// walker regrows none of it (Theorem 4's four lattice points). A walker
 /// that outlives its caller keeps the capacity of the largest walk it
@@ -554,9 +563,11 @@ pub struct LanguageWalker<L: ObjectAutomaton, R: ObjectAutomaton> {
     right: Side<R::State>,
     /// Every level's nodes, end to end in level order.
     nodes: Vec<Node>,
-    /// `(l, r) → index in nodes` over the level being built; cleared, not
-    /// dropped, between depths.
-    index_of: ConsTable,
+    /// `left set id → (depth, index in nodes)` of the newest node with
+    /// that left set of the level at that depth, whose `next` chain holds
+    /// the level's others. An entry counts only for the level being
+    /// built, so moving to the next depth clears the index for free.
+    by_left: Vec<(u32, u32)>,
     /// The successor row of [`EMPTY_SET`]: one empty set per symbol.
     empty_row: Vec<u32>,
 }
@@ -582,7 +593,7 @@ where
             left: Side::new(),
             right: Side::new(),
             nodes: Vec::new(),
-            index_of: ConsTable::new(),
+            by_left: Vec::new(),
             empty_row: Vec::new(),
         }
     }
@@ -625,8 +636,10 @@ where
             r: r0,
             multiplicity: 1,
             parent: NO_PARENT,
+            next: NONE,
             op: 0,
         });
+        self.by_left.clear();
         let mut left_sizes = vec![1u64];
         let mut right_sizes = vec![1u64];
         // Node index of the shallowest violation per direction.
@@ -635,9 +648,9 @@ where
         let mut level = 0..1;
         let mut peak = 1usize;
 
-        for _ in 0..max_len {
+        for depth in 1..=max_len {
             probe.enter("multi_depth");
-            self.index_of.clear();
+            let depth = u32::try_from(depth).expect("walk exceeds u32 levels");
             let next_start = self.nodes.len();
             let (mut l_level, mut r_level) = (0u64, 0u64);
             for at in level {
@@ -657,6 +670,11 @@ where
                         &self.right.set_rows.pool[start..start + k]
                     }
                 };
+                // Every left set id the rows name has an index entry.
+                let left_sets = self.left.arena.set_count();
+                if self.by_left.len() < left_sets {
+                    self.by_left.resize(left_sets, (0, NONE));
+                }
                 for (i, (&l, &r)) in l_row.iter().zip(r_row).enumerate() {
                     let r = if options.walk_right_only || l != EMPTY_SET {
                         r
@@ -673,31 +691,28 @@ where
                     if r != EMPTY_SET {
                         r_level += mult;
                     }
-                    let mut hasher = WordHasher::default();
-                    hasher.word(u64::from(l) << 32 | u64::from(r));
+                    // The level's nodes with left set `l`, newest first.
                     let nodes = &mut self.nodes;
-                    let index = match self.index_of.entry(hasher.finish(), |index| {
-                        let seen = &nodes[index as usize];
-                        seen.l == l && seen.r == r
-                    }) {
-                        Entry::Occupied(index) => {
-                            let index = index as usize;
-                            nodes[index].multiplicity += mult;
-                            index
-                        }
-                        Entry::Vacant(slot) => {
-                            let index = nodes.len();
-                            slot.insert(u32::try_from(index).expect("walk exceeds u32 nodes"));
-                            nodes.push(Node {
-                                l,
-                                r,
-                                multiplicity: mult,
-                                parent: u32::try_from(at).expect("walk exceeds u32 nodes"),
-                                op: u16::try_from(i).expect("alphabet exceeds u16 symbols"),
-                            });
-                            index
-                        }
-                    };
+                    let head = &mut self.by_left[l as usize];
+                    let first = if head.0 == depth { head.1 } else { NONE };
+                    let mut chain = first;
+                    while chain != NONE && nodes[chain as usize].r != r {
+                        chain = nodes[chain as usize].next;
+                    }
+                    if chain == NONE {
+                        chain = u32::try_from(nodes.len()).expect("walk exceeds u32 nodes");
+                        *head = (depth, chain);
+                        nodes.push(Node {
+                            l,
+                            r,
+                            multiplicity: 0,
+                            parent: u32::try_from(at).expect("walk exceeds u32 nodes"),
+                            next: first,
+                            op: u16::try_from(i).expect("alphabet exceeds u16 symbols"),
+                        });
+                    }
+                    let index = chain as usize;
+                    nodes[index].multiplicity += mult;
                     if l != EMPTY_SET && r == EMPTY_SET && l_violation.is_none() {
                         l_violation = Some(index);
                     }
@@ -1048,6 +1063,55 @@ mod tests {
         assert_eq!(walks[0].right_sizes, sizes(3));
         assert_eq!(walks[1].left_sizes, sizes(3));
         assert_eq!(walks[1].right_sizes, sizes(2));
+    }
+
+    /// A level holds one node per (left set, right set) pair, however
+    /// many nodes of the level share its left set. A bag of at most one
+    /// item against one of at most three gives every right-only node the
+    /// empty left set, so up to ten right sets share one left set a level
+    /// and a pair recurs behind newer ones. Each level's width must be
+    /// its number of distinct (left state, right state) pairs, from a
+    /// walk over histories that both sides step deterministically.
+    #[test]
+    fn a_level_holds_each_pair_once() {
+        use std::collections::BTreeSet;
+        let (left, right) = (&CappedBag { cap: 1 }, &CappedBag { cap: 3 });
+        let max_len = 6;
+        let mut walker = LanguageWalker::new();
+        walker.walk(
+            left,
+            right,
+            &alphabet(),
+            max_len,
+            CompareOptions::counting(),
+            &mut NoopProbe,
+        );
+        let mut depth = vec![0; walker.nodes.len()];
+        let mut widths = vec![0usize; max_len + 1];
+        for (at, node) in walker.nodes.iter().enumerate() {
+            if node.parent != NO_PARENT {
+                depth[at] = depth[node.parent as usize] + 1;
+            }
+            widths[depth[at]] += 1;
+        }
+        let step = |a: &CappedBag, s: &Option<Vec<u8>>, op: &Op| {
+            s.as_ref().and_then(|s| a.step(s, op).into_iter().next())
+        };
+        let mut level = BTreeSet::from([(Some(Vec::new()), Some(Vec::new()))]);
+        let mut naive = vec![1];
+        for _ in 0..max_len {
+            level = level
+                .iter()
+                .flat_map(|(l, r)| {
+                    alphabet()
+                        .into_iter()
+                        .map(move |op| (step(left, l, &op), step(right, r, &op)))
+                })
+                .filter(|pair| *pair != (None, None))
+                .collect();
+            naive.push(level.len());
+        }
+        assert_eq!(widths, naive);
     }
 
     fn language_sizes_of(a: &CappedBag, max_len: usize) -> Vec<u64> {

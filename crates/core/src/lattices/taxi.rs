@@ -174,6 +174,15 @@ impl ObjectAutomaton for TaxiReference {
 /// stays 0 at the other three points. An operation on an item outside
 /// the domain has no successor. `TaxiReference` is the oracle: the two
 /// accept the same language over the domain's queue alphabet.
+///
+/// At the degenerate point a `Deq(e)` of a held item keeps it: of
+/// Figure 3-5's two branches this writes only the ⊆-greatest one, as
+/// [`DegenPqAutomaton::step_in_place`] does. DegenPQ is monotone in the
+/// bag (`Enq` is always enabled and `Deq(e)` needs only `isIn(q, e)`),
+/// so bag inclusion is a forward simulation of the automaton by itself:
+/// the kept bag accepts every history the removing one does, and the
+/// language is unchanged. Every point is then deterministic, so a walk
+/// over this reference interns singleton sets only.
 #[derive(Debug, Clone)]
 pub struct PackedTaxiReference {
     point: TaxiPoint,
@@ -239,11 +248,8 @@ impl ObjectAutomaton for PackedTaxiReference {
                     }
                     // OPQ: serve any present item.
                     (_, false, true) if held => out.push((removed, absent)),
-                    // DegenPQ: serve any present item, keeping or removing it.
-                    (_, false, false) if held => {
-                        out.push((present, absent));
-                        out.push((removed, absent));
-                    }
+                    // DegenPQ: serve any present item and keep it.
+                    (_, false, false) if held => out.push((present, absent)),
                     _ => {}
                 }
             }
@@ -443,6 +449,104 @@ mod tests {
                     "{point:?} over {domain:?}"
                 );
             }
+        }
+    }
+
+    /// Figure 3-5's step over packed bags with both of its branches,
+    /// keeping the served item and removing it.
+    fn two_branch_degen_step(
+        domain: &[Item],
+        &(present, absent): &(PackedBag, PackedBag),
+        op: &QueueOp,
+    ) -> Vec<(PackedBag, PackedBag)> {
+        let (QueueOp::Enq(e) | QueueOp::Deq(e)) = op;
+        let rank = domain.binary_search(e).expect("an op over the domain");
+        match op {
+            QueueOp::Enq(_) => vec![(ins(present, rank), absent)],
+            QueueOp::Deq(_) if del(present, rank) != present => {
+                vec![(present, absent), (del(present, rank), absent)]
+            }
+            QueueOp::Deq(_) => vec![],
+        }
+    }
+
+    /// Is every byte (item multiplicity) of `small` at most `large`'s?
+    fn sub_bag(small: PackedBag, large: PackedBag) -> bool {
+        (0..8).all(|rank| (small >> (8 * rank)) & 0xff <= (large >> (8 * rank)) & 0xff)
+    }
+
+    /// The packed bottom point's one `Deq` successor loses nothing:
+    /// bag inclusion is a forward simulation of the two-branch DegenPQ
+    /// by the one-branch one. Over every pair of states the two-branch
+    /// step reaches within (3 items, length 8) whose `present` bags are
+    /// ordered, every op enabled at the smaller state is enabled at the
+    /// larger, and each of the smaller state's two-branch successors
+    /// stays within the larger's one successor. At Theorem 4's benchmark
+    /// bounds the packed bottom point and the literal two-branch
+    /// reference then accept the same histories, length by length.
+    #[test]
+    fn degen_reference_keeps_what_it_serves() {
+        use relax_automata::{compare_upto, CompareOptions};
+        use std::collections::BTreeSet;
+        let bottom = TaxiPoint {
+            q1: false,
+            q2: false,
+        };
+        let domain = [1, 2, 3];
+        let alphabet = queue_alphabet(&domain);
+        let packed = PackedTaxiReference::new(bottom, &domain);
+        let mut reachable = BTreeSet::from([(0, 0)]);
+        let mut frontier = vec![(0, 0)];
+        for _ in 0..8 {
+            frontier = frontier
+                .iter()
+                .flat_map(|s| {
+                    alphabet
+                        .iter()
+                        .flat_map(|op| two_branch_degen_step(&domain, s, op))
+                })
+                .filter(|&t| reachable.insert(t))
+                .collect();
+        }
+        let within = |(p, a): (PackedBag, PackedBag), (q, b): (PackedBag, PackedBag)| {
+            sub_bag(p, q) && a == b
+        };
+        let mut pairs = 0;
+        for &small in &reachable {
+            for &large in reachable.iter().filter(|&&large| within(small, large)) {
+                pairs += 1;
+                for op in &alphabet {
+                    let kept = packed.step(&large, op);
+                    assert!(kept.len() <= 1, "{op:?} at {large:x?}: {kept:x?}");
+                    if !packed.step(&small, op).is_empty() {
+                        assert!(
+                            !kept.is_empty(),
+                            "{op:?} enabled at {small:x?}, not {large:x?}"
+                        );
+                    }
+                    for t in two_branch_degen_step(&domain, &small, op) {
+                        assert!(
+                            kept.iter().any(|&k| within(t, k)),
+                            "{small:x?} ⊆ {large:x?}, but {op:?} leads to {t:x?} ⊄ {kept:x?}"
+                        );
+                    }
+                }
+            }
+        }
+        assert_eq!(reachable.len(), 165, "every bag of at most 8 of 3 items");
+        assert!(pairs > reachable.len(), "only the diagonal: {pairs}");
+        for (items, max_len, size) in [(3, 10, 9_594_982), (4, 8, 1_735_153)] {
+            let domain: Vec<Item> = (1..=items).collect();
+            let outcome = compare_upto(
+                &PackedTaxiReference::new(bottom, &domain),
+                &TaxiReference::new(bottom),
+                &queue_alphabet(&domain),
+                max_len,
+                CompareOptions::counting(),
+            );
+            assert!(outcome.agree(), "({items}, {max_len}): {outcome:?}");
+            assert_eq!(outcome.left_sizes, outcome.right_sizes);
+            assert_eq!(outcome.left_total(), size, "({items}, {max_len})");
         }
     }
 

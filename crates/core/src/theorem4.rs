@@ -110,7 +110,11 @@ impl TaxiVerification {
 ///    over packed bags, two integers a state. The literal
 ///    [`crate::lattices::taxi::TaxiReference`] is its oracle (the two
 ///    are compared length by length in `lattices::taxi`), and the naive
-///    verifier below still walks the literal pair.
+///    verifier below still walks the literal pair. Its DegenPQ `Deq`
+///    keeps the served item, the ⊆-greatest of Figure 3-5's two
+///    successors, which accepts the same language (bag inclusion is a
+///    forward simulation), so every reference is deterministic, like
+///    every quotient: each set either side interns is a singleton.
 /// 3. The four `(quotient, reference)` pairs walk in turn through one
 ///    [`LanguageWalker`]: a dense state/set interner a side, one
 ///    `step_all_into` per (point, state) and memoized successor rows,
@@ -419,10 +423,11 @@ mod tests {
             report.gauge("lang_size"),
             Some(&[209i64, 269, 287, 373][..])
         );
-        // Each (point, state) pair the walk reached stepped once; the
-        // other member visits found its row.
+        // Each (point, state) pair the walk reached stepped once, and
+        // as a singleton set: both sides are deterministic, so no member
+        // visit finds a state already stepped.
         assert_eq!(report.counter("state_steps"), Some(150));
-        assert_eq!(report.counter("state_hits"), Some(34));
+        assert_eq!(report.counter("state_hits"), Some(0));
         // Exact-sum attribution holds over the live tree.
         assert_eq!(report.self_sum_ns(), report.total_ns());
         // The per-depth frontier timeline came through the walk.
@@ -434,7 +439,7 @@ mod tests {
         let v = verify_taxi_lattice(&[1, 2, 3], 8);
         assert!(v.holds());
         let peaks: Vec<usize> = v.points.iter().map(|p| p.peak_frontier).collect();
-        assert_eq!(peaks, [95, 622, 95, 622]);
+        assert_eq!(peaks, [95, 622, 95, 164]);
         assert_eq!(v.peak_frontier(), 622);
     }
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Runs the mutant catalogue: applies each patch named in mutants/CATALOGUE
 # to a worktree of HEAD, builds the patched workspace's libraries and
-# binaries, and runs the command on the patch's line, which must fail (the
-# mutant is killed).
+# binaries (and, for a `cargo test` command, the test targets it runs),
+# and runs the command on the patch's line, which must fail (the mutant
+# is killed).
 #
 #   mutants/run.sh             every mutant in the catalogue
 #   mutants/run.sh NAME.patch  the named ones
@@ -34,6 +35,13 @@ while read -r patch timeout command; do
     fi
     if ! (cd "$tree" && cargo build --release --quiet --workspace < /dev/null); then
         echo "$patch: the patched tree does not build" >&2
+        exit 1
+    fi
+    # A test command's targets are built here, so that a compile error in
+    # them fails the script instead of reading as a kill.
+    if [[ $command == "cargo test "* ]] &&
+        ! (cd "$tree" && bash -c "${command/#cargo test/cargo test --no-run}") < /dev/null; then
+        echo "$patch: the patched tree's test targets do not build" >&2
         exit 1
     fi
     start=$SECONDS

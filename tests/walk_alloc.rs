@@ -82,7 +82,7 @@ fn a_repeated_theorem4_walk_allocates_a_constant_not_per_step() {
     let sizes = |v: &TaxiVerification| v.points.iter().map(|p| p.language_size).collect::<Vec<_>>();
     assert_eq!(sizes(&verification), sizes(&reference));
 
-    // Measured: 48 allocations for the warm call against 1,287 for the
+    // Measured: 48 allocations for the warm call against 1,277 for the
     // cold one before it, which builds the walker. With a walker built
     // per call every call made 1,523 (0.94 a step: one clone per new
     // state, plus table growth); with the walker kept but each new state
