@@ -72,13 +72,11 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if let Some(h) = &parsed.header {
-        if h.dropped_oldest > 0 {
-            eprintln!(
-                "note: ring buffer evicted {} oldest events; causal pasts may be truncated",
-                h.dropped_oldest
-            );
-        }
+    if parsed.header.dropped_oldest > 0 {
+        eprintln!(
+            "note: ring buffer evicted {} oldest events; causal pasts may be truncated",
+            parsed.header.dropped_oldest
+        );
     }
 
     let staleness = show_staleness.then(|| staleness_report(&parsed.events));

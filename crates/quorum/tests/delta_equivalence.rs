@@ -77,10 +77,6 @@ struct Scenario {
     part_at: u64,
     part_len: u64,
     crash: Option<(usize, u64, u64)>,
-    /// The lattice monitor's MPQ frontier can branch on every `Deq`, so
-    /// it is only attached on short workloads (the monitor-transition
-    /// comparison needs it; long byte-ratio runs don't).
-    monitor: bool,
     invs: Vec<QueueInv>,
 }
 
@@ -95,10 +91,8 @@ fn run_one(mode: ReplicationMode, s: &Scenario) -> (Observed, u64, (u64, u64)) {
         s.seed,
     )
     .with_replication(mode)
-    .with_wire_accounting();
-    if s.monitor {
-        sys = sys.with_monitor(queue_lattice_monitor());
-    }
+    .with_wire_accounting()
+    .with_monitor(queue_lattice_monitor());
     if let Some(g) = s.gossip {
         sys = sys.with_gossip(g);
     }
@@ -201,7 +195,6 @@ proptest! {
             part_at,
             part_len,
             crash: (crash_raw.0).0.then_some(((crash_raw.0).1, (crash_raw.1).0, (crash_raw.1).1)),
-            monitor: true,
             invs: invs_raw
                 .into_iter()
                 .map(|(k, v)| if k == 2 { QueueInv::Deq } else { QueueInv::Enq(v) })
@@ -329,7 +322,6 @@ fn long_history_delta_bytes_shrink_under_faults() {
         part_at: 100,
         part_len: 300,
         crash: Some((1, 600, 200)),
-        monitor: false,
         invs: (0..150)
             .map(|i| {
                 if i % 5 == 4 {
@@ -362,7 +354,6 @@ fn the_full_log_reference_never_touches_the_view_cache() {
         part_at: 50,
         part_len: 250,
         crash: None,
-        monitor: true,
         invs: (0..40)
             .map(|i| {
                 if i % 3 == 2 {

@@ -9,9 +9,11 @@
 //! `Option<T>`, …) how a value renders and how it parses, so a field that
 //! can be written can be read by construction. `write_trace` is the only
 //! exporter (the tracer and the profiling probe both call it) and
-//! [`read_trace`] the only ingester: headered exports or bare event
-//! streams (version-1 traces predate the header) come back as typed
-//! [`Event`]s for `trace_analyze`, the causality layer, or tests.
+//! [`read_trace`] the only ingester: an export of this format version
+//! comes back as typed [`Event`]s for `trace_analyze`, the causality
+//! layer, or tests. The reader reads exactly what the writer writes; a
+//! format bump replaces the fixtures that pin it, and git history keeps
+//! the old ones.
 //!
 //! The parser is a small hand-rolled JSON reader covering exactly the
 //! shapes the schema emits (flat objects; arrays only under `groups` and
@@ -21,17 +23,14 @@
 use std::borrow::Cow;
 use std::fmt::Write as _;
 
-use std::collections::HashMap;
-
 use crate::event::{Event, EventKind, OpLabel, Origin, PartitionGroups};
 
-/// The trace format version this crate writes and the newest it reads.
+/// The trace format version this crate writes and the only one it reads.
 /// Version 2 added the gray-failure / asymmetric-partition / duplication
 /// fault events and the staleness telemetry events; version 3 the
 /// profiling events; version 4 writes one record per dispatch, with no
-/// `message_sent`, `message_injected`, `timer_set` or `view_merged`
-/// ([`read_trace`] folds older streams into it). Adding a kind or a
-/// field bumps it.
+/// `message_sent`, `message_injected`, `timer_set` or `view_merged`.
+/// Adding a kind or a field bumps it.
 pub const FORMAT_VERSION: u32 = 4;
 
 /// The header line's `kind`.
@@ -50,11 +49,11 @@ pub struct TraceHeader {
     pub dropped_oldest: u64,
 }
 
-/// A re-ingested trace: the header (if the stream had one) and the events.
+/// A re-ingested trace: the header and the events.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParsedTrace {
-    /// The header line, when present.
-    pub header: Option<TraceHeader>,
+    /// The header line.
+    pub header: TraceHeader,
     /// The events, in stream order.
     pub events: Vec<Event>,
 }
@@ -554,148 +553,87 @@ impl<'a> Fields<'a> {
         T::read(self.raw(key)?).map_err(|e| format!("field {key:?}: {e}"))
     }
 
-    /// The line's `kind`, held apart from the line.
-    fn kind(&self) -> Result<Cow<'a, str>, String> {
-        match self.raw("kind")? {
-            JVal::Str(s) => Ok(s.clone()),
-            other => expected("string", other),
-        }
+    /// The line's `kind`.
+    fn kind(&self) -> Result<&str, String> {
+        self.raw("kind")?.as_str()
     }
 }
 
-/// Folds a version 1–3 stream into version-4 records as it is read: a
-/// `message_sent`, `message_injected` or `timer_set` line becomes the
-/// `src` and `origin` fields of the record it caused, a `view_merged`
-/// line is dropped, and sequence numbers close the gaps the four leave.
-#[derive(Default)]
-struct Upgrade {
-    /// Lines dropped so far.
-    retired: u64,
-    /// The last kept record other than a `message_duplicated`: the
-    /// record a sender wrote before the sends that follow it.
-    last: Option<u64>,
-    /// Messages in flight by id, timers armed by (node, token): each
-    /// with its sender and origin.
-    sends: HashMap<u32, (u32, Option<u64>)>,
-    timers: HashMap<(u32, u64), (u32, Option<u64>)>,
-}
-
-impl Upgrade {
-    /// Gives one legacy line the fields version 4 writes, or returns
-    /// `false` for a line version 4 does not write at all.
-    fn fold(&mut self, tag: &str, f: &mut Fields<'_>, seq: u64) -> Result<bool, String> {
-        let (here, last) = (Some(seq.saturating_sub(self.retired)), self.last);
-        let caused = match tag {
-            "message_sent" | "message_injected" | "timer_set" | "view_merged" => {
-                match tag {
-                    "message_sent" => self.sends.insert(f.get("msg_id")?, (f.get("src")?, last)),
-                    "message_injected" => {
-                        self.sends.insert(f.get("msg_id")?, (f.get("dst")?, None))
-                    }
-                    "timer_set" => self
-                        .timers
-                        .insert((f.get("node")?, f.get("token")?), (f.get("node")?, last)),
-                    _ => None,
-                };
-                self.retired += 1;
-                return Ok(false);
-            }
-            "message_duplicated" => {
-                self.sends.insert(f.get("msg_id")?, (f.get("src")?, here));
-                return Ok(true);
-            }
-            "message_delivered" | "message_dropped" => self.sends.remove(&f.get("msg_id")?),
-            "timer_fired" => self.timers.get(&(f.get("node")?, f.get("token")?)).copied(),
-            _ => None,
-        };
-        if matches!(tag, "message_delivered" | "message_dropped" | "timer_fired") {
-            // Appended after the line's own fields, so a drop keeps its
-            // `src`; a message sent before the window began came from its
-            // `node` as far as the file says, and a timer's `src` is unread.
-            let (src, origin) = caused.unwrap_or((f.get("node").or_else(|_| f.get("src"))?, None));
-            f.0.push((Cow::Borrowed("src"), JVal::Int(src.into())));
-            f.0.push((
-                Cow::Borrowed("origin"),
-                origin.map_or(JVal::Null, JVal::Int),
-            ));
-        }
-        self.last = here;
-        Ok(true)
-    }
-}
-
-/// Re-ingests an exported JSONL trace: an optional [`TraceHeader`] on the
-/// first non-blank line, then one event per line. Blank lines are
-/// skipped. A stream older than version 4 (a headerless one is from
-/// version 1) comes back as the version-4 records its run writes today.
-/// Fails — naming the line — on malformed lines, on anything after a
-/// line's object, on a header from a future format version or in any
-/// later position, and on a header whose `events` count is not the
-/// number of event lines that follow (a trace cut off mid-write).
+/// Re-ingests an exported JSONL trace: a [`TraceHeader`] of version
+/// [`FORMAT_VERSION`] on the first non-blank line, then one event per
+/// line. Blank lines are skipped. Fails — naming the line — on malformed
+/// lines, on anything after a line's object, on a first line that is not
+/// a header of this version (a headerless stream is a version-1 export),
+/// on a header in any later position, and on a header whose `events`
+/// count is not the number of event lines that follow (a trace cut off
+/// mid-write).
 pub fn read_trace(input: &str) -> Result<ParsedTrace, TraceParseError> {
-    let mut header: Option<TraceHeader> = None;
-    let mut events = Vec::new();
-    let mut upgrade = Upgrade::default();
-    let mut lines = 0u64;
-    let mut last_line = 0;
-    for (ix, line) in input.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        last_line = ix + 1;
-        let err = |message: String| TraceParseError {
+    let at = |ix: usize| {
+        move |message: String| TraceParseError {
             line: ix + 1,
             message,
-        };
-        let mut fields = Fields::parse(line).map_err(err)?;
-        let kind = fields.kind().map_err(err)?;
-        if kind != HEADER_TAG {
-            lines += 1;
-            let seq: u64 = fields.get("seq").map_err(err)?;
-            let legacy = header.as_ref().is_none_or(|h| h.version < 4);
-            if legacy && !upgrade.fold(&kind, &mut fields, seq).map_err(err)? {
-                continue;
-            }
-            events.push(Event {
-                time: fields.get("t").map_err(err)?,
-                seq: seq.saturating_sub(upgrade.retired),
-                kind: EventKind::read(&kind, &fields).map_err(err)?,
-            });
-            continue;
         }
-        // A headerless stream (pre-header export) never gets here; a
-        // header further down means two traces were concatenated.
-        if header.is_some() || lines > 0 {
+    };
+    let mut lines = input
+        .lines()
+        .map(str::trim)
+        .enumerate()
+        .filter(|(_, line)| !line.is_empty());
+    let (first, line) = lines
+        .next()
+        .ok_or_else(|| at(0)(format!("no {HEADER_TAG}: the trace is empty")))?;
+    let header = read_header(line).map_err(at(first))?;
+    let mut events = Vec::new();
+    let mut last = first;
+    for (ix, line) in lines {
+        last = ix;
+        let err = at(ix);
+        let fields = Fields::parse(line).map_err(err)?;
+        let kind = fields.kind().map_err(err)?;
+        if kind == HEADER_TAG {
+            // A header further down means two traces were concatenated.
             return Err(err(format!(
                 "{HEADER_TAG} is only valid on the first non-blank line"
             )));
         }
-        let h = TraceHeader {
-            version: fields.get("version").map_err(err)?,
-            events: fields.get("events").map_err(err)?,
-            dropped_oldest: fields.get("dropped_oldest").map_err(err)?,
-        };
-        if h.version > FORMAT_VERSION {
-            return Err(err(format!(
-                "trace format version {} is newer than supported ({FORMAT_VERSION})",
-                h.version
-            )));
-        }
-        header = Some(h);
+        events.push(Event {
+            time: fields.get("t").map_err(err)?,
+            seq: fields.get("seq").map_err(err)?,
+            kind: EventKind::read(kind, &fields).map_err(err)?,
+        });
     }
     // `dropped_oldest` says the window is a suffix of the run; `events`
     // says how much of the window reached the file.
-    if let Some(h) = header.as_ref().filter(|h| h.events != lines) {
-        return Err(TraceParseError {
-            line: last_line,
-            message: format!(
-                "header promises {} events, {lines} read: the trace is truncated",
-                h.events
-            ),
-        });
+    if header.events != events.len() as u64 {
+        return Err(at(last)(format!(
+            "header promises {} events, {} read: the trace is truncated",
+            header.events,
+            events.len()
+        )));
     }
     Ok(ParsedTrace { header, events })
+}
+
+/// The first non-blank line, which must be a header of this version.
+fn read_header(line: &str) -> Result<TraceHeader, String> {
+    let fields = Fields::parse(line)?;
+    if fields.kind()? != HEADER_TAG {
+        return Err(format!(
+            "no {HEADER_TAG}: a headerless stream is trace format version 1, \
+             this reader reads version {FORMAT_VERSION} only"
+        ));
+    }
+    let version = fields.get("version")?;
+    if version != FORMAT_VERSION {
+        return Err(format!(
+            "trace format version {version}, this reader reads version {FORMAT_VERSION} only"
+        ));
+    }
+    Ok(TraceHeader {
+        version,
+        events: fields.get("events")?,
+        dropped_oldest: fields.get("dropped_oldest")?,
+    })
 }
 
 /// SplitMix64, for [`Field::arbitrary`] (the workspace builds with no
@@ -740,8 +678,8 @@ mod tests {
             assert_eq!(kind.tag(), EventKind::TAGS[trial % EventKind::TAGS.len()]);
             let e = event(rng.next(), trial as u64, kind);
             let line = json(&e);
-            let v4 = format!("{{\"kind\":\"trace_header\",\"version\":4,\"events\":1,\"dropped_oldest\":0}}\n{line}");
-            let back = read_trace(&v4).unwrap_or_else(|err| panic!("{line}: {err}"));
+            let back = read_trace(&format!("{}\n{line}", header(FORMAT_VERSION, 1)))
+                .unwrap_or_else(|err| panic!("{line}: {err}"));
             assert_eq!(back.events, [e], "round-trip of {line}");
             seen.push_str(&line);
         }
@@ -768,7 +706,7 @@ mod tests {
     }
 
     #[test]
-    fn header_round_trips_and_gates_versions() {
+    fn header_round_trips() {
         let h = TraceHeader {
             version: FORMAT_VERSION,
             events: 2,
@@ -781,27 +719,49 @@ mod tests {
         let mut body = Vec::new();
         write_trace(&h, events.iter().cloned(), &mut body).unwrap();
         let parsed = read_trace(std::str::from_utf8(&body).unwrap()).unwrap();
-        assert_eq!(parsed.header, Some(h));
+        assert_eq!(parsed.header, h);
         assert_eq!(parsed.events, events);
-
-        let future = "{\"kind\":\"trace_header\",\"version\":99,\"events\":0,\"dropped_oldest\":0}";
-        let err = read_trace(future).unwrap_err();
-        assert!(err.message.contains("newer than supported"), "{err}");
-    }
-
-    #[test]
-    fn headerless_streams_still_parse() {
-        let body = "{\"t\":5,\"seq\":0,\"kind\":\"node_crashed\",\"node\":2}\n";
-        let parsed = read_trace(body).unwrap();
-        assert_eq!(parsed.header, None);
-        assert_eq!(parsed.events[0].kind, EventKind::NodeCrashed { node: 2 },);
     }
 
     const CRASH: &str = "{\"t\":1,\"seq\":0,\"kind\":\"node_crashed\",\"node\":2}";
 
+    fn header(version: u32, events: u64) -> String {
+        format!("{{\"kind\":\"trace_header\",\"version\":{version},\"events\":{events},\"dropped_oldest\":0}}")
+    }
+
+    /// The reader reads the version the writer writes and no other: an
+    /// older or a newer header, or none at all, is refused on the line
+    /// where the header belongs, naming both versions.
+    #[test]
+    fn a_stream_of_another_format_version_is_refused() {
+        let now = FORMAT_VERSION;
+        for version in [now - 1, now + 1] {
+            let err = read_trace(&format!("\n{}\n{CRASH}\n", header(version, 1))).unwrap_err();
+            assert_eq!(err.line, 2);
+            assert_eq!(
+                err.message,
+                format!("trace format version {version}, this reader reads version {now} only")
+            );
+        }
+        let err = read_trace(&format!("{CRASH}\n")).unwrap_err();
+        assert_eq!(err.line, 1);
+        assert_eq!(
+            err.message,
+            format!(
+                "no trace_header: a headerless stream is trace format version 1, \
+                 this reader reads version {now} only"
+            )
+        );
+        let err = read_trace(" \n").unwrap_err();
+        assert_eq!(
+            (err.line, &*err.message),
+            (1, "no trace_header: the trace is empty")
+        );
+    }
+
     #[test]
     fn a_second_object_glued_onto_a_line_is_rejected() {
-        let glued = format!("{CRASH}\n{CRASH}{CRASH}\n");
+        let glued = format!("{}\n{CRASH}{CRASH}\n", header(FORMAT_VERSION, 1));
         let err = read_trace(&glued).unwrap_err();
         assert_eq!(err.line, 2);
         assert!(err.message.contains("trailing characters"), "{err}");
@@ -809,169 +769,45 @@ mod tests {
 
     #[test]
     fn trailing_garbage_after_the_object_is_rejected() {
-        let err = read_trace(&format!("{CRASH} garbage\n")).unwrap_err();
-        assert_eq!(err.line, 1);
+        let head = header(FORMAT_VERSION, 1);
+        let err = read_trace(&format!("{head}\n{CRASH} garbage\n")).unwrap_err();
+        assert_eq!(err.line, 2);
         assert!(err.message.contains("trailing characters"), "{err}");
         // Trailing blanks are not garbage.
-        assert_eq!(
-            read_trace(&format!("{CRASH} \t\n")).unwrap().events.len(),
-            1
-        );
+        let events = read_trace(&format!("{head} \n{CRASH} \t\n"))
+            .unwrap()
+            .events;
+        assert_eq!(events.len(), 1);
     }
 
     #[test]
     fn the_header_is_the_first_non_blank_line_and_no_other() {
-        let header = |version: u32, events: u64| {
-            format!("{{\"kind\":\"trace_header\",\"version\":{version},\"events\":{events},\"dropped_oldest\":0}}")
-        };
-        let blank_led = format!("\n  \n{}\n{CRASH}\n", header(3, 1));
+        let blank_led = format!("\n  \n{}\n{CRASH}\n", header(FORMAT_VERSION, 1));
         let parsed = read_trace(&blank_led).unwrap();
-        assert_eq!(parsed.header.map(|h| h.events), Some(1));
+        assert_eq!(parsed.header.events, 1);
         assert_eq!(parsed.events.len(), 1);
 
-        let err = read_trace(&format!("\n{}\n", header(99, 0))).unwrap_err();
+        let twice = header(FORMAT_VERSION, 0);
+        let err = read_trace(&format!("{twice}\n{twice}\n")).unwrap_err();
         assert_eq!(err.line, 2);
-        assert!(err.message.contains("newer than supported"), "{err}");
-
-        for later in [
-            format!("{CRASH}\n{}\n", header(3, 1)),
-            format!("{}\n{}\n", header(3, 0), header(3, 0)),
-        ] {
-            let err = read_trace(&later).unwrap_err();
-            assert_eq!(err.line, 2);
-            assert!(err.message.contains("first non-blank line"), "{err}");
-        }
+        assert!(err.message.contains("first non-blank line"), "{err}");
     }
 
     #[test]
     fn a_trace_shorter_than_its_header_promises_is_rejected() {
-        let cut = format!(
-            "{{\"kind\":\"trace_header\",\"version\":3,\"events\":5,\"dropped_oldest\":7}}\n{CRASH}\n"
-        );
+        let cut = format!("{}\n{CRASH}\n", header(FORMAT_VERSION, 5));
         let err = read_trace(&cut).unwrap_err();
         assert_eq!(err.line, 2);
         assert!(err.message.contains("promises 5 events, 1 read"), "{err}");
     }
 
-    /// A version-2 trace (captured before the version-3 profiling
-    /// events) must keep parsing byte-for-byte: version 3 is a strict
-    /// superset.
-    #[test]
-    fn version_2_traces_still_ingest() {
-        let v2 = "\
-{\"kind\":\"trace_header\",\"version\":2,\"events\":3,\"dropped_oldest\":0}
-{\"t\":0,\"seq\":0,\"kind\":\"gray_degraded\",\"node\":2,\"multiplier\":10}
-{\"t\":4,\"seq\":1,\"kind\":\"replica_lag_sampled\",\"site\":1,\"entries_behind\":4,\"time_behind\":120}
-{\"t\":9,\"seq\":2,\"kind\":\"slo_budget_exhausted\",\"level\":\"PQ\",\"budget\":50,\"spent\":61}
-";
-        let parsed = read_trace(v2).unwrap();
-        assert_eq!(parsed.header.as_ref().unwrap().version, 2);
-        assert_eq!(parsed.events.len(), 3);
-        assert!(matches!(
-            parsed.events[1].kind,
-            EventKind::ReplicaLagSampled { site: 1, .. }
-        ));
-    }
-
-    /// Version 3 wrote a record per send, injection, timer arming and
-    /// view merge; they fold into the records they caused, and the
-    /// sequence numbers close up.
-    #[test]
-    fn version_3_sends_and_timers_fold_into_what_they_caused() {
-        let v3 = "\
-{\"kind\":\"trace_header\",\"version\":3,\"events\":12,\"dropped_oldest\":0}
-{\"t\":0,\"seq\":0,\"kind\":\"message_injected\",\"dst\":3,\"deliver_at\":0,\"msg_id\":0}
-{\"t\":0,\"seq\":1,\"kind\":\"message_delivered\",\"node\":3,\"msg_id\":0}
-{\"t\":0,\"seq\":2,\"kind\":\"op_begin\",\"node\":3,\"op_id\":1,\"op\":\"Deq\"}
-{\"t\":0,\"seq\":3,\"kind\":\"view_merged\",\"node\":3,\"op_id\":1,\"merged_len\":0}
-{\"t\":0,\"seq\":4,\"kind\":\"timer_set\",\"node\":3,\"token\":1,\"fire_at\":200}
-{\"t\":0,\"seq\":5,\"kind\":\"message_sent\",\"src\":3,\"dst\":0,\"deliver_at\":4,\"msg_id\":1}
-{\"t\":0,\"seq\":6,\"kind\":\"message_dropped\",\"src\":3,\"dst\":1,\"cause\":\"partitioned\",\"msg_id\":2}
-{\"t\":0,\"seq\":7,\"kind\":\"message_sent\",\"src\":3,\"dst\":2,\"deliver_at\":5,\"msg_id\":3}
-{\"t\":0,\"seq\":8,\"kind\":\"message_duplicated\",\"src\":3,\"dst\":2,\"msg_id\":4,\"orig_msg_id\":3}
-{\"t\":4,\"seq\":9,\"kind\":\"message_delivered\",\"node\":0,\"msg_id\":1}
-{\"t\":5,\"seq\":10,\"kind\":\"message_delivered\",\"node\":2,\"msg_id\":4}
-{\"t\":200,\"seq\":11,\"kind\":\"timer_fired\",\"node\":3,\"token\":1}
-";
-        let delivered = |node, src, msg_id, origin| EventKind::MessageDelivered {
-            node,
-            src,
-            msg_id,
-            origin,
-        };
-        let kinds: Vec<(u64, EventKind)> = read_trace(v3)
-            .unwrap()
-            .events
-            .into_iter()
-            .map(|e| (e.seq, e.kind))
-            .collect();
-        let at = Origin::at;
-        assert_eq!(
-            kinds[..],
-            [
-                (0, delivered(3, 3, 0, Origin::NONE)),
-                (1, kinds[1].1.clone()),
-                (
-                    2,
-                    EventKind::MessageDropped {
-                        src: 3,
-                        dst: 1,
-                        cause: crate::event::DropCause::Partitioned,
-                        msg_id: 2,
-                        origin: Origin::NONE,
-                    }
-                ),
-                (3, kinds[3].1.clone()),
-                (4, delivered(0, 3, 1, at(1))),
-                (5, delivered(2, 3, 4, at(3))),
-                (
-                    6,
-                    EventKind::TimerFired {
-                        node: 3,
-                        token: 1,
-                        origin: at(1),
-                    }
-                ),
-            ]
-        );
-        assert_eq!(kinds[1].1.tag(), "op_begin");
-        assert_eq!(kinds[3].1.tag(), "message_duplicated");
-    }
-
-    /// A version-1 trace (captured before the version-2 event additions)
-    /// must keep parsing byte-for-byte: later versions are strict
-    /// supersets.
-    #[test]
-    fn version_1_traces_still_ingest() {
-        let v1 = "\
-{\"kind\":\"trace_header\",\"version\":1,\"events\":4,\"dropped_oldest\":0}
-{\"t\":0,\"seq\":0,\"kind\":\"partition_set\",\"groups\":[[9,0],[1,2]]}
-{\"t\":5,\"seq\":1,\"kind\":\"message_dropped\",\"src\":9,\"dst\":1,\"cause\":\"partitioned\",\"msg_id\":0}
-{\"t\":9,\"seq\":2,\"kind\":\"op_end\",\"node\":9,\"op_id\":1,\"outcome\":\"completed\",\"latency\":9}
-{\"t\":9,\"seq\":3,\"kind\":\"level_transition\",\"op_index\":0,\"left\":[\"PQ\"],\"now\":\"MPQ\",\"witness\":\"Deq(5)\"}
-";
-        let parsed = read_trace(v1).unwrap();
-        assert_eq!(parsed.header.as_ref().unwrap().version, 1);
-        assert_eq!(parsed.events.len(), 4);
-        assert!(matches!(
-            parsed.events[1].kind,
-            EventKind::MessageDropped {
-                cause: crate::event::DropCause::Partitioned,
-                ..
-            }
-        ));
-        // And the analysis stack still consumes it end to end.
-        let analysis = crate::analyze::TraceAnalysis::from_trace(parsed);
-        assert_eq!(analysis.root_causes().len(), 1);
-        assert_eq!(analysis.root_causes()[0].fault_cut, vec![0]);
-    }
-
     #[test]
     fn malformed_lines_name_their_line_number() {
-        let body = "{\"t\":5,\"seq\":0,\"kind\":\"node_crashed\",\"node\":2}\nnot json\n";
-        let err = read_trace(body).unwrap_err();
-        assert_eq!(err.line, 2);
-        let err = read_trace("{\"t\":1,\"seq\":0,\"kind\":\"mystery\"}").unwrap_err();
+        let head = header(FORMAT_VERSION, 1);
+        let err = read_trace(&format!("{head}\n{CRASH}\nnot json\n")).unwrap_err();
+        assert_eq!(err.line, 3);
+        let mystery = "{\"t\":1,\"seq\":0,\"kind\":\"mystery\"}";
+        let err = read_trace(&format!("{head}\n{mystery}")).unwrap_err();
         assert!(err.message.contains("unknown event kind"), "{err}");
     }
 }

@@ -23,7 +23,9 @@
 //!   written and read back, the one exporter behind
 //!   [`tracer::Tracer::export_jsonl`] and [`profile::Probe::write_jsonl`],
 //!   a versioned [`codec::TraceHeader`], and [`codec::read_trace`], which
-//!   re-ingests any exported trace into typed events.
+//!   re-ingests an export of the current format version into typed
+//!   events (a format bump replaces the fixtures; git history keeps the
+//!   old ones).
 //! * [`causality`] — the happens-before DAG over a trace
 //!   ([`causality::HbGraph`]): program order per node, send→deliver
 //!   edges paired by message id, fault-attribution edges; per-operation

@@ -1,9 +1,8 @@
 //! Metrics: counters, gauges, exact histograms, and a named registry.
 //!
-//! [`Counter`] and [`Histogram`] began life in `relax-sim` (which still
-//! re-exports them); they live here so the quorum runtime and the
-//! experiment binaries can share one [`Registry`] and merge per-trial
-//! metrics into sweep-level summaries.
+//! [`Counter`] and [`Histogram`] began life in `relax-sim`; they live
+//! here so the quorum runtime and the experiment binaries can share one
+//! [`Registry`] and merge per-trial metrics into sweep-level summaries.
 
 use std::collections::BTreeMap;
 use std::fmt;

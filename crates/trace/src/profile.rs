@@ -610,9 +610,8 @@ mod tests {
         p.write_jsonl(&path).unwrap();
         let parsed = crate::codec::read_trace(&std::fs::read_to_string(&path).unwrap()).unwrap();
         let _ = std::fs::remove_file(&path);
-        let header = parsed.header.as_ref().expect("headered export");
         assert_eq!(
-            (header.version, header.events),
+            (parsed.header.version, parsed.header.events),
             (crate::codec::FORMAT_VERSION, 4)
         );
         let seqs: Vec<u64> = parsed.events.iter().map(|e| e.seq).collect();

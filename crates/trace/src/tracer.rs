@@ -275,7 +275,7 @@ mod tests {
         let back = std::fs::read_to_string(&path).unwrap();
         assert_eq!(back, t.export_jsonl());
         let parsed = crate::codec::read_trace(&back).unwrap();
-        assert_eq!(parsed.header, Some(t.header()));
+        assert_eq!(parsed.header, t.header());
         assert_eq!(parsed.events.len(), 1);
         let _ = std::fs::remove_file(&path);
     }
