@@ -22,27 +22,35 @@
 //!   violation, and its shallowest witness is rebuilt from parent
 //!   pointers only then. No history is stored during the walk.
 //!
-//! Three sharing layers make it cheap, each feeding the next in dense
-//! `u32` ids, one of each a side:
+//! Two sharing layers make it cheap, the first feeding the second in
+//! dense `u32` ids, one of each a side:
 //!
 //! * [`DenseArena`] — states and state *sets* are interned to dense ids
 //!   in flat storage, with single-probe [`ConsTable`] probing, set
 //!   payloads packed end-to-end in one `Vec<u32>`, and singleton sets
 //!   (all a deterministic automaton ever reaches) found by a direct
 //!   `state id → set id` index.
-//! * **The state table** — the successor state ids of each state id
-//!   under every alphabet symbol, filled by **one**
-//!   [`ObjectAutomaton::step_all_into`] per state however many sets it is
-//!   a member of, into one reused [`Successors`] buffer; a successor is
-//!   cloned only when the arena has not seen it.
 //! * **Set rows** — the successor set id of each set id under every
-//!   symbol: per symbol, the members' state-table entries gathered into
-//!   one buffer and interned. Pure integer work, done once per set and
-//!   reused by every node containing that set.
+//!   symbol. A singleton's row is **one**
+//!   [`ObjectAutomaton::step_all_into`] of its state, into one reused
+//!   [`Successors`] buffer, each symbol's successors interned straight
+//!   into a set id (a successor is cloned only when the arena has not
+//!   seen it). A larger set's row is, per symbol, the union of its
+//!   members' rows: pure integer work. Each row is written once and
+//!   reused by every node holding that set.
 //!
-//! Both tables are a `start` offset per id into one flat pool, and every
-//! level of nodes sits end to end in one vector. A level finds the node
-//! of a `(left set, right set)` pair by its left set id, not by hash:
+//! Nothing steps the nodes of the last level, so the walk counts that
+//! level instead of building it: each node of the level before reads
+//! from its sets' rows only which symbols each side defines, and adds
+//! its multiplicity. A singleton first met there gets a *counted* row,
+//! one step that interns nothing (a larger set, its members' union). A
+//! violation found there is witnessed by its node's path plus the
+//! symbol, the history a built level would give.
+//!
+//! The rows are a `start` offset per set id into one flat pool, and
+//! every built level of nodes sits end to end in one vector. A level
+//! finds the node of a `(left set, right set)` pair by its left set id,
+//! not by hash:
 //! `by_left` holds the level's newest node per left set, and the level's
 //! other nodes with that left set are chained behind it, so a lookup
 //! walks a short chain comparing right set ids. A walk starts by
@@ -237,52 +245,6 @@ impl<S: Clone + Eq + Ord + Hash> Default for DenseArena<S> {
     }
 }
 
-/// Variable-length `u32` rows keyed by dense id: `start[id]` is the
-/// row's offset into one flat pool ([`NONE`] until the row is written).
-/// Rows are append-only and self-describing, so a row costs no
-/// allocation of its own.
-#[derive(Debug, Clone, Default)]
-struct RowTable {
-    start: Vec<u32>,
-    pool: Vec<u32>,
-}
-
-impl RowTable {
-    /// The pool offset of `id`'s row, if it has been written.
-    #[inline]
-    fn offset(&self, id: u32) -> Option<usize> {
-        match self.start.get(id as usize) {
-            Some(&start) if start != NONE => Some(start as usize),
-            _ => None,
-        }
-    }
-
-    /// Starts `id`'s row at the end of the pool and returns its offset;
-    /// the caller pushes the row's words.
-    fn open(&mut self, id: u32) -> usize {
-        let index = id as usize;
-        if self.start.len() <= index {
-            self.start.resize(index + 1, NONE);
-        }
-        let offset = self.pool.len();
-        self.start[index] = u32::try_from(offset)
-            .ok()
-            .filter(|&o| o != NONE)
-            .expect("row pool exceeds u32 offsets");
-        offset
-    }
-
-    /// Forgets every row, keeping both buffers' capacity.
-    fn clear(&mut self) {
-        self.start.clear();
-        self.pool.clear();
-    }
-
-    fn approx_bytes(&self) -> usize {
-        (self.start.capacity() + self.pool.capacity()) * std::mem::size_of::<u32>()
-    }
-}
-
 /// Memo traffic of one side since it was last taken, reported to the
 /// probe once per depth.
 #[derive(Debug, Clone, Copy, Default)]
@@ -293,22 +255,25 @@ struct Tally {
     state_hits: u64,
 }
 
+/// An entry of a counted row: `δ` is defined under the symbol, and its
+/// successors were not interned.
+const DEFINED: u32 = NONE;
+
 /// One side (left or right) of the walk: the arena its states and sets
-/// are interned in, its state table and its set rows. The automaton is
+/// are interned in, and one successor row per set id. The automaton is
 /// lent per call, so the side outlives the walk.
 #[derive(Debug)]
 struct Side<S> {
     arena: DenseArena<S>,
-    /// `state id →` row of `k` running end counts (one per alphabet
-    /// symbol) followed by the successor state ids they delimit, symbol
-    /// by symbol.
-    state_rows: RowTable,
-    /// `set id →` row of `k` successor set ids ([`EMPTY_SET`] where `δ`
-    /// is undefined on every member).
-    set_rows: RowTable,
-    /// Scratch: the state-row offsets of the set being filled.
+    /// `set id →` offset of its row in `rows` ([`NONE`] until written).
+    row_start: Vec<u32>,
+    /// Rows end to end, one entry per alphabet symbol: the successor set
+    /// id ([`EMPTY_SET`] where `δ` is undefined on every member), or, in
+    /// a counted row, [`DEFINED`] where it is defined.
+    rows: Vec<u32>,
+    /// Scratch: the row offsets of the members of the set being filled.
     members: Vec<usize>,
-    /// Scratch: one symbol's gathered successor state ids.
+    /// Scratch: one symbol's successor state ids.
     gathered: Vec<u32>,
     /// Scratch: the successors of the state being stepped.
     successors: Successors<S>,
@@ -319,8 +284,8 @@ impl<S: Clone + Eq + Ord + Hash> Side<S> {
     fn new() -> Self {
         Side {
             arena: DenseArena::new(),
-            state_rows: RowTable::default(),
-            set_rows: RowTable::default(),
+            row_start: Vec::new(),
+            rows: Vec::new(),
             members: Vec::new(),
             gathered: Vec::new(),
             successors: Successors::new(),
@@ -333,86 +298,105 @@ impl<S: Clone + Eq + Ord + Hash> Side<S> {
     /// singleton set.
     fn reset<A: ObjectAutomaton<State = S>>(&mut self, automaton: &A) -> u32 {
         self.arena.clear();
-        self.state_rows.clear();
-        self.set_rows.clear();
+        self.row_start.clear();
+        self.rows.clear();
         self.tally = Tally::default();
         let state = self.arena.intern_state(&automaton.initial_state());
+        self.singleton(state)
+    }
+
+    /// The id of the set holding just `state_id`.
+    fn singleton(&mut self, state_id: u32) -> u32 {
         self.gathered.clear();
-        self.gathered.push(state);
+        self.gathered.push(state_id);
         self.arena.intern_set(&mut self.gathered)
     }
 
-    /// The offset in `state_rows.pool` of `state_id`'s row, written on
-    /// first demand by the one `step_all_into` this state gets.
-    fn state_row<A>(&mut self, automaton: &A, state_id: u32, alphabet: &[A::Op]) -> usize
-    where
-        A: ObjectAutomaton<State = S>,
-    {
-        if let Some(offset) = self.state_rows.offset(state_id) {
-            self.tally.state_hits += 1;
-            return offset;
-        }
-        self.tally.state_steps += 1;
-        // Successors are interned after the call returns, so it can
-        // borrow the arena's own copy of the state.
-        self.successors.clear();
-        automaton.step_all_into(self.arena.state(state_id), alphabet, &mut self.successors);
-        let k = alphabet.len();
-        assert_eq!(
-            self.successors.symbols(),
-            k,
-            "step_all_into: one run per symbol"
-        );
-        let states = &mut self.state_rows;
-        let offset = states.open(state_id);
-        states.pool.resize(offset + k, 0);
-        for i in 0..k {
-            for target in self.successors.symbol(i) {
-                states.pool.push(self.arena.intern_state(target));
-            }
-            states.pool[offset + i] = u32::try_from(states.pool.len() - offset - k)
-                .expect("state row exceeds u32 successors");
-        }
-        offset
+    /// The offset in `rows` of `set_id`'s row, if it has been written.
+    fn written(&self, set_id: u32) -> Option<usize> {
+        let start = *self.row_start.get(set_id as usize)?;
+        (start != NONE).then_some(start as usize)
     }
 
-    /// The offset in `set_rows.pool` of `set_id`'s successor row,
-    /// written on first demand: per symbol, the members' successors
-    /// gathered from the state table and interned as one set.
-    fn row<A>(&mut self, automaton: &A, set_id: u32, alphabet: &[A::Op]) -> usize
+    /// The offset in `rows` of `set_id`'s successor row, written on
+    /// first demand. A singleton's row is one `step_all_into` of its
+    /// state, each symbol's successors interned straight into a set id;
+    /// a larger set's row is, per symbol, the union of its members'
+    /// rows. A `counted` row, for the level that is counted and not
+    /// built, only marks where `δ` is defined, and interns nothing.
+    fn row<A>(&mut self, automaton: &A, set_id: u32, alphabet: &[A::Op], counted: bool) -> usize
     where
         A: ObjectAutomaton<State = S>,
     {
-        if let Some(offset) = self.set_rows.offset(set_id) {
+        if let Some(offset) = self.written(set_id) {
             self.tally.row_hits += 1;
             return offset;
         }
-        self.tally.row_fills += 1;
-        self.members.clear();
-        // By index: stepping a member interns states into the arena.
-        for m in 0..self.arena.set(set_id).len() {
-            let state_id = self.arena.set(set_id)[m];
-            let state_row = self.state_row(automaton, state_id, alphabet);
-            self.members.push(state_row);
-        }
-        let k = alphabet.len();
-        let offset = self.set_rows.open(set_id);
-        for i in 0..k {
-            self.gathered.clear();
-            for &member in &self.members {
-                let row = &self.state_rows.pool[member..];
-                let from = if i == 0 { 0 } else { row[i - 1] as usize };
-                self.gathered
-                    .extend_from_slice(&row[k + from..k + row[i] as usize]);
+        self.tally.row_fills += u64::from(!counted);
+        let members = self.arena.set(set_id).len();
+        if members == 1 {
+            self.tally.state_steps += 1;
+            // Successors are interned after the call returns, so it can
+            // borrow the arena's own copy of the state.
+            let state = self.arena.state(self.arena.set(set_id)[0]);
+            self.successors.clear();
+            automaton.step_all_into(state, alphabet, &mut self.successors);
+            assert_eq!(
+                self.successors.symbols(),
+                alphabet.len(),
+                "step_all_into: one run per symbol"
+            );
+        } else {
+            // By index: a member's first row interns states and sets.
+            self.members.clear();
+            for m in 0..members {
+                let single = self.singleton(self.arena.set(set_id)[m]);
+                self.tally.state_hits += u64::from(self.written(single).is_some());
+                let member = self.row(automaton, single, alphabet, counted);
+                self.members.push(member);
             }
-            let successor = self.arena.intern_set(&mut self.gathered);
-            self.set_rows.pool.push(successor);
+        }
+        let offset = self.rows.len();
+        if self.row_start.len() <= set_id as usize {
+            self.row_start.resize(self.arena.set_count(), NONE);
+        }
+        self.row_start[set_id as usize] = u32::try_from(offset)
+            .ok()
+            .filter(|&o| o != NONE)
+            .expect("rows exceed u32 offsets");
+        for i in 0..alphabet.len() {
+            self.gathered.clear();
+            let defined = if members == 1 {
+                let successors = self.successors.symbol(i);
+                if !counted {
+                    for target in successors {
+                        self.gathered.push(self.arena.intern_state(target));
+                    }
+                }
+                !successors.is_empty()
+            } else {
+                let rows = &self.rows;
+                if !counted {
+                    for &member in &self.members {
+                        self.gathered
+                            .extend_from_slice(self.arena.set(rows[member + i]));
+                    }
+                }
+                self.members.iter().any(|&m| rows[m + i] != EMPTY_SET)
+            };
+            let entry = match (defined, counted) {
+                (false, _) => EMPTY_SET,
+                (true, true) => DEFINED,
+                (true, false) => self.arena.intern_set(&mut self.gathered),
+            };
+            self.rows.push(entry);
         }
         offset
     }
 
     fn approx_bytes(&self) -> usize {
-        self.arena.approx_bytes() + self.state_rows.approx_bytes() + self.set_rows.approx_bytes()
+        self.arena.approx_bytes()
+            + (self.row_start.capacity() + self.rows.capacity()) * std::mem::size_of::<u32>()
     }
 }
 
@@ -503,7 +487,8 @@ pub struct LanguageComparison<Op> {
     /// `walk_right_only` on, those also in `L(left)` with it off (same
     /// caveat on early stops).
     pub right_sizes: Vec<u64>,
-    /// Widest level of the walk, in nodes.
+    /// Widest level the walk built, in nodes. The last level, at
+    /// `max_len`, is counted and not built, so it never counts here.
     pub peak_level_width: usize,
     /// The history-length bound walked.
     pub max_len: usize,
@@ -547,8 +532,8 @@ struct Node {
 /// The bounded language walk, reusable across pairs of the same left
 /// and right automaton types.
 ///
-/// The walker owns everything a walk builds: both sides' arenas, state
-/// tables and set rows, every level's nodes and the per-level index that
+/// The walker owns everything a walk builds: both sides' arenas and set
+/// rows, every built level's nodes and the per-level index that
 /// collapses them (per left set id, a chain of the level's nodes with
 /// that left set). [`LanguageWalker::walk`] clears all of it first and
 /// keeps the capacity, so walking several pairs in turn through one
@@ -604,17 +589,18 @@ where
     /// the bound, witnesses are shallowest.
     ///
     /// Per depth the probe receives one `multi_depth` span plus gauges
-    /// for frontier width (`frontier_nodes`), distinct interned sets per
-    /// side (`left_sets`/`right_sets`), arena memory (`arena_bytes`),
-    /// cons-table occupancy (`cons_used` of `cons_slots`,
-    /// `cons_load_pct`), and counters for the two memo layers, batched
-    /// per depth — never incremented per node: set rows written and
-    /// reused (`row_fills`/`row_hits`), and, while writing them, member
-    /// states stepped and found already stepped
-    /// (`state_steps`/`state_hits`). `arena_bytes` counts the arenas and
-    /// both layers' pools at their capacity, which a reused walker keeps.
-    /// The whole walk sits inside a `multiwalk` span. With [`NoopProbe`]
-    /// this monomorphizes to the plain walk.
+    /// for frontier width (`frontier_nodes`, at built levels only),
+    /// distinct interned sets per side (`left_sets`/`right_sets`), arena
+    /// memory (`arena_bytes`), cons-table occupancy (`cons_used` of
+    /// `cons_slots`, `cons_load_pct`), and counters for the set rows,
+    /// batched per depth — never incremented per node: rows written with
+    /// interned successors and rows reused (`row_fills`/`row_hits`),
+    /// states stepped, one `step_all_into` each, counted rows included
+    /// (`state_steps`), and members of a larger set found with their
+    /// singleton's row written (`state_hits`). `arena_bytes` counts the
+    /// arenas and the row pools at their capacity, which a reused walker
+    /// keeps. The whole walk sits inside a `multiwalk` span. With
+    /// [`NoopProbe`] this monomorphizes to the plain walk.
     pub fn walk<P: EngineProbe>(
         &mut self,
         left: &L,
@@ -642,14 +628,18 @@ where
         self.by_left.clear();
         let mut left_sizes = vec![1u64];
         let mut right_sizes = vec![1u64];
-        // Node index of the shallowest violation per direction.
-        let mut l_violation: Option<usize> = None;
-        let mut r_violation: Option<usize> = None;
+        // The first violating edge per direction, `(node index, alphabet
+        // index)`: a shallowest witness.
+        let mut l_violation: Option<(usize, usize)> = None;
+        let mut r_violation: Option<(usize, usize)> = None;
         let mut level = 0..1;
         let mut peak = 1usize;
 
         for depth in 1..=max_len {
             probe.enter("multi_depth");
+            // Nothing steps the last level's nodes, so it is counted, not
+            // built: its edges only say which symbols each side defines.
+            let counted = depth == max_len;
             let depth = u32::try_from(depth).expect("walk exceeds u32 levels");
             let next_start = self.nodes.len();
             let (mut l_level, mut r_level) = (0u64, 0u64);
@@ -659,15 +649,15 @@ where
                 let l_row = match node.l {
                     EMPTY_SET => &self.empty_row[..],
                     set => {
-                        let start = self.left.row(left, set, alphabet);
-                        &self.left.set_rows.pool[start..start + k]
+                        let start = self.left.row(left, set, alphabet, counted);
+                        &self.left.rows[start..start + k]
                     }
                 };
                 let r_row = match node.r {
                     EMPTY_SET => &self.empty_row[..],
                     set => {
-                        let start = self.right.row(right, set, alphabet);
-                        &self.right.set_rows.pool[start..start + k]
+                        let start = self.right.row(right, set, alphabet, counted);
+                        &self.right.rows[start..start + k]
                     }
                 };
                 // Every left set id the rows name has an index entry.
@@ -691,6 +681,15 @@ where
                     if r != EMPTY_SET {
                         r_level += mult;
                     }
+                    if l != EMPTY_SET && r == EMPTY_SET && l_violation.is_none() {
+                        l_violation = Some((at, i));
+                    }
+                    if l == EMPTY_SET && r != EMPTY_SET && r_violation.is_none() {
+                        r_violation = Some((at, i));
+                    }
+                    if counted {
+                        continue;
+                    }
                     // The level's nodes with left set `l`, newest first.
                     let nodes = &mut self.nodes;
                     let head = &mut self.by_left[l as usize];
@@ -711,21 +710,15 @@ where
                             op: u16::try_from(i).expect("alphabet exceeds u16 symbols"),
                         });
                     }
-                    let index = chain as usize;
-                    nodes[index].multiplicity += mult;
-                    if l != EMPTY_SET && r == EMPTY_SET && l_violation.is_none() {
-                        l_violation = Some(index);
-                    }
-                    if l == EMPTY_SET && r != EMPTY_SET && r_violation.is_none() {
-                        r_violation = Some(index);
-                    }
+                    nodes[chain as usize].multiplicity += mult;
                 }
             }
             left_sizes.push(l_level);
             right_sizes.push(r_level);
+            // The counted level leaves `level` empty, and the walk ends.
             level = next_start..self.nodes.len();
             peak = peak.max(level.len());
-            self.report_depth(level.len(), probe);
+            self.report_depth((!counted).then_some(level.len()), probe);
             probe.exit("multi_depth");
             if level.is_empty() || options.stops(l_violation.is_some(), r_violation.is_some()) {
                 break;
@@ -735,8 +728,8 @@ where
         left_sizes.resize(max_len + 1, 0);
         right_sizes.resize(max_len + 1, 0);
         let comparison = LanguageComparison {
-            left_not_in_right: l_violation.map(|index| self.witness(alphabet, index)),
-            right_not_in_left: r_violation.map(|index| self.witness(alphabet, index)),
+            left_not_in_right: l_violation.map(|edge| self.witness(alphabet, edge)),
+            right_not_in_left: r_violation.map(|edge| self.witness(alphabet, edge)),
             left_sizes,
             right_sizes,
             peak_level_width: peak,
@@ -747,7 +740,8 @@ where
     }
 
     /// Hands the depth's memo traffic and sizes to the probe.
-    fn report_depth<P: EngineProbe>(&mut self, frontier: usize, probe: &mut P) {
+    /// A counted level has no `frontier` to sample.
+    fn report_depth<P: EngineProbe>(&mut self, frontier: Option<usize>, probe: &mut P) {
         let (lt, rt) = (
             std::mem::take(&mut self.left.tally),
             std::mem::take(&mut self.right.tally),
@@ -759,7 +753,9 @@ where
         probe.add("row_hits", lt.row_hits + rt.row_hits);
         probe.add("state_steps", lt.state_steps + rt.state_steps);
         probe.add("state_hits", lt.state_hits + rt.state_hits);
-        probe.gauge("frontier_nodes", frontier as i64);
+        if let Some(frontier) = frontier {
+            probe.gauge("frontier_nodes", frontier as i64);
+        }
         probe.gauge("left_sets", self.left.arena.set_count() as i64);
         probe.gauge("right_sets", self.right.arena.set_count() as i64);
         let bytes = self.left.approx_bytes() + self.right.approx_bytes();
@@ -771,15 +767,18 @@ where
         probe.gauge("cons_load_pct", (100 * (lu + ru) / (ls + rs)) as i64);
     }
 
-    /// O(depth) witness reconstruction: follows `(parent, alphabet
-    /// index)` edges from node `index` to the root.
-    fn witness(&self, alphabet: &[L::Op], index: usize) -> History<L::Op> {
-        let path = std::iter::successors(Some(&self.nodes[index]), |node| {
+    /// O(depth) witness reconstruction: the `(parent, alphabet index)`
+    /// edges from node `at` to the root, then the edge's own symbol.
+    fn witness(&self, alphabet: &[L::Op], (at, op): (usize, usize)) -> History<L::Op> {
+        let path = std::iter::successors(Some(&self.nodes[at]), |node| {
             self.nodes.get(node.parent as usize)
         });
-        let mut ops: Vec<_> = path
-            .take_while(|node| node.parent != NO_PARENT)
-            .map(|node| alphabet[node.op as usize].clone())
+        let mut ops: Vec<_> = std::iter::once(op)
+            .chain(
+                path.take_while(|node| node.parent != NO_PARENT)
+                    .map(|node| usize::from(node.op)),
+            )
+            .map(|i| alphabet[i].clone())
             .collect();
         ops.reverse();
         History::from(ops)
@@ -1069,16 +1068,18 @@ mod tests {
     /// many nodes of the level share its left set. A bag of at most one
     /// item against one of at most three gives every right-only node the
     /// empty left set, so up to ten right sets share one left set a level
-    /// and a pair recurs behind newer ones. Each level's width must be
-    /// its number of distinct (left state, right state) pairs, from a
-    /// walk over histories that both sides step deterministically.
+    /// and a pair recurs behind newer ones. Each built level's width must
+    /// be its number of distinct (left state, right state) pairs, from a
+    /// walk over histories that both sides step deterministically, and
+    /// the last level, counted and not built, must still be counted in
+    /// full.
     #[test]
     fn a_level_holds_each_pair_once() {
         use std::collections::BTreeSet;
         let (left, right) = (&CappedBag { cap: 1 }, &CappedBag { cap: 3 });
         let max_len = 6;
         let mut walker = LanguageWalker::new();
-        walker.walk(
+        let cmp = walker.walk(
             left,
             right,
             &alphabet(),
@@ -1087,7 +1088,7 @@ mod tests {
             &mut NoopProbe,
         );
         let mut depth = vec![0; walker.nodes.len()];
-        let mut widths = vec![0usize; max_len + 1];
+        let mut widths = vec![0usize; max_len];
         for (at, node) in walker.nodes.iter().enumerate() {
             if node.parent != NO_PARENT {
                 depth[at] = depth[node.parent as usize] + 1;
@@ -1099,7 +1100,7 @@ mod tests {
         };
         let mut level = BTreeSet::from([(Some(Vec::new()), Some(Vec::new()))]);
         let mut naive = vec![1];
-        for _ in 0..max_len {
+        for _ in 1..max_len {
             level = level
                 .iter()
                 .flat_map(|(l, r)| {
@@ -1112,6 +1113,57 @@ mod tests {
             naive.push(level.len());
         }
         assert_eq!(widths, naive);
+        assert_eq!(cmp.peak_level_width, *naive.iter().max().unwrap());
+        assert_eq!(cmp.left_sizes, language_sizes_of(left, max_len));
+        assert_eq!(cmp.right_sizes, language_sizes_of(right, max_len));
+    }
+
+    /// A bag of at most two items against one of at most three first
+    /// differ at `Put·Put·Put`, exactly at a bound of three: on the level
+    /// that is counted, not built. Each direction, under every preset,
+    /// must still find the difference, witness it with the history a
+    /// walk that built the level gave (its first violating edge in
+    /// expansion order), and count both languages in full.
+    #[test]
+    fn a_difference_at_the_bound_is_counted_and_witnessed() {
+        let max_len = 3;
+        let first_difference = History::from(vec![Op::Put(0); 3]);
+        let presets = [
+            CompareOptions::inclusion(),
+            CompareOptions::equality(),
+            CompareOptions::strictness(),
+            CompareOptions::counting(),
+        ];
+        for (left, right) in [(2, 3), (3, 2)] {
+            let (left, right) = (CappedBag { cap: left }, CappedBag { cap: right });
+            for options in presets {
+                let what = format!("cap {} against {}, {options:?}", left.cap, right.cap);
+                let cmp = compare_upto(&left, &right, &alphabet(), max_len, options);
+                // Only the larger bag holds the witness.
+                let (found, missing) = match left.cap > right.cap {
+                    true => (&cmp.left_not_in_right, &cmp.right_not_in_left),
+                    false => (&cmp.right_not_in_left, &cmp.left_not_in_right),
+                };
+                assert_eq!(missing, &None, "{what}");
+                if left.cap < right.cap && !options.walk_right_only {
+                    // An inclusion walk does not look for the other way.
+                    assert_eq!(found, &None, "{what}");
+                } else {
+                    let witness = found.as_ref().expect(&what);
+                    assert_eq!(witness.len(), max_len, "{what}");
+                    assert_eq!(witness, &first_difference, "{what}");
+                }
+                // Without right-only histories, the right side counts
+                // the intersection: the smaller bag.
+                let counted_right = match options.walk_right_only {
+                    true => right.cap,
+                    false => left.cap.min(right.cap),
+                };
+                let sizes = |cap| language_sizes_of(&CappedBag { cap }, max_len);
+                assert_eq!(cmp.left_sizes, sizes(left.cap), "{what}");
+                assert_eq!(cmp.right_sizes, sizes(counted_right), "{what}");
+            }
+        }
     }
 
     fn language_sizes_of(a: &CappedBag, max_len: usize) -> Vec<u64> {

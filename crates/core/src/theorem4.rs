@@ -44,8 +44,9 @@ pub struct PointVerification {
     /// Number of histories in the (common) language up to the bound.
     pub language_size: usize,
     /// Peak working-set width of the check: for the engine the widest
-    /// level of this point's own walk, in *nodes*; for the naive
-    /// enumerator the widest per-length frontier in *histories*.
+    /// level this point's own walk built, in *nodes* (the last level is
+    /// counted, not built); for the naive enumerator the widest
+    /// per-length frontier in *histories*.
     pub peak_frontier: usize,
     /// `None` if the languages agree up to the bound; otherwise the
     /// difference.
@@ -116,15 +117,17 @@ impl TaxiVerification {
 ///    forward simulation), so every reference is deterministic, like
 ///    every quotient: each set either side interns is a singleton.
 /// 3. The four `(quotient, reference)` pairs walk in turn through one
-///    [`LanguageWalker`]: a dense state/set interner a side, one
-///    `step_all_into` per (point, state) and memoized successor rows,
-///    all cleared between points with their capacity kept, so a point
-///    regrows nothing the one before it grew. The walker is the
+///    [`LanguageWalker`]: a dense state/set interner a side and one
+///    memoized successor row per (point, set), a singleton's row one
+///    `step_all_into` of its state, all cleared between points with
+///    their capacity kept, so a point regrows nothing the one before it
+///    grew. The last level is counted, not built. The walker is the
 ///    thread's own and outlives the call (see the module docs), so a
 ///    repeated verification regrows nothing either. A walk's node is one
 ///    point's (left set, right set) pair: a node holding all four
 ///    points' pairs makes levels wider than the widest point's own
-///    (3,423 such nodes at (4, 8) against 2,040).
+///    (3,423 such nodes at (4, 8) against 2,040 while every level was
+///    built).
 ///
 /// Verdicts and per-point language sizes are pinned against
 /// [`verify_taxi_lattice_naive`] in tests.
@@ -439,8 +442,8 @@ mod tests {
         let v = verify_taxi_lattice(&[1, 2, 3], 8);
         assert!(v.holds());
         let peaks: Vec<usize> = v.points.iter().map(|p| p.peak_frontier).collect();
-        assert_eq!(peaks, [95, 622, 95, 164]);
-        assert_eq!(v.peak_frontier(), 622);
+        assert_eq!(peaks, [70, 364, 70, 119]);
+        assert_eq!(v.peak_frontier(), 364);
     }
 
     #[test]
