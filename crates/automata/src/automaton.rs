@@ -74,6 +74,18 @@ pub trait ObjectAutomaton {
         None
     }
 
+    /// Is `δ(s, p)` nonempty? `Some(answer)` where the automaton can say
+    /// so without building a successor; the default `None` means "step
+    /// to find out". The language walk asks this for every symbol of a
+    /// state it meets only on its last, counted level, whose successors
+    /// nothing would read, and steps the state instead where any symbol
+    /// answers `None`. An override must agree with
+    /// [`ObjectAutomaton::step`]: `Some(!step(s, p).is_empty())`.
+    fn defined(&self, state: &Self::State, op: &Self::Op) -> Option<bool> {
+        let _ = (state, op);
+        None
+    }
+
     /// `δ*(s, H)`: the set of states reachable from `s` by the history
     /// `H` (§2.1).
     fn delta_star_from(
@@ -134,6 +146,10 @@ impl<A: ObjectAutomaton + ?Sized> ObjectAutomaton for &A {
     // Forwarded explicitly so overrides survive the indirection.
     fn step_in_place(&self, state: &mut Self::State, op: &Self::Op) -> Option<bool> {
         (**self).step_in_place(state, op)
+    }
+
+    fn defined(&self, state: &Self::State, op: &Self::Op) -> Option<bool> {
+        (**self).defined(state, op)
     }
 
     fn step_all_into(

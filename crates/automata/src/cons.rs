@@ -3,14 +3,23 @@
 //! `std::collections::HashMap` offers no stable entry API keyed by a
 //! precomputed hash, so the arena's original `lookup`-then-`insert`
 //! interning hashed every set twice (and probed twice). [`ConsTable`] is
-//! a minimal open-addressing table storing `(hash, id)` pairs: callers
+//! a minimal open-addressing table storing `(tag, id)` pairs: callers
 //! hash a candidate **once**, probe **once** via [`ConsTable::entry`],
 //! and either get the existing id back or fill the vacant slot they were
 //! handed — the classic raw-entry pattern, with the keys themselves held
 //! in the caller's own dense storage (a `Vec` indexed by id).
 //!
-//! Growth rehashes from the stored hashes alone, so no key access (and
-//! no re-hashing of keys) is ever needed after insertion.
+//! A slot is 8 bytes: the low 32 bits of the key's hash (its *tag*) and
+//! the id. The tag is a cheap early-out on probe collisions; it is not
+//! the key's identity, so every tag match is still decided by the
+//! caller's `is_match`. A slot index is the hash's low bits, which for
+//! any table of at most 2³² slots are the tag's own, so growth re-places
+//! every slot from its tag alone: no key is touched (or re-hashed) after
+//! insertion. Linear probing stays short because the table doubles
+//! before an insert would take its load past 1/2 (about 2.5 probes
+//! expected for a miss, 32 at a load of 7/8). The half-size slot pays
+//! for the low load: a key costs about the bytes a 16-byte slot with
+//! the whole hash would at 7/8.
 
 use std::hash::Hasher;
 
@@ -100,18 +109,15 @@ impl Hasher for WordHasher {
 /// The sentinel id marking a vacant slot. Ids must stay below this.
 const VACANT: u32 = u32::MAX;
 
-/// One slot: the full 64-bit hash (cheap early-out on probe collisions)
-/// plus the caller's id for the key.
+/// One slot: the low 32 bits of the key's hash (its tag) plus the
+/// caller's id for the key.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
-    hash: u64,
+    tag: u32,
     id: u32,
 }
 
-const EMPTY_SLOT: Slot = Slot {
-    hash: 0,
-    id: VACANT,
-};
+const EMPTY_SLOT: Slot = Slot { tag: 0, id: VACANT };
 
 /// An open-addressing (linear probing) index from 64-bit hashes to
 /// caller-owned `u32` ids, with a single-probe entry API.
@@ -137,7 +143,7 @@ pub enum Entry<'a> {
 pub struct VacantEntry<'a> {
     table: &'a mut ConsTable,
     index: usize,
-    hash: u64,
+    tag: u32,
 }
 
 impl VacantEntry<'_> {
@@ -145,10 +151,7 @@ impl VacantEntry<'_> {
     /// at `id` in its own dense storage.
     pub fn insert(self, id: u32) {
         debug_assert!(id < VACANT, "id space exhausted");
-        self.table.slots[self.index] = Slot {
-            hash: self.hash,
-            id,
-        };
+        self.table.slots[self.index] = Slot { tag: self.tag, id };
         self.table.len += 1;
     }
 }
@@ -173,7 +176,7 @@ impl ConsTable {
     }
 
     /// Number of slots in the probe array. `len() / capacity()` is the
-    /// live load factor (kept below 7/8 by [`ConsTable::entry`]); the
+    /// live load factor (kept at most 1/2 by [`ConsTable::entry`]); the
     /// profiling layer reports it as table occupancy.
     pub fn capacity(&self) -> usize {
         self.slots.len()
@@ -196,31 +199,33 @@ impl ConsTable {
     /// caller exactly once per candidate, and the probe sequence is
     /// walked exactly once.
     pub fn entry(&mut self, hash: u64, mut is_match: impl FnMut(u32) -> bool) -> Entry<'_> {
-        // Keep the load factor below 7/8 *before* probing, so the vacant
-        // slot we hand out stays valid.
-        if (self.len + 1) * 8 > self.slots.len() * 7 {
+        // Keep the load factor at most 1/2 *before* probing, so the
+        // vacant slot we hand out stays valid.
+        if (self.len + 1) * 2 > self.slots.len() {
             self.grow();
         }
+        // Truncated on purpose: the tag is the hash's low half.
+        let tag = hash as u32;
         let mask = self.slots.len() - 1;
-        let mut i = hash as usize & mask;
+        let mut i = tag as usize & mask;
         loop {
             let slot = self.slots[i];
             if slot.id == VACANT {
                 return Entry::Vacant(VacantEntry {
                     table: self,
                     index: i,
-                    hash,
+                    tag,
                 });
             }
-            if slot.hash == hash && is_match(slot.id) {
+            if slot.tag == tag && is_match(slot.id) {
                 return Entry::Occupied(slot.id);
             }
             i = (i + 1) & mask;
         }
     }
 
-    /// Doubles the slot array, reinserting from stored hashes (keys are
-    /// never touched).
+    /// Doubles the slot array, re-placing every slot from its tag (keys
+    /// are never touched).
     fn grow(&mut self) {
         let new_cap = self.slots.len() * 2;
         let old = std::mem::replace(&mut self.slots, vec![EMPTY_SLOT; new_cap]);
@@ -229,7 +234,7 @@ impl ConsTable {
             if slot.id == VACANT {
                 continue;
             }
-            let mut i = slot.hash as usize & mask;
+            let mut i = slot.tag as usize & mask;
             while self.slots[i].id != VACANT {
                 i = (i + 1) & mask;
             }
@@ -345,5 +350,53 @@ mod tests {
         assert_eq!(probe(&mut table, 42, "c"), None);
         assert_eq!(probe(&mut table, 7, "a"), None);
         assert_eq!(table.len(), 2);
+    }
+
+    #[test]
+    fn keys_whose_hashes_share_a_tag_stay_apart_across_growth() {
+        // The two keys' hashes agree on the low 32 bits (the tag) and
+        // differ above them: only `is_match` tells them apart. Enough
+        // other keys follow to grow the table several times.
+        let mut table = ConsTable::new();
+        let mut keys: Vec<u64> = Vec::new();
+        let mut intern_hash = |table: &mut ConsTable, hash: u64| match table
+            .entry(hash, |id| keys[id as usize] == hash)
+        {
+            Entry::Occupied(id) => id,
+            Entry::Vacant(slot) => {
+                let id = keys.len() as u32;
+                keys.push(hash);
+                slot.insert(id);
+                id
+            }
+        };
+        let (a, b) = (0x0000_0001_dead_beef, 0x0000_0002_dead_beef);
+        let ids = [intern_hash(&mut table, a), intern_hash(&mut table, b)];
+        assert_eq!(ids, [0, 1]);
+        let slots = table.capacity();
+        for i in 0..1000u64 {
+            intern_hash(&mut table, hash_of(&i));
+        }
+        assert!(table.capacity() > slots, "the table never grew");
+        assert_eq!(
+            [intern_hash(&mut table, a), intern_hash(&mut table, b)],
+            ids
+        );
+        assert_eq!(table.len(), 1002);
+    }
+
+    #[test]
+    fn the_load_stays_at_most_one_half() {
+        let mut table = ConsTable::new();
+        let mut keys = Vec::new();
+        for n in 1..=5000 {
+            intern(&mut table, &mut keys, &format!("key-{n}"));
+            assert_eq!(table.len(), n);
+            assert!(
+                2 * n <= table.capacity(),
+                "{n} keys in {} slots",
+                table.capacity()
+            );
+        }
     }
 }

@@ -118,5 +118,5 @@ pub use multiwalk::{
     LanguageWalker, StopWhen,
 };
 pub use probe::{EngineProbe, NoopProbe};
-pub use random::{check_step_all_into, random_history, RandomWalk};
+pub use random::{check_defined, check_step_all_into, random_history, RandomWalk, StepsOnly};
 pub use rng::SplitMix64;

@@ -43,9 +43,11 @@
 //! level instead of building it: each node of the level before reads
 //! from its sets' rows only which symbols each side defines, and adds
 //! its multiplicity. A singleton first met there gets a *counted* row,
-//! one step that interns nothing (a larger set, its members' union). A
-//! violation found there is witnessed by its node's path plus the
-//! symbol, the history a built level would give.
+//! which marks where `δ` is defined and interns nothing (a larger set,
+//! its members' union). It asks [`ObjectAutomaton::defined`] for every
+//! symbol and steps nothing; only where some symbol answers `None` does
+//! it step the state once. A violation found there is witnessed by its
+//! node's path plus the symbol, the history a built level would give.
 //!
 //! The rows are a `start` offset per set id into one flat pool, and
 //! every built level of nodes sits end to end in one vector. A level
@@ -318,12 +320,25 @@ impl<S: Clone + Eq + Ord + Hash> Side<S> {
         (start != NONE).then_some(start as usize)
     }
 
+    /// Records that `set_id`'s row starts at `offset` in `rows`.
+    fn place(&mut self, set_id: u32, offset: usize) {
+        if self.row_start.len() <= set_id as usize {
+            self.row_start.resize(self.arena.set_count(), NONE);
+        }
+        self.row_start[set_id as usize] = u32::try_from(offset)
+            .ok()
+            .filter(|&o| o != NONE)
+            .expect("rows exceed u32 offsets");
+    }
+
     /// The offset in `rows` of `set_id`'s successor row, written on
     /// first demand. A singleton's row is one `step_all_into` of its
     /// state, each symbol's successors interned straight into a set id;
     /// a larger set's row is, per symbol, the union of its members'
     /// rows. A `counted` row, for the level that is counted and not
-    /// built, only marks where `δ` is defined, and interns nothing.
+    /// built, only marks where `δ` is defined, and interns nothing: a
+    /// singleton's asks [`ObjectAutomaton::defined`] for each symbol, and
+    /// steps its state only where some symbol answers `None`.
     fn row<A>(&mut self, automaton: &A, set_id: u32, alphabet: &[A::Op], counted: bool) -> usize
     where
         A: ObjectAutomaton<State = S>,
@@ -335,10 +350,30 @@ impl<S: Clone + Eq + Ord + Hash> Side<S> {
         self.tally.row_fills += u64::from(!counted);
         let members = self.arena.set(set_id).len();
         if members == 1 {
+            let state = self.arena.state(self.arena.set(set_id)[0]);
+            if counted {
+                // Asked, not stepped, where the automaton can answer for
+                // every symbol; the answers go straight into the pool.
+                let offset = self.rows.len();
+                let rows = &mut self.rows;
+                let answered = alphabet
+                    .iter()
+                    .all(|op| match automaton.defined(state, op) {
+                        Some(defined) => {
+                            rows.push(if defined { DEFINED } else { EMPTY_SET });
+                            true
+                        }
+                        None => false,
+                    });
+                if answered {
+                    self.place(set_id, offset);
+                    return offset;
+                }
+                self.rows.truncate(offset);
+            }
             self.tally.state_steps += 1;
             // Successors are interned after the call returns, so it can
             // borrow the arena's own copy of the state.
-            let state = self.arena.state(self.arena.set(set_id)[0]);
             self.successors.clear();
             automaton.step_all_into(state, alphabet, &mut self.successors);
             assert_eq!(
@@ -357,13 +392,7 @@ impl<S: Clone + Eq + Ord + Hash> Side<S> {
             }
         }
         let offset = self.rows.len();
-        if self.row_start.len() <= set_id as usize {
-            self.row_start.resize(self.arena.set_count(), NONE);
-        }
-        self.row_start[set_id as usize] = u32::try_from(offset)
-            .ok()
-            .filter(|&o| o != NONE)
-            .expect("rows exceed u32 offsets");
+        self.place(set_id, offset);
         for i in 0..alphabet.len() {
             self.gathered.clear();
             let defined = if members == 1 {
@@ -595,8 +624,9 @@ where
     /// `cons_slots`, `cons_load_pct`), and counters for the set rows,
     /// batched per depth — never incremented per node: rows written with
     /// interned successors and rows reused (`row_fills`/`row_hits`),
-    /// states stepped, one `step_all_into` each, counted rows included
-    /// (`state_steps`), and members of a larger set found with their
+    /// states stepped, one `step_all_into` each (`state_steps`; a counted
+    /// row steps only where [`ObjectAutomaton::defined`] cannot answer),
+    /// and members of a larger set found with their
     /// singleton's row written (`state_hits`). `arena_bytes` counts the
     /// arenas and the row pools at their capacity, which a reused walker
     /// keeps. The whole walk sits inside a `multiwalk` span. With
@@ -822,6 +852,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::random::StepsOnly;
 
     #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
     enum Op {
@@ -863,6 +894,13 @@ mod tests {
                     None => vec![],
                 },
             }
+        }
+
+        fn defined(&self, s: &Vec<u8>, op: &Op) -> Option<bool> {
+            Some(match op {
+                Op::Put(_) => s.len() < self.cap,
+                Op::Take(x) => s.contains(x),
+            })
         }
     }
 
@@ -1123,9 +1161,18 @@ mod tests {
     /// that is counted, not built. Each direction, under every preset,
     /// must still find the difference, witness it with the history a
     /// walk that built the level gave (its first violating edge in
-    /// expansion order), and count both languages in full.
+    /// expansion order), and count both languages in full, whether the
+    /// counted rows ask [`ObjectAutomaton::defined`] or step.
     #[test]
     fn a_difference_at_the_bound_is_counted_and_witnessed() {
+        a_difference_at_the_bound(|cap| CappedBag { cap });
+        a_difference_at_the_bound(|cap| StepsOnly(CappedBag { cap }));
+    }
+
+    fn a_difference_at_the_bound<A>(bag: impl Fn(usize) -> A)
+    where
+        A: ObjectAutomaton<Op = Op>,
+    {
         let max_len = 3;
         let first_difference = History::from(vec![Op::Put(0); 3]);
         let presets = [
@@ -1134,18 +1181,18 @@ mod tests {
             CompareOptions::strictness(),
             CompareOptions::counting(),
         ];
-        for (left, right) in [(2, 3), (3, 2)] {
-            let (left, right) = (CappedBag { cap: left }, CappedBag { cap: right });
+        for (left_cap, right_cap) in [(2, 3), (3, 2)] {
+            let (left, right) = (bag(left_cap), bag(right_cap));
             for options in presets {
-                let what = format!("cap {} against {}, {options:?}", left.cap, right.cap);
+                let what = format!("cap {left_cap} against {right_cap}, {options:?}");
                 let cmp = compare_upto(&left, &right, &alphabet(), max_len, options);
                 // Only the larger bag holds the witness.
-                let (found, missing) = match left.cap > right.cap {
+                let (found, missing) = match left_cap > right_cap {
                     true => (&cmp.left_not_in_right, &cmp.right_not_in_left),
                     false => (&cmp.right_not_in_left, &cmp.left_not_in_right),
                 };
                 assert_eq!(missing, &None, "{what}");
-                if left.cap < right.cap && !options.walk_right_only {
+                if left_cap < right_cap && !options.walk_right_only {
                     // An inclusion walk does not look for the other way.
                     assert_eq!(found, &None, "{what}");
                 } else {
@@ -1156,11 +1203,11 @@ mod tests {
                 // Without right-only histories, the right side counts
                 // the intersection: the smaller bag.
                 let counted_right = match options.walk_right_only {
-                    true => right.cap,
-                    false => left.cap.min(right.cap),
+                    true => right_cap,
+                    false => left_cap.min(right_cap),
                 };
                 let sizes = |cap| language_sizes_of(&CappedBag { cap }, max_len);
-                assert_eq!(cmp.left_sizes, sizes(left.cap), "{what}");
+                assert_eq!(cmp.left_sizes, sizes(left_cap), "{what}");
                 assert_eq!(cmp.right_sizes, sizes(counted_right), "{what}");
             }
         }

@@ -5,7 +5,10 @@
 //! of constraints would be satisfied" (§2.3). Monte Carlo experiments over
 //! automata need reproducible random histories; this module provides
 //! seeded random walks (all randomness in the workspace flows through
-//! explicit [`SplitMix64`] seeds).
+//! explicit [`SplitMix64`] seeds). Beside them sit the checkers that
+//! hold an automaton's batched and asked steps to its per-op step.
+
+use std::collections::BTreeSet;
 
 use crate::automaton::{ObjectAutomaton, Successors};
 use crate::history::History;
@@ -126,6 +129,64 @@ pub fn check_step_all_into<A: ObjectAutomaton>(
     }
 }
 
+/// Checks an automaton's [`ObjectAutomaton::defined`] against its
+/// per-operation [`ObjectAutomaton::step`] at every state some history
+/// of at most `max_len` operations over `alphabet` reaches: for every
+/// symbol, the answer must be `Some(!step(s, p).is_empty())`, so an
+/// automaton that answers `None` anywhere fails. Returns how many states
+/// were checked, or the first mismatch.
+pub fn check_defined<A: ObjectAutomaton>(
+    automaton: &A,
+    alphabet: &[A::Op],
+    max_len: usize,
+) -> Result<usize, String> {
+    let mut seen = BTreeSet::from([automaton.initial_state()]);
+    let mut level: Vec<A::State> = seen.iter().cloned().collect();
+    for depth in 0..=max_len {
+        let mut next = Vec::new();
+        for state in &level {
+            for op in alphabet {
+                let successors = automaton.step(state, op);
+                let answer = automaton.defined(state, op);
+                if answer != Some(!successors.is_empty()) {
+                    return Err(format!(
+                        "at {state:?} · {op:?}: defined says {answer:?}, step gives {successors:?}"
+                    ));
+                }
+                if depth < max_len {
+                    next.extend(successors.into_iter().filter(|t| seen.insert(t.clone())));
+                }
+            }
+        }
+        level = next;
+    }
+    Ok(seen.len())
+}
+
+/// `A` with its [`ObjectAutomaton::defined`] answers hidden: every one
+/// is `None`, so the language walk steps each state it would have asked
+/// about. A test walks an automaton both ways to hold its answers to its
+/// steps.
+#[derive(Debug, Clone)]
+pub struct StepsOnly<A>(pub A);
+
+impl<A: ObjectAutomaton> ObjectAutomaton for StepsOnly<A> {
+    type State = A::State;
+    type Op = A::Op;
+
+    fn initial_state(&self) -> A::State {
+        self.0.initial_state()
+    }
+
+    fn step(&self, state: &A::State, op: &A::Op) -> Vec<A::State> {
+        self.0.step(state, op)
+    }
+
+    fn step_all_into(&self, state: &A::State, alphabet: &[A::Op], out: &mut Successors<A::State>) {
+        self.0.step_all_into(state, alphabet, out)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,6 +284,32 @@ mod tests {
         assert!(check_step_all_into(&Stale, &[0, 1], 0, 1).is_ok());
         assert!(check_step_all_into(&Stale, &[0, 1], 3, 1).is_err());
         assert!(check_step_all_into(&Counter, &[1, -1], 30, 1).is_ok());
+    }
+
+    /// An answer that disagrees with the step past the first level is
+    /// caught, and so is an automaton that does not answer.
+    #[test]
+    fn defined_check_catches_a_wrong_answer() {
+        /// [`Counter`], whose `-1` claims to be defined everywhere.
+        #[derive(Debug, Clone)]
+        struct Eager;
+        impl ObjectAutomaton for Eager {
+            type State = i32;
+            type Op = i8;
+            fn initial_state(&self) -> i32 {
+                1
+            }
+            fn step(&self, s: &i32, op: &i8) -> Vec<i32> {
+                Counter.step(s, op)
+            }
+            fn defined(&self, _s: &i32, op: &i8) -> Option<bool> {
+                Some(matches!(op, 1 | -1))
+            }
+        }
+        assert_eq!(check_defined(&Eager, &[1, -1, 7], 0), Ok(1));
+        assert!(check_defined(&Eager, &[1, -1, 7], 1).is_err());
+        assert!(check_defined(&Counter, &[1, -1], 0).is_err());
+        assert!(check_defined(&StepsOnly(Eager), &[1, -1], 0).is_err());
     }
 
     #[test]

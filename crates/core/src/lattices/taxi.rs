@@ -201,6 +201,29 @@ impl PackedTaxiReference {
             domain: rank_domain(domain),
         }
     }
+
+    /// The guards of a `Deq` of the item of rank `rank` at `(present,
+    /// absent)`: does it re-return an absent item (MPQ only), and does it
+    /// serve a present one? `δ` is defined iff either holds.
+    fn deq_guards(&self, present: PackedBag, absent: PackedBag, rank: usize) -> (bool, bool) {
+        let serves_best = best(present) == Some(rank);
+        let held = del(present, rank) != present;
+        match (self.point.q1, self.point.q2) {
+            // PQ: serve the best item.
+            (true, true) => (false, serves_best),
+            // MPQ (Figure 3-3): re-return an absent item that beats
+            // everything present, or move the best present item to
+            // absent.
+            (true, false) => (
+                del(absent, rank) != absent && best(present).is_none_or(|b| rank > b),
+                serves_best,
+            ),
+            // OPQ: serve any present item.
+            (false, true) => (false, held),
+            // DegenPQ: serve any present item (and keep it).
+            (false, false) => (false, held),
+        }
+    }
 }
 
 impl ObjectAutomaton for PackedTaxiReference {
@@ -227,34 +250,42 @@ impl ObjectAutomaton for PackedTaxiReference {
             let (QueueOp::Enq(e) | QueueOp::Deq(e)) = op;
             // Outside the domain, δ is undefined.
             if let Ok(rank) = self.domain.binary_search(e) {
-                let removed = del(present, rank);
-                let held = removed != present;
-                match (op, self.point.q1, self.point.q2) {
-                    (QueueOp::Enq(_), ..) => out.push((ins(present, rank), absent)),
-                    // PQ: serve the best item.
-                    (_, true, true) if best(present) == Some(rank) => {
-                        out.push((removed, absent));
+                if let QueueOp::Enq(_) = op {
+                    out.push((ins(present, rank), absent));
+                } else {
+                    let (again, serve) = self.deq_guards(present, absent, rank);
+                    if again {
+                        out.push((present, absent));
                     }
-                    // MPQ (Figure 3-3): re-return an absent item that beats
-                    // everything present, or move the best present item to
-                    // absent.
-                    (_, true, false) => {
-                        if del(absent, rank) != absent && best(present).is_none_or(|b| rank > b) {
-                            out.push((present, absent));
-                        }
-                        if best(present) == Some(rank) {
-                            out.push((removed, ins(absent, rank)));
-                        }
+                    if serve {
+                        let removed = del(present, rank);
+                        out.push(match (self.point.q1, self.point.q2) {
+                            (true, false) => (removed, ins(absent, rank)),
+                            // DegenPQ keeps what it serves.
+                            (false, false) => (present, absent),
+                            _ => (removed, absent),
+                        });
                     }
-                    // OPQ: serve any present item.
-                    (_, false, true) if held => out.push((removed, absent)),
-                    // DegenPQ: serve any present item and keep it.
-                    (_, false, false) if held => out.push((present, absent)),
-                    _ => {}
                 }
             }
             out.end_symbol();
         }
+    }
+
+    /// The guards [`ObjectAutomaton::step_all_into`] steps by, without
+    /// the successors.
+    fn defined(&self, &(present, absent): &(PackedBag, PackedBag), op: &QueueOp) -> Option<bool> {
+        let (QueueOp::Enq(e) | QueueOp::Deq(e)) = op;
+        let Ok(rank) = self.domain.binary_search(e) else {
+            return Some(false);
+        };
+        Some(match op {
+            QueueOp::Enq(_) => true,
+            QueueOp::Deq(_) => {
+                let (again, serve) = self.deq_guards(present, absent, rank);
+                again || serve
+            }
+        })
     }
 }
 
@@ -398,8 +429,8 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use relax_automata::{
-        check_reverse_inclusion_lattice, check_step_all_into, equal_upto, included_upto,
-        CombinedAutomaton, History, Input,
+        check_defined, check_reverse_inclusion_lattice, check_step_all_into, equal_upto,
+        included_upto, CombinedAutomaton, History, Input,
     };
     use relax_queues::{queue_alphabet, DiscardingPqAutomaton, EtaPrime};
     use std::collections::HashSet;
@@ -562,6 +593,20 @@ mod tests {
                 let check = check_step_all_into(&reference, &alphabet, 24, seed);
                 assert_eq!(check, Ok(()), "{point:?}");
             }
+        }
+    }
+
+    /// `defined` answers what `step` does at every state a history of
+    /// at most 8 operations over 3 items reaches, at every point, for
+    /// every symbol and for both ops on an item outside the domain.
+    #[test]
+    fn packed_reference_defined_agrees_with_step() {
+        let domain = [1, 2, 3];
+        let mut alphabet = queue_alphabet(&domain);
+        alphabet.extend([QueueOp::Enq(5), QueueOp::Deq(5)]);
+        for point in TaxiPoint::all() {
+            let checked = check_defined(&PackedTaxiReference::new(point, &domain), &alphabet, 8);
+            assert!(matches!(checked, Ok(n) if n > 1), "{point:?}: {checked:?}");
         }
     }
 

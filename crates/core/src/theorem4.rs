@@ -307,7 +307,9 @@ pub fn separating_histories() -> Vec<(TaxiPoint, History<QueueOp>)> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use relax_automata::{random_history, ObjectAutomaton};
+    use relax_automata::{
+        compare_upto, random_history, LanguageComparison, ObjectAutomaton, StepsOnly,
+    };
     use relax_queues::{Eta, Eval, MpqAutomaton};
 
     #[test]
@@ -426,15 +428,56 @@ mod tests {
             report.gauge("lang_size"),
             Some(&[209i64, 269, 287, 373][..])
         );
-        // Each (point, state) pair the walk reached stepped once, and
-        // as a singleton set: both sides are deterministic, so no member
-        // visit finds a state already stepped.
-        assert_eq!(report.counter("state_steps"), Some(150));
+        // Each (point, state) pair the walk reached below the counted
+        // level stepped once, and as a singleton set: both sides are
+        // deterministic, so no member visit finds a state already
+        // stepped. A state first met on the counted level is asked, not
+        // stepped, so the steps are the row fills.
+        assert_eq!(report.counter("state_steps"), Some(92));
+        assert_eq!(report.counter("row_fills"), Some(92));
         assert_eq!(report.counter("state_hits"), Some(0));
         // Exact-sum attribution holds over the live tree.
         assert_eq!(report.self_sum_ns(), report.total_ns());
         // The per-depth frontier timeline came through the walk.
         assert!(!report.gauge("frontier_nodes").unwrap_or(&[]).is_empty());
+    }
+
+    /// The counted level's asked rows are the stepped ones: each
+    /// quotient against each reference at (3, 8), Theorem 4's four pairs
+    /// and the twelve that differ, walks to the same sizes, peak and
+    /// witnesses with every `defined` answer hidden.
+    #[test]
+    fn asked_rows_walk_as_stepped_rows_do() {
+        let items = [1, 2, 3];
+        let alphabet = queue_alphabet(&items);
+        let outcome = |cmp: LanguageComparison<QueueOp>| {
+            (
+                cmp.left_sizes,
+                cmp.right_sizes,
+                cmp.peak_level_width,
+                cmp.left_not_in_right,
+                cmp.right_not_in_left,
+            )
+        };
+        let mut differing = 0;
+        for q in TaxiPoint::all() {
+            let quotient = RepViewAutomaton::new(q.q1, q.q2, &items);
+            for r in TaxiPoint::all() {
+                let reference = PackedTaxiReference::new(r, &items);
+                let options = CompareOptions::counting();
+                let asked = compare_upto(&quotient, &reference, &alphabet, 8, options);
+                differing += usize::from(!asked.agree());
+                let stepped = compare_upto(
+                    &StepsOnly(&quotient),
+                    &StepsOnly(&reference),
+                    &alphabet,
+                    8,
+                    options,
+                );
+                assert_eq!(outcome(asked), outcome(stepped), "{q:?} against {r:?}");
+            }
+        }
+        assert_eq!(differing, 12, "every pair of two points differs");
     }
 
     #[test]

@@ -162,6 +162,12 @@ impl RepViewAutomaton {
     }
 }
 
+/// `Deq` of the item of rank `rank` is enabled at `v` iff some view
+/// serves it as the best item.
+fn serves(v: &[PackedBag], rank: usize) -> bool {
+    v.iter().any(|&b| best(b) == Some(rank))
+}
+
 impl ObjectAutomaton for RepViewAutomaton {
     /// The sorted set of achievable Deq-view bags `{ η(G) }`.
     type State = Vec<PackedBag>;
@@ -199,8 +205,7 @@ impl ObjectAutomaton for RepViewAutomaton {
                             extend_union(next, v.iter().copied(), inserted);
                         }
                     }
-                    // Enabled iff some view serves `e` as the best item.
-                    QueueOp::Deq(_) if v.iter().any(|&b| best(b) == Some(rank)) => {
+                    QueueOp::Deq(_) if serves(v, rank) => {
                         let next = out.slot();
                         next.clear();
                         // `del_e` shifts the bags holding `e` down by one
@@ -223,13 +228,26 @@ impl ObjectAutomaton for RepViewAutomaton {
             out.end_symbol();
         }
     }
+
+    /// `Enq` is always defined and `Deq` where some view serves its
+    /// item, over the domain; outside it, neither is.
+    fn defined(&self, v: &Vec<PackedBag>, op: &QueueOp) -> Option<bool> {
+        let (QueueOp::Enq(e) | QueueOp::Deq(e)) = *op;
+        let rank = self.rank_of(e);
+        Some(match op {
+            QueueOp::Enq(_) => rank.is_some(),
+            QueueOp::Deq(_) => rank.is_some_and(|rank| serves(v, rank)),
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use relax_automata::{check_step_all_into, compare_upto, random_history, CompareOptions};
+    use relax_automata::{
+        check_defined, check_step_all_into, compare_upto, random_history, CompareOptions,
+    };
     use relax_queues::{queue_alphabet, Eta, PqValueSpec};
 
     use crate::qca::QcaAutomaton;
@@ -296,6 +314,24 @@ mod tests {
             let domain = [1, 4, 6, 9];
             let rep = RepViewAutomaton::new(q1, q2, &domain);
             prop_assert_eq!(check_step_all_into(&rep, &queue_alphabet(&domain), len, seed), Ok(()));
+        }
+    }
+
+    /// `defined` answers what `step` does at every state a history of
+    /// at most 8 operations over 3 items reaches, at every point, for
+    /// every symbol and for both ops on an item outside the domain.
+    #[test]
+    fn defined_agrees_with_step() {
+        let domain = [1, 2, 3];
+        let mut alphabet = queue_alphabet(&domain);
+        alphabet.extend([QueueOp::Enq(5), QueueOp::Deq(5)]);
+        for (q1, q2) in [(true, true), (true, false), (false, true), (false, false)] {
+            let rep = RepViewAutomaton::new(q1, q2, &domain);
+            let checked = check_defined(&rep, &alphabet, 8);
+            assert!(
+                matches!(checked, Ok(n) if n > 1),
+                "({q1}, {q2}): {checked:?}"
+            );
         }
     }
 
